@@ -22,7 +22,10 @@
 //
 //   - every offered request is classified exactly once (counter
 //     reconciliation, also cross-checked against the server's
-//     vista_admission_* counter deltas when -reconcile is set);
+//     vista_admission_* counter deltas when -reconcile is set — and, when the
+//     server runs with -share, against its vista_share_* role counters and
+//     drained coordinator gauges);
+//   - every 429 carries a Retry-After hint;
 //   - zero transport failures: an overloaded server sheds with 429/503, it
 //     never stops answering the socket;
 //   - off-peak p99 stays within -off-peak-p99 (buckets whose target rate is
@@ -147,7 +150,12 @@ func main() {
 			failures++
 		}
 		if *reconcile {
-			for _, rerr := range reconcileCounters(ctx, client, *url, before, res) {
+			after, serr := workload.ScrapeMetrics(ctx, client, *url)
+			rerrs := res.Reconcile(before, after)
+			if serr != nil {
+				rerrs = []error{fmt.Errorf("post-run scrape: %w", serr)}
+			}
+			for _, rerr := range rerrs {
 				fmt.Fprintln(os.Stderr, "vista-load: FAIL:", rerr)
 				failures++
 			}
@@ -162,46 +170,6 @@ func main() {
 	if *check && !interrupted {
 		fmt.Println("vista-load: all invariants held")
 	}
-}
-
-// reconcileCounters diffs the server's admission counters across the run and
-// requires them to match the client's books: every 200 was admitted, every
-// 429 was a deadline rejection, every 503 a queue-full/oversize rejection.
-// The deltas are >= rather than == on the admitted side only if other
-// clients hit the server mid-run — this tool assumes it is the sole driver,
-// so it checks exact equality.
-func reconcileCounters(ctx context.Context, client workload.Doer, url string, before map[string]float64, res *workload.Result) []error {
-	after, err := workload.ScrapeMetrics(ctx, client, url)
-	if err != nil {
-		return []error{fmt.Errorf("post-run scrape: %w", err)}
-	}
-	delta := func(series string) float64 { return after[series] - before[series] }
-	var errs []error
-	pairs := []struct {
-		series string
-		want   int
-		what   string
-	}{
-		{"vista_admission_admitted_total", res.Counts[workload.ClassOK], "200s"},
-		{`vista_admission_rejected_total{reason="deadline"}`, res.Counts[workload.ClassThrottled], "429s"},
-	}
-	for _, p := range pairs {
-		if got := delta(p.series); got != float64(p.want) {
-			errs = append(errs, fmt.Errorf("server %s grew by %g, client saw %d %s", p.series, got, p.want, p.what))
-		}
-	}
-	// 503s split across two reasons; compare their sum.
-	got503 := delta(`vista_admission_rejected_total{reason="queue_full"}`) + delta(`vista_admission_rejected_total{reason="oversize"}`)
-	if got503 != float64(res.Counts[workload.ClassOverload]) {
-		errs = append(errs, fmt.Errorf("server 503-reason counters grew by %g, client saw %d 503s", got503, res.Counts[workload.ClassOverload]))
-	}
-	// After a drained run nothing should remain in flight or queued.
-	for _, gauge := range []string{"vista_admission_inflight_bytes", "vista_admission_inflight_runs", "vista_admission_queue_depth"} {
-		if v, ok := after[gauge]; ok && v != 0 {
-			errs = append(errs, fmt.Errorf("server %s = %g after drain, want 0", gauge, v))
-		}
-	}
-	return errs
 }
 
 func writeTimeline(res *workload.Result, path, format string) error {

@@ -17,6 +17,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/lifecycle"
 	"repro/internal/memory"
 	"repro/internal/obs"
 )
@@ -26,8 +27,8 @@ import (
 // "latest".
 func TestRunRingOutOfOrder(t *testing.T) {
 	ring := newRunRing(4)
-	seq1, id1 := ring.begin()
-	seq2, id2 := ring.begin()
+	const seq1, seq2 = 1, 2
+	id1, id2 := runIDFor(seq1), runIDFor(seq2)
 	if id1 != "run-1" || id2 != "run-2" {
 		t.Fatalf("ids = %s, %s, want run-1, run-2", id1, id2)
 	}
@@ -48,8 +49,7 @@ func TestRunRingOutOfOrder(t *testing.T) {
 func TestRunRingEviction(t *testing.T) {
 	ring := newRunRing(2)
 	for i := 0; i < 3; i++ {
-		seq, _ := ring.begin()
-		ring.complete(seq, obs.StartSpan(fmt.Sprintf("r%d", i)), nil)
+		ring.complete(uint64(i+1), obs.StartSpan(fmt.Sprintf("r%d", i)), nil)
 	}
 	if got := ring.get("run-1"); got != nil {
 		t.Errorf("run-1 survived eviction in a 2-slot ring: %+v", got)
@@ -103,7 +103,7 @@ func waitDrained(t *testing.T, a *api, base int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		s := a.admit.Stats()
+		s := a.life.Admit.Stats()
 		if s.InFlightBytes == 0 && s.InFlightRuns == 0 && s.QueueDepth == 0 &&
 			runtime.NumGoroutine() <= base+8 {
 			return
@@ -168,7 +168,7 @@ func TestAdmissionStress(t *testing.T) {
 		t.Error("no request succeeded under admission")
 	}
 
-	s := a.admit.Stats()
+	s := a.life.Admit.Stats()
 	if got := s.Admitted; got != int64(codes[http.StatusOK]) {
 		t.Errorf("admitted = %d, want %d (the 200s)", got, codes[http.StatusOK])
 	}
@@ -259,7 +259,7 @@ func TestAdmissionStressWithCancellation(t *testing.T) {
 	if want := int64(codes[http.StatusOK] + codes[http.StatusTooManyRequests] + codes[http.StatusServiceUnavailable]); reached < want {
 		t.Errorf("controller saw %d requests, but %d responses carried an admission verdict", reached, want)
 	}
-	s := a.admit.Stats()
+	s := a.life.Admit.Stats()
 	total := s.Admitted + s.RejectedDeadline + s.RejectedQueueFull + s.RejectedOversize + s.Cancelled
 	if total != reached {
 		t.Errorf("outcomes sum to %d (%+v), want %d (requests that reached admission)", total, s, reached)
@@ -293,7 +293,7 @@ func TestRetryAfterVariesWithLoad(t *testing.T) {
 	})
 
 	// Fill the budget so every further request queues (wait 0 recorded).
-	g, err := a.admit.Admit(context.Background(), budget)
+	g, err := a.life.Admit.Admit(context.Background(), budget)
 	if err != nil {
 		t.Fatalf("Admit: %v", err)
 	}
@@ -304,7 +304,7 @@ func TestRetryAfterVariesWithLoad(t *testing.T) {
 		t.Helper()
 		errc := make(chan error, 1)
 		go func() {
-			_, err := a.admit.Admit(context.Background(), budget)
+			_, err := a.life.Admit.Admit(context.Background(), budget)
 			errc <- err
 		}()
 		fc.BlockUntil(1) // the waiter's deadline timer is armed
@@ -316,8 +316,16 @@ func TestRetryAfterVariesWithLoad(t *testing.T) {
 	if !isAdmissionDeadline(derr) {
 		t.Fatalf("queued request returned %v, want ErrDeadline", derr)
 	}
-	rec1 := httptest.NewRecorder()
-	a.writeAdmissionError(rec1, derr)
+	// write429 renders a deadline rejection the way the run lifecycle hands
+	// it to the handler: carrying the controller's hint at rejection time.
+	write429 := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		a.writeRunOutcome(rec, &workloadRequest{}, lifecycle.Outcome{
+			Kind: lifecycle.RejectedDeadline, Err: derr, RetryAfter: a.life.Admit.RetryHint(),
+		})
+		return rec
+	}
+	rec1 := write429()
 	first := rec1.Header().Get("Retry-After")
 
 	// More deadline expiries shift the recent-wait median up, and a parked
@@ -331,12 +339,11 @@ func TestRetryAfterVariesWithLoad(t *testing.T) {
 	parked := make(chan struct{})
 	go func() {
 		defer close(parked)
-		_, _ = a.admit.Admit(parkCtx, budget)
+		_, _ = a.life.Admit.Admit(parkCtx, budget)
 	}()
 	fc.BlockUntil(1)
 
-	rec2 := httptest.NewRecorder()
-	a.writeAdmissionError(rec2, derr)
+	rec2 := write429()
 	second := rec2.Header().Get("Retry-After")
 
 	if rec1.Code != http.StatusTooManyRequests || rec2.Code != http.StatusTooManyRequests {

@@ -91,11 +91,11 @@ func TestAutoCalibrateClosesLoopEndToEnd(t *testing.T) {
 	}
 
 	// Start the periodic loop the way main does and let one interval elapse.
-	a.fitter.Start()
-	defer a.fitter.Stop()
+	a.life.Fitter.Start()
+	defer a.life.Fitter.Stop()
 	fc.BlockUntil(1)
 	fc.Advance(10 * time.Second)
-	for i := 0; a.fitter.Refits() < 1; i++ {
+	for i := 0; a.life.Fitter.Refits() < 1; i++ {
 		if i > 1e7 {
 			t.Fatal("refit never fired")
 		}
@@ -163,7 +163,7 @@ func TestAutoCalibrateClosesLoopEndToEnd(t *testing.T) {
 			}
 		}
 		if !converged {
-			if _, err := a.fitter.RefitNow(); err != nil {
+			if _, err := a.life.Fitter.RefitNow(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -225,7 +225,7 @@ func TestPinnedProfileNeverRefits(t *testing.T) {
 	}
 	// No loop was started (main only starts it under -auto-calibrate), so the
 	// profile is exactly the seed.
-	if got := a.fitter.Active(); got != pinned {
+	if got := a.life.Fitter.Active(); got != pinned {
 		t.Fatalf("active profile is not the pinned seed: %+v", got)
 	}
 }

@@ -4,9 +4,6 @@ import (
 	"net/http"
 
 	"repro/internal/calib"
-	"repro/internal/core"
-	"repro/internal/memory"
-	"repro/internal/plan"
 )
 
 // handleCalibration serves the cost model's rolling drift report: JSON by
@@ -14,7 +11,7 @@ import (
 // offline, including the active-profile annotation when one is set), an
 // aligned text table with ?format=text.
 func (a *api) handleCalibration(w http.ResponseWriter, r *http.Request) {
-	rep := a.calib.Report().WithProfile(a.fitter.Active())
+	rep := a.life.Calib.Report().WithProfile(a.life.Fitter.Active())
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
@@ -24,51 +21,6 @@ func (a *api) handleCalibration(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_ = calib.WriteReportJSON(w, rep)
-}
-
-// recordCalibration folds one completed /run into the calibration recorder:
-// rebuild the simulator workload from what actually ran (rows, structured
-// dims, measured image bytes — the same derivation cmd/vista's -trace
-// comparison uses), compare it against the measured trace and series, and
-// record the resulting samples. Calibration is observability, not the
-// serving path: any failure is logged and swallowed.
-func (a *api) recordCalibration(req *workloadRequest, spec *core.Spec, res *core.Result, runID string) {
-	if len(spec.StructRows) == 0 || res.Trace == nil {
-		return
-	}
-	var imgBytes, n int64
-	for i := range spec.ImageRows {
-		imgBytes += spec.ImageRows[i].MemBytes()
-		n++
-		if n == 100 {
-			break
-		}
-	}
-	if n > 0 {
-		imgBytes /= n
-	}
-	env := calib.RunEnv{
-		ModelName:     req.Model,
-		Dataset:       req.Dataset,
-		Rows:          len(spec.StructRows),
-		StructDim:     len(spec.StructRows[0].Structured),
-		ImageRowBytes: imgBytes,
-		PlanKind:      plan.Staged,
-		Placement:     plan.AfterJoin,
-		Nodes:         req.Nodes,
-		Cores:         req.Cores,
-		MemBytes:      memory.GB(req.MemGB),
-		InferEstScale: a.calibInferScale,
-		Profile:       a.fitter.Active(),
-	}
-	samples, err := calib.CompareRun(env, res.Trace, res.Series)
-	if err != nil {
-		a.logger.Debug("calibration comparison skipped", "run_id", runID, "err", err)
-		return
-	}
-	if err := a.calib.Record(workloadKey(req), samples); err != nil {
-		a.logger.Warn("calibration log append failed", "run_id", runID, "err", err)
-	}
 }
 
 // DriftStatus is one stage kind's drift SLO evaluation, the calibration

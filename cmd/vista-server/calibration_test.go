@@ -36,11 +36,11 @@ func TestCalibrationGoldenJSON(t *testing.T) {
 		{Stage: "ingest", Kind: calib.KindIngest, Est: 0.4, Meas: 0.35},
 		{Stage: "infer:fc6", Kind: calib.KindInfer, Est: 0.3, Meas: 0.35},
 	}
-	if err := a.calib.Record("tiny-alexnet|foods|100|7", rec1); err != nil {
+	if err := a.life.Calib.Record("tiny-alexnet|foods|100|7", rec1); err != nil {
 		t.Fatal(err)
 	}
 	fc.Advance(calib.DefaultHalfLife)
-	if err := a.calib.Record("tiny-alexnet|foods|100|7", rec2); err != nil {
+	if err := a.life.Calib.Record("tiny-alexnet|foods|100|7", rec2); err != nil {
 		t.Fatal(err)
 	}
 

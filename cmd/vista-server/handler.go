@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/featurestore"
+	"repro/internal/lifecycle"
 	"repro/internal/memory"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
@@ -57,8 +58,6 @@ func (r *workloadRequest) defaults(forRun bool) {
 		switch r.Model {
 		case "alexnet", "tiny-alexnet":
 			r.Layers = 4
-		case "vgg16", "tiny-vgg16":
-			r.Layers = 3
 		default:
 			r.Layers = 3
 		}
@@ -115,23 +114,15 @@ func toDecisionJSON(d optimizer.Decision) decisionJSON {
 type api struct {
 	store   *featurestore.Store // nil = caching disabled
 	metrics *obs.Registry
-	// admit gates concurrent /run execution against a memory budget; nil
-	// admits everything (admission disabled).
-	admit *admission.Controller
-	// share coalesces concurrent identical /run requests into one shared
-	// partial-inference pass; nil runs every request solo (sharing disabled).
-	share *share.Coordinator
+	// life is the run lifecycle every /run executes through: it holds the
+	// admission controller, sharing coordinator and profile fitter (each nil
+	// when its feature is off — see lifecycle.Runner) and the calibration
+	// recorder behind GET /calibration (never nil here; memory-only when no
+	// log is configured).
+	life *lifecycle.Runner
 	// runs retains recent runs' traces and time series for /trace and
 	// /timeseries lookups by run ID.
 	runs *runRing
-	// calib accumulates estimate-vs-measured drift across runs, behind
-	// GET /calibration; never nil (memory-only when no log is configured).
-	calib *calib.Recorder
-	// fitter holds the active calibration profile — pinned (loaded once,
-	// never refitted) or floating (periodic refits when -auto-calibrate is
-	// on). nil = no profile: pricing uses the paper constants. Methods on a
-	// nil fitter are safe and return the identity.
-	fitter *calib.Fitter
 	// logger receives request-scoped server logs, tagged with run IDs so
 	// log lines join against /trace?run=ID; never nil.
 	logger *slog.Logger
@@ -141,10 +132,6 @@ type api struct {
 	// maxDrift, when positive, adds a calibration clause to /healthz?slo=1:
 	// any stage kind whose EWMA drift exceeds it degrades health to 503.
 	maxDrift float64
-	// calibInferScale deliberately mis-scales the simulator's inference
-	// estimates before calibration folding (0/1 = off) — the test hook that
-	// proves the -max-drift clause trips end-to-end.
-	calibInferScale float64
 	// paths are the instrumented endpoints, for the SLO sweep.
 	paths []string
 
@@ -242,37 +229,36 @@ func newAPI(cfg serverConfig) *api {
 		cfg.runHistory = defaultRunHistory
 	}
 	a := &api{
-		store:           cfg.store,
-		metrics:         obs.NewRegistry(),
-		sloP99:          cfg.sloP99,
-		maxDrift:        cfg.maxDrift,
-		calibInferScale: cfg.calibInferScale,
-		runs:            newRunRing(cfg.runHistory),
-		runKeys:         make(map[string]runKey),
-		calib:           cfg.calib,
-		logger:          cfg.logger,
+		store:    cfg.store,
+		metrics:  obs.NewRegistry(),
+		sloP99:   cfg.sloP99,
+		maxDrift: cfg.maxDrift,
+		runs:     newRunRing(cfg.runHistory),
+		runKeys:  make(map[string]runKey),
+		life:     &lifecycle.Runner{Calib: cfg.calib, InferEstScale: cfg.calibInferScale},
+		logger:   cfg.logger,
 	}
-	if a.calib == nil {
+	if a.life.Calib == nil {
 		// Memory-only recorder: Open without a path cannot fail.
-		a.calib, _ = calib.Open(calib.Config{Clock: cfg.clk})
+		a.life.Calib, _ = calib.Open(calib.Config{Clock: cfg.clk})
 	}
 	if a.logger == nil {
 		a.logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	a.calib.RegisterMetrics(a.metrics)
+	a.life.Calib.RegisterMetrics(a.metrics)
 	if cfg.calibProfile != nil || cfg.autoCalibrate {
 		path := ""
 		if cfg.autoCalibrate {
 			path = cfg.calibProfilePath // a pinned profile is never rewritten
 		}
-		a.fitter = calib.NewFitter(calib.FitterConfig{
-			Recorder: a.calib,
+		a.life.Fitter = calib.NewFitter(calib.FitterConfig{
+			Recorder: a.life.Calib,
 			Path:     path,
 			Interval: cfg.refitInterval,
 			Initial:  cfg.calibProfile,
 			Clock:    cfg.clk,
 		})
-		a.fitter.RegisterMetrics(a.metrics)
+		a.life.Fitter.RegisterMetrics(a.metrics)
 	}
 	if cfg.memBudgetBytes > 0 {
 		ctrl, err := admission.New(admission.Config{
@@ -287,7 +273,7 @@ func newAPI(cfg serverConfig) *api {
 			// depth, but fail closed rather than silently unbounded.
 			panic(err)
 		}
-		a.admit = ctrl
+		a.life.Admit = ctrl
 	}
 	if cfg.share {
 		win := cfg.shareWindow
@@ -300,7 +286,7 @@ func newAPI(cfg serverConfig) *api {
 			// closed rather than silently solo.
 			panic(err)
 		}
-		a.share = coord
+		a.life.Share = coord
 	}
 	if a.store != nil {
 		a.store.RegisterMetrics(a.metrics)
@@ -574,7 +560,7 @@ func (a *api) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	spec := core.Spec{
+	out := a.life.Do(r.Context(), core.Spec{
 		Nodes: req.Nodes, CoresPerNode: req.Cores,
 		MemPerNode: memory.GB(req.MemGB),
 		SystemKind: memory.SparkLike,
@@ -585,104 +571,60 @@ func (a *api) handleRun(w http.ResponseWriter, r *http.Request) {
 		FeatureStore: a.store,
 		Metrics:      a.metrics,
 		SampleEvery:  runSampleEvery,
-	}
-	// The active calibration profile (pinned or auto-fitted) corrects both
-	// halves of this run: plan choice + admission pricing here, and the
-	// estimate side of its calibration record below (recordCalibration reads
-	// the active profile again at record time).
-	if p := a.fitter.Active(); p != nil {
-		spec.CostScales = p.CostScales()
-	}
+	}, req.Dataset)
+	a.writeRunOutcome(w, req, out)
+}
 
-	// Sharing: announce the run to the coalescer and wait out the batching
-	// window. Identity is the content-addressed fingerprint — two requests
-	// share iff they would materialize byte-identical feature tables.
-	var ticket *share.Ticket
-	if a.share != nil {
-		if fp, ok := core.ShareFingerprint(spec); ok {
-			var jerr error
-			ticket, jerr = a.share.Join(r.Context(),
-				share.Identity{Model: fp.Model, WeightsSum: fp.WeightsSum, DataSum: fp.DataSum},
-				share.Member{NumLayers: fp.NumLayers, InferenceFLOPs: fp.InferenceFLOPs})
-			if jerr != nil {
-				// Cancelled while the window was open; the member withdrew.
-				w.WriteHeader(statusClientClosedRequest)
-				return
-			}
-		}
-	}
-	// Every path below must settle the ticket exactly once; runErr carries
-	// the outcome (a failed or unstarted leader triggers follower promotion).
-	var runErr error
-	defer func() { ticket.Finish(runErr) }()
+// statusClientClosedRequest is nginx's conventional code for "the client
+// cancelled before a response was written" — never seen by a live client,
+// but it keeps the vista_http_requests_total code label honest.
+const statusClientClosedRequest = 499
 
-	role := ticket.Role()
-	if role == share.Follower {
-		// Followers wait for the leader BEFORE admission, holding zero
-		// budget, so a queued follower can never starve its own leader.
-		att, aerr := ticket.AwaitLeader(r.Context())
-		if aerr != nil {
-			runErr = aerr
-			if errors.Is(aerr, share.ErrGroupFailed) {
-				writeError(w, http.StatusInternalServerError, aerr)
-			} else {
-				w.WriteHeader(statusClientClosedRequest)
-			}
-			return
-		}
-		spec.FeatureSource = att.Source
-		role = ticket.Role() // Leader now, if promoted
-	}
-	if role == share.Leader {
-		spec.FeatureSource = ticket.Source() // resume a failed pass's partial progress
-		spec.FeatureSink = ticket.Sink()
-	}
-
-	// Admission: price the run with the optimizer's memory model and hold
-	// the charge for the run's whole lifetime. A follower attaches its
-	// group leader's tables instead of opening a DL session, so it is
-	// charged only the marginal (DL-free) reservation. An unpriceable spec
-	// skips admission — the run itself will fail identically below, holding
-	// no engine memory.
-	if a.admit != nil {
-		priceFn := core.Price
-		if role == share.Follower {
-			priceFn = core.PriceFollower
-		}
-		if price, perr := priceFn(spec); perr == nil {
-			grant, aerr := a.admit.Admit(r.Context(), price)
-			if aerr != nil {
-				runErr = aerr
-				a.writeAdmissionError(w, aerr)
-				return
-			}
-			defer grant.Release()
-		}
-	}
-
-	ticket.Start()
-	seq, runID := a.runs.begin()
-	res, err := core.RunContext(r.Context(), spec)
-	runErr = err
-	if err != nil {
-		if r.Context().Err() != nil {
-			// The client is gone; nobody reads this response. Surface a 499
-			// in the status-code series rather than a fake success.
+// writeRunOutcome maps a run lifecycle outcome onto HTTP. A queue deadline is
+// retryable (429 + Retry-After) while a full queue or an unpayable price is
+// plain overload (503); an abandoned request gets a 499 nobody reads, so the
+// status-code series never shows a fake success.
+//
+// The Retry-After hint comes from the admission controller's live state
+// (recent queue waits scaled by occupancy), not a static constant: a fixed
+// hint tells every rejected client to come back at the same instant, so each
+// rejection wave re-arrives as a synchronized herd that rejects again. A
+// load-dependent hint spreads the waves out as congestion evolves.
+func (a *api) writeRunOutcome(w http.ResponseWriter, req *workloadRequest, out lifecycle.Outcome) {
+	runID := runIDFor(out.RunSeq)
+	switch out.Kind {
+	case lifecycle.Abandoned:
+		if out.RunSeq != 0 {
 			a.logger.Info("run abandoned by client", "run_id", runID)
-			w.WriteHeader(statusClientClosedRequest)
-			return
 		}
-		if oom, ok := memory.IsOOM(err); ok {
-			a.logger.Warn("run crashed", "run_id", runID, "model", req.Model,
-				"dataset", req.Dataset, "rows", req.Rows, "err", oom)
-			writeJSON(w, http.StatusOK, map[string]any{"crashed": true, "crash": oom.Error()})
-			return
+		w.WriteHeader(statusClientClosedRequest)
+	case lifecycle.GroupFailed:
+		writeError(w, http.StatusInternalServerError, out.Err)
+	case lifecycle.RejectedDeadline:
+		retry := int64(math.Ceil(out.RetryAfter.Seconds()))
+		if retry < 1 {
+			retry = 1
 		}
+		w.Header().Set("Retry-After", strconv.FormatInt(retry, 10))
+		writeError(w, http.StatusTooManyRequests, out.Err)
+	case lifecycle.RejectedOverload:
+		writeError(w, http.StatusServiceUnavailable, out.Err)
+	case lifecycle.Crashed:
+		a.logger.Warn("run crashed", "run_id", runID, "model", req.Model,
+			"dataset", req.Dataset, "rows", req.Rows, "err", out.Err)
+		writeJSON(w, http.StatusOK, map[string]any{"crashed": true, "crash": out.Err.Error()})
+	case lifecycle.Failed:
 		a.logger.Warn("run failed", "run_id", runID, "model", req.Model,
-			"dataset", req.Dataset, "rows", req.Rows, "err", err)
-		writeError(w, http.StatusBadRequest, err)
-		return
+			"dataset", req.Dataset, "rows", req.Rows, "err", out.Err)
+		writeError(w, http.StatusBadRequest, out.Err)
+	case lifecycle.Completed:
+		a.writeRunResult(w, req, runID, out)
 	}
+}
+
+// writeRunResult retains a completed run's artifacts and writes its response.
+func (a *api) writeRunResult(w http.ResponseWriter, req *workloadRequest, runID string, out lifecycle.Outcome) {
+	res := out.Result
 	type layerJSON struct {
 		Layer      string  `json:"layer"`
 		FeatureDim int     `json:"feature_dim"`
@@ -701,8 +643,14 @@ func (a *api) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	a.mu.Unlock()
-	a.runs.complete(seq, res.Trace, res.Series)
-	a.recordCalibration(req, &spec, res, runID)
+	a.runs.complete(out.RunSeq, res.Trace, res.Series)
+	// Calibration is observability, not the serving path: a failure is
+	// logged, never surfaced to the client.
+	if out.CompareErr != nil {
+		a.logger.Debug("calibration comparison skipped", "run_id", runID, "err", out.CompareErr)
+	} else if out.RecordErr != nil {
+		a.logger.Warn("calibration log append failed", "run_id", runID, "err", out.RecordErr)
+	}
 	a.logger.Info("run complete", "run_id", runID, "model", req.Model,
 		"dataset", req.Dataset, "rows", req.Rows,
 		"elapsed_ms", res.Elapsed.Milliseconds(),
@@ -715,41 +663,11 @@ func (a *api) handleRun(w http.ResponseWriter, r *http.Request) {
 		"elapsed_ms": res.Elapsed.Milliseconds(),
 		"cache":      res.Cache,
 	}
-	if ticket != nil {
+	if out.GroupSize > 0 {
 		resp["share"] = map[string]any{
-			"role":       ticket.Role().String(),
-			"group_size": ticket.GroupSize(),
+			"role":       out.Role.String(),
+			"group_size": out.GroupSize,
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// statusClientClosedRequest is nginx's conventional code for "the client
-// cancelled before a response was written" — never seen by a live client,
-// but it keeps the vista_http_requests_total code label honest.
-const statusClientClosedRequest = 499
-
-// writeAdmissionError maps admission failures onto HTTP: a queue deadline is
-// retryable (429 + Retry-After), while a full queue or an unpayable price is
-// plain overload (503). A cancelled wait gets the 499 treatment above.
-//
-// The Retry-After hint comes from the controller's live state (recent queue
-// waits scaled by occupancy), not a static constant: a fixed hint tells every
-// rejected client to come back at the same instant, so each rejection wave
-// re-arrives as a synchronized herd that rejects again. A load-dependent hint
-// spreads the waves out as congestion evolves.
-func (a *api) writeAdmissionError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, admission.ErrDeadline):
-		retry := int64(math.Ceil(a.admit.RetryHint().Seconds()))
-		if retry < 1 {
-			retry = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(retry, 10))
-		writeError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, admission.ErrQueueFull), errors.Is(err, admission.ErrOversize):
-		writeError(w, http.StatusServiceUnavailable, err)
-	default: // context cancellation while queued: the client is gone
-		w.WriteHeader(statusClientClosedRequest)
-	}
 }

@@ -101,8 +101,6 @@ func main() {
 		"how long the first /run of a sharing group holds the group open for identical requests (requires -share)")
 	convWorkers := flag.Int("conv-workers", 0,
 		"process-wide CNN compute parallelism: worker cap shared by GEMM convolution tiles and batch-row inference (0 = GOMAXPROCS); see docs/OPERATIONS.md for tuning under admission control")
-	convDirect := flag.Bool("conv-direct", false,
-		"route convolutions through the direct-loop reference kernel instead of im2col+GEMM (parity escape hatch; slow)")
 	calibLog := flag.String("calib-log", "",
 		"append-only calibration log file: every /run's estimate-vs-measured samples persist here and replay on restart (empty = in-memory aggregates only)")
 	maxDrift := flag.Float64("max-drift", 0,
@@ -153,9 +151,7 @@ func main() {
 		os.Exit(2)
 	}
 	tensor.SetConvWorkers(*convWorkers)
-	tensor.SetUseDirect(*convDirect)
-	logger.Info("conv kernels configured",
-		"workers", tensor.ConvWorkers(), "direct", tensor.UseDirect())
+	logger.Info("conv kernels configured", "workers", tensor.ConvWorkers())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -226,11 +222,11 @@ func main() {
 	})
 	handler := a.handler()
 	if *autoCalibrate {
-		a.fitter.Start()
-		defer a.fitter.Stop()
+		a.life.Fitter.Start()
+		defer a.life.Fitter.Stop()
 		logger.Info("auto-calibration enabled",
 			"refit_interval", *refitInterval, "profile", *calibProfile,
-			"seeded_refits", a.fitter.Refits())
+			"seeded_refits", a.life.Fitter.Refits())
 	} else if initProfile != nil {
 		logger.Info("calibration profile pinned",
 			"path", *calibProfile, "fitted_at", initProfile.FittedAt)

@@ -21,14 +21,14 @@ type runRecord struct {
 // runRing retains the last N completed runs' traces and time series for
 // GET /trace/{format}?run=ID and GET /timeseries?run=ID.
 //
-// Sequence numbers are assigned when a run is admitted (begin) but records
-// land when it completes (complete), so slow runs may finish out of order.
+// Sequence numbers are assigned when a run starts executing (lifecycle.Outcome's
+// RunSeq) but records land when it completes (complete), so slow runs may
+// finish out of order.
 // "Latest" is therefore the stored record with the highest sequence — a slow
 // old run completing after a newer one must not shadow it.
 type runRing struct {
 	mu   sync.Mutex
 	cap  int
-	next uint64
 	recs []*runRecord // completed runs, unordered; bounded by cap
 }
 
@@ -39,13 +39,8 @@ func newRunRing(capacity int) *runRing {
 	return &runRing{cap: capacity}
 }
 
-// begin assigns the next run its sequence number and public ID.
-func (r *runRing) begin() (uint64, string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.next++
-	return r.next, fmt.Sprintf("run-%d", r.next)
-}
+// runIDFor renders a run's public ID from its lifecycle sequence number.
+func runIDFor(seq uint64) string { return fmt.Sprintf("run-%d", seq) }
 
 // complete stores one finished run's artifacts, evicting the oldest record
 // when the ring is full.
@@ -53,7 +48,7 @@ func (r *runRing) complete(seq uint64, trace *obs.Span, series *sampler.Recordin
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.recs = append(r.recs, &runRecord{
-		seq: seq, id: fmt.Sprintf("run-%d", seq), trace: trace, series: series,
+		seq: seq, id: runIDFor(seq), trace: trace, series: series,
 	})
 	if len(r.recs) > r.cap {
 		oldest := 0

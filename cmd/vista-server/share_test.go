@@ -133,8 +133,8 @@ func TestSharedRunsServeTracesPerMember(t *testing.T) {
 
 	// Reconciliation: every admitted run took exactly one role, and the
 	// shared pass saved real modeled FLOPs.
-	st := a.share.Stats()
-	admitted := a.admit.Stats().Admitted
+	st := a.life.Share.Stats()
+	admitted := a.life.Admit.Stats().Admitted
 	if total := st.Leaders + st.Followers + st.Solos; total != admitted {
 		t.Errorf("share outcomes %d (%+v) != admitted %d", total, st, admitted)
 	}
@@ -166,7 +166,7 @@ func TestSharedRunsServeTracesPerMember(t *testing.T) {
 // builds a coordinator and /run responses carry no share block.
 func TestShareDisabledByDefault(t *testing.T) {
 	a := newAPI(serverConfig{sloP99: defaultSLOP99})
-	if a.share != nil {
+	if a.life.Share != nil {
 		t.Fatal("coordinator built although share is off")
 	}
 	code, body := doJSON(t, a.handler(), "POST", "/run", runBody(24, 1))
@@ -208,7 +208,7 @@ func TestShareMismatchedRequestsStaySolo(t *testing.T) {
 			t.Errorf("request %d sealed as %s (group size %d), want solo", i, r.role, r.groupSize)
 		}
 	}
-	st := a.share.Stats()
+	st := a.life.Share.Stats()
 	if st.Solos != 2 || st.Followers != 0 || st.Leaders != 0 {
 		t.Errorf("stats = %+v, want 2 solos", st)
 	}

@@ -77,7 +77,7 @@ func (a *api) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			violations = append(violations, st)
 		}
 	}
-	if a.admit != nil {
+	if a.life.Admit != nil {
 		if st, found := CheckQueueWaitSLO(a.metrics, a.sloP99); found {
 			checked = append(checked, st)
 			if !st.OK {
@@ -87,7 +87,7 @@ func (a *api) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	var driftChecked, driftViolations []DriftStatus
 	if a.maxDrift > 0 {
-		driftChecked = CheckDriftSLO(a.calib.Report(), a.maxDrift)
+		driftChecked = CheckDriftSLO(a.life.Calib.Report(), a.maxDrift)
 		for _, d := range driftChecked {
 			if !d.OK {
 				driftViolations = append(driftViolations, d)

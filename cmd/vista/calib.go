@@ -6,57 +6,7 @@ import (
 	"time"
 
 	"repro/internal/calib"
-	"repro/internal/core"
-	"repro/internal/memory"
 )
-
-// appendCalibration folds the finished run's estimate-vs-measured pairs into
-// the calibration log at o.calibLog — the same samples a vista-server with
-// -calib-log would record for this workload, so CLI runs and served runs can
-// share one log. When a calibration profile is loaded it corrects the
-// estimates before they are recorded, exactly as the server's recorder does,
-// so the log carries residual drift rather than re-measuring the error the
-// profile already absorbed.
-func appendCalibration(o runOptions, runSpec core.Spec, res *core.Result) error {
-	var imgBytes, n int64
-	for i := range runSpec.ImageRows {
-		imgBytes += runSpec.ImageRows[i].MemBytes()
-		n++
-		if n == 100 {
-			break
-		}
-	}
-	if n > 0 {
-		imgBytes /= n
-	}
-	if len(runSpec.StructRows) == 0 {
-		return fmt.Errorf("no rows to calibrate against")
-	}
-	env := calib.RunEnv{
-		ModelName:     o.model,
-		Dataset:       o.dataset,
-		Rows:          len(runSpec.StructRows),
-		StructDim:     len(runSpec.StructRows[0].Structured),
-		ImageRowBytes: imgBytes,
-		PlanKind:      runSpec.PlanKind,
-		Placement:     runSpec.Placement,
-		Nodes:         o.nodes,
-		Cores:         o.cores,
-		MemBytes:      memory.GB(o.memGB),
-		Profile:       o.profile,
-	}
-	samples, err := calib.CompareRun(env, res.Trace, res.Series)
-	if err != nil {
-		return err
-	}
-	rec, err := calib.Open(calib.Config{Path: o.calibLog, HalfLife: o.calibHalfLife})
-	if err != nil {
-		return err
-	}
-	defer rec.Close()
-	fingerprint := fmt.Sprintf("%s|%s|%d|%d", o.model, o.dataset, o.rows, o.seed)
-	return rec.Record(fingerprint, samples)
-}
 
 // calibReport replays a persisted calibration log into the same rolling
 // report a live server computes — decay runs on record timestamps, so the

@@ -32,6 +32,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/dataflow"
 	"repro/internal/featurestore"
+	"repro/internal/lifecycle"
 	"repro/internal/memory"
 	"repro/internal/ml"
 	"repro/internal/obs"
@@ -137,8 +138,6 @@ type runOptions struct {
 	calibLog      string
 	calibProfile  string
 	calibHalfLife time.Duration
-	// profile is the loaded -calib-profile (nil = none); run() populates it.
-	profile *calib.Profile
 }
 
 // observing reports whether the run needs the metrics registry and sampler.
@@ -163,12 +162,28 @@ func run(ctx context.Context, o runOptions, stdout, stderr io.Writer) error {
 	if o.observing() && o.sampleEvery <= 0 {
 		o.sampleEvery = time.Millisecond
 	}
+	// The CLI runs through the same lifecycle a served run does, minus the
+	// process-wide coordinators: no sharing, no admission, a pinned profile,
+	// and a recorder only when -calib names a log — the same samples a
+	// vista-server with -calib-log would record for this workload, so CLI and
+	// served runs can share one log.
+	runner := &lifecycle.Runner{}
 	if o.calibProfile != "" {
 		p, err := calib.LoadProfile(o.calibProfile)
 		if err != nil {
 			return err
 		}
-		o.profile = p
+		runner.Fitter = calib.NewFitter(calib.FitterConfig{Initial: p})
+	}
+	if o.calibLog != "" {
+		rec, err := calib.Open(calib.Config{Path: o.calibLog, HalfLife: o.calibHalfLife})
+		if err != nil {
+			// Calibration is observability: report it, don't fail the run.
+			fmt.Fprintf(stderr, "calibration skipped: %v\n", err)
+		} else {
+			defer rec.Close()
+			runner.Calib = rec
+		}
 	}
 
 	structRows, imageRows, err := loadOrGenerate(o, stdout)
@@ -187,7 +202,6 @@ func run(ctx context.Context, o runOptions, stdout, stderr io.Writer) error {
 		StructRows:   structRows,
 		ImageRows:    imageRows,
 		Seed:         o.seed,
-		CostScales:   o.profile.CostScales(),
 	}
 	if o.cacheDir != "" {
 		store, err := featurestore.Open(o.cacheDir, o.cacheMB<<20)
@@ -232,13 +246,15 @@ func run(ctx context.Context, o runOptions, stdout, stderr io.Writer) error {
 
 	fmt.Fprintf(stdout, "Running %s/%s over %s with %s downstream...\n",
 		runSpec.PlanKind, runSpec.Placement, o.model, runSpec.Downstream.Kind)
-	res, err := core.RunContext(ctx, runSpec)
-	if err != nil {
-		if oom, ok := memory.IsOOM(err); ok {
-			return fmt.Errorf("workload crashed (Section 4.1 scenario): %w", oom)
-		}
-		return err
+	out := runner.Do(ctx, runSpec, o.dataset)
+	switch out.Kind {
+	case lifecycle.Completed:
+	case lifecycle.Crashed:
+		return fmt.Errorf("workload crashed (Section 4.1 scenario): %w", out.Err)
+	default:
+		return out.Err
 	}
+	res := out.Result
 
 	d := res.Decision
 	fmt.Fprintf(stdout, "\nOptimizer decision: cpu=%d np=%d join=%v pers=%v storage=%s user=%s dl=%s\n",
@@ -250,8 +266,8 @@ func run(ctx context.Context, o runOptions, stdout, stderr io.Writer) error {
 			lr.LayerName, lr.FeatureDim, lr.Train.F1*100, lr.Test.F1*100)
 	}
 	fmt.Fprintf(stdout, "\nStage breakdown:\n")
-	for _, tm := range res.Timings {
-		fmt.Fprintf(stdout, "  %-16s %v\n", tm.Label, tm.Elapsed.Round(1e6))
+	for _, sp := range res.Trace.Children() {
+		fmt.Fprintf(stdout, "  %-16s %v\n", sp.Name(), sp.Duration().Round(1e6))
 	}
 	c := res.Counters
 	fmt.Fprintf(stdout, "\nElapsed %v | tasks %d | rows %d | FLOPs %.2fG | shuffled %s | spilled %s | peak storage %s\n",
@@ -282,10 +298,9 @@ func run(ctx context.Context, o runOptions, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stderr, "wrote sampled time series to %s\n", o.timeseriesOut)
 	}
-	if o.calibLog != "" {
-		if err := appendCalibration(o, runSpec, res); err != nil {
-			// Calibration is observability: report it, don't fail the run.
-			fmt.Fprintf(stderr, "calibration skipped: %v\n", err)
+	if runner.Calib != nil {
+		if cerr := errors.Join(out.CompareErr, out.RecordErr); cerr != nil {
+			fmt.Fprintf(stderr, "calibration skipped: %v\n", cerr)
 		} else {
 			fmt.Fprintf(stderr, "appended calibration record to %s\n", o.calibLog)
 		}
@@ -313,46 +328,9 @@ func run(ctx context.Context, o runOptions, stdout, stderr io.Writer) error {
 // note when the optimizer finds the simulated workload infeasible (tiny
 // in-process runs can describe workloads the paper cluster model rejects).
 func printSimComparison(w io.Writer, o runOptions, runSpec core.Spec, res *core.Result) {
-	var imgBytes, n int64
-	for i := range runSpec.ImageRows {
-		imgBytes += runSpec.ImageRows[i].MemBytes()
-		n++
-		if n == 100 {
-			break
-		}
-	}
-	if n > 0 {
-		imgBytes /= n
-	}
-	wl, err := sim.NewWorkload(sim.WorkloadSpec{
-		ModelName: o.model,
-		NumLayers: o.layers,
-		Dataset: sim.DatasetSpec{
-			Name:          o.dataset,
-			Rows:          len(runSpec.StructRows),
-			StructDim:     len(runSpec.StructRows[0].Structured),
-			ImageRowBytes: imgBytes,
-		},
-		PlanKind:  runSpec.PlanKind,
-		Placement: runSpec.Placement,
-		Nodes:     o.nodes,
-		CPUSys:    o.cores,
-		MemSys:    memory.GB(o.memGB),
-	})
+	simRes, err := calib.Simulate(calib.EnvFromSpec(runSpec, o.dataset), runSpec.NumLayers)
 	if err != nil {
 		fmt.Fprintf(w, "\nSimulator comparison skipped: %v\n", err)
-		return
-	}
-	cfg, err := sim.VistaConfig(wl)
-	if err != nil {
-		fmt.Fprintf(w, "\nSimulator comparison skipped: %v\n", err)
-		return
-	}
-	prof := sim.PaperCluster().WithNodes(o.nodes)
-	prof.MemPerNode = memory.GB(o.memGB)
-	simRes := sim.Run(wl, cfg, prof)
-	if simRes.Crash != nil {
-		fmt.Fprintf(w, "\nSimulator comparison skipped: simulated run crashes (%v)\n", simRes.Crash)
 		return
 	}
 	fmt.Fprintf(w, "\nEstimate vs measured (simulator prices the paper cluster; compare shares, not absolutes):\n")

@@ -196,14 +196,6 @@ type Grant struct {
 	once sync.Once
 }
 
-// Cost returns the bytes this grant holds against the budget.
-func (g *Grant) Cost() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.cost
-}
-
 // Release returns the grant's bytes to the budget and promotes queued
 // waiters in FIFO order. Idempotent; nil-safe.
 func (g *Grant) Release() {

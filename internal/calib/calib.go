@@ -39,6 +39,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/sampler"
 	"repro/internal/plan"
@@ -155,9 +156,9 @@ func SamplesFromRun(comps []sim.StageComparison, series *sim.SeriesReport) []Sam
 }
 
 // RunEnv describes one measured run's workload shape, enough to rebuild the
-// simulator workload its trace is compared against. Callers derive it from
-// the run's actual rows (the same way cmd/vista's -trace comparison does), so
-// the memory model's byte predictions line up with what really ran.
+// simulator workload its trace is compared against. EnvFromSpec derives it
+// from the run's actual rows, so the memory model's byte predictions line up
+// with what really ran.
 type RunEnv struct {
 	ModelName string
 	Dataset   string
@@ -182,18 +183,38 @@ type RunEnv struct {
 	Profile *Profile
 }
 
-// CompareRun simulates env's workload on the paper cluster profile, lines the
-// result up against the measured trace (and sampled series, when non-nil),
-// and returns the run's calibration samples. It fails when the optimizer
-// finds the simulated workload infeasible or the simulated run crashes —
-// there is no estimate to calibrate against.
-func CompareRun(env RunEnv, trace *obs.Span, series *sampler.Recording) ([]Sample, error) {
-	if trace == nil {
-		return nil, fmt.Errorf("calib: no trace to compare")
+// EnvFromSpec derives the RunEnv of a run executed from spec over the named
+// dataset preset: the workload shape is read off the rows that actually ran
+// (row count, structured width, sampled image-row bytes), so the memory
+// model's byte predictions line up with the measurement. InferEstScale and
+// Profile are left for the caller to set.
+func EnvFromSpec(spec core.Spec, dataset string) RunEnv {
+	env := RunEnv{
+		ModelName:     spec.ModelName,
+		Dataset:       dataset,
+		Rows:          len(spec.StructRows),
+		ImageRowBytes: core.AvgImageBytes(spec.ImageRows),
+		PlanKind:      spec.PlanKind,
+		Placement:     spec.Placement,
+		Nodes:         spec.Nodes,
+		Cores:         spec.CoresPerNode,
+		MemBytes:      spec.MemPerNode,
 	}
+	if len(spec.StructRows) > 0 {
+		env.StructDim = len(spec.StructRows[0].Structured)
+	}
+	return env
+}
+
+// Simulate prices env's workload, exploring numLayers feature layers, on the
+// paper cluster profile under the configuration Vista's optimizer picks. It
+// fails when the optimizer finds the simulated workload infeasible or the
+// simulated run crashes — there is no estimate to compare against (tiny
+// in-process runs can describe workloads the paper cluster model rejects).
+func Simulate(env RunEnv, numLayers int) (sim.Result, error) {
 	wl, err := sim.NewWorkload(sim.WorkloadSpec{
 		ModelName: env.ModelName,
-		NumLayers: countInferStages(trace),
+		NumLayers: numLayers,
 		Dataset: sim.DatasetSpec{
 			Name:          env.Dataset,
 			Rows:          env.Rows,
@@ -207,17 +228,32 @@ func CompareRun(env RunEnv, trace *obs.Span, series *sampler.Recording) ([]Sampl
 		MemSys:    env.MemBytes,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("calib: workload: %w", err)
+		return sim.Result{}, fmt.Errorf("calib: workload: %w", err)
 	}
 	cfg, err := sim.VistaConfig(wl)
 	if err != nil {
-		return nil, fmt.Errorf("calib: config: %w", err)
+		return sim.Result{}, fmt.Errorf("calib: config: %w", err)
 	}
 	prof := sim.PaperCluster().WithNodes(env.Nodes)
 	prof.MemPerNode = env.MemBytes
 	simRes := sim.Run(wl, cfg, prof)
 	if simRes.Crash != nil {
-		return nil, fmt.Errorf("calib: simulated run crashes: %w", simRes.Crash)
+		return sim.Result{}, fmt.Errorf("calib: simulated run crashes: %w", simRes.Crash)
+	}
+	return simRes, nil
+}
+
+// CompareRun simulates env's workload (Simulate, stage-for-stage with the
+// layers the trace shows were explored), lines the result up against the
+// measured trace (and sampled series, when non-nil), and returns the run's
+// calibration samples.
+func CompareRun(env RunEnv, trace *obs.Span, series *sampler.Recording) ([]Sample, error) {
+	if trace == nil {
+		return nil, fmt.Errorf("calib: no trace to compare")
+	}
+	simRes, err := Simulate(env, countInferStages(trace))
+	if err != nil {
+		return nil, err
 	}
 	comps := sim.CompareTrace(simRes, trace)
 	if env.InferEstScale > 0 && env.InferEstScale != 1 {

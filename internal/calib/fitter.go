@@ -47,7 +47,7 @@ type Fitter struct {
 
 	active atomic.Pointer[Profile]
 
-	mu       sync.Mutex // serializes RefitNow (swap + persist)
+	mu       sync.Mutex // serializes RefitNow (persist + swap)
 	baseline map[Kind]lsState
 	stop     chan struct{}
 	done     chan struct{}
@@ -91,7 +91,7 @@ func (f *Fitter) Active() *Profile {
 func (f *Fitter) Refits() int64 { return f.Active().refits() }
 
 // RefitNow fits a new profile from the evidence recorded since each kind's
-// last factor change and, when any factor moved, swaps it in and persists it.
+// last factor change and, when any factor moved, persists it and swaps it in.
 // It returns whether the profile changed and any persistence error (the swap
 // sticks even when the disk write fails — pricing should not keep stale
 // factors just because a write was lost).
@@ -128,10 +128,13 @@ func (f *Fitter) RefitNow() (changed bool, err error) {
 			f.baseline[k] = snap[k]
 		}
 	}
-	f.active.Store(next)
+	// Persist before publishing: whoever observes the refit through Active,
+	// Refits, /calibration, or the metrics may go straight to the profile
+	// file, so it must already be there (or its write already have failed).
 	if f.path != "" {
 		err = SaveProfile(f.path, next)
 	}
+	f.active.Store(next)
 	return true, err
 }
 

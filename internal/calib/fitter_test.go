@@ -204,6 +204,37 @@ func TestFitterSwapSticksWhenPersistFails(t *testing.T) {
 	}
 }
 
+// TestFitterPersistsBeforePublishing pins the refit's ordering: at the moment
+// the profile file is about to take its final name, nothing observable
+// (Active, Refits) may already report the refit — otherwise a poller that
+// sees the new refit count can read a profile file that does not exist yet.
+func TestFitterPersistsBeforePublishing(t *testing.T) {
+	defer faultinject.DisarmAll()
+	fc := clock.NewFake()
+	path := filepath.Join(t.TempDir(), "profile.json")
+	f, rec := newTestFitter(t, fc, path)
+	for i := 0; i < 3; i++ {
+		recordInfer(t, rec, 25, 1)
+	}
+	visits := 0
+	faultinject.Arm(FaultProfileSave+".rename", faultinject.Callback(func() {
+		visits++
+		if f.Active() != nil || f.Refits() != 0 {
+			t.Errorf("refit published before its profile file was renamed into place: active=%v refits=%d",
+				f.Active(), f.Refits())
+		}
+	}))
+	if changed, err := f.RefitNow(); !changed || err != nil {
+		t.Fatalf("refit: changed=%v err=%v", changed, err)
+	}
+	if visits != 1 {
+		t.Fatalf("rename site visited %d times, want 1", visits)
+	}
+	if f.Refits() != 1 {
+		t.Errorf("refits after RefitNow = %d, want 1", f.Refits())
+	}
+}
+
 func TestFitterTickerLoopOnFakeClock(t *testing.T) {
 	fc := clock.NewFake()
 	path := filepath.Join(t.TempDir(), "profile.json")

@@ -7,9 +7,9 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
-	"path/filepath"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/faultinject"
 )
 
@@ -271,7 +271,7 @@ func OpenLog(path string) (*Log, error) {
 		// Torn tail: atomically replace the file with its clean prefix so
 		// the damage cannot compound across restarts. Write-then-rename,
 		// like the featurestore's index persistence.
-		if err := writeFileAtomic(FaultLogRecover, path, data[:clean]); err != nil {
+		if err := durable.WriteFileAtomic(FaultLogRecover, path, data[:clean]); err != nil {
 			return nil, fmt.Errorf("calib: recover log: %w", err)
 		}
 	}
@@ -324,50 +324,4 @@ func ReadLog(path string) (recs []Record, droppedBytes int, err error) {
 	}
 	recs, clean := decodeRecords(data)
 	return recs, len(data) - clean, nil
-}
-
-// tmpPrefix names atomic-write temp files, so stranded ones are recognizable.
-const tmpPrefix = ".tmp-"
-
-// writeFileAtomic writes via a temp file + rename so a crash mid-recovery
-// never replaces a readable log with a half-written one. Failpoint sub-sites
-// mirror the featurestore's: "<site>.create", "<site>.write" (bytes),
-// "<site>.rename".
-func writeFileAtomic(site, path string, blob []byte) error {
-	if err := faultinject.Hit(site + ".create"); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), tmpPrefix+"*")
-	if err != nil {
-		return err
-	}
-	payload := blob
-	if v := faultinject.HitBytes(site+".write", int64(len(blob))); v.Err != nil {
-		if v.Allowed > 0 {
-			tmp.Write(blob[:v.Allowed])
-		}
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return v.Err
-	} else if v.SilentTear {
-		payload = blob[:v.Allowed]
-	}
-	_, werr := tmp.Write(payload)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
-		}
-		return cerr
-	}
-	if err := faultinject.Hit(site + ".rename"); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
 }

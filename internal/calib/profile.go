@@ -7,12 +7,13 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/optimizer"
 	"repro/internal/sim"
 )
 
 // FaultProfileSave is the failpoint base site for the atomic profile write
-// (sub-sites ".create", ".write", ".rename" — see writeFileAtomic).
+// (sub-sites ".create", ".write", ".rename" — see durable.WriteFileAtomic).
 const FaultProfileSave = "calib/profile"
 
 // ProfileScale is one stage kind's fitted correction inside a Profile.
@@ -229,7 +230,7 @@ func SaveProfile(path string, p *Profile) error {
 	if err != nil {
 		return fmt.Errorf("calib: encode profile: %w", err)
 	}
-	return writeFileAtomic(FaultProfileSave, path, append(blob, '\n'))
+	return durable.WriteFileAtomic(FaultProfileSave, path, append(blob, '\n'))
 }
 
 // LoadProfile reads a profile file written by SaveProfile.

@@ -2,6 +2,7 @@ package calib
 
 import (
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -221,7 +222,7 @@ func TestLoadProfileRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, body string) string {
 		path := filepath.Join(dir, name)
-		if err := writeFileAtomic("", path, []byte(body)); err != nil {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return path

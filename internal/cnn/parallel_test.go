@@ -78,40 +78,3 @@ func TestParallelInferSharedModel(t *testing.T) {
 		})
 	}
 }
-
-// TestInferMatchesDirectKernel pins end-to-end model inference between the
-// GEMM and direct convolution kernels: same weights, same image, outputs
-// within parity tolerance. This is the model-level arm of the escape-hatch
-// contract.
-func TestInferMatchesDirectKernel(t *testing.T) {
-	defer tensor.SetUseDirect(false)
-	for _, name := range []string{"tiny-alexnet", "tiny-vgg16", "tiny-resnet50", "tiny-densenet"} {
-		m, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := m.RealizeWeights(7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		img := randImage(m, 9)
-		tensor.SetUseDirect(true)
-		direct, err := m.Infer(w, img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tensor.SetUseDirect(false)
-		gemm, err := m.Infer(w, img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !gemm.Shape().Equal(direct.Shape()) {
-			t.Fatalf("%s: shape %v vs %v", name, gemm.Shape(), direct.Shape())
-		}
-		for i, v := range gemm.Data() {
-			if math.Abs(float64(v-direct.Data()[i])) > 1e-3 {
-				t.Fatalf("%s: output[%d] = %v (gemm) vs %v (direct)", name, i, v, direct.Data()[i])
-			}
-		}
-	}
-}

@@ -68,11 +68,11 @@ func TestRunFeatureStoreWarmReuse(t *testing.T) {
 		t.Fatalf("warm decision reserves %d bytes of DL memory", warm.Decision.MemDL)
 	}
 	var cacheStages, inferStages int
-	for _, tm := range warm.Timings {
+	for _, sp := range warm.Trace.Children() {
 		switch {
-		case strings.HasPrefix(tm.Label, "cache:"):
+		case strings.HasPrefix(sp.Name(), "cache:"):
 			cacheStages++
-		case strings.HasPrefix(tm.Label, "infer:"):
+		case strings.HasPrefix(sp.Name(), "infer:"):
 			inferStages++
 		}
 	}

@@ -103,7 +103,7 @@ func optimizerInputs(spec Spec, stats *cnn.Stats) (optimizer.Inputs, error) {
 		NumLayers:     spec.NumLayers,
 		NumRows:       len(spec.StructRows),
 		StructDim:     structDim,
-		ImageRowBytes: avgImageBytes(spec.ImageRows),
+		ImageRowBytes: AvgImageBytes(spec.ImageRows),
 		NNodes:        spec.Nodes,
 		MemSys:        spec.MemPerNode,
 		MemGPU:        spec.GPUMemPerNode,

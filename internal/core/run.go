@@ -193,21 +193,9 @@ func RunContext(ctx context.Context, spec Spec) (*Result, error) {
 		Counters: engine.Counters().Snapshot(),
 		Elapsed:  time.Since(start),
 		Trace:    ex.trace,
-		Timings:  timingsFromTrace(ex.trace),
 		Series:   recording,
 		Cache:    report,
 	}, nil
-}
-
-// timingsFromTrace flattens the root span's children into the legacy
-// per-stage breakdown.
-func timingsFromTrace(root *obs.Span) []StageTiming {
-	children := root.Children()
-	out := make([]StageTiming, len(children))
-	for i, sp := range children {
-		out[i] = StageTiming{Label: sp.Name(), Elapsed: sp.Duration()}
-	}
-	return out
 }
 
 // decide runs the optimizer unless the spec pins a decision. cachedLayers is
@@ -226,8 +214,10 @@ func decide(spec Spec, stats *cnn.Stats, cachedLayers int) (optimizer.Decision, 
 	return optimizer.Optimize(in, spec.params())
 }
 
-// avgImageBytes samples the image table's average raw payload.
-func avgImageBytes(rows []dataflow.Row) int64 {
+// AvgImageBytes samples the image table's average raw payload over its
+// first (up to) 100 rows — the image-row size the optimizer prices, and the
+// one a calibration comparison must simulate against.
+func AvgImageBytes(rows []dataflow.Row) int64 {
 	n := len(rows)
 	if n == 0 {
 		return 0

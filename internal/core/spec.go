@@ -10,7 +10,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/cnn"
@@ -224,18 +223,6 @@ type LayerResult struct {
 	Train, Test ml.Metrics
 }
 
-// StageTiming is one timed phase of a run — the real-engine analogue of the
-// paper's Table 3 breakdown. It is derived from the run's span tree
-// (Result.Trace): one entry per top-level stage span, in execution order.
-type StageTiming struct {
-	// Label identifies the phase: "ingest", "join", "infer:<layer>",
-	// "train:<layer>", "premat:<layer>", "cache:<layer>" (a stage served
-	// from the feature store), or "shared:<layer>" (a stage attached from a
-	// sharing group's in-memory handoff).
-	Label   string
-	Elapsed time.Duration
-}
-
 // CacheReport summarizes a run's interaction with the feature store.
 type CacheReport struct {
 	// Enabled is true when the spec carried a feature store and/or a share
@@ -268,13 +255,14 @@ type Result struct {
 	Counters dataflow.Snapshot
 	Elapsed  time.Duration
 	// Trace is the run's span tree: a root "run" span with one child per
-	// stage, each carrying row/byte/FLOP attributes. Render it for the
+	// stage, in execution order, each carrying row/byte/FLOP attributes.
+	// Stage labels: "ingest", "join", "infer:<layer>", "train:<layer>",
+	// "premat:<layer>", "cache:<layer>" (a stage served from the feature
+	// store), or "shared:<layer>" (a stage attached from a sharing group's
+	// in-memory handoff). Render it for the
 	// -trace report, or feed it to sim.CompareTrace to line measured stage
 	// times up against the simulator's estimates.
 	Trace *obs.Span
-	// Timings is the per-phase breakdown, in execution order (derived from
-	// Trace's top-level children).
-	Timings []StageTiming
 	// Series is the run's sampled time series (nil unless Spec.SampleEvery
 	// and Spec.Metrics were set): per-period frames of engine counters, pool
 	// gauges, and feature-store series with live stage markers. Feed it to
@@ -283,16 +271,4 @@ type Result struct {
 	Series *sampler.Recording
 	// Cache reports feature-store usage (zero value when no store).
 	Cache CacheReport
-}
-
-// TimingFor sums the elapsed time of all phases whose label has the given
-// prefix (e.g. "train:" for all downstream training).
-func (r *Result) TimingFor(prefix string) time.Duration {
-	var total time.Duration
-	for _, t := range r.Timings {
-		if strings.HasPrefix(t.Label, prefix) {
-			total += t.Elapsed
-		}
-	}
-	return total
 }

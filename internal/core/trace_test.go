@@ -26,19 +26,6 @@ func TestRunTraceSpans(t *testing.T) {
 		t.Error("root span has no duration")
 	}
 
-	children := res.Trace.Children()
-	if len(children) != len(res.Timings) {
-		t.Fatalf("%d stage spans vs %d timings", len(children), len(res.Timings))
-	}
-	for i, sp := range children {
-		if sp.Name() != res.Timings[i].Label {
-			t.Errorf("span %d = %q, timing label %q", i, sp.Name(), res.Timings[i].Label)
-		}
-		if sp.Duration() != res.Timings[i].Elapsed {
-			t.Errorf("span %s duration %v != timing %v", sp.Name(), sp.Duration(), res.Timings[i].Elapsed)
-		}
-	}
-
 	ingest := res.Trace.Find("ingest")
 	if ingest == nil {
 		t.Fatal("no ingest span")
@@ -50,7 +37,7 @@ func TestRunTraceSpans(t *testing.T) {
 		t.Errorf("ingest bytes attr = %d (%v)", b, ok)
 	}
 	var inferFLOPs int64
-	for _, sp := range children {
+	for _, sp := range res.Trace.Children() {
 		if strings.HasPrefix(sp.Name(), "infer:") {
 			f, ok := sp.Attr("flops")
 			if !ok {

@@ -1,15 +1,14 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/lifecycle"
 	"repro/internal/memory"
 	"repro/internal/obs"
 )
@@ -103,7 +102,7 @@ func AdmissionThroughput(rows int) (*AdmissionResult, error) {
 		{"unlimited", int64(parallel) * cost},
 	}
 	for _, b := range budgets {
-		pt, err := admissionFlood(specs, b.label, b.bytes, cost)
+		pt, err := admissionFlood(specs, b.label, b.bytes)
 		if err != nil {
 			return nil, err
 		}
@@ -114,7 +113,7 @@ func AdmissionThroughput(rows int) (*AdmissionResult, error) {
 
 // admissionFlood replays the request set against one controller budget and
 // reports throughput plus queue-wait tail.
-func admissionFlood(specs []core.Spec, label string, budget, cost int64) (*AdmissionPoint, error) {
+func admissionFlood(specs []core.Spec, label string, budget int64) (*AdmissionPoint, error) {
 	reg := obs.NewRegistry()
 	ctrl, err := admission.New(admission.Config{
 		BudgetBytes:  budget,
@@ -126,41 +125,17 @@ func admissionFlood(specs []core.Spec, label string, budget, cost int64) (*Admis
 		return nil, err
 	}
 
-	var (
-		wg                 sync.WaitGroup
-		mu                 sync.Mutex
-		admitted, rejected int
-		firstErr           error
-	)
-	start := time.Now()
-	for i := range specs {
-		wg.Add(1)
-		go func(spec core.Spec) {
-			defer wg.Done()
-			grant, aerr := ctrl.Admit(context.Background(), cost)
-			if aerr != nil {
-				mu.Lock()
-				rejected++
-				mu.Unlock()
-				return
-			}
-			defer grant.Release()
-			_, rerr := core.RunContext(context.Background(), spec)
-			mu.Lock()
-			defer mu.Unlock()
-			if rerr != nil {
-				if firstErr == nil {
-					firstErr = rerr
-				}
-				return
-			}
+	outs, elapsed := flood(&lifecycle.Runner{Admit: ctrl}, specs)
+	var admitted, rejected int
+	for _, out := range outs {
+		switch out.Kind {
+		case lifecycle.Completed:
 			admitted++
-		}(specs[i])
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if firstErr != nil {
-		return nil, fmt.Errorf("experiments: admission flood %s: %w", label, firstErr)
+		case lifecycle.RejectedDeadline, lifecycle.RejectedOverload:
+			rejected++
+		default:
+			return nil, fmt.Errorf("experiments: admission flood %s: %w", label, out.Err)
+		}
 	}
 
 	pt := &AdmissionPoint{

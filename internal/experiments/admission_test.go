@@ -60,7 +60,7 @@ func TestAdmissionFloodSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := admissionFlood(specs, "test", 2*cost, cost)
+	pt, err := admissionFlood(specs, "test", 2*cost)
 	if err != nil {
 		t.Fatal(err)
 	}

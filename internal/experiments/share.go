@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/lifecycle"
 	"repro/internal/share"
 )
 
@@ -94,28 +95,11 @@ func ShareThroughput(rows int) (*ShareResult, error) {
 // shareFlood runs every spec concurrently, coalescing through coord when it
 // is non-nil, and reports wall-clock throughput plus the role split.
 func shareFlood(specs []core.Spec, coord *share.Coordinator) (*SharePoint, error) {
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	start := time.Now()
-	for i := range specs {
-		wg.Add(1)
-		go func(spec core.Spec) {
-			defer wg.Done()
-			err := shareRun(coord, spec)
-			mu.Lock()
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}(specs[i])
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if firstErr != nil {
-		return nil, fmt.Errorf("experiments: share flood: %w", firstErr)
+	outs, elapsed := flood(&lifecycle.Runner{Share: coord}, specs)
+	for _, out := range outs {
+		if out.Err != nil {
+			return nil, fmt.Errorf("experiments: share flood: %w", out.Err)
+		}
 	}
 
 	pt := &SharePoint{
@@ -140,41 +124,23 @@ func shareFlood(specs []core.Spec, coord *share.Coordinator) (*SharePoint, error
 	return pt, nil
 }
 
-// shareRun executes one flood member through the coordinator exactly as the
-// server's handleRun does: join, follower-awaits-leader, attach the handoff
-// by role, run, finish.
-func shareRun(coord *share.Coordinator, spec core.Spec) error {
-	if coord == nil {
-		_, err := core.Run(spec)
-		return err
+// flood runs every spec concurrently through runner — the same run lifecycle
+// the server's /run goes through (join, follower-awaits-leader, role-priced
+// admission, run, settle) — and returns each run's outcome plus the wall
+// clock the whole flood took to drain.
+func flood(runner *lifecycle.Runner, specs []core.Spec) ([]lifecycle.Outcome, time.Duration) {
+	outs := make([]lifecycle.Outcome, len(specs))
+	var wg sync.WaitGroup
+	start := time.Now()
+	for i := range specs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			outs[i] = runner.Do(context.Background(), specs[i], "foods")
+		}(i)
 	}
-	fp, ok := core.ShareFingerprint(spec)
-	if !ok {
-		return fmt.Errorf("experiments: flood spec is not shareable")
-	}
-	tk, err := coord.Join(context.Background(),
-		share.Identity{Model: fp.Model, WeightsSum: fp.WeightsSum, DataSum: fp.DataSum},
-		share.Member{NumLayers: fp.NumLayers, InferenceFLOPs: fp.InferenceFLOPs})
-	if err != nil {
-		return err
-	}
-	var runErr error
-	defer func() { tk.Finish(runErr) }()
-	if tk.Role() == share.Follower {
-		att, aerr := tk.AwaitLeader(context.Background())
-		if aerr != nil {
-			runErr = aerr
-			return aerr
-		}
-		spec.FeatureSource = att.Source
-	}
-	if tk.Role() == share.Leader {
-		spec.FeatureSource = tk.Source()
-		spec.FeatureSink = tk.Sink()
-	}
-	tk.Start()
-	_, runErr = core.Run(spec)
-	return runErr
+	wg.Wait()
+	return outs, time.Since(start)
 }
 
 // Render prints the comparison as a text table.

@@ -174,18 +174,6 @@ func Fires(name string) int64 {
 	return 0
 }
 
-// TotalFires sums Fires over every armed site — chaos schedules use it to
-// tell "run survived because no fault fired" from "fault was swallowed".
-func TotalFires() int64 {
-	mu.Lock()
-	defer mu.Unlock()
-	var total int64
-	for _, s := range sites {
-		total += s.fires
-	}
-	return total
-}
-
 // SetExitFunc replaces the function Kill policies terminate the process with
 // (default os.Exit) and returns the previous one. Only the layer's own tests
 // use it; crash harnesses want the real exit.

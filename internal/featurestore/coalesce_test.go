@@ -74,11 +74,10 @@ func TestGetOrFillRunsFillOnce(t *testing.T) {
 			results[i] = rows
 		}(i)
 	}
-	// Wait until one fill is in flight, then let the rest pile on before it
-	// completes.
-	for fills.Load() == 0 {
-		runtime.Gosched()
-	}
+	// Hold the fill open until every other caller is parked on its flight: a
+	// caller arriving after the fill completes legitimately hits the stored
+	// entry instead of coalescing.
+	awaitFlightWaiters(s, k, parallel-1)
 	close(release)
 	wg.Wait()
 
@@ -146,9 +145,7 @@ func TestGetOrFillPropagatesFillError(t *testing.T) {
 			errs[i] = err
 		}(i)
 	}
-	for fills.Load() == 0 {
-		runtime.Gosched()
-	}
+	awaitFlightWaiters(s, k, parallel-1)
 	close(release)
 	wg.Wait()
 
@@ -192,6 +189,21 @@ func TestGetOrFillHitSkipsFill(t *testing.T) {
 	})
 	if err != nil || filled || len(rows) != 8 {
 		t.Errorf("hit path: rows=%d filled=%v err=%v", len(rows), filled, err)
+	}
+}
+
+// awaitFlightWaiters spins until k's in-flight fill has n sharers parked on
+// it (white-box: reads the flight's waiter count).
+func awaitFlightWaiters(s *Store, k Key, n int) {
+	for {
+		s.flightMu.Lock()
+		f := s.flights[k.id()]
+		arrived := f != nil && f.waiters >= n
+		s.flightMu.Unlock()
+		if arrived {
+			return
+		}
+		runtime.Gosched()
 	}
 }
 

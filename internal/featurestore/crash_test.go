@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/durable"
 	"repro/internal/faultinject"
 	"repro/internal/faultinject/crashtest"
 )
@@ -71,7 +72,7 @@ func assertStoreClean(t *testing.T, s *Store, dir string) {
 	entryFiles := 0
 	for _, de := range des {
 		name := de.Name()
-		if strings.HasPrefix(name, tmpPrefix) {
+		if strings.HasPrefix(name, durable.TmpPrefix) {
 			t.Errorf("stranded temp file after recovery: %s", name)
 		}
 		if strings.HasSuffix(name, entrySuffix) {

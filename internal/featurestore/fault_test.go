@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/dataflow"
+	"repro/internal/durable"
 	"repro/internal/faultinject"
 )
 
@@ -217,7 +218,7 @@ func TestTornEntryWriteLeavesNoTempFiles(t *testing.T) {
 	}
 	des, _ := os.ReadDir(dir)
 	for _, de := range des {
-		if strings.HasPrefix(de.Name(), tmpPrefix) {
+		if strings.HasPrefix(de.Name(), durable.TmpPrefix) {
 			t.Fatalf("torn write stranded temp file %s", filepath.Join(dir, de.Name()))
 		}
 	}

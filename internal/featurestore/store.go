@@ -10,10 +10,11 @@ import (
 	"sync"
 
 	"repro/internal/dataflow"
+	"repro/internal/durable"
 	"repro/internal/faultinject"
 )
 
-// Failpoint sites (see internal/faultinject). The two writeFileAtomic base
+// Failpoint sites (see internal/faultinject). The two durable.WriteFileAtomic base
 // sites expand into ".create", ".write" (a byte site), and ".rename"
 // sub-sites; the put.* sites are the kill-here points crash-consistency
 // tests arm between the store's two persistence steps.
@@ -85,6 +86,9 @@ type flight struct {
 	done chan struct{}
 	rows []dataflow.Row
 	err  error
+	// waiters counts sharers parked on done (guarded by Store.flightMu), so
+	// tests can hold a fill open until every concurrent caller has joined it.
+	waiters int
 }
 
 const (
@@ -249,11 +253,11 @@ func (s *Store) Put(k Key, rows []dataflow.Row) error {
 		s.dedupPuts++
 		return nil
 	}
-	// Write the new blob before touching the existing entry: writeFileAtomic
+	// Write the new blob before touching the existing entry: WriteFileAtomic
 	// replaces the old file only at its final rename, so a failed write
 	// leaves a previous entry for the same key intact on disk and in memory
 	// instead of destroying the old features and losing the key.
-	if err := writeFileAtomic(FaultEntryWrite, s.entryPath(id), blob); err != nil {
+	if err := durable.WriteFileAtomic(FaultEntryWrite, s.entryPath(id), blob); err != nil {
 		return fmt.Errorf("featurestore: write %s: %w", k, err)
 	}
 	if ferr := faultinject.Hit(FaultPutEntryWritten); ferr != nil {
@@ -307,6 +311,7 @@ func (s *Store) GetOrFill(k Key, fill func() ([]dataflow.Row, error)) (rows []da
 	}
 	s.flightMu.Lock()
 	if f, ok := s.flights[id]; ok {
+		f.waiters++
 		s.flightMu.Unlock()
 		<-f.done
 		if f.err != nil {
@@ -424,7 +429,7 @@ func (s *Store) Fsck() error {
 	}
 	for _, de := range des {
 		name := de.Name()
-		if strings.HasPrefix(name, tmpPrefix) {
+		if strings.HasPrefix(name, durable.TmpPrefix) {
 			return fmt.Errorf("featurestore: fsck: stranded temp file %s", name)
 		}
 		if strings.HasSuffix(name, entrySuffix) {
@@ -494,7 +499,7 @@ func (s *Store) persistIndexLocked() error {
 		e := el.Value.(*storeEntry)
 		entries = append(entries, IndexEntry{Key: e.key, Size: e.size, LastUsed: e.lastUsed})
 	}
-	return writeFileAtomic(FaultIndexWrite, filepath.Join(s.dir, indexName), EncodeIndex(entries))
+	return durable.WriteFileAtomic(FaultIndexWrite, filepath.Join(s.dir, indexName), EncodeIndex(entries))
 }
 
 // sweepTempFiles removes stale atomic-write temp files — a process killed
@@ -505,7 +510,7 @@ func (s *Store) sweepTempFiles() {
 		return
 	}
 	for _, de := range names {
-		if strings.HasPrefix(de.Name(), tmpPrefix) {
+		if strings.HasPrefix(de.Name(), durable.TmpPrefix) {
 			os.Remove(filepath.Join(s.dir, de.Name()))
 		}
 	}
@@ -542,58 +547,4 @@ func (s *Store) removeOrphans() {
 			os.Remove(filepath.Join(s.dir, name))
 		}
 	}
-}
-
-// tmpPrefix names the atomic-write temp files so crash recovery can sweep
-// the ones a kill stranded.
-const tmpPrefix = ".tmp-"
-
-// writeFileAtomic writes via a temp file + rename so readers (and crashes)
-// never observe a partially written file. The failpoint sub-sites under the
-// base site model the distinct failure points: temp-file creation
-// ("<site>.create"), the data write ("<site>.write", a byte site that can
-// tear), and the rename boundary ("<site>.rename" — a kill there strands a
-// complete temp file without the final name ever appearing).
-func writeFileAtomic(site, path string, blob []byte) error {
-	if err := faultinject.Hit(site + ".create"); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), tmpPrefix+"*")
-	if err != nil {
-		return err
-	}
-	payload := blob
-	if v := faultinject.HitBytes(site+".write", int64(len(blob))); v.Err != nil {
-		// A reported torn write: persist the allowed prefix (what a dying
-		// disk would leave in the temp file), then fail — the temp file is
-		// removed, so the tear never reaches the final name.
-		if v.Allowed > 0 {
-			tmp.Write(blob[:v.Allowed])
-		}
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return v.Err
-	} else if v.SilentTear {
-		// A silent torn write (no fsync before rename): the prefix lands
-		// and the rename proceeds as if everything were durable.
-		payload = blob[:v.Allowed]
-	}
-	_, werr := tmp.Write(payload)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
-		}
-		return cerr
-	}
-	if err := faultinject.Hit(site + ".rename"); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
 }

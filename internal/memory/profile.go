@@ -35,8 +35,6 @@ func (k SystemKind) SupportsSpill() bool { return k == SparkLike }
 
 // Defaults for the baseline (non-Vista) configurations used in Section 5.1.
 const (
-	// DefaultOSReserved is the OS reservation (Table 1(C): 3 GB).
-	defaultOSReservedGB = 3
 	// sparkUserFraction is Spark's default User Memory share of the heap
 	// (Section 4.1: "Spark allocates 40% of the Heap Memory to User
 	// Memory").
@@ -45,9 +43,6 @@ const (
 	// to eviction (default 50%).
 	sparkStorageImmune = 0.50
 )
-
-// DefaultOSReserved returns the default OS reservation.
-func DefaultOSReserved() int64 { return GB(defaultOSReservedGB) }
 
 // BaselineSparkApportionment models the paper's baseline Spark setup
 // (Section 5.1: "29 GB JVM heap ... defaults for all other parameters,

@@ -27,6 +27,5 @@
 // Spans: StartSpan opens a root span; Span.StartChild nests. Spans carry
 // integer attributes (rows, bytes, FLOPs) and render as an indented tree with
 // durations and self-times (Render). core.Run emits one span per stage —
-// ingest, join, premat:<layer>, infer:<layer>, cache:<layer>, train:<layer> —
-// and derives its public Timings from the span tree.
+// ingest, join, premat:<layer>, infer:<layer>, cache:<layer>, train:<layer>.
 package obs

@@ -136,11 +136,11 @@ func TestSharedRunEndToEnd(t *testing.T) {
 		t.Errorf("follower cache report = %+v, want 1 shared / 0 executed", follower.res.Cache)
 	}
 	var sawShared bool
-	for _, tm := range follower.res.Timings {
-		if strings.HasPrefix(tm.Label, "infer:") {
-			t.Errorf("follower ran a live inference stage %q", tm.Label)
+	for _, sp := range follower.res.Trace.Children() {
+		if strings.HasPrefix(sp.Name(), "infer:") {
+			t.Errorf("follower ran a live inference stage %q", sp.Name())
 		}
-		if strings.HasPrefix(tm.Label, "shared:") {
+		if strings.HasPrefix(sp.Name(), "shared:") {
 			sawShared = true
 		}
 	}

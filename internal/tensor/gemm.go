@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/faultinject"
 )
@@ -10,9 +9,9 @@ import (
 // This file is the GEMM convolution hot path: Conv2D lowers to an im2col
 // column-buffer build plus a cache-blocked, register-blocked sgemm whose
 // output-channel row tiles run on the bounded worker pool (parallel.go). The
-// direct-loop kernel in ops.go stays behind the UseDirect escape hatch as the
-// reference implementation, and the parity suite in gemm_test.go pins the two
-// together permanently.
+// direct-loop kernel in ops.go stays only as Conv2DDirect, the reference
+// implementation the parity suite in gemm_test.go and FuzzConv2DGEMMParity
+// compare against.
 //
 // Layout: for a conv with C_in input channels and a K×K kernel over an
 // H_out×W_out output, the column buffer is a (C_in·K·K) × (H_out·W_out)
@@ -26,18 +25,6 @@ import (
 // FaultConvCol guards the im2col column-buffer acquisition — the one large
 // scratch allocation each GEMM convolution makes.
 const FaultConvCol = "tensor/conv.col"
-
-// useDirect selects the reference direct-loop convolution kernel.
-var useDirect atomic.Bool
-
-// SetUseDirect toggles the escape hatch that routes Conv2D through the
-// reference direct-loop kernel instead of the im2col+GEMM path. It exists so
-// parity can be asserted forever and so operators can fall back if a platform
-// misbehaves; it is not a performance mode.
-func SetUseDirect(v bool) { useDirect.Store(v) }
-
-// UseDirect reports whether the direct reference kernel is selected.
-func UseDirect() bool { return useDirect.Load() }
 
 // kcBlock is the K-dimension cache block of the sgemm: one block of B
 // (kcBlock rows × N columns) is streamed repeatedly against every row tile,

@@ -104,37 +104,6 @@ func TestConv2DGEMMParity(t *testing.T) {
 	}
 }
 
-// TestConv2DDispatch pins the UseDirect escape hatch: both settings of the
-// switch produce outputs within parity tolerance on the same call.
-func TestConv2DDispatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	in := randTensor(rng, 4, 10, 10)
-	spec := Conv2DSpec{InChannels: 4, OutChannels: 6, Kernel: 3, Stride: 1, Pad: 1}
-	weights := make([]float32, spec.WeightCount())
-	for i := range weights {
-		weights[i] = float32(rng.NormFloat64())
-	}
-	bias := []float32{1, -1, 0.5, 0, 2, -0.25}
-
-	defer SetUseDirect(false)
-	SetUseDirect(true)
-	if !UseDirect() {
-		t.Fatal("UseDirect not set")
-	}
-	direct, err := Conv2D(in, spec, weights, bias)
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetUseDirect(false)
-	gemm, err := Conv2D(in, spec, weights, bias)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := maxAbsDiff(gemm, direct); d > parityEps {
-		t.Fatalf("dispatch parity: max abs diff %g", d)
-	}
-}
-
 // TestConv2DGEMMSerial pins the kernel with the worker pool forced serial, so
 // a parallelism bug cannot hide the single-threaded kernel being wrong (and
 // vice versa).

@@ -35,29 +35,14 @@ func (c Conv2DSpec) WeightCount() int {
 
 // Conv2D computes a 2-D convolution of the CHW input with the given filter
 // weights (layout [out][in][kh][kw], row-major) and per-output-channel
-// biases, returning a new CHW tensor. By default it runs the im2col +
-// blocked-GEMM kernel (gemm.go); SetUseDirect(true) routes it through the
-// direct-loop reference kernel instead.
+// biases, returning a new CHW tensor via the im2col + blocked-GEMM kernel
+// (gemm.go).
 func Conv2D(in *Tensor, spec Conv2DSpec, weights, bias []float32) (*Tensor, error) {
 	outShape, err := conv2DCheck(in, spec, weights, bias)
 	if err != nil {
 		return nil, err
 	}
-	if useDirect.Load() {
-		return conv2DDirect(in, spec, weights, bias, outShape), nil
-	}
 	return conv2DGEMM(in, spec, weights, bias, outShape)
-}
-
-// Conv2DDirect computes the convolution with the direct (non-GEMM) reference
-// kernel regardless of the UseDirect setting. The parity test suite asserts
-// Conv2D against it across the geometry grid.
-func Conv2DDirect(in *Tensor, spec Conv2DSpec, weights, bias []float32) (*Tensor, error) {
-	outShape, err := conv2DCheck(in, spec, weights, bias)
-	if err != nil {
-		return nil, err
-	}
-	return conv2DDirect(in, spec, weights, bias, outShape), nil
 }
 
 // conv2DCheck validates a convolution's input, weight, and bias shapes and
@@ -76,9 +61,15 @@ func conv2DCheck(in *Tensor, spec Conv2DSpec, weights, bias []float32) (Shape, e
 	return outShape, nil
 }
 
-// conv2DDirect is the naive triple-loop convolution, kept as the permanent
-// reference implementation for the GEMM path.
-func conv2DDirect(in *Tensor, spec Conv2DSpec, weights, bias []float32, outShape Shape) *Tensor {
+// Conv2DDirect computes the convolution with the naive triple-loop kernel. It
+// is the permanent reference implementation for the GEMM path only: the
+// parity test suite asserts Conv2D against it across the geometry grid, and
+// nothing serves traffic through it.
+func Conv2DDirect(in *Tensor, spec Conv2DSpec, weights, bias []float32) (*Tensor, error) {
+	outShape, err := conv2DCheck(in, spec, weights, bias)
+	if err != nil {
+		return nil, err
+	}
 	inH, inW := in.Shape()[1], in.Shape()[2]
 	outH, outW := outShape[1], outShape[2]
 	out := New(outShape...)
@@ -117,7 +108,7 @@ func conv2DDirect(in *Tensor, spec Conv2DSpec, weights, bias []float32, outShape
 			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 // PoolSpec describes a 2-D pooling window over a CHW input.

@@ -371,6 +371,57 @@ func TestVerifyReconciliation(t *testing.T) {
 	}
 }
 
+func TestVerifyMissingRetryAfter(t *testing.T) {
+	res := &Result{Offered: 3, RetryAfter: map[string]int{"2": 1, "": 2}}
+	res.Counts[ClassThrottled] = 3
+	errs := res.Verify(Checks{})
+	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "lacked a Retry-After") {
+		t.Errorf("Verify = %v, want exactly the missing-hint violation", errs)
+	}
+}
+
+// TestReconcileShareCounters covers the sharing clauses Reconcile adds when
+// the scrape comes from a -share server, and their absence otherwise.
+func TestReconcileShareCounters(t *testing.T) {
+	res := &Result{Offered: 4}
+	res.Counts[ClassOK] = 4
+	admission := map[string]float64{"vista_admission_admitted_total": 4}
+	if errs := res.Reconcile(nil, admission); len(errs) != 0 {
+		t.Errorf("share-less scrape: Reconcile = %v, want clean", errs)
+	}
+	with := func(extra map[string]float64) map[string]float64 {
+		m := map[string]float64{
+			"vista_admission_admitted_total":          4,
+			`vista_share_runs_total{role="leader"}`:   1,
+			`vista_share_runs_total{role="follower"}`: 3,
+			`vista_share_runs_total{role="solo"}`:     0,
+			"vista_share_dedup_flops_total":           9e6,
+			"vista_share_live_groups":                 0,
+		}
+		for k, v := range extra {
+			m[k] = v
+		}
+		return m
+	}
+	if errs := res.Reconcile(nil, with(nil)); len(errs) != 0 {
+		t.Errorf("coalesced flood: Reconcile = %v, want clean", errs)
+	}
+	for name, tc := range map[string]struct {
+		extra map[string]float64
+		want  string
+	}{
+		"lost role":     {map[string]float64{`vista_share_runs_total{role="follower"}`: 2}, "exactly-one-role"},
+		"no dedup":      {map[string]float64{"vista_share_dedup_flops_total": 0}, "dedup_flops"},
+		"leaked group":  {map[string]float64{"vista_share_live_groups": 1}, "vista_share_live_groups = 1"},
+		"leaked waiter": {map[string]float64{"vista_share_waiting_members": 2}, "vista_share_waiting_members = 2"},
+	} {
+		errs := res.Reconcile(nil, with(tc.extra))
+		if len(errs) != 1 || !strings.Contains(errs[0].Error(), tc.want) {
+			t.Errorf("%s: Reconcile = %v, want one violation mentioning %q", name, errs, tc.want)
+		}
+	}
+}
+
 func TestTimelineOutputs(t *testing.T) {
 	res := &Result{
 		Profile: "const(5)", Duration: time.Second, TimeScale: 1, Tick: 500 * time.Millisecond,

@@ -152,6 +152,9 @@ func (r *Result) Verify(c Checks) []error {
 	if n := r.Counts[ClassOther]; n > 0 {
 		errs = append(errs, fmt.Errorf("workload: %d responses outside the 200/429/503 contract", n))
 	}
+	if n := r.RetryAfter[""]; n > 0 {
+		errs = append(errs, fmt.Errorf("workload: %d 429 responses lacked a Retry-After hint", n))
+	}
 	if c.OffPeakP99 > 0 {
 		for _, b := range r.Buckets {
 			if b.TargetRate >= c.OffPeakBelow || b.P99 == 0 {
@@ -167,6 +170,55 @@ func (r *Result) Verify(c Checks) []error {
 		if got := len(r.RetryAfter); got < c.MinDistinctRetryAfter {
 			errs = append(errs, fmt.Errorf("workload: %d 429s carried only %d distinct Retry-After value(s) (want >= %d) — a constant hint re-synchronizes the retry herd",
 				r.Counts[ClassThrottled], got, c.MinDistinctRetryAfter))
+		}
+	}
+	return errs
+}
+
+// Reconcile diffs the server's counters across the run (two ScrapeMetrics
+// snapshots) and requires them to match the client's books: every 200 was
+// admitted, every 429 a deadline rejection, every 503 a queue-full or
+// oversize rejection, and nothing is in flight or queued after the drain.
+// This driver is assumed to be the server's only client, so comparisons are
+// exact. When the scrape exposes vista_share_runs_total (a -share server),
+// every admitted run must also have taken exactly one sharing role, followers
+// must have deduplicated modeled FLOPs, and the coordinator must have drained.
+func (r *Result) Reconcile(before, after map[string]float64) []error {
+	delta := func(series string) float64 { return after[series] - before[series] }
+	var errs []error
+	pairs := []struct {
+		series string
+		want   int
+		what   string
+	}{
+		{"vista_admission_admitted_total", r.Counts[ClassOK], "200s"},
+		{`vista_admission_rejected_total{reason="deadline"}`, r.Counts[ClassThrottled], "429s"},
+	}
+	for _, p := range pairs {
+		if got := delta(p.series); got != float64(p.want) {
+			errs = append(errs, fmt.Errorf("server %s grew by %g, client saw %d %s", p.series, got, p.want, p.what))
+		}
+	}
+	// 503s split across two reasons; compare their sum.
+	got503 := delta(`vista_admission_rejected_total{reason="queue_full"}`) + delta(`vista_admission_rejected_total{reason="oversize"}`)
+	if got503 != float64(r.Counts[ClassOverload]) {
+		errs = append(errs, fmt.Errorf("server 503-reason counters grew by %g, client saw %d 503s", got503, r.Counts[ClassOverload]))
+	}
+	drained := []string{"vista_admission_inflight_bytes", "vista_admission_inflight_runs", "vista_admission_queue_depth"}
+	if _, sharing := after[`vista_share_runs_total{role="leader"}`]; sharing {
+		followers := delta(`vista_share_runs_total{role="follower"}`)
+		roles := delta(`vista_share_runs_total{role="leader"}`) + followers + delta(`vista_share_runs_total{role="solo"}`)
+		if admitted := delta("vista_admission_admitted_total"); roles != admitted {
+			errs = append(errs, fmt.Errorf("server sharing roles grew by %g, admitted runs by %g — a run escaped the exactly-one-role invariant", roles, admitted))
+		}
+		if dedup := delta("vista_share_dedup_flops_total"); followers > 0 && dedup <= 0 {
+			errs = append(errs, fmt.Errorf("server ran %g sharing followers but vista_share_dedup_flops_total grew by %g, want > 0", followers, dedup))
+		}
+		drained = append(drained, "vista_share_open_groups", "vista_share_waiting_members", "vista_share_live_groups")
+	}
+	for _, gauge := range drained {
+		if v, ok := after[gauge]; ok && v != 0 {
+			errs = append(errs, fmt.Errorf("server %s = %g after drain, want 0", gauge, v))
 		}
 	}
 	return errs

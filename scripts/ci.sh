@@ -53,14 +53,84 @@ go run ./cmd/vista -rows 200 -layers 2 \
 go run ./scripts/tracecheck -trace "$obs_tmp/trace.json" -timeseries "$obs_tmp/series.csv"
 rm -rf "$obs_tmp"
 
-echo "== server concurrency smoke =="
-# Boot a real vista-server with a budget sized for ~2 concurrent runs, flood
-# it with parallel /run requests, and assert every response is 200/429/503,
-# the admission counters reconcile, and shutdown drains cleanly.
-smoke_tmp=$(mktemp -d)
-go build -o "$smoke_tmp/vista-server" ./cmd/vista-server
-go run ./scripts/serversmoke -server "$smoke_tmp/vista-server"
-rm -rf "$smoke_tmp"
+echo "== bench module (vet + tests) =="
+# bench/ is its own module (replace repro => ../), so the root ./... patterns
+# above never compile it: API drift that breaks the repo benchmark would stay
+# invisible until the benchmark pipeline runs.
+go -C bench vet ./...
+go -C bench test ./...
+
+echo "== core-count sweep (concurrent packages) =="
+# Orderings that only show at one GOMAXPROCS (a waiter that has not parked yet
+# on 1 core, a publish that outruns its persist on 4) are caught here, not on
+# whichever box runs tier-1 next.
+go test -count=5 -cpu 1,2,4 ./internal/calib ./internal/featurestore ./internal/share ./internal/admission ./cmd/vista-server
+
+echo "== vista-load smoke (admission flood, then shared-inference flood) =="
+# Two closed-loop floods of 12 identical-body clients against a real server,
+# each ending in a SIGTERM that must exit 0 (clean drain). vista-load exits
+# nonzero unless every request is classified exactly once as 200/429/503
+# (timeouts and transport failures told apart, none allowed), every 429
+# carries Retry-After, the vista_admission_* counter deltas reconcile with the
+# observed responses, and the in-flight/queue gauges drain to zero.
+#   Phase 1: a budget fitting two priced tiny-alexnet/foods runs (54476 MiB
+#   each — modeled memory, nothing near that is allocated) and a queue
+#   timeout about one run long, so the flood must queue, time out (429) and
+#   overflow (503) without ever failing.
+#   Phase 2: -share with a budget fitting the whole flood. Because the scrape
+#   now exposes vista_share_runs_total, vista-load also reconciles
+#   leader+follower+solo == admitted, dedup FLOPs > 0 once a follower ran, and
+#   open/waiting/live share gauges == 0.
+flood_tmp=$(mktemp -d)
+go build -o "$flood_tmp/vista-server" ./cmd/vista-server
+go build -o "$flood_tmp/vista-load" ./cmd/vista-load
+# flood_phase NAME SERVER_FLAGS...: boot, flood, scrape, SIGTERM, assert exit 0.
+flood_phase() {
+    local name=$1 port=$((20000 + RANDOM % 10000))
+    shift
+    "$flood_tmp/vista-server" -addr "127.0.0.1:$port" -feature-cache-mb 0 "$@" \
+        >"$flood_tmp/$name.server.log" 2>&1 &
+    local pid=$!
+    trap "kill $pid 2>/dev/null || true" EXIT
+    for _ in $(seq 1 50); do
+        if (exec 3<>"/dev/tcp/127.0.0.1/$port") 2>/dev/null; then exec 3>&- 3<&-; break; fi
+        sleep 0.2
+    done
+    "$flood_tmp/vista-load" -url "http://127.0.0.1:$port" -mode closed \
+        -profile 'flood(0s,6s,12)' -duration 6s -time-scale 1 -tick 1s \
+        -request-timeout 2m | tee "$flood_tmp/$name.summary.txt"
+    curl -sf "http://127.0.0.1:$port/metrics" >"$flood_tmp/$name.metrics.txt"
+    kill -TERM "$pid"
+    if ! wait "$pid"; then
+        echo "vista-load smoke ($name): server exited uncleanly after SIGTERM" >&2
+        exit 1
+    fi
+    trap - EXIT
+}
+# summary_field FILE KEY: pull one key=N count out of a vista-load summary.
+summary_field() {
+    sed -n "s/.* $2=\([0-9]*\).*/\1/p" "$1"
+}
+flood_phase admission -mem-budget 110000 -queue-depth 4 -queue-timeout 300ms
+if [[ "$(summary_field "$flood_tmp/admission.summary.txt" ok)" -eq 0 ]]; then
+    echo "vista-load smoke (admission): no /run succeeded" >&2
+    exit 1
+fi
+flood_phase share -mem-budget 660000 -queue-depth 12 -queue-timeout 30s \
+    -share -share-window 500ms
+share_summary="$flood_tmp/share.summary.txt"
+if [[ "$(summary_field "$share_summary" ok)" -eq 0 ||
+    "$(summary_field "$share_summary" ok)" -ne "$(summary_field "$share_summary" offered)" ]]; then
+    echo "vista-load smoke (share): not every request succeeded under a budget that fits the whole flood" >&2
+    exit 1
+fi
+if ! grep -q '^vista_share_runs_total{role="follower"} [1-9]' "$flood_tmp/share.metrics.txt" ||
+    ! grep -q '^vista_share_aborted_total 0$' "$flood_tmp/share.metrics.txt"; then
+    echo "vista-load smoke (share): identical flood produced no followers, or members aborted" >&2
+    grep '^vista_share_' "$flood_tmp/share.metrics.txt" >&2
+    exit 1
+fi
+rm -rf "$flood_tmp"
 
 echo "== vista-load smoke (compressed overload replay) =="
 # Boot a single-slot server (the 60000 MiB budget fits exactly one priced
@@ -71,13 +141,15 @@ echo "== vista-load smoke (compressed overload replay) =="
 # exactly once, the server's admission counters reconcile with the observed
 # responses, nothing failed at the transport layer, and the 429s carried
 # >= 2 distinct Retry-After values — the regression gate for the
-# static-hint retry herd.
+# static-hint retry herd. The queue is deep enough (24) that, at the ~0.15 s
+# a run takes on a 2-core box, the tail of the queue waits past the 3 s
+# timeout: a shallower queue drains too fast to produce any 429 there.
 load_tmp=$(mktemp -d)
 load_port=$((20000 + RANDOM % 10000))
 go build -o "$load_tmp/vista-server" ./cmd/vista-server
 go build -o "$load_tmp/vista-load" ./cmd/vista-load
 "$load_tmp/vista-server" -addr "127.0.0.1:$load_port" -feature-cache-mb 0 \
-    -mem-budget 60000 -queue-depth 6 -queue-timeout 3s \
+    -mem-budget 60000 -queue-depth 24 -queue-timeout 3s \
     >"$load_tmp/server.log" 2>&1 &
 load_server_pid=$!
 trap 'kill "$load_server_pid" 2>/dev/null || true' EXIT
