@@ -10,9 +10,15 @@
 package repro
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/data"
 	"repro/internal/experiments"
+	"repro/internal/featurestore"
+	"repro/internal/lifecycle"
+	"repro/internal/memory"
 )
 
 func BenchmarkFigure6EndToEnd(b *testing.B) {
@@ -193,4 +199,48 @@ func BenchmarkFigure17SpeedupDrilldown(b *testing.B) {
 			b.ReportMetric(res.ReadSpeedup["alexnet"][3], "read-8node-speedup")
 		}
 	}
+}
+
+// BenchmarkWarmRun is the in-process cost of serving one fully-warm request
+// the way vista-server's handleRun does — tables from the dataset catalog,
+// one run lifecycle over a real on-disk feature store — on the bench
+// workload warm-repeat's shape (tiny-resnet50, 100 foods rows, 5 layers,
+// every stage attached from the store). store-read-B/op is the serialized
+// size of the store entries one such run reads: the feature entries only.
+func BenchmarkWarmRun(b *testing.B) {
+	store, err := featurestore.Open(b.TempDir(), memory.MB(256))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	catalog := data.NewCatalog()
+	runner := &lifecycle.Runner{}
+	serve := func() *core.Result {
+		tables, err := catalog.Get(data.Foods().WithRows(100))
+		if err != nil {
+			b.Fatal(err)
+		}
+		out := runner.Do(context.Background(), core.Spec{
+			Nodes: 2, CoresPerNode: 4, MemPerNode: memory.GB(32),
+			SystemKind: memory.SparkLike,
+			ModelName:  "tiny-resnet50", NumLayers: 5,
+			Downstream: core.DefaultDownstream(),
+			Seed:       7, FeatureStore: store,
+		}.WithTables(tables), "foods")
+		if out.Kind != lifecycle.Completed {
+			b.Fatalf("run did not complete: %+v", out)
+		}
+		return out.Result
+	}
+	serve() // cold: materializes every stage
+	before := store.Snapshot().ReadBytes
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := serve(); res.Cache.StagesExecuted != 0 || res.Cache.StagesFromCache != 5 {
+			b.Fatalf("run was not fully warm: %+v", res.Cache)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(store.Snapshot().ReadBytes-before)/float64(b.N), "store-read-B/op")
 }

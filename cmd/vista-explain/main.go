@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"repro/internal/cnn"
+	"repro/internal/data"
 	"repro/internal/memory"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
@@ -103,15 +104,11 @@ func sweepPoint(model, dataset string, layers, nodes, cores int, memGB, gpuGB fl
 
 // buildWorkload assembles the simulator workload for the given environment.
 func buildWorkload(model, dataset string, layers, nodes, cores int, memGB, gpuGB float64, ignite bool) (sim.Workload, error) {
-	var ds sim.DatasetSpec
-	switch dataset {
-	case "foods":
-		ds = sim.FoodsSpec()
-	case "amazon":
-		ds = sim.AmazonSpec()
-	default:
+	preset, ok := data.Preset(dataset)
+	if !ok {
 		return sim.Workload{}, fmt.Errorf("unknown dataset %q", dataset)
 	}
+	ds := sim.PaperDataset(preset)
 	if layers <= 0 {
 		switch model {
 		case "alexnet":

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -97,21 +98,32 @@ func post(ctx context.Context, url, body string) (int, http.Header, error) {
 	return resp.StatusCode, resp.Header, nil
 }
 
-// waitDrained polls until the controller reports no in-flight or queued
-// work and the goroutine count returns near base.
-func waitDrained(t *testing.T, a *api, base int) {
+// assertDrained closes srv and checks that the budget drained and that no
+// goroutine outlived the flood. httptest's Close returns only once every
+// outstanding request has completed, and a /run handler returns only after
+// its lifecycle released the grant: that is the event that ends the wait for
+// abandoned (client-cancelled) runs still winding down, so the admission
+// counters are read exactly once. The goroutine count is the leak check for
+// what a handler may leave behind after returning (engine tasks, a DL
+// session, a sampler): it must come back to base, the count taken while the
+// idle server was listening. Connection goroutines on both sides exit a
+// moment after Close with no event to wait on, hence the bounded re-check;
+// only a real leak reaches the deadline.
+func assertDrained(t *testing.T, a *api, srv *httptest.Server, base int) {
 	t.Helper()
+	srv.Close()
+	if s := a.life.Admit.Stats(); s.InFlightBytes != 0 || s.InFlightRuns != 0 || s.QueueDepth != 0 {
+		t.Fatalf("not drained once every request completed: stats=%+v", s)
+	}
+	http.DefaultClient.CloseIdleConnections()
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		s := a.life.Admit.Stats()
-		if s.InFlightBytes == 0 && s.InFlightRuns == 0 && s.QueueDepth == 0 &&
-			runtime.NumGoroutine() <= base+8 {
-			return
-		}
+	for runtime.NumGoroutine() > base {
 		if time.Now().After(deadline) {
-			t.Fatalf("not drained: stats=%+v goroutines=%d (base %d)", s, runtime.NumGoroutine(), base)
+			var stacks strings.Builder
+			_ = pprof.Lookup("goroutine").WriteTo(&stacks, 1)
+			t.Fatalf("goroutines leaked: %d now, %d before the flood\n%s", runtime.NumGoroutine(), base, stacks.String())
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -181,7 +193,7 @@ func TestAdmissionStress(t *testing.T) {
 	if s.Cancelled != 0 {
 		t.Errorf("cancelled = %d with no client cancellations", s.Cancelled)
 	}
-	waitDrained(t, a, baseGoroutines)
+	assertDrained(t, a, srv, baseGoroutines)
 }
 
 // TestAdmissionStressWithCancellation mixes client-side cancellations into
@@ -272,7 +284,7 @@ func TestAdmissionStressWithCancellation(t *testing.T) {
 	if clientCancelled == 0 {
 		t.Log("no client observed a cancellation this round (timing-dependent)")
 	}
-	waitDrained(t, a, baseGoroutines)
+	assertDrained(t, a, srv, baseGoroutines)
 }
 
 // TestRetryAfterVariesWithLoad is the regression test for the static

@@ -6,12 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/calib"
 	"repro/internal/clock"
+	"repro/internal/faultinject"
 )
 
 // driftByKind indexes a /calibration JSON body's evidenced stages by kind.
@@ -91,15 +91,25 @@ func TestAutoCalibrateClosesLoopEndToEnd(t *testing.T) {
 	}
 
 	// Start the periodic loop the way main does and let one interval elapse.
+	// The profile's rename failpoint is the event that says the loop took the
+	// tick and its refit is past fitting; Stop then returns once that refit
+	// has published. The rounds below drive refits by hand, so the loop is
+	// not needed again.
+	persisting := make(chan struct{}, 1) // later, hand-driven refits find it full and move on
+	faultinject.Arm(calib.FaultProfileSave+".rename", faultinject.Callback(func() {
+		select {
+		case persisting <- struct{}{}:
+		default:
+		}
+	}))
+	defer faultinject.DisarmAll()
 	a.life.Fitter.Start()
-	defer a.life.Fitter.Stop()
 	fc.BlockUntil(1)
 	fc.Advance(10 * time.Second)
-	for i := 0; a.life.Fitter.Refits() < 1; i++ {
-		if i > 1e7 {
-			t.Fatal("refit never fired")
-		}
-		runtime.Gosched()
+	<-persisting
+	a.life.Fitter.Stop()
+	if got := a.life.Fitter.Refits(); got != 1 {
+		t.Fatalf("refits after one interval = %d, want 1", got)
 	}
 
 	// The refit persisted a profile that corrects the share distortion: train

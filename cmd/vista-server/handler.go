@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/admission"
@@ -108,11 +107,15 @@ func toDecisionJSON(d optimizer.Decision) decisionJSON {
 
 // api is the service's process-wide state: the shared feature store (so
 // repeated /run and /simulate requests on the same dataset+CNN reuse
-// features across HTTP calls), the metrics registry behind GET /metrics,
-// the admission controller gating concurrent /run execution, the retained
-// run artifacts, and the content addresses of past runs.
+// features across HTTP calls), the dataset catalog every /run obtains its
+// tables from, the metrics registry behind GET /metrics, the run lifecycle
+// (admission, sharing, calibration), and the retained run artifacts.
 type api struct {
-	store   *featurestore.Store // nil = caching disabled
+	store *featurestore.Store // nil = caching disabled
+	// catalog holds the generated (dataset, rows) tables: a pure function of
+	// the request, so each is generated once and shared read-only by every
+	// run over it.
+	catalog *data.Catalog
 	metrics *obs.Registry
 	// life is the run lifecycle every /run executes through: it holds the
 	// admission controller, sharing coordinator and profile fitter (each nil
@@ -134,22 +137,6 @@ type api struct {
 	maxDrift float64
 	// paths are the instrumented endpoints, for the SLO sweep.
 	paths []string
-
-	mu sync.Mutex
-	// runKeys remembers each served workload's feature-store content
-	// address, so /simulate can probe the store for workloads /run has
-	// materialized.
-	runKeys map[string]runKey
-}
-
-// runKey is the store's content-address pair for one workload.
-type runKey struct {
-	weightsSum, dataSum string
-}
-
-// workloadKey identifies a workload for cross-request cache probing.
-func workloadKey(req *workloadRequest) string {
-	return fmt.Sprintf("%s|%s|%d|%d", req.Model, req.Dataset, req.Rows, req.Seed)
 }
 
 // defaultSLOP99 is the default per-endpoint p99 latency bound: generous,
@@ -234,7 +221,7 @@ func newAPI(cfg serverConfig) *api {
 		sloP99:   cfg.sloP99,
 		maxDrift: cfg.maxDrift,
 		runs:     newRunRing(cfg.runHistory),
-		runKeys:  make(map[string]runKey),
+		catalog:  data.NewCatalog(),
 		life:     &lifecycle.Runner{Calib: cfg.calib, InferEstScale: cfg.calibInferScale},
 		logger:   cfg.logger,
 	}
@@ -337,13 +324,17 @@ func (a *api) handleFeatureStore(w http.ResponseWriter, _ *http.Request) {
 
 // cachedLayersFor probes the feature store for a workload /run has
 // materialized before: how many of the plan's layers (bottom-up) are cached.
+// The workload's content address is what serving it left in the bounded sums
+// memo, so a workload never run (or aged out of the memo) probes as cold.
 func (a *api) cachedLayersFor(req *workloadRequest, p *plan.Plan) int {
 	if a.store == nil {
 		return 0
 	}
-	a.mu.Lock()
-	rk, ok := a.runKeys[workloadKey(req)]
-	a.mu.Unlock()
+	preset, ok := data.Preset(req.Dataset)
+	if !ok {
+		return 0
+	}
+	weightsSum, dataSum, ok := core.MemoizedSums(req.Model, req.Seed, preset.WithRows(req.Rows))
 	if !ok {
 		return 0
 	}
@@ -351,7 +342,7 @@ func (a *api) cachedLayersFor(req *workloadRequest, p *plan.Plan) int {
 	for i, l := range p.Layers {
 		layers[i] = l.LayerIndex
 	}
-	return a.store.CachedLayers(req.Model, rk.weightsSum, rk.dataSum, layers)
+	return a.store.CachedLayers(req.Model, weightsSum, dataSum, layers)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -409,17 +400,12 @@ func handleRoster(w http.ResponseWriter, _ *http.Request) {
 
 // buildSimWorkload assembles a simulator workload from a request.
 func buildSimWorkload(req *workloadRequest, kind plan.Kind) (sim.Workload, error) {
-	var ds sim.DatasetSpec
-	switch req.Dataset {
-	case "foods":
-		ds = sim.FoodsSpec()
-	case "amazon":
-		ds = sim.AmazonSpec()
-	default:
+	preset, ok := data.Preset(req.Dataset)
+	if !ok {
 		return sim.Workload{}, fmt.Errorf("unknown dataset %q", req.Dataset)
 	}
 	return sim.NewWorkload(sim.WorkloadSpec{
-		ModelName: req.Model, NumLayers: req.Layers, Dataset: ds,
+		ModelName: req.Model, NumLayers: req.Layers, Dataset: sim.PaperDataset(preset),
 		PlanKind: kind, Placement: plan.AfterJoin,
 		Nodes: req.Nodes, CPUSys: req.Cores,
 		MemSys:     memory.GB(req.MemGB),
@@ -545,17 +531,12 @@ func (a *api) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("rows %d exceeds the real-execution cap %d", req.Rows, maxRunRows))
 		return
 	}
-	var dataSpec data.Spec
-	switch req.Dataset {
-	case "foods":
-		dataSpec = data.Foods()
-	case "amazon":
-		dataSpec = data.Amazon()
-	default:
+	preset, ok := data.Preset(req.Dataset)
+	if !ok {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown dataset %q", req.Dataset))
 		return
 	}
-	structRows, imageRows, err := data.Generate(dataSpec.WithRows(req.Rows))
+	tables, err := a.catalog.Get(preset.WithRows(req.Rows))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -565,13 +546,12 @@ func (a *api) handleRun(w http.ResponseWriter, r *http.Request) {
 		MemPerNode: memory.GB(req.MemGB),
 		SystemKind: memory.SparkLike,
 		ModelName:  req.Model, NumLayers: req.Layers,
-		Downstream: core.DefaultDownstream(),
-		StructRows: structRows, ImageRows: imageRows,
+		Downstream:   core.DefaultDownstream(),
 		Seed:         req.Seed,
 		FeatureStore: a.store,
 		Metrics:      a.metrics,
 		SampleEvery:  runSampleEvery,
-	}, req.Dataset)
+	}.WithTables(tables), req.Dataset)
 	a.writeRunOutcome(w, req, out)
 }
 
@@ -636,13 +616,6 @@ func (a *api) writeRunResult(w http.ResponseWriter, req *workloadRequest, runID 
 		layers = append(layers, layerJSON{Layer: l.LayerName, FeatureDim: l.FeatureDim,
 			TrainF1: l.Train.F1, TestF1: l.Test.F1})
 	}
-	a.mu.Lock()
-	if res.Cache.Enabled {
-		a.runKeys[workloadKey(req)] = runKey{
-			weightsSum: res.Cache.WeightsSum, dataSum: res.Cache.DataSum,
-		}
-	}
-	a.mu.Unlock()
 	a.runs.complete(out.RunSeq, res.Trace, res.Series)
 	// Calibration is observability, not the serving path: a failure is
 	// logged, never surfaced to the client.

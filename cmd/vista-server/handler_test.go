@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/data"
 	"repro/internal/featurestore"
 	"repro/internal/memory"
 )
@@ -125,7 +126,8 @@ func TestServerFeatureReuse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	h := newHandler(store)
+	a := newAPI(serverConfig{store: store, sloP99: defaultSLOP99})
+	h := a.handler()
 	const runBody = `{"model":"tiny-alexnet","dataset":"foods","layers":2,"rows":100}`
 
 	code, cold := doJSON(t, h, "POST", "/run", runBody)
@@ -167,6 +169,14 @@ func TestServerFeatureReuse(t *testing.T) {
 	if warmSim["total_minutes"].(float64) >= coldSim["total_minutes"].(float64) {
 		t.Errorf("warm simulate (%v min) not cheaper than cold (%v min)",
 			warmSim["total_minutes"], coldSim["total_minutes"])
+	}
+
+	// The store still holds the features after the catalog lets the tables go
+	// (eviction, or a dataset too large to ever be held): /simulate must not
+	// turn cold with them.
+	a.catalog = data.NewCatalog()
+	if _, again := doJSON(t, h, "POST", "/simulate", simBody); again["cached_layers"].(float64) != 2 {
+		t.Fatalf("simulate cached_layers = %v once the tables left the catalog, want 2", again["cached_layers"])
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 	"repro/internal/calib"
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/dataflow"
 	"repro/internal/featurestore"
 	"repro/internal/lifecycle"
 	"repro/internal/memory"
@@ -186,12 +185,7 @@ func run(ctx context.Context, o runOptions, stdout, stderr io.Writer) error {
 		}
 	}
 
-	structRows, imageRows, err := loadOrGenerate(o, stdout)
-	if err != nil {
-		return err
-	}
-
-	runSpec := core.Spec{
+	runSpec, err := withDataset(core.Spec{
 		Nodes:        o.nodes,
 		CoresPerNode: o.cores,
 		MemPerNode:   memory.GB(o.memGB),
@@ -199,9 +193,10 @@ func run(ctx context.Context, o runOptions, stdout, stderr io.Writer) error {
 		ModelName:    o.model,
 		NumLayers:    o.layers,
 		Downstream:   core.DefaultDownstream(),
-		StructRows:   structRows,
-		ImageRows:    imageRows,
 		Seed:         o.seed,
+	}, o, stdout)
+	if err != nil {
+		return err
 	}
 	if o.cacheDir != "" {
 		store, err := featurestore.Open(o.cacheDir, o.cacheMB<<20)
@@ -385,34 +380,32 @@ func writeTimeseriesFile(path string, res *core.Result) error {
 	return f.Close()
 }
 
-// loadOrGenerate obtains the dataset from disk or the synthetic generator,
-// optionally persisting a fresh one.
-func loadOrGenerate(o runOptions, stdout io.Writer) (structRows, imageRows []dataflow.Row, err error) {
+// withDataset returns spec over the dataset o names: loaded from disk, or
+// obtained through a catalog from the synthetic generator (optionally
+// persisting the fresh one).
+func withDataset(spec core.Spec, o runOptions, stdout io.Writer) (core.Spec, error) {
 	if o.dataDir != "" {
 		fmt.Fprintf(stdout, "Loading dataset from %s...\n", o.dataDir)
-		return data.Load(o.dataDir)
+		var err error
+		spec.StructRows, spec.ImageRows, err = data.Load(o.dataDir)
+		return spec, err
 	}
-	var spec data.Spec
-	switch o.dataset {
-	case "foods":
-		spec = data.Foods()
-	case "amazon":
-		spec = data.Amazon()
-	default:
-		return nil, nil, fmt.Errorf("unknown dataset %q", o.dataset)
+	preset, ok := data.Preset(o.dataset)
+	if !ok {
+		return spec, fmt.Errorf("unknown dataset %q", o.dataset)
 	}
-	spec = spec.WithRows(o.rows)
+	preset = preset.WithRows(o.rows)
 	fmt.Fprintf(stdout, "Generating %s: %d rows × %d structured features + %dx%d images...\n",
-		spec.Name, spec.Rows, spec.StructDim, spec.ImageSize, spec.ImageSize)
-	structRows, imageRows, err = data.Generate(spec)
+		preset.Name, preset.Rows, preset.StructDim, preset.ImageSize, preset.ImageSize)
+	tables, err := data.NewCatalog().Get(preset)
 	if err != nil {
-		return nil, nil, err
+		return spec, err
 	}
 	if o.saveData != "" {
-		if err := data.Save(o.saveData, structRows, imageRows); err != nil {
-			return nil, nil, err
+		if err := data.Save(o.saveData, tables.StructRows, tables.ImageRows); err != nil {
+			return spec, err
 		}
 		fmt.Fprintf(stdout, "Saved dataset to %s\n", o.saveData)
 	}
-	return structRows, imageRows, nil
+	return spec.WithTables(tables), nil
 }

@@ -193,7 +193,7 @@ func EnvFromSpec(spec core.Spec, dataset string) RunEnv {
 		ModelName:     spec.ModelName,
 		Dataset:       dataset,
 		Rows:          len(spec.StructRows),
-		ImageRowBytes: core.AvgImageBytes(spec.ImageRows),
+		ImageRowBytes: spec.AvgImageBytes(),
 		PlanKind:      spec.PlanKind,
 		Placement:     spec.Placement,
 		Nodes:         spec.Nodes,

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/cnn"
 	"repro/internal/dataflow"
 	"repro/internal/featurestore"
 	"repro/internal/plan"
@@ -25,7 +24,7 @@ import (
 // front makes the run immune to concurrent eviction from a shared store.
 type stepCache struct {
 	feats []map[int64]*tensor.Tensor // one map per emitted layer, in emit order
-	raw   map[int64]*tensor.Tensor   // staged raw carry (nil unless KeepRaw)
+	raw   map[int64]*tensor.Tensor   // staged raw carry (nil unless the next step runs live)
 	// shared marks a step served (at least partly) from the in-memory
 	// FeatureSource rather than the durable store; its attach is labeled
 	// "shared:<layer>" instead of "cache:<layer>".
@@ -48,30 +47,38 @@ type runCache struct {
 }
 
 // loadRunCache probes the spec's feature store and share handoff for the
-// compiled plan. A step is served from cache iff every emitted layer hits
-// and, when it keeps a raw carry, the carry hits too (a later stage may
-// continue partial inference from it); per entry, the in-memory source wins
-// over the store. Returns nil when the spec has neither store nor
-// source/sink, or the model's weights cannot be realized (then no cache
-// identity exists).
-func loadRunCache(spec *Spec, model *cnn.Model, p *plan.Plan) *runCache {
+// run's compiled plan, resolving steps back to front. A step is attachable
+// iff every emitted layer hits and either its successor is attachable too or
+// its raw carry hits: the carry is the input of the next step's partial
+// inference and nothing else reads it, so it is fetched only when that step
+// will execute live. A fully-warm run therefore loads feature entries only
+// (in the store the carries are about three times their size), a step whose
+// features hit but whose needed carry is gone cascades to live, and a
+// partial-prefix hit still resumes from the carried raw tensor. Per entry,
+// the in-memory source wins over the store. Returns nil when the spec has
+// neither store nor source/sink, or the model's weights cannot be realized
+// (then no cache identity exists).
+func loadRunCache(spec *Spec, id *Identity) *runCache {
 	if spec.FeatureStore == nil && spec.FeatureSource == nil && spec.FeatureSink == nil {
 		return nil
 	}
-	w, err := model.RealizeWeights(spec.Seed)
+	weightsSum, dataSum, err := id.Sums()
 	if err != nil {
 		return nil
 	}
+	steps := id.Plan.Steps
 	rc := &runCache{
 		store:      spec.FeatureStore,
 		source:     spec.FeatureSource,
 		sink:       spec.FeatureSink,
-		model:      model.Name,
-		weightsSum: cnn.WeightsChecksum(w),
-		dataSum:    featurestore.DataChecksum(spec.ImageRows),
-		steps:      make([]*stepCache, len(p.Steps)),
+		model:      id.Model.Name,
+		weightsSum: weightsSum,
+		dataSum:    dataSum,
+		steps:      make([]*stepCache, len(steps)),
 	}
-	for si, step := range p.Steps {
+	nextLive := false // nothing consumes the last step's output tensor
+	for si := len(steps) - 1; si >= 0; si-- {
+		step := steps[si]
 		sc := &stepCache{feats: make([]map[int64]*tensor.Tensor, len(step.Emits))}
 		ok := true
 		for ei, em := range step.Emits {
@@ -80,7 +87,7 @@ func loadRunCache(spec *Spec, model *cnn.Model, p *plan.Plan) *runCache {
 				break
 			}
 		}
-		if ok && step.KeepRaw {
+		if ok && step.KeepRaw && nextLive {
 			last := step.Emits[len(step.Emits)-1]
 			if sc.raw = rc.load(sc, last.LayerIndex, featurestore.RawCarry); sc.raw == nil {
 				ok = false
@@ -89,6 +96,7 @@ func loadRunCache(spec *Spec, model *cnn.Model, p *plan.Plan) *runCache {
 		if ok {
 			rc.steps[si] = sc
 		}
+		nextLive = !ok
 	}
 	return rc
 }

@@ -104,3 +104,123 @@ func TestRunFeatureStoreKeyedByWeights(t *testing.T) {
 		t.Fatalf("cache hit across different weights: %+v", res.Cache)
 	}
 }
+
+// TestLoadRunCacheBackToFront pins the resolution rule of loadRunCache over a
+// three-step Staged chain (fc6 → fc7 → fc8; the first two keep a raw carry):
+// a step attaches iff its features hit and either its successor attaches or
+// its raw carry hits, and a carry is read only when the successor runs live.
+// Each case copies a subset of one cold run's entries into a fresh store,
+// probes it, then runs over it and compares the trained models with the cold
+// run's.
+func TestLoadRunCacheBackToFront(t *testing.T) {
+	full, err := featurestore.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	spec := tinySpec(t, 40)
+	spec.FeatureStore = full
+	cold, err := Run(spec)
+	if err != nil {
+		t.Fatalf("cold Run: %v", err)
+	}
+	if len(cold.Plan.Steps) != 3 {
+		t.Fatalf("plan has %d steps, want 3", len(cold.Plan.Steps))
+	}
+	key := func(step int, kind featurestore.EntryKind) featurestore.Key {
+		return featurestore.Key{Model: spec.ModelName, WeightsSum: cold.Cache.WeightsSum,
+			DataSum: cold.Cache.DataSum, LayerIndex: cold.Plan.Steps[step].Emits[0].LayerIndex, Kind: kind}
+	}
+	type entry struct {
+		step int
+		kind featurestore.EntryKind
+	}
+	feat := func(step int) entry { return entry{step, featurestore.Feature} }
+	raw := func(step int) entry { return entry{step, featurestore.RawCarry} }
+
+	cases := []struct {
+		name     string
+		present  []entry
+		attached [3]bool // per step
+		carried  [3]bool // per step: raw carry loaded
+		loaded   int     // store entries read by the probe
+	}{
+		{"all warm reads no carry",
+			[]entry{feat(0), raw(0), feat(1), raw(1), feat(2)},
+			[3]bool{true, true, true}, [3]bool{}, 3},
+		{"all warm with every carry evicted",
+			[]entry{feat(0), feat(1), feat(2)},
+			[3]bool{true, true, true}, [3]bool{}, 3},
+		{"prefix hit resumes from the last carry only",
+			[]entry{feat(0), raw(0), feat(1), raw(1)},
+			[3]bool{true, true, false}, [3]bool{false, true, false}, 3},
+		{"features hit, successor live, carry evicted: cascades to live",
+			[]entry{feat(0), raw(0), feat(1)},
+			[3]bool{true, false, false}, [3]bool{true, false, false}, 3},
+		{"cascade reaches the bottom when no carry survives",
+			[]entry{feat(0), feat(1)},
+			[3]bool{false, false, false}, [3]bool{}, 2},
+		{"bottom evicted, top attaches without carries",
+			[]entry{feat(1), raw(1), feat(2)},
+			[3]bool{false, true, true}, [3]bool{}, 2},
+		{"cold",
+			nil,
+			[3]bool{false, false, false}, [3]bool{}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := featurestore.Open(t.TempDir(), 0)
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			for _, e := range tc.present {
+				rows, ok, err := full.Get(key(e.step, e.kind))
+				if err != nil || !ok {
+					t.Fatalf("cold run left no %v entry for step %d (err %v)", e.kind, e.step, err)
+				}
+				if err := store.Put(key(e.step, e.kind), rows); err != nil {
+					t.Fatalf("Put: %v", err)
+				}
+			}
+			spec := spec
+			spec.FeatureStore = store
+			spec.SpillDir = t.TempDir()
+			id, err := Resolve(spec)
+			if err != nil {
+				t.Fatalf("Resolve: %v", err)
+			}
+			rc := loadRunCache(&spec, id)
+			for i := range rc.steps {
+				if got := rc.steps[i] != nil; got != tc.attached[i] {
+					t.Errorf("step %d attached = %v, want %v", i, got, tc.attached[i])
+				}
+				if got := rc.steps[i] != nil && rc.steps[i].raw != nil; got != tc.carried[i] {
+					t.Errorf("step %d raw carry loaded = %v, want %v", i, got, tc.carried[i])
+				}
+			}
+			if rc.loaded != tc.loaded {
+				t.Errorf("probe loaded %d entries, want %d", rc.loaded, tc.loaded)
+			}
+
+			res, err := Run(spec)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			wantCached := 0
+			for _, a := range tc.attached {
+				if a {
+					wantCached++
+				}
+			}
+			if res.Cache.StagesFromCache != wantCached || res.Cache.StagesExecuted != 3-wantCached {
+				t.Errorf("cache report %+v, want %d attached / %d executed", res.Cache, wantCached, 3-wantCached)
+			}
+			for i := range res.Layers {
+				if res.Layers[i].Train != cold.Layers[i].Train || res.Layers[i].Test != cold.Layers[i].Test {
+					t.Errorf("layer %s metrics diverged from the cold run: %+v/%+v vs %+v/%+v",
+						res.Layers[i].LayerName, res.Layers[i].Train, res.Layers[i].Test,
+						cold.Layers[i].Train, cold.Layers[i].Test)
+				}
+			}
+		})
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cnn"
 	"repro/internal/memory"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
@@ -29,23 +28,12 @@ type Explanation struct {
 
 // Explain plans a spec without running it.
 func Explain(spec Spec) (*Explanation, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	model, err := cnn.ByName(spec.ModelName)
+	id, err := spec.identity()
 	if err != nil {
 		return nil, err
 	}
-	stats, err := cnn.ComputeStats(model)
-	if err != nil {
-		return nil, err
-	}
-	compiled, err := plan.CompileFromStats(spec.PlanKind, spec.Placement, stats, spec.NumLayers,
-		plan.Options{PreMaterializeBase: spec.PreMaterializeBase})
-	if err != nil {
-		return nil, err
-	}
-	in, err := optimizerInputs(spec, stats)
+	compiled := id.Plan
+	in, err := optimizerInputs(spec, id)
 	if err != nil {
 		return nil, err
 	}
@@ -86,8 +74,8 @@ func (e *Explanation) Render() string {
 
 // optimizerInputs assembles the Algorithm 1 inputs for a spec (shared by Run
 // and Explain).
-func optimizerInputs(spec Spec, stats *cnn.Stats) (optimizer.Inputs, error) {
-	layers, err := stats.TopLayerStats(spec.NumLayers)
+func optimizerInputs(spec Spec, id *Identity) (optimizer.Inputs, error) {
+	layers, err := id.Stats.TopLayerStats(spec.NumLayers)
 	if err != nil {
 		return optimizer.Inputs{}, err
 	}
@@ -99,11 +87,11 @@ func optimizerInputs(spec Spec, stats *cnn.Stats) (optimizer.Inputs, error) {
 		}
 	}
 	in := optimizer.Inputs{
-		ModelStats:    stats,
+		ModelStats:    id.Stats,
 		NumLayers:     spec.NumLayers,
 		NumRows:       len(spec.StructRows),
 		StructDim:     structDim,
-		ImageRowBytes: AvgImageBytes(spec.ImageRows),
+		ImageRowBytes: id.ImageRowBytes,
 		NNodes:        spec.Nodes,
 		MemSys:        spec.MemPerNode,
 		MemGPU:        spec.GPUMemPerNode,

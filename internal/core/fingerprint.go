@@ -1,10 +1,6 @@
 package core
 
-import (
-	"repro/internal/cnn"
-	"repro/internal/featurestore"
-	"repro/internal/plan"
-)
+import "repro/internal/plan"
 
 // Fingerprint is a run's sharing identity plus the election inputs a
 // coalescer needs (internal/share): two specs with equal Model, WeightsSum,
@@ -36,30 +32,19 @@ func ShareFingerprint(spec Spec) (fp Fingerprint, ok bool) {
 	if spec.PlanKind != plan.Staged || spec.PreMaterializeBase {
 		return Fingerprint{}, false
 	}
-	if err := spec.Validate(); err != nil {
-		return Fingerprint{}, false
-	}
-	model, err := cnn.ByName(spec.ModelName)
+	id, err := spec.identity()
 	if err != nil {
 		return Fingerprint{}, false
 	}
-	stats, err := cnn.ComputeStats(model)
-	if err != nil {
-		return Fingerprint{}, false
-	}
-	compiled, err := plan.CompileFromStats(spec.PlanKind, spec.Placement, stats, spec.NumLayers, plan.Options{})
-	if err != nil {
-		return Fingerprint{}, false
-	}
-	w, err := model.RealizeWeights(spec.Seed)
+	weightsSum, dataSum, err := id.Sums()
 	if err != nil {
 		return Fingerprint{}, false
 	}
 	return Fingerprint{
-		Model:          model.Name,
-		WeightsSum:     cnn.WeightsChecksum(w),
-		DataSum:        featurestore.DataChecksum(spec.ImageRows),
+		Model:          id.Model.Name,
+		WeightsSum:     weightsSum,
+		DataSum:        dataSum,
 		NumLayers:      spec.NumLayers,
-		InferenceFLOPs: compiled.TotalInferenceFLOPs() * int64(len(spec.ImageRows)),
+		InferenceFLOPs: id.Plan.TotalInferenceFLOPs() * int64(len(spec.ImageRows)),
 	}, true
 }

@@ -1,0 +1,246 @@
+package core
+
+import (
+	"fmt"
+	"sync"
+
+	"repro/internal/cnn"
+	"repro/internal/data"
+	"repro/internal/dataflow"
+	"repro/internal/featurestore"
+	"repro/internal/plan"
+)
+
+// Identity is the request-invariant state of one run: everything that is a
+// pure function of the spec's model, |L|, plan overrides, seed and image
+// table. Sharing (ShareFingerprint), pricing (Price), the feature-store probe
+// and the DL session all read it, so a caller that walks a spec through more
+// than one of them resolves it once (Resolve), sets Spec.Identity, and each
+// step stops re-deriving model → stats → plan → weights → checksums.
+//
+// The checksums and the realized weights are computed on first use: a run
+// with no store and no sharing never hashes its image table, and a run whose
+// sums are memoized and whose stages all attach from cache never realizes
+// weights at all. An Identity is safe for concurrent use.
+type Identity struct {
+	Model *cnn.Model
+	Stats *cnn.Stats
+	// Plan is the compiled logical plan (with the spec's PreMaterializeBase
+	// option applied).
+	Plan *plan.Plan
+	// ImageRowBytes is Spec.AvgImageBytes: the image-row size the optimizer
+	// prices.
+	ImageRowBytes int64
+
+	// from is what Resolve derived all of this from; a spec that no longer
+	// matches it must not use this identity.
+	from      identityInputs
+	imageRows []dataflow.Row
+
+	sumsOnce            sync.Once
+	weightsSum, dataSum string
+	sumsErr             error
+
+	weightsOnce sync.Once
+	weights     *cnn.Weights
+	weightsErr  error
+}
+
+// identityInputs are the spec fields an Identity is a function of, in
+// comparable form (the image table by slice identity, not content).
+type identityInputs struct {
+	model              string
+	numLayers          int
+	planKind           plan.Kind
+	placement          plan.JoinPlacement
+	preMaterializeBase bool
+	seed               int64
+	firstImageRow      *dataflow.Row
+	numImageRows       int
+	tables             *data.Tables
+}
+
+func (s *Spec) identityInputs() identityInputs {
+	in := identityInputs{
+		model: s.ModelName, numLayers: s.NumLayers,
+		planKind: s.PlanKind, placement: s.Placement, preMaterializeBase: s.PreMaterializeBase,
+		seed: s.Seed, numImageRows: len(s.ImageRows), tables: s.catalogTables(),
+	}
+	if len(s.ImageRows) > 0 {
+		in.firstImageRow = &s.ImageRows[0]
+	}
+	return in
+}
+
+// Resolve validates spec and derives its Identity. Resolve after the last
+// change to the fields the identity depends on (ModelName, NumLayers,
+// PlanKind, Placement, PreMaterializeBase, Seed, ImageRows); everything else
+// on the spec may still change afterwards.
+func Resolve(spec Spec) (*Identity, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	model, err := cnn.ByName(spec.ModelName)
+	if err != nil {
+		return nil, err
+	}
+	stats, err := cnn.ComputeStats(model)
+	if err != nil {
+		return nil, err
+	}
+	compiled, err := plan.CompileFromStats(spec.PlanKind, spec.Placement, stats, spec.NumLayers,
+		plan.Options{PreMaterializeBase: spec.PreMaterializeBase})
+	if err != nil {
+		return nil, err
+	}
+	return &Identity{
+		Model:         model,
+		Stats:         stats,
+		Plan:          compiled,
+		ImageRowBytes: spec.AvgImageBytes(),
+		from:          spec.identityInputs(),
+		imageRows:     spec.ImageRows,
+	}, nil
+}
+
+// identity returns the spec's resolved Identity, resolving (and validating)
+// the spec when the caller did not. A caller-set Identity that was resolved
+// from other inputs than the spec now carries is rejected: using it would
+// address the store with another run's checksums.
+func (s *Spec) identity() (*Identity, error) {
+	if s.Identity == nil {
+		return Resolve(*s)
+	}
+	if s.Identity.from != s.identityInputs() {
+		return nil, fmt.Errorf("core: spec changed after its Identity was resolved (was %s seed %d over %d rows, now %s seed %d over %d rows); resolve again",
+			s.Identity.from.model, s.Identity.from.seed, s.Identity.from.numImageRows, s.ModelName, s.Seed, len(s.ImageRows))
+	}
+	return s.Identity, nil
+}
+
+// Weights returns the model's weights realized under the spec's seed,
+// realizing them on first call. The result is shared: treat it as read-only
+// (dl.NewSession works on its own deserialized copy).
+func (id *Identity) Weights() (*cnn.Weights, error) {
+	id.weightsOnce.Do(func() {
+		id.weights, id.weightsErr = id.Model.RealizeWeights(id.from.seed)
+	})
+	return id.weights, id.weightsErr
+}
+
+// Sums returns the run's content-address components, the weights checksum
+// and the image table's checksum: from the process-wide memo when this
+// workload resolved them before, else by realizing the weights and hashing
+// the rows (once per catalog entry, whichever run gets there first).
+func (id *Identity) Sums() (weightsSum, dataSum string, err error) {
+	id.sumsOnce.Do(func() {
+		tables := id.from.tables
+		key := sumsKey{model: id.Model.Name, seed: id.from.seed}
+		if tables != nil {
+			key.data = tables.Spec
+		}
+		memo, ok := sumsMemo.get(key)
+		if !ok {
+			w, err := id.Weights()
+			if err != nil {
+				id.sumsErr = err
+				return
+			}
+			memo.weights = cnn.WeightsChecksum(w)
+			if tables != nil {
+				memo.data = tables.DataSum()
+			}
+			sumsMemo.put(key, memo)
+		}
+		id.weightsSum, id.dataSum = memo.weights, memo.data
+		if tables == nil {
+			id.dataSum = featurestore.DataChecksum(id.imageRows)
+		}
+	})
+	return id.weightsSum, id.dataSum, id.sumsErr
+}
+
+// sumsMemoCap bounds the process-wide sums memo. An entry is ~250 bytes, so
+// the cap is a memory bound (~256 KiB), not a tuning knob: a working set of
+// more than a thousand live workloads just pays one weight realization per
+// re-entry, as every request did before the memo.
+const sumsMemoCap = 1024
+
+// sumsKey names a workload's content: the roster model and seed its weights
+// are a pure function of, and the data.Spec its catalogued image table is a
+// pure function of. Rows no catalog built have no such name; their runs use
+// the zero data.Spec and memoize the weights checksum alone.
+type sumsKey struct {
+	model string
+	seed  int64
+	data  data.Spec
+}
+
+// sums are a workload's two checksums (data is empty under a key with the
+// zero data.Spec).
+type sums struct{ weights, data string }
+
+// sumsMemo remembers the checksums of the workloads this process resolved.
+// Both are pure functions of the key, so the memo is invisible except in
+// time: a repeat fingerprint of a served workload realizes no weights and
+// touches no rows.
+var sumsMemo = newSumMemo(sumsMemoCap)
+
+// MemoizedSums reports the content-address checksums of the workload
+// (model, seed, dataset) if a run over a catalog entry of that dataset
+// resolved them in this process (and the memo still holds them). It computes
+// nothing: callers that only probe for what earlier runs materialized
+// (vista-server's /simulate) must stay cheap. The sums outlive the catalog's
+// tables, so a workload whose dataset was evicted, or never held, still
+// answers.
+func MemoizedSums(model string, seed int64, dataset data.Spec) (weightsSum, dataSum string, ok bool) {
+	memo, ok := sumsMemo.get(sumsKey{model: model, seed: seed, data: dataset})
+	if !ok || memo.data == "" {
+		return "", "", false
+	}
+	return memo.weights, memo.data, true
+}
+
+// sumMemo is a bounded map with first-in-first-out replacement: once full,
+// each insert overwrites the oldest key. FIFO (not LRU) because a re-entry
+// costs one weight realization — cheap enough that recency bookkeeping on
+// every hit would not pay for itself.
+type sumMemo struct {
+	mu   sync.Mutex
+	m    map[sumsKey]sums
+	ring []sumsKey // insertion order; ring[next] is the oldest once full
+	next int
+}
+
+func newSumMemo(capacity int) *sumMemo {
+	return &sumMemo{m: make(map[sumsKey]sums, capacity), ring: make([]sumsKey, 0, capacity)}
+}
+
+func (m *sumMemo) get(k sumsKey) (sums, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	sum, ok := m.m[k]
+	return sum, ok
+}
+
+func (m *sumMemo) put(k sumsKey, sum sums) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.m[k]; ok {
+		return
+	}
+	if len(m.ring) < cap(m.ring) {
+		m.ring = append(m.ring, k)
+	} else {
+		delete(m.m, m.ring[m.next])
+		m.ring[m.next] = k
+		m.next = (m.next + 1) % len(m.ring)
+	}
+	m.m[k] = sum
+}
+
+func (m *sumMemo) len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.m)
+}

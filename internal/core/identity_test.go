@@ -1,0 +1,140 @@
+package core
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/cnn"
+	"repro/internal/data"
+	"repro/internal/featurestore"
+)
+
+// TestSumMemoBounded is the regression test for the server's old per-workload
+// runKeys map, which grew by one entry per distinct (model, dataset, rows,
+// seed) for the life of the process: a cold-distinct-style client sending
+// 10 000 distinct seeds leaves the memo at its cap, holding the newest keys.
+func TestSumMemoBounded(t *testing.T) {
+	m := newSumMemo(sumsMemoCap)
+	key := func(seed int64) sumsKey {
+		return sumsKey{model: "tiny-alexnet", seed: seed, data: data.Foods().WithRows(32)}
+	}
+	const seeds = 10000
+	for seed := int64(0); seed < seeds; seed++ {
+		m.put(key(seed), sums{weights: "w", data: "d"})
+	}
+	if m.len() != sumsMemoCap {
+		t.Fatalf("memo holds %d entries after %d distinct seeds, want the cap %d", m.len(), seeds, sumsMemoCap)
+	}
+	if _, ok := m.get(key(seeds - 1)); !ok {
+		t.Error("newest key was evicted")
+	}
+	if _, ok := m.get(key(0)); ok {
+		t.Error("oldest key survived 10x the cap of inserts")
+	}
+	// Re-inserting a resident key neither grows the memo nor evicts.
+	m.put(key(seeds-1), sums{weights: "w", data: "d"})
+	if _, ok := m.get(key(seeds - sumsMemoCap)); !ok {
+		t.Error("re-inserting a resident key evicted another")
+	}
+}
+
+// TestIdentityMatchesDirectDerivation asserts the identity's lazily derived
+// sums equal what each consumer used to derive for itself, over rows the
+// caller built and over a catalog entry, and that only the catalogued
+// workload's sums are then answerable by name (MemoizedSums).
+func TestIdentityMatchesDirectDerivation(t *testing.T) {
+	const seed = 424242
+	dataset := data.Foods().WithRows(12)
+	tables, err := data.NewCatalog().Get(dataset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := cnn.ByName("tiny-alexnet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := model.RealizeWeights(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantWeights, wantData := cnn.WeightsChecksum(w), featurestore.DataChecksum(tables.ImageRows)
+
+	for _, catalogued := range []bool{false, true} {
+		spec := tinySpec(t, 12) // the same generated content, privately owned
+		spec.Seed = seed
+		if catalogued {
+			spec = spec.WithTables(tables)
+		}
+		id, err := Resolve(spec)
+		if err != nil {
+			t.Fatalf("Resolve: %v", err)
+		}
+		gotWeights, gotData, err := id.Sums()
+		if err != nil || gotWeights != wantWeights || gotData != wantData {
+			t.Fatalf("catalogued=%v: Sums = %q, %q, %v; want %q, %q", catalogued, gotWeights, gotData, err, wantWeights, wantData)
+		}
+		spec.Identity = id
+		fp, ok := ShareFingerprint(spec)
+		if !ok || fp.WeightsSum != wantWeights || fp.DataSum != wantData {
+			t.Fatalf("catalogued=%v: fingerprint %+v ok=%v", catalogued, fp, ok)
+		}
+	}
+	gotWeights, gotData, ok := MemoizedSums("tiny-alexnet", seed, dataset)
+	if !ok || gotWeights != wantWeights || gotData != wantData {
+		t.Fatalf("MemoizedSums = %q, %q, %v after a catalogued resolve", gotWeights, gotData, ok)
+	}
+	// Rows no catalog built have no name to be asked for by.
+	if _, _, ok := MemoizedSums("tiny-alexnet", seed, data.Spec{}); ok {
+		t.Fatal("MemoizedSums answered for uncatalogued rows")
+	}
+}
+
+// TestStaleIdentityAndTablesAreNotUsed covers a spec that is copied and then
+// changed: an Identity resolved before the change is rejected, and a catalog
+// handle whose rows were replaced is dropped, so neither can address the
+// store with another run's checksums.
+func TestStaleIdentityAndTablesAreNotUsed(t *testing.T) {
+	tables, err := data.NewCatalog().Get(data.Foods().WithRows(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := tinySpec(t, 12).WithTables(tables)
+	id, err := Resolve(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Identity = id
+	if _, ok := ShareFingerprint(spec); !ok {
+		t.Fatal("the spec its identity was resolved from does not fingerprint")
+	}
+
+	other := tinySpec(t, 8)
+	for name, change := range map[string]func(*Spec){
+		"seed":   func(s *Spec) { s.Seed++ },
+		"model":  func(s *Spec) { s.ModelName = "tiny-vgg16" },
+		"layers": func(s *Spec) { s.NumLayers = 1 },
+		"rows":   func(s *Spec) { s.StructRows, s.ImageRows = other.StructRows, other.ImageRows },
+	} {
+		changed := spec
+		change(&changed)
+		if _, err := Price(changed); err == nil || !strings.Contains(err.Error(), "changed after its Identity was resolved") {
+			t.Errorf("%s changed under a resolved identity: Price error = %v", name, err)
+		}
+		if _, ok := ShareFingerprint(changed); ok {
+			t.Errorf("%s changed under a resolved identity: still fingerprints", name)
+		}
+		if _, err := Run(changed); err == nil {
+			t.Errorf("%s changed under a resolved identity: Run succeeded", name)
+		}
+	}
+
+	// Without an identity the changed spec resolves afresh; with other rows it
+	// must hash those rows, not reuse the catalog entry's checksum.
+	replaced := spec
+	replaced.Identity = nil
+	replaced.StructRows, replaced.ImageRows = other.StructRows, other.ImageRows
+	fp, ok := ShareFingerprint(replaced)
+	if want := featurestore.DataChecksum(other.ImageRows); !ok || fp.DataSum != want || fp.DataSum == tables.DataSum() {
+		t.Errorf("rows replaced after WithTables: fingerprint data sum %q (ok=%v), want %q", fp.DataSum, ok, want)
+	}
+}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/cnn"
 	"repro/internal/optimizer"
 	"repro/internal/sim"
 )
@@ -40,21 +39,17 @@ func PriceFollower(spec Spec) (int64, error) {
 
 // price resolves spec's decision and its full admission charge.
 func price(spec Spec) (optimizer.Decision, int64, error) {
-	if err := spec.Validate(); err != nil {
-		return optimizer.Decision{}, 0, err
-	}
 	if spec.Decision != nil {
+		if err := spec.Validate(); err != nil {
+			return optimizer.Decision{}, 0, err
+		}
 		return *spec.Decision, sim.DecisionCost(*spec.Decision, spec.Nodes), nil
 	}
-	model, err := cnn.ByName(spec.ModelName)
+	id, err := spec.identity()
 	if err != nil {
 		return optimizer.Decision{}, 0, err
 	}
-	stats, err := cnn.ComputeStats(model)
-	if err != nil {
-		return optimizer.Decision{}, 0, err
-	}
-	in, err := optimizerInputs(spec, stats)
+	in, err := optimizerInputs(spec, id)
 	if err != nil {
 		return optimizer.Decision{}, 0, err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cnn"
 	"repro/internal/dataflow"
 	"repro/internal/dl"
 	"repro/internal/faultinject"
@@ -57,30 +56,18 @@ func Run(spec Spec) (*Result, error) {
 // errors.Is(err, context.Canceled) identifies an aborted run.
 func RunContext(ctx context.Context, spec Spec) (*Result, error) {
 	start := time.Now()
-	if err := spec.Validate(); err != nil {
+	id, err := spec.identity()
+	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: run cancelled before start: %w", err)
 	}
-	model, err := cnn.ByName(spec.ModelName)
-	if err != nil {
-		return nil, err
-	}
-	stats, err := cnn.ComputeStats(model)
-	if err != nil {
-		return nil, err
-	}
-
-	compiled, err := plan.CompileFromStats(spec.PlanKind, spec.Placement, stats, spec.NumLayers,
-		plan.Options{PreMaterializeBase: spec.PreMaterializeBase})
-	if err != nil {
-		return nil, err
-	}
+	compiled := id.Plan
 	// Probe the feature store (when configured) before deciding: cached
 	// stages shrink the optimizer's cost picture.
-	cache := loadRunCache(&spec, model, compiled)
-	decision, err := decide(spec, stats, cache.cachedEmits(compiled))
+	cache := loadRunCache(&spec, id)
+	decision, err := decide(spec, id, cache.cachedEmits(compiled))
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +117,11 @@ func RunContext(ctx context.Context, spec Spec) (*Result, error) {
 
 	var session *dl.Session
 	if sessionNeeded {
-		session, err = dl.NewSession(engine, model, dl.Options{Seed: spec.Seed, GPUMemBytes: spec.GPUMemPerNode})
+		weights, err := id.Weights()
+		if err != nil {
+			return nil, err
+		}
+		session, err = dl.NewSession(engine, id.Model, dl.Options{Weights: weights, GPUMemBytes: spec.GPUMemPerNode})
 		if err != nil {
 			return nil, err
 		}
@@ -202,34 +193,16 @@ func RunContext(ctx context.Context, spec Spec) (*Result, error) {
 // how many selected layers a feature store already holds; it shrinks the
 // Equation 16 inputs (a fully-warm run needs no images, replicas, or
 // broadcast).
-func decide(spec Spec, stats *cnn.Stats, cachedLayers int) (optimizer.Decision, error) {
+func decide(spec Spec, id *Identity, cachedLayers int) (optimizer.Decision, error) {
 	if spec.Decision != nil {
 		return *spec.Decision, nil
 	}
-	in, err := optimizerInputs(spec, stats)
+	in, err := optimizerInputs(spec, id)
 	if err != nil {
 		return optimizer.Decision{}, err
 	}
 	in.CachedLayers = cachedLayers
 	return optimizer.Optimize(in, spec.params())
-}
-
-// AvgImageBytes samples the image table's average raw payload over its
-// first (up to) 100 rows — the image-row size the optimizer prices, and the
-// one a calibration comparison must simulate against.
-func AvgImageBytes(rows []dataflow.Row) int64 {
-	n := len(rows)
-	if n == 0 {
-		return 0
-	}
-	if n > 100 {
-		n = 100
-	}
-	var total int64
-	for i := 0; i < n; i++ {
-		total += rows[i].MemBytes()
-	}
-	return total / int64(n)
 }
 
 // executor drives one compiled plan over the engine.

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/cnn"
+	"repro/internal/data"
 	"repro/internal/dataflow"
 	"repro/internal/featurestore"
 	"repro/internal/memory"
@@ -99,8 +100,23 @@ type Spec struct {
 	StructRows []dataflow.Row
 	ImageRows  []dataflow.Row
 
+	// tables is the catalog entry StructRows and ImageRows came from
+	// (WithTables), or nil for rows the caller built itself. It lets runs over
+	// one entry share its image checksum instead of each re-hashing the rows.
+	// Read it through catalogTables, which drops a handle the rows no longer
+	// match.
+	tables *data.Tables
+
 	// Seed drives CNN weight realization.
 	Seed int64
+
+	// Identity, when non-nil, is this spec's request-invariant state as
+	// Resolve derived it. A caller that takes one spec through
+	// ShareFingerprint, Price and RunContext (internal/lifecycle) sets it so
+	// the model, stats, plan, weights and checksums are derived once; left
+	// nil, each of those resolves its own. Changing a field the identity was
+	// derived from after setting it is an error every one of them reports.
+	Identity *Identity
 
 	// FeatureStore, when non-nil, enables cross-run feature reuse: Run
 	// consults the store before scheduling partial-inference stages (a fully
@@ -188,6 +204,38 @@ func (s *Spec) params() optimizer.Params {
 		p.Scales = s.CostScales
 	}
 	return p
+}
+
+// WithTables returns s reading a catalog entry's rows, remembering the entry
+// so the run uses its once-computed image checksum.
+func (s Spec) WithTables(t *data.Tables) Spec {
+	s.StructRows, s.ImageRows = t.StructRows, t.ImageRows
+	s.tables = t
+	return s
+}
+
+// catalogTables returns the catalog entry s reads, or nil when s has none or
+// its ImageRows were replaced since WithTables (a copied spec given other
+// rows must not inherit the entry's checksum: it is half of every content
+// address the run reads and writes).
+func (s *Spec) catalogTables() *data.Tables {
+	if s.tables == nil || !sameRows(s.ImageRows, s.tables.ImageRows) {
+		return nil
+	}
+	return s.tables
+}
+
+// sameRows reports whether a and b are the same slice (not merely equal
+// content): same backing array, same length.
+func sameRows(a, b []dataflow.Row) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// AvgImageBytes is the image table's sampled average row payload — the
+// image-row size the optimizer prices, and the one a calibration comparison
+// must simulate against.
+func (s *Spec) AvgImageBytes() int64 {
+	return dataflow.AvgRowBytes(s.ImageRows)
 }
 
 // Validate checks the spec before execution.

@@ -1,0 +1,155 @@
+package data
+
+import (
+	"container/list"
+	"sync"
+
+	"repro/internal/dataflow"
+	"repro/internal/featurestore"
+)
+
+// Tables is one generated dataset with what every run over it needs, computed
+// once. Only a Catalog builds Tables. A Tables handed out by a Catalog is
+// shared by every concurrent run over that dataset: the row slices and
+// everything they point to (structured vectors, image payloads) are read-only,
+// the same rule dataflow.PartitionFunc states for a partition's input. Runs
+// that change rows work on their own copies (the engine's ingest copies the
+// row structs).
+type Tables struct {
+	// Spec is what the rows were generated from, hence a name for their
+	// content: equal Specs mean equal rows.
+	Spec Spec
+	// StructRows and ImageRows are Tstr(ID, X) and Timg(ID, I), aligned on ID.
+	StructRows, ImageRows []dataflow.Row
+	Stats                 TableStats
+
+	sumOnce sync.Once
+	dataSum string
+}
+
+// DataSum is featurestore.DataChecksum(ImageRows), the data half of every
+// feature-store content address over these rows. It hashes every image
+// payload, so it is computed on first use, once for all runs sharing t: a run
+// with no store and no sharing never pays for it.
+func (t *Tables) DataSum() string {
+	t.sumOnce.Do(func() { t.dataSum = featurestore.DataChecksum(t.ImageRows) })
+	return t.dataSum
+}
+
+// Bytes is the tables' resident size: what a Catalog charges against its
+// budget for holding them.
+func (t *Tables) Bytes() int64 {
+	return int64(t.Stats.NumRows) * (t.Stats.StructRowBytes + t.Stats.ImageRowBytes)
+}
+
+// catalogBytes is every catalog's budget: the feature store's default, and
+// room for about 5000 rows of a 64×64 preset (a generated row is ≈ 43 KiB,
+// nearly all of it the compressed image, so the 100-row datasets of a typical
+// served workload are ≈ 4 MiB each). A constant, not a parameter: no caller
+// has a reason to pick another value.
+const catalogBytes = 256 << 20
+
+// Catalog hands out generated datasets as shared immutable Tables. The tables
+// are a pure function of the Spec, so a process generates each one once —
+// concurrent first requests wait for a single generation — and keeps the
+// least recently used ones within a byte budget. A dataset that cannot fit
+// the budget is never held: it is generated for each caller, which then owns
+// it alone, exactly as a process without a catalog would.
+type Catalog struct {
+	budget int64 // catalogBytes; tests shrink it
+	// generate is Generate; tests substitute a gated or failing one.
+	generate func(Spec) (structRows, imageRows []dataflow.Row, err error)
+	// joined, when non-nil, receives one value per Get that joins another
+	// caller's generation, sent before it parks: the event tests wait on to
+	// hold a generation open until every concurrent caller has arrived.
+	joined chan<- struct{}
+
+	mu      sync.Mutex
+	entries map[Spec]*catalogEntry
+	lru     *list.List // of *catalogEntry, front = most recently used; holds finished entries only
+	used    int64
+}
+
+// catalogEntry is one dataset, in flight until done is closed.
+type catalogEntry struct {
+	spec   Spec
+	done   chan struct{}
+	tables *Tables
+	err    error
+	elem   *list.Element // nil while in flight (never evicted)
+}
+
+// NewCatalog returns an empty catalog.
+func NewCatalog() *Catalog {
+	return &Catalog{
+		budget:   catalogBytes,
+		generate: Generate,
+		entries:  make(map[Spec]*catalogEntry),
+		lru:      list.New(),
+	}
+}
+
+// Get returns the tables of spec, generating them if no earlier call did (or
+// they were since evicted). A generation error is returned to every caller
+// waiting on that generation and not remembered: the next Get retries.
+func (c *Catalog) Get(spec Spec) (*Tables, error) {
+	if spec.estimatedBytes() > c.budget {
+		return c.build(spec)
+	}
+	c.mu.Lock()
+	if e, ok := c.entries[spec]; ok {
+		inFlight := e.elem == nil
+		if !inFlight {
+			c.lru.MoveToFront(e.elem)
+		}
+		c.mu.Unlock()
+		if inFlight && c.joined != nil {
+			c.joined <- struct{}{}
+		}
+		<-e.done
+		return e.tables, e.err
+	}
+	e := &catalogEntry{spec: spec, done: make(chan struct{})}
+	c.entries[spec] = e
+	c.mu.Unlock()
+
+	e.tables, e.err = c.build(spec)
+
+	c.mu.Lock()
+	if e.err != nil || e.tables.Bytes() > c.budget {
+		delete(c.entries, spec)
+	} else {
+		c.used += e.tables.Bytes()
+		e.elem = c.lru.PushFront(e)
+		for c.used > c.budget {
+			old := c.lru.Remove(c.lru.Back()).(*catalogEntry)
+			delete(c.entries, old.spec)
+			c.used -= old.tables.Bytes()
+		}
+	}
+	c.mu.Unlock()
+	close(e.done)
+	return e.tables, e.err
+}
+
+// build generates spec's tables and their row statistics.
+func (c *Catalog) build(spec Spec) (*Tables, error) {
+	structRows, imageRows, err := c.generate(spec)
+	if err != nil {
+		return nil, err
+	}
+	return &Tables{
+		Spec:       spec,
+		StructRows: structRows,
+		ImageRows:  imageRows,
+		Stats:      Stats(structRows, imageRows),
+	}, nil
+}
+
+// estimatedBytes sizes spec's tables before generating them: the float32
+// payloads uncompressed. Generated images are flate-compressed noise, about a
+// tenth smaller than this, so the estimate errs towards bypassing a dataset
+// that would have just fit, never towards generating one only to drop it.
+func (s Spec) estimatedBytes() int64 {
+	return int64(s.Rows) * 4 * int64(3*s.ImageSize*s.ImageSize+s.StructDim)
+}

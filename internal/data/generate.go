@@ -45,6 +45,18 @@ func Amazon() Spec {
 		StructSignal: 0.3, ImageSignal: 0.3}
 }
 
+// Preset returns the named dataset preset ("foods" or "amazon") at the
+// paper's cardinality; ok is false for any other name.
+func Preset(name string) (Spec, bool) {
+	switch name {
+	case "foods":
+		return Foods(), true
+	case "amazon":
+		return Amazon(), true
+	}
+	return Spec{}, false
+}
+
 // WithRows returns a copy of the spec scaled to n rows (for tests and
 // data-scale sweeps: the paper's "1X/2X/4X/8X" replication).
 func (s Spec) WithRows(n int) Spec {

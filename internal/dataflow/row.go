@@ -58,6 +58,24 @@ func (r *Row) MemBytes() int64 {
 	return n
 }
 
+// AvgRowBytes samples a table's average in-memory row size over its first (up
+// to) 100 rows — the image-row size the optimizer prices, and the one a
+// calibration comparison must simulate against.
+func AvgRowBytes(rows []Row) int64 {
+	n := len(rows)
+	if n == 0 {
+		return 0
+	}
+	if n > 100 {
+		n = 100
+	}
+	var total int64
+	for i := 0; i < n; i++ {
+		total += rows[i].MemBytes()
+	}
+	return total / int64(n)
+}
+
 // Clone deep-copies the row.
 func (r *Row) Clone() Row {
 	c := Row{ID: r.ID, Label: r.Label}

@@ -26,6 +26,11 @@ const (
 type Options struct {
 	// Seed drives deterministic weight realization.
 	Seed int64
+	// Weights, when non-nil, are the model's weights as the caller already
+	// realized them (core.Identity realizes once per run for the checksum and
+	// the session both); Seed is then unused. The session only reads them: it
+	// executes on the copy the broadcast round-trip deserializes.
+	Weights *cnn.Weights
 	// GPUMemBytes, when positive, enforces the Equation 15 GPU constraint:
 	// replicas × |f|_mem_gpu must fit the device.
 	GPUMemBytes int64
@@ -44,7 +49,7 @@ type Session struct {
 	closed        bool
 }
 
-// NewSession realizes the model's weights and charges its footprint:
+// NewSession realizes the model's weights (unless opts carries them) and charges its footprint:
 // cpu × |f|_mem of DL Execution Memory and |f|_ser of User Memory per worker
 // ("execution threads in a single worker have access to shared memory, the
 // serialized CNN model need not be replicated", Section 4.3). It fails with a
@@ -55,9 +60,11 @@ func NewSession(e *dataflow.Engine, model *cnn.Model, opts Options) (*Session, e
 	if err != nil {
 		return nil, err
 	}
-	weights, err := model.RealizeWeights(opts.Seed)
-	if err != nil {
-		return nil, err
+	weights := opts.Weights
+	if weights == nil {
+		if weights, err = model.RealizeWeights(opts.Seed); err != nil {
+			return nil, err
+		}
 	}
 	// The driver serializes the CNN once and broadcasts it to every worker
 	// (Section 4.1, crash scenario 4); workers deserialize their replica

@@ -48,9 +48,10 @@ type AdmissionResult struct {
 }
 
 // admissionSpec builds the core.Spec one flood request executes: the same
-// defaults vista-server applies to a POST /run body.
-func admissionSpec(rows int, seed int64) (core.Spec, error) {
-	structRows, imageRows, err := data.Generate(data.Foods().WithRows(rows))
+// defaults vista-server applies to a POST /run body, over tables obtained
+// from the flood's catalog the way handleRun obtains them.
+func admissionSpec(cat *data.Catalog, rows int, seed int64) (core.Spec, error) {
+	tables, err := cat.Get(data.Foods().WithRows(rows))
 	if err != nil {
 		return core.Spec{}, err
 	}
@@ -60,9 +61,8 @@ func admissionSpec(rows int, seed int64) (core.Spec, error) {
 		SystemKind: memory.SparkLike,
 		ModelName:  "tiny-alexnet", NumLayers: 2,
 		Downstream: core.DefaultDownstream(),
-		StructRows: structRows, ImageRows: imageRows,
-		Seed: seed,
-	}, nil
+		Seed:       seed,
+	}.WithTables(tables), nil
 }
 
 // AdmissionThroughput measures end-to-end /run throughput and p99 queue
@@ -75,12 +75,13 @@ func AdmissionThroughput(rows int) (*AdmissionResult, error) {
 	}
 	const parallel = 12
 
-	// Each concurrent request gets its own dataset (as the server's
-	// handleRun generates per request); seeds differ so the floods are not
+	// Every request reads the one catalog entry for this dataset (as the
+	// server's handleRun does); seeds differ so the floods are not
 	// byte-identical, but the price is row-count driven and shared.
+	cat := data.NewCatalog()
 	specs := make([]core.Spec, parallel)
 	for i := range specs {
-		spec, err := admissionSpec(rows, int64(100+i))
+		spec, err := admissionSpec(cat, rows, int64(100+i))
 		if err != nil {
 			return nil, err
 		}

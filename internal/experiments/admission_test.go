@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/data"
 )
 
 // fakeAdmissionResult builds a synthetic sweep so the render/export paths
@@ -48,9 +49,10 @@ func TestAdmissionFloodSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real engine flood")
 	}
+	cat := data.NewCatalog()
 	var specs []core.Spec
 	for seed := int64(3); seed < 5; seed++ {
-		spec, err := admissionSpec(24, seed)
+		spec, err := admissionSpec(cat, 24, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/data"
 	"repro/internal/lifecycle"
 	"repro/internal/share"
 )
@@ -61,11 +62,12 @@ func ShareThroughput(rows int) (*ShareResult, error) {
 
 	// Every request is byte-identical — same dataset seed, same model, same
 	// layers — exactly the shape the coalescer fingerprints. Each run still
-	// gets its own Spec (and spill dir) as the server's handleRun would
-	// build per request.
+	// gets its own Spec (and spill dir) over the shared catalog entry, as the
+	// server's handleRun would build per request.
+	cat := data.NewCatalog()
 	specs := make([]core.Spec, parallel)
 	for i := range specs {
-		spec, err := admissionSpec(rows, 7)
+		spec, err := admissionSpec(cat, rows, 7)
 		if err != nil {
 			return nil, err
 		}

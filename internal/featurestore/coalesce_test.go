@@ -2,7 +2,6 @@ package featurestore
 
 import (
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -57,6 +56,7 @@ func TestGetOrFillRunsFillOnce(t *testing.T) {
 	const parallel = 16
 	var fills atomic.Int64
 	release := make(chan struct{})
+	awaitJoins := watchJoins(s)
 	var wg sync.WaitGroup
 	results := make([][]dataflow.Row, parallel)
 	for i := 0; i < parallel; i++ {
@@ -77,7 +77,7 @@ func TestGetOrFillRunsFillOnce(t *testing.T) {
 	// Hold the fill open until every other caller is parked on its flight: a
 	// caller arriving after the fill completes legitimately hits the stored
 	// entry instead of coalescing.
-	awaitFlightWaiters(s, k, parallel-1)
+	awaitJoins(parallel - 1)
 	close(release)
 	wg.Wait()
 
@@ -130,6 +130,7 @@ func TestGetOrFillPropagatesFillError(t *testing.T) {
 
 	var fills atomic.Int64
 	release := make(chan struct{})
+	awaitJoins := watchJoins(s)
 	const parallel = 4
 	var wg sync.WaitGroup
 	errs := make([]error, parallel)
@@ -145,7 +146,7 @@ func TestGetOrFillPropagatesFillError(t *testing.T) {
 			errs[i] = err
 		}(i)
 	}
-	awaitFlightWaiters(s, k, parallel-1)
+	awaitJoins(parallel - 1)
 	close(release)
 	wg.Wait()
 
@@ -192,18 +193,15 @@ func TestGetOrFillHitSkipsFill(t *testing.T) {
 	}
 }
 
-// awaitFlightWaiters spins until k's in-flight fill has n sharers parked on
-// it (white-box: reads the flight's waiter count).
-func awaitFlightWaiters(s *Store, k Key, n int) {
-	for {
-		s.flightMu.Lock()
-		f := s.flights[k.id()]
-		arrived := f != nil && f.waiters >= n
-		s.flightMu.Unlock()
-		if arrived {
-			return
+// watchJoins arms the store's join event and returns a wait for n sharers to
+// have joined an in-flight fill (each signals just before it parks).
+func watchJoins(s *Store) (await func(n int)) {
+	joined := make(chan struct{})
+	s.joined = joined
+	return func(n int) {
+		for i := 0; i < n; i++ {
+			<-joined
 		}
-		runtime.Gosched()
 	}
 }
 

@@ -16,6 +16,9 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("vista_featurestore_misses_total",
 		"Store lookups that found no entry.",
 		stat(func(st Stats) int64 { return st.Misses }))
+	reg.CounterFunc("vista_featurestore_read_bytes_total",
+		"Serialized bytes of the entries hits read and decoded.",
+		stat(func(st Stats) int64 { return st.ReadBytes }))
 	reg.CounterFunc("vista_featurestore_puts_total",
 		"Feature tables materialized into the store.",
 		stat(func(st Stats) int64 { return st.Puts }))

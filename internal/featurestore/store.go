@@ -56,7 +56,7 @@ type Store struct {
 	clock   int64 // logical time for LRU persistence
 
 	hits, misses, puts, evictions int64
-	evictedBytes                  int64
+	readBytes, evictedBytes       int64
 	dedupPuts                     int64
 
 	// flightMu guards the in-flight fill registry (GetOrFill); it is
@@ -65,6 +65,10 @@ type Store struct {
 	flightMu  sync.Mutex
 	flights   map[string]*flight
 	coalesced int64
+	// joined, when non-nil, receives one value per GetOrFill caller that
+	// joins another caller's in-flight fill, sent before it parks: the event
+	// tests wait on to hold a fill open until every sharer has arrived.
+	joined chan<- struct{}
 }
 
 type storeEntry struct {
@@ -86,9 +90,6 @@ type flight struct {
 	done chan struct{}
 	rows []dataflow.Row
 	err  error
-	// waiters counts sharers parked on done (guarded by Store.flightMu), so
-	// tests can hold a fill open until every concurrent caller has joined it.
-	waiters int
 }
 
 const (
@@ -98,11 +99,15 @@ const (
 
 // Stats is a point-in-time snapshot of store counters.
 type Stats struct {
-	Entries      int   `json:"entries"`
-	UsedBytes    int64 `json:"used_bytes"`
-	BudgetBytes  int64 `json:"budget_bytes"`
-	Hits         int64 `json:"hits"`
-	Misses       int64 `json:"misses"`
+	Entries     int   `json:"entries"`
+	UsedBytes   int64 `json:"used_bytes"`
+	BudgetBytes int64 `json:"budget_bytes"`
+	Hits        int64 `json:"hits"`
+	Misses      int64 `json:"misses"`
+	// ReadBytes is the serialized size of every entry a hit has read and
+	// decoded: the store's read work, which Hits alone hides (a raw carry is
+	// about three times the size of the feature entry beside it).
+	ReadBytes    int64 `json:"read_bytes"`
 	Puts         int64 `json:"puts"`
 	Evictions    int64 `json:"evictions"`
 	EvictedBytes int64 `json:"evicted_bytes"`
@@ -215,6 +220,7 @@ func (s *Store) Get(k Key) ([]dataflow.Row, bool, error) {
 		s.lru.MoveToFront(cur.elem)
 	}
 	s.hits++
+	s.readBytes += int64(len(blob))
 	return rows, true, nil
 }
 
@@ -311,8 +317,10 @@ func (s *Store) GetOrFill(k Key, fill func() ([]dataflow.Row, error)) (rows []da
 	}
 	s.flightMu.Lock()
 	if f, ok := s.flights[id]; ok {
-		f.waiters++
 		s.flightMu.Unlock()
+		if s.joined != nil {
+			s.joined <- struct{}{}
+		}
 		<-f.done
 		if f.err != nil {
 			return nil, false, f.err
@@ -385,6 +393,7 @@ func (s *Store) Snapshot() Stats {
 		BudgetBytes:  s.budget,
 		Hits:         s.hits,
 		Misses:       s.misses,
+		ReadBytes:    s.readBytes,
 		Puts:         s.puts,
 		Evictions:    s.evictions,
 		EvictedBytes: s.evictedBytes,

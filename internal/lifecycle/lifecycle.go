@@ -7,7 +7,8 @@
 // (HTTP statuses, exit codes, flood counters).
 //
 // The order Do enforces: apply the active calibration profile's scales, so
-// plan choice and pricing see one cost model; join the sharing group; as a
+// plan choice and pricing see one cost model; resolve the run's identity
+// (core.Resolve) once for everything below; join the sharing group; as a
 // follower, wait for the leader before admission, holding zero budget (a
 // queued follower must never starve its own leader), then re-read the role,
 // since a failed leader promotes a follower; price by role and hold the grant
@@ -112,6 +113,13 @@ type Outcome struct {
 func (l *Runner) Do(ctx context.Context, spec core.Spec, dataset string) (out Outcome) {
 	if p := l.Fitter.Active(); p != nil {
 		spec.CostScales = p.CostScales()
+	}
+	// Sharing, pricing and the run each need the model, its plan and the
+	// run's content address; derive them once. A spec that does not resolve
+	// goes on without an identity and fails the same way in core.RunContext,
+	// settling ticket and run sequence as any failed run does.
+	if id, err := core.Resolve(spec); err == nil {
+		spec.Identity = id
 	}
 
 	// Identity is the content-addressed fingerprint: two runs share iff they

@@ -195,8 +195,11 @@ func (s *Sampler) loop() {
 	defer tick.Stop()
 	for {
 		select {
-		case t := <-tick.C():
-			s.sample(t)
+		case <-tick.C():
+			// Stamp with the clock, not the tick's own time: a late tick
+			// can carry a later time than the punctual one after it, and
+			// frames promise time order.
+			s.sample(s.clk.Now())
 		case <-s.stop:
 			return
 		}

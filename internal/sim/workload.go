@@ -2,6 +2,7 @@ package sim
 
 import (
 	"repro/internal/cnn"
+	"repro/internal/data"
 	"repro/internal/memory"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
@@ -19,17 +20,25 @@ type DatasetSpec struct {
 	ImageRowBytes int64
 }
 
-// FoodsSpec matches the paper's Foods dataset: ~20k examples, 130 structured
-// features, ~300 MB total (≈14 KB JPEG per image).
-func FoodsSpec() DatasetSpec {
-	return DatasetSpec{Name: "foods", Rows: 20000, StructDim: 130, ImageRowBytes: 14 << 10}
+// paperImageRowBytes is the average raw payload of the paper's images (≈14 KB
+// JPEGs; Foods is ~300 MB over ~20k examples).
+const paperImageRowBytes = 14 << 10
+
+// PaperDataset describes a data preset at the paper's scale: the preset's
+// cardinalities with the paper's JPEG-sized image rows (the in-process
+// generator's raw tensors are larger, but it is the cluster the simulator
+// prices).
+func PaperDataset(p data.Spec) DatasetSpec {
+	return DatasetSpec{Name: p.Name, Rows: p.Rows, StructDim: p.StructDim, ImageRowBytes: paperImageRowBytes}
 }
+
+// FoodsSpec matches the paper's Foods dataset: ~20k examples, 130 structured
+// features, ~300 MB total.
+func FoodsSpec() DatasetSpec { return PaperDataset(data.Foods()) }
 
 // AmazonSpec matches the paper's Amazon dataset: ~200k examples, 200
 // structured features, ~3 GB total.
-func AmazonSpec() DatasetSpec {
-	return DatasetSpec{Name: "amazon", Rows: 200000, StructDim: 200, ImageRowBytes: 14 << 10}
-}
+func AmazonSpec() DatasetSpec { return PaperDataset(data.Amazon()) }
 
 // Scale replicates the dataset's rows by f (the paper's semi-synthetic
 // "1X/2X/4X/8X" scaling). The result is floored at one row: a sub-row

@@ -11,7 +11,10 @@
 # the output name must be explicit and an existing snapshot is never silently
 # clobbered: overwriting one requires BENCH_FORCE=1.
 #
-# Covers the root figure/ablation benchmarks plus the hot internal packages.
+# Covers the root figure/ablation benchmarks and BenchmarkWarmRun (one
+# fully-warm served request in process; its store-read-B/op custom metric is
+# carried into the JSON as store_read_bytes_per_op) plus the hot internal
+# packages.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,17 +52,19 @@ BEGIN { print "{"; print "  \"benchmarks\": [" ; n = 0 }
     name = $1
     sub(/-[0-9]+$/, "", name)
     iters = $2
-    ns = ""; bytes = ""; allocs = ""
+    ns = ""; bytes = ""; allocs = ""; storeread = ""
     for (i = 3; i < NF; i++) {
         if ($(i+1) == "ns/op") ns = $i
         if ($(i+1) == "B/op") bytes = $i
         if ($(i+1) == "allocs/op") allocs = $i
+        if ($(i+1) == "store-read-B/op") storeread = $i
     }
     if (ns == "") next
     if (n++) printf ",\n"
     printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", name, iters, ns
     if (bytes != "")  printf ", \"bytes_per_op\": %s", bytes
     if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
+    if (storeread != "") printf ", \"store_read_bytes_per_op\": %s", storeread
     printf "}"
 }
 END { print ""; print "  ]"; print "}" }

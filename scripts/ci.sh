@@ -36,8 +36,11 @@ echo "== go test -race (fault-injection critical packages) =="
 # internal/workload is the load driver: its open/closed-loop scheduling and
 # result bookkeeping are all cross-goroutine, so it races under -race or not
 # at all. internal/calib carries the crash-consistent calibration log and the
-# aggregates that metrics callbacks read while runs write.
-go test -race -count=1 ./internal/faultinject/... ./internal/calib ./internal/dataflow ./internal/featurestore ./internal/share ./internal/tensor ./internal/cnn ./internal/workload
+# aggregates that metrics callbacks read while runs write. internal/data,
+# internal/core and internal/lifecycle own the state concurrent runs share
+# read-only (catalog tables, the weights-checksum memo, a run's identity):
+# their sharing tests only mean something under the detector.
+go test -race -count=1 ./internal/faultinject/... ./internal/calib ./internal/dataflow ./internal/featurestore ./internal/share ./internal/tensor ./internal/cnn ./internal/workload ./internal/data ./internal/core ./internal/lifecycle
 
 echo "== chaos: -race short smoke =="
 go test -race -short -count=1 ./internal/chaos
@@ -64,7 +67,7 @@ echo "== core-count sweep (concurrent packages) =="
 # Orderings that only show at one GOMAXPROCS (a waiter that has not parked yet
 # on 1 core, a publish that outruns its persist on 4) are caught here, not on
 # whichever box runs tier-1 next.
-go test -count=5 -cpu 1,2,4 ./internal/calib ./internal/featurestore ./internal/share ./internal/admission ./cmd/vista-server
+go test -count=5 -cpu 1,2,4 ./internal/calib ./internal/featurestore ./internal/share ./internal/admission ./cmd/vista-server ./internal/data ./internal/core ./internal/lifecycle
 
 echo "== vista-load smoke (admission flood, then shared-inference flood) =="
 # Two closed-loop floods of 12 identical-body clients against a real server,
@@ -141,15 +144,16 @@ echo "== vista-load smoke (compressed overload replay) =="
 # exactly once, the server's admission counters reconcile with the observed
 # responses, nothing failed at the transport layer, and the 429s carried
 # >= 2 distinct Retry-After values — the regression gate for the
-# static-hint retry herd. The queue is deep enough (24) that, at the ~0.15 s
-# a run takes on a 2-core box, the tail of the queue waits past the 3 s
-# timeout: a shallower queue drains too fast to produce any 429 there.
+# static-hint retry herd. The queue is deep enough (48) that, at the ~0.1 s
+# a run takes on a 2-core box now that requests no longer generate their
+# dataset, its tail waits more than twice the 2 s timeout: a shallower queue
+# (or a longer timeout) drains too fast to produce any 429 there.
 load_tmp=$(mktemp -d)
 load_port=$((20000 + RANDOM % 10000))
 go build -o "$load_tmp/vista-server" ./cmd/vista-server
 go build -o "$load_tmp/vista-load" ./cmd/vista-load
 "$load_tmp/vista-server" -addr "127.0.0.1:$load_port" -feature-cache-mb 0 \
-    -mem-budget 60000 -queue-depth 24 -queue-timeout 3s \
+    -mem-budget 60000 -queue-depth 48 -queue-timeout 2s \
     >"$load_tmp/server.log" 2>&1 &
 load_server_pid=$!
 trap 'kill "$load_server_pid" 2>/dev/null || true' EXIT
