@@ -244,3 +244,39 @@ func BenchmarkWarmRun(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(store.Snapshot().ReadBytes-before)/float64(b.N), "store-read-B/op")
 }
+
+// BenchmarkColdRun is the in-process cost of serving one fully-cold request
+// on the bench workload cold-distinct's shape (tiny-vgg16, 32 foods rows, 3
+// layers): every iteration is a seed the store has never seen, so every stage
+// executes — image decode, partial inference, feature puts, training — and
+// nothing is attached.
+func BenchmarkColdRun(b *testing.B) {
+	store, err := featurestore.Open(b.TempDir(), memory.MB(256))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	catalog := data.NewCatalog()
+	runner := &lifecycle.Runner{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tables, err := catalog.Get(data.Foods().WithRows(32))
+		if err != nil {
+			b.Fatal(err)
+		}
+		out := runner.Do(context.Background(), core.Spec{
+			Nodes: 2, CoresPerNode: 4, MemPerNode: memory.GB(32),
+			SystemKind: memory.SparkLike,
+			ModelName:  "tiny-vgg16", NumLayers: 3,
+			Downstream: core.DefaultDownstream(),
+			Seed:       int64(1000 + i), FeatureStore: store,
+		}.WithTables(tables), "foods")
+		if out.Kind != lifecycle.Completed {
+			b.Fatalf("run did not complete: %+v", out)
+		}
+		if out.Result.Cache.StagesFromCache != 0 {
+			b.Fatalf("run was not fully cold: %+v", out.Result.Cache)
+		}
+	}
+}

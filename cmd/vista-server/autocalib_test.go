@@ -64,7 +64,7 @@ func TestAutoCalibrateClosesLoopEndToEnd(t *testing.T) {
 
 	// One feature layer keeps each kind's samples homogeneous, so a per-kind
 	// factor can actually converge the drift it causes.
-	const runBody = `{"model":"tiny-alexnet","dataset":"foods","layers":1,"rows":100}`
+	const runBody = `{"model":"tiny-alexnet","dataset":"foods","layers":1,"rows":400}`
 	for i := 0; i < 3; i++ {
 		if code, body := doJSON(t, h, "POST", "/run", runBody); code != 200 {
 			t.Fatalf("run %d = %d %v", i, code, body)

@@ -26,6 +26,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/share"
 	"repro/internal/sim"
+	"repro/internal/tensor"
 )
 
 // workloadRequest is the shared request body for /explain, /simulate, /run.
@@ -278,6 +279,10 @@ func newAPI(cfg serverConfig) *api {
 	if a.store != nil {
 		a.store.RegisterMetrics(a.metrics)
 	}
+	a.metrics.Gauge("vista_tensor_kernel_info",
+		"Constant 1, labelled with the GEMM micro-kernel body serving this process (avx2-fma or purego).",
+		obs.Label{Key: "kernel", Value: tensor.KernelName()},
+	).Set(1)
 	return a
 }
 

@@ -100,7 +100,7 @@ func main() {
 	shareWindow := flag.Duration("share-window", defaultShareWindow,
 		"how long the first /run of a sharing group holds the group open for identical requests (requires -share)")
 	convWorkers := flag.Int("conv-workers", 0,
-		"process-wide CNN compute parallelism: worker cap shared by GEMM convolution tiles and batch-row inference (0 = GOMAXPROCS); see docs/OPERATIONS.md for tuning under admission control")
+		"process-wide CNN compute parallelism: how many rows of a batch are inferred side by side, across all runs (0 = GOMAXPROCS); see docs/OPERATIONS.md for tuning under admission control")
 	calibLog := flag.String("calib-log", "",
 		"append-only calibration log file: every /run's estimate-vs-measured samples persist here and replay on restart (empty = in-memory aggregates only)")
 	maxDrift := flag.Float64("max-drift", 0,
@@ -151,7 +151,7 @@ func main() {
 		os.Exit(2)
 	}
 	tensor.SetConvWorkers(*convWorkers)
-	logger.Info("conv kernels configured", "workers", tensor.ConvWorkers())
+	logger.Info("conv kernels configured", "kernel", tensor.KernelName(), "workers", tensor.ConvWorkers())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/featurestore"
+	"repro/internal/tensor"
 )
 
 // scrape fetches /metrics and returns the exposition body.
@@ -46,6 +47,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`vista_http_requests_total{code="400",path="/explain"} 1`,
 		`path="other"`,
 		"vista_featurestore_misses_total 0",
+		`vista_tensor_kernel_info{kernel="` + tensor.KernelName() + `"} 1`,
 		"vista_featurestore_used_bytes 0",
 	} {
 		if !strings.Contains(out, want) {

@@ -38,6 +38,7 @@ import (
 	"repro/internal/obs/export"
 	"repro/internal/plan"
 	"repro/internal/sim"
+	"repro/internal/tensor"
 )
 
 func main() {
@@ -277,7 +278,7 @@ func run(ctx context.Context, o runOptions, stdout, stderr io.Writer) error {
 			memory.FormatBytes(st.UsedBytes), st.Entries, st.Hits, st.Misses, st.Evictions)
 	}
 	if o.trace {
-		fmt.Fprintf(stderr, "\nStage trace:\n")
+		fmt.Fprintf(stderr, "\nStage trace: (GEMM kernel %s, %d compute workers)\n", tensor.KernelName(), tensor.ConvWorkers())
 		res.Trace.Render(stderr)
 		printSimComparison(stderr, o, runSpec, res)
 	}

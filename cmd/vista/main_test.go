@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 func smallOpts(t *testing.T) runOptions {
@@ -84,7 +86,7 @@ func TestTraceReportOnStderr(t *testing.T) {
 	if strings.Contains(stdout.String(), "Stage trace:") {
 		t.Errorf("trace report leaked to stdout:\n%s", stdout.String())
 	}
-	for _, want := range []string{"Stage trace:", "Estimate vs measured", "Memory-model validation"} {
+	for _, want := range []string{"Stage trace: (GEMM kernel " + tensor.KernelName(), "Estimate vs measured", "Memory-model validation"} {
 		if !strings.Contains(stderr.String(), want) {
 			t.Errorf("stderr missing %q:\n%s", want, stderr.String())
 		}

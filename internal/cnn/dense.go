@@ -99,9 +99,17 @@ func (d *DenseBlock) Apply(in *tensor.Tensor, w *LayerWeights) (*tensor.Tensor, 
 		if err != nil {
 			return nil, err
 		}
-		if acc, err = tensor.ConcatChannels(acc, grown); err != nil {
+		wider, err := tensor.ConcatChannels(acc, grown)
+		if err != nil {
 			return nil, fmt.Errorf("cnn: dense block %s: %w", d.LayerName, err)
 		}
+		// Both halves now live on in the concatenation; their slabs go back
+		// to the pool (never the caller's input).
+		tensor.Recycle(grown)
+		if acc != in {
+			tensor.Recycle(acc)
+		}
+		acc = wider
 	}
 	return acc, nil
 }

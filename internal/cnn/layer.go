@@ -88,14 +88,12 @@ func (c *Conv) Params(tensor.Shape) int64 {
 	return int64(c.Spec.WeightCount() + c.Spec.OutChannels)
 }
 
-// Apply implements Layer.
+// Apply implements Layer. Bias and ReLU are applied in the convolution
+// kernel's output step, not as passes over the result.
 func (c *Conv) Apply(in *tensor.Tensor, w *LayerWeights) (*tensor.Tensor, error) {
-	out, err := tensor.Conv2D(in, c.Spec, w.W, w.B)
+	out, err := tensor.Conv2DFused(in, c.Spec, w.W, w.B, tensor.Epilogue{ReLU: c.ReLU})
 	if err != nil {
 		return nil, fmt.Errorf("cnn: layer %s: %w", c.LayerName, err)
-	}
-	if c.ReLU {
-		tensor.ReLU(out)
 	}
 	return out, nil
 }
@@ -275,17 +273,20 @@ func (c *BNConv) Params(tensor.Shape) int64 {
 	return int64(c.Spec.WeightCount() + 4*c.Spec.OutChannels)
 }
 
-// Apply implements Layer.
+// bnEps is the variance floor of the roster's batch normalization.
+const bnEps = 1e-5
+
+// Apply implements Layer. The batch-norm statistics are folded into one
+// per-channel affine per application, and the convolution kernel applies it
+// (and the ReLU) in its output step, not as passes over the result.
 func (c *BNConv) Apply(in *tensor.Tensor, w *LayerWeights) (*tensor.Tensor, error) {
-	out, err := tensor.Conv2D(in, c.Spec, w.W, w.B)
+	scale, shift, err := tensor.BatchNormAffine(w.Gamma, w.Beta, w.Mean, w.Var, bnEps)
 	if err != nil {
 		return nil, fmt.Errorf("cnn: layer %s: %w", c.LayerName, err)
 	}
-	if err := tensor.BatchNorm(out, w.Gamma, w.Beta, w.Mean, w.Var, 1e-5); err != nil {
+	out, err := tensor.Conv2DFused(in, c.Spec, w.W, w.B, tensor.Epilogue{Scale: scale, Shift: shift, ReLU: c.ReLU})
+	if err != nil {
 		return nil, fmt.Errorf("cnn: layer %s: %w", c.LayerName, err)
-	}
-	if c.ReLU {
-		tensor.ReLU(out)
 	}
 	return out, nil
 }

@@ -161,6 +161,17 @@ type Coordinator struct {
 	waiting                   int
 
 	sizeHist *obs.Histogram // nil when cfg.Metrics is nil
+
+	// changed, when non-nil, is broadcast (under mu) whenever waiting or a
+	// ticket's awaiting changes. Only tests set it: it is the event they wait
+	// on for "n members are inside Join" or "this follower is parked".
+	changed *sync.Cond
+}
+
+func (c *Coordinator) notifyLocked() {
+	if c.changed != nil {
+		c.changed.Broadcast()
+	}
 }
 
 // New builds a Coordinator and registers its metrics when cfg.Metrics is
@@ -323,6 +334,7 @@ func (c *Coordinator) Join(ctx ctxDoner, id Identity, m Member) (*Ticket, error)
 	g.members = append(g.members, t)
 	g.refs++
 	c.waiting++
+	c.notifyLocked()
 	full := c.cfg.MaxGroup > 0 && len(g.members) >= c.cfg.MaxGroup
 	c.mu.Unlock()
 	if full {
@@ -355,6 +367,7 @@ func (c *Coordinator) Join(ctx ctxDoner, id Identity, m Member) (*Ticket, error)
 		}
 		g.refs--
 		c.waiting--
+		c.notifyLocked()
 		if len(g.members) == 0 {
 			g.timer.Stop()
 			delete(c.open, id)
@@ -383,6 +396,7 @@ func (c *Coordinator) seal(g *group) {
 	g.timer.Stop()
 	delete(c.open, g.id)
 	c.waiting -= len(g.members)
+	c.notifyLocked()
 	if len(g.members) == 0 {
 		// Every member withdrew before the window closed.
 		close(g.sealeds)
@@ -521,6 +535,7 @@ func (t *Ticket) AwaitLeader(ctx ctxDoner) (Attach, error) {
 		return Attach{}, fmt.Errorf("%w: %w", ErrGroupFailed, err)
 	}
 	t.awaiting = true
+	c.notifyLocked()
 	c.mu.Unlock()
 
 	var done <-chan struct{}

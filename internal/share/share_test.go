@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -48,14 +47,20 @@ func newTestCoordinator(t *testing.T, maxGroup int) (*Coordinator, *clock.Fake) 
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	c.changed = sync.NewCond(&c.mu)
 	return c, fc
 }
 
-// waitShareStat spins (never sleeps — fake time must not depend on it) until
-// pred holds; the enclosing test's own timeouts bound a stuck predicate.
-func waitShareStat(c *Coordinator, pred func(Stats) bool) {
-	for !pred(c.Stats()) {
-		runtime.Gosched()
+// waitState blocks until pred, which reads coordinator state under its
+// mutex, holds. The coordinator broadcasts c.changed on every change to the
+// state the predicates here read (members inside Join, followers parked in
+// AwaitLeader), so this is an event wait: no polling, no scheduler luck, and
+// fake time never depends on it.
+func waitState(c *Coordinator, pred func() bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for !pred() {
+		c.changed.Wait()
 	}
 }
 
@@ -64,23 +69,15 @@ func waitShareStat(c *Coordinator, pred func(Stats) bool) {
 // enough that everyone probably joins in time".
 func advanceWhenWaiting(c *Coordinator, fc *clock.Fake, n int) {
 	go func() {
-		waitShareStat(c, func(s Stats) bool { return s.WaitingMembers >= n })
+		waitState(c, func() bool { return c.waiting >= n })
 		fc.Advance(testWindow)
 	}()
 }
 
-// waitParked spins until every given follower is parked in AwaitLeader.
+// waitParked blocks until every given follower is parked in AwaitLeader.
 func waitParked(c *Coordinator, tickets ...*Ticket) {
 	for _, tk := range tickets {
-		for {
-			c.mu.Lock()
-			parked := tk.awaiting
-			c.mu.Unlock()
-			if parked {
-				break
-			}
-			runtime.Gosched()
-		}
+		waitState(c, func() bool { return tk.awaiting })
 	}
 }
 
@@ -595,7 +592,7 @@ func TestJoinCancelledBeforeSeal(t *testing.T) {
 		_, err := c.Join(ctx, ident("j"), Member{NumLayers: 2})
 		errc <- err
 	}()
-	waitShareStat(c, func(s Stats) bool { return s.WaitingMembers == 1 })
+	waitState(c, func() bool { return c.waiting == 1 })
 	cancel()
 	select {
 	case err := <-errc:

@@ -5,15 +5,18 @@ import (
 	"sync"
 )
 
-// This file implements the buffer arena behind the GEMM convolution path: a
-// set of size-classed sync.Pools of float32 slabs that column buffers,
-// activation tensors, and per-worker scratch draw from, so steady-state
-// inference over a batch of rows recycles a fixed working set instead of
-// allocating fresh tensors per call and leaning on the garbage collector.
+// This file implements the buffer arena behind the inference path: a set of
+// size-classed sync.Pools of float32 slabs that decoded images, im2col
+// column buffers, activation tensors (convolution and pooling outputs) and
+// the GEMM's edge panels draw from, so steady-state inference over a batch of
+// rows recycles a fixed working set instead of allocating fresh tensors per
+// call and leaning on the garbage collector.
 //
 // Slabs are handed out dirty: every consumer must overwrite the full slice it
-// requested. The convolution/pool kernels all write every output element, so
-// no zeroing pass is needed on the hot path.
+// requested. Decode, im2col, the GEMM, the pooling kernels and GridMaxPool
+// all write every element of what they take, so no zeroing pass runs on the
+// hot path; the one consumer that needs zeros (the GEMM's padded edge
+// panels) clears its own.
 
 // minSlabClass is the smallest pooled slab size (2^minSlabClass float32s);
 // requests below it are padded up. maxSlabClass bounds pooling: larger
@@ -69,7 +72,7 @@ func putSlab(s []float32) {
 
 // newUninit allocates a tensor whose storage comes from the slab pool and is
 // NOT zeroed. Callers must write every element. It is the allocation used by
-// kernels that fully overwrite their output (GEMM conv, pooling).
+// kernels that fully overwrite their output (Decode, GEMM conv, pooling).
 func newUninit(shape ...int) *Tensor {
 	s := Shape(shape)
 	return &Tensor{shape: s.Clone(), data: getSlab(s.NumElements())}
@@ -93,29 +96,4 @@ func Recycle(t *Tensor) {
 // sound alias check for storage produced here.
 func SameStorage(a, b *Tensor) bool {
 	return a != nil && b != nil && len(a.data) > 0 && len(b.data) > 0 && &a.data[0] == &b.data[0]
-}
-
-// Arena is a per-goroutine scratch allocator over the slab pool: Get hands
-// out dirty slabs and Release returns everything obtained so far in one call.
-// It is not safe for concurrent use; give each worker goroutine its own.
-type Arena struct {
-	held [][]float32
-}
-
-// Get returns a length-n scratch slice with undefined contents, owned by the
-// arena until Release.
-func (a *Arena) Get(n int) []float32 {
-	s := getSlab(n)
-	a.held = append(a.held, s)
-	return s
-}
-
-// Release returns every outstanding Get slice to the slab pool. The caller
-// must not touch previously returned slices afterwards.
-func (a *Arena) Release() {
-	for i, s := range a.held {
-		putSlab(s)
-		a.held[i] = nil
-	}
-	a.held = a.held[:0]
 }

@@ -46,9 +46,11 @@ func BenchmarkMaxPool2D(b *testing.B) {
 	spec := PoolSpec{Kernel: 2, Stride: 2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MaxPool2D(in, spec); err != nil {
+		out, err := MaxPool2D(in, spec)
+		if err != nil {
 			b.Fatal(err)
 		}
+		Recycle(out) // as PartialInfer does once the next layer has read it
 	}
 }
 
@@ -77,6 +79,51 @@ func BenchmarkEncodeDecode(b *testing.B) {
 		}
 		if _, err := Decode(blob); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// rosterGEMMShapes are the (M, K, N) products the tiny roster's convolutions
+// lower to, named for the layer they come from: what sgemm is actually asked
+// to run, including its hard cases — N below the tile width (tiny-resnet50's
+// last stage), K of one short block (27) and K spanning two (432).
+var rosterGEMMShapes = []struct {
+	name    string
+	m, k, n int
+}{
+	{"vgg16.conv1_1", 8, 27, 4096},
+	{"vgg16.conv1_2", 8, 72, 4096},
+	{"vgg16.conv2_2", 16, 144, 1024},
+	{"vgg16.conv3_3", 24, 216, 256},
+	{"vgg16.conv4_3", 32, 288, 64},
+	{"vgg16.conv5_3", 32, 288, 16},
+	{"alexnet.conv1", 16, 75, 1024},
+	{"alexnet.conv4", 48, 432, 64},
+	{"resnet50.conv1", 16, 147, 1024},
+	{"resnet50.conv2.expand", 32, 8, 256},
+	{"resnet50.conv4.mid", 24, 216, 16},
+	{"resnet50.conv5.mid", 32, 288, 4},
+	{"resnet50.conv5.expand", 128, 32, 4},
+	{"probe.1x1", 256, 256, 1024},
+}
+
+// BenchmarkSgemmRosterShapes reports the bare sgemm rate (one goroutine) on
+// every roster shape for both kernel bodies (the assembly rows are absent
+// where the build or the CPU has no assembly body).
+func BenchmarkSgemmRosterShapes(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, body := range kernelBodies() {
+		for _, s := range rosterGEMMShapes {
+			a, bm := randSlice(rng, s.m*s.k), randSlice(rng, s.k*s.n)
+			bias, c := randSlice(rng, s.m), make([]float32, s.m*s.n)
+			b.Run(body.name+"/"+s.name, func(b *testing.B) {
+				defer body.use()()
+				for i := 0; i < b.N; i++ {
+					sgemm(s.m, s.n, s.k, a, bm, bias, c, Epilogue{ReLU: true})
+				}
+				flops := 2 * float64(s.m) * float64(s.k) * float64(s.n) * float64(b.N)
+				b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
 		}
 	}
 }

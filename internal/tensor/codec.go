@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 )
 
 // ErrCorrupt indicates a malformed encoded tensor.
@@ -46,38 +47,67 @@ func Encode(t *Tensor) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-// Decode reverses Encode.
+// inflater is the reusable state of one Decode: the flate decompressor (its
+// 32 KiB window and Huffman tables are the bulk of what flate.NewReader
+// allocates) and the buffer the payload inflates into.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser // also a flate.Resetter
+	raw []byte
+}
+
+var inflaters = sync.Pool{New: func() any { return &inflater{fr: flate.NewReader(nil)} }}
+
+// maxInflate bounds how much a deflate stream of n bytes can inflate to (the
+// format tops out near 1032:1), so a corrupt header cannot size a buffer
+// beyond what its blob could possibly fill.
+func maxInflate(n int) int { return 1032*n + 64 }
+
+// Decode reverses Encode. The payload is inflated by a pooled decompressor
+// into a pooled buffer sized from the header, and the tensor's storage comes
+// from the slab pool, so the caller may Recycle it once it is consumed.
 func Decode(blob []byte) (*Tensor, error) {
-	r := flate.NewReader(bytes.NewReader(blob))
-	raw, err := io.ReadAll(r)
-	if err != nil {
+	z := inflaters.Get().(*inflater)
+	defer inflaters.Put(z)
+	z.src.Reset(blob)
+	if err := z.fr.(flate.Resetter).Reset(&z.src, nil); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if err := r.Close(); err != nil {
+	var head [4 + 4*8]byte
+	if _, err := io.ReadFull(z.fr, head[:4]); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if len(raw) < 4 {
+	rank := int(binary.LittleEndian.Uint32(head[:]))
+	if rank > 8 {
 		return nil, ErrCorrupt
 	}
-	rank := binary.LittleEndian.Uint32(raw)
-	if rank > 8 || len(raw) < int(4+4*rank) {
-		return nil, ErrCorrupt
+	dims := head[4 : 4+4*rank]
+	if _, err := io.ReadFull(z.fr, dims); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	shape := make(Shape, rank)
-	off := 4
-	elems := 1
+	elems, limit := 1, maxInflate(len(blob))/4
 	for i := range shape {
-		shape[i] = int(binary.LittleEndian.Uint32(raw[off:]))
-		off += 4
+		shape[i] = int(binary.LittleEndian.Uint32(dims[4*i:]))
+		if shape[i] <= 0 || shape[i] > limit/elems {
+			return nil, ErrCorrupt
+		}
 		elems *= shape[i]
 	}
-	if !shape.Valid() || len(raw) != off+4*elems {
+	if cap(z.raw) < 4*elems {
+		z.raw = make([]byte, 4*elems)
+	}
+	raw := z.raw[:4*elems]
+	if _, err := io.ReadFull(z.fr, raw); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	// The stream must end exactly where the header said the data does.
+	if n, err := z.fr.Read(head[:1]); n != 0 || err != io.EOF {
 		return nil, ErrCorrupt
 	}
-	data := make([]float32, elems)
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[off:]))
-		off += 4
+	t := newUninit(shape...)
+	for i := range t.data {
+		t.data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
-	return FromSlice(data, shape...)
+	return t, nil
 }

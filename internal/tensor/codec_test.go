@@ -1,7 +1,11 @@
 package tensor
 
 import (
+	"bytes"
+	"compress/flate"
+	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -57,6 +61,60 @@ func TestTensorDecodeErrors(t *testing.T) {
 	if _, err := Decode(blob[:len(blob)-1]); err == nil {
 		t.Error("decoded truncated blob")
 	}
+	// A header claiming far more data than the blob could inflate to must be
+	// refused before anything is sized from it; so must data past the end of
+	// what the header describes.
+	for name, raw := range map[string][]byte{
+		"oversized dims": {2, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f, 0xff, 0xff, 0xff, 0x7f},
+		"zero dim":       {1, 0, 0, 0, 0, 0, 0, 0},
+		"trailing bytes": {1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 9},
+	} {
+		var buf bytes.Buffer
+		w, _ := flate.NewWriter(&buf, flate.BestSpeed)
+		w.Write(raw)
+		w.Close()
+		if _, err := Decode(buf.Bytes()); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestDecodeReusesItsState decodes different tensors back to back and
+// concurrently: the pooled decompressor and payload buffer must not carry
+// one call's bytes into the next.
+func TestDecodeReusesItsState(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var ins []*Tensor
+	var blobs [][]byte
+	for _, shape := range [][]int{{3, 16, 16}, {5}, {2, 40, 3}, {1, 1, 1}} {
+		in := randTensor(rng, shape...)
+		blob, err := Encode(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins, blobs = append(ins, in), append(blobs, blob)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				j := (g + i) % len(ins)
+				out, err := Decode(blobs[j])
+				if err != nil {
+					t.Errorf("decode %d: %v", j, err)
+					return
+				}
+				if !out.Shape().Equal(ins[j].Shape()) || maxAbsDiff(out, ins[j]) != 0 {
+					t.Errorf("decode %d returned another tensor's contents", j)
+					return
+				}
+				Recycle(out)
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // Property: Encode/Decode round-trips arbitrary small tensors exactly.

@@ -10,4 +10,10 @@
 // the engine's Storage/User Memory pools charge when tensors flow through
 // tables — and Encode/Decode give tensors a compact binary form for
 // feature-store persistence.
+//
+// Convolution is im2col plus a GEMM whose arithmetic is one 4×16 micro-kernel
+// (kernel.go) with two bodies: AVX2+FMA assembly on amd64 CPUs that have it,
+// and the same tile in pure Go everywhere else and under -tags purego.
+// KernelName reports which one a process runs; the two agree to 1e-4, not
+// bit for bit.
 package tensor

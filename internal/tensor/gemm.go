@@ -7,11 +7,13 @@ import (
 )
 
 // This file is the GEMM convolution hot path: Conv2D lowers to an im2col
-// column-buffer build plus a cache-blocked, register-blocked sgemm whose
-// output-channel row tiles run on the bounded worker pool (parallel.go). The
-// direct-loop kernel in ops.go stays only as Conv2DDirect, the reference
-// implementation the parity suite in gemm_test.go and FuzzConv2DGEMMParity
-// compare against.
+// column-buffer build plus a cache-blocked, register-blocked sgemm. One
+// convolution runs on its caller's goroutine — a roster conv is 10–100 µs of
+// kernel, too little to share — and parallelism comes from the rows of a
+// batch (internal/dl, over parallel.go). The direct-loop kernel in ops.go
+// stays only as Conv2DDirect, the reference implementation the parity suite
+// in gemm_test.go and FuzzConv2DGEMMParity compare against. The arithmetic
+// itself is the micro-kernel in kernel.go.
 //
 // Layout: for a conv with C_in input channels and a K×K kernel over an
 // H_out×W_out output, the column buffer is a (C_in·K·K) × (H_out·W_out)
@@ -26,14 +28,16 @@ import (
 // scratch allocation each GEMM convolution makes.
 const FaultConvCol = "tensor/conv.col"
 
-// kcBlock is the K-dimension cache block of the sgemm: one block of B
-// (kcBlock rows × N columns) is streamed repeatedly against every row tile,
-// so it is sized to sit in L2 for typical output widths.
+// kcBlock is the K-dimension block of the sgemm: one kernel call reduces at
+// most kcBlock terms, so the A tile (mr × kcBlock) and the B panel
+// (kcBlock × nr) it streams stay L1-resident while the accumulators are in
+// registers. Every roster conv except tiny-alexnet's and tiny-densenet's
+// widest (K = 432, 360) fits one block.
 const kcBlock = 256
 
-// conv2DGEMM computes the convolution via im2col + blocked GEMM. Arguments
-// are pre-validated by Conv2D.
-func conv2DGEMM(in *Tensor, spec Conv2DSpec, weights, bias []float32, outShape Shape) (*Tensor, error) {
+// conv2DGEMM computes the convolution via im2col + blocked GEMM, with ep
+// applied per output channel. Arguments are pre-validated by Conv2DFused.
+func conv2DGEMM(in *Tensor, spec Conv2DSpec, weights, bias []float32, ep Epilogue, outShape Shape) (*Tensor, error) {
 	inH, inW := in.Shape()[1], in.Shape()[2]
 	outH, outW := outShape[1], outShape[2]
 	m := spec.OutChannels
@@ -54,7 +58,7 @@ func conv2DGEMM(in *Tensor, spec Conv2DSpec, weights, bias []float32, outShape S
 	}
 
 	out := newUninit(outShape...)
-	sgemm(m, n, kd, weights, col, bias, out.Data())
+	sgemm(m, n, kd, weights, col, bias, out.Data(), ep)
 	return out, nil
 }
 
@@ -64,12 +68,18 @@ func conv2DGEMM(in *Tensor, spec Conv2DSpec, weights, bias []float32, outShape S
 func im2col(src, col []float32, spec Conv2DSpec, inH, inW, outH, outW int) {
 	k, stride, pad := spec.Kernel, spec.Stride, spec.Pad
 	n := outH * outW
+	same := stride == 1 && outH == inH && outW == inW
 	r := 0
 	for ic := 0; ic < spec.InChannels; ic++ {
 		sBase := ic * inH * inW
 		for ky := 0; ky < k; ky++ {
 			for kx := 0; kx < k; kx++ {
 				dstRow := col[r*n : (r+1)*n]
+				if same {
+					shiftPlane(dstRow, src[sBase:sBase+n], inH, inW, ky-pad, kx-pad)
+					r++
+					continue
+				}
 				for oy := 0; oy < outH; oy++ {
 					iy := oy*stride - pad + ky
 					dst := dstRow[oy*outW : (oy+1)*outW]
@@ -78,25 +88,6 @@ func im2col(src, col []float32, spec Conv2DSpec, inH, inW, outH, outW int) {
 						continue
 					}
 					srcRow := src[sBase+iy*inW : sBase+(iy+1)*inW]
-					if stride == 1 {
-						// Valid ox satisfy 0 <= ox - pad + kx < inW.
-						lo := pad - kx
-						if lo < 0 {
-							lo = 0
-						}
-						hi := inW - 1 + pad - kx
-						if hi > outW-1 {
-							hi = outW - 1
-						}
-						zeroFill(dst[:min(lo, outW)])
-						if hi >= lo {
-							copy(dst[lo:hi+1], srcRow[lo-pad+kx:])
-						}
-						if hi+1 < outW {
-							zeroFill(dst[hi+1:])
-						}
-						continue
-					}
 					for ox := 0; ox < outW; ox++ {
 						ix := ox*stride - pad + kx
 						if ix < 0 || ix >= inW {
@@ -112,113 +103,136 @@ func im2col(src, col []float32, spec Conv2DSpec, inH, inW, outH, outW int) {
 	}
 }
 
+// shiftPlane writes dst[y][x] = src[y+dy][x+dx], or 0 where that falls
+// outside the h×w plane: one column-matrix row of a stride-1 convolution
+// whose output is as large as its input. Inside the plane the shift is a
+// constant offset dy·w+dx between the two flat arrays, so the row is one
+// bulk copy; what the copy wraps around a row end, and the rows it does not
+// reach, are then zeroed. The deep layers' rows are 4–16 floats wide, where
+// copying row by row costs more in calls than in bytes.
+func shiftPlane(dst, src []float32, h, w, dy, dx int) {
+	yLo, yHi := max(0, -dy), min(h, h-dy) // output rows that read inside the plane
+	if yLo >= yHi || dx <= -w || dx >= w {
+		zeroFill(dst)
+		return
+	}
+	off := dy*w + dx
+	d0, d1 := max(yLo*w, -off), min(yHi*w, h*w-off)
+	zeroFill(dst[:d0])
+	copy(dst[d0:d1], src[d0+off:d1+off])
+	zeroFill(dst[d1:])
+	for y := yLo; y < yHi; y++ {
+		row := dst[y*w : (y+1)*w]
+		if dx < 0 {
+			zeroFill(row[:-dx])
+		} else {
+			zeroFill(row[w-dx:])
+		}
+	}
+}
+
 func zeroFill(s []float32) {
 	for i := range s {
 		s[i] = 0
 	}
 }
 
-// sgemm computes C = A·B + bias, where A is m×k row-major, B is k×n
-// row-major, C is m×n row-major, and bias[i] initializes every element of C
-// row i. Row tiles of C are distributed over the bounded worker pool; within
-// a tile the kernel is register-blocked 4 output rows at a time and
-// cache-blocked over k in kcBlock chunks.
-func sgemm(m, n, k int, a, b, bias, c []float32) {
-	const mr = 4
-	tiles := (m + mr - 1) / mr
-	ParallelFor(tiles, func(t int) {
-		r0 := t * mr
-		r1 := r0 + mr
-		if r1 > m {
-			r1 = m
-		}
-		sgemmTile(r0, r1, n, k, a, b, bias, c)
-	})
-}
-
-// sgemmTile computes C rows [r0, r1) (at most 4 rows).
-func sgemmTile(r0, r1, n, k int, a, b, bias, c []float32) {
-	for r := r0; r < r1; r++ {
-		dst := c[r*n : (r+1)*n]
-		bv := bias[r]
-		for j := range dst {
-			dst[j] = bv
+// sgemm computes C = epilogue(A·B + bias), where A is m×k row-major, B is
+// k×n row-major, C is m×n row-major, bias[i] starts every element of C row i,
+// and ep (per C row) is applied once, when the reduction is complete. C is
+// cut into mr×nr tiles, each computed by the micro-kernel (kernel.go), one
+// mr-row strip of that grid after another.
+//
+// A ragged last strip (m % mr) or last column panel (n % nr) goes through
+// the same kernel on zero-padded copies of the A strip and B panel, built
+// here once per call, so there is no scalar edge path. An element of C is
+// the same sum in the same order wherever its tile falls.
+func sgemm(m, n, k int, a, b, bias, c []float32, ep Epilogue) {
+	g := gemm{m: m, n: n, k: k, a: a, b: b, c: c, bias: bias, ep: ep}
+	if rows := m % mr; rows != 0 {
+		// The last strip's A rows and per-row vectors, padded to mr rows.
+		r0 := m - rows
+		g.aEdge = getSlab(mr * k)
+		defer putSlab(g.aEdge)
+		zeroFill(g.aEdge)
+		copy(g.aEdge, a[r0*k:])
+		copy(g.biasEdge[:], bias[r0:])
+		if ep.Scale != nil {
+			copy(g.scaleEdge[:], ep.Scale[r0:])
+			copy(g.shiftEdge[:], ep.Shift[r0:])
 		}
 	}
-	for k0 := 0; k0 < k; k0 += kcBlock {
-		k1 := k0 + kcBlock
-		if k1 > k {
-			k1 = k
+	if cols := n % nr; cols != 0 {
+		// The last panel's B columns, padded to nr columns.
+		g.bEdge = getSlab(k * nr)
+		defer putSlab(g.bEdge)
+		zeroFill(g.bEdge)
+		for p := 0; p < k; p++ {
+			copy(g.bEdge[p*nr:p*nr+cols], b[p*n+n-cols:])
 		}
-		switch r1 - r0 {
-		case 4:
-			axpy4(r0, n, k0, k1, a[:], b, c, k)
-		case 3:
-			axpy1(r0+2, n, k0, k1, a, b, c, k)
-			axpy2(r0, n, k0, k1, a, b, c, k)
-		case 2:
-			axpy2(r0, n, k0, k1, a, b, c, k)
-		case 1:
-			axpy1(r0, n, k0, k1, a, b, c, k)
-		}
+	}
+	for s := 0; s < (m+mr-1)/mr; s++ {
+		g.strip(s)
 	}
 }
 
-// axpy4 accumulates four C rows against the B block [k0,k1): the classic
-// outer-product microkernel — four A scalars are broadcast against one
-// streamed B row, updating four C rows per pass, which amortizes each B load
-// across four multiply-adds.
-func axpy4(r, n, k0, k1 int, a, b, c []float32, lda int) {
-	c0 := c[r*n : r*n+n]
-	c1 := c[(r+1)*n : (r+1)*n+n]
-	c2 := c[(r+2)*n : (r+2)*n+n]
-	c3 := c[(r+3)*n : (r+3)*n+n]
-	for kk := k0; kk < k1; kk++ {
-		a0 := a[r*lda+kk]
-		a1 := a[(r+1)*lda+kk]
-		a2 := a[(r+2)*lda+kk]
-		a3 := a[(r+3)*lda+kk]
-		brow := b[kk*n : kk*n+n]
-		_ = c0[len(brow)-1]
-		_ = c1[len(brow)-1]
-		_ = c2[len(brow)-1]
-		_ = c3[len(brow)-1]
-		for j, v := range brow {
-			c0[j] += a0 * v
-			c1[j] += a1 * v
-			c2[j] += a2 * v
-			c3[j] += a3 * v
-		}
-	}
+// gemm is one sgemm call's operands.
+type gemm struct {
+	m, n, k       int
+	a, b, c, bias []float32
+	ep            Epilogue
+	// Zero-padded copies of a ragged last A strip, with its per-row vectors,
+	// and of a ragged last B panel.
+	aEdge, bEdge                   []float32
+	biasEdge, scaleEdge, shiftEdge [mr]float32
 }
 
-func axpy2(r, n, k0, k1 int, a, b, c []float32, lda int) {
-	c0 := c[r*n : r*n+n]
-	c1 := c[(r+1)*n : (r+1)*n+n]
-	for kk := k0; kk < k1; kk++ {
-		a0 := a[r*lda+kk]
-		a1 := a[(r+1)*lda+kk]
-		brow := b[kk*n : kk*n+n]
-		_ = c0[len(brow)-1]
-		_ = c1[len(brow)-1]
-		for j, v := range brow {
-			c0[j] += a0 * v
-			c1[j] += a1 * v
+// strip computes C rows [s·mr, s·mr+mr): for each column panel, the
+// reduction in kcBlock steps — bias on the first, the epilogue on the last,
+// the tile carried in C between them.
+func (g *gemm) strip(s int) {
+	r0 := s * mr
+	a, bias, scale, shift := g.a[r0*g.k:], g.bias[r0:], g.ep.Scale, g.ep.Shift
+	if scale != nil {
+		scale, shift = scale[r0:], shift[r0:]
+	}
+	rows := min(mr, g.m-r0)
+	if rows < mr {
+		a, bias = g.aEdge, g.biasEdge[:]
+		if scale != nil {
+			scale, shift = g.scaleEdge[:], g.shiftEdge[:]
 		}
 	}
-}
-
-func axpy1(r, n, k0, k1 int, a, b, c []float32, lda int) {
-	c0 := c[r*n : r*n+n]
-	for kk := k0; kk < k1; kk++ {
-		a0 := a[r*lda+kk]
-		if a0 == 0 {
-			continue
+	var cEdge [mr * nr]float32
+	t := tile{lda: g.k}
+	for j0 := 0; j0 < g.n; j0 += nr {
+		cols := min(nr, g.n-j0)
+		b, ldb := g.b[j0:], g.n
+		if cols < nr {
+			b, ldb = g.bEdge, nr
 		}
-		brow := b[kk*n : kk*n+n]
-		_ = c0[len(brow)-1]
-		for j, v := range brow {
-			c0[j] += a0 * v
+		t.c, t.ldc = g.c[r0*g.n+j0:], g.n
+		edge := rows < mr || cols < nr
+		if edge {
+			t.c, t.ldc = cEdge[:], nr
+		}
+		t.ldb = ldb
+		for k0 := 0; k0 < g.k; k0 += kcBlock {
+			t.k = min(kcBlock, g.k-k0)
+			t.a, t.b = a[k0:], b[k0*ldb:]
+			t.bias, t.scale, t.shift, t.relu = nil, nil, nil, false
+			if k0 == 0 {
+				t.bias = bias
+			}
+			if k0+t.k == g.k {
+				t.scale, t.shift, t.relu = scale, shift, g.ep.ReLU
+			}
+			kernel(&t)
+		}
+		if edge {
+			for i := 0; i < rows; i++ {
+				copy(g.c[(r0+i)*g.n+j0:(r0+i)*g.n+j0+cols], cEdge[i*nr:])
+			}
 		}
 	}
 }

@@ -1,0 +1,173 @@
+//go:build !purego
+
+#include "textflag.h"
+#include "go_asm.h"
+
+// The AVX2+FMA body of the tile contract in kernel.go, plus the two
+// instruction stubs kernel_amd64.go needs to decide whether it may run.
+//
+// Register plan for kernelAsm:
+//   Y0..Y7   accumulators: row i of the 4×16 tile is Y(2i) | Y(2i+1)
+//   Y8, Y9   the current B row (16 floats)
+//   Y10..13  one A scalar each, broadcast to 8 lanes
+//   SI       &A[0][p]; R8 = lda in bytes; R11 = &A[3][p]
+//   BX       &B[p][0]; R9 = ldb in bytes
+//   DX       &C[0][0]; R10 = ldc in bytes; R12 = &C[3][0]
+//   CX       k steps left
+
+// One reduction step: A column at byte offset aoff, B row halves at b0, b1.
+#define KSTEP(aoff, b0, b1) \
+	VMOVUPS      b0, Y8;             \
+	VMOVUPS      b1, Y9;             \
+	VBROADCASTSS aoff(SI), Y10;       \
+	VBROADCASTSS aoff(SI)(R8*1), Y11; \
+	VBROADCASTSS aoff(SI)(R8*2), Y12; \
+	VBROADCASTSS aoff(R11), Y13;      \
+	VFMADD231PS  Y8, Y10, Y0;         \
+	VFMADD231PS  Y9, Y10, Y1;         \
+	VFMADD231PS  Y8, Y11, Y2;         \
+	VFMADD231PS  Y9, Y11, Y3;         \
+	VFMADD231PS  Y8, Y12, Y4;         \
+	VFMADD231PS  Y9, Y12, Y5;         \
+	VFMADD231PS  Y8, Y13, Y6;         \
+	VFMADD231PS  Y9, Y13, Y7
+
+// func kernelAsm(t *tile)
+TEXT ·kernelAsm(SB), NOSPLIT, $0-8
+	MOVQ t+0(FP), DI
+	MOVQ tile_k(DI), CX
+	MOVQ tile_a(DI), SI
+	MOVQ tile_lda(DI), R8
+	SHLQ $2, R8
+	LEAQ (R8)(R8*2), R11
+	ADDQ SI, R11
+	MOVQ tile_b(DI), BX
+	MOVQ tile_ldb(DI), R9
+	SHLQ $2, R9
+	MOVQ tile_c(DI), DX
+	MOVQ tile_ldc(DI), R10
+	SHLQ $2, R10
+	LEAQ (R10)(R10*2), R12
+	ADDQ DX, R12
+
+	// Accumulators start at bias[i], or at C when this continues a reduction.
+	MOVQ  tile_bias(DI), AX
+	TESTQ AX, AX
+	JZ    fromc
+	VBROADCASTSS 0(AX), Y0
+	VBROADCASTSS 4(AX), Y2
+	VBROADCASTSS 8(AX), Y4
+	VBROADCASTSS 12(AX), Y6
+	VMOVAPS Y0, Y1
+	VMOVAPS Y2, Y3
+	VMOVAPS Y4, Y5
+	VMOVAPS Y6, Y7
+	JMP   reduce
+
+fromc:
+	VMOVUPS (DX), Y0
+	VMOVUPS 32(DX), Y1
+	VMOVUPS (DX)(R10*1), Y2
+	VMOVUPS 32(DX)(R10*1), Y3
+	VMOVUPS (DX)(R10*2), Y4
+	VMOVUPS 32(DX)(R10*2), Y5
+	VMOVUPS (R12), Y6
+	VMOVUPS 32(R12), Y7
+
+reduce:
+	CMPQ CX, $4
+	JLT  tail
+
+by4:
+	KSTEP(0, (BX), 32(BX))
+	KSTEP(4, (BX)(R9*1), 32(BX)(R9*1))
+	KSTEP(8, (BX)(R9*2), 32(BX)(R9*2))
+	LEAQ (BX)(R9*2), BX
+	KSTEP(12, (BX)(R9*1), 32(BX)(R9*1))
+	LEAQ (BX)(R9*2), BX
+	ADDQ $16, SI
+	ADDQ $16, R11
+	SUBQ $4, CX
+	CMPQ CX, $4
+	JGE  by4
+
+tail:
+	TESTQ CX, CX
+	JZ    epilogue
+
+by1:
+	KSTEP(0, (BX), 32(BX))
+	ADDQ R9, BX
+	ADDQ $4, SI
+	ADDQ $4, R11
+	DECQ CX
+	JNZ  by1
+
+epilogue:
+	MOVQ  tile_scale(DI), AX
+	TESTQ AX, AX
+	JZ    relu
+	MOVQ  tile_shift(DI), R13
+	VBROADCASTSS 0(AX), Y8
+	VBROADCASTSS 0(R13), Y9
+	VFMADD213PS  Y9, Y8, Y0
+	VFMADD213PS  Y9, Y8, Y1
+	VBROADCASTSS 4(AX), Y8
+	VBROADCASTSS 4(R13), Y9
+	VFMADD213PS  Y9, Y8, Y2
+	VFMADD213PS  Y9, Y8, Y3
+	VBROADCASTSS 8(AX), Y8
+	VBROADCASTSS 8(R13), Y9
+	VFMADD213PS  Y9, Y8, Y4
+	VFMADD213PS  Y9, Y8, Y5
+	VBROADCASTSS 12(AX), Y8
+	VBROADCASTSS 12(R13), Y9
+	VFMADD213PS  Y9, Y8, Y6
+	VFMADD213PS  Y9, Y8, Y7
+
+relu:
+	MOVBLZX tile_relu(DI), AX
+	TESTL   AX, AX
+	JZ      store
+	// max with the accumulator as the second source: a NaN or -0 accumulator
+	// comes back unchanged, as it does through `if v < 0 { v = 0 }`.
+	VXORPS Y8, Y8, Y8
+	VMAXPS Y0, Y8, Y0
+	VMAXPS Y1, Y8, Y1
+	VMAXPS Y2, Y8, Y2
+	VMAXPS Y3, Y8, Y3
+	VMAXPS Y4, Y8, Y4
+	VMAXPS Y5, Y8, Y5
+	VMAXPS Y6, Y8, Y6
+	VMAXPS Y7, Y8, Y7
+
+store:
+	VMOVUPS Y0, (DX)
+	VMOVUPS Y1, 32(DX)
+	VMOVUPS Y2, (DX)(R10*1)
+	VMOVUPS Y3, 32(DX)(R10*1)
+	VMOVUPS Y4, (DX)(R10*2)
+	VMOVUPS Y5, 32(DX)(R10*2)
+	VMOVUPS Y6, (R12)
+	VMOVUPS Y7, 32(R12)
+	VZEROUPPER
+	RET
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	XORL CX, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET

@@ -1,0 +1,171 @@
+package tensor
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// kernelBody is one body of the micro-kernel contract.
+type kernelBody struct {
+	name string
+	asm  bool
+}
+
+// use switches the package to the body and returns the function that
+// switches back. Nothing outside tests switches bodies.
+func (b kernelBody) use() (restore func()) {
+	old := useAsm
+	useAsm = b.asm
+	return func() { useAsm = old }
+}
+
+// kernelBodies lists the bodies this build and CPU can run: always the
+// pure-Go one, and the assembly one where the package selected it at init.
+// Tests that pin the kernel's arithmetic range over it, so one suite gates
+// both.
+func kernelBodies() []kernelBody {
+	bodies := []kernelBody{{"purego", false}}
+	if asmSupported() {
+		bodies = append(bodies, kernelBody{"avx2-fma", true})
+	}
+	return bodies
+}
+
+// forEachKernelBody runs fn as a subtest under every available body.
+func forEachKernelBody(t *testing.T, fn func(t *testing.T)) {
+	for _, body := range kernelBodies() {
+		t.Run(body.name, func(t *testing.T) {
+			defer body.use()()
+			fn(t)
+		})
+	}
+}
+
+func randSlice(rng *rand.Rand, n int) []float32 {
+	s := make([]float32, n)
+	for i := range s {
+		s[i] = float32(rng.NormFloat64())
+	}
+	return s
+}
+
+// gemmReference computes epilogue(A·B + bias) in float64, term by term.
+func gemmReference(m, n, k int, a, b, bias []float32, ep Epilogue) []float64 {
+	c := make([]float64, m*n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			sum := float64(bias[i])
+			for p := 0; p < k; p++ {
+				sum += float64(a[i*k+p]) * float64(b[p*n+j])
+			}
+			if ep.Scale != nil {
+				sum = sum*float64(ep.Scale[i]) + float64(ep.Shift[i])
+			}
+			if ep.ReLU && sum < 0 {
+				sum = 0
+			}
+			c[i*n+j] = sum
+		}
+	}
+	return c
+}
+
+// TestSgemmBodiesAgree runs both kernel bodies over the roster's real GEMM
+// shapes and over every edge of the driver — ragged last strip (m % mr),
+// ragged and sub-tile last panel (n % nr, n < nr), k shorter than one block,
+// exactly one block, one past, and several — with and without the fused
+// affine and ReLU. Each body must match the float64 reference, and therefore
+// the other body, within a tolerance scaled to the length of the sum.
+func TestSgemmBodiesAgree(t *testing.T) {
+	type shape struct{ m, k, n int }
+	var shapes []shape
+	for _, s := range rosterGEMMShapes {
+		if s.m*s.k*s.n <= 1<<21 { // the probe shape is benchmark-only
+			shapes = append(shapes, shape{s.m, s.k, s.n})
+		}
+	}
+	for _, m := range []int{1, 3, 4, 5, 9} {
+		for _, n := range []int{1, 4, 15, 16, 17, 40} {
+			for _, k := range []int{1, 7, kcBlock - 1, kcBlock, kcBlock + 1, 2*kcBlock + 37} {
+				shapes = append(shapes, shape{m, k, n})
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(19))
+	for _, s := range shapes {
+		a, b, bias := randSlice(rng, s.m*s.k), randSlice(rng, s.k*s.n), randSlice(rng, s.m)
+		for _, ep := range []Epilogue{
+			{},
+			{ReLU: true},
+			{Scale: randSlice(rng, s.m), Shift: randSlice(rng, s.m)},
+			{Scale: randSlice(rng, s.m), Shift: randSlice(rng, s.m), ReLU: true},
+		} {
+			want := gemmReference(s.m, s.n, s.k, a, b, bias, ep)
+			// Each of k float32 products and sums rounds at 2^-24 of a
+			// running value of magnitude ~sqrt(k); the affine scales that.
+			tol := 1e-6 * float64(s.k+8)
+			if ep.Scale != nil {
+				tol *= 4
+			}
+			for _, body := range kernelBodies() {
+				restore := body.use()
+				// A dirty C proves every element is written, none accumulated into.
+				c := randSlice(rng, s.m*s.n)
+				sgemm(s.m, s.n, s.k, a, b, bias, c, ep)
+				restore()
+				for i, v := range c {
+					if d := math.Abs(float64(v) - want[i]); d > tol*(1+math.Abs(want[i])) {
+						t.Fatalf("%s m=%d k=%d n=%d ep=%+v: c[%d] = %v, reference %v (|diff| %g)",
+							body.name, s.m, s.k, s.n, ep.ReLU, i, v, want[i], d)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKernelNonFinite is the regression test for the retired axpy1, which
+// skipped zero weights: a zero weight times an Inf activation was 0 in a
+// one-row tail tile but NaN in a four-row tile, so one convolution
+// propagated non-finite values differently by output channel index mod 4.
+// With M = 5 the last channel is alone in its strip; it must agree with the
+// four before it and with the direct kernel. The bodies must also agree on
+// what ReLU does to a NaN (keeps it) — they implement `if v < 0 { v = 0 }`.
+func TestKernelNonFinite(t *testing.T) {
+	forEachKernelBody(t, func(t *testing.T) {
+		in := New(2, 3, 3)
+		for i := range in.Data() {
+			in.Data()[i] = 1
+		}
+		in.Set(float32(math.Inf(1)), 1, 1, 1) // channel 1, centre pixel
+		spec := Conv2DSpec{InChannels: 2, OutChannels: 5, Kernel: 1, Stride: 1}
+		weights := make([]float32, spec.WeightCount())
+		for oc := 0; oc < spec.OutChannels; oc++ {
+			weights[oc*2] = 1 // channel 0 passes through; channel 1 (the Inf) has weight 0
+		}
+		bias := make([]float32, spec.OutChannels)
+		want, err := Conv2DDirect(in, spec, weights, bias)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ep := range []Epilogue{{}, {ReLU: true}} {
+			got, err := Conv2DFused(in, spec, weights, bias, ep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for oc := 0; oc < spec.OutChannels; oc++ {
+				g, w := got.At(oc, 1, 1), want.At(oc, 1, 1)
+				if !math.IsNaN(float64(w)) {
+					t.Fatalf("direct kernel: 0·Inf = %v, want NaN", w)
+				}
+				if !math.IsNaN(float64(g)) {
+					t.Errorf("relu=%v: output channel %d = %v where channels 0-3 and the direct kernel give NaN", ep.ReLU, oc, g)
+				}
+				if g, w := got.At(oc, 0, 0), want.At(oc, 0, 0); g != w {
+					t.Errorf("relu=%v: finite pixel of channel %d = %v, direct %v", ep.ReLU, oc, g, w)
+				}
+			}
+		}
+	})
+}

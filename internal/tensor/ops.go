@@ -38,11 +38,31 @@ func (c Conv2DSpec) WeightCount() int {
 // biases, returning a new CHW tensor via the im2col + blocked-GEMM kernel
 // (gemm.go).
 func Conv2D(in *Tensor, spec Conv2DSpec, weights, bias []float32) (*Tensor, error) {
+	return Conv2DFused(in, spec, weights, bias, Epilogue{})
+}
+
+// Epilogue is what a convolution does to each output element after the
+// reduction and before the element is stored, so that a following batch-norm
+// or ReLU costs no pass of its own over the activation: y = conv + bias, then
+// y·Scale[oc] + Shift[oc] when Scale is set, then max(y, 0) when ReLU is set.
+// Scale and Shift are per output channel and set together (BatchNormAffine
+// derives them from batch-norm statistics).
+type Epilogue struct {
+	Scale, Shift []float32
+	ReLU         bool
+}
+
+// Conv2DFused is Conv2D with ep applied in the kernel's output step.
+func Conv2DFused(in *Tensor, spec Conv2DSpec, weights, bias []float32, ep Epilogue) (*Tensor, error) {
 	outShape, err := conv2DCheck(in, spec, weights, bias)
 	if err != nil {
 		return nil, err
 	}
-	return conv2DGEMM(in, spec, weights, bias, outShape)
+	if (ep.Scale != nil || ep.Shift != nil) && (len(ep.Scale) != spec.OutChannels || len(ep.Shift) != spec.OutChannels) {
+		return nil, fmt.Errorf("%w: conv2d epilogue scale/shift len %d/%d, want %d",
+			ErrShape, len(ep.Scale), len(ep.Shift), spec.OutChannels)
+	}
+	return conv2DGEMM(in, spec, weights, bias, ep, outShape)
 }
 
 // conv2DCheck validates a convolution's input, weight, and bias shapes and
@@ -131,7 +151,8 @@ func (p PoolSpec) OutShape(in Shape) (Shape, error) {
 	return Shape{in[0], h, w}, nil
 }
 
-// MaxPool2D applies max pooling to the CHW input.
+// MaxPool2D applies max pooling to the CHW input. A window holding a NaN
+// pools to NaN (Go's builtin max), here and in GridMaxPool.
 func MaxPool2D(in *Tensor, spec PoolSpec) (*Tensor, error) {
 	return pool2D(in, spec, true)
 }
@@ -143,16 +164,20 @@ func AvgPool2D(in *Tensor, spec PoolSpec) (*Tensor, error) {
 	return pool2D(in, spec, false)
 }
 
-func pool2D(in *Tensor, spec PoolSpec, max bool) (*Tensor, error) {
+func pool2D(in *Tensor, spec PoolSpec, isMax bool) (*Tensor, error) {
 	outShape, err := spec.OutShape(in.Shape())
 	if err != nil {
 		return nil, err
 	}
 	c, inH, inW := in.Shape()[0], in.Shape()[1], in.Shape()[2]
 	outH, outW := outShape[1], outShape[2]
-	out := New(outShape...)
+	out := newUninit(outShape...)
 	src := in.Data()
 	dst := out.Data()
+	if isMax && spec.Pad == 0 && spec.Kernel == spec.Stride {
+		maxPoolTiled(src, dst, c, inH, inW, outH, outW, spec.Kernel)
+		return out, nil
+	}
 
 	for ch := 0; ch < c; ch++ {
 		sBase := ch * inH * inW
@@ -161,7 +186,7 @@ func pool2D(in *Tensor, spec PoolSpec, max bool) (*Tensor, error) {
 			for ox := 0; ox < outW; ox++ {
 				ix0 := ox*spec.Stride - spec.Pad
 				var acc float32
-				if max {
+				if isMax {
 					acc = float32(math.Inf(-1))
 				}
 				n := 0
@@ -176,10 +201,8 @@ func pool2D(in *Tensor, spec PoolSpec, max bool) (*Tensor, error) {
 							continue
 						}
 						v := src[sBase+iy*inW+ix]
-						if max {
-							if v > acc {
-								acc = v
-							}
+						if isMax {
+							acc = max(acc, v)
 						} else {
 							acc += v
 						}
@@ -188,7 +211,7 @@ func pool2D(in *Tensor, spec PoolSpec, max bool) (*Tensor, error) {
 				}
 				if n == 0 {
 					acc = 0
-				} else if !max {
+				} else if !isMax {
 					acc /= float32(n)
 				}
 				dst[(ch*outH+oy)*outW+ox] = acc
@@ -196,6 +219,39 @@ func pool2D(in *Tensor, spec PoolSpec, max bool) (*Tensor, error) {
 		}
 	}
 	return out, nil
+}
+
+// maxPoolTiled is max pooling with an unpadded window that tiles the input
+// (kernel == stride): every window lies inside the input, so there is
+// nothing to clip or count. An output row is k input rows folded elementwise
+// into one, then that row folded k columns at a time — plain loops over
+// contiguous rows, with the builtin max, which compiles without a
+// data-dependent branch: activations are not predictable.
+func maxPoolTiled(src, dst []float32, c, inH, inW, outH, outW, k int) {
+	w := outW * k
+	fold := getSlab(w)
+	defer putSlab(fold)
+	for ch := 0; ch < c; ch++ {
+		plane := src[ch*inH*inW : (ch+1)*inH*inW]
+		for oy := 0; oy < outH; oy++ {
+			rows := plane[oy*k*inW:]
+			copy(fold, rows[:w])
+			for ky := 1; ky < k; ky++ {
+				for i, v := range rows[ky*inW:][:w] {
+					fold[i] = max(fold[i], v)
+				}
+			}
+			drow := dst[(ch*outH+oy)*outW:][:outW]
+			for ox := range drow {
+				drow[ox] = fold[ox*k]
+			}
+			for kx := 1; kx < k; kx++ {
+				for ox := range drow {
+					drow[ox] = max(drow[ox], fold[ox*k+kx])
+				}
+			}
+		}
+	}
 }
 
 // gridAxis returns the kernel, stride, and output extent that reduce one
@@ -231,9 +287,11 @@ func GridMaxPool(in *Tensor, grid int) (*Tensor, error) {
 		return nil, fmt.Errorf("%w: GridMaxPool grid %d", ErrShape, grid)
 	}
 	if s[1] <= grid && s[2] <= grid {
-		// Already at or below target resolution; nothing to reduce. Clone so
+		// Already at or below target resolution; nothing to reduce. Copy so
 		// the caller owns its result and cannot mutate the source map.
-		return in.Clone(), nil
+		out := newUninit(s...)
+		copy(out.Data(), in.Data())
+		return out, nil
 	}
 	kh, sh, outH := gridAxis(s[1], grid)
 	kw, sw, outW := gridAxis(s[2], grid)
@@ -249,10 +307,8 @@ func GridMaxPool(in *Tensor, grid int) (*Tensor, error) {
 				acc := float32(math.Inf(-1))
 				for ky := 0; ky < kh; ky++ {
 					rowBase := sBase + (iy0+ky)*inW
-					for kx := 0; kx < kw; kx++ {
-						if v := src[rowBase+ix0+kx]; v > acc {
-							acc = v
-						}
+					for _, v := range src[rowBase+ix0:][:kw] {
+						acc = max(acc, v)
 					}
 				}
 				dst[(ch*outH+oy)*outW+ox] = acc
@@ -293,7 +349,7 @@ func ConcatChannels(ts ...*Tensor) (*Tensor, error) {
 		}
 		totalC += s[0]
 	}
-	out := New(totalC, h, w)
+	out := newUninit(totalC, h, w) // the copies below cover every element
 	off := 0
 	for _, t := range ts {
 		n := copy(out.Data()[off:], t.Data())
@@ -365,25 +421,45 @@ func MatVec(w []float32, rows, cols int, x, b []float32) ([]float32, error) {
 	return out, nil
 }
 
-// BatchNorm applies per-channel affine normalization to a CHW tensor in
-// place: y = gamma * (x - mean) / sqrt(var + eps) + beta. All parameter
-// slices must have length C.
+// BatchNormAffine folds inference-time batch normalization,
+// y = gamma * (x - mean) / sqrt(var + eps) + beta, into the per-channel
+// affine y = x*scale + shift. All parameter slices must have equal length.
+func BatchNormAffine(gamma, beta, mean, variance []float32, eps float32) (scale, shift []float32, err error) {
+	c := len(gamma)
+	if len(beta) != c || len(mean) != c || len(variance) != c {
+		return nil, nil, fmt.Errorf("%w: batchnorm params for %d channels", ErrShape, c)
+	}
+	affine := make([]float32, 2*c)
+	scale, shift = affine[:c:c], affine[c:]
+	for ch := range scale {
+		scale[ch] = gamma[ch] / float32(math.Sqrt(float64(variance[ch]+eps)))
+		shift[ch] = beta[ch] - mean[ch]*scale[ch]
+	}
+	return scale, shift, nil
+}
+
+// BatchNorm applies per-channel batch normalization to a CHW tensor in place.
+// All parameter slices must have length C. Convolution layers fold the same
+// affine into the kernel's epilogue (Conv2DFused) instead of making this pass.
 func BatchNorm(t *Tensor, gamma, beta, mean, variance []float32, eps float32) error {
 	s := t.Shape()
 	if len(s) != 3 {
 		return fmt.Errorf("%w: batchnorm expects CHW, got %v", ErrShape, s)
 	}
 	c, hw := s[0], s[1]*s[2]
-	if len(gamma) != c || len(beta) != c || len(mean) != c || len(variance) != c {
+	if len(gamma) != c {
 		return fmt.Errorf("%w: batchnorm params for %d channels", ErrShape, c)
+	}
+	scale, shift, err := BatchNormAffine(gamma, beta, mean, variance, eps)
+	if err != nil {
+		return err
 	}
 	d := t.Data()
 	for ch := 0; ch < c; ch++ {
-		scale := gamma[ch] / float32(math.Sqrt(float64(variance[ch]+eps)))
-		shift := beta[ch] - mean[ch]*scale
-		base := ch * hw
-		for i := 0; i < hw; i++ {
-			d[base+i] = d[base+i]*scale + shift
+		sc, sh := scale[ch], shift[ch]
+		plane := d[ch*hw : (ch+1)*hw]
+		for i, v := range plane {
+			plane[i] = v*sc + sh
 		}
 	}
 	return nil

@@ -134,6 +134,76 @@ func TestMaxPool2D(t *testing.T) {
 	}
 }
 
+// TestMaxPool2DTiledMatchesWindows checks the unpadded kernel == stride path
+// against a window-by-window maximum, on a dirty slab, for window sizes that
+// do and do not divide the input (the remainder rows and columns are dropped,
+// as OutShape says).
+func TestMaxPool2DTiledMatchesWindows(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, c := range []struct{ ch, h, w, k int }{{3, 8, 8, 2}, {2, 7, 9, 2}, {2, 9, 10, 3}, {1, 5, 4, 4}, {2, 3, 3, 1}} {
+		in := randTensor(rng, c.ch, c.h, c.w)
+		dirty := getSlab(c.ch * (c.h / c.k) * (c.w / c.k))
+		for i := range dirty {
+			dirty[i] = float32(math.NaN())
+		}
+		putSlab(dirty)
+		out, err := MaxPool2D(in, PoolSpec{Kernel: c.k, Stride: c.k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (Shape{c.ch, c.h / c.k, c.w / c.k}); !out.Shape().Equal(want) {
+			t.Fatalf("%+v: shape %v, want %v", c, out.Shape(), want)
+		}
+		for ch := 0; ch < c.ch; ch++ {
+			for oy := 0; oy < c.h/c.k; oy++ {
+				for ox := 0; ox < c.w/c.k; ox++ {
+					want := float32(math.Inf(-1))
+					for ky := 0; ky < c.k; ky++ {
+						for kx := 0; kx < c.k; kx++ {
+							want = max(want, in.At(ch, oy*c.k+ky, ox*c.k+kx))
+						}
+					}
+					if got := out.At(ch, oy, ox); got != want {
+						t.Fatalf("%+v: out[%d,%d,%d] = %v, want %v", c, ch, oy, ox, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMaxPoolPropagatesNaN pins what every max-pooling path does with a
+// non-finite activation: a window holding a NaN pools to NaN (the builtin
+// max), on the tiled path, the clipped-window path and GridMaxPool alike,
+// and windows that do not hold it are unaffected.
+func TestMaxPoolPropagatesNaN(t *testing.T) {
+	in := New(1, 4, 4)
+	for i := range in.Data() {
+		in.Data()[i] = float32(i)
+	}
+	in.Set(float32(math.NaN()), 0, 1, 0) // the top-left 2×2 quadrant
+	pools := map[string]func() (*Tensor, error){
+		"tiled 2/2":    func() (*Tensor, error) { return MaxPool2D(in, PoolSpec{Kernel: 2, Stride: 2}) },
+		"windowed 3/2": func() (*Tensor, error) { return MaxPool2D(in, PoolSpec{Kernel: 3, Stride: 2, Pad: 1}) },
+		"grid 2":       func() (*Tensor, error) { return GridMaxPool(in, 2) },
+	}
+	for name, pool := range pools {
+		out, err := pool()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !out.Shape().Equal(Shape{1, 2, 2}) {
+			t.Fatalf("%s: shape %v", name, out.Shape())
+		}
+		if v := out.At(0, 0, 0); !math.IsNaN(float64(v)) {
+			t.Errorf("%s: window with a NaN pooled to %v, want NaN", name, v)
+		}
+		if v := out.At(0, 1, 1); v != 15 {
+			t.Errorf("%s: NaN-free window pooled to %v, want 15", name, v)
+		}
+	}
+}
+
 func TestAvgPool2D(t *testing.T) {
 	in := MustFromSlice([]float32{
 		1, 2,

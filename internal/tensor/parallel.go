@@ -6,13 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// This file implements the bounded compute-worker pool shared by every
-// parallel kernel in the process. Parallelism is gated by a global token
-// semaphore rather than per-call goroutine fan-out so that nested parallel
-// regions (rows of a batch in internal/dl, output-channel tiles inside one
-// Conv2D) and concurrent server runs together never exceed the configured
-// worker count: a region that cannot acquire tokens simply runs inline on its
-// caller's goroutine.
+// This file implements the bounded compute-worker pool behind ParallelFor,
+// which internal/dl uses to infer the rows of a batch side by side.
+// Parallelism is gated by a global token semaphore rather than per-call
+// goroutine fan-out so that nested regions and concurrent server runs
+// together never exceed the configured worker count: a region that cannot
+// acquire tokens simply runs inline on its caller's goroutine.
 
 // convWorkers is the process-wide cap on extra compute goroutines; 1 means
 // fully serial execution.
@@ -29,10 +28,10 @@ func init() {
 	SetConvWorkers(runtime.GOMAXPROCS(0))
 }
 
-// SetConvWorkers sets the process-wide compute parallelism for the GEMM
-// convolution kernels and batch-row workers. n <= 0 resets to
-// runtime.GOMAXPROCS(0). In-flight regions keep tokens they already hold; the
-// new cap applies to subsequent acquisitions.
+// SetConvWorkers sets the process-wide compute parallelism of CNN inference
+// (the batch-row workers). n <= 0 resets to runtime.GOMAXPROCS(0). In-flight
+// regions keep tokens they already hold; the new cap applies to subsequent
+// acquisitions.
 func SetConvWorkers(n int) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)

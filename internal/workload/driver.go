@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -173,9 +172,16 @@ type driver struct {
 	latencies [][]time.Duration // per-bucket, ClassOK wall latencies
 	retry     map[string]int    // distinct Retry-After values on 429s
 
-	// loopTicks counts consumed pacing steps; fake-clock tests spin on it to
-	// hand the loop exactly one step at a time.
-	loopTicks *atomic.Int64
+	// stepped, when non-nil, receives one value per consumed pacing step.
+	// Only fake-clock tests set it: receiving after each Advance hands the
+	// loop exactly one step at a time.
+	stepped chan<- struct{}
+}
+
+func (d *driver) stepDone() {
+	if d.stepped != nil {
+		d.stepped <- struct{}{}
+	}
 }
 
 // Run replays cfg.Pattern against cfg.BaseURL and returns the aggregated
@@ -207,7 +213,6 @@ func newDriver(cfg Config) (*driver, error) {
 		buckets:   make([]Bucket, n),
 		latencies: make([][]time.Duration, n),
 		retry:     make(map[string]int),
-		loopTicks: new(atomic.Int64),
 	}
 	for i := range d.buckets {
 		start := time.Duration(i) * cfg.Tick
@@ -260,7 +265,7 @@ func (d *driver) openLoop(ctx context.Context) error {
 			d.launch(ctx, simT)
 		}
 		d.bucketBoundary(simT)
-		d.loopTicks.Add(1)
+		d.stepDone()
 	}
 }
 
@@ -300,7 +305,7 @@ func (d *driver) closedLoop(ctx context.Context) error {
 			stops = stops[:last]
 		}
 		d.bucketBoundary(simT)
-		d.loopTicks.Add(1)
+		d.stepDone()
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,8 +25,10 @@ type scriptedDoer struct {
 	calls   atomic.Int64
 	scrapes atomic.Int64
 	// block, when non-nil, parks every /run request until the channel
-	// closes — for exercising the in-flight cap.
-	block chan struct{}
+	// closes — for exercising the in-flight cap. entered, when non-nil,
+	// takes one value per request about to park, while it has room.
+	block   chan struct{}
+	entered chan struct{}
 }
 
 type scriptResp struct {
@@ -42,6 +43,10 @@ func (s *scriptedDoer) Do(req *http.Request) (*http.Response, error) {
 	}
 	s.calls.Add(1)
 	if s.block != nil {
+		select {
+		case s.entered <- struct{}{}:
+		default:
+		}
 		select {
 		case <-s.block:
 		case <-req.Context().Done():
@@ -68,15 +73,11 @@ func textResponse(code int, body string) *http.Response {
 }
 
 // stepLoop hands the driver's pacing loop exactly n steps, one at a time:
-// advance one quantum, then wait for the loop to consume it.
-func stepLoop(t *testing.T, d *atomic.Int64, fc *clock.Fake, n int) {
-	t.Helper()
-	base := d.Load()
+// advance one quantum, then wait for the loop to report it consumed.
+func stepLoop(stepped <-chan struct{}, fc *clock.Fake, n int) {
 	for i := 0; i < n; i++ {
 		fc.Advance(wallStep)
-		for d.Load() < base+int64(i)+1 {
-			runtime.Gosched()
-		}
+		<-stepped
 	}
 }
 
@@ -85,21 +86,23 @@ type runOut struct {
 	err error
 }
 
-// runInstrumented is Run with the pacing-step counter swapped for the
-// test's, so fake-clock tests can hand the loop one step at a time.
-func runInstrumented(cfg Config, ticks *atomic.Int64) (*Result, error) {
+// runInstrumented is Run reporting every consumed pacing step on stepped, so
+// fake-clock tests can hand the loop one step at a time. The caller must
+// receive once per step it advances (stepLoop does); the step that ends the
+// run reports nothing.
+func runInstrumented(cfg Config, stepped chan<- struct{}) (*Result, error) {
 	d, err := newDriver(cfg)
 	if err != nil {
 		return nil, err
 	}
-	d.loopTicks = ticks
+	d.stepped = stepped
 	return d.run(context.Background())
 }
 
 func TestOpenLoopDeterministicSchedule(t *testing.T) {
 	fc := clock.NewFake()
 	doer := &scriptedDoer{script: []scriptResp{{code: 200}}}
-	ticks := new(atomic.Int64)
+	ticks := make(chan struct{})
 	out := make(chan runOut, 1)
 	go func() {
 		res, err := runInstrumented(Config{
@@ -116,7 +119,7 @@ func TestOpenLoopDeterministicSchedule(t *testing.T) {
 
 	// const(100) at 10ms steps accrues exactly 1 launch per step; the step
 	// landing on sim t=1s ends the run instead of launching.
-	stepLoop(t, ticks, fc, 99)
+	stepLoop(ticks, fc, 99)
 	fc.Advance(wallStep)
 	r := <-out
 	if r.err != nil {
@@ -157,7 +160,7 @@ func TestOpenLoopClassifiesAndCollectsRetryAfter(t *testing.T) {
 		{code: 429, retryAfter: "3"},
 		{code: 418},
 	}}
-	ticks := new(atomic.Int64)
+	ticks := make(chan struct{})
 	out := make(chan runOut, 1)
 	go func() {
 		res, err := runInstrumented(Config{
@@ -170,7 +173,7 @@ func TestOpenLoopClassifiesAndCollectsRetryAfter(t *testing.T) {
 		out <- runOut{res, err}
 	}()
 	fc.BlockUntil(1)
-	stepLoop(t, ticks, fc, 49)
+	stepLoop(ticks, fc, 49)
 	fc.Advance(wallStep)
 	r := <-out
 	if r.err != nil {
@@ -194,8 +197,9 @@ func TestOpenLoopClassifiesAndCollectsRetryAfter(t *testing.T) {
 
 func TestOpenLoopShedsAtInFlightCap(t *testing.T) {
 	fc := clock.NewFake()
-	doer := &scriptedDoer{script: []scriptResp{{code: 200}}, block: make(chan struct{})}
-	ticks := new(atomic.Int64)
+	doer := &scriptedDoer{script: []scriptResp{{code: 200}}, block: make(chan struct{}),
+		entered: make(chan struct{}, 2)} // one per in-flight slot
+	ticks := make(chan struct{})
 	out := make(chan runOut, 1)
 	go func() {
 		res, err := runInstrumented(Config{
@@ -211,12 +215,11 @@ func TestOpenLoopShedsAtInFlightCap(t *testing.T) {
 	fc.BlockUntil(1)
 	// Launch a few requests; the first two park in the blocked doer, the
 	// rest shed at the cap.
-	stepLoop(t, ticks, fc, 10)
-	for doer.calls.Load() < 2 {
-		runtime.Gosched()
-	}
+	stepLoop(ticks, fc, 10)
+	<-doer.entered // both in-flight slots are now parked inside Do
+	<-doer.entered
 	close(doer.block)
-	stepLoop(t, ticks, fc, 19)
+	stepLoop(ticks, fc, 19)
 	fc.Advance(wallStep)
 	r := <-out
 	if r.err != nil {
@@ -243,7 +246,7 @@ func TestOpenLoopShedsAtInFlightCap(t *testing.T) {
 func TestOpenLoopScrapesQueueDepth(t *testing.T) {
 	fc := clock.NewFake()
 	doer := &scriptedDoer{script: []scriptResp{{code: 200}}}
-	ticks := new(atomic.Int64)
+	ticks := make(chan struct{})
 	out := make(chan runOut, 1)
 	go func() {
 		res, err := runInstrumented(Config{
@@ -258,7 +261,7 @@ func TestOpenLoopScrapesQueueDepth(t *testing.T) {
 		out <- runOut{res, err}
 	}()
 	fc.BlockUntil(1)
-	stepLoop(t, ticks, fc, 39)
+	stepLoop(ticks, fc, 39)
 	fc.Advance(wallStep)
 	r := <-out
 	if r.err != nil {

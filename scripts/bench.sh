@@ -11,10 +11,12 @@
 # the output name must be explicit and an existing snapshot is never silently
 # clobbered: overwriting one requires BENCH_FORCE=1.
 #
-# Covers the root figure/ablation benchmarks and BenchmarkWarmRun (one
-# fully-warm served request in process; its store-read-B/op custom metric is
-# carried into the JSON as store_read_bytes_per_op) plus the hot internal
-# packages.
+# Covers the root figure/ablation benchmarks, BenchmarkWarmRun and
+# BenchmarkColdRun (one fully-warm / fully-cold served request in process;
+# the warm one's store-read-B/op custom metric is carried into the JSON as
+# store_read_bytes_per_op) plus the hot internal packages — among them
+# internal/tensor's BenchmarkSgemmRosterShapes, whose GFLOP/s per roster GEMM
+# shape and kernel body is carried as gflops.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -52,12 +54,13 @@ BEGIN { print "{"; print "  \"benchmarks\": [" ; n = 0 }
     name = $1
     sub(/-[0-9]+$/, "", name)
     iters = $2
-    ns = ""; bytes = ""; allocs = ""; storeread = ""
+    ns = ""; bytes = ""; allocs = ""; storeread = ""; gflops = ""
     for (i = 3; i < NF; i++) {
         if ($(i+1) == "ns/op") ns = $i
         if ($(i+1) == "B/op") bytes = $i
         if ($(i+1) == "allocs/op") allocs = $i
         if ($(i+1) == "store-read-B/op") storeread = $i
+        if ($(i+1) == "GFLOP/s") gflops = $i
     }
     if (ns == "") next
     if (n++) printf ",\n"
@@ -65,6 +68,7 @@ BEGIN { print "{"; print "  \"benchmarks\": [" ; n = 0 }
     if (bytes != "")  printf ", \"bytes_per_op\": %s", bytes
     if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
     if (storeread != "") printf ", \"store_read_bytes_per_op\": %s", storeread
+    if (gflops != "") printf ", \"gflops\": %s", gflops
     printf "}"
 }
 END { print ""; print "  ]"; print "}" }

@@ -39,8 +39,22 @@ echo "== go test -race (fault-injection critical packages) =="
 # aggregates that metrics callbacks read while runs write. internal/data,
 # internal/core and internal/lifecycle own the state concurrent runs share
 # read-only (catalog tables, the weights-checksum memo, a run's identity):
-# their sharing tests only mean something under the detector.
-go test -race -count=1 ./internal/faultinject/... ./internal/calib ./internal/dataflow ./internal/featurestore ./internal/share ./internal/tensor ./internal/cnn ./internal/workload ./internal/data ./internal/core ./internal/lifecycle
+# their sharing tests only mean something under the detector. internal/dl
+# sessions borrow one realized *cnn.Weights read-only across concurrent runs.
+go test -race -count=1 ./internal/faultinject/... ./internal/calib ./internal/dataflow ./internal/featurestore ./internal/share ./internal/tensor ./internal/cnn ./internal/dl ./internal/workload ./internal/data ./internal/core ./internal/lifecycle
+
+echo "== GEMM micro-kernel: pure-Go body, and a non-amd64 build =="
+# internal/tensor has two bodies of one micro-kernel contract: Go assembly
+# (AVX2+FMA) on amd64 and a pure-Go body everywhere else. The tests above ran
+# the parity suites over both on this runner; -tags purego additionally
+# builds the package the way every other GOARCH sees it (no assembly file, no
+# CPUID stub) and runs the layers on top of it. The arm64 cross-build (build
+# and vet only, nothing runs) keeps a non-amd64 build from rotting; go vet's
+# asmdecl pass, part of `go vet ./...` above, checks the assembly stubs
+# against their Go declarations.
+go test -count=1 -tags purego ./internal/tensor ./internal/cnn ./internal/dl
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/tensor
 
 echo "== chaos: -race short smoke =="
 go test -race -short -count=1 ./internal/chaos
@@ -67,7 +81,7 @@ echo "== core-count sweep (concurrent packages) =="
 # Orderings that only show at one GOMAXPROCS (a waiter that has not parked yet
 # on 1 core, a publish that outruns its persist on 4) are caught here, not on
 # whichever box runs tier-1 next.
-go test -count=5 -cpu 1,2,4 ./internal/calib ./internal/featurestore ./internal/share ./internal/admission ./cmd/vista-server ./internal/data ./internal/core ./internal/lifecycle
+go test -count=5 -cpu 1,2,4 ./internal/calib ./internal/featurestore ./internal/share ./internal/admission ./cmd/vista-server ./internal/data ./internal/core ./internal/lifecycle ./internal/tensor ./internal/cnn ./internal/dl
 
 echo "== vista-load smoke (admission flood, then shared-inference flood) =="
 # Two closed-loop floods of 12 identical-body clients against a real server,
@@ -84,6 +98,11 @@ echo "== vista-load smoke (admission flood, then shared-inference flood) =="
 #   now exposes vista_share_runs_total, vista-load also reconciles
 #   leader+follower+solo == admitted, dedup FLOPs > 0 once a follower ran, and
 #   open/waiting/live share gauges == 0.
+# load_rows sizes each request so one run is again about 0.1 s on a 2-core
+# box, which is what the queue depths and timeouts of these phases were tuned
+# for: with the vector GEMM kernel vista-load's default 40-row run takes
+# ~0.04 s and every queue drains before its timeout (no 429 at all).
+load_rows=160
 flood_tmp=$(mktemp -d)
 go build -o "$flood_tmp/vista-server" ./cmd/vista-server
 go build -o "$flood_tmp/vista-load" ./cmd/vista-load
@@ -101,7 +120,7 @@ flood_phase() {
     done
     "$flood_tmp/vista-load" -url "http://127.0.0.1:$port" -mode closed \
         -profile 'flood(0s,6s,12)' -duration 6s -time-scale 1 -tick 1s \
-        -request-timeout 2m | tee "$flood_tmp/$name.summary.txt"
+        -rows "$load_rows" -request-timeout 2m | tee "$flood_tmp/$name.summary.txt"
     curl -sf "http://127.0.0.1:$port/metrics" >"$flood_tmp/$name.metrics.txt"
     kill -TERM "$pid"
     if ! wait "$pid"; then
@@ -145,9 +164,9 @@ echo "== vista-load smoke (compressed overload replay) =="
 # responses, nothing failed at the transport layer, and the 429s carried
 # >= 2 distinct Retry-After values — the regression gate for the
 # static-hint retry herd. The queue is deep enough (48) that, at the ~0.1 s
-# a run takes on a 2-core box now that requests no longer generate their
-# dataset, its tail waits more than twice the 2 s timeout: a shallower queue
-# (or a longer timeout) drains too fast to produce any 429 there.
+# a $load_rows-row run takes on a 2-core box, its tail waits more than twice
+# the 2 s timeout: a shallower queue (or a longer timeout, or a lighter
+# request) drains too fast to produce any 429 there.
 load_tmp=$(mktemp -d)
 load_port=$((20000 + RANDOM % 10000))
 go build -o "$load_tmp/vista-server" ./cmd/vista-server
@@ -163,7 +182,7 @@ for _ in $(seq 1 50); do
 done
 "$load_tmp/vista-load" -url "http://127.0.0.1:$load_port" \
     -profile 'const(1) + flood(4m,3m,25) + flood(16m,8m,45)' \
-    -duration 30m -time-scale 60 -tick 2m \
+    -duration 30m -time-scale 60 -tick 2m -rows "$load_rows" \
     -min-retry-distinct 2 -max-inflight 1024 \
     -timeline "$load_tmp/timeline.csv" | tee "$load_tmp/summary.txt"
 # The herd gate only binds when the run actually throttled; make sure the
