@@ -148,9 +148,10 @@ const defaultSLOP99 = 60.0
 // server retains for /trace and /timeseries lookups.
 const defaultRunHistory = 16
 
-// defaultShareWindow is how long the first /run of a sharing group holds the
-// group open: long enough to catch a concurrent flood of identical requests,
-// short enough to be negligible against a real run's execution time.
+// defaultShareWindow is how long after its first /run a sharing group accepts
+// identical joiners. No request waits for it: the first arrival leads at
+// once, and the window only bounds who may follow and how long the group's
+// handoff stays alive for them.
 const defaultShareWindow = 150 * time.Millisecond
 
 // serverConfig assembles everything an api instance needs. The zero value
@@ -171,10 +172,11 @@ type serverConfig struct {
 	// (0 = defaultRunHistory).
 	runHistory int
 	// share enables multi-query shared inference for concurrent identical
-	// /run requests; shareWindow is the batching window (0 = the default).
+	// /run requests; shareWindow is how long a group accepts joiners (0 =
+	// the default).
 	share       bool
 	shareWindow time.Duration
-	// clk is the time source for admission deadlines and share windows
+	// clk is the time source for admission deadlines and share joinability
 	// (nil = the wall clock); tests inject a fake for deterministic timing.
 	clk clock.Clock
 	// calib is the calibration recorder (nil = a fresh memory-only one);
@@ -196,19 +198,6 @@ type serverConfig struct {
 	refitInterval time.Duration
 	// logger receives server logs (nil = discard; main wires stderr).
 	logger *slog.Logger
-}
-
-// newHandler builds the service mux around a shared feature store (nil
-// disables cross-run caching), with the default latency SLO and no
-// admission budget.
-func newHandler(store *featurestore.Store) http.Handler {
-	return newAPI(serverConfig{store: store, sloP99: defaultSLOP99}).handler()
-}
-
-// newHandlerSLO is newHandler with an explicit p99 latency bound (seconds)
-// for /healthz?slo=1.
-func newHandlerSLO(store *featurestore.Store, sloP99 float64) http.Handler {
-	return newAPI(serverConfig{store: store, sloP99: sloP99}).handler()
 }
 
 // newAPI builds the service state from cfg.

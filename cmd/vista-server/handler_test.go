@@ -12,6 +12,19 @@ import (
 	"repro/internal/memory"
 )
 
+// newHandler builds the service mux around a shared feature store (nil
+// disables cross-run caching), with the default latency SLO and no
+// admission budget.
+func newHandler(store *featurestore.Store) http.Handler {
+	return newHandlerSLO(store, defaultSLOP99)
+}
+
+// newHandlerSLO is newHandler with an explicit p99 latency bound (seconds)
+// for /healthz?slo=1.
+func newHandlerSLO(store *featurestore.Store, sloP99 float64) http.Handler {
+	return newAPI(serverConfig{store: store, sloP99: sloP99}).handler()
+}
+
 func doJSON(t *testing.T, h http.Handler, method, path, body string) (int, map[string]any) {
 	t.Helper()
 	req := httptest.NewRequest(method, path, strings.NewReader(body))

@@ -35,11 +35,13 @@
 // return the whole reservation.
 //
 // With -share, concurrent /run requests whose workload fingerprint matches
-// (same model, weights, and image content) coalesce into one sharing group
-// during -share-window: a single leader executes the partial-CNN pass to the
-// maximum requested layer and every follower attaches the leader's feature
-// tables — never opening a DL session and paying only a marginal admission
-// price — before finishing its own downstream training independently.
+// (same model, weights, and image content) coalesce into one sharing group:
+// the first arrival leads at once and executes the partial-CNN pass, and
+// every identical request arriving within -share-window while the group is
+// still running — and asking for no more layers — follows, attaching the
+// leader's feature tables (never opening a DL session and paying only a
+// marginal admission price) before finishing its own downstream training
+// independently. No request waits for the window.
 //
 // Every completed /run also feeds the cost model's drift observatory
 // (internal/calib): its estimate-vs-measured stage pairs append to the
@@ -98,7 +100,7 @@ func main() {
 	shareOn := flag.Bool("share", false,
 		"enable multi-query shared inference: concurrent /run requests on the same (model, weights, data) coalesce into one shared partial-CNN pass")
 	shareWindow := flag.Duration("share-window", defaultShareWindow,
-		"how long the first /run of a sharing group holds the group open for identical requests (requires -share)")
+		"how long after its first /run a sharing group accepts identical requests and keeps its handoff for them; adds no latency (requires -share)")
 	convWorkers := flag.Int("conv-workers", 0,
 		"process-wide CNN compute parallelism: how many rows of a batch are inferred side by side, across all runs (0 = GOMAXPROCS); see docs/OPERATIONS.md for tuning under admission control")
 	calibLog := flag.String("calib-log", "",

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/share"
 )
@@ -74,7 +76,7 @@ func TestSharedRunsServeTracesPerMember(t *testing.T) {
 		queueTimeout:   30 * time.Second,
 		runHistory:     parallel,
 		share:          true,
-		shareWindow:    500 * time.Millisecond,
+		clk:            clock.NewFake(), // the group never stops accepting joiners on time
 	})
 	srv := httptest.NewServer(a.handler())
 	defer srv.Close()
@@ -100,8 +102,9 @@ func TestSharedRunsServeTracesPerMember(t *testing.T) {
 		}
 		roles[r.role]++
 	}
-	// All requests land inside one window, so the whole flood shares one
-	// group: exactly one leader, everyone else following.
+	// The first arrival leads, and every other request arrives while its
+	// pass is still running, so the whole flood shares one group: exactly one
+	// leader, everyone else following.
 	if roles["leader"] != 1 || roles["follower"] != parallel-1 || roles["solo"] != 0 {
 		t.Errorf("roles = %v, want 1 leader + %d followers", roles, parallel-1)
 	}
@@ -211,5 +214,46 @@ func TestShareMismatchedRequestsStaySolo(t *testing.T) {
 	st := a.life.Share.Stats()
 	if st.Solos != 2 || st.Followers != 0 || st.Leaders != 0 {
 		t.Errorf("stats = %+v, want 2 solos", st)
+	}
+}
+
+// TestShareServesWithoutWindowWait: on a -share server whose clock never
+// moves, a lone /run and a lockstep identical pair both complete — the first
+// arrival leads at once and nobody waits out -share-window. A server that
+// made runs wait for the window would hold each request until its context
+// deadline and answer 499, so this fails rather than hangs.
+func TestShareServesWithoutWindowWait(t *testing.T) {
+	a := newAPI(serverConfig{sloP99: defaultSLOP99, share: true, clk: clock.NewFake()})
+	h := a.handler()
+	post := func() int {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		req := httptest.NewRequest(http.MethodPost, "/run", strings.NewReader(runBody(24, 1))).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	if code := post(); code != http.StatusOK {
+		t.Fatalf("lone /run = %d, want 200", code)
+	}
+	codes := make([]int, 2)
+	var wg sync.WaitGroup
+	for i := range codes {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			codes[i] = post()
+		}(i)
+	}
+	wg.Wait()
+	if codes[0] != http.StatusOK || codes[1] != http.StatusOK {
+		t.Fatalf("lockstep pair = %v, want two 200s", codes)
+	}
+	st := a.life.Share.Stats()
+	if total := st.Leaders + st.Followers + st.Solos; total != 3 || st.Aborted != 0 {
+		t.Errorf("share outcomes = %+v, want 3 started runs and no aborts", st)
+	}
+	if st.OpenGroups != 0 || st.WaitingMembers != 0 || st.LiveGroups != 0 {
+		t.Errorf("coordinator not drained: %+v", st)
 	}
 }

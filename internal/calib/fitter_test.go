@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -236,12 +235,23 @@ func TestFitterPersistsBeforePublishing(t *testing.T) {
 }
 
 func TestFitterTickerLoopOnFakeClock(t *testing.T) {
+	defer faultinject.DisarmAll()
 	fc := clock.NewFake()
 	path := filepath.Join(t.TempDir(), "profile.json")
 	f, rec := newTestFitter(t, fc, path)
 	for i := 0; i < 4; i++ {
 		recordInfer(t, rec, 25, 1)
 	}
+	// The loop's refit persists the profile before publishing it, holding
+	// f.mu throughout; the save's rename is the event that a refit is under
+	// way, and taking f.mu afterwards waits for it to be published.
+	persisting := make(chan struct{}, 1)
+	faultinject.Arm(FaultProfileSave+".rename", faultinject.Callback(func() {
+		select {
+		case persisting <- struct{}{}:
+		default:
+		}
+	}))
 	f.Start()
 	defer f.Stop()
 	fc.BlockUntil(1) // loop's ticker is registered
@@ -252,11 +262,11 @@ func TestFitterTickerLoopOnFakeClock(t *testing.T) {
 		t.Fatal("refit fired before the interval")
 	}
 	fc.Advance(time.Second)
-	for i := 0; f.Refits() < 1; i++ {
-		if i > 1e7 {
-			t.Fatal("tick never produced a refit")
-		}
-		runtime.Gosched()
+	<-persisting
+	f.mu.Lock() // empty critical section: returns once the refit holding f.mu published
+	f.mu.Unlock()
+	if f.Refits() != 1 {
+		t.Fatalf("refits after the first tick = %d, want 1", f.Refits())
 	}
 	if got := f.Active().ScaleFor(KindInfer); got != 0.04 {
 		t.Errorf("loop-fitted factor = %v, want 0.04", got)

@@ -25,8 +25,8 @@ func Price(spec Spec) (int64, error) {
 // group leader's feature tables instead of executing its own partial
 // inference. The group pays the leader's full Price once; each follower is
 // charged only its marginal reservation — the same decision with DL
-// Execution Memory zeroed (sim.FollowerCost), since a follower never opens a
-// DL session. This is the Eq. 16 cost-model extension that lets the
+// Execution Memory zeroed (sim.FollowerCostScaled), since a follower never
+// opens a DL session. This is the Eq. 16 cost-model extension that lets the
 // admission controller accept shared groups the solo pricing would have
 // serialized.
 func PriceFollower(spec Spec) (int64, error) {

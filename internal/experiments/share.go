@@ -13,9 +13,10 @@ import (
 	"repro/internal/share"
 )
 
-// shareWindow is how long the sharing-on flood's first arrival holds the
-// group open. The flood launches every request at once, so a short window
-// is ample and keeps its cost out of the throughput measurement.
+// shareWindow is how long after the sharing-on flood's first arrival its
+// group accepts joiners. Nobody waits for it, so it costs the throughput
+// measurement nothing; the flood launches every request at once, so every
+// one arrives while the leader's pass is still running.
 const shareWindow = 250 * time.Millisecond
 
 // SharePoint is one side of the shared-inference comparison: the same flood

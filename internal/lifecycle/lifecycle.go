@@ -8,12 +8,14 @@
 //
 // The order Do enforces: apply the active calibration profile's scales, so
 // plan choice and pricing see one cost model; resolve the run's identity
-// (core.Resolve) once for everything below; join the sharing group; as a
-// follower, wait for the leader before admission, holding zero budget (a
-// queued follower must never starve its own leader), then re-read the role,
-// since a failed leader promotes a follower; price by role and hold the grant
-// for the whole run; run; record calibration while still holding grant and
-// ticket; release the grant, then finish the ticket with the run's error.
+// (core.Resolve) once for everything below; join the sharing group, which
+// never waits (the first arrival leads at once); as a follower, wait for the
+// leader before admission, holding zero budget (a queued follower must never
+// starve its own leader), then re-read the role, since a failed leader
+// promotes a follower; price by role and hold the grant for the whole run;
+// run; record calibration while still holding grant and ticket; release the
+// grant, then finish the ticket with the run's error, which commits the role
+// the outcome reports.
 package lifecycle
 
 import (
@@ -72,7 +74,7 @@ const (
 	// RejectedOverload: the admission queue was full or the run's price
 	// exceeds the whole budget; not worth an immediate retry.
 	RejectedOverload
-	// Abandoned: ctx was cancelled — while the sharing window was open, while
+	// Abandoned: ctx was cancelled — before joining a sharing group, while
 	// waiting for a leader or for budget, or mid-run.
 	Abandoned
 	// GroupFailed: the run was a sharing follower and every candidate leader
@@ -133,14 +135,21 @@ func (l *Runner) Do(ctx context.Context, spec core.Spec, dataset string) (out Ou
 				share.Identity{Model: fp.Model, WeightsSum: fp.WeightsSum, DataSum: fp.DataSum},
 				share.Member{NumLayers: fp.NumLayers, InferenceFLOPs: fp.InferenceFLOPs})
 			if err != nil {
-				// Cancelled while the window was open; the member withdrew.
+				// The request was already cancelled; it never joined.
 				return Outcome{Kind: Abandoned, Err: err}
 			}
 		}
 	}
 	// out.Err is nil only when the run completed, so this settles the ticket
-	// with the run's real outcome on every return below.
-	defer func() { ticket.Finish(out.Err) }()
+	// with the run's real outcome on every return below. Finish commits the
+	// role, so a completed run reports it afterwards: a leader nobody joined
+	// is a solo.
+	defer func() {
+		ticket.Finish(out.Err)
+		if out.Kind == Completed && ticket != nil {
+			out.Role, out.GroupSize = ticket.Role(), ticket.GroupSize()
+		}
+	}()
 
 	role := ticket.Role()
 	if role == share.Follower {
@@ -188,9 +197,6 @@ func (l *Runner) Do(ctx context.Context, spec core.Spec, dataset string) (out Ou
 		return out
 	}
 	out = Outcome{Kind: Completed, Result: res, RunSeq: seq}
-	if ticket != nil {
-		out.Role, out.GroupSize = ticket.Role(), ticket.GroupSize()
-	}
 	if l.Calib != nil {
 		// The active profile is read again here: a refit may have landed
 		// while the run executed, and the record must measure the residual

@@ -154,15 +154,16 @@ func TestDoAbandoned(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	// Cancelled before the sharing window closes: the member withdraws and
-	// no run ever starts.
+	// Cancelled before joining a sharing group: no group opens and no run
+	// ever starts.
 	coord, err := share.New(share.Config{Window: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	shared := &Runner{Share: coord}
-	if out := shared.Do(ctx, spec, "foods"); out.Kind != Abandoned || out.RunSeq != 0 {
-		t.Errorf("outcome in the window = %+v, want Abandoned before any run", out)
+	if out := shared.Do(ctx, spec, "foods"); out.Kind != Abandoned || out.RunSeq != 0 ||
+		!errors.Is(out.Err, share.ErrJoinCancelled) {
+		t.Errorf("outcome at Join = %+v, want Abandoned with ErrJoinCancelled before any run", out)
 	}
 	settled(t, shared)
 

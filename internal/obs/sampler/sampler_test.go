@@ -1,7 +1,6 @@
 package sampler
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
@@ -160,20 +159,27 @@ func TestRecordingValueAtAndKeys(t *testing.T) {
 func TestSamplerLiveLoop(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := reg.Gauge("vista_pool_used_bytes", "pool", obs.Label{Key: "pool", Value: "storage"})
+	const ticks = 25
+	// The event each frame raises: a probe series the sampler reads after the
+	// gauge (series are read in name order). Sized for every frame — the
+	// initial one, one per tick and Stop's final one — so it never blocks.
+	sampled := make(chan struct{}, ticks+2)
+	reg.GaugeFunc("vista_pool_zz_probe", "test probe", func() float64 {
+		sampled <- struct{}{}
+		return 0
+	})
 	fc := clock.NewFake()
 	s := Start(Config{Registry: reg, Every: 10 * time.Millisecond, Clock: fc})
+	<-sampled        // Start's initial frame
 	fc.BlockUntil(1) // loop goroutine's ticker is registered
 
-	const ticks = 25
 	for i := 0; i < ticks; i++ {
 		g.Set(float64(i + 1))
 		fc.Advance(10 * time.Millisecond)
-		// The tick lands in the ticker's 1-buffered channel; wait for the
-		// loop goroutine to consume it (head advances) before the next tick,
-		// or back-to-back Advances would drop ticks like a real ticker.
-		for s.head.Load() < int64(i)+2 { // +1 initial frame, +1 per tick
-			runtime.Gosched()
-		}
+		// The tick lands in the ticker's 1-buffered channel; wait until the
+		// loop goroutine has consumed it and read the gauge before the next
+		// tick, or back-to-back Advances would drop ticks like a real ticker.
+		<-sampled
 	}
 	rec := s.Stop()
 	if want := ticks + 2; len(rec.Frames) != want {

@@ -2,12 +2,12 @@ package share_test
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/faultinject"
@@ -45,28 +45,31 @@ func tinySpec(t *testing.T, rows, layers int, seed int64) core.Spec {
 type memberResult struct {
 	role     share.Role // role at Start time (after any promotion)
 	promoted bool
+	layers   int
 	res      *core.Result
 	err      error
 }
 
-// runShared drives one spec through the coordinator exactly as the server's
-// handleRun does: join, follower-awaits-leader, attach source/sink by role,
-// start, run, finish.
-func runShared(t *testing.T, c *share.Coordinator, spec core.Spec) memberResult {
+// join announces spec to the coordinator the way lifecycle.Do does.
+func join(t *testing.T, c *share.Coordinator, spec core.Spec) *share.Ticket {
 	t.Helper()
 	fp, ok := core.ShareFingerprint(spec)
 	if !ok {
-		t.Error("spec unexpectedly not shareable")
-		return memberResult{}
+		t.Fatal("spec unexpectedly not shareable")
 	}
 	tk, err := c.Join(context.Background(),
 		share.Identity{Model: fp.Model, WeightsSum: fp.WeightsSum, DataSum: fp.DataSum},
 		share.Member{NumLayers: fp.NumLayers, InferenceFLOPs: fp.InferenceFLOPs})
 	if err != nil {
-		t.Errorf("Join: %v", err)
-		return memberResult{}
+		t.Fatalf("Join: %v", err)
 	}
-	out := memberResult{role: tk.Role()}
+	return tk
+}
+
+// runJoined drives one joined spec exactly as lifecycle.Do does:
+// follower-awaits-leader, attach source/sink by role, start, run, finish.
+func runJoined(tk *share.Ticket, spec core.Spec) memberResult {
+	out := memberResult{role: tk.Role(), layers: spec.NumLayers}
 	if tk.Role() == share.Follower {
 		att, aerr := tk.AwaitLeader(context.Background())
 		if aerr != nil {
@@ -89,36 +92,52 @@ func runShared(t *testing.T, c *share.Coordinator, spec core.Spec) memberResult 
 	return out
 }
 
-func TestSharedRunEndToEnd(t *testing.T) {
-	c, err := share.New(share.Config{Window: 100 * time.Millisecond})
+// runAll runs every joined member concurrently and returns their results in
+// order.
+func runAll(tickets []*share.Ticket, specs []core.Spec) []memberResult {
+	results := make([]memberResult, len(tickets))
+	var wg sync.WaitGroup
+	for i := range tickets {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i] = runJoined(tickets[i], specs[i])
+		}(i)
+	}
+	wg.Wait()
+	return results
+}
+
+// newFakeCoordinator builds a coordinator whose window never closes: the
+// fake clock is never advanced, and no Join waits for it.
+func newFakeCoordinator(t *testing.T) *share.Coordinator {
+	t.Helper()
+	c, err := share.NewObserved(share.Config{Window: time.Minute, Clock: clock.NewFake()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return c
+}
+
+func drained(t *testing.T, c *share.Coordinator) {
+	t.Helper()
+	if st := c.Stats(); st.OpenGroups != 0 || st.WaitingMembers != 0 || st.LiveGroups != 0 {
+		t.Errorf("coordinator not drained: %+v", st)
+	}
+}
+
+func TestSharedRunEndToEnd(t *testing.T) {
+	c := newFakeCoordinator(t)
 	const rows = 48
 
 	// The leader explores two layers, the follower one: the follower's
 	// feature set is a subset of the leader's, so one pass covers both.
-	var wg sync.WaitGroup
-	results := make([]memberResult, 2)
-	for i, layers := range []int{2, 1} {
-		wg.Add(1)
-		go func(i, layers int) {
-			defer wg.Done()
-			results[i] = runShared(t, c, tinySpec(t, rows, layers, 7))
-		}(i, layers)
-	}
-	wg.Wait()
-
-	var leader, follower memberResult
-	for _, r := range results {
-		switch r.role {
-		case share.Leader:
-			leader = r
-		case share.Follower:
-			follower = r
-		default:
-			t.Fatalf("member sealed as %v; the group did not form", r.role)
-		}
+	specs := []core.Spec{tinySpec(t, rows, 2, 7), tinySpec(t, rows, 1, 7)}
+	tickets := []*share.Ticket{join(t, c, specs[0]), join(t, c, specs[1])}
+	results := runAll(tickets, specs)
+	leader, follower := results[0], results[1]
+	if leader.role != share.Leader || follower.role != share.Follower {
+		t.Fatalf("roles = %v/%v, want the first arrival leading", leader.role, follower.role)
 	}
 	if leader.err != nil || follower.err != nil {
 		t.Fatalf("run errors: leader %v, follower %v", leader.err, follower.err)
@@ -170,9 +189,7 @@ func TestSharedRunEndToEnd(t *testing.T) {
 	if st.DedupFLOPs <= 0 {
 		t.Errorf("dedup FLOPs = %d, want > 0", st.DedupFLOPs)
 	}
-	if st.OpenGroups != 0 || st.WaitingMembers != 0 || st.LiveGroups != 0 {
-		t.Errorf("coordinator not drained: %+v", st)
-	}
+	drained(t, c)
 }
 
 func TestSharedRunLeaderFaultPromotesFollower(t *testing.T) {
@@ -183,39 +200,21 @@ func TestSharedRunLeaderFaultPromotesFollower(t *testing.T) {
 	defer faultinject.DisarmAll()
 	faultinject.Arm(core.FaultStage+":infer", faultinject.FailNth(2))
 
-	c, err := share.New(share.Config{Window: 100 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newFakeCoordinator(t)
 	const rows = 32
+	specs := []core.Spec{tinySpec(t, rows, 2, 11), tinySpec(t, rows, 2, 11)}
+	tickets := []*share.Ticket{join(t, c, specs[0]), join(t, c, specs[1])}
+	results := runAll(tickets, specs)
+	failed, promoted := results[0], results[1]
 
-	var wg sync.WaitGroup
-	results := make([]memberResult, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = runShared(t, c, tinySpec(t, rows, 2, 11))
-		}(i)
-	}
-	wg.Wait()
-
-	var failed, promoted memberResult
-	for _, r := range results {
-		if r.promoted {
-			promoted = r
-		} else {
-			failed = r
-		}
-	}
 	if failed.err == nil {
-		t.Fatal("no member failed although the infer failpoint was armed")
+		t.Fatal("the leader did not fail although the infer failpoint was armed")
 	}
 	if _, ok := faultinject.AsFault(failed.err); !ok {
 		t.Errorf("leader error %v is not the typed injected fault", failed.err)
 	}
-	if promoted.res == nil {
-		t.Fatalf("no follower was promoted (errors: %v / %v)", results[0].err, results[1].err)
+	if !promoted.promoted || promoted.res == nil {
+		t.Fatalf("the follower was not promoted (errors: %v / %v)", failed.err, promoted.err)
 	}
 	if promoted.err != nil {
 		t.Fatalf("promoted follower failed: %v", promoted.err)
@@ -236,9 +235,66 @@ func TestSharedRunLeaderFaultPromotesFollower(t *testing.T) {
 	if st.Leaders != 2 || st.Followers != 0 {
 		t.Errorf("stats = %+v, want 2 leaders (1 failed + 1 promoted)", st)
 	}
-	if st.OpenGroups != 0 || st.WaitingMembers != 0 || st.LiveGroups != 0 {
-		t.Errorf("coordinator not drained after the fault: %+v", st)
+	drained(t, c)
+}
+
+// TestPromotedPassCoversEveryFollower is the regression test for promotion
+// by join order: a 5-layer leader dies at its first stage while a 2-layer
+// follower and then a 4-layer one are parked. Promoting the 2-layer one
+// would leave the 4-layer follower attaching an incomplete handoff — running
+// stages live while priced as a follower and credited as deduplicated. Every
+// member that reports follower must have attached all of its layers.
+func TestPromotedPassCoversEveryFollower(t *testing.T) {
+	defer faultinject.DisarmAll()
+	c := newFakeCoordinator(t)
+	const rows = 32
+	var specs []core.Spec
+	var tickets []*share.Ticket
+	for _, layers := range []int{5, 2, 4} {
+		spec := tinySpec(t, rows, layers, 7)
+		spec.ModelName = "tiny-resnet50"
+		specs = append(specs, spec)
+		tickets = append(tickets, join(t, c, spec))
 	}
+	results := make([]memberResult, len(tickets))
+	var wg sync.WaitGroup
+	for i := 1; i < len(tickets); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i] = runJoined(tickets[i], specs[i])
+		}(i)
+		share.WaitParked(c, tickets[i]) // the 2-layer follower parks first
+	}
+	faultinject.Arm(core.FaultStage+":infer", faultinject.FailNth(1))
+	results[0] = runJoined(tickets[0], specs[0])
+	wg.Wait()
+
+	if results[0].err == nil {
+		t.Fatal("the leader did not fail although the infer failpoint was armed")
+	}
+	var followers, promoted int
+	for i, r := range results[1:] {
+		if r.err != nil {
+			t.Fatalf("member %d (%d layers): %v", i+1, r.layers, r.err)
+		}
+		switch r.role {
+		case share.Follower:
+			followers++
+			if k := r.res.Cache; k.StagesShared != r.layers || k.StagesExecuted != 0 {
+				t.Errorf("%d-layer follower cache report = %+v, want %d shared / 0 executed", r.layers, k, r.layers)
+			}
+		case share.Leader:
+			promoted++
+			if r.layers != 4 {
+				t.Errorf("promoted the %d-layer follower, want the 4-layer one", r.layers)
+			}
+		}
+	}
+	if followers != 1 || promoted != 1 {
+		t.Errorf("got %d followers / %d promoted, want 1/1", followers, promoted)
+	}
+	drained(t, c)
 }
 
 func TestFingerprintGates(t *testing.T) {
@@ -293,6 +349,3 @@ func TestFollowerPriceBelowFull(t *testing.T) {
 		t.Errorf("follower price = %d, want > 0 (storage+user memory remains)", follower)
 	}
 }
-
-// Guard against silently-unused imports when assertions change.
-var _ = errors.Is

@@ -1,28 +1,40 @@
-// Package share implements multi-query shared inference: a sharing planner
-// and run coalescer that batches concurrent feature-transfer runs whose
-// feature-store content address (model, weights checksum, image-content
-// checksum) matches into one shared partial-CNN pass.
+// Package share implements multi-query shared inference: a run coalescer that
+// lets concurrent feature-transfer runs whose feature-store content address
+// (model, weights checksum, image-content checksum) matches share one
+// partial-CNN pass.
 //
 // Vista's Staged plan removes redundant CNN inference *within* one query;
 // this package removes it *across* queries — the DB-style multi-query
 // optimization the RDBMS-for-ML literature argues for, applied to Vista's
-// core contribution. Runs announce themselves to a Coordinator while they
-// would otherwise wait independently; runs that agree on what they compute
-// are grouped during a short window. The group elects a leader — the member
-// exploring the most feature layers, so its pass is a superset of everyone
-// else's — which executes one live partial-inference pass and publishes every
-// per-layer feature table into the group's in-memory Handoff (and, when a
-// feature store is configured, to disk for future runs). Followers attach the
-// leader's tables without ever opening a DL session and finish their own
-// downstream stages (joins, training) independently. A leader that fails or
-// is cancelled mid-pass promotes the next live follower, which resumes from
-// whatever the failed pass already published.
+// core contribution. Join never blocks. The first arrival on an identity
+// leads its group at once: it goes straight to admission and executes the
+// live partial-inference pass, publishing every per-layer feature table into
+// the group's in-memory Handoff (and, when a feature store is configured, to
+// disk for future runs). An identical run that arrives while the group is
+// joinable — within Window of its first arrival, before its last member
+// finished — and requests no more layers than the leader follows: it parks
+// in AwaitLeader, then attaches the leader's tables without ever opening a DL
+// session and finishes its own downstream stages (joins, training)
+// independently. The window therefore adds no latency to anyone; it bounds
+// who may join a group and how long the group keeps its handoff alive.
+//
+// The first arrival leads, rather than the member exploring the most layers,
+// because electing the deepest member means knowing every member, which means
+// making each of them wait out the window — even runs nobody ever joins. The
+// pass a follower waits for is the leader's own, already running. A joiner
+// that asks for more layers than the leader's pass covers opens a new group
+// under the same identity; the old one keeps its members and admits nobody.
+//
+// A leader that fails or is cancelled mid-pass promotes the parked follower
+// requesting the most layers, which resumes from whatever the failed pass
+// already published; a follower whose layers the delivering pass did not
+// cover is promoted instead of attached.
 //
 // The Coordinator enforces an exactly-one-outcome invariant mirroring
-// internal/admission: every run that starts executing under a sealed group is
-// counted in exactly one of the leader / follower / solo counters, members
-// that give up before running are counted aborted, and group handoffs are
-// freed once the last member finishes.
+// internal/admission: Finish counts every member that started executing in
+// exactly one of the leader / follower / solo counters (a leader nobody
+// joined is a solo), members that give up before running are counted
+// aborted, and a group's handoff is freed once its last member finishes.
 package share
 
 import (
@@ -45,9 +57,9 @@ var (
 	// ErrGroupFailed means every member that could have executed the shared
 	// pass failed; the wrapped error is the last leader's.
 	ErrGroupFailed = errors.New("share: every candidate leader failed")
-	// ErrJoinCancelled means the caller's context was cancelled while its
-	// group's window was still open.
-	ErrJoinCancelled = errors.New("share: join cancelled before group sealed")
+	// ErrJoinCancelled means the caller's context was already done when it
+	// called Join.
+	ErrJoinCancelled = errors.New("share: join cancelled")
 )
 
 // Identity is the sharing key: the featurestore.Key prefix two runs must
@@ -63,13 +75,12 @@ type Identity struct {
 	DataSum string
 }
 
-// Member describes one run joining a group, for leader election and the
-// deduplicated-FLOPs accounting.
+// Member describes one run joining a group, for joinability, promotion and
+// the deduplicated-FLOPs accounting.
 type Member struct {
-	// NumLayers is the run's |L|; the member with the largest value leads,
-	// because feature layers are selected top-down: the top-k set of every
-	// smaller request is a subset of the leader's, so one pass to the max
-	// requested layer covers every follower.
+	// NumLayers is the run's |L|. Feature layers are selected top-down, so
+	// the top-k set of every smaller request is a subset of a k-layer pass:
+	// a follower may join a leader requesting at least as many layers.
 	NumLayers int
 	// InferenceFLOPs estimates the total partial-inference FLOPs this run
 	// would spend executing alone (plan FLOPs/image × rows). When the run
@@ -77,13 +88,13 @@ type Member struct {
 	InferenceFLOPs int64
 }
 
-// Role is a sealed member's execution role.
+// Role is a member's execution role.
 type Role int
 
-// Roles. Solo is the zero value: a member whose window expired with no peers
-// runs exactly as it would have without sharing.
+// Roles. Solo is the zero value: a run nobody joined runs exactly as it would
+// have without sharing.
 const (
-	// Solo runs alone: no peer matched its identity within the window.
+	// Solo ran alone: no peer joined its group.
 	Solo Role = iota
 	// Leader executes the one live partial-inference pass for its group.
 	Leader
@@ -105,66 +116,65 @@ func (r Role) String() string {
 
 // Config sizes a Coordinator.
 type Config struct {
-	// Window is how long the first arrival holds its group open for more
-	// identical runs. Must be positive: a zero window would seal every group
-	// at size one and share nothing.
+	// Window is how long after its first arrival a group accepts identical
+	// joiners, and so how long its handoff can be kept alive for them. No run
+	// waits for it. Must be positive: a zero window would admit no joiner
+	// and share nothing.
 	Window time.Duration
-	// MaxGroup seals a group early once it reaches this many members
-	// (0 = unbounded; the window is the only trigger).
-	MaxGroup int
 	// Metrics, when non-nil, receives the coordinator's observability series
 	// (vista_share_*).
 	Metrics *obs.Registry
-	// Clock is the time source for the batching window (nil = the wall
-	// clock). Tests inject clock.NewFake() to seal groups deterministically.
+	// Clock is the time source joinability is checked against (nil = the
+	// wall clock).
 	Clock clock.Clock
 }
 
 // Stats is a point-in-time snapshot of a Coordinator's accounting. At
 // quiescence Leaders + Followers + Solos counts every run that started
-// executing, and Aborted counts every member that sealed into a group but
-// gave up before running; each sealed member lands in exactly one of the
-// four.
+// executing, and Aborted counts every member that gave up before running;
+// each member lands in exactly one of the four.
 type Stats struct {
-	Leaders    int64 // runs that executed the live pass for a group (incl. promoted)
+	Leaders    int64 // runs that executed the live pass for a group others joined (incl. promoted)
 	Followers  int64 // runs that attached a leader's tables
-	Solos      int64 // runs that sealed alone and executed normally
+	Solos      int64 // runs that executed alone: nobody joined their group
 	Aborted    int64 // members that gave up before starting (admission failure, cancelled wait)
 	Promotions int64 // followers promoted to leader after a leader failure
-	// Groups counts sealed groups with at least two members.
+	// Groups counts groups that gained at least one follower.
 	Groups int64
 	// DedupFLOPs sums the estimated inference FLOPs follower attaches saved.
 	DedupFLOPs int64
-	// OpenGroups and WaitingMembers describe groups still inside their
-	// window; LiveGroups counts sealed groups whose members have not all
-	// finished (handoffs not yet freed).
+	// OpenGroups counts groups still accepting joiners, WaitingMembers the
+	// followers parked in AwaitLeader, and LiveGroups the groups whose
+	// members have not all finished (handoffs not yet freed).
 	OpenGroups     int
 	WaitingMembers int
 	LiveGroups     int
 }
 
-// Coordinator groups concurrent runs by Identity and arbitrates leader
-// election, handoff delivery, and promotion. A nil *Coordinator is valid and
-// shares nothing (every Join returns a Solo ticket with no group).
+// Coordinator groups concurrent runs by Identity and arbitrates handoff
+// delivery and promotion. A nil *Coordinator is valid and shares nothing
+// (every Join returns a nil ticket, which every Ticket method treats as solo).
 type Coordinator struct {
 	cfg Config
 	clk clock.Clock
 
-	mu   sync.Mutex
-	open map[Identity]*group // groups still inside their window
-	live int                 // sealed groups not yet freed
+	mu sync.Mutex
+	// latest is each identity's most recent group; it accepts joiners while
+	// joinableLocked says so and is removed when its last member finishes.
+	latest map[Identity]*group
+	live   int // groups not yet freed
+	parked int // followers parked in AwaitLeader
 
 	leaders, followers, solos int64
 	aborted, promotions       int64
 	groups                    int64
 	dedupFLOPs                int64
-	waiting                   int
 
 	sizeHist *obs.Histogram // nil when cfg.Metrics is nil
 
-	// changed, when non-nil, is broadcast (under mu) whenever waiting or a
-	// ticket's awaiting changes. Only tests set it: it is the event they wait
-	// on for "n members are inside Join" or "this follower is parked".
+	// changed, when non-nil, is broadcast (under mu) whenever a follower
+	// parks or is woken. Only tests set it: it is the event they wait on for
+	// "this follower is parked".
 	changed *sync.Cond
 }
 
@@ -181,14 +191,11 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Window <= 0 {
 		return nil, fmt.Errorf("share: window must be positive, got %s", cfg.Window)
 	}
-	if cfg.MaxGroup < 0 {
-		return nil, fmt.Errorf("share: max group must be >= 0, got %d", cfg.MaxGroup)
-	}
-	c := &Coordinator{cfg: cfg, clk: clock.Or(cfg.Clock), open: make(map[Identity]*group)}
+	c := &Coordinator{cfg: cfg, clk: clock.Or(cfg.Clock), latest: make(map[Identity]*group)}
 	if reg := cfg.Metrics; reg != nil {
 		role := func(r string, f func(Stats) int64) {
 			reg.CounterFunc("vista_share_runs_total",
-				"Runs executed under the sharing planner, by sealed role.",
+				"Runs executed under the sharing planner, by the role committed when they finished.",
 				func() float64 { return float64(f(c.Stats())) },
 				obs.Label{Key: "role", Value: r})
 		}
@@ -202,22 +209,22 @@ func New(cfg Config) (*Coordinator, error) {
 			"Followers promoted to leader after a leader failure or cancellation.",
 			func() float64 { return float64(c.Stats().Promotions) })
 		reg.CounterFunc("vista_share_groups_total",
-			"Sealed groups with at least two members.",
+			"Groups that gained at least one follower.",
 			func() float64 { return float64(c.Stats().Groups) })
 		reg.CounterFunc("vista_share_dedup_flops_total",
 			"Estimated CNN inference FLOPs saved by follower attaches.",
 			func() float64 { return float64(c.Stats().DedupFLOPs) })
 		reg.GaugeFunc("vista_share_open_groups",
-			"Groups still inside their batching window.",
+			"Groups still accepting joiners.",
 			func() float64 { return float64(c.Stats().OpenGroups) })
 		reg.GaugeFunc("vista_share_waiting_members",
-			"Runs waiting for their group's window to close.",
+			"Followers parked waiting for their group's leader.",
 			func() float64 { return float64(c.Stats().WaitingMembers) })
 		reg.GaugeFunc("vista_share_live_groups",
-			"Sealed groups whose handoff is still retained.",
+			"Groups whose handoff is still retained.",
 			func() float64 { return float64(c.Stats().LiveGroups) })
 		c.sizeHist = reg.Histogram("vista_share_group_size",
-			"Members per sealed group (1 = solo).",
+			"Members per group, observed when its last member finishes (1 = solo).",
 			[]float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32})
 	}
 	return c, nil
@@ -230,6 +237,13 @@ func (c *Coordinator) Stats() Stats {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	open := 0
+	now := c.clk.Now()
+	for _, g := range c.latest {
+		if c.acceptsLocked(g, now) {
+			open++
+		}
+	}
 	return Stats{
 		Leaders:        c.leaders,
 		Followers:      c.followers,
@@ -238,19 +252,20 @@ func (c *Coordinator) Stats() Stats {
 		Promotions:     c.promotions,
 		Groups:         c.groups,
 		DedupFLOPs:     c.dedupFLOPs,
-		OpenGroups:     len(c.open),
-		WaitingMembers: c.waiting,
+		OpenGroups:     open,
+		WaitingMembers: c.parked,
 		LiveGroups:     c.live,
 	}
 }
 
-// groupState is the post-seal lifecycle of a multi-member group.
+// groupState is the lifecycle of a group's shared pass.
 type groupState int
 
 const (
 	// leading: the current leader (original or promoted) is executing.
 	leading groupState = iota
-	// delivered: the leader finished successfully; the handoff is complete.
+	// delivered: a leader finished successfully; the handoff covers
+	// group.covered layers.
 	delivered
 	// pendingPromotion: the leader failed and no follower is parked yet; the
 	// next follower to call AwaitLeader is promoted on the spot.
@@ -261,17 +276,17 @@ const (
 
 // group is one batch of identity-matched runs.
 type group struct {
-	id      Identity
-	sealeds chan struct{} // closed at seal; Join waits on it
-	timer   clock.Timer   // window timer; stopped once sealed
+	id     Identity
+	opened time.Time // first arrival; joinable until opened + Window
+	layers int       // the first arrival's NumLayers: the most a joiner may ask for
 
 	// All fields below are guarded by the Coordinator's mutex.
 	members   []*Ticket
-	sealed    bool
 	state     groupState
-	leaderErr error    // last failed leader's error
-	handoff   *Handoff // nil for solo groups
-	refs      int      // members that have not finished/aborted yet
+	covered   int   // layers of the pass that delivered (when delivered)
+	leaderErr error // last failed leader's error
+	handoff   *Handoff
+	refs      int // members that have not finished yet
 }
 
 // Ticket is one member's handle on its group. Every successfully Joined
@@ -282,99 +297,73 @@ type Ticket struct {
 	g *group
 	m Member
 
-	// Guarded by c.mu after seal.
+	// Guarded by c.mu.
 	role     Role
-	started  bool             // Start was called (role counter committed)
-	finished bool             // Finish was called (refcount released)
-	attached bool             // follower received the handoff
-	waitCh   chan awaitSignal // buffered 1; promotion/attach delivery
-	awaiting bool             // parked in AwaitLeader
-}
-
-// awaitSignal wakes a parked follower.
-type awaitSignal struct {
-	promoted  bool
-	leaderErr error
+	started  bool          // Start was called
+	finished bool          // Finish was called (role committed, refcount released)
+	attached bool          // follower was handed a covering handoff
+	awaiting bool          // parked in AwaitLeader with no verdict yet
+	woken    chan struct{} // buffered 1; a parked follower's verdict is ready
 }
 
 // Attach is what AwaitLeader returns to a follower once its group's leader
 // is done with the shared pass.
 type Attach struct {
-	// Promoted is true when the leader failed or was cancelled and this
-	// follower must now execute the live pass itself. Source still serves
-	// whatever the failed pass already published, so a promoted run resumes
-	// partial progress instead of starting cold.
+	// Promoted is true when this follower must now execute the live pass
+	// itself: the leader failed or was cancelled, or its pass covered fewer
+	// layers than this follower requests. Source still serves whatever was
+	// already published, so a promoted run resumes partial progress instead
+	// of starting cold.
 	Promoted bool
-	// LeaderErr is the failed leader's error (set only when Promoted).
+	// LeaderErr is the last failed leader's error (set only when Promoted,
+	// and nil if the promotion only extends a successful pass).
 	LeaderErr error
 	// Source serves the group's materialized feature tables (implements
 	// core.FeatureSource via Lookup).
 	Source *Handoff
 }
 
-// Join announces a run computing id to the coordinator and blocks until its
-// group seals: when the window of the first matching arrival expires (or the
-// group hits MaxGroup), roles are assigned and every member's Join returns.
-// The error is non-nil only when ctx is cancelled while the window is open
-// (ErrJoinCancelled wrapping the context's error); a sealed ticket is always
-// returned, even if ctx raced the seal. A nil Coordinator returns a Solo
-// ticket that every method accepts.
+// Join announces a run computing id to the coordinator and returns at once.
+// The run follows the identity's latest group when that group is joinable
+// (inside its window, still live, not dead) and requests no more layers than
+// the group's first arrival; otherwise it opens a new group and leads it.
+// The error is non-nil only when ctx is already done (ErrJoinCancelled
+// wrapping the context's error). A nil Coordinator returns a nil ticket that
+// every method accepts.
 func (c *Coordinator) Join(ctx ctxDoner, id Identity, m Member) (*Ticket, error) {
 	if c == nil {
 		return nil, nil
 	}
-	c.mu.Lock()
-	g, ok := c.open[id]
-	if !ok {
-		g = &group{id: id, sealeds: make(chan struct{})}
-		g.timer = c.clk.AfterFunc(c.cfg.Window, func() { c.seal(g) })
-		c.open[id] = g
-	}
-	t := &Ticket{c: c, g: g, m: m, waitCh: make(chan awaitSignal, 1)}
-	g.members = append(g.members, t)
-	g.refs++
-	c.waiting++
-	c.notifyLocked()
-	full := c.cfg.MaxGroup > 0 && len(g.members) >= c.cfg.MaxGroup
-	c.mu.Unlock()
-	if full {
-		c.seal(g)
-	}
-
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	select {
-	case <-g.sealeds:
-		return t, nil
-	case <-done:
-		c.mu.Lock()
-		if g.sealed {
-			// The seal raced the cancellation: the ticket has a role and may
-			// even be the leader. Hand it back; the caller's next step (its
-			// own admission or run) will observe the dead context and Finish
-			// the ticket, which routes into the promotion machinery.
-			c.mu.Unlock()
-			return t, nil
-		}
-		// Still open: withdraw. The last member out cancels the window.
-		for i, q := range g.members {
-			if q == t {
-				g.members = append(g.members[:i:i], g.members[i+1:]...)
-				break
-			}
-		}
-		g.refs--
-		c.waiting--
-		c.notifyLocked()
-		if len(g.members) == 0 {
-			g.timer.Stop()
-			delete(c.open, id)
-		}
-		c.mu.Unlock()
+	if ctx != nil && ctx.Err() != nil {
 		return nil, fmt.Errorf("%w: %w", ErrJoinCancelled, ctx.Err())
 	}
+	t := &Ticket{c: c, m: m, woken: make(chan struct{}, 1)}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	now := c.clk.Now()
+	g := c.latest[id]
+	if g != nil && c.acceptsLocked(g, now) && m.NumLayers <= g.layers {
+		t.g, t.role = g, Follower
+		g.members = append(g.members, t)
+		g.refs++
+		if len(g.members) == 2 {
+			c.groups++
+		}
+		return t, nil
+	}
+	g = &group{id: id, opened: now, layers: m.NumLayers, state: leading, handoff: newHandoff(),
+		members: []*Ticket{t}, refs: 1}
+	c.latest[id] = g // an older group stays live for its members but admits no one
+	c.live++
+	t.g, t.role = g, Leader
+	return t, nil
+}
+
+// acceptsLocked reports whether g still takes joiners at now: inside its
+// window and not dead. (A group whose last member finished is no longer in
+// latest at all.)
+func (c *Coordinator) acceptsLocked(g *group, now time.Time) bool {
+	return now.Sub(g.opened) < c.cfg.Window && g.state != dead
 }
 
 // ctxDoner is the subset of context.Context this package needs.
@@ -383,55 +372,9 @@ type ctxDoner interface {
 	Err() error
 }
 
-// seal closes a group's window: it assigns roles (the member with the most
-// requested layers leads; earliest arrival breaks ties), removes the group
-// from the open set, and wakes every parked Join.
-func (c *Coordinator) seal(g *group) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if g.sealed {
-		return
-	}
-	g.sealed = true
-	g.timer.Stop()
-	delete(c.open, g.id)
-	c.waiting -= len(g.members)
-	c.notifyLocked()
-	if len(g.members) == 0 {
-		// Every member withdrew before the window closed.
-		close(g.sealeds)
-		return
-	}
-	c.live++
-	if c.sizeHist != nil {
-		c.sizeHist.Observe(float64(len(g.members)))
-	}
-	if len(g.members) == 1 {
-		g.members[0].role = Solo
-		close(g.sealeds)
-		return
-	}
-	c.groups++
-	lead := 0
-	for i, t := range g.members[1:] {
-		if t.m.NumLayers > g.members[lead].m.NumLayers {
-			lead = i + 1
-		}
-	}
-	for i, t := range g.members {
-		if i == lead {
-			t.role = Leader
-		} else {
-			t.role = Follower
-		}
-	}
-	g.handoff = newHandoff()
-	g.state = leading
-	close(g.sealeds)
-}
-
-// Role reports the member's sealed role. It changes from Follower to Leader
-// exactly once, when AwaitLeader promotes the member. Nil-safe (Solo).
+// Role reports the member's role. The first arrival is Leader from Join on,
+// and a follower becomes Leader if AwaitLeader promotes it; Finish commits
+// the role, after which a leader nobody joined reports Solo. Nil-safe (Solo).
 func (t *Ticket) Role() Role {
 	if t == nil {
 		return Solo
@@ -441,8 +384,8 @@ func (t *Ticket) Role() Role {
 	return t.role
 }
 
-// GroupSize reports how many members sealed into the ticket's group
-// (1 for solo). Nil-safe.
+// GroupSize reports how many members have joined the ticket's group so far
+// (1 for a leader nobody joined). Nil-safe.
 func (t *Ticket) GroupSize() int {
 	if t == nil {
 		return 1
@@ -452,20 +395,16 @@ func (t *Ticket) GroupSize() int {
 	return len(t.g.members)
 }
 
-// Source returns the group's handoff for Spec.FeatureSource (nil for solo
-// members — they probe only the durable store). Nil-safe.
+// Source returns the group's handoff for Spec.FeatureSource. Nil-safe.
 func (t *Ticket) Source() *Handoff {
 	if t == nil {
 		return nil
 	}
-	t.c.mu.Lock()
-	defer t.c.mu.Unlock()
 	return t.g.handoff
 }
 
 // Sink returns the group's handoff for Spec.FeatureSink — only the member
-// currently executing the live pass publishes (nil for solo members and
-// un-promoted followers). Nil-safe.
+// currently executing the live pass publishes (nil for followers). Nil-safe.
 func (t *Ticket) Sink() *Handoff {
 	if t == nil {
 		return nil
@@ -478,145 +417,127 @@ func (t *Ticket) Sink() *Handoff {
 	return nil
 }
 
-// Start commits the member to executing its run under its current role,
-// incrementing that role's counter exactly once. Call it immediately before
-// the run; a member that never Starts is counted aborted at Finish. Nil-safe.
+// Start marks the member as executing its run; Finish then counts it under
+// its committed role. Call it immediately before the run; a member that
+// never Starts is counted aborted. Nil-safe.
 func (t *Ticket) Start() {
 	if t == nil {
 		return
 	}
 	t.c.mu.Lock()
 	defer t.c.mu.Unlock()
-	if t.started {
-		return
-	}
 	t.started = true
-	switch t.role {
-	case Leader:
-		t.c.leaders++
-	case Follower:
-		t.c.followers++
-	default:
-		t.c.solos++
-	}
 }
 
-// AwaitLeader parks a follower until its group's leader finishes. On leader
-// success it returns the handoff to attach; if the leader failed or was
-// cancelled, the first parked (or next arriving) follower is promoted —
-// Attach.Promoted is set, the ticket's Role becomes Leader, and Source
-// resumes whatever the failed pass already published. The error is non-nil
-// when ctx is cancelled while parked (ErrWaitCancelled) or when every
-// candidate leader already failed (ErrGroupFailed).
+// AwaitLeader parks a follower until its group's pass is resolved. When a
+// leader delivered a pass covering the follower's layers it returns the
+// handoff to attach. Otherwise — the leader failed or was cancelled, or its
+// pass covered fewer layers — the follower may be promoted: Attach.Promoted
+// is set, the ticket's Role becomes Leader, and Source resumes whatever was
+// already published. The error is non-nil when ctx is cancelled while parked
+// (ErrWaitCancelled) or when every candidate leader already failed
+// (ErrGroupFailed).
 func (t *Ticket) AwaitLeader(ctx ctxDoner) (Attach, error) {
 	if t == nil {
 		return Attach{}, fmt.Errorf("share: AwaitLeader on a solo ticket")
 	}
-	c := t.c
+	c, g := t.c, t.g
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if t.role != Follower {
-		role := t.role
-		c.mu.Unlock()
-		return Attach{}, fmt.Errorf("share: AwaitLeader called by the %s", role)
+		return Attach{}, fmt.Errorf("share: AwaitLeader called by the %s", t.role)
 	}
-	g := t.g
 	switch g.state {
 	case delivered:
-		att := c.attachLocked(t)
-		c.mu.Unlock()
-		return att, nil
-	case pendingPromotion:
-		att := c.promoteLocked(t)
-		c.mu.Unlock()
-		return att, nil
-	case dead:
-		err := g.leaderErr
-		c.mu.Unlock()
-		return Attach{}, fmt.Errorf("%w: %w", ErrGroupFailed, err)
-	}
-	t.awaiting = true
-	c.notifyLocked()
-	c.mu.Unlock()
-
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	select {
-	case sig := <-t.waitCh:
-		c.mu.Lock()
-		t.awaiting = false
-		var att Attach
-		if sig.promoted {
-			att = c.promoteLocked(t)
+		if t.m.NumLayers > g.covered {
+			c.promoteLocked(t)
 		} else {
-			att = c.attachLocked(t)
+			c.attachLocked(t)
+		}
+	case pendingPromotion:
+		c.promoteLocked(t)
+	case dead:
+		return Attach{}, fmt.Errorf("%w: %w", ErrGroupFailed, g.leaderErr)
+	default:
+		t.awaiting = true
+		c.parked++
+		c.notifyLocked()
+		var done <-chan struct{}
+		if ctx != nil {
+			done = ctx.Done()
 		}
 		c.mu.Unlock()
-		return att, nil
-	case <-done:
-		c.mu.Lock()
-		t.awaiting = false
 		select {
-		case sig := <-t.waitCh:
-			// A delivery raced the cancellation. An attach needs nothing —
-			// the member just never runs. A promotion must be handed on, or
-			// the group's remaining followers hang.
-			if sig.promoted {
-				g.state = pendingPromotion
-				g.leaderErr = sig.leaderErr
-				c.dispatchPromotionLocked(g)
+		case <-t.woken:
+			c.mu.Lock()
+		case <-done:
+			c.mu.Lock()
+			if t.awaiting {
+				t.awaiting = false
+				c.parked--
+				c.notifyLocked()
+			} else {
+				// A verdict raced the cancellation. An attach goes unused; a
+				// promotion made this member the leader, and the caller's
+				// Finish(err) hands the pass on.
+				<-t.woken
 			}
-		default:
+			return Attach{}, fmt.Errorf("%w: %w", ErrWaitCancelled, ctx.Err())
 		}
-		c.mu.Unlock()
-		return Attach{}, fmt.Errorf("%w: %w", ErrWaitCancelled, ctx.Err())
 	}
+	att := Attach{Source: g.handoff}
+	if t.role == Leader {
+		att.Promoted, att.LeaderErr = true, g.leaderErr
+	}
+	return att, nil
 }
 
-// attachLocked records a successful follower attach: the member will run
-// against the handoff, having skipped its own inference pass entirely.
-func (c *Coordinator) attachLocked(t *Ticket) Attach {
-	if !t.attached {
-		t.attached = true
-		c.dedupFLOPs += t.m.InferenceFLOPs
-	}
-	return Attach{Source: t.g.handoff}
+// attachLocked hands a follower the covering handoff.
+func (c *Coordinator) attachLocked(t *Ticket) {
+	t.attached = true
+	c.wakeLocked(t)
 }
 
 // promoteLocked turns a follower into the group's new leader.
-func (c *Coordinator) promoteLocked(t *Ticket) Attach {
+func (c *Coordinator) promoteLocked(t *Ticket) {
 	t.role = Leader
 	t.g.state = leading
 	c.promotions++
-	return Attach{Promoted: true, LeaderErr: t.g.leaderErr, Source: t.g.handoff}
+	c.wakeLocked(t)
 }
 
-// Finish reports the member's run outcome and releases its group resources;
-// the group's handoff is freed when the last member finishes. For the
-// current leader, err != nil (or never having Started) routes into the
-// promotion machinery: a parked follower is promoted immediately, otherwise
-// the next AwaitLeader caller is. Idempotent and nil-safe, so callers may
-// defer it.
+// wakeLocked releases a parked follower once its verdict is recorded on the
+// ticket; a follower that is not parked reads the verdict directly.
+func (c *Coordinator) wakeLocked(t *Ticket) {
+	if t.awaiting {
+		t.awaiting = false
+		c.parked--
+		t.woken <- struct{}{}
+		c.notifyLocked()
+	}
+}
+
+// Finish reports the member's run outcome, commits its role to the
+// counters, and releases its group resources; the group's handoff is freed
+// when the last member finishes. For the current leader, err == nil after
+// Start delivers the pass to parked followers; err != nil (or never having
+// Started) routes into the promotion machinery: the parked follower with the
+// most layers is promoted immediately, otherwise the next AwaitLeader caller
+// is. Idempotent and nil-safe, so callers may defer it.
 func (t *Ticket) Finish(err error) {
 	if t == nil {
 		return
 	}
-	c := t.c
+	c, g := t.c, t.g
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if t.finished {
 		return
 	}
 	t.finished = true
-	if !t.started {
-		c.aborted++
-	}
-	g := t.g
 	if t.role == Leader && g.state == leading {
 		if err == nil && t.started {
-			g.state = delivered
-			c.deliverLocked(g)
+			c.deliverLocked(g, t)
 		} else {
 			if err == nil {
 				err = errors.New("share: leader aborted before running")
@@ -626,33 +547,70 @@ func (t *Ticket) Finish(err error) {
 			c.dispatchPromotionLocked(g)
 		}
 	}
+	if len(g.members) == 1 {
+		t.role = Solo
+	}
+	switch {
+	case !t.started:
+		c.aborted++
+	case t.role == Leader:
+		c.leaders++
+	case t.role == Follower:
+		c.followers++
+		if t.attached {
+			c.dedupFLOPs += t.m.InferenceFLOPs
+		}
+	default:
+		c.solos++
+	}
 	g.refs--
 	if g.refs == 0 {
-		if g.handoff != nil {
-			g.handoff.drop()
-		}
+		g.handoff.drop()
 		c.live--
-	}
-}
-
-// deliverLocked wakes every parked follower with the completed handoff.
-func (c *Coordinator) deliverLocked(g *group) {
-	for _, m := range g.members {
-		if m.awaiting {
-			m.waitCh <- awaitSignal{}
+		if c.latest[g.id] == g {
+			delete(c.latest, g.id)
+		}
+		if c.sizeHist != nil {
+			c.sizeHist.Observe(float64(len(g.members)))
 		}
 	}
 }
 
-// dispatchPromotionLocked hands the leadership to a parked follower, if any;
-// otherwise the group stays pendingPromotion for the next AwaitLeader caller,
-// or dies when no candidate remains.
+// deliverLocked completes a pass covering by's layers: parked followers it
+// covers attach, and the uncovered follower requesting the most layers, if
+// any, is promoted to extend it.
+func (c *Coordinator) deliverLocked(g *group, by *Ticket) {
+	g.state = delivered
+	g.covered = by.m.NumLayers
+	var next *Ticket
+	for _, m := range g.members {
+		switch {
+		case !m.awaiting:
+		case m.m.NumLayers <= g.covered:
+			c.attachLocked(m)
+		case next == nil || m.m.NumLayers > next.m.NumLayers:
+			next = m
+		}
+	}
+	if next != nil {
+		c.promoteLocked(next)
+	}
+}
+
+// dispatchPromotionLocked hands the leadership to the parked follower
+// requesting the most layers, so its pass covers every other parked one;
+// otherwise the group stays pendingPromotion for the next AwaitLeader
+// caller, or dies when no candidate remains.
 func (c *Coordinator) dispatchPromotionLocked(g *group) {
+	var next *Ticket
 	for _, m := range g.members {
-		if m.awaiting {
-			m.waitCh <- awaitSignal{promoted: true, leaderErr: g.leaderErr}
-			return
+		if m.awaiting && (next == nil || m.m.NumLayers > next.m.NumLayers) {
+			next = m
 		}
+	}
+	if next != nil {
+		c.promoteLocked(next)
+		return
 	}
 	for _, m := range g.members {
 		if m.role == Follower && !m.finished && !m.attached {
@@ -676,8 +634,8 @@ func newHandoff() *Handoff {
 }
 
 // Publish stores rows under k (implements core.FeatureSink). The rows are
-// retained as published — the executor hands over freshly projected rows the
-// run never mutates afterwards.
+// retained by reference, as published — the executor hands over freshly
+// projected rows the run never mutates afterwards.
 func (h *Handoff) Publish(k featurestore.Key, rows []dataflow.Row) {
 	if h == nil {
 		return

@@ -65,18 +65,13 @@ func DecisionCostScaled(d optimizer.Decision, nodes int, scales optimizer.CostSc
 	return int64(nodes) * (storage + d.MemUser + d.MemDL)
 }
 
-// FollowerCost prices a run that attaches a sharing leader's feature tables
-// instead of executing its own partial-inference pass: the group is charged
-// the full AdmissionCost once, for the leader, and each follower only its
-// marginal reservation — the decision with DL Execution Memory zeroed
+// FollowerCostScaled prices a run that attaches a sharing leader's feature
+// tables instead of executing its own partial-inference pass: the group is
+// charged the full AdmissionCost once, for the leader, and each follower only
+// its marginal reservation — the decision with DL Execution Memory zeroed
 // (Equation 13's replicas are never loaded), keeping Storage and User memory
-// for the attached tables and downstream training.
-func FollowerCost(d optimizer.Decision, nodes int) int64 {
-	return DecisionCost(optimizer.FollowerDecision(d), nodes)
-}
-
-// FollowerCostScaled is FollowerCost under a fitted calibration profile
-// (see DecisionCostScaled for the charge semantics).
+// for the attached tables and downstream training. scales is the fitted
+// calibration profile (see DecisionCostScaled for the charge semantics).
 func FollowerCostScaled(d optimizer.Decision, nodes int, scales optimizer.CostScales) int64 {
 	return DecisionCostScaled(optimizer.FollowerDecision(d), nodes, scales)
 }

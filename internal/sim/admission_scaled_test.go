@@ -39,8 +39,9 @@ func TestDecisionCostScaledIdentity(t *testing.T) {
 		if got := DecisionCostScaled(d, nodes, ones); got != want {
 			t.Errorf("nodes=%d: identity scales cost %d != DecisionCost %d", nodes, got, want)
 		}
-		if got := FollowerCostScaled(d, nodes, optimizer.CostScales{}); got != FollowerCost(d, nodes) {
-			t.Errorf("nodes=%d: identity follower cost %d != FollowerCost %d", nodes, got, FollowerCost(d, nodes))
+		follower := DecisionCost(optimizer.FollowerDecision(d), nodes)
+		if got := FollowerCostScaled(d, nodes, optimizer.CostScales{}); got != follower {
+			t.Errorf("nodes=%d: identity follower cost %d != unscaled follower DecisionCost %d", nodes, got, follower)
 		}
 	}
 }

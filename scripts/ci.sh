@@ -97,7 +97,10 @@ echo "== vista-load smoke (admission flood, then shared-inference flood) =="
 #   Phase 2: -share with a budget fitting the whole flood. Because the scrape
 #   now exposes vista_share_runs_total, vista-load also reconciles
 #   leader+follower+solo == admitted, dedup FLOPs > 0 once a follower ran, and
-#   open/waiting/live share gauges == 0.
+#   open/waiting/live share gauges == 0. It runs at the default
+#   -share-window: the first arrival leads at once and the clients' next
+#   requests join its group while the pass runs, so followers form without a
+#   longer window.
 # load_rows sizes each request so one run is again about 0.1 s on a 2-core
 # box, which is what the queue depths and timeouts of these phases were tuned
 # for: with the vector GEMM kernel vista-load's default 40-row run takes
@@ -138,8 +141,7 @@ if [[ "$(summary_field "$flood_tmp/admission.summary.txt" ok)" -eq 0 ]]; then
     echo "vista-load smoke (admission): no /run succeeded" >&2
     exit 1
 fi
-flood_phase share -mem-budget 660000 -queue-depth 12 -queue-timeout 30s \
-    -share -share-window 500ms
+flood_phase share -mem-budget 660000 -queue-depth 12 -queue-timeout 30s -share
 share_summary="$flood_tmp/share.summary.txt"
 if [[ "$(summary_field "$share_summary" ok)" -eq 0 ||
     "$(summary_field "$share_summary" ok)" -ne "$(summary_field "$share_summary" offered)" ]]; then
