@@ -101,8 +101,6 @@ func main() {
 		"enable multi-query shared inference: concurrent /run requests on the same (model, weights, data) coalesce into one shared partial-CNN pass")
 	shareWindow := flag.Duration("share-window", defaultShareWindow,
 		"how long after its first /run a sharing group accepts identical requests and keeps its handoff for them; adds no latency (requires -share)")
-	convWorkers := flag.Int("conv-workers", 0,
-		"process-wide CNN compute parallelism: how many rows of a batch are inferred side by side, across all runs (0 = GOMAXPROCS); see docs/OPERATIONS.md for tuning under admission control")
 	calibLog := flag.String("calib-log", "",
 		"append-only calibration log file: every /run's estimate-vs-measured samples persist here and replay on restart (empty = in-memory aggregates only)")
 	maxDrift := flag.Float64("max-drift", 0,
@@ -130,10 +128,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vista-server: -share-window must be positive when -share is set")
 		os.Exit(2)
 	}
-	if *convWorkers < 0 {
-		fmt.Fprintln(os.Stderr, "vista-server: -conv-workers must be >= 0")
-		os.Exit(2)
-	}
 	if *maxDrift < 0 {
 		fmt.Fprintln(os.Stderr, "vista-server: -max-drift must be >= 0")
 		os.Exit(2)
@@ -152,8 +146,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vista-server: -log-format must be text or json")
 		os.Exit(2)
 	}
-	tensor.SetConvWorkers(*convWorkers)
-	logger.Info("conv kernels configured", "kernel", tensor.KernelName(), "workers", tensor.ConvWorkers())
+	logger.Info("conv kernels configured", "kernel", tensor.KernelName())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

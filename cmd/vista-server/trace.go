@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"strings"
@@ -39,16 +40,13 @@ func (a *api) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if rec == nil {
 		return
 	}
-	switch format := r.PathValue("format"); format {
-	case "chrome":
-		w.Header().Set("Content-Type", "application/json")
-		_ = export.WriteChromeTrace(w, rec.trace, rec.series)
-	case "otlp":
-		w.Header().Set("Content-Type", "application/json")
-		_ = export.WriteOTLP(w, rec.trace)
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown trace format %q (chrome or otlp)", format))
+	var body bytes.Buffer
+	if err := export.WriteTrace(&body, r.PathValue("format"), rec.trace, rec.series); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = body.WriteTo(w)
 }
 
 // handleTimeseries serves a completed /run's sampled time series: JSON by

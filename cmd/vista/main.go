@@ -152,12 +152,13 @@ func (o *runOptions) observing() bool {
 // span report and the estimate-vs-measured tables — go to stderr, so piped
 // stdout stays machine-readable.
 func run(ctx context.Context, o runOptions, stdout, stderr io.Writer) error {
-	switch o.traceFormat {
-	case "", "chrome":
+	if o.traceFormat == "" {
 		o.traceFormat = "chrome"
-	case "otlp":
-	default:
-		return fmt.Errorf("unknown trace format %q (chrome or otlp)", o.traceFormat)
+	}
+	// Render an empty span so an unknown format fails before the run, not
+	// after it.
+	if err := export.WriteTrace(io.Discard, o.traceFormat, obs.StartSpan(""), nil); err != nil {
+		return err
 	}
 	if o.observing() && o.sampleEvery <= 0 {
 		o.sampleEvery = time.Millisecond
@@ -278,7 +279,7 @@ func run(ctx context.Context, o runOptions, stdout, stderr io.Writer) error {
 			memory.FormatBytes(st.UsedBytes), st.Entries, st.Hits, st.Misses, st.Evictions)
 	}
 	if o.trace {
-		fmt.Fprintf(stderr, "\nStage trace: (GEMM kernel %s, %d compute workers)\n", tensor.KernelName(), tensor.ConvWorkers())
+		fmt.Fprintf(stderr, "\nStage trace: (GEMM kernel %s)\n", tensor.KernelName())
 		res.Trace.Render(stderr)
 		printSimComparison(stderr, o, runSpec, res)
 	}
@@ -345,15 +346,7 @@ func writeTraceFile(path, format string, res *core.Result) error {
 		return err
 	}
 	defer f.Close()
-	switch format {
-	case "chrome":
-		err = export.WriteChromeTrace(f, res.Trace, res.Series)
-	case "otlp":
-		err = export.WriteOTLP(f, res.Trace)
-	default:
-		err = fmt.Errorf("unknown trace format %q (chrome or otlp)", format)
-	}
-	if err != nil {
+	if err := export.WriteTrace(f, format, res.Trace, res.Series); err != nil {
 		return err
 	}
 	return f.Close()

@@ -1,8 +1,7 @@
 // Package clock is a minimal time-source seam: the subset of package time
-// the serving path depends on (Now, one-shot timers, tickers, deferred
-// funcs), behind an interface with two implementations — Real, which
-// delegates to package time, and Fake, a manually advanced clock for
-// deterministic tests.
+// the serving path depends on (Now, one-shot timers, tickers), behind an
+// interface with two implementations — Real, which delegates to package
+// time, and Fake, a manually advanced clock for deterministic tests.
 //
 // The seam exists because admission deadlines, sharing windows, and sampler
 // ticks are all timing behavior the load driver (cmd/vista-load) compresses
@@ -25,16 +24,11 @@ type Clock interface {
 	NewTimer(d time.Duration) Timer
 	// NewTicker returns a Ticker that fires every d. d must be positive.
 	NewTicker(d time.Duration) Ticker
-	// AfterFunc runs f in its own goroutine (Real) or inline from Advance
-	// (Fake) once d has elapsed. The returned Timer's channel is unused;
-	// Stop cancels the call if it has not fired.
-	AfterFunc(d time.Duration, f func()) Timer
 }
 
 // Timer is a one-shot timer. C fires at most once.
 type Timer interface {
-	// C delivers the fire time. For AfterFunc timers the channel never
-	// receives.
+	// C delivers the fire time.
 	C() <-chan time.Time
 	// Stop cancels the timer, reporting whether it was still pending.
 	Stop() bool
@@ -65,9 +59,6 @@ func (realClock) Now() time.Time                   { return time.Now() }
 func (realClock) Since(t time.Time) time.Duration  { return time.Since(t) }
 func (realClock) NewTimer(d time.Duration) Timer   { return realTimer{time.NewTimer(d)} }
 func (realClock) NewTicker(d time.Duration) Ticker { return realTicker{time.NewTicker(d)} }
-func (realClock) AfterFunc(d time.Duration, f func()) Timer {
-	return realTimer{time.AfterFunc(d, f)}
-}
 
 type realTimer struct{ t *time.Timer }
 

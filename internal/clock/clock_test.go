@@ -26,13 +26,6 @@ func TestRealClockBasics(t *testing.T) {
 		t.Fatal("real ticker never ticked")
 	}
 	tk.Stop()
-	fired := make(chan struct{})
-	c.AfterFunc(time.Millisecond, func() { close(fired) })
-	select {
-	case <-fired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("real AfterFunc never fired")
-	}
 }
 
 func TestOr(t *testing.T) {
@@ -75,8 +68,8 @@ func TestFakeTimerFiresAtDeadline(t *testing.T) {
 	default:
 		t.Fatal("timer did not fire at its deadline")
 	}
-	if f.Waiters() != 0 {
-		t.Errorf("fired timer still registered (%d waiters)", f.Waiters())
+	if n := len(f.waiters); n != 0 {
+		t.Errorf("fired timer still registered (%d waiters)", n)
 	}
 }
 
@@ -98,36 +91,28 @@ func TestFakeTimerStop(t *testing.T) {
 }
 
 func TestFakeOrderedFiring(t *testing.T) {
-	// Multiple due registrations fire in timestamp order within one Advance.
-	f := NewFake()
-	var mu sync.Mutex
-	var order []int
-	f.AfterFunc(3*time.Second, func() { mu.Lock(); order = append(order, 3); mu.Unlock() })
-	f.AfterFunc(1*time.Second, func() { mu.Lock(); order = append(order, 1); mu.Unlock() })
-	f.AfterFunc(2*time.Second, func() { mu.Lock(); order = append(order, 2); mu.Unlock() })
-	f.Advance(time.Minute)
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Errorf("fire order = %v, want [1 2 3]", order)
-	}
-}
-
-func TestFakeAfterFuncSeesFireTime(t *testing.T) {
-	// A callback observes the clock at its own deadline, not at the end of
-	// the whole Advance — so cascaded scheduling composes correctly.
+	// Several registrations due within one Advance each fire at their own
+	// deadline, not at the end of the whole Advance, and the clock still
+	// reads the Advance's target afterwards.
 	f := NewFake()
 	start := f.Now()
-	var at time.Time
-	var cascade atomic.Bool
-	f.AfterFunc(2*time.Second, func() {
-		at = f.Now()
-		f.AfterFunc(3*time.Second, func() { cascade.Store(true) })
-	})
-	f.Advance(10 * time.Second)
-	if want := start.Add(2 * time.Second); !at.Equal(want) {
-		t.Errorf("callback saw %v, want %v", at, want)
+	timers := make(map[time.Duration]Timer)
+	for _, d := range []time.Duration{3 * time.Second, time.Second, 2 * time.Second} {
+		timers[d] = f.NewTimer(d)
 	}
-	if !cascade.Load() {
-		t.Error("timer registered from a callback at t=2s for t=5s did not fire by t=10s")
+	f.Advance(time.Minute)
+	for d, tm := range timers {
+		select {
+		case at := <-tm.C():
+			if want := start.Add(d); !at.Equal(want) {
+				t.Errorf("%v timer fired at %v, want %v", d, at, want)
+			}
+		default:
+			t.Errorf("%v timer did not fire within a one-minute Advance", d)
+		}
+	}
+	if got := f.Since(start); got != time.Minute {
+		t.Errorf("clock reads %v after Advance, want 1m", got)
 	}
 }
 

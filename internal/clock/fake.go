@@ -10,11 +10,9 @@ import (
 var fakeEpoch = time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // Fake is a manually advanced Clock for tests. Time stands still until
-// Advance moves it; due timers, tickers, and AfterFunc callbacks fire in
-// timestamp order from inside Advance (callbacks run on the advancing
-// goroutine, with no Fake lock held, so they may re-enter the clock).
-// BlockUntil lets a test wait until goroutines under test have registered
-// their timers before advancing past them.
+// Advance moves it; due timers and tickers fire in timestamp order from
+// inside Advance. BlockUntil lets a test wait until goroutines under test
+// have registered their timers before advancing past them.
 type Fake struct {
 	mu      sync.Mutex
 	cond    *sync.Cond // broadcast on every waiter-set or time change
@@ -32,14 +30,13 @@ func NewFakeAt(start time.Time) *Fake {
 	return f
 }
 
-// fakeWaiter is one pending timer, ticker, or AfterFunc registration.
+// fakeWaiter is one pending timer or ticker registration.
 type fakeWaiter struct {
 	f      *Fake
 	when   time.Time
 	period time.Duration // > 0 for tickers
 	ch     chan time.Time
-	fn     func() // AfterFunc callback (nil for channel waiters)
-	dead   bool   // stopped or (non-periodic) fired
+	dead   bool // stopped or (non-periodic) fired
 }
 
 // Now implements Clock.
@@ -54,7 +51,7 @@ func (f *Fake) Since(t time.Time) time.Duration { return f.Now().Sub(t) }
 
 // NewTimer implements Clock.
 func (f *Fake) NewTimer(d time.Duration) Timer {
-	return f.register(d, 0, nil)
+	return f.register(d, 0)
 }
 
 // NewTicker implements Clock.
@@ -62,7 +59,7 @@ func (f *Fake) NewTicker(d time.Duration) Ticker {
 	if d <= 0 {
 		panic("clock: non-positive Fake ticker period")
 	}
-	return fakeTicker{f.register(d, d, nil)}
+	return fakeTicker{f.register(d, d)}
 }
 
 // fakeTicker narrows fakeWaiter's Stop to the Ticker signature.
@@ -71,15 +68,10 @@ type fakeTicker struct{ w *fakeWaiter }
 func (t fakeTicker) C() <-chan time.Time { return t.w.ch }
 func (t fakeTicker) Stop()               { t.w.Stop() }
 
-// AfterFunc implements Clock.
-func (f *Fake) AfterFunc(d time.Duration, fn func()) Timer {
-	return f.register(d, 0, fn)
-}
-
-func (f *Fake) register(d, period time.Duration, fn func()) *fakeWaiter {
+func (f *Fake) register(d, period time.Duration) *fakeWaiter {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	w := &fakeWaiter{f: f, when: f.now.Add(d), period: period, ch: make(chan time.Time, 1), fn: fn}
+	w := &fakeWaiter{f: f, when: f.now.Add(d), period: period, ch: make(chan time.Time, 1)}
 	f.waiters = append(f.waiters, w)
 	f.cond.Broadcast()
 	return w
@@ -111,11 +103,10 @@ func (f *Fake) pruneLocked() {
 }
 
 // Advance moves the clock forward by d, firing every registration due in
-// [now, now+d] in timestamp order. Channel deliveries are non-blocking into
-// a 1-buffered channel (time.Ticker's drop semantics); AfterFunc callbacks
-// run synchronously on the calling goroutine with no lock held, so they may
-// register or stop other timers. Advance returns once the clock reads
-// now+d and every due waiter has fired.
+// [now, now+d] in timestamp order, each with its own deadline as the fire
+// time. Deliveries are non-blocking into a 1-buffered channel (time.Ticker's
+// drop semantics). Advance returns once the clock reads now+d and every due
+// waiter has fired.
 func (f *Fake) Advance(d time.Duration) {
 	if d < 0 {
 		panic("clock: negative Advance")
@@ -134,16 +125,12 @@ func (f *Fake) Advance(d time.Duration) {
 			w.dead = true
 			f.pruneLocked()
 		}
-		fn, ch, at := w.fn, w.ch, f.now
+		ch, at := w.ch, f.now
 		f.cond.Broadcast()
 		f.mu.Unlock()
-		if fn != nil {
-			fn()
-		} else {
-			select {
-			case ch <- at:
-			default: // receiver behind: drop, like time.Ticker
-			}
+		select {
+		case ch <- at:
+		default: // receiver behind: drop, like time.Ticker
 		}
 		f.mu.Lock()
 	}
@@ -170,7 +157,7 @@ func (f *Fake) nextDueLocked(target time.Time) *fakeWaiter {
 	return f.waiters[idx]
 }
 
-// BlockUntil blocks until at least n timers/tickers/callbacks are registered
+// BlockUntil blocks until at least n timers/tickers are registered
 // and pending on the clock — the synchronization a test needs between
 // starting a goroutine that will set a timer and advancing past that timer's
 // deadline.
@@ -180,12 +167,4 @@ func (f *Fake) BlockUntil(n int) {
 	for len(f.waiters) < n {
 		f.cond.Wait()
 	}
-}
-
-// Waiters reports how many live registrations are pending (for test
-// assertions on cleanup).
-func (f *Fake) Waiters() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.waiters)
 }

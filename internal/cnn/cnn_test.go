@@ -1,6 +1,7 @@
 package cnn
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -159,44 +160,53 @@ func TestFeatureBlowupMatchesPaper(t *testing.T) {
 	// Section 1.1: "one of ResNet50's layers is 784KB but the image is only
 	// 14KB". The conv4_6 raw feature is 14*14*1024*4 = 802816 B = 784 KB.
 	m := ResNet50()
-	fl := m.FeatureLayers[0] // conv4_6
-	size, err := m.RawFeatureSize(fl)
+	s, err := m.ShapeAt(m.FeatureLayers[0].LayerIndex) // conv4_6
 	if err != nil {
-		t.Fatalf("RawFeatureSize: %v", err)
+		t.Fatalf("ShapeAt: %v", err)
 	}
-	if size != 784*1024 {
+	if size := s.NumElements() * 4; size != 784*1024 {
 		t.Errorf("conv4_6 raw feature = %d B, want 802816 B (784 KB, paper Section 1.1)", size)
 	}
 }
 
+// TestTopFeatureLayers: the paper's L for |L| = k is the k top-most feature
+// layers, bottom-to-top (Section 3.3), and k must name 1..all of them.
 func TestTopFeatureLayers(t *testing.T) {
-	m := AlexNet()
-	top2, err := m.TopFeatureLayers(2)
+	st, err := ComputeStats(AlexNet())
 	if err != nil {
-		t.Fatalf("TopFeatureLayers: %v", err)
+		t.Fatal(err)
+	}
+	top2, err := st.TopLayerStats(2)
+	if err != nil {
+		t.Fatalf("TopLayerStats: %v", err)
 	}
 	if top2[0].Name != "fc7" || top2[1].Name != "fc8" {
-		t.Errorf("top 2 = %v, want fc7, fc8", top2)
+		t.Errorf("top 2 = %s, %s; want fc7, fc8", top2[0].Name, top2[1].Name)
 	}
-	if _, err := m.TopFeatureLayers(5); err == nil {
+	if _, err := st.TopLayerStats(5); err == nil {
 		t.Error("expected error for k beyond available layers")
 	}
-	if _, err := m.TopFeatureLayers(0); err == nil {
+	if _, err := st.TopLayerStats(0); err == nil {
 		t.Error("expected error for k = 0")
 	}
 }
 
+// TestFeatureLayerIndex: a feature layer is found by name, and an unknown
+// name is ErrNoSuchLayer.
 func TestFeatureLayerIndex(t *testing.T) {
-	m := ResNet50()
-	i, err := m.FeatureLayerIndex("conv5_2")
+	st, err := ComputeStats(ResNet50())
 	if err != nil {
-		t.Fatalf("FeatureLayerIndex: %v", err)
+		t.Fatal(err)
 	}
-	if m.FeatureLayers[i].Name != "conv5_2" {
-		t.Errorf("wrong index %d", i)
+	ls, err := st.LayerStat("conv5_2")
+	if err != nil {
+		t.Fatalf("LayerStat: %v", err)
 	}
-	if _, err := m.FeatureLayerIndex("nope"); err == nil {
-		t.Error("expected ErrNoSuchLayer")
+	if ls.Name != "conv5_2" || ResNet50().Layers[ls.LayerIndex].Name() != "conv5_2" {
+		t.Errorf("conv5_2 resolved to %s at layer %d", ls.Name, ls.LayerIndex)
+	}
+	if _, err := st.LayerStat("nope"); !errors.Is(err, ErrNoSuchLayer) {
+		t.Errorf("unknown layer: err = %v, want ErrNoSuchLayer", err)
 	}
 }
 
@@ -362,27 +372,19 @@ func TestFeatureVectorPoolsConvLayers(t *testing.T) {
 func TestFeatureDimFullScale(t *testing.T) {
 	// AlexNet conv5 13x13x256 pooled to 2x2 grid = 1024 features; fc6 = 4096.
 	m := AlexNet()
-	tests := []struct {
-		name string
-		want int
-	}{
-		{"conv5", 1024},
-		{"fc6", 4096},
-		{"fc7", 4096},
-		{"fc8", 1000},
+	want := map[string]int{"conv5": 1024, "fc6": 4096, "fc7": 4096, "fc8": 1000}
+	for _, fl := range m.FeatureLayers {
+		dim, err := m.FeatureDim(fl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dim != want[fl.Name] {
+			t.Errorf("%s feature dim = %d, want %d", fl.Name, dim, want[fl.Name])
+		}
+		delete(want, fl.Name)
 	}
-	for _, tc := range tests {
-		i, err := m.FeatureLayerIndex(tc.name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dim, err := m.FeatureDim(m.FeatureLayers[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dim != tc.want {
-			t.Errorf("%s feature dim = %d, want %d", tc.name, dim, tc.want)
-		}
+	if len(want) != 0 {
+		t.Errorf("AlexNet lacks feature layers %v", want)
 	}
 }
 
@@ -404,25 +406,6 @@ func TestStatsTopLayerStats(t *testing.T) {
 	}
 	if _, err := st.TopLayerStats(99); err == nil {
 		t.Error("expected error for oversized k")
-	}
-}
-
-func TestRedundantFLOPs(t *testing.T) {
-	st, err := ComputeStats(AlexNet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lazy, staged, err := st.RedundantFLOPs(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lazy <= staged {
-		t.Errorf("lazy FLOPs %d not greater than staged %d", lazy, staged)
-	}
-	// With 4 layers from conv5 up, Lazy repeats nearly the whole network 4
-	// times; expect at least 3x redundancy.
-	if float64(lazy)/float64(staged) < 3 {
-		t.Errorf("lazy/staged = %.2f, want >= 3", float64(lazy)/float64(staged))
 	}
 }
 
@@ -459,14 +442,14 @@ func TestByNameAndRoster(t *testing.T) {
 	if _, err := ByName("lenet"); err == nil {
 		t.Error("expected error for unknown model")
 	}
-	tiny, err := TinyVariant("resnet50")
+	tiny, err := ByName("tiny-resnet50")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tiny.Name != "tiny-resnet50" {
-		t.Errorf("TinyVariant = %s", tiny.Name)
+		t.Errorf("ByName(tiny-resnet50) = %s", tiny.Name)
 	}
-	if _, err := TinyVariant("bert"); err == nil {
+	if _, err := ByName("tiny-bert"); err == nil {
 		t.Error("expected error for unknown tiny variant")
 	}
 }
@@ -479,7 +462,7 @@ func TestTinyMirrorsFullFeatureLayers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tiny, err := TinyVariant(name)
+		tiny, err := ByName("tiny-" + name)
 		if err != nil {
 			t.Fatal(err)
 		}

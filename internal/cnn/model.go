@@ -61,28 +61,6 @@ func (m *Model) ShapeAt(idx int) (tensor.Shape, error) {
 	return s, nil
 }
 
-// FeatureLayerIndex returns the position of the named feature layer within
-// FeatureLayers, or ErrNoSuchLayer.
-func (m *Model) FeatureLayerIndex(name string) (int, error) {
-	for i, fl := range m.FeatureLayers {
-		if fl.Name == name {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("%w: %q in model %s", ErrNoSuchLayer, name, m.Name)
-}
-
-// TopFeatureLayers returns the k top-most feature layers in bottom-to-top
-// order — the paper's L when the user asks for |L| = k layers "starting from
-// the top most layer" (Section 3.3).
-func (m *Model) TopFeatureLayers(k int) ([]FeatureLayer, error) {
-	if k <= 0 || k > len(m.FeatureLayers) {
-		return nil, fmt.Errorf("cnn: model %s has %d feature layers; requested %d",
-			m.Name, len(m.FeatureLayers), k)
-	}
-	return m.FeatureLayers[len(m.FeatureLayers)-k:], nil
-}
-
 // TotalParams returns the model's total parameter count, derived by walking
 // the layer chain.
 func (m *Model) TotalParams() (int64, error) {
@@ -234,15 +212,4 @@ func (m *Model) FeatureDim(fl FeatureLayer) (int, error) {
 		s = tensor.GridPooledShape(s, FeatureGrid)
 	}
 	return s.NumElements(), nil
-}
-
-// RawFeatureSize returns the unpooled feature-layer payload in bytes — the
-// quantity that drives the paper's intermediate-data blow-up analysis
-// (Section 1.1: "10GB of data blows up to 560GB for just one layer").
-func (m *Model) RawFeatureSize(fl FeatureLayer) (int64, error) {
-	s, err := m.ShapeAt(fl.LayerIndex)
-	if err != nil {
-		return 0, err
-	}
-	return int64(s.NumElements()) * 4, nil
 }

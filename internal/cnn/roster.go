@@ -254,16 +254,3 @@ func RosterNames() []string {
 	return []string{"alexnet", "vgg16", "resnet50",
 		"tiny-alexnet", "tiny-vgg16", "tiny-resnet50", "tiny-densenet"}
 }
-
-// TinyVariant maps a full-scale roster name to its executable Tiny model.
-func TinyVariant(name string) (*Model, error) {
-	switch name {
-	case "alexnet", "tiny-alexnet":
-		return TinyAlexNet(), nil
-	case "vgg16", "tiny-vgg16":
-		return TinyVGG16(), nil
-	case "resnet50", "tiny-resnet50":
-		return TinyResNet50(), nil
-	}
-	return nil, fmt.Errorf("cnn: no tiny variant for %q", name)
-}

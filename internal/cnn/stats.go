@@ -211,19 +211,3 @@ func (s *Stats) TopLayerStats(k int) ([]LayerStat, error) {
 	out[0].DeltaFLOPs = out[0].CumFLOPs
 	return out, nil
 }
-
-// RedundantFLOPs returns the total FLOPs the Lazy plan wastes versus Staged
-// for the given selection of k top layers: Lazy runs f̂_l from the image for
-// every l, Staged runs each segment once. This quantifies Section 4.2.1's
-// redundancy argument (e.g. fc7 vs fc8 of AlexNet: 99% redundant).
-func (s *Stats) RedundantFLOPs(k int) (lazy, staged int64, err error) {
-	ls, err := s.TopLayerStats(k)
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, l := range ls {
-		lazy += l.CumFLOPs
-		staged += l.DeltaFLOPs
-	}
-	return lazy, staged, nil
-}

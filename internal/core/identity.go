@@ -8,6 +8,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/dataflow"
 	"repro/internal/featurestore"
+	"repro/internal/lru"
 	"repro/internal/plan"
 )
 
@@ -88,7 +89,7 @@ func Resolve(spec Spec) (*Identity, error) {
 	if err != nil {
 		return nil, err
 	}
-	compiled, err := plan.CompileFromStats(spec.PlanKind, spec.Placement, stats, spec.NumLayers,
+	compiled, err := plan.Compile(spec.PlanKind, spec.Placement, stats, spec.NumLayers,
 		plan.Options{PreMaterializeBase: spec.PreMaterializeBase})
 	if err != nil {
 		return nil, err
@@ -201,46 +202,25 @@ func MemoizedSums(model string, seed int64, dataset data.Spec) (weightsSum, data
 	return memo.weights, memo.data, true
 }
 
-// sumMemo is a bounded map with first-in-first-out replacement: once full,
-// each insert overwrites the oldest key. FIFO (not LRU) because a re-entry
-// costs one weight realization — cheap enough that recency bookkeeping on
-// every hit would not pay for itself.
+// sumMemo is a bounded map with least-recently-used replacement: each entry
+// is charged 1 against a budget of capacity entries.
 type sumMemo struct {
-	mu   sync.Mutex
-	m    map[sumsKey]sums
-	ring []sumsKey // insertion order; ring[next] is the oldest once full
-	next int
+	mu    sync.Mutex
+	cache *lru.Cache[sumsKey, sums]
 }
 
 func newSumMemo(capacity int) *sumMemo {
-	return &sumMemo{m: make(map[sumsKey]sums, capacity), ring: make([]sumsKey, 0, capacity)}
+	return &sumMemo{cache: lru.New[sumsKey, sums](int64(capacity), nil)}
 }
 
 func (m *sumMemo) get(k sumsKey) (sums, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	sum, ok := m.m[k]
-	return sum, ok
+	return m.cache.Get(k)
 }
 
 func (m *sumMemo) put(k sumsKey, sum sums) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.m[k]; ok {
-		return
-	}
-	if len(m.ring) < cap(m.ring) {
-		m.ring = append(m.ring, k)
-	} else {
-		delete(m.m, m.ring[m.next])
-		m.ring[m.next] = k
-		m.next = (m.next + 1) % len(m.ring)
-	}
-	m.m[k] = sum
-}
-
-func (m *sumMemo) len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.m)
+	m.cache.Add(k, sum, 1)
 }

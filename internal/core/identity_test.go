@@ -22,8 +22,8 @@ func TestSumMemoBounded(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
 		m.put(key(seed), sums{weights: "w", data: "d"})
 	}
-	if m.len() != sumsMemoCap {
-		t.Fatalf("memo holds %d entries after %d distinct seeds, want the cap %d", m.len(), seeds, sumsMemoCap)
+	if n := m.cache.Len(); n != sumsMemoCap {
+		t.Fatalf("memo holds %d entries after %d distinct seeds, want the cap %d", n, seeds, sumsMemoCap)
 	}
 	if _, ok := m.get(key(seeds - 1)); !ok {
 		t.Error("newest key was evicted")
@@ -32,9 +32,19 @@ func TestSumMemoBounded(t *testing.T) {
 		t.Error("oldest key survived 10x the cap of inserts")
 	}
 	// Re-inserting a resident key neither grows the memo nor evicts.
+	oldest := key(seeds - sumsMemoCap)
 	m.put(key(seeds-1), sums{weights: "w", data: "d"})
-	if _, ok := m.get(key(seeds - sumsMemoCap)); !ok {
-		t.Error("re-inserting a resident key evicted another")
+	if _, ok := m.get(oldest); !ok || m.cache.Len() != sumsMemoCap {
+		t.Errorf("re-inserting a resident key evicted another (%d entries)", m.cache.Len())
+	}
+	// Replacement is least recently used: the lookup above made the oldest
+	// insert the most recent use, so the next new key evicts the one after it.
+	m.put(key(seeds), sums{weights: "w", data: "d"})
+	if _, ok := m.get(oldest); !ok {
+		t.Error("a key just looked up was evicted")
+	}
+	if _, ok := m.get(key(seeds - sumsMemoCap + 1)); ok {
+		t.Error("the least recently used key survived a new insert at the cap")
 	}
 }
 

@@ -1,11 +1,11 @@
 package data
 
 import (
-	"container/list"
 	"sync"
 
 	"repro/internal/dataflow"
 	"repro/internal/featurestore"
+	"repro/internal/lru"
 )
 
 // Tables is one generated dataset with what every run over it needs, computed
@@ -56,7 +56,7 @@ const catalogBytes = 256 << 20
 // the budget is never held: it is generated for each caller, which then owns
 // it alone, exactly as a process without a catalog would.
 type Catalog struct {
-	budget int64 // catalogBytes; tests shrink it
+	budget int64 // catalogBytes outside tests
 	// generate is Generate; tests substitute a gated or failing one.
 	generate func(Spec) (structRows, imageRows []dataflow.Row, err error)
 	// joined, when non-nil, receives one value per Get that joins another
@@ -64,28 +64,30 @@ type Catalog struct {
 	// hold a generation open until every concurrent caller has arrived.
 	joined chan<- struct{}
 
-	mu      sync.Mutex
-	entries map[Spec]*catalogEntry
-	lru     *list.List // of *catalogEntry, front = most recently used; holds finished entries only
-	used    int64
+	mu sync.Mutex
+	// tables holds finished datasets, charged Tables.Bytes; generations
+	// still in progress live in flights only, so they are never evicted.
+	tables  *lru.Cache[Spec, *Tables]
+	flights map[Spec]*generation
 }
 
-// catalogEntry is one dataset, in flight until done is closed.
-type catalogEntry struct {
-	spec   Spec
+// generation is one dataset being generated; tables and err are set before
+// done is closed.
+type generation struct {
 	done   chan struct{}
 	tables *Tables
 	err    error
-	elem   *list.Element // nil while in flight (never evicted)
 }
 
 // NewCatalog returns an empty catalog.
-func NewCatalog() *Catalog {
+func NewCatalog() *Catalog { return newCatalog(catalogBytes) }
+
+func newCatalog(budget int64) *Catalog {
 	return &Catalog{
-		budget:   catalogBytes,
+		budget:   budget,
 		generate: Generate,
-		entries:  make(map[Spec]*catalogEntry),
-		lru:      list.New(),
+		tables:   lru.New[Spec, *Tables](budget, nil),
+		flights:  make(map[Spec]*generation),
 	}
 }
 
@@ -97,39 +99,32 @@ func (c *Catalog) Get(spec Spec) (*Tables, error) {
 		return c.build(spec)
 	}
 	c.mu.Lock()
-	if e, ok := c.entries[spec]; ok {
-		inFlight := e.elem == nil
-		if !inFlight {
-			c.lru.MoveToFront(e.elem)
-		}
+	if t, ok := c.tables.Get(spec); ok {
 		c.mu.Unlock()
-		if inFlight && c.joined != nil {
+		return t, nil
+	}
+	if g, ok := c.flights[spec]; ok {
+		c.mu.Unlock()
+		if c.joined != nil {
 			c.joined <- struct{}{}
 		}
-		<-e.done
-		return e.tables, e.err
+		<-g.done
+		return g.tables, g.err
 	}
-	e := &catalogEntry{spec: spec, done: make(chan struct{})}
-	c.entries[spec] = e
+	g := &generation{done: make(chan struct{})}
+	c.flights[spec] = g
 	c.mu.Unlock()
 
-	e.tables, e.err = c.build(spec)
+	g.tables, g.err = c.build(spec)
 
 	c.mu.Lock()
-	if e.err != nil || e.tables.Bytes() > c.budget {
-		delete(c.entries, spec)
-	} else {
-		c.used += e.tables.Bytes()
-		e.elem = c.lru.PushFront(e)
-		for c.used > c.budget {
-			old := c.lru.Remove(c.lru.Back()).(*catalogEntry)
-			delete(c.entries, old.spec)
-			c.used -= old.tables.Bytes()
-		}
+	delete(c.flights, spec)
+	if g.err == nil && g.tables.Bytes() <= c.budget {
+		c.tables.Add(spec, g.tables, g.tables.Bytes())
 	}
 	c.mu.Unlock()
-	close(e.done)
-	return e.tables, e.err
+	close(g.done)
+	return g.tables, g.err
 }
 
 // build generates spec's tables and their row statistics.

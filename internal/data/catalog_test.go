@@ -55,8 +55,8 @@ func TestCatalogEntryCarriesItsStatistics(t *testing.T) {
 func resident(c *Catalog, spec Spec) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[spec]
-	return ok && e.elem != nil
+	_, ok := c.tables.Peek(spec)
+	return ok
 }
 
 // TestCatalogSingleflight holds the first generation open until every other
@@ -125,8 +125,7 @@ func TestCatalogEvictsLeastRecentlyUsedByBytes(t *testing.T) {
 		sizes[seed] = tables.Bytes()
 		total += tables.Bytes()
 	}
-	c := NewCatalog()
-	c.budget = total - 1
+	c := newCatalog(total - 1)
 	for _, seed := range []int64{1, 2} {
 		if _, err := c.Get(tinySpec(seed)); err != nil {
 			t.Fatal(err)
@@ -143,8 +142,8 @@ func TestCatalogEvictsLeastRecentlyUsedByBytes(t *testing.T) {
 			t.Errorf("entry %d resident = %v, want %v", seed, got, want)
 		}
 	}
-	if want := sizes[1] + sizes[3]; c.used != want {
-		t.Errorf("used = %d, want %d", c.used, want)
+	if want := sizes[1] + sizes[3]; c.tables.Used() != want {
+		t.Errorf("used = %d, want %d", c.tables.Used(), want)
 	}
 	// An evicted dataset is simply generated again.
 	if _, err := c.Get(tinySpec(2)); err != nil {
@@ -161,8 +160,7 @@ func TestCatalogBypassesDatasetsOverBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCatalog()
-	c.budget = 2 * one.Bytes()
+	c := newCatalog(2 * one.Bytes())
 	var generations atomic.Int32
 	c.generate = func(s Spec) ([]dataflow.Row, []dataflow.Row, error) {
 		generations.Add(1)
@@ -206,8 +204,8 @@ func TestCatalogDoesNotCacheGenerationErrors(t *testing.T) {
 	if _, err := c.Get(tinySpec(1)); !errors.Is(err, boom) {
 		t.Fatalf("Get = %v, want the generation error", err)
 	}
-	if len(c.entries) != 0 || c.used != 0 {
-		t.Fatalf("failed generation left %d entries, %d bytes", len(c.entries), c.used)
+	if n := c.tables.Len() + len(c.flights); n != 0 || c.tables.Used() != 0 {
+		t.Fatalf("failed generation left %d entries, %d bytes", n, c.tables.Used())
 	}
 	fail = false
 	if tables, err := c.Get(tinySpec(1)); err != nil || tables == nil {

@@ -156,17 +156,12 @@ func TestHOGDimensionsAndNorm(t *testing.T) {
 	for i := range img.Data() {
 		img.Data()[i] = float32(i % 13)
 	}
-	cfg := DefaultHOGConfig()
-	feats, err := HOG(img, cfg)
+	feats, err := HOG(img, HOGConfig{CellSize: 8, Bins: 9})
 	if err != nil {
 		t.Fatalf("HOG: %v", err)
 	}
-	wantDim, err := HOGDim(img.Shape(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(feats) != wantDim || wantDim != 8*8*9 {
-		t.Errorf("HOG dim = %d, want %d (= 8*8*9)", len(feats), wantDim)
+	if len(feats) != 8*8*9 {
+		t.Errorf("HOG dim = %d, want 8*8*9", len(feats))
 	}
 	// Each cell's histogram is L2-normalized: norms in [0, ~1].
 	for cell := 0; cell < 64; cell++ {
@@ -219,19 +214,17 @@ func TestHOGDistinguishesOrientations(t *testing.T) {
 }
 
 func TestHOGValidation(t *testing.T) {
-	if _, err := HOG(tensor.New(4), DefaultHOGConfig()); err == nil {
+	cfg := HOGConfig{CellSize: 8, Bins: 9}
+	if _, err := HOG(tensor.New(4), cfg); err == nil {
 		t.Error("accepted rank-1 input")
 	}
-	if _, err := HOG(tensor.New(1, 4, 4), DefaultHOGConfig()); err == nil {
+	if _, err := HOG(tensor.New(1, 4, 4), cfg); err == nil {
 		t.Error("accepted image smaller than cell")
 	}
 	if _, err := HOG(tensor.New(1, 32, 32), HOGConfig{CellSize: 0, Bins: 9}); err == nil {
 		t.Error("accepted zero cell size")
 	}
-	if _, err := HOGDim(tensor.Shape{32, 32}, DefaultHOGConfig()); err == nil {
-		t.Error("HOGDim accepted rank-2 shape")
-	}
-	if _, err := HOGDim(tensor.Shape{3, 32, 32}, HOGConfig{CellSize: 8, Bins: 0}); err == nil {
-		t.Error("HOGDim accepted zero bins")
+	if _, err := HOG(tensor.New(3, 32, 32), HOGConfig{CellSize: 8, Bins: 0}); err == nil {
+		t.Error("accepted zero bins")
 	}
 }

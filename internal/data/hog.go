@@ -17,9 +17,6 @@ type HOGConfig struct {
 	Bins int
 }
 
-// DefaultHOGConfig returns the conventional 8-pixel cells with 9 bins.
-func DefaultHOGConfig() HOGConfig { return HOGConfig{CellSize: 8, Bins: 9} }
-
 // HOG computes L2-normalized per-cell orientation histograms of the
 // grayscale gradient of a CHW image and returns them as a flat feature
 // vector of length (H/cell)·(W/cell)·bins.
@@ -96,16 +93,4 @@ func HOG(img *tensor.Tensor, cfg HOGConfig) ([]float32, error) {
 		}
 	}
 	return out, nil
-}
-
-// HOGDim returns the feature-vector length HOG produces for an image of the
-// given CHW shape.
-func HOGDim(shape tensor.Shape, cfg HOGConfig) (int, error) {
-	if len(shape) != 3 {
-		return 0, fmt.Errorf("%w: HOG expects CHW, got %v", tensor.ErrShape, shape)
-	}
-	if cfg.CellSize <= 0 || cfg.Bins <= 0 {
-		return 0, fmt.Errorf("data: invalid HOG config %+v", cfg)
-	}
-	return (shape[1] / cfg.CellSize) * (shape[2] / cfg.CellSize) * cfg.Bins, nil
 }

@@ -92,7 +92,7 @@ func TestUnspillChargeFailureKeepsAccountingExact(t *testing.T) {
 	if used := sc.pool.Used(); used != 0 {
 		t.Errorf("storage pool reports %d bytes with nothing cached", used)
 	}
-	if _, ok := sc.index[p.id]; ok {
+	if _, ok := sc.cached.Peek(p.id); ok {
 		t.Error("charge-failed partition present in the LRU index")
 	}
 

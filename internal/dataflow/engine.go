@@ -214,15 +214,6 @@ func (tc *TaskContext) Cancelled() bool {
 	}
 }
 
-// AllocUser charges n bytes of User Memory for the task's duration; the
-// caller must FreeUser. Failures surface crash scenario 2.
-func (tc *TaskContext) AllocUser(n int64, detail string) error {
-	return tc.Engine.nodes[tc.NodeID].user.Alloc(n, detail)
-}
-
-// FreeUser releases a prior AllocUser charge.
-func (tc *TaskContext) FreeUser(n int64) { tc.Engine.nodes[tc.NodeID].user.Free(n) }
-
 // AddFLOPs records floating-point work done by the UDF.
 func (tc *TaskContext) AddFLOPs(n int64) { tc.Engine.counters.FLOPs.Add(n) }
 

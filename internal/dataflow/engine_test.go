@@ -137,10 +137,13 @@ func TestMapAndFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doubled, err := e.Map("d", tb, func(_ *TaskContext, r Row) (Row, error) {
-		c := r.Clone()
-		c.Structured[0] *= 2
-		return c, nil
+	doubled, err := e.MapPartitions("d", tb, func(_ *TaskContext, in []Row) ([]Row, error) {
+		out := make([]Row, len(in))
+		for i := range in {
+			out[i] = in[i].Clone()
+			out[i].Structured[0] *= 2
+		}
+		return out, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -531,13 +534,13 @@ func TestPartitionRowsBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tb.PartitionRows(-1); err == nil {
+	if _, err := tb.partitionRows(-1); err == nil {
 		t.Error("accepted negative partition index")
 	}
-	if _, err := tb.PartitionRows(2); err == nil {
+	if _, err := tb.partitionRows(2); err == nil {
 		t.Error("accepted out-of-range partition index")
 	}
-	rows, err := tb.PartitionRows(0)
+	rows, err := tb.partitionRows(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,10 +568,6 @@ func TestTaskContextUserAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = e.MapPartitions("m", tb, func(tc *TaskContext, in []Row) ([]Row, error) {
-		if err := tc.AllocUser(memory.MB(1), "scratch"); err != nil {
-			return nil, err
-		}
-		tc.FreeUser(memory.MB(1))
 		tc.AddFLOPs(100)
 		return in, nil
 	})

@@ -97,10 +97,6 @@ func TestEngineMetricsConcurrentScrape(t *testing.T) {
 			defer workers.Done()
 			for i := 0; i < 5; i++ {
 				out, err := e.MapPartitions("m", tb, func(tc *TaskContext, in []Row) ([]Row, error) {
-					if err := tc.AllocUser(1024, "udf scratch"); err != nil {
-						return nil, err
-					}
-					defer tc.FreeUser(1024)
 					tc.AddFLOPs(int64(len(in)))
 					return in, nil
 				})

@@ -1,10 +1,10 @@
 package dataflow
 
 import (
-	"container/list"
 	"fmt"
 
 	"repro/internal/faultinject"
+	"repro/internal/lru"
 	"repro/internal/memory"
 )
 
@@ -19,11 +19,11 @@ type storageCache struct {
 	engine *Engine
 	pool   *memory.Pool
 
-	// lru holds *Partition; front = most recently used. Guarded by the
-	// pool-independent mutex in Engine via single-writer discipline: all
-	// mutations go through add/touch/evict which take the engine lock.
-	lru   *list.List
-	index map[int64]*list.Element
+	// cached holds the resident partitions by id in recency order, guarded
+	// by the engine lock (every mutation goes through add/touch/drop). It
+	// has no budget of its own: pool is the budget, because a refused charge
+	// is the Ignite crash and an eviction here is a spill that can fail.
+	cached *lru.Cache[int64, *Partition]
 }
 
 func newStorageCache(n *node, e *Engine, capacity int64) *storageCache {
@@ -32,8 +32,7 @@ func newStorageCache(n *node, e *Engine, capacity int64) *storageCache {
 		node:   n,
 		engine: e,
 		pool:   memory.NewPool(memory.Storage, scenario, capacity),
-		lru:    list.New(),
-		index:  make(map[int64]*list.Element),
+		cached: lru.New[int64, *Partition](0, nil),
 	}
 }
 
@@ -63,7 +62,7 @@ func (sc *storageCache) add(p *Partition) error {
 	if err != nil {
 		return err
 	}
-	sc.index[p.id] = sc.lru.PushFront(p)
+	sc.cached.Add(p.id, p, 0)
 	sc.updatePeak()
 	return nil
 }
@@ -71,11 +70,10 @@ func (sc *storageCache) add(p *Partition) error {
 // evictLRULocked spills the least-recently-used partition and returns the
 // bytes it released from the pool (0 if nothing remains).
 func (sc *storageCache) evictLRULocked() int64 {
-	back := sc.lru.Back()
-	if back == nil {
+	_, p, ok := sc.cached.Oldest()
+	if !ok {
 		return 0
 	}
-	p := back.Value.(*Partition)
 	charged := p.MemBytes()
 	written, err := p.spill(sc.engine.spillDir)
 	if err != nil {
@@ -83,16 +81,14 @@ func (sc *storageCache) evictLRULocked() int64 {
 		// readable in memory) and release its charge — the cache no longer
 		// tracks it, so keeping the charge would leak Storage-pool bytes
 		// forever and fabricate StorageExhausted crashes on healthy runs.
-		sc.lru.Remove(back)
-		delete(sc.index, p.id)
+		sc.cached.Remove(p.id)
 		sc.pool.Free(charged)
 		return charged
 	}
 	sc.engine.counters.BytesSpilled.Add(written)
 	sc.engine.counters.Spills.Add(1)
 	sc.engine.noteSpillLocked(p.SpillPath())
-	sc.lru.Remove(back)
-	delete(sc.index, p.id)
+	sc.cached.Remove(p.id)
 	sc.pool.Free(charged)
 	return charged
 }
@@ -101,9 +97,7 @@ func (sc *storageCache) evictLRULocked() int64 {
 // storage) if it was evicted; it also refreshes LRU recency.
 func (sc *storageCache) touch(p *Partition) ([]Row, error) {
 	sc.engine.mu.Lock()
-	if el, ok := sc.index[p.id]; ok {
-		sc.lru.MoveToFront(el)
-	}
+	sc.cached.Get(p.id) // refresh recency
 	spilled := p.Spilled()
 	sc.engine.mu.Unlock()
 
@@ -146,7 +140,7 @@ func (sc *storageCache) touch(p *Partition) ([]Row, error) {
 				}
 				return nil, err
 			}
-			sc.index[p.id] = sc.lru.PushFront(p)
+			sc.cached.Add(p.id, p, 0)
 			sc.updatePeak()
 		}
 		return p.Rows()
@@ -158,11 +152,8 @@ func (sc *storageCache) touch(p *Partition) ([]Row, error) {
 func (sc *storageCache) drop(p *Partition) {
 	sc.engine.mu.Lock()
 	defer sc.engine.mu.Unlock()
-	if el, ok := sc.index[p.id]; ok {
-		charged := p.MemBytes()
-		sc.lru.Remove(el)
-		delete(sc.index, p.id)
-		sc.pool.Free(charged)
+	if sc.cached.Remove(p.id) {
+		sc.pool.Free(p.MemBytes())
 	}
 	sc.engine.noteUnspillLocked(p.SpillPath())
 	p.discard()

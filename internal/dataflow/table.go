@@ -118,21 +118,6 @@ func (e *Engine) MapPartitions(name string, t *Table, fn PartitionFunc) (*Table,
 	return out, nil
 }
 
-// Map applies fn to every row.
-func (e *Engine) Map(name string, t *Table, fn func(tc *TaskContext, r Row) (Row, error)) (*Table, error) {
-	return e.MapPartitions(name, t, func(tc *TaskContext, in []Row) ([]Row, error) {
-		out := make([]Row, 0, len(in))
-		for i := range in {
-			r, err := fn(tc, in[i])
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, r)
-		}
-		return out, nil
-	})
-}
-
 // Filter keeps rows for which pred returns true.
 func (e *Engine) Filter(name string, t *Table, pred func(r *Row) bool) (*Table, error) {
 	return e.MapPartitions(name, t, func(_ *TaskContext, in []Row) ([]Row, error) {
@@ -233,9 +218,9 @@ func (t *Table) Drop() {
 	t.partitions = nil
 }
 
-// PartitionRows exposes one partition's rows for tests and local training
-// loops (read-only).
-func (t *Table) PartitionRows(i int) ([]Row, error) {
+// partitionRows reads one partition's rows through its node's storage cache
+// (read-only).
+func (t *Table) partitionRows(i int) ([]Row, error) {
 	if i < 0 || i >= len(t.partitions) {
 		return nil, fmt.Errorf("dataflow: partition %d out of range [0,%d)", i, len(t.partitions))
 	}

@@ -61,11 +61,10 @@ func requireSameFeatures(t *testing.T, what string, got, want map[int64]*tensor.
 
 // TestRowFeaturesIndependentOfBatchAndWorkers pins the determinism the
 // feature store and shared inference rest on: a row's emitted features are
-// bit-identical whether it is inferred alone or inside a 6-row partition,
-// and whether the compute pool has 1 worker or 4. Every element of C is one
-// sum in one order; how tiles are scheduled cannot change it.
+// bit-identical whether it is inferred alone or inside a 6-row partition.
+// Every element of C is one sum in one order; how rows are batched cannot
+// change it.
 func TestRowFeaturesIndependentOfBatchAndWorkers(t *testing.T) {
-	defer tensor.SetConvWorkers(tensor.ConvWorkers())
 	for _, m := range []*cnn.Model{cnn.TinyAlexNet(), cnn.TinyResNet50()} {
 		e := testEngine(t, memory.MB(256), memory.MB(64))
 		s, err := NewSession(e, m, Options{Seed: 5})
@@ -73,16 +72,9 @@ func TestRowFeaturesIndependentOfBatchAndWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		rows := imageRows(t, m, 6)
-		tensor.SetConvWorkers(1)
-		want := emitAll(t, s, e, "batch.w1", rows, 1)
-		for _, workers := range []int{1, 4} {
-			tensor.SetConvWorkers(workers)
-			what := fmt.Sprintf("%s at %d workers vs the serial batch", m.Name, workers)
-			requireSameFeatures(t, what+", 6-row partition",
-				emitAll(t, s, e, fmt.Sprintf("batch.w%d.again", workers), rows, 1), want)
-			requireSameFeatures(t, what+", row alone",
-				emitAll(t, s, e, fmt.Sprintf("alone.w%d", workers), rows[2:3], 1), want)
-		}
+		want := emitAll(t, s, e, "batch", rows, 1)
+		requireSameFeatures(t, m.Name+" row alone vs the 6-row partition",
+			emitAll(t, s, e, "alone", rows[2:3], 1), want)
 		s.Close()
 	}
 }

@@ -3,7 +3,6 @@ package dl
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/cnn"
 	"repro/internal/dataflow"
@@ -77,7 +76,7 @@ func NewSession(e *dataflow.Engine, model *cnn.Model, opts Options) (*Session, e
 	// space, so nothing is encoded or copied; what the paper's driver holds and
 	// ships is |f|_ser, the serialized size the optimizer and the memory model
 	// already price, and that is what the driver pool and the broadcast
-	// counter are charged. (The checkpoint codec itself is cnn's to test.)
+	// counter are charged.
 	if err := faultinject.Hit(FaultSessionBroadcast); err != nil {
 		return nil, fmt.Errorf("dl: broadcast %s: %w", model.Name, err)
 	}
@@ -224,23 +223,14 @@ func (s *Session) PartitionFunc(spec InferenceSpec) (dataflow.PartitionFunc, err
 		if err := faultinject.Hit(FaultInferBatch); err != nil {
 			return nil, fmt.Errorf("dl: partition %d batch buffer: %w", tc.Part, err)
 		}
+		// Rows run in order on the partition's goroutine: the engine already
+		// runs a stage's partitions side by side, and the optimizer gives
+		// every run at least one partition per modeled core.
 		out := make([]Row, len(in))
-		// Rows are independent, so the batch fans out over the bounded
-		// compute-worker pool (intra-stage parallelism); when the pool is
-		// saturated by other partitions or by tile-level conv workers, rows
-		// simply run inline on this goroutine. The first row error wins;
-		// remaining rows still run but their results are discarded.
-		var (
-			errOnce sync.Once
-			rowErr  error
-		)
-		tensor.ParallelFor(len(in), func(i int) {
+		for i := range in {
 			if err := s.inferRow(tc, &in[i], &out[i], spec, emits, last); err != nil {
-				errOnce.Do(func() { rowErr = err })
+				return nil, err
 			}
-		})
-		if rowErr != nil {
-			return nil, rowErr
 		}
 		tc.AddFLOPs(perRowFLOPs * int64(len(in)))
 		return out, nil
@@ -248,9 +238,9 @@ func (s *Session) PartitionFunc(spec InferenceSpec) (dataflow.PartitionFunc, err
 }
 
 // inferRow advances one row's input tensor through the spec's layer range,
-// emitting pooled feature vectors at the requested layers. It is invoked
-// concurrently for the rows of a batch; the session's model and weights are
-// read-only during inference.
+// emitting pooled feature vectors at the requested layers. The session's
+// model and weights are read-only during inference: concurrent partitions
+// (and sessions borrowing the same weights) share them.
 func (s *Session) inferRow(tc *dataflow.TaskContext, in *Row, out *Row, spec InferenceSpec, emits []int, last int) error {
 	r := *in // shallow copy; payloads are replaced below
 	t, err := s.inputTensor(in, spec)

@@ -95,7 +95,6 @@ type ByteVerdict struct {
 type site struct {
 	policy Policy
 	calls  int64
-	fires  int64
 }
 
 var (
@@ -105,10 +104,6 @@ var (
 	sites    = map[string]*site{}
 	exitFunc = func(code int) { os.Exit(code) }
 )
-
-// Enabled reports whether any site is armed. Production code never needs it
-// (Hit/HitBytes embed the same check), but harnesses use it for sanity gates.
-func Enabled() bool { return armedCount.Load() > 0 }
 
 // Arm installs a policy at a named site, replacing any previous policy and
 // resetting the site's counters.
@@ -153,38 +148,6 @@ func ArmedSites() []string {
 	return names
 }
 
-// Calls reports how many times an armed site has been visited since arming
-// (0 for unarmed sites).
-func Calls(name string) int64 {
-	mu.Lock()
-	defer mu.Unlock()
-	if s, ok := sites[name]; ok {
-		return s.calls
-	}
-	return 0
-}
-
-// Fires reports how many times an armed site's policy has fired since arming.
-func Fires(name string) int64 {
-	mu.Lock()
-	defer mu.Unlock()
-	if s, ok := sites[name]; ok {
-		return s.fires
-	}
-	return 0
-}
-
-// SetExitFunc replaces the function Kill policies terminate the process with
-// (default os.Exit) and returns the previous one. Only the layer's own tests
-// use it; crash harnesses want the real exit.
-func SetExitFunc(f func(int)) func(int) {
-	mu.Lock()
-	defer mu.Unlock()
-	prev := exitFunc
-	exitFunc = f
-	return prev
-}
-
 // visit runs the armed policy (if any) for one site call and applies kill
 // semantics. It returns the policy's verdict with fail/silent resolved.
 func visit(name string, n int64) (verdict, string) {
@@ -196,9 +159,6 @@ func visit(name string, n int64) (verdict, string) {
 	}
 	s.calls++
 	v := s.policy.decide(s.calls, n)
-	if v.fail || v.kill || v.silent {
-		s.fires++
-	}
 	desc := s.policy.String()
 	exit := exitFunc
 	mu.Unlock()

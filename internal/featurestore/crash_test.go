@@ -83,7 +83,7 @@ func assertStoreClean(t *testing.T, s *Store, dir string) {
 			}
 			entryBytes += fi.Size()
 			id := strings.TrimSuffix(name, entrySuffix)
-			if _, ok := s.entries[id]; !ok {
+			if _, ok := s.entries.Peek(id); !ok {
 				t.Errorf("orphan entry file after recovery: %s", name)
 			}
 		}

@@ -196,6 +196,82 @@ func TestStoreSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestStoreRestartKeepsRecency: the index carries recency across a restart,
+// so after a reopen the entry evicted first is the one least recently used
+// before Close — not the one put first, and not the one used last.
+func TestStoreRestartKeepsRecency(t *testing.T) {
+	sizes := make([]int64, 4)
+	for i := range sizes {
+		sizes[i] = encodedSize(t, featRows(i, 32, 16))
+	}
+	budget := sizes[0] + sizes[1] + sizes[2]
+	dir := t.TempDir()
+	s, err := Open(dir, budget)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Put(testKey(i, Feature), featRows(i, 32, 16)); err != nil {
+			t.Fatalf("Put %d: %v", i, err)
+		}
+	}
+	// Touch entry 0, so entry 1 is the least recently used.
+	if _, ok, _ := s.Get(testKey(0, Feature)); !ok {
+		t.Fatal("entry 0 should be cached")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	s2, err := Open(dir, budget)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if st := s2.Snapshot(); st.Entries != 3 || st.Evictions != 0 {
+		t.Fatalf("reopen under the same budget changed the store: %+v", st)
+	}
+	if err := s2.Put(testKey(3, Feature), featRows(3, 32, 16)); err != nil {
+		t.Fatalf("Put 3: %v", err)
+	}
+	for i, want := range []bool{true, false, true, true} {
+		if got := s2.Contains(testKey(i, Feature)); got != want {
+			t.Errorf("after restart and one more Put: entry %d cached = %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestPutDedupSkipsIdenticalContent is the regression test for the
+// duplicate-work race's second half: two runs that both computed the same
+// feature table must not rewrite (and double-journal) the identical entry.
+// Pre-fix, the second Put replaced the entry and the dedup counter stayed 0.
+func TestPutDedupSkipsIdenticalContent(t *testing.T) {
+	s, err := Open(t.TempDir(), 1<<20)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	rows := featRows(1, 16, 8)
+	k := testKey(3, Feature)
+	if err := s.Put(k, rows); err != nil {
+		t.Fatalf("first Put: %v", err)
+	}
+	if err := s.Put(k, rows); err != nil {
+		t.Fatalf("identical Put: %v", err)
+	}
+	st := s.Snapshot()
+	if st.Puts != 1 || st.DedupPuts != 1 || st.Entries != 1 {
+		t.Errorf("stats = %+v, want 1 put + 1 dedup over 1 entry", st)
+	}
+
+	// Different content under the same key is a real replace, not a dedup.
+	if err := s.Put(k, featRows(2, 16, 8)); err != nil {
+		t.Fatalf("replacing Put: %v", err)
+	}
+	st = s.Snapshot()
+	if st.Puts != 2 || st.DedupPuts != 1 {
+		t.Errorf("stats after replace = %+v, want 2 puts + 1 dedup", st)
+	}
+}
+
 func TestStoreCorruptIndexRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 1<<20)

@@ -21,8 +21,10 @@ type IndexEntry struct {
 	Key Key
 	// Size is the entry's payload size in bytes (its budget charge).
 	Size int64
-	// LastUsed is the store's logical clock at the entry's last access,
-	// preserving LRU order across restarts.
+	// LastUsed is the entry's recency rank, larger = more recently used.
+	// Open restores recency from the entries' position in the index (most
+	// recently used first), not from this field, so indexes whose LastUsed
+	// holds a logical clock instead of a rank load the same way.
 	LastUsed int64
 }
 

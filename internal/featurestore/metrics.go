@@ -25,9 +25,6 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("vista_featurestore_dedup_puts_total",
 		"Puts skipped because identical content was already stored.",
 		stat(func(st Stats) int64 { return st.DedupPuts }))
-	reg.CounterFunc("vista_featurestore_coalesced_total",
-		"GetOrFill callers served by another caller's in-flight fill.",
-		stat(func(st Stats) int64 { return st.Coalesced }))
 	reg.CounterFunc("vista_featurestore_evictions_total",
 		"Entries evicted to stay under the byte budget.",
 		stat(func(st Stats) int64 { return st.Evictions }))

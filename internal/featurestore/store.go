@@ -1,7 +1,6 @@
 package featurestore
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"fmt"
 	"os"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/durable"
 	"repro/internal/faultinject"
+	"repro/internal/lru"
 )
 
 // Failpoint sites (see internal/faultinject). The two durable.WriteFileAtomic base
@@ -49,47 +49,22 @@ type Store struct {
 	dir    string
 	budget int64 // bytes; <= 0 means unlimited
 
-	mu      sync.Mutex
-	entries map[string]*storeEntry // content address -> entry
-	lru     *list.List             // front = most recently used
-	used    int64
-	clock   int64 // logical time for LRU persistence
+	mu sync.Mutex
+	// entries maps content address -> entry in recency order, each charged
+	// its entry file's size; evicting one deletes the file (evicted).
+	entries *lru.Cache[string, *storeEntry]
 
 	hits, misses, puts, evictions int64
 	readBytes, evictedBytes       int64
 	dedupPuts                     int64
-
-	// flightMu guards the in-flight fill registry (GetOrFill); it is
-	// separate from mu so sharers blocked on a fill never serialize plain
-	// Get/Put traffic.
-	flightMu  sync.Mutex
-	flights   map[string]*flight
-	coalesced int64
-	// joined, when non-nil, receives one value per GetOrFill caller that
-	// joins another caller's in-flight fill, sent before it parks: the event
-	// tests wait on to hold a fill open until every sharer has arrived.
-	joined chan<- struct{}
 }
 
 type storeEntry struct {
-	key      Key
-	id       string
-	size     int64
-	lastUsed int64
-	elem     *list.Element
+	key Key
 	// sum is the blob's content hash, known only for entries written by this
-	// process (entries recovered from the index have hasSum == false and are
-	// never dedup candidates).
-	sum    [32]byte
-	hasSum bool
-}
-
-// flight is one in-progress fill: the first misser computes, sharers wait on
-// done and take deep copies of the result.
-type flight struct {
-	done chan struct{}
-	rows []dataflow.Row
-	err  error
+	// process: entries recovered from the index carry the zero sum, which no
+	// blob hashes to, so they are never dedup candidates.
+	sum [32]byte
 }
 
 const (
@@ -115,9 +90,6 @@ type Stats struct {
 	// already stored under the key; the write was skipped (recency still
 	// refreshed).
 	DedupPuts int64 `json:"dedup_puts"`
-	// Coalesced counts GetOrFill callers served by another caller's
-	// in-flight fill instead of running the fill themselves.
-	Coalesced int64 `json:"coalesced"`
 }
 
 // Open loads (or creates) a store rooted at dir with the given byte budget
@@ -128,13 +100,8 @@ func Open(dir string, budget int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("featurestore: %w", err)
 	}
-	s := &Store{
-		dir:     dir,
-		budget:  budget,
-		entries: make(map[string]*storeEntry),
-		lru:     list.New(),
-		clock:   1,
-	}
+	s := &Store{dir: dir, budget: budget}
+	s.entries = lru.New(budget, s.evicted)
 	persisted, err := s.loadIndex()
 	if err != nil {
 		// Corrupt or unreadable index: recover by starting cold.
@@ -142,11 +109,12 @@ func Open(dir string, budget int64) (*Store, error) {
 		s.wipeEntryFiles()
 		os.Remove(filepath.Join(dir, indexName))
 	}
-	// Oldest first so list insertion at the front yields MRU→LRU order.
+	// The index lists entries most recently used first; adding them oldest
+	// first rebuilds that order (and evicts down to a budget that shrank).
 	for i := len(persisted) - 1; i >= 0; i-- {
 		e := persisted[i]
 		id := e.Key.id()
-		if _, dup := s.entries[id]; dup || e.Size < 0 {
+		if _, dup := s.entries.Peek(id); dup || e.Size < 0 {
 			continue
 		}
 		fi, statErr := os.Stat(s.entryPath(id))
@@ -155,18 +123,11 @@ func Open(dir string, budget int64) (*Store, error) {
 			os.Remove(s.entryPath(id))
 			continue
 		}
-		se := &storeEntry{key: e.Key, id: id, size: e.Size, lastUsed: e.LastUsed}
-		se.elem = s.lru.PushBack(se)
-		s.entries[id] = se
-		s.used += e.Size
-		if e.LastUsed >= s.clock {
-			s.clock = e.LastUsed + 1
-		}
+		s.entries.Add(id, &storeEntry{key: e.Key}, e.Size)
 	}
 	s.sweepTempFiles()
 	s.removeOrphans()
-	s.evictLocked(0)
-	if len(s.entries) != len(persisted) || persisted == nil {
+	if s.entries.Len() != len(persisted) || persisted == nil {
 		s.persistIndexLocked()
 	}
 	return s, nil
@@ -182,7 +143,7 @@ func (s *Store) Dir() string { return s.dir }
 func (s *Store) Get(k Key) ([]dataflow.Row, bool, error) {
 	id := k.id()
 	s.mu.Lock()
-	e, ok := s.entries[id]
+	e, ok := s.entries.Peek(id)
 	if !ok {
 		s.misses++
 		s.mu.Unlock()
@@ -202,23 +163,18 @@ func (s *Store) Get(k Key) ([]dataflow.Row, bool, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur, present := s.entries[id]
 	if err != nil {
 		// Unreadable or undecodable entry: drop it — unless it already
 		// vanished (or was replaced) while we read — and report a miss so
 		// callers fall back to recomputation.
-		if present && cur == e {
-			s.dropLocked(cur)
+		if cur, present := s.entries.Peek(id); present && cur == e {
+			s.dropLocked(id)
 			s.persistIndexLocked()
 		}
 		s.misses++
 		return nil, false, nil
 	}
-	if present {
-		s.clock++
-		cur.lastUsed = s.clock
-		s.lru.MoveToFront(cur.elem)
-	}
+	s.entries.Get(id) // refresh recency, if the entry is still there
 	s.hits++
 	s.readBytes += int64(len(blob))
 	return rows, true, nil
@@ -249,13 +205,11 @@ func (s *Store) Put(k Key, rows []dataflow.Row) error {
 		return nil
 	}
 	id := k.id()
-	if prev, ok := s.entries[id]; ok && prev.hasSum && prev.size == size && prev.sum == sum {
+	if prev, ok := s.entries.Peek(id); ok && prev.sum == sum {
 		// Identical content is already durable under this key — the classic
 		// duplicate-work race (two runs miss, both compute, both Put). Skip
 		// the disk write entirely; just refresh recency.
-		s.clock++
-		prev.lastUsed = s.clock
-		s.lru.MoveToFront(prev.elem)
+		s.entries.Get(id)
 		s.dedupPuts++
 		return nil
 	}
@@ -270,25 +224,15 @@ func (s *Store) Put(k Key, rows []dataflow.Row) error {
 		// Injected failure between entry write and index persist: roll the
 		// key back entirely so disk and memory stay in agreement (the old
 		// blob, if any, was already replaced by the rename above).
-		if prev, ok := s.entries[id]; ok {
-			s.dropLocked(prev)
+		if s.entries.Remove(id) {
 			s.persistIndexLocked()
-		} else {
-			os.Remove(s.entryPath(id))
 		}
+		os.Remove(s.entryPath(id))
 		return fmt.Errorf("featurestore: write %s: %w", k, ferr)
 	}
-	if prev, ok := s.entries[id]; ok {
-		// The rename already swapped the old blob out; detach the stale
-		// in-memory entry without deleting the new file.
-		s.detachLocked(prev)
-	}
-	s.evictLocked(size)
-	s.clock++
-	e := &storeEntry{key: k, id: id, size: size, lastUsed: s.clock, sum: sum, hasSum: true}
-	e.elem = s.lru.PushFront(e)
-	s.entries[id] = e
-	s.used += size
+	// Add replaces an entry already under id without the eviction callback:
+	// the rename swapped its file for the new blob, which must stay.
+	s.entries.Add(id, &storeEntry{key: k, sum: sum}, size)
 	s.puts++
 	if err := s.persistIndexLocked(); err != nil {
 		// The entry itself is durable and usable; the stale index only
@@ -301,66 +245,12 @@ func (s *Store) Put(k Key, rows []dataflow.Row) error {
 	return nil
 }
 
-// GetOrFill returns the rows under k, computing them at most once across
-// concurrent callers: a hit reads the store; on a miss the first caller runs
-// fill and Puts the result, while every concurrent caller for the same key
-// blocks on that flight and receives a deep copy — singleflight-style
-// coalescing that closes the duplicate-work race where two runs miss on the
-// same key and both pay the DL session. filled reports whether this caller
-// ran fill itself (false for store hits and coalesced waiters).
-func (s *Store) GetOrFill(k Key, fill func() ([]dataflow.Row, error)) (rows []dataflow.Row, filled bool, err error) {
-	id := k.id()
-	if rows, ok, err := s.Get(k); err != nil {
-		return nil, false, err
-	} else if ok {
-		return rows, false, nil
-	}
-	s.flightMu.Lock()
-	if f, ok := s.flights[id]; ok {
-		s.flightMu.Unlock()
-		if s.joined != nil {
-			s.joined <- struct{}{}
-		}
-		<-f.done
-		if f.err != nil {
-			return nil, false, f.err
-		}
-		s.flightMu.Lock()
-		s.coalesced++
-		s.flightMu.Unlock()
-		out := make([]dataflow.Row, len(f.rows))
-		for i := range f.rows {
-			out[i] = f.rows[i].Clone()
-		}
-		return out, false, nil
-	}
-	if s.flights == nil {
-		s.flights = make(map[string]*flight)
-	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[id] = f
-	s.flightMu.Unlock()
-
-	result, err := fill()
-	if err == nil {
-		// Best-effort durability: a failed Put (budget skip, disk fault)
-		// still serves the flight's sharers from memory.
-		s.Put(k, result)
-	}
-	f.rows, f.err = result, err
-	close(f.done)
-	s.flightMu.Lock()
-	delete(s.flights, id)
-	s.flightMu.Unlock()
-	return result, err == nil, err
-}
-
 // Contains reports whether k is cached, without touching recency or the
 // hit/miss counters (used for planning probes, not reads).
 func (s *Store) Contains(k Key) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.entries[k.id()]
+	_, ok := s.entries.Peek(k.id())
 	return ok
 }
 
@@ -382,14 +272,11 @@ func (s *Store) CachedLayers(model, weightsSum, dataSum string, layers []int) in
 
 // Snapshot returns current counters.
 func (s *Store) Snapshot() Stats {
-	s.flightMu.Lock()
-	coalesced := s.coalesced
-	s.flightMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Entries:      len(s.entries),
-		UsedBytes:    s.used,
+		Entries:      s.entries.Len(),
+		UsedBytes:    s.entries.Used(),
 		BudgetBytes:  s.budget,
 		Hits:         s.hits,
 		Misses:       s.misses,
@@ -398,7 +285,6 @@ func (s *Store) Snapshot() Stats {
 		Evictions:    s.evictions,
 		EvictedBytes: s.evictedBytes,
 		DedupPuts:    s.dedupPuts,
-		Coalesced:    coalesced,
 	}
 }
 
@@ -419,18 +305,23 @@ func (s *Store) Fsck() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var sum int64
-	for id, e := range s.entries {
+	var bad error
+	s.entries.Each(func(id string, _ *storeEntry, size int64) {
 		fi, err := os.Stat(s.entryPath(id))
-		if err != nil {
-			return fmt.Errorf("featurestore: fsck: indexed entry %s has no file: %w", id, err)
+		switch {
+		case bad != nil:
+		case err != nil:
+			bad = fmt.Errorf("featurestore: fsck: indexed entry %s has no file: %w", id, err)
+		case fi.Size() != size:
+			bad = fmt.Errorf("featurestore: fsck: entry %s is %d bytes on disk, index says %d", id, fi.Size(), size)
 		}
-		if fi.Size() != e.size {
-			return fmt.Errorf("featurestore: fsck: entry %s is %d bytes on disk, index says %d", id, fi.Size(), e.size)
-		}
-		sum += e.size
+		sum += size
+	})
+	if bad != nil {
+		return bad
 	}
-	if sum != s.used {
-		return fmt.Errorf("featurestore: fsck: %d bytes charged, entries sum to %d", s.used, sum)
+	if sum != s.entries.Used() {
+		return fmt.Errorf("featurestore: fsck: %d bytes charged, entries sum to %d", s.entries.Used(), sum)
 	}
 	des, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -442,14 +333,14 @@ func (s *Store) Fsck() error {
 			return fmt.Errorf("featurestore: fsck: stranded temp file %s", name)
 		}
 		if strings.HasSuffix(name, entrySuffix) {
-			if _, ok := s.entries[strings.TrimSuffix(name, entrySuffix)]; !ok {
+			if _, ok := s.entries.Peek(strings.TrimSuffix(name, entrySuffix)); !ok {
 				return fmt.Errorf("featurestore: fsck: orphan entry file %s", name)
 			}
 		}
 	}
 	blob, err := os.ReadFile(filepath.Join(s.dir, indexName))
 	if err != nil {
-		if os.IsNotExist(err) && len(s.entries) == 0 {
+		if os.IsNotExist(err) && s.entries.Len() == 0 {
 			return nil // never persisted; an empty store is consistent
 		}
 		return fmt.Errorf("featurestore: fsck: reading index: %w", err)
@@ -460,31 +351,18 @@ func (s *Store) Fsck() error {
 	return nil
 }
 
-// evictLocked frees space until incoming extra bytes fit under the budget.
-func (s *Store) evictLocked(incoming int64) {
-	if s.budget <= 0 {
-		return
-	}
-	for s.used+incoming > s.budget && s.lru.Len() > 0 {
-		victim := s.lru.Back().Value.(*storeEntry)
-		s.dropLocked(victim)
-		s.evictions++
-		s.evictedBytes += victim.size
-	}
-}
-
-// detachLocked removes an entry from the in-memory index without touching
-// its file — used when the file has already been replaced in place.
-func (s *Store) detachLocked(e *storeEntry) {
-	s.lru.Remove(e.elem)
-	delete(s.entries, e.id)
-	s.used -= e.size
+// evicted is the entry cache's eviction callback, run under s.mu: the
+// budget no longer holds the entry, so neither does the disk.
+func (s *Store) evicted(id string, _ *storeEntry, size int64) {
+	os.Remove(s.entryPath(id))
+	s.evictions++
+	s.evictedBytes += size
 }
 
 // dropLocked removes an entry from memory and disk.
-func (s *Store) dropLocked(e *storeEntry) {
-	s.detachLocked(e)
-	os.Remove(s.entryPath(e.id))
+func (s *Store) dropLocked(id string) {
+	s.entries.Remove(id)
+	os.Remove(s.entryPath(id))
 }
 
 func (s *Store) entryPath(id string) string {
@@ -502,12 +380,14 @@ func (s *Store) loadIndex() ([]IndexEntry, error) {
 	return DecodeIndex(blob)
 }
 
+// persistIndexLocked writes the index most recently used first, which is
+// the order Open restores recency from.
 func (s *Store) persistIndexLocked() error {
-	entries := make([]IndexEntry, 0, s.lru.Len())
-	for el := s.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*storeEntry)
-		entries = append(entries, IndexEntry{Key: e.key, Size: e.size, LastUsed: e.lastUsed})
-	}
+	n := s.entries.Len()
+	entries := make([]IndexEntry, 0, n)
+	s.entries.Each(func(_ string, e *storeEntry, size int64) {
+		entries = append(entries, IndexEntry{Key: e.key, Size: size, LastUsed: int64(n - len(entries))})
+	})
 	return durable.WriteFileAtomic(FaultIndexWrite, filepath.Join(s.dir, indexName), EncodeIndex(entries))
 }
 
@@ -552,7 +432,7 @@ func (s *Store) removeOrphans() {
 			continue
 		}
 		id := strings.TrimSuffix(name, entrySuffix)
-		if _, ok := s.entries[id]; !ok {
+		if _, ok := s.entries.Peek(id); !ok {
 			os.Remove(filepath.Join(s.dir, name))
 		}
 	}

@@ -132,8 +132,8 @@ func TestPoolAllocFree(t *testing.T) {
 	if err := p.Alloc(60, "a"); err != nil {
 		t.Fatalf("Alloc: %v", err)
 	}
-	if p.Used() != 60 || p.Available() != 40 {
-		t.Errorf("used/avail = %d/%d", p.Used(), p.Available())
+	if p.Used() != 60 || p.Capacity()-p.Used() != 40 {
+		t.Errorf("used/avail = %d/%d", p.Used(), p.Capacity()-p.Used())
 	}
 	err := p.Alloc(50, "b")
 	if err == nil {

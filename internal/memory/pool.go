@@ -52,13 +52,6 @@ func (p *Pool) Peak() int64 {
 	return p.peak
 }
 
-// Available returns the unallocated bytes.
-func (p *Pool) Available() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.capacity - p.used
-}
-
 // Alloc reserves n bytes, or returns an *OOMError carrying the pool's crash
 // scenario. Zero and negative requests are no-ops.
 func (p *Pool) Alloc(n int64, detail string) error {

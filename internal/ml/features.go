@@ -65,16 +65,6 @@ func StructuredPlusConcat(indices ...int) FeatureFunc {
 	}
 }
 
-// FeatureOnly uses only the image-feature vector at the given index.
-func FeatureOnly(idx int) FeatureFunc {
-	return func(r *dataflow.Row) ([]float32, float32, error) {
-		if r.Features == nil || r.Features.Len() <= idx {
-			return nil, 0, fmt.Errorf("%w: index %d", ErrNoFeatures, idx)
-		}
-		return r.Features.Get(idx).Data(), r.Label, nil
-	}
-}
-
 // Model scores feature vectors; for binary classifiers the score is the
 // positive-class probability.
 type Model interface {

@@ -169,15 +169,11 @@ func TestFeatureFuncs(t *testing.T) {
 	if err != nil || len(x) != 5 || x[2] != 3 {
 		t.Fatalf("StructuredPlusFeature: %v %v", x, err)
 	}
-	x, _, err = FeatureOnly(0)(&r)
-	if err != nil || len(x) != 3 {
-		t.Fatalf("FeatureOnly: %v %v", x, err)
-	}
 	if _, _, err := StructuredPlusFeature(5)(&r); err == nil {
 		t.Error("out-of-range feature index accepted")
 	}
 	bare := dataflow.Row{ID: 2}
-	if _, _, err := FeatureOnly(0)(&bare); err == nil {
+	if _, _, err := StructuredPlusFeature(0)(&bare); err == nil {
 		t.Error("missing features accepted")
 	}
 	// Rank-2 feature tensors are rejected.
@@ -288,7 +284,7 @@ func TestDecisionTreeLearnsThreshold(t *testing.T) {
 	if met.Accuracy < 0.95 {
 		t.Errorf("tree accuracy = %.3f, want >= 0.95 on axis-aligned data", met.Accuracy)
 	}
-	if tree.Depth() < 2 {
+	if nodeDepth(tree.root) < 2 {
 		t.Error("tree did not split")
 	}
 }
@@ -302,7 +298,7 @@ func TestDecisionTreePureLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Depth() != 1 {
+	if nodeDepth(tree.root) != 1 {
 		t.Error("pure labels should produce a single leaf")
 	}
 	if tree.Predict([]float32{0.5}) != 1 {

@@ -93,8 +93,8 @@ func Marshal(m Model) ([]byte, error) {
 	return json.Marshal(env)
 }
 
-// Unmarshal restores a model serialized by Marshal.
-func Unmarshal(blob []byte) (Model, error) {
+// unmarshal restores a model serialized by Marshal.
+func unmarshal(blob []byte) (Model, error) {
 	var env envelope
 	if err := json.Unmarshal(blob, &env); err != nil {
 		return nil, fmt.Errorf("ml: unmarshal: %w", err)
@@ -149,13 +149,4 @@ func SaveModel(path string, m Model) error {
 		return fmt.Errorf("ml: save model: %w", err)
 	}
 	return nil
-}
-
-// LoadModel reads a model artifact from path.
-func LoadModel(path string) (Model, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("ml: load model: %w", err)
-	}
-	return Unmarshal(blob)
 }

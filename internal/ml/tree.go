@@ -180,9 +180,8 @@ func (t *DecisionTree) Predict(x []float32) float32 {
 	return n.prob
 }
 
-// Depth returns the tree's height (a single leaf has depth 1).
-func (t *DecisionTree) Depth() int { return nodeDepth(t.root) }
-
+// nodeDepth returns the height of the tree under n (a single leaf has depth
+// 1).
 func nodeDepth(n *treeNode) int {
 	if n == nil {
 		return 0

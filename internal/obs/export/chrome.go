@@ -38,6 +38,19 @@ type chromeTrace struct {
 	TraceEvents     []chromeEvent `json:"traceEvents"`
 }
 
+// WriteTrace renders the span tree in the named trace format: "chrome"
+// (WriteChromeTrace, with rec's counter tracks) or "otlp" (WriteOTLP). Any
+// other name is an error and nothing is written.
+func WriteTrace(w io.Writer, format string, root *obs.Span, rec *sampler.Recording) error {
+	switch format {
+	case "chrome":
+		return WriteChromeTrace(w, root, rec)
+	case "otlp":
+		return WriteOTLP(w, root)
+	}
+	return fmt.Errorf("unknown trace format %q (chrome or otlp)", format)
+}
+
 // WriteChromeTrace renders the span tree as Chrome trace-event JSON: one
 // complete ("X") event per span, nested by time containment on a single
 // track, plus — when rec is non-nil — one counter ("C") track per sampled

@@ -11,7 +11,8 @@ import (
 // contiguous partial-inference stages, each emitting one layer and carrying
 // its raw tensor to the next (except the last).
 func ExampleCompile() {
-	p, _ := plan.Compile(plan.Staged, plan.AfterJoin, cnn.AlexNet(), 4, plan.Options{})
+	stats, _ := cnn.ComputeStats(cnn.AlexNet())
+	p, _ := plan.Compile(plan.Staged, plan.AfterJoin, stats, 4, plan.Options{})
 	fmt.Println(p.Name())
 	for i, s := range p.Steps {
 		fmt.Printf("stage %d: layers [%d..%d] emit %s keepRaw=%v\n",
@@ -28,8 +29,9 @@ func ExampleCompile() {
 // ExamplePlan_TotalInferenceFLOPs quantifies the Lazy plan's redundancy: for
 // AlexNet's four layers, Lazy repeats nearly the whole network per layer.
 func ExamplePlan_TotalInferenceFLOPs() {
-	lazy, _ := plan.Compile(plan.Lazy, plan.BeforeJoin, cnn.AlexNet(), 4, plan.Options{})
-	staged, _ := plan.Compile(plan.Staged, plan.AfterJoin, cnn.AlexNet(), 4, plan.Options{})
+	stats, _ := cnn.ComputeStats(cnn.AlexNet())
+	lazy, _ := plan.Compile(plan.Lazy, plan.BeforeJoin, stats, 4, plan.Options{})
+	staged, _ := plan.Compile(plan.Staged, plan.AfterJoin, stats, 4, plan.Options{})
 	ratio := float64(lazy.TotalInferenceFLOPs()) / float64(staged.TotalInferenceFLOPs())
 	fmt.Printf("lazy does %.1fx the inference work of staged\n", ratio)
 	// Output: lazy does 3.9x the inference work of staged

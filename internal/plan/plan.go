@@ -126,18 +126,8 @@ type Options struct {
 }
 
 // Compile builds the plan of the given kind over the top |L| = k feature
-// layers of the model.
-func Compile(kind Kind, placement JoinPlacement, m *cnn.Model, k int, opts Options) (*Plan, error) {
-	stats, err := cnn.ComputeStats(m)
-	if err != nil {
-		return nil, err
-	}
-	return CompileFromStats(kind, placement, stats, k, opts)
-}
-
-// CompileFromStats is Compile for callers that already have model stats
-// (e.g. the simulator, which never instantiates the model).
-func CompileFromStats(kind Kind, placement JoinPlacement, stats *cnn.Stats, k int, opts Options) (*Plan, error) {
+// layers of the model the stats describe (cnn.ComputeStats).
+func Compile(kind Kind, placement JoinPlacement, stats *cnn.Stats, k int, opts Options) (*Plan, error) {
 	layers, err := stats.TopLayerStats(k)
 	if err != nil {
 		return nil, err
@@ -235,24 +225,6 @@ func (p *Plan) TotalInferenceFLOPs() int64 {
 		total += s.FLOPsPerImage
 	}
 	return total
-}
-
-// PeakMaterializedTables returns the largest number of intermediate feature
-// tables alive at once under this plan: all |L| for Eager, 2 for Staged
-// (current + next via the raw carry), 1 for Lazy. It drives the
-// s_single/s_double memory analysis (Equations 5–6).
-func (p *Plan) PeakMaterializedTables() int {
-	switch p.Kind {
-	case Eager:
-		return len(p.Layers)
-	case Staged:
-		if len(p.Steps) > 1 {
-			return 2
-		}
-		return 1
-	default:
-		return 1
-	}
 }
 
 // Name renders the plan as the paper writes it, e.g. "Staged/AJ".

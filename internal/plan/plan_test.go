@@ -12,7 +12,11 @@ func compile(t *testing.T, kind Kind, placement JoinPlacement, model string, k i
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Compile(kind, placement, m, k, opts)
+	st, err := cnn.ComputeStats(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(kind, placement, st, k, opts)
 	if err != nil {
 		t.Fatalf("Compile(%v): %v", kind, err)
 	}
@@ -127,25 +131,6 @@ func TestAlexNetFc7Fc8RedundancyMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestPeakMaterializedTables(t *testing.T) {
-	tests := []struct {
-		kind Kind
-		k    int
-		want int
-	}{
-		{Lazy, 4, 1},
-		{Eager, 4, 4},
-		{Staged, 4, 2},
-		{Staged, 1, 1},
-	}
-	for _, tc := range tests {
-		p := compile(t, tc.kind, AfterJoin, "alexnet", tc.k, Options{})
-		if got := p.PeakMaterializedTables(); got != tc.want {
-			t.Errorf("%v/%d layers: peak tables = %d, want %d", tc.kind, tc.k, got, tc.want)
-		}
-	}
-}
-
 func TestPreMaterializedBase(t *testing.T) {
 	p := compile(t, Staged, AfterJoin, "alexnet", 4, Options{PreMaterializeBase: true})
 	if p.PreMaterializedBase != 0 {
@@ -179,7 +164,10 @@ func TestPreMaterializedSingleLayer(t *testing.T) {
 }
 
 func TestCompileValidation(t *testing.T) {
-	m := cnn.AlexNet()
+	m, err := cnn.ComputeStats(cnn.AlexNet())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := Compile(Kind(99), AfterJoin, m, 2, Options{}); err == nil {
 		t.Error("unknown kind accepted")
 	}

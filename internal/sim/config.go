@@ -29,20 +29,20 @@ type profileJSON struct {
 	GPUGFLOPS         float64 `json:"gpu_gflops"`
 }
 
-// LoadProfile reads a cluster profile from a JSON file. Missing fields
+// loadProfile reads a cluster profile from a JSON file. Missing fields
 // default to the paper cluster's calibrated values, so a user only overrides
 // what differs on their hardware.
-func LoadProfile(path string) (Profile, error) {
+func loadProfile(path string) (Profile, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return Profile{}, fmt.Errorf("sim: load profile: %w", err)
 	}
-	return ParseProfile(blob)
+	return parseProfile(blob)
 }
 
-// ParseProfile builds a Profile from JSON, defaulting unset fields to the
+// parseProfile builds a Profile from JSON, defaulting unset fields to the
 // paper cluster.
-func ParseProfile(blob []byte) (Profile, error) {
+func parseProfile(blob []byte) (Profile, error) {
 	var pj profileJSON
 	if err := json.Unmarshal(blob, &pj); err != nil {
 		return Profile{}, fmt.Errorf("sim: parse profile: %w", err)

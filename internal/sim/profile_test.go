@@ -41,13 +41,13 @@ func TestWithNodes(t *testing.T) {
 }
 
 func TestParseProfile(t *testing.T) {
-	p, err := ParseProfile([]byte(`{
+	p, err := parseProfile([]byte(`{
 		"name": "my-cluster", "kind": "ignite",
 		"nodes": 4, "cores_per_node": 16, "mem_per_node_gb": 64,
 		"net_mbps": 1200, "gpu_mem_gb": 24, "gpu_gflops": 9000
 	}`))
 	if err != nil {
-		t.Fatalf("ParseProfile: %v", err)
+		t.Fatalf("parseProfile: %v", err)
 	}
 	if p.Name != "my-cluster" || p.Kind != memory.IgniteLike {
 		t.Errorf("name/kind = %s/%v", p.Name, p.Kind)
@@ -66,10 +66,10 @@ func TestParseProfile(t *testing.T) {
 		t.Errorf("gpu = %+v", p.GPU)
 	}
 
-	if _, err := ParseProfile([]byte(`{"kind":"flink"}`)); err == nil {
+	if _, err := parseProfile([]byte(`{"kind":"flink"}`)); err == nil {
 		t.Error("unknown kind accepted")
 	}
-	if _, err := ParseProfile([]byte(`{`)); err == nil {
+	if _, err := parseProfile([]byte(`{`)); err == nil {
 		t.Error("malformed JSON accepted")
 	}
 }
@@ -79,14 +79,14 @@ func TestLoadProfile(t *testing.T) {
 	if err := writeFile(path, `{"name":"from-disk","base_gflops":50}`); err != nil {
 		t.Fatal(err)
 	}
-	p, err := LoadProfile(path)
+	p, err := loadProfile(path)
 	if err != nil {
-		t.Fatalf("LoadProfile: %v", err)
+		t.Fatalf("loadProfile: %v", err)
 	}
 	if p.Name != "from-disk" || p.BaseGFLOPS != 50 {
 		t.Errorf("loaded profile = %+v", p)
 	}
-	if _, err := LoadProfile(t.TempDir() + "/missing.json"); err == nil {
+	if _, err := loadProfile(t.TempDir() + "/missing.json"); err == nil {
 		t.Error("missing file accepted")
 	}
 	// A custom profile drives a simulation end-to-end.

@@ -97,7 +97,7 @@ func NewWorkload(ws WorkloadSpec) (Workload, error) {
 	if err != nil {
 		return Workload{}, err
 	}
-	p, err := plan.CompileFromStats(ws.PlanKind, ws.Placement, stats, ws.NumLayers,
+	p, err := plan.Compile(ws.PlanKind, ws.Placement, stats, ws.NumLayers,
 		plan.Options{PreMaterializeBase: ws.PreMat})
 	if err != nil {
 		return Workload{}, err

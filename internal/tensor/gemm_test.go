@@ -272,29 +272,6 @@ func TestSlabClassBounds(t *testing.T) {
 	putSlab(s)
 }
 
-// TestParallelForCoversAll asserts every index runs exactly once across pool
-// configurations, including the serial path.
-func TestParallelForCoversAll(t *testing.T) {
-	old := ConvWorkers()
-	defer SetConvWorkers(old)
-	for _, workers := range []int{1, 2, 8} {
-		SetConvWorkers(workers)
-		const n = 1000
-		counts := make([]int32, n)
-		var mu sync.Mutex
-		ParallelFor(n, func(i int) {
-			mu.Lock()
-			counts[i]++
-			mu.Unlock()
-		})
-		for i, c := range counts {
-			if c != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
-			}
-		}
-	}
-}
-
 func BenchmarkConv2DDirect3x3(b *testing.B) {
 	in := benchInput(16, 32, 32)
 	spec := Conv2DSpec{InChannels: 16, OutChannels: 32, Kernel: 3, Stride: 1, Pad: 1}

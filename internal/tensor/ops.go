@@ -85,6 +85,8 @@ func conv2DCheck(in *Tensor, spec Conv2DSpec, weights, bias []float32) (Shape, e
 // is the permanent reference implementation for the GEMM path only: the
 // parity test suite asserts Conv2D against it across the geometry grid, and
 // nothing serves traffic through it.
+//
+//vista:keep the reference the GEMM parity suite and fuzzer compare against
 func Conv2DDirect(in *Tensor, spec Conv2DSpec, weights, bias []float32) (*Tensor, error) {
 	outShape, err := conv2DCheck(in, spec, weights, bias)
 	if err != nil {
@@ -157,10 +159,10 @@ func MaxPool2D(in *Tensor, spec PoolSpec) (*Tensor, error) {
 	return pool2D(in, spec, true)
 }
 
-// AvgPool2D applies average pooling to the CHW input. Padding cells count
+// avgPool2D applies average pooling to the CHW input. Padding cells count
 // toward the divisor only when inside the input (i.e. the divisor is the
 // number of valid cells), matching common DL-system semantics.
-func AvgPool2D(in *Tensor, spec PoolSpec) (*Tensor, error) {
+func avgPool2D(in *Tensor, spec PoolSpec) (*Tensor, error) {
 	return pool2D(in, spec, false)
 }
 
@@ -486,9 +488,9 @@ func GlobalAvgPool(in *Tensor) (*Tensor, error) {
 	return out, nil
 }
 
-// Softmax returns the softmax of a rank-1 tensor as a new tensor, computed
+// softmax returns the softmax of a rank-1 tensor as a new tensor, computed
 // with the max-subtraction trick for numerical stability.
-func Softmax(in *Tensor) (*Tensor, error) {
+func softmax(in *Tensor) (*Tensor, error) {
 	if len(in.Shape()) != 1 {
 		return nil, fmt.Errorf("%w: softmax expects rank-1, got %v", ErrShape, in.Shape())
 	}

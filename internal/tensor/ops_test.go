@@ -49,7 +49,7 @@ func TestConv2DKnownValues(t *testing.T) {
 
 func TestConv2DPaddingAndStride(t *testing.T) {
 	in := New(1, 4, 4)
-	in.Fill(1)
+	in.fill(1)
 	spec := Conv2DSpec{InChannels: 1, OutChannels: 1, Kernel: 3, Stride: 2, Pad: 1}
 	out, err := Conv2D(in, spec, []float32{1, 1, 1, 1, 1, 1, 1, 1, 1}, []float32{0})
 	if err != nil {
@@ -209,9 +209,9 @@ func TestAvgPool2D(t *testing.T) {
 		1, 2,
 		3, 4,
 	}, 1, 2, 2)
-	out, err := AvgPool2D(in, PoolSpec{Kernel: 2, Stride: 2})
+	out, err := avgPool2D(in, PoolSpec{Kernel: 2, Stride: 2})
 	if err != nil {
-		t.Fatalf("AvgPool2D: %v", err)
+		t.Fatalf("avgPool2D: %v", err)
 	}
 	if out.Data()[0] != 2.5 {
 		t.Errorf("avg = %v, want 2.5", out.Data()[0])
@@ -221,9 +221,9 @@ func TestAvgPool2D(t *testing.T) {
 func TestAvgPool2DPaddingDivisor(t *testing.T) {
 	// With padding, divisor counts only valid cells.
 	in := MustFromSlice([]float32{4}, 1, 1, 1)
-	out, err := AvgPool2D(in, PoolSpec{Kernel: 3, Stride: 1, Pad: 1})
+	out, err := avgPool2D(in, PoolSpec{Kernel: 3, Stride: 1, Pad: 1})
 	if err != nil {
-		t.Fatalf("AvgPool2D: %v", err)
+		t.Fatalf("avgPool2D: %v", err)
 	}
 	if out.Data()[0] != 4 {
 		t.Errorf("padded avg = %v, want 4 (single valid cell)", out.Data()[0])
@@ -278,7 +278,7 @@ func TestGridMaxPoolNoAliasWhenSmall(t *testing.T) {
 	// Mutate the pooled result the way a downstream in-place op would; the
 	// source map and its cached copy must be untouched.
 	ReLU(out)
-	out.Fill(-42)
+	out.fill(-42)
 	for i, v := range in.Data() {
 		if v != float32(i+1) {
 			t.Fatalf("source[%d] corrupted to %v after mutating pooled result", i, v)
@@ -447,9 +447,9 @@ func TestGlobalAvgPool(t *testing.T) {
 
 func TestSoftmax(t *testing.T) {
 	in := MustFromSlice([]float32{1, 2, 3}, 3)
-	out, err := Softmax(in)
+	out, err := softmax(in)
 	if err != nil {
-		t.Fatalf("Softmax: %v", err)
+		t.Fatalf("softmax: %v", err)
 	}
 	var sum float32
 	for _, v := range out.Data() {
@@ -468,9 +468,9 @@ func TestSoftmax(t *testing.T) {
 
 func TestSoftmaxNumericalStability(t *testing.T) {
 	in := MustFromSlice([]float32{1000, 1000, 1000}, 3)
-	out, err := Softmax(in)
+	out, err := softmax(in)
 	if err != nil {
-		t.Fatalf("Softmax: %v", err)
+		t.Fatalf("softmax: %v", err)
 	}
 	for _, v := range out.Data() {
 		if math.IsNaN(float64(v)) || !almostEqual(v, 1.0/3.0, 1e-5) {

@@ -154,9 +154,9 @@ func (t *Tensor) offset(idx []int) int {
 	return off
 }
 
-// Reshape returns a tensor that shares storage with t but has the new shape.
+// reshape returns a tensor that shares storage with t but has the new shape.
 // The element counts must match.
-func (t *Tensor) Reshape(shape ...int) (*Tensor, error) {
+func (t *Tensor) reshape(shape ...int) (*Tensor, error) {
 	s := Shape(shape)
 	if !s.Valid() || s.NumElements() != len(t.data) {
 		return nil, fmt.Errorf("%w: cannot reshape %v to %v", ErrShape, t.shape, s)
@@ -170,8 +170,8 @@ func (t *Tensor) Flatten() *Tensor {
 	return &Tensor{shape: Shape{len(t.data)}, data: t.data}
 }
 
-// Fill sets every element of the tensor to v.
-func (t *Tensor) Fill(v float32) {
+// fill sets every element of the tensor to v.
+func (t *Tensor) fill(v float32) {
 	for i := range t.data {
 		t.data[i] = v
 	}
@@ -190,8 +190,8 @@ func (t *Tensor) MaxAbs() float32 {
 	return m
 }
 
-// L2 returns the Euclidean norm of the tensor's elements.
-func (t *Tensor) L2() float64 {
+// l2 returns the Euclidean norm of the tensor's elements.
+func (t *Tensor) l2() float64 {
 	var s float64
 	for _, v := range t.data {
 		s += float64(v) * float64(v)

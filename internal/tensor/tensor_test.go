@@ -106,15 +106,15 @@ func TestCloneIsDeep(t *testing.T) {
 
 func TestReshapeSharesStorage(t *testing.T) {
 	a := MustFromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	b, err := a.Reshape(3, 2)
+	b, err := a.reshape(3, 2)
 	if err != nil {
-		t.Fatalf("Reshape: %v", err)
+		t.Fatalf("reshape: %v", err)
 	}
 	b.Set(42, 0, 0)
 	if a.At(0, 0) != 42 {
 		t.Error("Reshape did not share storage")
 	}
-	if _, err := a.Reshape(4, 2); err == nil {
+	if _, err := a.reshape(4, 2); err == nil {
 		t.Error("expected error reshaping 6 elements to 8")
 	}
 }
@@ -133,11 +133,11 @@ func TestFlatten(t *testing.T) {
 
 func TestFillMaxAbsL2(t *testing.T) {
 	a := New(3)
-	a.Fill(-2)
+	a.fill(-2)
 	if a.MaxAbs() != 2 {
 		t.Errorf("MaxAbs = %v, want 2", a.MaxAbs())
 	}
-	if got, want := a.L2(), math.Sqrt(12); math.Abs(got-want) > 1e-9 {
+	if got, want := a.l2(), math.Sqrt(12); math.Abs(got-want) > 1e-9 {
 		t.Errorf("L2 = %v, want %v", got, want)
 	}
 }

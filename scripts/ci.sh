@@ -18,6 +18,9 @@ go vet ./...
 echo "== package docs =="
 go run ./scripts/pkgdoc
 
+echo "== unreferenced exports =="
+go run ./scripts/unref
+
 echo "== go build =="
 go build ./...
 
@@ -31,8 +34,8 @@ go test -race -timeout 30m $(go list ./... | grep -v '/internal/chaos$')
 echo "== go test -race (fault-injection critical packages) =="
 # Armed-at-exit is enforced by each package's TestMain: a test that leaves a
 # failpoint site armed fails the package even when every test passed.
-# internal/tensor and internal/cnn carry the parallel GEMM kernels and slab
-# arena; their shared-model concurrency tests must run under -race every time.
+# internal/tensor and internal/cnn carry the GEMM kernels and slab arena;
+# their shared-model concurrency tests must run under -race every time.
 # internal/workload is the load driver: its open/closed-loop scheduling and
 # result bookkeeping are all cross-goroutine, so it races under -race or not
 # at all. internal/calib carries the crash-consistent calibration log and the
@@ -41,7 +44,10 @@ echo "== go test -race (fault-injection critical packages) =="
 # read-only (catalog tables, the weights-checksum memo, a run's identity):
 # their sharing tests only mean something under the detector. internal/dl
 # sessions borrow one realized *cnn.Weights read-only across concurrent runs.
-go test -race -count=1 ./internal/faultinject/... ./internal/calib ./internal/dataflow ./internal/featurestore ./internal/share ./internal/tensor ./internal/cnn ./internal/dl ./internal/workload ./internal/data ./internal/core ./internal/lifecycle
+# internal/lru is the cache under the store, the catalog, the sums memo and the
+# partition spill order; it takes no lock, so the runs of its owners above are
+# what check the locking around it.
+go test -race -count=1 ./internal/faultinject/... ./internal/calib ./internal/dataflow ./internal/featurestore ./internal/share ./internal/tensor ./internal/cnn ./internal/dl ./internal/workload ./internal/data ./internal/core ./internal/lifecycle ./internal/lru
 
 echo "== GEMM micro-kernel: pure-Go body, and a non-amd64 build =="
 # internal/tensor has two bodies of one micro-kernel contract: Go assembly
@@ -81,7 +87,7 @@ echo "== core-count sweep (concurrent packages) =="
 # Orderings that only show at one GOMAXPROCS (a waiter that has not parked yet
 # on 1 core, a publish that outruns its persist on 4) are caught here, not on
 # whichever box runs tier-1 next.
-go test -count=5 -cpu 1,2,4 ./internal/calib ./internal/featurestore ./internal/share ./internal/admission ./cmd/vista-server ./internal/data ./internal/core ./internal/lifecycle ./internal/tensor ./internal/cnn ./internal/dl
+go test -count=5 -cpu 1,2,4 ./internal/calib ./internal/featurestore ./internal/share ./internal/admission ./cmd/vista-server ./internal/data ./internal/core ./internal/lifecycle ./internal/tensor ./internal/cnn ./internal/dl ./internal/lru ./internal/dataflow
 
 echo "== vista-load smoke (admission flood, then shared-inference flood) =="
 # Two closed-loop floods of 12 identical-body clients against a real server,
