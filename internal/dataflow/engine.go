@@ -297,5 +297,8 @@ schedule:
 		}(i, n)
 	}
 	wg.Wait()
+	// The context watcher stops only on return: read under the lock it writes.
+	mu.Lock()
+	defer mu.Unlock()
 	return firstErr
 }

@@ -1,6 +1,10 @@
 package ml
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/memory"
+)
 
 func BenchmarkTrainLogReg(b *testing.B) {
 	rows := linearlySeparableRows(1000, 64, 1)
@@ -8,6 +12,27 @@ func BenchmarkTrainLogReg(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := TrainLogRegRows(rows, StructuredOnly(), 64, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTrainLogRegServed times the fit a warm-repeat request runs: 80
+// training rows of 8 structured dims plus a 512-wide post-ReLU feature
+// through StructuredPlusFeature(0), in 6 partitions on an engine, at the
+// paper's settings.
+func BenchmarkTrainLogRegServed(b *testing.B) {
+	const structDim, featDim = 8, 512
+	e := testEngine(b, 2, memory.MB(64))
+	tb, err := e.CreateTable("train", featureRows(80, structDim, featDim, 1), 6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultLogRegConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := TrainLogReg(e, tb, StructuredPlusFeature(0), structDim+featDim, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

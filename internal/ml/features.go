@@ -23,21 +23,7 @@ func StructuredOnly() FeatureFunc {
 
 // StructuredPlusFeature concatenates X with the feature vector at the given
 // TensorList index — the workload's X'_l ≡ [X, g_l(f̂_l(I))] (Section 3.2).
-func StructuredPlusFeature(idx int) FeatureFunc {
-	return func(r *dataflow.Row) ([]float32, float32, error) {
-		if r.Features == nil || r.Features.Len() <= idx {
-			return nil, 0, fmt.Errorf("%w: index %d", ErrNoFeatures, idx)
-		}
-		f := r.Features.Get(idx)
-		if len(f.Shape()) != 1 {
-			return nil, 0, fmt.Errorf("ml: feature tensor at %d has rank %d, want 1", idx, len(f.Shape()))
-		}
-		x := make([]float32, 0, len(r.Structured)+f.NumElements())
-		x = append(x, r.Structured...)
-		x = append(x, f.Data()...)
-		return x, r.Label, nil
-	}
-}
+func StructuredPlusFeature(idx int) FeatureFunc { return StructuredPlusConcat(idx) }
 
 // StructuredPlusConcat concatenates X with several feature vectors — the
 // multi-layer feature aggregation the paper's Section 5.4 discusses for

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/dataflow"
+	"repro/internal/memory"
 )
 
 // LogisticRegression is a binary classifier trained with elastic-net
@@ -104,48 +105,13 @@ func (s *standardizer) finalize() (mu, sigma []float32) {
 	return mu, sigma
 }
 
-// TrainLogReg fits a logistic regression over a distributed table: every
-// iteration aggregates per-partition gradient sums in parallel on the
-// workers (through the engine's memory-accounted aggregation path) and takes
-// one driver-side step. dim is the feature dimensionality of extract's
-// output.
+// TrainLogReg fits a logistic regression over a distributed table: one pass
+// extracts every partition's design block on the workers, then every
+// iteration aggregates per-partition gradient sums over those blocks in
+// parallel (through the engine's memory-accounted aggregation path) and
+// takes one driver-side step. dim is the feature dimensionality of
+// extract's output.
 func TrainLogReg(e *dataflow.Engine, t *dataflow.Table, extract FeatureFunc, dim int, cfg LogRegConfig) (*LogisticRegression, error) {
-	if dim <= 0 {
-		return nil, fmt.Errorf("ml: non-positive feature dim %d", dim)
-	}
-	if cfg.Iterations <= 0 {
-		return nil, fmt.Errorf("ml: non-positive iterations %d", cfg.Iterations)
-	}
-	model := &LogisticRegression{W: make([]float32, dim)}
-	if cfg.Standardize {
-		st := newStandardizer(dim)
-		var mu sync.Mutex
-		err := e.ForEachPartition(t, func(_ *dataflow.TaskContext, rows []dataflow.Row) error {
-			local := newStandardizer(dim)
-			for i := range rows {
-				x, _, err := extract(&rows[i])
-				if err != nil {
-					return err
-				}
-				if len(x) != dim {
-					return fmt.Errorf("ml: row %d has %d features, want %d", rows[i].ID, len(x), dim)
-				}
-				local.add(x)
-			}
-			mu.Lock()
-			st.merge(local)
-			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if st.n == 0 {
-			return nil, fmt.Errorf("ml: empty training table %s", t.Name)
-		}
-		model.Mu, model.Sigma = st.finalize()
-	}
-
 	// The driver accumulates one gradient vector per iteration (Section
 	// 4.1, crash scenario 4: "the Driver may also have to collect partial
 	// results from workers"); charge it once against driver memory.
@@ -154,50 +120,150 @@ func TrainLogReg(e *dataflow.Engine, t *dataflow.Table, extract FeatureFunc, dim
 		return nil, err
 	}
 	defer e.DriverPool().Free(gradBytes)
+	return fit(t.NumPartitions(), func(fn blockFunc) error {
+		return e.ForEachPartition(t, func(tc *dataflow.TaskContext, rows []dataflow.Row) error {
+			return fn(tc, tc.Part, rows)
+		})
+	}, extract, dim, cfg)
+}
 
+// TrainLogRegRows fits on an in-memory row slice on the driver (evaluation
+// splits, exhibits and tests): TrainLogReg's fit over one partition, run
+// inline, with nothing charged to an engine.
+func TrainLogRegRows(rows []dataflow.Row, extract FeatureFunc, dim int, cfg LogRegConfig) (*LogisticRegression, error) {
+	return fit(1, func(fn blockFunc) error { return fn(nil, 0, rows) }, extract, dim, cfg)
+}
+
+// blockFunc works on one partition of a fit; tc is nil on the driver.
+type blockFunc func(tc *dataflow.TaskContext, part int, rows []dataflow.Row) error
+
+// designBlock is one partition's training examples as the iterations read
+// them: rows×dim features (standardized when the fit standardizes),
+// row-major, with the labels beside them. On an engine it is charged to its
+// node's User pool for the whole fit.
+type designBlock struct {
+	x, y  []float64
+	pool  *memory.Pool
+	bytes int64
+}
+
+// fit trains over parts partitions; each runs fn once per partition (as
+// engine tasks, or inline) and returns the first error. The first pass
+// extracts every row once into its partition's design block and feeds the
+// standardizer; the blocks are then scaled in place, and each iteration reads
+// only them. Every value is computed with the operations, in the order,
+// Predict uses, so a one-partition fit is bit-identical to re-extracting and
+// standardizing every row through Predict on every iteration.
+func fit(parts int, each func(blockFunc) error, extract FeatureFunc, dim int, cfg LogRegConfig) (*LogisticRegression, error) {
+	if dim <= 0 {
+		return nil, fmt.Errorf("ml: non-positive feature dim %d", dim)
+	}
+	if cfg.Iterations <= 0 {
+		return nil, fmt.Errorf("ml: non-positive iterations %d", cfg.Iterations)
+	}
+	blocks := make([]designBlock, parts)
+	defer func() {
+		for _, b := range blocks {
+			if b.pool != nil {
+				b.pool.Free(b.bytes)
+			}
+		}
+	}()
+	st := newStandardizer(dim)
+	var n int64
+	var mu sync.Mutex
+	err := each(func(tc *dataflow.TaskContext, part int, rows []dataflow.Row) error {
+		b := &blocks[part]
+		if tc != nil {
+			pool, bytes := tc.Engine.UserPool(tc.NodeID), int64(len(rows))*int64(dim+1)*8
+			if err := pool.Alloc(bytes, fmt.Sprintf("design block of partition %d", part)); err != nil {
+				return err
+			}
+			b.pool, b.bytes = pool, bytes
+		}
+		b.x, b.y = make([]float64, len(rows)*dim), make([]float64, len(rows))
+		local := newStandardizer(dim)
+		for i := range rows {
+			x, y, err := extract(&rows[i])
+			if err != nil {
+				return err
+			}
+			if len(x) != dim {
+				return fmt.Errorf("ml: row %d has %d features, want %d", rows[i].ID, len(x), dim)
+			}
+			row := b.x[i*dim : (i+1)*dim]
+			for j, v := range x {
+				row[j] = float64(v)
+			}
+			b.y[i] = float64(y)
+			if cfg.Standardize {
+				local.add(x)
+			}
+		}
+		mu.Lock()
+		st.merge(local)
+		n += int64(len(rows))
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 {
+		return nil, fmt.Errorf("ml: no training rows")
+	}
+	model := &LogisticRegression{W: make([]float32, dim)}
+	if cfg.Standardize {
+		model.Mu, model.Sigma = st.finalize()
+		for _, b := range blocks {
+			for r := range b.y {
+				row := b.x[r*dim : (r+1)*dim]
+				for j := range row {
+					row[j] = (row[j] - float64(model.Mu[j])) / float64(model.Sigma[j])
+				}
+			}
+		}
+	}
+
+	inv := 1 / float64(n)
+	w64 := make([]float64, dim)
 	for iter := 0; iter < cfg.Iterations; iter++ {
+		for j, w := range model.W {
+			w64[j] = float64(w)
+		}
+		b64 := float64(model.B)
 		grad := make([]float64, dim)
 		var gradB float64
-		var count int64
-		var mu sync.Mutex
-
-		err := e.ForEachPartition(t, func(tc *dataflow.TaskContext, rows []dataflow.Row) error {
+		err := each(func(tc *dataflow.TaskContext, part int, _ []dataflow.Row) error {
+			b := &blocks[part]
 			localGrad := make([]float64, dim)
 			var localB float64
-			var localN int64
-			for i := range rows {
-				x, y, err := extract(&rows[i])
-				if err != nil {
-					return err
-				}
-				if len(x) != dim {
-					return fmt.Errorf("ml: row %d has %d features, want %d", rows[i].ID, len(x), dim)
-				}
-				p := float64(model.Predict(x))
-				diff := p - float64(y)
+			for r, y := range b.y {
+				x := b.x[r*dim : (r+1)*dim]
+				z := b64
 				for j, xv := range x {
-					localGrad[j] += diff * model.scaled(j, xv)
+					z += w64[j] * xv
+				}
+				diff := float64(float32(1/(1+math.Exp(-z)))) - y
+				for j, xv := range x {
+					localGrad[j] += diff * xv
 				}
 				localB += diff
-				localN++
 			}
-			tc.AddFLOPs(int64(dim) * 4 * localN) // predict + gradient accumulate
+			if tc != nil {
+				tc.AddFLOPs(int64(dim) * 4 * int64(len(b.y))) // predict + gradient accumulate
+			}
 			mu.Lock()
 			for j := range grad {
 				grad[j] += localGrad[j]
 			}
 			gradB += localB
-			count += localN
 			mu.Unlock()
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		if count == 0 {
-			return nil, fmt.Errorf("ml: empty training table %s", t.Name)
-		}
-		inv := 1 / float64(count)
 		for j := range model.W {
 			w := float64(model.W[j])
 			g := grad[j]*inv + cfg.Lambda*(cfg.Alpha*sign(w)+(1-cfg.Alpha)*w)
@@ -206,14 +272,6 @@ func TrainLogReg(e *dataflow.Engine, t *dataflow.Table, extract FeatureFunc, dim
 		model.B = float32(float64(model.B) - cfg.LearningRate*gradB*inv)
 	}
 	return model, nil
-}
-
-// scaled maps a raw feature value to the model's training scale.
-func (m *LogisticRegression) scaled(j int, v float32) float64 {
-	if m.Mu == nil {
-		return float64(v)
-	}
-	return (float64(v) - float64(m.Mu[j])) / float64(m.Sigma[j])
 }
 
 func sign(v float64) float64 {
@@ -224,61 +282,4 @@ func sign(v float64) float64 {
 		return -1
 	}
 	return 0
-}
-
-// TrainLogRegRows fits on an in-memory row slice (driver-local training, used
-// for evaluation splits and tests).
-func TrainLogRegRows(rows []dataflow.Row, extract FeatureFunc, dim int, cfg LogRegConfig) (*LogisticRegression, error) {
-	if dim <= 0 {
-		return nil, fmt.Errorf("ml: non-positive feature dim %d", dim)
-	}
-	model := &LogisticRegression{W: make([]float32, dim)}
-	if cfg.Standardize {
-		st := newStandardizer(dim)
-		for i := range rows {
-			x, _, err := extract(&rows[i])
-			if err != nil {
-				return nil, err
-			}
-			if len(x) != dim {
-				return nil, fmt.Errorf("ml: row %d has %d features, want %d", rows[i].ID, len(x), dim)
-			}
-			st.add(x)
-		}
-		if st.n == 0 {
-			return nil, fmt.Errorf("ml: no training rows")
-		}
-		model.Mu, model.Sigma = st.finalize()
-	}
-	for iter := 0; iter < cfg.Iterations; iter++ {
-		grad := make([]float64, dim)
-		var gradB float64
-		var count int64
-		for i := range rows {
-			x, y, err := extract(&rows[i])
-			if err != nil {
-				return nil, err
-			}
-			if len(x) != dim {
-				return nil, fmt.Errorf("ml: row %d has %d features, want %d", rows[i].ID, len(x), dim)
-			}
-			diff := float64(model.Predict(x)) - float64(y)
-			for j, xv := range x {
-				grad[j] += diff * model.scaled(j, xv)
-			}
-			gradB += diff
-			count++
-		}
-		if count == 0 {
-			return nil, fmt.Errorf("ml: no training rows")
-		}
-		inv := 1 / float64(count)
-		for j := range model.W {
-			w := float64(model.W[j])
-			g := grad[j]*inv + cfg.Lambda*(cfg.Alpha*sign(w)+(1-cfg.Alpha)*w)
-			model.W[j] = float32(w - cfg.LearningRate*g)
-		}
-		model.B = float32(float64(model.B) - cfg.LearningRate*gradB*inv)
-	}
-	return model, nil
 }

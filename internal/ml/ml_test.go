@@ -1,6 +1,8 @@
 package ml
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -33,6 +35,257 @@ func linearlySeparableRows(n, dim int, seed int64) []dataflow.Row {
 		rows[i] = dataflow.Row{ID: int64(i), Label: label, Structured: x}
 	}
 	return rows
+}
+
+// featureRows builds rows in the served training shape, [X, f_l] through
+// StructuredPlusFeature(0): structured dim 0 is constant (the sigma = 1
+// path) and the feature vector is post-ReLU, so about half its entries are
+// exact zeros. Labels follow a noisy linear function of both.
+func featureRows(n, structDim, featDim int, seed int64) []dataflow.Row {
+	rng := rand.New(rand.NewSource(seed))
+	rows := make([]dataflow.Row, n)
+	for i := range rows {
+		x := make([]float32, structDim)
+		x[0] = 1
+		var z float64
+		for j := 1; j < structDim; j++ {
+			x[j] = float32(rng.NormFloat64())
+			z += float64(x[j])
+		}
+		f := make([]float32, featDim)
+		for j := range f {
+			if v := rng.NormFloat64(); v > 0 {
+				f[j] = float32(v)
+				z += 0.1 * v
+			}
+		}
+		label := float32(0)
+		if z+rng.NormFloat64() > 0.05*float64(featDim) {
+			label = 1
+		}
+		rows[i] = dataflow.Row{ID: int64(i), Label: label, Structured: x,
+			Features: tensor.NewTensorList(tensor.MustFromSlice(f, featDim))}
+	}
+	return rows
+}
+
+// referenceTrainLogReg is the fit as a per-row loop: every iteration
+// re-extracts every row and standardizes each element through Predict and
+// again for its gradient term. The design-block fit must match it bit for
+// bit on one partition.
+func referenceTrainLogReg(rows []dataflow.Row, extract FeatureFunc, dim int, cfg LogRegConfig) (*LogisticRegression, error) {
+	model := &LogisticRegression{W: make([]float32, dim)}
+	if cfg.Standardize {
+		st := newStandardizer(dim)
+		for i := range rows {
+			x, _, err := extract(&rows[i])
+			if err != nil {
+				return nil, err
+			}
+			st.add(x)
+		}
+		model.Mu, model.Sigma = st.finalize()
+	}
+	scaled := func(j int, v float32) float64 {
+		if model.Mu == nil {
+			return float64(v)
+		}
+		return (float64(v) - float64(model.Mu[j])) / float64(model.Sigma[j])
+	}
+	for iter := 0; iter < cfg.Iterations; iter++ {
+		grad := make([]float64, dim)
+		var gradB float64
+		var count int64
+		for i := range rows {
+			x, y, err := extract(&rows[i])
+			if err != nil {
+				return nil, err
+			}
+			diff := float64(model.Predict(x)) - float64(y)
+			for j, xv := range x {
+				grad[j] += diff * scaled(j, xv)
+			}
+			gradB += diff
+			count++
+		}
+		inv := 1 / float64(count)
+		for j := range model.W {
+			w := float64(model.W[j])
+			g := grad[j]*inv + cfg.Lambda*(cfg.Alpha*sign(w)+(1-cfg.Alpha)*w)
+			model.W[j] = float32(w - cfg.LearningRate*g)
+		}
+		model.B = float32(float64(model.B) - cfg.LearningRate*gradB*inv)
+	}
+	return model, nil
+}
+
+// testEngine builds a small SparkLike engine with the given per-node User
+// Memory.
+func testEngine(t testing.TB, nodes int, user int64) *dataflow.Engine {
+	e, err := dataflow.NewEngine(dataflow.Config{
+		Nodes: nodes, CoresPerNode: 2, Kind: memory.SparkLike,
+		Apportion: memory.Apportionment{
+			User: user, Core: memory.MB(64), Storage: memory.MB(64), DLExecution: memory.MB(8),
+		},
+		DriverMemory: memory.MB(64),
+		SpillDir:     t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	return e
+}
+
+func sameModel(a, b *LogisticRegression) bool {
+	if math.Float32bits(a.B) != math.Float32bits(b.B) || len(a.W) != len(b.W) {
+		return false
+	}
+	for j := range a.W {
+		if math.Float32bits(a.W[j]) != math.Float32bits(b.W[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestTrainLogRegBitIdenticalToReference(t *testing.T) {
+	const structDim, featDim = 5, 40
+	rows := featureRows(90, structDim, featDim, 11)
+	extract := StructuredPlusFeature(0)
+	for _, standardize := range []bool{true, false} {
+		cfg := DefaultLogRegConfig()
+		cfg.Standardize = standardize
+		want, err := referenceTrainLogReg(rows, extract, structDim+featDim, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local, err := TrainLogRegRows(rows, extract, structDim+featDim, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameModel(local, want) {
+			t.Errorf("standardize=%v: TrainLogRegRows differs from the per-row reference", standardize)
+		}
+		e := testEngine(t, 1, memory.MB(64))
+		tb, err := e.CreateTable("t", rows, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dist, err := TrainLogReg(e, tb, extract, structDim+featDim, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameModel(dist, want) {
+			t.Errorf("standardize=%v: one-partition TrainLogReg differs from the per-row reference", standardize)
+		}
+		if standardize && (want.Sigma[0] != 1 || want.Mu[0] != 1) {
+			t.Errorf("constant dim: mu %v sigma %v, want 1 and 1", want.Mu[0], want.Sigma[0])
+		}
+	}
+}
+
+// assertUserDrained fails unless every node's User pool is back to zero.
+func assertUserDrained(t *testing.T, e *dataflow.Engine, nodes int) {
+	t.Helper()
+	for n := 0; n < nodes; n++ {
+		if used := e.UserPool(n).Used(); used != 0 {
+			t.Errorf("node %d User pool holds %d bytes after the fit", n, used)
+		}
+	}
+}
+
+func TestTrainLogRegReleasesDesignBlocks(t *testing.T) {
+	const nodes, structDim, featDim = 2, 4, 16
+	dim := structDim + featDim
+	rows := featureRows(60, structDim, featDim, 12)
+
+	t.Run("success", func(t *testing.T) {
+		e := testEngine(t, nodes, memory.MB(64))
+		tb, err := e.CreateTable("t", rows, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := TrainLogReg(e, tb, StructuredPlusFeature(0), dim, DefaultLogRegConfig()); err != nil {
+			t.Fatal(err)
+		}
+		assertUserDrained(t, e, nodes)
+	})
+
+	t.Run("extract error", func(t *testing.T) {
+		e := testEngine(t, nodes, memory.MB(64))
+		tb, err := e.CreateTable("t", rows, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := errors.New("bad row")
+		extract := func(r *dataflow.Row) ([]float32, float32, error) {
+			if r.ID == 57 {
+				return nil, 0, bad
+			}
+			return StructuredPlusFeature(0)(r)
+		}
+		if _, err := TrainLogReg(e, tb, extract, dim, DefaultLogRegConfig()); !errors.Is(err, bad) {
+			t.Fatalf("err = %v, want the extract error", err)
+		}
+		assertUserDrained(t, e, nodes)
+	})
+
+	t.Run("cancelled", func(t *testing.T) {
+		e := testEngine(t, nodes, memory.MB(64))
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		e.SetContext(ctx)
+		tb, err := e.CreateTable("t", rows, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		extract := func(r *dataflow.Row) ([]float32, float32, error) {
+			if r.ID == 59 { // the last row: every partition is being extracted
+				cancel()
+			}
+			return StructuredPlusFeature(0)(r)
+		}
+		if _, err := TrainLogReg(e, tb, extract, dim, DefaultLogRegConfig()); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		assertUserDrained(t, e, nodes)
+	})
+}
+
+func TestTrainLogRegDesignBlockOOM(t *testing.T) {
+	// One node, one partition: the pool holds the task's input partition
+	// but not the design block beside it.
+	const structDim, featDim = 4, 32
+	dim := structDim + featDim
+	rows := featureRows(50, structDim, featDim, 13)
+	var inBytes int64
+	for i := range rows {
+		inBytes += rows[i].MemBytes()
+	}
+	blockBytes := int64(len(rows)) * int64(dim+1) * 8
+	for _, tc := range []struct {
+		user int64
+		oom  bool
+	}{{inBytes + blockBytes - 1, true}, {inBytes + blockBytes, false}} {
+		e := testEngine(t, 1, tc.user)
+		tb, err := e.CreateTable("t", rows, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = TrainLogReg(e, tb, StructuredPlusFeature(0), dim, DefaultLogRegConfig())
+		if !tc.oom {
+			if err != nil {
+				t.Fatalf("User pool of input + block (%d bytes): %v", tc.user, err)
+			}
+			if peak := e.UserPool(0).Peak(); peak != inBytes+blockBytes {
+				t.Errorf("User peak = %d, want input %d + design block %d", peak, inBytes, blockBytes)
+			}
+		} else if oom, ok := memory.IsOOM(err); !ok || oom.Scenario != memory.InsufficientUser {
+			t.Fatalf("User pool one byte short of input + block: err = %v, want an InsufficientUser OOM", err)
+		}
+		assertUserDrained(t, e, 1)
+	}
 }
 
 func TestLogRegLearnsLinearSeparation(t *testing.T) {

@@ -46,8 +46,10 @@ echo "== go test -race (fault-injection critical packages) =="
 # sessions borrow one realized *cnn.Weights read-only across concurrent runs.
 # internal/lru is the cache under the store, the catalog, the sums memo and the
 # partition spill order; it takes no lock, so the runs of its owners above are
-# what check the locking around it.
-go test -race -count=1 ./internal/faultinject/... ./internal/calib ./internal/dataflow ./internal/featurestore ./internal/share ./internal/tensor ./internal/cnn ./internal/dl ./internal/workload ./internal/data ./internal/core ./internal/lifecycle ./internal/lru
+# what check the locking around it. internal/ml's logistic regression fills
+# one design block per partition from concurrent engine tasks and frees every
+# block's User Memory charge on error and cancellation paths.
+go test -race -count=1 ./internal/faultinject/... ./internal/calib ./internal/dataflow ./internal/featurestore ./internal/share ./internal/tensor ./internal/cnn ./internal/dl ./internal/workload ./internal/data ./internal/core ./internal/lifecycle ./internal/lru ./internal/ml
 
 echo "== GEMM micro-kernel: pure-Go body, and a non-amd64 build =="
 # internal/tensor has two bodies of one micro-kernel contract: Go assembly
@@ -87,7 +89,7 @@ echo "== core-count sweep (concurrent packages) =="
 # Orderings that only show at one GOMAXPROCS (a waiter that has not parked yet
 # on 1 core, a publish that outruns its persist on 4) are caught here, not on
 # whichever box runs tier-1 next.
-go test -count=5 -cpu 1,2,4 ./internal/calib ./internal/featurestore ./internal/share ./internal/admission ./cmd/vista-server ./internal/data ./internal/core ./internal/lifecycle ./internal/tensor ./internal/cnn ./internal/dl ./internal/lru ./internal/dataflow
+go test -count=5 -cpu 1,2,4 ./internal/calib ./internal/featurestore ./internal/share ./internal/admission ./cmd/vista-server ./internal/data ./internal/core ./internal/lifecycle ./internal/tensor ./internal/cnn ./internal/dl ./internal/lru ./internal/dataflow ./internal/ml
 
 echo "== vista-load smoke (admission flood, then shared-inference flood) =="
 # Two closed-loop floods of 12 identical-body clients against a real server,
