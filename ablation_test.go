@@ -1,6 +1,5 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: each
-// switches off one Vista mechanism and reports the cost, quantifying how
-// much every piece of the system contributes.
+// Ablation benchmarks for design choices DESIGN.md calls out, measured on the
+// real engine: each switches off one Vista mechanism and reports the cost.
 package repro
 
 import (
@@ -14,96 +13,7 @@ import (
 	"repro/internal/featurestore"
 	"repro/internal/memory"
 	"repro/internal/plan"
-	"repro/internal/sim"
 )
-
-// BenchmarkAblationStagedVsLazy quantifies the computational-redundancy
-// savings of the Staged plan (Section 4.2.1) on the simulator at paper
-// scale.
-func BenchmarkAblationStagedVsLazy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var mins [2]float64
-		for j, kind := range []plan.Kind{plan.Staged, plan.Lazy} {
-			w, err := sim.NewWorkload(sim.WorkloadSpec{
-				ModelName: "resnet50", NumLayers: 5, Dataset: sim.FoodsSpec(),
-				PlanKind: kind, Placement: plan.AfterJoin,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg, err := sim.VistaConfig(w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := sim.Run(w, cfg, sim.PaperCluster())
-			if r.Crash != nil {
-				b.Fatal(r.Crash)
-			}
-			mins[j] = r.TotalMin()
-		}
-		if i == 0 {
-			b.ReportMetric(mins[1]/mins[0], "lazy-vs-staged")
-		}
-	}
-}
-
-// BenchmarkAblationAutoTuning quantifies the optimizer's value: the same
-// Staged plan under Vista's decision vs. the naive SQL-era baseline config.
-func BenchmarkAblationAutoTuning(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		w, err := sim.NewWorkload(sim.WorkloadSpec{
-			ModelName: "resnet50", NumLayers: 5, Dataset: sim.AmazonSpec(),
-			PlanKind: plan.Staged, Placement: plan.AfterJoin,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg, err := sim.VistaConfig(w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tuned := sim.Run(w, cfg, sim.PaperCluster())
-		naive := sim.Run(w, sim.BaselineSpark(5), sim.PaperCluster())
-		if i == 0 {
-			if tuned.Crash != nil {
-				b.Fatal(tuned.Crash)
-			}
-			b.ReportMetric(tuned.TotalMin(), "tuned-min")
-			if naive.Crash != nil {
-				b.ReportMetric(1, "naive-crashed")
-			} else {
-				b.ReportMetric(naive.TotalMin(), "naive-min")
-			}
-		}
-	}
-}
-
-// BenchmarkAblationSerializedFormat quantifies the serialized persistence
-// format's spill reduction at 8X scale (Section 4.2.3).
-func BenchmarkAblationSerializedFormat(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		w, err := sim.NewWorkload(sim.WorkloadSpec{
-			ModelName: "resnet50", NumLayers: 5, Dataset: sim.FoodsSpec().Scale(8),
-			PlanKind: plan.Staged, Placement: plan.AfterJoin,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg, err := sim.VistaConfig(w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfgD, cfgS := cfg, cfg
-		cfgD.Pers = dataflow.Deserialized
-		cfgS.Pers = dataflow.Serialized
-		rd := sim.Run(w, cfgD, sim.PaperCluster())
-		rs := sim.Run(w, cfgS, sim.PaperCluster())
-		if i == 0 && rd.Crash == nil && rs.Crash == nil {
-			b.ReportMetric(float64(rd.SpilledBytes)/(1<<30), "deser-spill-GB")
-			b.ReportMetric(float64(rs.SpilledBytes)/(1<<30), "ser-spill-GB")
-		}
-	}
-}
 
 // stageSeconds sums the durations of res's top-level stage spans whose label
 // has the given prefix (e.g. "infer:" for all live partial inference).

@@ -1,12 +1,16 @@
-// Command vista-bench regenerates the paper's evaluation: every figure and
-// table of Section 5 and Appendices A–C, printed as text tables. Select
-// specific exhibits with -only (comma-separated), e.g.:
+// Command vista-bench regenerates the paper's evaluation — every figure and
+// table of Section 5 and Appendices A–C, plus the admission, sharing and
+// calibration exhibits and the claims scorecard — as text tables, each
+// exhibit under a "==== name ====" header, with each exhibit's wall time on
+// stderr. Select exhibits with -only (comma-separated); -csv DIR also writes
+// DIR/name.csv per exhibit, one table,row,column,value record per cell.
 //
 //	vista-bench -only fig6,table3
-//	vista-bench -fig8-rows 2000 > results.txt
+//	vista-bench > results.txt
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -18,11 +22,6 @@ import (
 	"repro/internal/experiments"
 )
 
-type exhibit struct {
-	name string
-	run  func() (string, experiments.CSVExporter, error)
-}
-
 func main() {
 	var (
 		only     = flag.String("only", "", "comma-separated exhibits to run (default: all): fig6,fig7a,fig7b,fig8,fig9,fig10,fig11,fig12,fig15,fig16,table2,table3,fig17,sec52,admission,share,calib,verify")
@@ -32,162 +31,52 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := runExhibitsCSV(os.Stdout, *only, *fig8Rows, *fig15Rws, *csvDir); err != nil {
+	opts := experiments.Options{Fig8Rows: *fig8Rows, Fig15Rows: *fig15Rws}
+	if err := runExhibits(os.Stdout, os.Stderr, *only, opts, *csvDir); err != nil {
 		fmt.Fprintln(os.Stderr, "vista-bench:", err)
 		os.Exit(1)
 	}
 }
 
-// runExhibits runs the selected exhibits (all when only is empty), writing
-// rendered tables to w.
-func runExhibits(w io.Writer, only string, fig8Rows, fig15Rows int) error {
-	return runExhibitsCSV(w, only, fig8Rows, fig15Rows, "")
-}
-
-// runExhibitsCSV is runExhibits with optional per-exhibit CSV output.
-func runExhibitsCSV(w io.Writer, only string, fig8Rows, fig15Rows int, csvDir string) error {
-	exhibits := []exhibit{
-		{"fig6", func() (string, experiments.CSVExporter, error) {
-			r, err := experiments.Figure6()
-			return render(r, err)
-		}},
-		{"fig7a", func() (string, experiments.CSVExporter, error) {
-			r, err := experiments.Figure7A()
-			return render(r, err)
-		}},
-		{"fig7b", func() (string, experiments.CSVExporter, error) {
-			r, err := experiments.Figure7B()
-			return render(r, err)
-		}},
-		{"fig8", func() (string, experiments.CSVExporter, error) {
-			r, err := experiments.Figure8(experiments.Figure8Options{Rows: fig8Rows})
-			return render(r, err)
-		}},
-		{"fig9", func() (string, experiments.CSVExporter, error) { return renderSweeps(experiments.Figure9()) }},
-		{"fig10", func() (string, experiments.CSVExporter, error) { return renderSweeps(experiments.Figure10()) }},
-		{"fig11", func() (string, experiments.CSVExporter, error) {
-			r, err := experiments.Figure11()
-			return render(r, err)
-		}},
-		{"fig12", func() (string, experiments.CSVExporter, error) {
-			r, err := experiments.Figure12()
-			return render(r, err)
-		}},
-		{"fig15", func() (string, experiments.CSVExporter, error) {
-			r, err := experiments.Figure15(fig15Rows)
-			return render(r, err)
-		}},
-		{"fig16", func() (string, experiments.CSVExporter, error) {
-			r, err := experiments.Figure16()
-			return render(r, err)
-		}},
-		{"table2", func() (string, experiments.CSVExporter, error) { r, err := experiments.Table2(); return render(r, err) }},
-		{"table3", func() (string, experiments.CSVExporter, error) { r, err := experiments.Table3(); return render(r, err) }},
-		{"fig17", func() (string, experiments.CSVExporter, error) {
-			r, err := experiments.Figure17()
-			return render(r, err)
-		}},
-		{"sec52", func() (string, experiments.CSVExporter, error) {
-			r, err := experiments.Section52(0)
-			if err != nil {
-				return "", nil, err
-			}
-			return r.Render(), nil, nil
-		}},
-		{"admission", func() (string, experiments.CSVExporter, error) {
-			r, err := experiments.AdmissionThroughput(0)
-			if err != nil {
-				return "", nil, err
-			}
-			return r.Render(), r, nil
-		}},
-		{"share", func() (string, experiments.CSVExporter, error) {
-			r, err := experiments.ShareThroughput(0)
-			if err != nil {
-				return "", nil, err
-			}
-			return r.Render(), r, nil
-		}},
-		{"calib", func() (string, experiments.CSVExporter, error) {
-			r, err := experiments.CalibrationConvergence()
-			if err != nil {
-				return "", nil, err
-			}
-			return r.Render(), r, nil
-		}},
-		{"verify", func() (string, experiments.CSVExporter, error) {
-			r, err := experiments.VerifyClaims()
-			if err != nil {
-				return "", nil, err
-			}
-			return r.Render(), nil, nil
-		}},
-	}
-
-	if csvDir != "" {
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			return err
-		}
-	}
+// runExhibits runs the selected exhibits (all when only is empty) in order,
+// printing each one's tables to w and its wall time to log, and writing
+// csvDir/name.csv when csvDir is set. A failed exhibit prints nothing; the
+// rest still run, and the first error is returned.
+func runExhibits(w, log io.Writer, only string, opts experiments.Options, csvDir string) error {
 	selected := map[string]bool{}
 	if only != "" {
 		for _, n := range strings.Split(only, ",") {
 			selected[strings.TrimSpace(strings.ToLower(n))] = true
 		}
 	}
+	if csvDir != "" {
+		if err := os.MkdirAll(csvDir, 0o755); err != nil {
+			return err
+		}
+	}
 	var firstErr error
-	for _, e := range exhibits {
-		if len(selected) > 0 && !selected[e.name] {
+	for _, e := range experiments.Exhibits {
+		if len(selected) > 0 && !selected[e.Name] {
 			continue
 		}
 		start := time.Now()
-		out, exporter, err := e.run()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", e.name, err)
-			}
-			continue
+		tables, err := e.Run(opts)
+		if err == nil {
+			fmt.Fprintf(log, "%s %v\n", e.Name, time.Since(start).Round(time.Millisecond))
+			_, err = fmt.Fprintf(w, "==== %s ====\n\n", e.Name)
 		}
-		fmt.Fprintf(w, "==== %s (%v) ====\n\n%s\n", e.name, time.Since(start).Round(time.Millisecond), out)
-		if csvDir != "" && exporter != nil {
-			if err := writeCSVFile(filepath.Join(csvDir, e.name+".csv"), exporter); err != nil && firstErr == nil {
-				firstErr = err
+		if err == nil {
+			err = experiments.WriteText(w, tables)
+		}
+		if err == nil && csvDir != "" {
+			var b bytes.Buffer
+			if err = experiments.WriteCSV(&b, tables); err == nil {
+				err = os.WriteFile(filepath.Join(csvDir, e.Name+".csv"), b.Bytes(), 0o644)
 			}
+		}
+		if err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("%s: %w", e.Name, err)
 		}
 	}
 	return firstErr
-}
-
-func writeCSVFile(path string, e experiments.CSVExporter) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return experiments.WriteCSV(f, e)
-}
-
-// renderer is anything with both a Render and a CSV view.
-type renderer interface {
-	Render() string
-	experiments.CSVExporter
-}
-
-func render(r renderer, err error) (string, experiments.CSVExporter, error) {
-	if err != nil {
-		return "", nil, err
-	}
-	return r.Render(), r, nil
-}
-
-func renderSweeps(sweeps []*experiments.SweepResult, err error) (string, experiments.CSVExporter, error) {
-	if err != nil {
-		return "", nil, err
-	}
-	var b strings.Builder
-	for _, s := range sweeps {
-		b.WriteString(s.Render())
-		b.WriteByte('\n')
-	}
-	return b.String(), experiments.SweepSet(sweeps), nil
 }

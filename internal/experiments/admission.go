@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/admission"
@@ -21,8 +20,8 @@ type AdmissionPoint struct {
 	Label string
 	// BudgetBytes is the controller's modeled-memory budget.
 	BudgetBytes int64
-	// Requests, Admitted, and Rejected partition the flood's outcomes.
-	Requests, Admitted, Rejected int
+	// Admitted and Rejected partition the flood's outcomes.
+	Admitted, Rejected int
 	// ElapsedSec is wall-clock time for the whole flood to drain.
 	ElapsedSec float64
 	// RunsPerSec is admitted-and-completed runs per second of wall clock.
@@ -142,7 +141,6 @@ func admissionFlood(specs []core.Spec, label string, budget int64) (*AdmissionPo
 	pt := &AdmissionPoint{
 		Label:       label,
 		BudgetBytes: budget,
-		Requests:    len(specs),
 		Admitted:    admitted,
 		Rejected:    rejected,
 		ElapsedSec:  elapsed.Seconds(),
@@ -166,37 +164,16 @@ func admissionFlood(specs []core.Spec, label string, budget int64) (*AdmissionPo
 // fmtGiB renders a byte count as binary gigabytes for the text table.
 func fmtGiB(b int64) string { return fmt.Sprintf("%.1f GiB", float64(b)/(1<<30)) }
 
-// Render prints the sweep as a text table.
-func (r *AdmissionResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Throughput under admission control — %d parallel runs of %d rows, run cost %s modeled\n",
-		r.Parallel, r.Rows, fmtGiB(r.RunCostBytes))
-	fmt.Fprintf(&b, "%-10s %12s %9s %9s %11s %8s %14s\n",
-		"budget", "bytes", "admitted", "rejected", "elapsed(s)", "runs/s", "p99 wait(ms)")
-	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%-10s %12s %9d %9d %11.2f %8.2f %14.1f\n",
-			p.Label, fmtGiB(p.BudgetBytes), p.Admitted, p.Rejected,
-			p.ElapsedSec, p.RunsPerSec, p.P99WaitMs)
+// Tables lays out the sweep, one row per budget.
+func (r *AdmissionResult) Tables() []Table {
+	t := Table{
+		Title: fmt.Sprintf("Throughput under admission control — %d parallel runs of %d rows, run cost %s modeled",
+			r.Parallel, r.Rows, fmtGiB(r.RunCostBytes)),
+		Header: []string{"budget", "bytes", "admitted", "rejected", "elapsed(s)", "runs/s", "p99 wait(ms)"},
 	}
-	return b.String()
-}
-
-// CSV implements CSVExporter: one row per budget point.
-func (r *AdmissionResult) CSV() ([]string, [][]string) {
-	header := []string{"budget", "budget_bytes", "requests", "admitted", "rejected",
-		"elapsed_sec", "runs_per_sec", "p99_queue_wait_ms"}
-	var rows [][]string
 	for _, p := range r.Points {
-		rows = append(rows, []string{
-			p.Label,
-			fmt.Sprintf("%d", p.BudgetBytes),
-			fmt.Sprintf("%d", p.Requests),
-			fmt.Sprintf("%d", p.Admitted),
-			fmt.Sprintf("%d", p.Rejected),
-			f2s(p.ElapsedSec),
-			f2s(p.RunsPerSec),
-			f2s(p.P99WaitMs),
-		})
+		t.add(p.Label, fmtGiB(p.BudgetBytes), fmt.Sprint(p.Admitted), fmt.Sprint(p.Rejected),
+			fmt.Sprintf("%.2f", p.ElapsedSec), fmt.Sprintf("%.2f", p.RunsPerSec), fmt.Sprintf("%.1f", p.P99WaitMs))
 	}
-	return header, rows
+	return []Table{t}
 }

@@ -15,26 +15,30 @@ func fakeAdmissionResult() *AdmissionResult {
 		RunCostBytes: 50 << 30,
 		Rows:         48, Parallel: 12,
 		Points: []AdmissionPoint{
-			{Label: "1x", BudgetBytes: 50 << 30, Requests: 12, Admitted: 12,
+			{Label: "1x", BudgetBytes: 50 << 30, Admitted: 12,
 				ElapsedSec: 8, RunsPerSec: 1.5, P99WaitMs: 9000},
-			{Label: "unlimited", BudgetBytes: 600 << 30, Requests: 12, Admitted: 12,
+			{Label: "unlimited", BudgetBytes: 600 << 30, Admitted: 12,
 				ElapsedSec: 7, RunsPerSec: 1.7, P99WaitMs: 1},
 		},
 	}
 }
 
 func TestAdmissionResultCSV(t *testing.T) {
-	recs := checkCSV(t, fakeAdmissionResult(), 8, 2)
-	if recs[1][0] != "1x" || recs[2][0] != "unlimited" {
-		t.Fatalf("budget labels = %q, %q", recs[1][0], recs[2][0])
+	recs := records(t, fakeAdmissionResult().Tables())
+	// A header, then 6 cells for each of the 2 budget rows.
+	if len(recs) != 1+2*6 {
+		t.Fatalf("got %d records: %q", len(recs), recs)
 	}
-	if recs[1][3] != "12" {
-		t.Fatalf("admitted = %q, want 12", recs[1][3])
+	if got := recs[2]; got[1] != "1x" || got[2] != "admitted" || got[3] != "12" {
+		t.Errorf("1x admitted record = %q", got)
+	}
+	if got := recs[7]; got[1] != "unlimited" || !strings.HasPrefix(got[0], "Throughput under admission control") {
+		t.Errorf("unlimited record = %q", got)
 	}
 }
 
 func TestAdmissionResultRender(t *testing.T) {
-	out := fakeAdmissionResult().Render()
+	out := text(t, fakeAdmissionResult().Tables())
 	for _, want := range []string{"12 parallel runs of 48 rows", "50.0 GiB", "unlimited", "p99 wait(ms)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Render missing %q:\n%s", want, out)

@@ -136,19 +136,17 @@ func figure15Row(modelName string, rows int) (*Figure15Row, error) {
 		EstimateBytes: est, ActualDeserBytes: deser, ActualSerBytes: ser}, nil
 }
 
-// Render prints the size comparison.
-func (r *Figure15Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Figure 15: size of largest intermediate table — Equation 16 estimate vs measured\n\n")
-	t := &table{header: []string{"model", "rows", "estimate", "deserialized", "serialized"}}
+// Tables lays out the size comparison.
+func (r *Figure15Result) Tables() []Table {
+	t := Table{Title: "Figure 15: size of largest intermediate table — Equation 16 estimate vs measured",
+		Header: []string{"model", "rows", "estimate", "deserialized", "serialized"}}
 	for _, row := range r.Rows {
 		t.add(row.Model, fmt.Sprintf("%d", row.Rows),
 			memory.FormatBytes(row.EstimateBytes),
 			memory.FormatBytes(row.ActualDeserBytes),
 			memory.FormatBytes(row.ActualSerBytes))
 	}
-	b.WriteString(t.String())
-	return b.String()
+	return []Table{t}
 }
 
 // Table2Row is one model's pre-materialized feature-layer sizes (Appendix B,
@@ -213,14 +211,13 @@ func sparsityCompression(model string) float64 {
 	return 2.2
 }
 
-// Render prints Table 2.
-func (r *Table2Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table 2: sizes of pre-materialized feature layers, Foods (raw images: %.2f GB)\n\n", r.RawImagesGB)
-	t := &table{header: []string{"model", "1st", "2nd", "4th", "5th"}}
+// Tables lays out Table 2.
+func (r *Table2Result) Tables() []Table {
+	t := Table{Title: fmt.Sprintf("Table 2: sizes of pre-materialized feature layers, Foods (raw images: %.2f GB)", r.RawImagesGB),
+		Header: []string{"model", "1st", "2nd", "4th", "5th"}}
 	for _, row := range r.Rows {
 		cells := []string{row.Model}
-		for _, pos := range []string{"1st", "2nd", "4th", "5th"} {
+		for _, pos := range t.Header[1:] {
 			if v, ok := row.SizesGB[pos]; ok {
 				cells = append(cells, fmt.Sprintf("%.2f", v))
 			} else {
@@ -229,8 +226,7 @@ func (r *Table2Result) Render() string {
 		}
 		t.add(cells...)
 	}
-	b.WriteString(t.String())
-	return b.String()
+	return []Table{t}
 }
 
 // Figure16Series is one model's pre-materialization comparison: runtime with
@@ -298,22 +294,20 @@ func Figure16() (*Figure16Result, error) {
 	return res, nil
 }
 
-// Render prints Figure 16.
-func (r *Figure16Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Figure 16: runtimes with pre-materialized base layer, Foods (minutes)\n\n")
+// Tables lays out one table per model.
+func (r *Figure16Result) Tables() []Table {
+	out := []Table{{Title: "Figure 16: runtimes with pre-materialized base layer, Foods (minutes)"}}
 	for _, s := range r.Series {
-		t := &table{header: []string{s.Model, "materialization", "without pre-mat", "with pre-mat"}}
+		t := Table{Header: []string{s.Model, "materialization", "without pre-mat", "with pre-mat"}}
 		for _, p := range s.Points {
 			t.add(fmt.Sprintf("%dL", p.Layers),
 				fmt.Sprintf("%.1f", p.MaterializationMin),
 				fmt.Sprintf("%.1f", p.WithoutPreMatMin),
 				fmt.Sprintf("%.1f", p.WithPreMatMin))
 		}
-		b.WriteString(t.String())
-		b.WriteByte('\n')
+		out = append(out, t)
 	}
-	return b.String()
+	return out
 }
 
 // Table3Result is the per-layer runtime breakdown (Appendix C, Table 3):
@@ -369,16 +363,14 @@ func Table3() (*Table3Result, error) {
 	return res, nil
 }
 
-// Render prints Table 3.
-func (r *Table3Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Table 3: per-layer CNN inference + LR 1st iteration (minutes), Staged/AJ/Shuffle/Deser., Foods\n\n")
+// Tables lays out one table per model.
+func (r *Table3Result) Tables() []Table {
+	out := []Table{{Title: "Table 3: per-layer CNN inference + LR 1st iteration (minutes), Staged/AJ/Shuffle/Deser., Foods"}}
 	for _, model := range Models {
-		header := []string{model}
+		t := Table{Header: []string{model}}
 		for _, n := range r.Nodes {
-			header = append(header, fmt.Sprintf("%d node(s)", n))
+			t.Header = append(t.Header, fmt.Sprintf("%d node(s)", n))
 		}
-		t := &table{header: header}
 		order := r.Breakdown[model][r.Nodes[0]].LayerOrder
 		for _, layer := range order {
 			row := []string{layer}
@@ -395,10 +387,9 @@ func (r *Table3Result) Render() string {
 		}
 		t.add(totalRow...)
 		t.add(readRow...)
-		b.WriteString(t.String())
-		b.WriteByte('\n')
+		out = append(out, t)
 	}
-	return b.String()
+	return out
 }
 
 // Figure17Result is the speedup drill-down of Appendix C: separate speedup
@@ -430,28 +421,11 @@ func Figure17() (*Figure17Result, error) {
 	return res, nil
 }
 
-// Render prints the two speedup families.
-func (r *Figure17Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Figure 17: speedup drill-down (vs 1 node)\n\n")
-	t := &table{header: []string{"CNN+LR 1st iter", "1", "2", "4", "8"}}
-	for _, model := range Models {
-		row := []string{model}
-		for _, v := range r.ComputeSpeedup[model] {
-			row = append(row, fmt.Sprintf("%.2f", v))
-		}
-		t.add(row...)
+// Tables lays out the two speedup families.
+func (r *Figure17Result) Tables() []Table {
+	return []Table{
+		{Title: "Figure 17: speedup drill-down (vs 1 node)"},
+		modelRatios("CNN+LR 1st iter", r.Nodes, r.ComputeSpeedup),
+		modelRatios("read images", r.Nodes, r.ReadSpeedup),
 	}
-	b.WriteString(t.String())
-	b.WriteByte('\n')
-	t = &table{header: []string{"read images", "1", "2", "4", "8"}}
-	for _, model := range Models {
-		row := []string{model}
-		for _, v := range r.ReadSpeedup[model] {
-			row = append(row, fmt.Sprintf("%.2f", v))
-		}
-		t.add(row...)
-	}
-	b.WriteString(t.String())
-	return b.String()
 }

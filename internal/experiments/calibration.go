@@ -116,38 +116,20 @@ func verdict(admit bool) string {
 	return "reject"
 }
 
-// Render prints the convergence table and the admission-flip demo.
-func (r *CalibrationResult) Render() string {
-	var b strings.Builder
-	b.WriteString("Closed-loop calibration — graded mis-calibration scenarios, converged = drift within [0.5, 2.0]\n")
-	fmt.Fprintf(&b, "%-8s %5s %7s %8s %15s %10s  %s\n",
-		"grade", "runs", "refits", "changes", "converged@run", "|ln drift|", "fitted factors")
-	for _, s := range r.Scenarios {
-		fmt.Fprintf(&b, "%-8s %5d %7d %8d %15d %10.3f  %s\n",
-			s.Name, s.Runs, s.Refits, s.ProfileChanges, s.ConvergedAfterRuns, s.MaxAbsLogDrift, s.FinalScales)
+// Tables lays out the convergence table, then the admission-flip demo as a
+// caption.
+func (r *CalibrationResult) Tables() []Table {
+	t := Table{
+		Title:  "Closed-loop calibration — graded mis-calibration scenarios, converged = drift within [0.5, 2.0]",
+		Header: []string{"grade", "runs", "refits", "changes", "converged@run", "|ln drift|", "fitted factors"},
 	}
-	fmt.Fprintf(&b, "\nAdmission flip (resnet50, 5 layers, 8x32 GB): plain %s -> %s, fitted %s -> %s at budget %s\n",
+	for _, s := range r.Scenarios {
+		t.add(s.Name, fmt.Sprint(s.Runs), fmt.Sprint(s.Refits), fmt.Sprint(s.ProfileChanges),
+			fmt.Sprint(s.ConvergedAfterRuns), fmt.Sprintf("%.3f", s.MaxAbsLogDrift), s.FinalScales)
+	}
+	flip := fmt.Sprintf("Admission flip (resnet50, 5 layers, 8x32 GB): plain %s -> %s, fitted %s -> %s at budget %s",
 		fmtGiB(r.PlainCostBytes), verdict(r.PlainAdmit),
 		fmtGiB(r.FittedCostBytes), verdict(r.FittedAdmit),
 		fmtGiB(r.FlipBudgetBytes))
-	return b.String()
-}
-
-// CSV implements CSVExporter: one row per scenario grade.
-func (r *CalibrationResult) CSV() ([]string, [][]string) {
-	header := []string{"grade", "runs", "refits", "profile_changes",
-		"converged_after_run", "max_abs_log_drift", "fitted_factors"}
-	var rows [][]string
-	for _, s := range r.Scenarios {
-		rows = append(rows, []string{
-			s.Name,
-			fmt.Sprintf("%d", s.Runs),
-			fmt.Sprintf("%d", s.Refits),
-			fmt.Sprintf("%d", s.ProfileChanges),
-			fmt.Sprintf("%d", s.ConvergedAfterRuns),
-			f2s(s.MaxAbsLogDrift),
-			s.FinalScales,
-		})
-	}
-	return header, rows
+	return []Table{t, {Title: flip}}
 }

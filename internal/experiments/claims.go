@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Claim is one verifiable statement from the paper with its measured
 // outcome.
@@ -173,16 +170,16 @@ func VerifyClaims() (*ClaimsResult, error) {
 	return res, nil
 }
 
-// Render prints the scorecard.
-func (r *ClaimsResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Paper-claim scorecard: %d/%d verified\n\n", r.Passed(), len(r.Claims))
+// Tables lays out the scorecard, one row per claim.
+func (r *ClaimsResult) Tables() []Table {
+	t := Table{Title: fmt.Sprintf("Paper-claim scorecard: %d/%d verified", r.Passed(), len(r.Claims)),
+		Header: []string{"claim", "verdict", "source", "evidence"}}
 	for _, c := range r.Claims {
 		mark := "PASS"
 		if !c.Pass {
 			mark = "FAIL"
 		}
-		fmt.Fprintf(&b, "[%s] %s — %s\n       %s\n", mark, c.Source, c.Statement, c.Evidence)
+		t.add(c.Statement, mark, c.Source, c.Evidence)
 	}
-	return b.String()
+	return []Table{t}
 }

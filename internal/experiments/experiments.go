@@ -4,12 +4,15 @@
 // with the paper's cluster profiles; the accuracy experiment (Figure 8) and
 // the size-estimation validation (Figure 15) execute for real on the
 // dataflow engine with the executable Tiny* CNNs. Each harness returns a
-// structured result whose Render method prints the same rows/series the
-// paper reports.
+// structured result whose Tables method formats the rows/series the paper
+// reports; Exhibits names every harness, and WriteText and WriteCSV render
+// any exhibit's tables.
 package experiments
 
 import (
+	"encoding/csv"
 	"fmt"
+	"io"
 	"strings"
 
 	"repro/internal/memory"
@@ -69,46 +72,83 @@ func runVista(model string, k int, ds sim.DatasetSpec, prof sim.Profile) sim.Res
 	return sim.Run(w, cfg, prof)
 }
 
-// table renders a simple fixed-width text table.
-type table struct {
-	header []string
-	rows   [][]string
+// Table is one grid of an exhibit, its cells formatted once by the harness
+// that produced it. A row's first cell names the row. A table with only a
+// Title prints as a line of text: a caption for the untitled tables after it,
+// or a closing note.
+type Table struct {
+	Title  string
+	Header []string
+	Rows   [][]string
 }
 
-func (t *table) add(cells ...string) { t.rows = append(t.rows, cells) }
+func (t *Table) add(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-func (t *table) String() string {
-	widths := make([]int, len(t.header))
-	for i, h := range t.header {
-		widths[i] = len(h)
+// name is the table's key in WriteCSV: its title, or its first header cell
+// when it has none.
+func (t *Table) name() string {
+	if t.Title != "" {
+		return t.Title
 	}
-	for _, r := range t.rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+	return t.Header[0]
+}
+
+// WriteText renders tables as fixed-width text: each table's title and a
+// blank line, then its header, a dashed rule and its rows, then a blank line.
+func WriteText(w io.Writer, tables []Table) error {
+	var b strings.Builder
+	for _, t := range tables {
+		if t.Title != "" {
+			b.WriteString(t.Title + "\n\n")
+		}
+		if len(t.Header) == 0 {
+			continue
+		}
+		widths := make([]int, len(t.Header))
+		for _, r := range append([][]string{t.Header}, t.Rows...) {
+			for i, c := range r {
+				widths[i] = max(widths[i], len(c))
 			}
 		}
-	}
-	var b strings.Builder
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
+		line := func(cells []string) {
+			for i, c := range cells {
+				if i > 0 {
+					b.WriteString("  ")
+				}
+				fmt.Fprintf(&b, "%-*s", widths[i], c)
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
+			b.WriteByte('\n')
+		}
+		line(t.Header)
+		rule := make([]string, len(widths))
+		for i, n := range widths {
+			rule[i] = strings.Repeat("-", n)
+		}
+		line(rule)
+		for _, r := range t.Rows {
+			line(r)
 		}
 		b.WriteByte('\n')
 	}
-	line(t.header)
-	for i, w := range widths {
-		if i > 0 {
-			b.WriteString("  ")
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
+// WriteCSV writes tables as one tidy long-form RFC 4180 CSV with the header
+// table,row,column,value and one record per cell outside a row's first
+// column: the table's name, the row's first cell, the cell's column header
+// and the cell itself — exactly the cells WriteText prints.
+func WriteCSV(w io.Writer, tables []Table) error {
+	records := [][]string{{"table", "row", "column", "value"}}
+	for _, t := range tables {
+		for _, r := range t.Rows {
+			for i := 1; i < len(r); i++ {
+				records = append(records, []string{t.name(), r[0], t.Header[i], r[i]})
+			}
 		}
-		b.WriteString(strings.Repeat("-", w))
 	}
-	b.WriteByte('\n')
-	for _, r := range t.rows {
-		line(r)
+	if err := csv.NewWriter(w).WriteAll(records); err != nil {
+		return fmt.Errorf("experiments: csv: %w", err)
 	}
-	return b.String()
+	return nil
 }

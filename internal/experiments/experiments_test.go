@@ -50,7 +50,7 @@ func TestFigure6HeadlineClaims(t *testing.T) {
 			}
 		}
 	}
-	out := res.Render()
+	out := text(t, res.Tables())
 	for _, want := range []string{"spark/foods", "ignite/amazon", "Vista", "×"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
@@ -79,7 +79,7 @@ func TestFigure7AGPUClaims(t *testing.T) {
 		t.Errorf("GPU Eager ResNet50 (%.1f) should clearly exceed Vista (%.1f)",
 			eager.TotalMin(), vista.TotalMin())
 	}
-	if !strings.Contains(res.Render(), "gpu-memory-exhausted") {
+	if !strings.Contains(text(t, res.Tables()), "gpu-memory-exhausted") {
 		t.Error("render should show the GPU crash")
 	}
 }
@@ -110,6 +110,27 @@ func TestFigure7BCrossover(t *testing.T) {
 	}
 }
 
+// entry returns the panel's entry for featureSet, or nil.
+func entry(p *Figure8Panel, featureSet string) *Figure8Entry {
+	for i := range p.Entries {
+		if p.Entries[i].FeatureSet == featureSet {
+			return &p.Entries[i]
+		}
+	}
+	return nil
+}
+
+// bestEntry returns the panel's highest-F1 entry.
+func bestEntry(p *Figure8Panel) Figure8Entry {
+	best := p.Entries[0]
+	for _, e := range p.Entries[1:] {
+		if e.F1 > best.F1 {
+			best = e
+		}
+	}
+	return best
+}
+
 func TestFigure8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-engine accuracy experiment; skipped with -short")
@@ -123,12 +144,12 @@ func TestFigure8Shape(t *testing.T) {
 	}
 	for i := range res.Panels {
 		p := &res.Panels[i]
-		structE := p.Entry("struct")
-		hog := p.Entry("struct+HOG")
+		structE := entry(p, "struct")
+		hog := entry(p, "struct+HOG")
 		if structE == nil || hog == nil {
 			t.Fatalf("%s/%s: missing baseline entries", p.Dataset, p.Model)
 		}
-		best := p.Best()
+		best := bestEntry(p)
 		// "In all cases incorporating image features improves the
 		// classification accuracy, and CNN features offer significantly
 		// higher lift in accuracy than traditional HOG features."
@@ -160,7 +181,7 @@ func TestFigure8Shape(t *testing.T) {
 			t.Errorf("%s/%s: layer F1 spread %.3f too small; trying layers must matter", p.Dataset, p.Model, hi-lo)
 		}
 	}
-	if !strings.Contains(res.Render(), "struct+HOG") {
+	if !strings.Contains(text(t, res.Tables()), "struct+HOG") {
 		t.Error("render missing HOG row")
 	}
 }
@@ -307,7 +328,7 @@ func TestFigure12Shapes(t *testing.T) {
 	if cpuS[3] <= cpuS[1] {
 		t.Error("cpu speedup should increase from 2 to 4")
 	}
-	if !strings.Contains(res.Render(), "scaleup") {
+	if !strings.Contains(text(t, res.Tables()), "scaleup") {
 		t.Error("render missing scaleup panel")
 	}
 }
@@ -396,7 +417,7 @@ func TestTable2Sizes(t *testing.T) {
 	if rn.SizesGB["5th"] < res.RawImagesGB {
 		t.Error("resnet50 conv4_6 features should dwarf the raw images")
 	}
-	if !strings.Contains(res.Render(), "resnet50") {
+	if !strings.Contains(text(t, res.Tables()), "resnet50") {
 		t.Error("render missing rows")
 	}
 }
@@ -462,7 +483,7 @@ func TestSection52TreeObservation(t *testing.T) {
 		t.Errorf("tree lift %.3f should trail LR lift %.3f (Section 5.2)",
 			res.TreeLift(), res.LRLift())
 	}
-	if !strings.Contains(res.Render(), "decision tree") {
+	if !strings.Contains(text(t, res.Tables()), "decision tree") {
 		t.Error("render missing rows")
 	}
 }
@@ -480,39 +501,11 @@ func TestVerifyClaimsAllPass(t *testing.T) {
 			t.Errorf("claim failed: %s — %s (%s)", c.Source, c.Statement, c.Evidence)
 		}
 	}
-	out := res.Render()
+	out := text(t, res.Tables())
 	if !strings.Contains(out, "scorecard") || !strings.Contains(out, "PASS") {
 		t.Error("render malformed")
 	}
 	if res.Passed() != len(res.Claims) {
 		t.Errorf("passed %d of %d", res.Passed(), len(res.Claims))
-	}
-}
-
-func TestRenderSmoke(t *testing.T) {
-	// All Render methods must produce non-empty output containing their
-	// figure labels (cheap smoke test for the text-report path).
-	sweeps, err := Figure9()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range sweeps {
-		if !strings.Contains(s.Render(), "Figure 9") {
-			t.Error("figure 9 render missing title")
-		}
-	}
-	f16, err := Figure16()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(f16.Render(), "pre-materialized") {
-		t.Error("figure 16 render wrong")
-	}
-	t3, err := Table3()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(t3.Render(), "read images") {
-		t.Error("table 3 render wrong")
 	}
 }

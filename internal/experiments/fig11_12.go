@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/dataflow"
 	"repro/internal/optimizer"
@@ -98,18 +97,14 @@ func runAtConfig(model string, ds sim.DatasetSpec, mutate func(*sim.Config, sim.
 	return sim.Run(w, cfg, sim.PaperCluster()), nil
 }
 
-// Render prints both sweeps and the optimizer's picks.
-func (r *Figure11Result) Render() string {
-	var b strings.Builder
-	b.WriteString(r.CPUSweep.Render())
-	b.WriteByte('\n')
-	b.WriteString(r.NPSweep.Render())
-	b.WriteString("\nOptimizer picked values:\n")
+// Tables lays out both sweeps and the optimizer's picks.
+func (r *Figure11Result) Tables() []Table {
+	picks := Table{Title: "Optimizer picked values", Header: []string{"model", "cpu", "np", "join", "pers"}}
 	for _, model := range Models {
 		d := r.Picked[model]
-		fmt.Fprintf(&b, "  %-9s cpu=%d np=%d join=%v pers=%v\n", model, d.CPU, d.NP, d.Join, d.Pers)
+		picks.add(model, fmt.Sprint(d.CPU), fmt.Sprint(d.NP), fmt.Sprint(d.Join), fmt.Sprint(d.Pers))
 	}
-	return b.String()
+	return []Table{r.CPUSweep.Table(), r.NPSweep.Table(), picks}
 }
 
 // Figure12Result covers scaleup, speedup, and the single-node cpu speedup.
@@ -197,38 +192,29 @@ func Figure12() (*Figure12Result, error) {
 	return res, nil
 }
 
-// Render prints the three panels.
-func (r *Figure12Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Figure 12: scalability (Staged/AJ/Shuffle/Deser., Foods)\n\n")
-	t := &table{header: []string{"(A) scaleup", "1", "2", "4", "8"}}
+// Tables lays out the three panels.
+func (r *Figure12Result) Tables() []Table {
+	return []Table{
+		{Title: "Figure 12: scalability (Staged/AJ/Shuffle/Deser., Foods)"},
+		modelRatios("(A) scaleup", r.Nodes, r.Scaleup),
+		modelRatios("(B) speedup", r.Nodes, r.Speedup),
+		modelRatios("(C) 1-node cpu speedup", []int{1, 2, 3, 4, 5, 6, 7, 8}, r.CPUSpeedup),
+	}
+}
+
+// modelRatios lays out one ratio curve per model: a row per model, a column
+// per x.
+func modelRatios(name string, xs []int, curves map[string][]float64) Table {
+	t := Table{Header: []string{name}}
+	for _, x := range xs {
+		t.Header = append(t.Header, fmt.Sprint(x))
+	}
 	for _, model := range Models {
 		row := []string{model}
-		for _, v := range r.Scaleup[model] {
+		for _, v := range curves[model] {
 			row = append(row, fmt.Sprintf("%.2f", v))
 		}
 		t.add(row...)
 	}
-	b.WriteString(t.String())
-	b.WriteByte('\n')
-	t = &table{header: []string{"(B) speedup", "1", "2", "4", "8"}}
-	for _, model := range Models {
-		row := []string{model}
-		for _, v := range r.Speedup[model] {
-			row = append(row, fmt.Sprintf("%.2f", v))
-		}
-		t.add(row...)
-	}
-	b.WriteString(t.String())
-	b.WriteByte('\n')
-	t = &table{header: []string{"(C) 1-node cpu speedup", "1", "2", "3", "4", "5", "6", "7", "8"}}
-	for _, model := range Models {
-		row := []string{model}
-		for _, v := range r.CPUSpeedup[model] {
-			row = append(row, fmt.Sprintf("%.2f", v))
-		}
-		t.add(row...)
-	}
-	b.WriteString(t.String())
-	return b.String()
+	return t
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/plan"
 	"repro/internal/sim"
@@ -111,13 +110,12 @@ func figure6Cells(system string, prof sim.Profile, memOnly bool, ds sim.DatasetS
 	return out, nil
 }
 
-// Render prints the grid, one block per system × dataset.
-func (r *Figure6Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Figure 6: end-to-end reliability and efficiency (minutes; × = crash)\n\n")
+// Tables lays the grid out as one table per system × dataset.
+func (r *Figure6Result) Tables() []Table {
+	out := []Table{{Title: "Figure 6: end-to-end reliability and efficiency (minutes; × = crash)"}}
 	for _, system := range []string{"spark", "ignite"} {
 		for _, dataset := range []string{"foods", "amazon"} {
-			t := &table{header: append([]string{system + "/" + dataset}, figure6Approaches...)}
+			t := Table{Header: append([]string{system + "/" + dataset}, figure6Approaches...)}
 			for _, model := range Models {
 				row := []string{model}
 				for _, approach := range figure6Approaches {
@@ -125,23 +123,21 @@ func (r *Figure6Result) Render() string {
 				}
 				t.add(row...)
 			}
-			b.WriteString(t.String())
-			b.WriteByte('\n')
+			out = append(out, t)
 		}
 	}
-	return b.String()
+	return out
 }
 
 func (r *Figure6Result) cellString(system, dataset, model, approach string) string {
-	for _, c := range r.Cells {
-		if c.System == system && c.Dataset == dataset && c.Model == model && c.Approach == approach {
-			if c.Crashed() {
-				return fmtCell(c.Result)
-			}
-			return fmt.Sprintf("%.1f", c.TotalMin())
-		}
+	c := r.Find(system, dataset, model, approach)
+	switch {
+	case c == nil:
+		return "?"
+	case c.Crashed():
+		return fmtCell(c.Result)
 	}
-	return "?"
+	return fmt.Sprintf("%.1f", c.TotalMin())
 }
 
 // Find returns the cell for the given coordinates, or nil.

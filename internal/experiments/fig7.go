@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/plan"
 	"repro/internal/sim"
@@ -59,26 +58,22 @@ func Figure7A() (*Figure7AResult, error) {
 	return res, nil
 }
 
-// Render prints the GPU grid.
-func (r *Figure7AResult) Render() string {
-	var b strings.Builder
-	b.WriteString("Figure 7(A): single-node GPU, Foods (minutes; × = crash)\n\n")
-	t := &table{header: []string{"model", "Lazy-5", "Lazy-7", "Eager", "Vista"}}
+// Tables lays out the GPU grid.
+func (r *Figure7AResult) Tables() []Table {
+	t := Table{Title: "Figure 7(A): single-node GPU, Foods (minutes; × = crash)",
+		Header: []string{"model", "Lazy-5", "Lazy-7", "Eager", "Vista"}}
 	for _, model := range Models {
 		row := []string{model}
-		for _, approach := range []string{"Lazy-5", "Lazy-7", "Eager", "Vista"} {
+		for _, approach := range t.Header[1:] {
 			cell := "?"
-			for _, c := range r.Cells {
-				if c.Model == model && c.Approach == approach {
-					cell = fmtCell(c.Result)
-				}
+			if c := r.Find(model, approach); c != nil {
+				cell = fmtCell(c.Result)
 			}
 			row = append(row, cell)
 		}
 		t.add(row...)
 	}
-	b.WriteString(t.String())
-	return b.String()
+	return []Table{t}
 }
 
 // Find returns the cell for the given model/approach, or nil.
@@ -149,14 +144,12 @@ func Figure7B() (*Figure7BResult, error) {
 	return res, nil
 }
 
-// Render prints the series.
-func (r *Figure7BResult) Render() string {
-	var b strings.Builder
-	b.WriteString("Figure 7(B): TFT+Beam(Flink) vs Vista, Foods/ResNet50, varying layers (minutes)\n\n")
-	t := &table{header: []string{"layers", "TFT+Beam", "Vista"}}
+// Tables lays out the series.
+func (r *Figure7BResult) Tables() []Table {
+	t := Table{Title: "Figure 7(B): TFT+Beam(Flink) vs Vista, Foods/ResNet50, varying layers (minutes)",
+		Header: []string{"layers", "TFT+Beam", "Vista"}}
 	for _, p := range r.Points {
 		t.add(fmt.Sprintf("%d", p.Layers), fmt.Sprintf("%.1f", p.TFTBeamMin), fmt.Sprintf("%.1f", p.VistaMin))
 	}
-	b.WriteString(t.String())
-	return b.String()
+	return []Table{t}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -154,38 +153,15 @@ func hogAugmented(structRows, imageRows []dataflow.Row) ([]dataflow.Row, int, er
 	return out, dim, nil
 }
 
-// Render prints all panels.
-func (r *Figure8Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 8: downstream test F1 by feature set (%d rows per dataset)\n\n", r.Rows)
+// Tables lays out one table per panel.
+func (r *Figure8Result) Tables() []Table {
+	out := []Table{{Title: fmt.Sprintf("Figure 8: downstream test F1 by feature set (%d rows per dataset)", r.Rows)}}
 	for _, p := range r.Panels {
-		t := &table{header: []string{p.Dataset + "/" + p.Model, "F1 (%)"}}
+		t := Table{Header: []string{p.Dataset + "/" + p.Model, "F1 (%)"}}
 		for _, e := range p.Entries {
 			t.add(e.FeatureSet, fmt.Sprintf("%.1f", e.F1*100))
 		}
-		b.WriteString(t.String())
-		b.WriteByte('\n')
+		out = append(out, t)
 	}
-	return b.String()
-}
-
-// Best returns the highest-F1 entry of a panel.
-func (p *Figure8Panel) Best() Figure8Entry {
-	best := p.Entries[0]
-	for _, e := range p.Entries[1:] {
-		if e.F1 > best.F1 {
-			best = e
-		}
-	}
-	return best
-}
-
-// Entry returns the named feature set's entry, or nil.
-func (p *Figure8Panel) Entry(featureSet string) *Figure8Entry {
-	for i := range p.Entries {
-		if p.Entries[i].FeatureSet == featureSet {
-			return &p.Entries[i]
-		}
-	}
-	return nil
+	return out
 }

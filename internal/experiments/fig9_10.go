@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/dataflow"
 	"repro/internal/plan"
@@ -23,11 +22,9 @@ type SweepResult struct {
 	Points []SweepPoint
 }
 
-// Render prints the sweep as a table, one row per x-position.
-func (r *SweepResult) Render() string {
-	var b strings.Builder
-	b.WriteString(r.Title + "\n\n")
-	t := &table{header: append([]string{"x"}, r.Series...)}
+// Table lays the sweep out as one table, one row per x-position.
+func (r *SweepResult) Table() Table {
+	t := Table{Title: r.Title, Header: append([]string{"x"}, r.Series...)}
 	for _, p := range r.Points {
 		row := []string{p.X}
 		for _, s := range r.Series {
@@ -35,8 +32,7 @@ func (r *SweepResult) Render() string {
 		}
 		t.add(row...)
 	}
-	b.WriteString(t.String())
-	return b.String()
+	return t
 }
 
 // Get returns one series value at one x, or a crash result if absent.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -95,11 +94,10 @@ func Section52(rows int) (*Section52Result, error) {
 	return res, nil
 }
 
-// Render prints the comparison.
-func (r *Section52Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Section 5.2: decision tree vs logistic regression with CNN features\n\n")
-	t := &table{header: []string{r.Dataset, "struct F1", "struct+CNN F1", "lift"}}
+// Tables lays out the comparison.
+func (r *Section52Result) Tables() []Table {
+	t := Table{Title: "Section 5.2: decision tree vs logistic regression with CNN features",
+		Header: []string{r.Dataset, "struct F1", "struct+CNN F1", "lift"}}
 	t.add("logistic regression",
 		fmt.Sprintf("%.1f", r.LRStructF1*100),
 		fmt.Sprintf("%.1f", r.LRCNNF1*100),
@@ -108,6 +106,5 @@ func (r *Section52Result) Render() string {
 		fmt.Sprintf("%.1f", r.TreeStructF1*100),
 		fmt.Sprintf("%.1f", r.TreeCNNF1*100),
 		fmt.Sprintf("%+.1f", r.TreeLift()*100))
-	b.WriteString(t.String())
-	return b.String()
+	return []Table{t}
 }

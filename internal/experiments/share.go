@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -47,9 +46,8 @@ type ShareResult struct {
 	// Rows and Parallel describe the workload: Parallel identical runs of
 	// Rows rows each.
 	Rows, Parallel int
-	Points         []SharePoint
-	// Speedup is sharing-on throughput over sharing-off throughput.
-	Speedup float64
+	// Points are sharing off, then on.
+	Points []SharePoint
 }
 
 // ShareThroughput floods Parallel identical runs with sharing off and on and
@@ -89,9 +87,6 @@ func ShareThroughput(rows int) (*ShareResult, error) {
 		return nil, err
 	}
 	res.Points = []SharePoint{*off, *on}
-	if off.RunsPerSec > 0 {
-		res.Speedup = on.RunsPerSec / off.RunsPerSec
-	}
 	return res, nil
 }
 
@@ -146,39 +141,18 @@ func flood(runner *lifecycle.Runner, specs []core.Spec) ([]lifecycle.Outcome, ti
 	return outs, time.Since(start)
 }
 
-// Render prints the comparison as a text table.
-func (r *ShareResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Multi-query shared inference — %d identical runs of %d rows\n",
-		r.Parallel, r.Rows)
-	fmt.Fprintf(&b, "%-8s %6s %8s %10s %6s %12s %11s %8s\n",
-		"sharing", "runs", "leaders", "followers", "solos", "dedup FLOPs", "elapsed(s)", "runs/s")
-	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%-8s %6d %8d %10d %6d %12d %11.2f %8.2f\n",
-			p.Label, p.Runs, p.Leaders, p.Followers, p.Solos,
-			p.DedupFLOPs, p.ElapsedSec, p.RunsPerSec)
+// Tables lays out the comparison, one row per sharing mode; speedup is each
+// mode's throughput over sharing-off's.
+func (r *ShareResult) Tables() []Table {
+	t := Table{
+		Title: fmt.Sprintf("Multi-query shared inference — %d identical runs of %d rows", r.Parallel, r.Rows),
+		Header: []string{"sharing", "runs", "leaders", "followers", "solos", "dedup FLOPs",
+			"elapsed(s)", "runs/s", "speedup"},
 	}
-	fmt.Fprintf(&b, "speedup: %.2fx\n", r.Speedup)
-	return b.String()
-}
-
-// CSV implements CSVExporter: one row per sharing mode.
-func (r *ShareResult) CSV() ([]string, [][]string) {
-	header := []string{"sharing", "runs", "leaders", "followers", "solos",
-		"dedup_flops", "elapsed_sec", "runs_per_sec", "speedup"}
-	var rows [][]string
 	for _, p := range r.Points {
-		rows = append(rows, []string{
-			p.Label,
-			fmt.Sprintf("%d", p.Runs),
-			fmt.Sprintf("%d", p.Leaders),
-			fmt.Sprintf("%d", p.Followers),
-			fmt.Sprintf("%d", p.Solos),
-			fmt.Sprintf("%d", p.DedupFLOPs),
-			f2s(p.ElapsedSec),
-			f2s(p.RunsPerSec),
-			f2s(r.Speedup),
-		})
+		t.add(p.Label, fmt.Sprint(p.Runs), fmt.Sprint(p.Leaders), fmt.Sprint(p.Followers),
+			fmt.Sprint(p.Solos), fmt.Sprint(p.DedupFLOPs), fmt.Sprintf("%.2f", p.ElapsedSec),
+			fmt.Sprintf("%.2f", p.RunsPerSec), fmt.Sprintf("%.2fx", p.RunsPerSec/r.Points[0].RunsPerSec))
 	}
-	return header, rows
+	return []Table{t}
 }

@@ -156,17 +156,6 @@ func (p PoolSpec) OutShape(in Shape) (Shape, error) {
 // MaxPool2D applies max pooling to the CHW input. A window holding a NaN
 // pools to NaN (Go's builtin max), here and in GridMaxPool.
 func MaxPool2D(in *Tensor, spec PoolSpec) (*Tensor, error) {
-	return pool2D(in, spec, true)
-}
-
-// avgPool2D applies average pooling to the CHW input. Padding cells count
-// toward the divisor only when inside the input (i.e. the divisor is the
-// number of valid cells), matching common DL-system semantics.
-func avgPool2D(in *Tensor, spec PoolSpec) (*Tensor, error) {
-	return pool2D(in, spec, false)
-}
-
-func pool2D(in *Tensor, spec PoolSpec, isMax bool) (*Tensor, error) {
 	outShape, err := spec.OutShape(in.Shape())
 	if err != nil {
 		return nil, err
@@ -176,7 +165,7 @@ func pool2D(in *Tensor, spec PoolSpec, isMax bool) (*Tensor, error) {
 	out := newUninit(outShape...)
 	src := in.Data()
 	dst := out.Data()
-	if isMax && spec.Pad == 0 && spec.Kernel == spec.Stride {
+	if spec.Pad == 0 && spec.Kernel == spec.Stride {
 		maxPoolTiled(src, dst, c, inH, inW, outH, outW, spec.Kernel)
 		return out, nil
 	}
@@ -187,10 +176,7 @@ func pool2D(in *Tensor, spec PoolSpec, isMax bool) (*Tensor, error) {
 			iy0 := oy*spec.Stride - spec.Pad
 			for ox := 0; ox < outW; ox++ {
 				ix0 := ox*spec.Stride - spec.Pad
-				var acc float32
-				if isMax {
-					acc = float32(math.Inf(-1))
-				}
+				acc := float32(math.Inf(-1))
 				n := 0
 				for ky := 0; ky < spec.Kernel; ky++ {
 					iy := iy0 + ky
@@ -202,19 +188,12 @@ func pool2D(in *Tensor, spec PoolSpec, isMax bool) (*Tensor, error) {
 						if ix < 0 || ix >= inW {
 							continue
 						}
-						v := src[sBase+iy*inW+ix]
-						if isMax {
-							acc = max(acc, v)
-						} else {
-							acc += v
-						}
+						acc = max(acc, src[sBase+iy*inW+ix])
 						n++
 					}
 				}
 				if n == 0 {
-					acc = 0
-				} else if !isMax {
-					acc /= float32(n)
+					acc = 0 // the window lies entirely in the padding
 				}
 				dst[(ch*outH+oy)*outW+ox] = acc
 			}
@@ -484,33 +463,6 @@ func GlobalAvgPool(in *Tensor) (*Tensor, error) {
 			sum += src[base+i]
 		}
 		dst[ch] = sum / float32(hw)
-	}
-	return out, nil
-}
-
-// softmax returns the softmax of a rank-1 tensor as a new tensor, computed
-// with the max-subtraction trick for numerical stability.
-func softmax(in *Tensor) (*Tensor, error) {
-	if len(in.Shape()) != 1 {
-		return nil, fmt.Errorf("%w: softmax expects rank-1, got %v", ErrShape, in.Shape())
-	}
-	out := New(in.Shape()...)
-	src, dst := in.Data(), out.Data()
-	maxV := float32(math.Inf(-1))
-	for _, v := range src {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	var sum float64
-	for i, v := range src {
-		e := math.Exp(float64(v - maxV))
-		dst[i] = float32(e)
-		sum += e
-	}
-	inv := float32(1 / sum)
-	for i := range dst {
-		dst[i] *= inv
 	}
 	return out, nil
 }

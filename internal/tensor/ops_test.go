@@ -204,32 +204,6 @@ func TestMaxPoolPropagatesNaN(t *testing.T) {
 	}
 }
 
-func TestAvgPool2D(t *testing.T) {
-	in := MustFromSlice([]float32{
-		1, 2,
-		3, 4,
-	}, 1, 2, 2)
-	out, err := avgPool2D(in, PoolSpec{Kernel: 2, Stride: 2})
-	if err != nil {
-		t.Fatalf("avgPool2D: %v", err)
-	}
-	if out.Data()[0] != 2.5 {
-		t.Errorf("avg = %v, want 2.5", out.Data()[0])
-	}
-}
-
-func TestAvgPool2DPaddingDivisor(t *testing.T) {
-	// With padding, divisor counts only valid cells.
-	in := MustFromSlice([]float32{4}, 1, 1, 1)
-	out, err := avgPool2D(in, PoolSpec{Kernel: 3, Stride: 1, Pad: 1})
-	if err != nil {
-		t.Fatalf("avgPool2D: %v", err)
-	}
-	if out.Data()[0] != 4 {
-		t.Errorf("padded avg = %v, want 4 (single valid cell)", out.Data()[0])
-	}
-}
-
 func TestGridMaxPool(t *testing.T) {
 	in := New(3, 8, 8)
 	for i := range in.Data() {
@@ -442,40 +416,6 @@ func TestGlobalAvgPool(t *testing.T) {
 	}
 	if out.Data()[0] != 2.5 || out.Data()[1] != 10 {
 		t.Errorf("gap = %v", out.Data())
-	}
-}
-
-func TestSoftmax(t *testing.T) {
-	in := MustFromSlice([]float32{1, 2, 3}, 3)
-	out, err := softmax(in)
-	if err != nil {
-		t.Fatalf("softmax: %v", err)
-	}
-	var sum float32
-	for _, v := range out.Data() {
-		if v <= 0 || v >= 1 {
-			t.Fatalf("softmax value out of (0,1): %v", v)
-		}
-		sum += v
-	}
-	if !almostEqual(sum, 1, 1e-5) {
-		t.Errorf("softmax sum = %v, want 1", sum)
-	}
-	if !(out.Data()[2] > out.Data()[1] && out.Data()[1] > out.Data()[0]) {
-		t.Error("softmax not monotone in input")
-	}
-}
-
-func TestSoftmaxNumericalStability(t *testing.T) {
-	in := MustFromSlice([]float32{1000, 1000, 1000}, 3)
-	out, err := softmax(in)
-	if err != nil {
-		t.Fatalf("softmax: %v", err)
-	}
-	for _, v := range out.Data() {
-		if math.IsNaN(float64(v)) || !almostEqual(v, 1.0/3.0, 1e-5) {
-			t.Fatalf("softmax of large equal inputs = %v, want 1/3", v)
-		}
 	}
 }
 

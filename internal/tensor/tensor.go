@@ -154,27 +154,10 @@ func (t *Tensor) offset(idx []int) int {
 	return off
 }
 
-// reshape returns a tensor that shares storage with t but has the new shape.
-// The element counts must match.
-func (t *Tensor) reshape(shape ...int) (*Tensor, error) {
-	s := Shape(shape)
-	if !s.Valid() || s.NumElements() != len(t.data) {
-		return nil, fmt.Errorf("%w: cannot reshape %v to %v", ErrShape, t.shape, s)
-	}
-	return &Tensor{shape: s.Clone(), data: t.data}, nil
-}
-
 // Flatten implements a FlattenOp (Definition 3.5): it returns a rank-1 view of
 // the tensor sharing the same storage.
 func (t *Tensor) Flatten() *Tensor {
 	return &Tensor{shape: Shape{len(t.data)}, data: t.data}
-}
-
-// fill sets every element of the tensor to v.
-func (t *Tensor) fill(v float32) {
-	for i := range t.data {
-		t.data[i] = v
-	}
 }
 
 // MaxAbs returns the maximum absolute value in the tensor, or 0 for an empty
@@ -188,15 +171,6 @@ func (t *Tensor) MaxAbs() float32 {
 		}
 	}
 	return m
-}
-
-// l2 returns the Euclidean norm of the tensor's elements.
-func (t *Tensor) l2() float64 {
-	var s float64
-	for _, v := range t.data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
 }
 
 // TensorList is an indexed list of tensors of potentially different shapes

@@ -11,12 +11,15 @@
 # the output name must be explicit and an existing snapshot is never silently
 # clobbered: overwriting one requires BENCH_FORCE=1.
 #
-# Covers the root figure/ablation benchmarks, BenchmarkWarmRun and
-# BenchmarkColdRun (one fully-warm / fully-cold served request in process;
+# Covers the root benchmarks, which all run the real engine — BenchmarkWarmRun
+# and BenchmarkColdRun (one fully-warm / fully-cold served request in process;
 # the warm one's store-read-B/op custom metric is carried into the JSON as
-# store_read_bytes_per_op) plus the hot internal packages — among them
-# internal/tensor's BenchmarkSgemmRosterShapes, whose GFLOP/s per roster GEMM
-# shape and kernel body is carried as gflops.
+# store_read_bytes_per_op) and the feature-store and join-placement ablations
+# — plus the hot internal packages, among them internal/tensor's
+# BenchmarkSgemmRosterShapes, whose GFLOP/s per roster GEMM shape and kernel
+# body is carried as gflops. The paper's figures are not benchmarked here:
+# they are simulator exhibits, rendered by cmd/vista-bench and locked by its
+# results test.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -26,9 +26,9 @@ go build ./...
 
 echo "== go test -race =="
 # The full chaos schedule set is too slow under the race detector; it gets a
-# dedicated -short smoke below plus a full non-race run. internal/experiments
-# alone runs ~4 min without -race, so the default 10m per-package timeout is
-# too tight under the race detector's overhead.
+# dedicated -short smoke below plus a full non-race run. internal/experiments,
+# the slowest package here, runs ~10 s without -race and ~2 min with it on a
+# 2-core box; -timeout 30m is headroom for slower runners over the default 10m.
 go test -race -timeout 30m $(go list ./... | grep -v '/internal/chaos$')
 
 echo "== go test -race (fault-injection critical packages) =="
@@ -367,18 +367,6 @@ trap - EXIT
     -calib-profile "$loop_tmp/profile.json" -calib-json report >"$loop_tmp/offline.json"
 cmp "$loop_tmp/live.json" "$loop_tmp/offline.json"
 rm -rf "$loop_tmp"
-
-echo "== calibration convergence exhibit (admission flip) =="
-# The graded scenario suite must converge, and the fitted profile must flip a
-# real admission verdict: the exhibit errors out if any scenario fails to
-# converge, and the flip line is asserted literally.
-exhibit_tmp=$(mktemp)
-go run ./cmd/vista-bench -only calib | tee "$exhibit_tmp"
-grep -q -- '-> reject, fitted .* -> admit' "$exhibit_tmp" || {
-    echo "calibration exhibit: admission verdict did not flip" >&2
-    exit 1
-}
-rm -f "$exhibit_tmp"
 
 echo "== bench smoke (BENCH_SHORT=1) =="
 bench_out=$(mktemp)
