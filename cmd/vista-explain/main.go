@@ -109,15 +109,13 @@ func buildWorkload(model, dataset string, layers, nodes, cores int, memGB, gpuGB
 		return sim.Workload{}, fmt.Errorf("unknown dataset %q", dataset)
 	}
 	ds := sim.PaperDataset(preset)
+	m, err := cnn.ByName(model)
+	if err != nil {
+		return sim.Workload{}, err
+	}
 	if layers <= 0 {
-		switch model {
-		case "alexnet":
-			layers = 4
-		case "vgg16":
-			layers = 3
-		default:
-			layers = 5
-		}
+		// The paper's |L| for every roster model is all its feature layers.
+		layers = len(m.FeatureLayers)
 	}
 	return sim.NewWorkload(sim.WorkloadSpec{
 		ModelName: model, NumLayers: layers, Dataset: ds,

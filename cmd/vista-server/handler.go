@@ -36,7 +36,8 @@ type workloadRequest struct {
 	Model string `json:"model"`
 	// Dataset is "foods" or "amazon".
 	Dataset string `json:"dataset"`
-	// Layers is |L| (0 = the paper's default for the model).
+	// Layers is |L| (0 = the paper's default: all the model's feature
+	// layers).
 	Layers int `json:"layers"`
 	// Nodes/Cores/MemGB describe the environment (defaults: 8/8/32 for
 	// explain+simulate, 2/4/32 for run).
@@ -53,14 +54,10 @@ type workloadRequest struct {
 	Seed int64 `json:"seed"`
 }
 
-func (r *workloadRequest) defaults(forRun bool) {
+func (r *workloadRequest) defaults(m *cnn.Model, forRun bool) {
 	if r.Layers <= 0 {
-		switch r.Model {
-		case "alexnet", "tiny-alexnet":
-			r.Layers = 4
-		default:
-			r.Layers = 3
-		}
+		// The paper's |L| for every roster model is all its feature layers.
+		r.Layers = len(m.FeatureLayers)
 	}
 	if r.Nodes <= 0 {
 		if forRun {
@@ -357,7 +354,11 @@ func decodeRequest(r *http.Request, forRun bool) (*workloadRequest, error) {
 	if req.Model == "" || req.Dataset == "" {
 		return nil, errors.New("model and dataset are required")
 	}
-	req.defaults(forRun)
+	m, err := cnn.ByName(req.Model)
+	if err != nil {
+		return nil, err
+	}
+	req.defaults(m, forRun)
 	return &req, nil
 }
 

@@ -88,10 +88,29 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 }
 
+// Regression: an omitted "layers" used to default to 3 for every model but
+// alexnet, so /explain priced resnet50 at 3 layers; the paper's |L| for every
+// roster model is all its feature layers (resnet50: 5).
+func TestExplainDefaultLayersFromModel(t *testing.T) {
+	h := newHandler(nil)
+	for model, want := range map[string]int{"alexnet": 4, "vgg16": 3, "resnet50": 5} {
+		code, body := doJSON(t, h, "POST", "/explain", `{"model":"`+model+`","dataset":"foods"}`)
+		if code != http.StatusOK {
+			t.Fatalf("%s: explain = %d %v", model, code, body)
+		}
+		if got := len(body["table_size_bytes"].([]any)); got != want {
+			t.Errorf("%s: %d table sizes, want the paper's %d layers", model, got, want)
+		}
+	}
+}
+
 func TestExplainValidationEndpoint(t *testing.T) {
 	h := newHandler(nil)
 	if code, _ := doJSON(t, h, "POST", "/explain", `{`); code != http.StatusBadRequest {
 		t.Errorf("malformed body = %d", code)
+	}
+	if code, _ := doJSON(t, h, "POST", "/explain", `{"model":"nope","dataset":"foods"}`); code != http.StatusBadRequest {
+		t.Errorf("unknown model = %d", code)
 	}
 	if code, _ := doJSON(t, h, "POST", "/explain", `{"model":"resnet50"}`); code != http.StatusBadRequest {
 		t.Errorf("missing dataset = %d", code)

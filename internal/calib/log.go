@@ -270,7 +270,7 @@ func OpenLog(path string) (*Log, error) {
 	if clean < len(data) {
 		// Torn tail: atomically replace the file with its clean prefix so
 		// the damage cannot compound across restarts. Write-then-rename,
-		// like the featurestore's index persistence.
+		// like the featurestore's entry writes.
 		if err := durable.WriteFileAtomic(FaultLogRecover, path, data[:clean]); err != nil {
 			return nil, fmt.Errorf("calib: recover log: %w", err)
 		}

@@ -74,10 +74,7 @@ var coreSites = []site{
 	{dl.FaultSessionBroadcast, false},
 	{dl.FaultInferBatch, false},
 	{featurestore.FaultEntryRead, false},
-	{featurestore.FaultPutEntryWritten, false},
-	{featurestore.FaultPutIndexPersisted, false},
 	{featurestore.FaultEntryWrite + ".write", true},
-	{featurestore.FaultIndexWrite + ".write", true},
 	{dataflow.FaultSpillWrite, true},
 	{dataflow.FaultUnspillRead, false},
 	{dataflow.FaultUnspillAdmit, false},

@@ -145,13 +145,20 @@ func RunContext(ctx context.Context, spec Spec) (*Result, error) {
 		cache:    cache,
 		trace:    obs.StartSpan("run"),
 	}
-	// The sampler observes the run from the outside: it reads the same
-	// func-backed registry series a /metrics scrape would, on its own
-	// goroutine, tagging frames with the stage open in the live span tree.
+	// The sampler observes the run from the outside: it reads func-backed
+	// series like a /metrics scrape would, on its own goroutine, tagging
+	// frames with the stage open in the live span tree. It reads a registry
+	// private to the run: the shared one holds whichever engine registered
+	// last, and series of nodes an earlier, larger run had.
 	var smp *sampler.Sampler
 	if spec.Metrics != nil && spec.SampleEvery > 0 {
+		own := obs.NewRegistry()
+		engine.RegisterMetrics(own)
+		if spec.FeatureStore != nil {
+			spec.FeatureStore.RegisterMetrics(own)
+		}
 		smp = sampler.Start(sampler.Config{
-			Registry: spec.Metrics,
+			Registry: own,
 			Trace:    ex.trace,
 			Every:    spec.SampleEvery,
 		})
@@ -287,7 +294,9 @@ func (ex *executor) runAfterJoin(tstr, timg *dataflow.Table) ([]LayerResult, err
 	var results []LayerResult
 	rawIdx := -1
 	if ex.plan.PreMaterializedBase >= 0 {
-		base, rawIdx, err = ex.preMaterialize(base, &results)
+		// The pass consumes the joined base, which the passes below never
+		// read again.
+		base, rawIdx, err = ex.preMaterialize(base, true, ex.train, &results)
 		if err != nil {
 			return nil, err
 		}
@@ -303,17 +312,6 @@ func (ex *executor) runAfterJoin(tstr, timg *dataflow.Table) ([]LayerResult, err
 // feature table with Tstr only for training (the paper's BJ placement).
 func (ex *executor) runBeforeJoin(tstr, timg *dataflow.Table) ([]LayerResult, error) {
 	defer tstr.Drop()
-	var results []LayerResult
-	rawIdx := -1
-	base := timg
-	if ex.plan.PreMaterializedBase >= 0 {
-		var err error
-		base, rawIdx, err = ex.preMaterializeBJ(tstr, timg, &results)
-		timg.Drop()
-		if err != nil {
-			return nil, err
-		}
-	}
 	trainJoined := func(out *dataflow.Table, featIdx int, em plan.Emit) (LayerResult, error) {
 		proj, err := ex.projectFeature(out, featIdx, em.LayerName)
 		if err != nil {
@@ -327,6 +325,17 @@ func (ex *executor) runBeforeJoin(tstr, timg *dataflow.Table) ([]LayerResult, er
 		defer joined.Drop()
 		return ex.train(joined, 0, em)
 	}
+	var results []LayerResult
+	rawIdx := -1
+	base := timg
+	if ex.plan.PreMaterializedBase >= 0 {
+		var err error
+		base, rawIdx, err = ex.preMaterialize(timg, false, trainJoined, &results)
+		timg.Drop()
+		if err != nil {
+			return nil, err
+		}
+	}
 	more, err := ex.runPasses(base, rawIdx, trainJoined)
 	if err != nil {
 		return nil, err
@@ -334,13 +343,15 @@ func (ex *executor) runBeforeJoin(tstr, timg *dataflow.Table) ([]LayerResult, er
 	return append(results, more...), nil
 }
 
+// trainFunc trains the downstream model on the feature at featIdx of an
+// inference pass's output: ex.train under AJ, a projecting join under BJ.
+type trainFunc func(out *dataflow.Table, featIdx int, em plan.Emit) (LayerResult, error)
+
 // runPasses drives the plan's inference steps over base, training each
 // emitted layer with trainFn and managing intermediate-table lifetimes: Lazy
 // steps re-read base, Staged steps consume the previous step's raw carry.
 // It takes ownership of base and drops every intermediate it creates.
-func (ex *executor) runPasses(base *dataflow.Table, rawIdx int,
-	trainFn func(out *dataflow.Table, featIdx int, em plan.Emit) (LayerResult, error)) ([]LayerResult, error) {
-
+func (ex *executor) runPasses(base *dataflow.Table, rawIdx int, trainFn trainFunc) ([]LayerResult, error) {
 	var results []LayerResult
 	carrier := base
 	cleanup := func() {
@@ -452,10 +463,17 @@ func (ex *executor) runStep(name string, in *dataflow.Table, step plan.Step, raw
 	return ex.engine.MapPartitions(name, in, udf)
 }
 
-// preMaterialize computes the base layer over the joined table: it emits the
-// base feature (trained directly) and keeps the raw base tensor as the
-// staged chain's input (Appendix B).
-func (ex *executor) preMaterialize(base *dataflow.Table, results *[]LayerResult) (*dataflow.Table, int, error) {
+// preMaterialize computes the base layer over in (the joined table under AJ,
+// Timg under BJ): it emits the base feature, trained with trainFn, and keeps
+// the raw base tensor as the staged chain's input (Appendix B). With consume
+// set it drops in on every path, as soon as the pass has read it; otherwise
+// in stays the caller's.
+func (ex *executor) preMaterialize(in *dataflow.Table, consume bool, trainFn trainFunc, results *[]LayerResult) (*dataflow.Table, int, error) {
+	release := func() {
+		if consume {
+			in.Drop()
+		}
+	}
 	bl := ex.plan.Layers[ex.plan.PreMaterializedBase]
 	udf, err := ex.session.PartitionFunc(dl.InferenceSpec{
 		From: 0, FromImage: true,
@@ -464,71 +482,25 @@ func (ex *executor) preMaterialize(base *dataflow.Table, results *[]LayerResult)
 		DropInput:  true,
 	})
 	if err != nil {
+		release()
 		return nil, 0, err
 	}
 	if err := ex.failStage("premat"); err != nil {
-		base.Drop()
+		release()
 		return nil, 0, err
 	}
 	sp := ex.stage("premat:" + bl.Name)
 	flops := counterDelta(ex.engine.Counters().FLOPs.Load)
-	out, err := ex.engine.MapPartitions("premat", base, udf)
+	out, err := ex.engine.MapPartitions("premat", in, udf)
 	if err != nil {
 		sp.End()
-		base.Drop()
+		release()
 		return nil, 0, err
 	}
 	sp.SetAttr("flops", flops())
 	sp.End()
-	base.Drop()
-	res, err := ex.train(out, 0, plan.Emit{LayerName: bl.Name, LayerIndex: bl.LayerIndex, FeatureDim: bl.FeatureDim})
-	if err != nil {
-		out.Drop()
-		return nil, 0, err
-	}
-	*results = append(*results, res)
-	return out, 1, nil
-}
-
-// preMaterializeBJ is preMaterialize for the BJ placement: the base pass
-// runs over Timg and the base layer trains through a join.
-func (ex *executor) preMaterializeBJ(tstr, timg *dataflow.Table, results *[]LayerResult) (*dataflow.Table, int, error) {
-	bl := ex.plan.Layers[ex.plan.PreMaterializedBase]
-	udf, err := ex.session.PartitionFunc(dl.InferenceSpec{
-		From: 0, FromImage: true,
-		EmitLayers: []int{bl.LayerIndex},
-		KeepRawAt:  bl.LayerIndex,
-		DropInput:  true,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := ex.failStage("premat"); err != nil {
-		return nil, 0, err
-	}
-	sp := ex.stage("premat:" + bl.Name)
-	flops := counterDelta(ex.engine.Counters().FLOPs.Load)
-	out, err := ex.engine.MapPartitions("premat", timg, udf)
-	if err != nil {
-		sp.End()
-		return nil, 0, err
-	}
-	sp.SetAttr("flops", flops())
-	sp.End()
-	em := plan.Emit{LayerName: bl.Name, LayerIndex: bl.LayerIndex, FeatureDim: bl.FeatureDim}
-	proj, err := ex.projectFeature(out, 0, bl.Name)
-	if err != nil {
-		out.Drop()
-		return nil, 0, err
-	}
-	joined, err := ex.engine.Join("train-"+bl.Name, tstr, proj, ex.decision.Join)
-	proj.Drop()
-	if err != nil {
-		out.Drop()
-		return nil, 0, err
-	}
-	res, err := ex.train(joined, 0, em)
-	joined.Drop()
+	release()
+	res, err := trainFn(out, 0, plan.Emit{LayerName: bl.Name, LayerIndex: bl.LayerIndex, FeatureDim: bl.FeatureDim})
 	if err != nil {
 		out.Drop()
 		return nil, 0, err

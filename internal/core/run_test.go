@@ -162,22 +162,37 @@ func TestAllPlansYieldIdenticalModels(t *testing.T) {
 	}
 }
 
+// TestRunPreMaterializedBase: under both placements the pre-materialized base
+// trains first, and every layer's models match the same spec's run without
+// pre-materialization.
 func TestRunPreMaterializedBase(t *testing.T) {
 	for _, placement := range []plan.JoinPlacement{plan.AfterJoin, plan.BeforeJoin} {
 		spec := tinySpec(t, 60)
 		spec.NumLayers = 4 // conv5 + fc6..fc8
-		spec.PreMaterializeBase = true
 		spec.Placement = placement
+		plain, err := Run(spec)
+		if err != nil {
+			t.Fatalf("%v: Run without pre-materialization: %v", placement, err)
+		}
+		spec.PreMaterializeBase = true
 		res, err := Run(spec)
 		if err != nil {
 			t.Fatalf("%v: Run: %v", placement, err)
 		}
-		if len(res.Layers) != 4 {
-			t.Fatalf("%v: got %d layers, want 4 (base conv5 + 3)", placement, len(res.Layers))
+		if len(res.Layers) != 4 || len(plain.Layers) != 4 {
+			t.Fatalf("%v: got %d and %d layers, want 4 (base conv5 + 3)", placement, len(res.Layers), len(plain.Layers))
 		}
 		if res.Layers[0].LayerName != "conv5" {
 			t.Errorf("%v: first result = %s, want conv5 (the pre-materialized base)",
 				placement, res.Layers[0].LayerName)
+		}
+		for i, lr := range res.Layers {
+			want := plain.Layers[i]
+			if lr.LayerName != want.LayerName ||
+				math.Abs(lr.Train.F1-want.Train.F1) > 1e-9 || math.Abs(lr.Test.F1-want.Test.F1) > 1e-9 {
+				t.Errorf("%v: %s train/test F1 %.6f/%.6f, without pre-materialization %s %.6f/%.6f",
+					placement, lr.LayerName, lr.Train.F1, lr.Test.F1, want.LayerName, want.Train.F1, want.Test.F1)
+			}
 		}
 	}
 }
@@ -453,5 +468,34 @@ func TestRunSampledSeries(t *testing.T) {
 	}
 	if res2.Series != nil {
 		t.Error("Series recorded without SampleEvery")
+	}
+}
+
+// Regression: the sampler used to read the shared Spec.Metrics registry, so
+// after a 3-node run every later 2-node run on it sampled the closed engine's
+// node="2" series (and concurrent runs read whichever engine registered
+// last). A run's recording holds only its own engine's series.
+func TestRunSampledSeriesOwnEngineOnly(t *testing.T) {
+	reg := obs.NewRegistry()
+	for _, nodes := range []int{3, 2} {
+		spec := tinySpec(t, 40)
+		spec.NumLayers = 1
+		spec.Nodes = nodes
+		spec.Metrics = reg
+		spec.SampleEvery = time.Millisecond
+		res, err := Run(spec)
+		if err != nil {
+			t.Fatalf("%d-node Run: %v", nodes, err)
+		}
+		var own bool
+		for _, key := range res.Series.SeriesKeys() {
+			if strings.Contains(key, fmt.Sprintf(`node="%d"`, nodes)) {
+				t.Errorf("%d-node run sampled %s", nodes, key)
+			}
+			own = own || strings.Contains(key, fmt.Sprintf(`node="%d"`, nodes-1))
+		}
+		if !own {
+			t.Errorf("%d-node run sampled no series of its node %d", nodes, nodes-1)
+		}
 	}
 }

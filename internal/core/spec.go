@@ -148,11 +148,12 @@ type Spec struct {
 	Metrics *obs.Registry
 
 	// SampleEvery, when positive (and Metrics is set), runs a time-series
-	// sampler for the duration of the run: every period it snapshots the
-	// engine/pool/feature-store series into an in-memory ring, tagging each
-	// frame with the stage open at that instant. The recording lands on
-	// Result.Series, ready for the export writers (CSV/JSON time series,
-	// Chrome trace counter tracks) and sim.CompareSeries.
+	// sampler for the duration of the run: every period it snapshots this
+	// run's engine/pool/feature-store series — never another run's — into
+	// an in-memory ring, tagging each frame with the stage open at that
+	// instant. The recording lands on Result.Series, ready for the export
+	// writers (CSV/JSON time series, Chrome trace counter tracks) and
+	// sim.CompareSeries.
 	SampleEvery time.Duration
 
 	// — Experiment overrides (default zero values = Vista's choices) —

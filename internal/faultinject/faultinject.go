@@ -1,12 +1,12 @@
 // Package faultinject is a deterministic failpoint layer for the Vista
 // reproduction. Production code marks the I/O and allocation edges it assumes
-// succeed — spill writes, feature-store entry/index persistence, batch-buffer
+// succeed — spill writes, feature-store entry persistence, batch-buffer
 // allocation, stage boundaries — with named sites; tests arm trigger policies
 // at those sites to drive error paths, torn writes, and mid-operation process
 // kills that real disks and real crashes produce nondeterministically.
 //
 // Site naming convention: "<package>/<area>.<step>", e.g.
-// "dataflow/spill.write" or "featurestore/index.rename"; dynamic variants use
+// "dataflow/spill.write" or "featurestore/entry.rename"; dynamic variants use
 // a ":<label>" suffix, e.g. "core/stage:join". Each package exports its site
 // names as Fault* constants next to the code that hits them.
 //

@@ -2,7 +2,6 @@ package featurestore
 
 import (
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -12,10 +11,10 @@ import (
 )
 
 // Crash-consistency tests for Open recovery. Each scenario seeds entry A
-// durably, arms a one-shot Kill failpoint somewhere inside the Put of entry
-// B, and lets the re-exec'd helper process die mid-operation — no deferred
-// cleanup, like a real kill -9. The parent then reopens the directory and
-// asserts the recovery invariants.
+// durably, arms faultinject policies around a later Put, and lets the
+// re-exec'd helper process die mid-operation — no deferred cleanup, like a
+// real kill -9. The parent then reopens the directory and asserts the
+// recovery invariants.
 
 // TestCrashHelper is the body run in the re-exec'd child. It must never
 // return normally: every scenario ends in faultinject killing the process.
@@ -28,37 +27,35 @@ func TestCrashHelper(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	// Entry A is durable before the fault arms: entry file and index both on
-	// disk (Put persists the index synchronously).
+	// Entry A is durable before any fault arms: its Put renamed the file.
 	if err := s.Put(testKey(1, Feature), featRows(1, 8, 4)); err != nil {
 		t.Fatalf("seed Put: %v", err)
 	}
+	next := testKey(2, Feature) // entry B
 	switch scenario {
-	case "kill-entry-written":
-		// Die between the entry-file write and the index persist: entry B's
-		// file exists but no index record points at it.
-		faultinject.Arm(FaultPutEntryWritten, faultinject.Kill())
-	case "kill-index-rename":
-		// Die between the index temp-file write and its rename: entry B's
-		// file exists, the old index is still in place, and a stale .tmp-
-		// file is stranded.
-		faultinject.Arm(FaultIndexWrite+".rename", faultinject.Kill())
-	case "kill-truncated-index":
-		// Tear the index payload silently (the tmp write "succeeds" short,
-		// the rename lands the torn bytes), then die: index.vfs on disk is
-		// truncated mid-record and fails its CRC on reload.
-		faultinject.Arm(FaultIndexWrite+".write", faultinject.SilentTruncate(8))
-		faultinject.Arm(FaultPutIndexPersisted, faultinject.Kill())
+	case "kill-entry-rename":
+		// Die between B's temp-file write and its rename: B's complete bytes
+		// are stranded in a temp file and its final name never appears.
+		faultinject.Arm(FaultEntryWrite+".rename", faultinject.Kill())
+	case "kill-after-torn-entry":
+		// Tear B silently (the temp write "succeeds" short and the rename
+		// lands the torn bytes under B's name), then die in the next Put, C's.
+		faultinject.Arm(FaultEntryWrite+".write", faultinject.SilentTruncate(8))
+		if err := s.Put(next, featRows(2, 8, 4)); err != nil {
+			t.Fatalf("silently torn Put reported %v", err)
+		}
+		faultinject.Arm(FaultEntryWrite+".create", faultinject.Kill())
+		next = testKey(3, Feature)
 	default:
 		t.Fatalf("unknown crash scenario %q", scenario)
 	}
-	err = s.Put(testKey(2, Feature), featRows(2, 8, 4))
+	err = s.Put(next, featRows(next.LayerIndex, 8, 4))
 	t.Fatalf("scenario %s did not kill the process (Put err=%v)", scenario, err)
 }
 
 // assertStoreClean asserts the directory invariants every recovery must
-// restore: no stranded atomic-write temp files, no entry file the index does
-// not account for, and index-vs-disk size agreement.
+// restore: Fsck passes, no stranded atomic-write temp files, and the store
+// charges exactly the entry files on disk.
 func assertStoreClean(t *testing.T, s *Store, dir string) {
 	t.Helper()
 	if err := s.Fsck(); err != nil {
@@ -68,40 +65,21 @@ func assertStoreClean(t *testing.T, s *Store, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var entryBytes int64
 	entryFiles := 0
 	for _, de := range des {
-		name := de.Name()
-		if strings.HasPrefix(name, durable.TmpPrefix) {
-			t.Errorf("stranded temp file after recovery: %s", name)
+		if strings.HasPrefix(de.Name(), durable.TmpPrefix) {
+			t.Errorf("stranded temp file after recovery: %s", de.Name())
 		}
-		if strings.HasSuffix(name, entrySuffix) {
+		if strings.HasSuffix(de.Name(), entrySuffix) {
 			entryFiles++
-			fi, err := de.Info()
-			if err != nil {
-				t.Fatal(err)
-			}
-			entryBytes += fi.Size()
-			id := strings.TrimSuffix(name, entrySuffix)
-			if _, ok := s.entries.Peek(id); !ok {
-				t.Errorf("orphan entry file after recovery: %s", name)
-			}
 		}
 	}
 	st := s.Snapshot()
 	if st.Entries != entryFiles {
-		t.Errorf("index tracks %d entries, disk has %d files", st.Entries, entryFiles)
+		t.Errorf("store tracks %d entries, disk has %d files", st.Entries, entryFiles)
 	}
-	if st.UsedBytes != entryBytes {
-		t.Errorf("index charges %d bytes, disk holds %d", st.UsedBytes, entryBytes)
-	}
-	// The persisted index must itself be decodable.
-	blob, err := os.ReadFile(filepath.Join(dir, indexName))
-	if err != nil {
-		t.Fatalf("reading recovered index: %v", err)
-	}
-	if _, err := DecodeIndex(blob); err != nil {
-		t.Fatalf("recovered index undecodable: %v", err)
+	if du := diskUsage(t, dir); st.UsedBytes != du {
+		t.Errorf("store charges %d bytes, disk holds %d", st.UsedBytes, du)
 	}
 }
 
@@ -116,13 +94,10 @@ func runCrashScenario(t *testing.T, scenario string) (*Store, string) {
 	return s, dir
 }
 
-func TestCrashBetweenEntryWriteAndIndexPersist(t *testing.T) {
-	s, dir := runCrashScenario(t, "kill-entry-written")
-	if !s.Contains(testKey(1, Feature)) {
-		t.Error("durable entry A lost")
-	}
+func TestCrashAtEntryRename(t *testing.T) {
+	s, dir := runCrashScenario(t, "kill-entry-rename")
 	if s.Contains(testKey(2, Feature)) {
-		t.Error("half-written entry B resurrected")
+		t.Error("entry B visible despite its unrenamed temp file")
 	}
 	if _, ok, err := s.Get(testKey(1, Feature)); err != nil || !ok {
 		t.Errorf("entry A unreadable after recovery: ok=%v err=%v", ok, err)
@@ -130,34 +105,30 @@ func TestCrashBetweenEntryWriteAndIndexPersist(t *testing.T) {
 	assertStoreClean(t, s, dir)
 }
 
-func TestCrashBetweenIndexPersistAndRename(t *testing.T) {
-	s, dir := runCrashScenario(t, "kill-index-rename")
-	if !s.Contains(testKey(1, Feature)) {
-		t.Error("durable entry A lost")
+func TestCrashAfterSilentTornEntry(t *testing.T) {
+	s, dir := runCrashScenario(t, "kill-after-torn-entry")
+	torn := testKey(2, Feature)
+	if s.Contains(testKey(3, Feature)) {
+		t.Error("entry C visible although its Put died before writing")
 	}
-	if s.Contains(testKey(2, Feature)) {
-		t.Error("entry B visible despite unrenamed index")
+	// Open does not read entries, so the torn one is charged what it holds.
+	fi, err := os.Stat(s.entryPath(torn.id()))
+	if err != nil {
+		t.Fatalf("torn entry file: %v", err)
+	}
+	if fi.Size() != 8 || !s.Contains(torn) {
+		t.Fatalf("torn entry: %d bytes on disk, present=%v; want 8 bytes, present", fi.Size(), s.Contains(torn))
+	}
+	assertStoreClean(t, s, dir)
+	// Its first Get fails to decode: a miss that drops it, never garbage.
+	if rows, ok, err := s.Get(torn); err != nil || ok || rows != nil {
+		t.Errorf("Get of torn entry: rows=%d ok=%v err=%v, want a miss", len(rows), ok, err)
+	}
+	if s.Contains(torn) {
+		t.Error("torn entry not dropped by its failed Get")
 	}
 	if _, ok, err := s.Get(testKey(1, Feature)); err != nil || !ok {
 		t.Errorf("entry A unreadable after recovery: ok=%v err=%v", ok, err)
 	}
 	assertStoreClean(t, s, dir)
-}
-
-func TestCrashWithTruncatedIndex(t *testing.T) {
-	s, dir := runCrashScenario(t, "kill-truncated-index")
-	// A torn index cannot attribute entry files to keys; recovery is a cold
-	// start — empty but fully functional.
-	if st := s.Snapshot(); st.Entries != 0 || st.UsedBytes != 0 {
-		t.Errorf("cold recovery not empty: %+v", st)
-	}
-	assertStoreClean(t, s, dir)
-	k := testKey(3, Feature)
-	v := featRows(3, 8, 4)
-	if err := s.Put(k, v); err != nil {
-		t.Fatalf("recovered store rejects Put: %v", err)
-	}
-	if _, ok, err := s.Get(k); err != nil || !ok {
-		t.Fatalf("recovered store rejects Get: ok=%v err=%v", ok, err)
-	}
 }

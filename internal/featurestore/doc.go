@@ -8,9 +8,9 @@
 // same model weights over the same rows. Kinds distinguish emitted feature
 // vectors (Feature) from staged raw carries (RawCarry), letting a warm run
 // resume partial inference mid-chain. The store enforces a byte budget with
-// LRU eviction, persists its index and entry files via atomic
-// write-and-rename, and recovers from torn writes on reopen; Fsck audits
-// the directory against the index, and the faultinject sites declared in
-// store.go let crash-consistency tests kill the process between the two
-// persistence steps.
+// LRU eviction. The directory is its only state: one file per entry, named
+// by the key's content address, written by atomic write-and-rename (a Put's
+// one commit point), charged its size, with its mtime as its recency. Fsck
+// audits the directory against memory, and the faultinject sites declared
+// in store.go let crash-consistency tests kill the process mid-Put.
 package featurestore

@@ -74,36 +74,6 @@ func TestPutReplaceFailureKeepsOldEntry(t *testing.T) {
 	}
 }
 
-// Regression: an injected failure between the entry write and the index
-// persist must roll the key back completely — no entry file without an index
-// record, on disk or in memory.
-func TestPutEntryWrittenFaultRollsBack(t *testing.T) {
-	defer faultinject.DisarmAll()
-	dir := t.TempDir()
-	s, err := Open(dir, 0)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	k := testKey(2, Feature)
-	faultinject.Arm(FaultPutEntryWritten, faultinject.FailNth(1))
-	if err := s.Put(k, featRows(3, 8, 4)); err == nil {
-		t.Fatal("Put with injected entry-written failure succeeded")
-	}
-	faultinject.DisarmAll()
-	if s.Contains(k) {
-		t.Fatal("rolled-back key still present in memory")
-	}
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, de := range des {
-		if strings.HasSuffix(de.Name(), entrySuffix) {
-			t.Fatalf("rolled-back entry file left on disk: %s", de.Name())
-		}
-	}
-}
-
 // Regression: Get used to hold the store mutex across the entry-file read and
 // decode, serializing every concurrent request against one large entry. The
 // Callback policy turns the read site into a sync point: while the read is in
@@ -164,40 +134,6 @@ func TestGetReadFailureDropsEntry(t *testing.T) {
 	}
 	if st := s.Snapshot(); st.UsedBytes != 0 {
 		t.Fatalf("dropped entry left %d bytes charged", st.UsedBytes)
-	}
-}
-
-// A Put whose index persist fails must surface the error while keeping the
-// durable entry readable — and a restart must recover to a consistent store.
-func TestPutIndexPersistFailureSurfaces(t *testing.T) {
-	defer faultinject.DisarmAll()
-	dir := t.TempDir()
-	s, err := Open(dir, 0)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	k := testKey(5, Feature)
-	faultinject.Arm(FaultIndexWrite+".write", faultinject.FailNth(1))
-	err = s.Put(k, featRows(6, 8, 4))
-	faultinject.DisarmAll()
-	if err == nil {
-		t.Fatal("Put with injected index-persist failure returned nil")
-	}
-	if _, ok := faultinject.AsFault(err); !ok {
-		t.Fatalf("error lost the typed fault: %v", err)
-	}
-	if _, ok, err := s.Get(k); err != nil || !ok {
-		t.Fatalf("entry unreadable after index-persist failure: ok=%v err=%v", ok, err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	s2, err := Open(dir, 0)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	if _, ok, err := s2.Get(k); err != nil || !ok {
-		t.Fatalf("entry lost across restart: ok=%v err=%v", ok, err)
 	}
 }
 

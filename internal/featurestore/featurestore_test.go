@@ -196,9 +196,10 @@ func TestStoreSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestStoreRestartKeepsRecency: the index carries recency across a restart,
-// so after a reopen the entry evicted first is the one least recently used
-// before Close — not the one put first, and not the one used last.
+// TestStoreRestartKeepsRecency: the entry files' mtimes carry recency across
+// a restart, so after a reopen the entry evicted first is the one least
+// recently used before Close — not the one put first, and not the one used
+// last.
 func TestStoreRestartKeepsRecency(t *testing.T) {
 	sizes := make([]int64, 4)
 	for i := range sizes {
@@ -272,36 +273,43 @@ func TestPutDedupSkipsIdenticalContent(t *testing.T) {
 	}
 }
 
-func TestStoreCorruptIndexRecovery(t *testing.T) {
+// TestStoreOpensDirectoryWithOldIndex: stores once kept a separate index file,
+// index.vfs, beside their entries. The entry files alone are the store now,
+// so such a directory opens warm with every entry and the old file is left
+// alone.
+func TestStoreOpensDirectoryWithOldIndex(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 1<<20)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if err := s.Put(testKey(1, Feature), featRows(1, 8, 4)); err != nil {
-		t.Fatalf("Put: %v", err)
+	for i := 0; i < 3; i++ {
+		if err := s.Put(testKey(i, Feature), featRows(i, 8, 4)); err != nil {
+			t.Fatalf("Put %d: %v", i, err)
+		}
 	}
-	s.Close()
-	if err := os.WriteFile(filepath.Join(dir, indexName), []byte("not an index"), 0o644); err != nil {
-		t.Fatalf("corrupt index: %v", err)
+	old := filepath.Join(dir, "index.vfs")
+	if err := os.WriteFile(old, []byte("VFSI\x01\x00\x00\x00 an old index"), 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	s2, err := Open(dir, 1<<20)
 	if err != nil {
-		t.Fatalf("Open after corruption must recover, got: %v", err)
+		t.Fatalf("reopen: %v", err)
 	}
-	if st := s2.Snapshot(); st.Entries != 0 || st.UsedBytes != 0 {
-		t.Fatalf("store should start cold after index corruption: %+v", st)
+	if st := s2.Snapshot(); st.Entries != 3 || st.UsedBytes != diskUsage(t, dir) {
+		t.Fatalf("reopened store is not warm with every entry: %+v", st)
 	}
-	if du := diskUsage(t, dir); du != 0 {
-		t.Fatalf("orphan entry files left behind: %d bytes", du)
+	for i := 0; i < 3; i++ {
+		if _, ok, err := s2.Get(testKey(i, Feature)); err != nil || !ok {
+			t.Errorf("entry %d after reopen: ok=%v err=%v", i, ok, err)
+		}
 	}
-	// The recovered store must be usable.
-	if err := s2.Put(testKey(1, Feature), featRows(1, 8, 4)); err != nil {
-		t.Fatalf("Put after recovery: %v", err)
+	if err := s2.Fsck(); err != nil {
+		t.Error(err)
 	}
-	if _, ok, _ := s2.Get(testKey(1, Feature)); !ok {
-		t.Fatal("Get after recovery")
+	if _, err := os.Stat(old); err != nil {
+		t.Errorf("old index file touched: %v", err)
 	}
 }
 
@@ -362,26 +370,5 @@ func TestDataChecksumSensitivity(t *testing.T) {
 	shift := []dataflow.Row{{ID: 1, Image: []byte{1, 2}}, {ID: 2, Image: []byte{3, 4, 5}}}
 	if DataChecksum(shift) == base {
 		t.Fatal("checksum ignores image boundaries")
-	}
-}
-
-func TestIndexCodecRoundTrip(t *testing.T) {
-	entries := []IndexEntry{
-		{Key: testKey(3, Feature), Size: 1234, LastUsed: 5},
-		{Key: testKey(3, RawCarry), Size: 99, LastUsed: 6},
-		{Key: Key{Model: "vgg16", WeightsSum: "w1", DataSum: "d1", LayerIndex: 12, Kind: Feature}, Size: 7, LastUsed: 1},
-	}
-	blob := EncodeIndex(entries)
-	got, err := DecodeIndex(blob)
-	if err != nil {
-		t.Fatalf("DecodeIndex: %v", err)
-	}
-	if len(got) != len(entries) {
-		t.Fatalf("len = %d, want %d", len(got), len(entries))
-	}
-	for i := range got {
-		if got[i] != entries[i] {
-			t.Fatalf("entry %d: %+v != %+v", i, got[i], entries[i])
-		}
 	}
 }

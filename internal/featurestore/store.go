@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/dataflow"
 	"repro/internal/durable"
@@ -14,37 +16,26 @@ import (
 	"repro/internal/lru"
 )
 
-// Failpoint sites (see internal/faultinject). The two durable.WriteFileAtomic base
-// sites expand into ".create", ".write" (a byte site), and ".rename"
-// sub-sites; the put.* sites are the kill-here points crash-consistency
-// tests arm between the store's two persistence steps.
+// Failpoint sites (see internal/faultinject). The durable.WriteFileAtomic base
+// site expands into ".create", ".write" (a byte site), and ".rename"
+// sub-sites; the rename is a Put's one commit point.
 const (
 	// FaultEntryWrite is the base site for entry-file writes; sub-sites:
 	// featurestore/entry.create, featurestore/entry.write (bytes),
 	// featurestore/entry.rename.
 	FaultEntryWrite = "featurestore/entry"
-	// FaultIndexWrite is the base site for index writes; sub-sites:
-	// featurestore/index.create, featurestore/index.write (bytes),
-	// featurestore/index.rename.
-	FaultIndexWrite = "featurestore/index"
 	// FaultEntryRead guards Get's entry-file read-back.
 	FaultEntryRead = "featurestore/entry.read"
-	// FaultPutEntryWritten sits between a Put's entry write and its index
-	// persist — a kill here leaves an entry file the index knows nothing
-	// about (or, on replace, a file whose size disagrees with the index).
-	FaultPutEntryWritten = "featurestore/put.entry-written"
-	// FaultPutIndexPersisted sits after a Put's index persist — combined
-	// with SilentTruncate on featurestore/index.write it crashes the
-	// process right after a torn index reached its final name.
-	FaultPutIndexPersisted = "featurestore/put.index-persisted"
 )
 
 // Store is a content-addressed, disk-backed materialized store for CNN
 // feature tables (DeepLens-style feature reuse). Entries are whole feature
 // tables — one per (model, weights, data, layer, kind) key — serialized with
-// the dataflow row codec and evicted LRU under a byte budget. The index is
-// persisted so a restarted process (or a second one pointed at the same
-// directory) resumes with the same contents and recency order.
+// the dataflow row codec and evicted LRU under a byte budget. The directory
+// is the store's whole state: each entry is one file named by its key's
+// content address, charged its size, whose mtime is its recency, so a
+// restarted process (or a second one pointed at the same directory) resumes
+// with the same contents and recency order.
 type Store struct {
 	dir    string
 	budget int64 // bytes; <= 0 means unlimited
@@ -53,6 +44,8 @@ type Store struct {
 	// entries maps content address -> entry in recency order, each charged
 	// its entry file's size; evicting one deletes the file (evicted).
 	entries *lru.Cache[string, *storeEntry]
+	// stamp is the mtime the last recency refresh wrote (touchLocked).
+	stamp time.Time
 
 	hits, misses, puts, evictions int64
 	readBytes, evictedBytes       int64
@@ -60,17 +53,13 @@ type Store struct {
 }
 
 type storeEntry struct {
-	key Key
 	// sum is the blob's content hash, known only for entries written by this
-	// process: entries recovered from the index carry the zero sum, which no
+	// process: entries found on disk at Open carry the zero sum, which no
 	// blob hashes to, so they are never dedup candidates.
 	sum [32]byte
 }
 
-const (
-	entrySuffix = ".fse"
-	indexName   = "index.vfs"
-)
+const entrySuffix = ".fse"
 
 // Stats is a point-in-time snapshot of store counters.
 type Stats struct {
@@ -93,42 +82,49 @@ type Stats struct {
 }
 
 // Open loads (or creates) a store rooted at dir with the given byte budget
-// (<= 0 for unlimited). A corrupt index is not fatal: the directory is wiped
-// and the store starts cold, since without a trustworthy index the entry
-// files cannot be attributed to keys.
+// (<= 0 for unlimited). Every *.fse file is an entry charged its size; adding
+// them oldest mtime first (ties by name) rebuilds the recency order and
+// evicts down to a budget that shrank. Atomic-write temp files a killed
+// process stranded are swept, and every other file is ignored. Entries are
+// not read, so a torn one is found by its first Get.
 func Open(dir string, budget int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("featurestore: %w", err)
 	}
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("featurestore: %w", err)
+	}
+	type file struct {
+		id    string
+		size  int64
+		mtime time.Time
+	}
+	var files []file
+	for _, de := range des {
+		name := de.Name()
+		if strings.HasPrefix(name, durable.TmpPrefix) {
+			os.Remove(filepath.Join(dir, name))
+			continue
+		}
+		if !strings.HasSuffix(name, entrySuffix) {
+			continue
+		}
+		if fi, err := de.Info(); err == nil {
+			files = append(files, file{strings.TrimSuffix(name, entrySuffix), fi.Size(), fi.ModTime()})
+		}
+	}
+	sort.Slice(files, func(i, j int) bool {
+		if !files[i].mtime.Equal(files[j].mtime) {
+			return files[i].mtime.Before(files[j].mtime)
+		}
+		return files[i].id < files[j].id
+	})
 	s := &Store{dir: dir, budget: budget}
 	s.entries = lru.New(budget, s.evicted)
-	persisted, err := s.loadIndex()
-	if err != nil {
-		// Corrupt or unreadable index: recover by starting cold.
-		persisted = nil
-		s.wipeEntryFiles()
-		os.Remove(filepath.Join(dir, indexName))
-	}
-	// The index lists entries most recently used first; adding them oldest
-	// first rebuilds that order (and evicts down to a budget that shrank).
-	for i := len(persisted) - 1; i >= 0; i-- {
-		e := persisted[i]
-		id := e.Key.id()
-		if _, dup := s.entries.Peek(id); dup || e.Size < 0 {
-			continue
-		}
-		fi, statErr := os.Stat(s.entryPath(id))
-		if statErr != nil || fi.Size() != e.Size {
-			// Entry file lost or damaged since the index was written.
-			os.Remove(s.entryPath(id))
-			continue
-		}
-		s.entries.Add(id, &storeEntry{key: e.Key}, e.Size)
-	}
-	s.sweepTempFiles()
-	s.removeOrphans()
-	if s.entries.Len() != len(persisted) || persisted == nil {
-		s.persistIndexLocked()
+	for _, f := range files {
+		s.entries.Add(f.id, &storeEntry{}, f.size)
+		s.stamp = f.mtime
 	}
 	return s, nil
 }
@@ -137,9 +133,9 @@ func Open(dir string, budget int64) (*Store, error) {
 func (s *Store) Dir() string { return s.dir }
 
 // Get returns the rows cached under k, or ok=false on a miss. A hit refreshes
-// the entry's recency. An entry whose file has become unreadable is dropped
-// and reported as a miss rather than an error, so callers can always fall
-// back to recomputation.
+// the entry's recency. An entry whose file has become unreadable or does not
+// decode (a torn write) is dropped and reported as a miss rather than an
+// error, so callers can always fall back to recomputation.
 func (s *Store) Get(k Key) ([]dataflow.Row, bool, error) {
 	id := k.id()
 	s.mu.Lock()
@@ -168,13 +164,15 @@ func (s *Store) Get(k Key) ([]dataflow.Row, bool, error) {
 		// vanished (or was replaced) while we read — and report a miss so
 		// callers fall back to recomputation.
 		if cur, present := s.entries.Peek(id); present && cur == e {
-			s.dropLocked(id)
-			s.persistIndexLocked()
+			s.entries.Remove(id)
+			os.Remove(s.entryPath(id))
 		}
 		s.misses++
 		return nil, false, nil
 	}
-	s.entries.Get(id) // refresh recency, if the entry is still there
+	if _, present := s.entries.Get(id); present {
+		s.touchLocked(id)
+	}
 	s.hits++
 	s.readBytes += int64(len(blob))
 	return rows, true, nil
@@ -210,39 +208,38 @@ func (s *Store) Put(k Key, rows []dataflow.Row) error {
 		// duplicate-work race (two runs miss, both compute, both Put). Skip
 		// the disk write entirely; just refresh recency.
 		s.entries.Get(id)
+		s.touchLocked(id)
 		s.dedupPuts++
 		return nil
 	}
-	// Write the new blob before touching the existing entry: WriteFileAtomic
-	// replaces the old file only at its final rename, so a failed write
-	// leaves a previous entry for the same key intact on disk and in memory
-	// instead of destroying the old features and losing the key.
+	// The rename at the end of WriteFileAtomic is the Put's one commit point:
+	// a write that fails before it leaves a previous entry for the same key
+	// intact on disk and in memory.
 	if err := durable.WriteFileAtomic(FaultEntryWrite, s.entryPath(id), blob); err != nil {
 		return fmt.Errorf("featurestore: write %s: %w", k, err)
 	}
-	if ferr := faultinject.Hit(FaultPutEntryWritten); ferr != nil {
-		// Injected failure between entry write and index persist: roll the
-		// key back entirely so disk and memory stay in agreement (the old
-		// blob, if any, was already replaced by the rename above).
-		if s.entries.Remove(id) {
-			s.persistIndexLocked()
-		}
-		os.Remove(s.entryPath(id))
-		return fmt.Errorf("featurestore: write %s: %w", k, ferr)
-	}
 	// Add replaces an entry already under id without the eviction callback:
 	// the rename swapped its file for the new blob, which must stay.
-	s.entries.Add(id, &storeEntry{key: k, sum: sum}, size)
+	s.entries.Add(id, &storeEntry{sum: sum}, size)
+	s.touchLocked(id)
 	s.puts++
-	if err := s.persistIndexLocked(); err != nil {
-		// The entry itself is durable and usable; the stale index only
-		// costs a cold entry after a crash (Open removes the orphan file).
-		return fmt.Errorf("featurestore: persist index for %s: %w", k, err)
-	}
-	if ferr := faultinject.Hit(FaultPutIndexPersisted); ferr != nil {
-		return fmt.Errorf("featurestore: %s: %w", k, ferr)
-	}
 	return nil
+}
+
+// touchLocked records id as the most recently used entry on disk: it sets the
+// file's mtime to a stamp later than every one before it, so Open rebuilds
+// the same order even when the clock has not moved since the last refresh.
+func (s *Store) touchLocked(id string) {
+	// Round(0) drops the monotonic reading: the stamp is compared as the
+	// wall-clock time the file will hold.
+	now := time.Now().Round(0)
+	if !now.After(s.stamp) {
+		now = s.stamp.Add(time.Nanosecond)
+	}
+	s.stamp = now
+	// A stamp that fails to land costs only this entry's place in the
+	// recency order a restart rebuilds.
+	_ = os.Chtimes(s.entryPath(id), now, now)
 }
 
 // Contains reports whether k is cached, without touching recency or the
@@ -288,19 +285,15 @@ func (s *Store) Snapshot() Stats {
 	}
 }
 
-// Close persists the index (entry recency included) to disk.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.persistIndexLocked()
-}
+// Close releases the store. Every Put and recency refresh is on disk when it
+// returns, so there is nothing left to persist.
+func (s *Store) Close() error { return nil }
 
-// Fsck cross-checks the in-memory index against the directory: every indexed
-// entry must have a file of the recorded size, every entry file must be
-// indexed, no atomic-write temp files may linger, the byte accounting must
-// equal the sum of entry sizes, and the persisted index must decode. Chaos
-// and crash-consistency tests call it after every fault schedule; it returns
-// the first inconsistency found.
+// Fsck cross-checks the in-memory entries against the directory: every entry
+// must have a file of the size it is charged, every entry file must be an
+// entry, no atomic-write temp files may linger, and the byte accounting must
+// equal the sum of entry sizes. Chaos and crash-consistency tests call it
+// after every fault schedule; it returns the first inconsistency found.
 func (s *Store) Fsck() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -311,9 +304,9 @@ func (s *Store) Fsck() error {
 		switch {
 		case bad != nil:
 		case err != nil:
-			bad = fmt.Errorf("featurestore: fsck: indexed entry %s has no file: %w", id, err)
+			bad = fmt.Errorf("featurestore: fsck: entry %s has no file: %w", id, err)
 		case fi.Size() != size:
-			bad = fmt.Errorf("featurestore: fsck: entry %s is %d bytes on disk, index says %d", id, fi.Size(), size)
+			bad = fmt.Errorf("featurestore: fsck: entry %s is %d bytes on disk, charged %d", id, fi.Size(), size)
 		}
 		sum += size
 	})
@@ -338,16 +331,6 @@ func (s *Store) Fsck() error {
 			}
 		}
 	}
-	blob, err := os.ReadFile(filepath.Join(s.dir, indexName))
-	if err != nil {
-		if os.IsNotExist(err) && s.entries.Len() == 0 {
-			return nil // never persisted; an empty store is consistent
-		}
-		return fmt.Errorf("featurestore: fsck: reading index: %w", err)
-	}
-	if _, err := DecodeIndex(blob); err != nil {
-		return fmt.Errorf("featurestore: fsck: %w", err)
-	}
 	return nil
 }
 
@@ -359,81 +342,6 @@ func (s *Store) evicted(id string, _ *storeEntry, size int64) {
 	s.evictedBytes += size
 }
 
-// dropLocked removes an entry from memory and disk.
-func (s *Store) dropLocked(id string) {
-	s.entries.Remove(id)
-	os.Remove(s.entryPath(id))
-}
-
 func (s *Store) entryPath(id string) string {
 	return filepath.Join(s.dir, id+entrySuffix)
-}
-
-func (s *Store) loadIndex() ([]IndexEntry, error) {
-	blob, err := os.ReadFile(filepath.Join(s.dir, indexName))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	return DecodeIndex(blob)
-}
-
-// persistIndexLocked writes the index most recently used first, which is
-// the order Open restores recency from.
-func (s *Store) persistIndexLocked() error {
-	n := s.entries.Len()
-	entries := make([]IndexEntry, 0, n)
-	s.entries.Each(func(_ string, e *storeEntry, size int64) {
-		entries = append(entries, IndexEntry{Key: e.key, Size: size, LastUsed: int64(n - len(entries))})
-	})
-	return durable.WriteFileAtomic(FaultIndexWrite, filepath.Join(s.dir, indexName), EncodeIndex(entries))
-}
-
-// sweepTempFiles removes stale atomic-write temp files — a process killed
-// between a temp write and its rename leaves one behind.
-func (s *Store) sweepTempFiles() {
-	names, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	for _, de := range names {
-		if strings.HasPrefix(de.Name(), durable.TmpPrefix) {
-			os.Remove(filepath.Join(s.dir, de.Name()))
-		}
-	}
-}
-
-// wipeEntryFiles deletes every entry file; used when the index is corrupt
-// and the files can no longer be attributed to keys.
-func (s *Store) wipeEntryFiles() {
-	names, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	for _, de := range names {
-		if strings.HasSuffix(de.Name(), entrySuffix) {
-			os.Remove(filepath.Join(s.dir, de.Name()))
-		}
-	}
-}
-
-// removeOrphans deletes entry files the index does not know about (e.g. a
-// crash between an entry write and the index write).
-func (s *Store) removeOrphans() {
-	names, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	for _, de := range names {
-		name := de.Name()
-		if !strings.HasSuffix(name, entrySuffix) {
-			continue
-		}
-		id := strings.TrimSuffix(name, entrySuffix)
-		if _, ok := s.entries.Peek(id); !ok {
-			os.Remove(filepath.Join(s.dir, name))
-		}
-	}
 }
