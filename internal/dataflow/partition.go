@@ -23,15 +23,16 @@ const (
 )
 
 // PersistFormat selects how a cached partition is held in Storage Memory
-// (Section 4.2.3): deserialized rows, or a compressed serialized blob that is
-// smaller but costs CPU to translate.
+// (Section 4.2.3): deserialized rows, or a serialized blob that is smaller
+// (zero runs and per-object overhead dropped) but costs CPU to translate.
 type PersistFormat int
 
 // Persistence formats.
 const (
 	// Deserialized keeps live Row values.
 	Deserialized PersistFormat = iota
-	// Serialized keeps a flate-compressed binary blob.
+	// Serialized keeps the EncodeRows blob: the row codec's zero-run
+	// encoding, the same bytes a spill file holds.
 	Serialized
 )
 

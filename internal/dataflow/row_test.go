@@ -1,8 +1,12 @@
 package dataflow
 
 import (
+	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -22,11 +26,25 @@ func sampleRow(id int64) Row {
 	}
 }
 
-func rowsEqual(a, b *Row) bool {
-	if a.ID != b.ID || a.Label != b.Label {
+// sameBits reports whether a and b hold the same float32 bit patterns (so -0
+// differs from 0 and a NaN equals itself), with nil distinct from empty.
+func sameBits(a, b []float32) bool {
+	if len(a) != len(b) || (a == nil) != (b == nil) {
 		return false
 	}
-	if !reflect.DeepEqual(a.Structured, b.Structured) {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func rowsEqual(a, b *Row) bool {
+	if a.ID != b.ID || math.Float32bits(a.Label) != math.Float32bits(b.Label) {
+		return false
+	}
+	if !sameBits(a.Structured, b.Structured) {
 		return false
 	}
 	if !reflect.DeepEqual(a.Image, b.Image) {
@@ -44,7 +62,7 @@ func rowsEqual(a, b *Row) bool {
 	}
 	for i := 0; i < an; i++ {
 		ta, tb := a.Features.Get(i), b.Features.Get(i)
-		if !ta.Shape().Equal(tb.Shape()) || !reflect.DeepEqual(ta.Data(), tb.Data()) {
+		if !ta.Shape().Equal(tb.Shape()) || !sameBits(ta.Data(), tb.Data()) {
 			return false
 		}
 	}
@@ -59,6 +77,7 @@ func TestRowCodecRoundTrip(t *testing.T) {
 		{ID: 4, Image: []byte{}},         // empty image
 		{ID: 5, Features: tensor.NewTensorList()}, // empty list
 		{ID: -6, Label: -0.5, Structured: []float32{7}},
+		specialRow(7),
 	}
 	blob, err := EncodeRows(rows)
 	if err != nil {
@@ -96,16 +115,119 @@ func TestRowCodecNilVsEmptyPreserved(t *testing.T) {
 	}
 }
 
+// specialRow carries the float32 values a lossy or value-based codec would
+// change: -0 beside +0, NaNs with distinct payloads, denormals and infinities,
+// between zero runs of several lengths.
+func specialRow(id int64) Row {
+	nan := func(bits uint32) float32 { return math.Float32frombits(0x7fc00000 | bits) }
+	vals := []float32{0, float32(math.Copysign(0, -1)), nan(1), nan(0x2a), 0, 0, 0,
+		math.Float32frombits(1), math.Float32frombits(0x807fffff), 0,
+		float32(math.Inf(1)), float32(math.Inf(-1)), math.MaxFloat32, 0}
+	return Row{ID: id, Label: nan(7), Structured: vals,
+		Features: tensor.NewTensorList(tensor.MustFromSlice(append([]float32(nil), vals...), 2, 7))}
+}
+
+// TestDecodeRowsCorruption: every proper prefix of a blob is refused as
+// corrupt, never decoded into fewer or shorter rows.
 func TestDecodeRowsCorruption(t *testing.T) {
-	blob, err := EncodeRows([]Row{sampleRow(1)})
+	for _, rows := range [][]Row{
+		{sampleRow(1), specialRow(2), {ID: 3}},
+		{},
+	} {
+		blob, err := EncodeRows(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(blob); i++ {
+			if _, err := DecodeRows(blob[:i]); !errors.Is(err, ErrCorruptRow) {
+				t.Fatalf("blob of %d rows cut to %d of %d bytes: err = %v, want ErrCorruptRow", len(rows), i, len(blob), err)
+			}
+		}
+	}
+}
+
+func u32(v uint32) []byte { return byteOrder.AppendUint32(nil, v) }
+
+func uvarints(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// rowBlob assembles a one-row blob by hand: the format word, the count, the
+// row header with every field present, then fields (length words and runs).
+func rowBlob(fields ...[]byte) []byte {
+	b := append([]byte(rowFormat), u32(1)...)
+	b = byteOrder.AppendUint64(b, 7)
+	b = append(b, u32(0)...) // label
+	b = append(b, u32(0)...) // nulls: every field present
+	for _, f := range fields {
+		b = append(b, f...)
+	}
+	return b
+}
+
+// hostileBlobs are blobs the decoder must refuse with ErrCorruptRow, each
+// without allocating what it claims.
+func hostileBlobs() map[string][]byte {
+	none, one := u32(0), u32(math.Float32bits(1))
+	valid, err := EncodeRows([]Row{sampleRow(1)})
+	if err != nil {
+		panic(err)
+	}
+	otherVersion := append([]byte(nil), valid...)
+	otherVersion[len(rowFormat)-1]++
+	return map[string][]byte{
+		"2^30 zeros in Structured":    rowBlob(u32(1<<30), uvarints(1<<30, 0), none, none),
+		"2^30 zeros in a tensor":      rowBlob(none, none, u32(1), u32(2), u32(1<<15), u32(1<<15), uvarints(1<<30, 0)),
+		"(0,0) run":                   rowBlob(u32(2), uvarints(0, 0), uvarints(2, 0), none, none),
+		"zeros overrun the field":     rowBlob(u32(2), uvarints(3, 0), none, none),
+		"non-zeros overrun the field": rowBlob(u32(2), uvarints(1, 2), one, one, none, none),
+		"run overruns the shape":      rowBlob(none, none, u32(1), u32(1), u32(2), uvarints(0, 3), one, one, one),
+		"zero tensor dimension":       rowBlob(none, none, u32(1), u32(1), none),
+		"non-zeros past the end":      rowBlob(u32(2), uvarints(0, 2), one),
+		"run header past the end":     rowBlob(u32(2), []byte{0x80}),
+		"image past the end":          rowBlob(none, u32(1<<30), none),
+		"row count past the end":      append([]byte(rowFormat), u32(1<<31)...),
+		"another format version":      otherVersion,
+		"no format word":              {0x00, 0x01, 0x02},
+		"trailing byte":               append(append([]byte(nil), valid...), 0),
+	}
+}
+
+func TestDecodeRowsRefusesHostileBlobs(t *testing.T) {
+	for name, blob := range hostileBlobs() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeRows(blob)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorruptRow) {
+			t.Errorf("%s: err = %v, want ErrCorruptRow", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: a %d-byte blob allocated %d bytes before it was refused", name, len(blob), grew)
+		}
+	}
+}
+
+// TestEncodeRowsLongZeroRunsDecode: runs of zeros far longer than one run may
+// claim stay decodable, since the encoder splits them to stay inside the
+// decoder's expansion bound.
+func TestEncodeRowsLongZeroRunsDecode(t *testing.T) {
+	rows := []Row{{ID: 1, Structured: make([]float32, 1<<20),
+		Features: tensor.NewTensorList(tensor.New(64, 128, 128))}}
+	blob, err := EncodeRows(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeRows(blob[:len(blob)/2]); err == nil {
-		t.Error("expected error decoding truncated blob")
+	got, err := DecodeRows(blob)
+	if err != nil {
+		t.Fatalf("%d bytes of zeros in a %d-byte blob: %v", 4*(2<<20), len(blob), err)
 	}
-	if _, err := DecodeRows([]byte{0x00, 0x01, 0x02}); err == nil {
-		t.Error("expected error decoding garbage")
+	if !rowsEqual(&rows[0], &got[0]) {
+		t.Error("zero row changed in the round trip")
 	}
 }
 

@@ -25,7 +25,7 @@ type Figure15Row struct {
 	// ActualDeserBytes is the measured in-memory footprint of the real
 	// stage table (raw carry + pooled feature) on the dataflow engine.
 	ActualDeserBytes int64
-	// ActualSerBytes is the measured flate-compressed footprint.
+	// ActualSerBytes is the measured serialized footprint (EncodeRows).
 	ActualSerBytes int64
 }
 

@@ -313,6 +313,84 @@ func TestStoreOpensDirectoryWithOldIndex(t *testing.T) {
 	}
 }
 
+// TestKeyIDBindsKernelBody: the same key is filed under a different address
+// for each GEMM kernel body, so an assembly build and a pure-Go build sharing
+// a directory never serve each other's features.
+func TestKeyIDBindsKernelBody(t *testing.T) {
+	k := testKey(3, Feature)
+	if asm, pure := k.address("avx2-fma"), k.address("purego"); asm == pure {
+		t.Errorf("both kernel bodies file %v under %s", k, asm)
+	}
+	if k.id() != k.address(tensor.KernelName()) {
+		t.Errorf("id() is not the address under this process's kernel body %q", tensor.KernelName())
+	}
+}
+
+// deflateEraEntry is an entry as stores wrote them before the row codec's
+// format word: two rows of one 3-float feature each (deflateEraRows),
+// deflate-compressed.
+const deflateEraEntry = "\x04\xc0\x01\x01\x00\x10\x10\x03\xc0\x9b\xf5\xf2\xa2\x89\"\xaa[\x00\x80\x02 \b\n\xe0nL\x00P\x00\x04A\xc1\x19\xe0\xcd\x0f\x00\x00\xff\xff"
+
+func deflateEraRows() []dataflow.Row {
+	return []dataflow.Row{
+		{ID: 0, Features: tensor.NewTensorList(tensor.MustFromSlice([]float32{0, 0.25, 0.5}, 3))},
+		{ID: 1, Features: tensor.NewTensorList(tensor.MustFromSlice([]float32{0.75, 0, 1.25}, 3))},
+	}
+}
+
+// TestStoreDropsDeflateEraEntry: a directory written before the row codec's
+// format word opens with its old entry charged; the entry's first Get is a
+// miss that deletes it, and the recomputed Put stores the current format.
+func TestStoreDropsDeflateEraEntry(t *testing.T) {
+	dir := t.TempDir()
+	k := testKey(2, Feature)
+	path := filepath.Join(dir, k.id()+entrySuffix)
+	if err := os.WriteFile(path, []byte(deflateEraEntry), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, 1<<20)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if st := s.Snapshot(); st.Entries != 1 || st.UsedBytes != int64(len(deflateEraEntry)) {
+		t.Fatalf("old entry not charged at Open: %+v", st)
+	}
+	if _, ok, err := s.Get(k); ok || err != nil {
+		t.Fatalf("Get of a deflate-era entry: ok=%v err=%v, want a miss", ok, err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("old entry file still on disk after its miss: %v", err)
+	}
+	if err := s.Fsck(); err != nil {
+		t.Error(err)
+	}
+	if st := s.Snapshot(); st.Entries != 0 || st.UsedBytes != 0 || st.Misses != 1 {
+		t.Errorf("after the miss: %+v", st)
+	}
+
+	rows := deflateEraRows()
+	if err := s.Put(k, rows); err != nil {
+		t.Fatalf("recompute Put: %v", err)
+	}
+	want, err := dataflow.EncodeRows(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if disk, err := os.ReadFile(path); err != nil || !bytes.Equal(disk, want) {
+		t.Fatalf("recomputed entry on disk is not the current format (err %v)", err)
+	}
+	got, ok, err := s.Get(k)
+	if err != nil || !ok {
+		t.Fatalf("Get after the recompute: ok=%v err=%v", ok, err)
+	}
+	if back, _ := dataflow.EncodeRows(got); !bytes.Equal(back, want) {
+		t.Error("recomputed entry does not read back byte-identical")
+	}
+	if err := s.Fsck(); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestStoreSkipsOversizedEntry(t *testing.T) {
 	rows := featRows(1, 64, 32)
 	budget := encodedSize(t, rows) / 2

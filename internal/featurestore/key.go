@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"repro/internal/dataflow"
+	"repro/internal/tensor"
 )
 
 // EntryKind distinguishes the two physical representations a feature layer
@@ -36,8 +37,8 @@ func (k EntryKind) String() string {
 // Key identifies one materialized feature table. Two runs share an entry iff
 // they agree on the CNN architecture (Model), its realized parameters
 // (WeightsSum), the layer, and the exact image content the features were
-// computed from (DataSum) — a content address, so stale or mismatched reuse
-// is impossible by construction.
+// computed from (DataSum), and run the same GEMM kernel body — a content
+// address, so stale or mismatched reuse is impossible by construction.
 type Key struct {
 	// Model is the roster model name (e.g. "tiny-alexnet").
 	Model string
@@ -52,8 +53,16 @@ type Key struct {
 	Kind EntryKind
 }
 
-// id derives the content address entries are filed under.
-func (k Key) id() string {
+// id derives the content address entries are filed under. Features are a
+// function of the inputs and of the GEMM kernel body that computed them (the
+// bodies agree to 1e-4, not bit for bit), so the address also binds the body
+// serving this process: an assembly build and a pure-Go build sharing one
+// directory each compute and store their own entries.
+func (k Key) id() string { return k.address(tensor.KernelName()) }
+
+// address is the content address of k's features as computed by the named
+// kernel body.
+func (k Key) address(kernel string) string {
 	h := sha256.New()
 	var scratch [8]byte
 	writeStr := func(s string) {
@@ -67,6 +76,7 @@ func (k Key) id() string {
 	binary.LittleEndian.PutUint64(scratch[:], uint64(k.LayerIndex))
 	h.Write(scratch[:])
 	h.Write([]byte{byte(k.Kind)})
+	writeStr(kernel)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -51,6 +51,14 @@ echo "== go test -race (fault-injection critical packages) =="
 # block's User Memory charge on error and cancellation paths.
 go test -race -count=1 ./internal/faultinject/... ./internal/calib ./internal/dataflow ./internal/featurestore ./internal/share ./internal/tensor ./internal/cnn ./internal/dl ./internal/workload ./internal/data ./internal/core ./internal/lifecycle ./internal/lru ./internal/ml
 
+echo "== fuzz smoke (row codec) =="
+# Every spill file and feature-store entry is decoded by DecodeRows, and an
+# entry file is read back from disk, so a blob is outside input. The codec is
+# uncompressed: no inflater caps what a corrupt length word can make the
+# decoder allocate, so the decoder bounds it itself, and this smoke looks for
+# a blob that panics it or decodes to rows that do not round-trip.
+go test -run '^$' -fuzz '^FuzzDecodeRows$' -fuzztime 15s ./internal/dataflow
+
 echo "== GEMM micro-kernel: pure-Go body, and a non-amd64 build =="
 # internal/tensor has two bodies of one micro-kernel contract: Go assembly
 # (AVX2+FMA) on amd64 and a pure-Go body everywhere else. The tests above ran
