@@ -23,7 +23,7 @@ func (a *api) handleCalibration(w http.ResponseWriter, r *http.Request) {
 	_ = calib.WriteReportJSON(w, rep)
 }
 
-// DriftStatus is one stage kind's drift SLO evaluation, the calibration
+// DriftStatus is the storage kind's drift SLO evaluation, the calibration
 // analogue of SLOStatus.
 type DriftStatus struct {
 	Stage string `json:"stage"`
@@ -36,12 +36,14 @@ type DriftStatus struct {
 	OK         bool    `json:"ok"`
 }
 
-// CheckDriftSLO evaluates every stage kind's EWMA drift against bound. A
-// kind with no samples passes vacuously (absent evidence is not drift),
-// matching CheckSLO's treatment of traffic-free endpoints.
+// CheckDriftSLO evaluates the storage kind's EWMA drift against bound:
+// storage is the only kind pricing reads, so it is the only kind whose drift
+// is actionable. The time kinds stay on /calibration and /metrics. Storage
+// with no samples passes vacuously (absent evidence is not drift), matching
+// CheckSLO's treatment of traffic-free endpoints.
 func CheckDriftSLO(rep calib.Report, bound float64) (checked []DriftStatus) {
 	for _, st := range rep.Stages {
-		if st.Samples == 0 {
+		if st.Kind != string(calib.KindStorage) || st.Samples == 0 {
 			continue
 		}
 		checked = append(checked, DriftStatus{

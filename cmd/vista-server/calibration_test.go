@@ -97,9 +97,9 @@ func TestCalibrationReconcilesWithMetrics(t *testing.T) {
 		st := s.(map[string]any)
 		bySamples[st["kind"].(string)] = st["samples"].(float64)
 	}
-	// Every time kind the run exercises accumulates evidence; storage needs
-	// a sampled series, which plain /run requests do not record.
-	for _, kind := range []string{"ingest", "join", "infer", "train"} {
+	// Every kind the run exercises accumulates evidence: /run samples each
+	// run's series, so storage is compared too.
+	for _, kind := range []string{"ingest", "join", "infer", "train", "storage"} {
 		if bySamples[kind] == 0 {
 			t.Errorf("kind %s has no samples after 3 runs: %v", kind, bySamples)
 		}
@@ -127,12 +127,13 @@ func TestCalibrationReconcilesWithMetrics(t *testing.T) {
 	}
 }
 
-// TestDriftSLOTrips mis-scales the simulator's inference estimates 25x (the
-// deliberate calibration-breaking hook) and checks that /healthz?slo=1
-// degrades to 503 with the calibration clause, while a plain probe and a
-// loose bound stay healthy.
+// TestDriftSLOTrips pins a storage factor 3x off (the way an operator would
+// mis-calibrate a server, through -calib-profile) and checks that
+// /healthz?slo=1 degrades to 503 with a storage-only calibration clause,
+// while a plain probe and a loose bound stay healthy.
 func TestDriftSLOTrips(t *testing.T) {
-	a := newAPI(serverConfig{sloP99: defaultSLOP99, maxDrift: 0.5, calibInferScale: 25})
+	offBy3 := &calib.Profile{Version: 2, StorageScale: 3}
+	a := newAPI(serverConfig{sloP99: defaultSLOP99, maxDrift: 0.5, calibProfile: offBy3})
 	h := a.handler()
 	code, body := doJSON(t, h, "POST", "/run",
 		`{"model":"tiny-alexnet","dataset":"foods","layers":2,"rows":100}`)
@@ -147,22 +148,20 @@ func TestDriftSLOTrips(t *testing.T) {
 
 	code, body = doJSON(t, h, "GET", "/healthz?slo=1", "")
 	if code != http.StatusServiceUnavailable || body["status"] != "slo-violated" {
-		t.Fatalf("healthz?slo=1 under 25x mis-calibration = %d %v, want 503", code, body)
+		t.Fatalf("healthz?slo=1 under a 3x storage mis-calibration = %d %v, want 503", code, body)
 	}
 	viol := body["calibration_violations"].([]any)
-	if len(viol) == 0 {
-		t.Fatal("no calibration violations reported")
+	if len(viol) != 1 {
+		t.Fatalf("calibration violations = %v, want exactly the storage kind", viol)
 	}
-	for _, v := range viol {
-		d := v.(map[string]any)
-		if d["ok"] != false || d["bound"].(float64) != 0.5 || d["drift"].(float64) <= 0.5 {
-			t.Errorf("violation %v does not exceed the bound", d)
-		}
+	if d := viol[0].(map[string]any); d["stage"] != "storage" || d["ok"] != false ||
+		d["bound"].(float64) != 0.5 || d["drift"].(float64) <= 0.5 {
+		t.Errorf("violation %v is not a storage drift above the bound", d)
 	}
 
 	// Same mis-calibration, loose bound: drift is visible in the checked
 	// list but does not degrade health.
-	loose := newAPI(serverConfig{sloP99: defaultSLOP99, maxDrift: 1e6, calibInferScale: 25})
+	loose := newAPI(serverConfig{sloP99: defaultSLOP99, maxDrift: 1e6, calibProfile: offBy3})
 	lh := loose.handler()
 	if code, body := doJSON(t, lh, "POST", "/run",
 		`{"model":"tiny-alexnet","dataset":"foods","layers":2,"rows":100}`); code != http.StatusOK {
@@ -172,8 +171,8 @@ func TestDriftSLOTrips(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("healthz?slo=1 with loose bound = %d %v, want 200", code, body)
 	}
-	if checked := body["calibration"].([]any); len(checked) == 0 {
-		t.Fatal("loose-bound healthz reports no calibration checks")
+	if checked := body["calibration"].([]any); len(checked) != 1 {
+		t.Fatalf("loose-bound healthz calibration checks = %v, want the storage kind only", checked)
 	}
 }
 

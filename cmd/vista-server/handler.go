@@ -131,7 +131,7 @@ type api struct {
 	// /healthz?slo=1 enforces.
 	sloP99 float64
 	// maxDrift, when positive, adds a calibration clause to /healthz?slo=1:
-	// any stage kind whose EWMA drift exceeds it degrades health to 503.
+	// a storage EWMA drift above it degrades health to 503.
 	maxDrift float64
 	// paths are the instrumented endpoints, for the SLO sweep.
 	paths []string
@@ -181,8 +181,6 @@ type serverConfig struct {
 	calib *calib.Recorder
 	// maxDrift enables the /healthz?slo=1 calibration clause (0 = off).
 	maxDrift float64
-	// calibInferScale is the deliberate mis-calibration test hook (0/1 = off).
-	calibInferScale float64
 	// calibProfile seeds the active calibration profile (nil = none). With
 	// autoCalibrate false the profile is pinned: pricing uses it as loaded,
 	// forever.
@@ -209,7 +207,7 @@ func newAPI(cfg serverConfig) *api {
 		maxDrift: cfg.maxDrift,
 		runs:     newRunRing(cfg.runHistory),
 		catalog:  data.NewCatalog(),
-		life:     &lifecycle.Runner{Calib: cfg.calib, InferEstScale: cfg.calibInferScale},
+		life:     &lifecycle.Runner{Calib: cfg.calib},
 		logger:   cfg.logger,
 	}
 	if a.life.Calib == nil {

@@ -47,8 +47,12 @@
 // (internal/calib): its estimate-vs-measured stage pairs append to the
 // -calib-log file (replayed on restart, and offline by vista -calib report)
 // and fold into the rolling per-stage aggregates behind GET /calibration and
-// the vista_calib_* metrics. With -max-drift, /healthz?slo=1 degrades to 503
-// when any stage kind's EWMA drift exceeds the bound. -debug-addr serves
+// the vista_calib_* metrics. Only the storage kind — the memory model's byte
+// predictions, which plan choice and admission price — feeds back: a
+// -calib-profile file carries one fitted storage factor, pinned as loaded or,
+// with -auto-calibrate, refitted from the storage drift. With -max-drift,
+// /healthz?slo=1 degrades to 503 when the storage drift exceeds the bound.
+// The time kinds are observed, never fitted. -debug-addr serves
 // net/http/pprof on a separate opt-in listener, and -log-format selects
 // text or JSON structured logs (run-ID tagged, joinable against
 // /trace?run=ID). See docs/OPERATIONS.md for the full operator guide.
@@ -104,15 +108,13 @@ func main() {
 	calibLog := flag.String("calib-log", "",
 		"append-only calibration log file: every /run's estimate-vs-measured samples persist here and replay on restart (empty = in-memory aggregates only)")
 	maxDrift := flag.Float64("max-drift", 0,
-		"cost-model drift bound enforced by /healthz?slo=1: 503 when any stage kind's EWMA drift (max(ratio,1/ratio)-1) exceeds it (0 disables)")
-	calibInferScale := flag.Float64("calib-infer-scale", 0,
-		"deliberately multiply the simulator's inference estimates before calibration folding (test hook for the -max-drift path; 0 or 1 = off)")
+		"storage drift bound enforced by /healthz?slo=1: 503 when the storage kind's EWMA drift (max(ratio,1/ratio)-1) exceeds it (0 disables)")
 	calibHalfLife := flag.Duration("calib-half-life", 0,
 		"calibration EWMA half-life (0 = the 30m default); offline replays must pass the same value to reproduce /calibration byte-for-byte")
 	calibProfile := flag.String("calib-profile", "",
-		"calibration profile file: loaded at boot and applied to /run plan choice and admission pricing; pinned as-is unless -auto-calibrate also rewrites it on profile-changing refits")
+		"calibration profile file: its fitted storage factor is loaded at boot and applied to /run plan choice and admission pricing; pinned as-is unless -auto-calibrate also rewrites it on profile-changing refits")
 	autoCalibrate := flag.Bool("auto-calibrate", false,
-		"close the calibration loop: periodically refit per-stage scale factors from the rolling aggregates and price /run through the fitted profile")
+		"close the calibration loop: periodically refit the storage factor from the rolling storage drift and price /run through the fitted profile")
 	refitInterval := flag.Duration("calib-refit-interval", calib.DefaultRefitInterval,
 		"how often -auto-calibrate refits the profile from the aggregates")
 	debugAddr := flag.String("debug-addr", "",
@@ -208,7 +210,6 @@ func main() {
 		shareWindow:      *shareWindow,
 		calib:            calibRec,
 		maxDrift:         *maxDrift,
-		calibInferScale:  *calibInferScale,
 		calibProfile:     initProfile,
 		autoCalibrate:    *autoCalibrate,
 		calibProfilePath: *calibProfile,

@@ -13,7 +13,7 @@ import (
 // offline aggregates match the server's byte-for-byte over the same log
 // (pass the server's -calib-half-life value for the decay clocks to agree).
 // When profilePath names a fitted profile the report is annotated with its
-// active scales, reproducing GET /calibration on a profile-bearing server.
+// storage factor, reproducing GET /calibration on a profile-bearing server.
 func calibReport(path, profilePath string, halfLife time.Duration, asJSON bool, stdout, stderr io.Writer) error {
 	rep, dropped, err := calib.ReplayReport(path, halfLife)
 	if err != nil {

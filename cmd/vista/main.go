@@ -66,7 +66,7 @@ func main() {
 		sampleEvr  = flag.Duration("sample-every", 10*time.Millisecond, "time-series sample period (with -timeseries-out / -trace-out / -trace)")
 		calibLog   = flag.String("calib", "", "calibration log file: append this run's estimate-vs-measured samples to it, or replay it with the 'report' subcommand (vista -calib <log> report)")
 		calibJSON  = flag.Bool("calib-json", false, "with 'report': emit the calibration report as JSON, byte-identical to a server's GET /calibration over the same log")
-		calibProf  = flag.String("calib-profile", "", "calibration profile file (written by an auto-calibrating vista-server): apply its fitted scales to plan choice and estimates, and annotate 'report' output with it")
+		calibProf  = flag.String("calib-profile", "", "calibration profile file (written by an auto-calibrating vista-server): apply its fitted storage factor to plan choice and to the storage estimates -calib records, and annotate 'report' output with it")
 		calibHL    = flag.Duration("calib-half-life", 0, "calibration EWMA half-life (0 = the 30m default); must match the server's -calib-half-life for byte-identical reports over the same log")
 	)
 	flag.Parse()

@@ -128,14 +128,16 @@ type StageAggregate struct {
 	// -max-drift bounds: 0.5 means "off by 1.5× in either direction".
 	Drift float64 `json:"drift"`
 	// SuggestedScale is the decayed least-squares scale s minimizing
-	// Σ(meas − s·est)² over recent samples. With a profile active the
-	// estimates entering the fit are already profile-corrected, so this is
-	// the *residual* correction a refit would multiply onto the active
-	// factor (see Refit).
+	// Σ(meas − s·est)² over recent samples. For storage, with a profile
+	// active, the estimates entering the fit are already profile-corrected,
+	// so this is the *residual* correction a refit would multiply onto the
+	// active factor (see Fitter.RefitNow); for the time kinds it is a
+	// diagnosis only.
 	SuggestedScale float64 `json:"suggested_scale"`
 	// ActiveScale is the correction the active calibration profile
-	// currently applies to this kind's estimates (1 when no profile is
-	// active); set by Report.WithProfile.
+	// currently applies to this kind's estimates: the profile's factor for
+	// storage, 1 for every time kind and whenever no profile is active; set
+	// by Report.WithProfile.
 	ActiveScale float64      `json:"active_scale"`
 	RelErrHist  []HistBucket `json:"rel_err_hist"`
 }
@@ -153,11 +155,10 @@ type Report struct {
 	Profile *Profile `json:"profile,omitempty"`
 }
 
-// WithProfile annotates the report with the active profile p: each stage's
-// ActiveScale becomes p's factor for that kind, and the profile itself is
-// embedded. A nil p returns the report unchanged (ActiveScale stays 1). The
-// stages slice is copied, so annotating a snapshot never mutates shared
-// state.
+// WithProfile annotates the report with the active profile p: the storage
+// stage's ActiveScale becomes p's factor, and the profile itself is embedded.
+// A nil p returns the report unchanged (ActiveScale stays 1). The stages
+// slice is copied, so annotating a snapshot never mutates shared state.
 func (r Report) WithProfile(p *Profile) Report {
 	if p == nil {
 		return r
@@ -165,7 +166,9 @@ func (r Report) WithProfile(p *Profile) Report {
 	stages := make([]StageAggregate, len(r.Stages))
 	copy(stages, r.Stages)
 	for i := range stages {
-		stages[i].ActiveScale = round6(p.ScaleFor(Kind(stages[i].Kind)))
+		if stages[i].Kind == string(KindStorage) {
+			stages[i].ActiveScale = round6(p.scale())
+		}
 	}
 	r.Stages = stages
 	r.Profile = p
@@ -210,11 +213,11 @@ func (a *Aggregator) Report() Report {
 	return rep
 }
 
-// lsState is one kind's raw least-squares accumulator, snapshotted at a refit
-// boundary. Because every sum decays by the same multiplicative factor, a
-// snapshot can be decayed forward to a later snapshot's timestamp and
-// subtracted out, leaving exactly the contribution of the samples recorded in
-// between — the windowing fitSince builds on.
+// lsState is the storage kind's raw least-squares accumulator, snapshotted
+// at a refit boundary. Because every sum decays by the same multiplicative
+// factor, a snapshot can be decayed forward to a later snapshot's timestamp
+// and subtracted out, leaving exactly the contribution of the samples
+// recorded in between — the windowing fitSince builds on.
 type lsState struct {
 	samples    int64
 	sumEstMeas float64
@@ -223,47 +226,41 @@ type lsState struct {
 }
 
 // fitEvidence is a windowed residual fit: the least-squares scale restricted
-// to samples recorded after a snapshot, plus how many there were. A kind with
-// no usable window reports zero samples and scale 1.
+// to samples recorded after a snapshot, plus how many there were. An unusable
+// window reports zero samples and scale 1.
 type fitEvidence struct {
 	samples   int64
 	suggested float64
 }
 
-// fitSince returns, per kind, the residual fit over samples recorded since
-// base (a missing entry means "since the beginning"), and the current
-// snapshots a caller consuming the evidence should store as its next base.
+// fitSince returns the storage kind's residual fit over samples recorded
+// since base (the zero base means "since the beginning"), and the current
+// snapshot a caller consuming the evidence should store as its next base.
 // The Fitter uses this so each refit acts only on evidence gathered under the
-// factors it is about to revise: refitting from the cumulative fit would
+// factor it is about to revise: refitting from the cumulative fit would
 // re-apply history already absorbed into the profile and compound the
 // correction past its fixed point.
-func (a *Aggregator) fitSince(base map[Kind]lsState) (map[Kind]fitEvidence, map[Kind]lsState) {
+func (a *Aggregator) fitSince(base lsState) (fitEvidence, lsState) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	ev := make(map[Kind]fitEvidence, len(a.kinds))
-	snap := make(map[Kind]lsState, len(a.kinds))
-	for k, ka := range a.kinds {
-		cur := lsState{samples: ka.samples, sumEstMeas: ka.sumEstMeas, sumEstSq: ka.sumEstSq, last: ka.last}
-		snap[k] = cur
-		prev := base[k]
-		em, ee := cur.sumEstMeas, cur.sumEstSq
-		if prev.samples > 0 {
-			d := 1.0
-			if dt := cur.last.Sub(prev.last); dt > 0 {
-				d = math.Pow(0.5, dt.Seconds()/a.halfLife.Seconds())
-			}
-			em -= d * prev.sumEstMeas
-			ee -= d * prev.sumEstSq
+	ka := a.kinds[KindStorage]
+	cur := lsState{samples: ka.samples, sumEstMeas: ka.sumEstMeas, sumEstSq: ka.sumEstSq, last: ka.last}
+	em, ee := cur.sumEstMeas, cur.sumEstSq
+	if base.samples > 0 {
+		d := 1.0
+		if dt := cur.last.Sub(base.last); dt > 0 {
+			d = math.Pow(0.5, dt.Seconds()/a.halfLife.Seconds())
 		}
-		e := fitEvidence{samples: cur.samples - prev.samples, suggested: 1}
-		if e.samples > 0 && ee > 0 && em > 0 {
-			e.suggested = em / ee
-		} else {
-			e.samples = 0 // numerically empty window: no evidence
-		}
-		ev[k] = e
+		em -= d * base.sumEstMeas
+		ee -= d * base.sumEstSq
 	}
-	return ev, snap
+	e := fitEvidence{samples: cur.samples - base.samples, suggested: 1}
+	if e.samples > 0 && ee > 0 && em > 0 {
+		e.suggested = em / ee
+	} else {
+		e.samples = 0 // numerically empty window: no evidence
+	}
+	return e, cur
 }
 
 // driftOf reads one kind's live drift ratio (for the metrics gauge).

@@ -16,6 +16,12 @@
 //     relative-error histograms, sample counts, and a least-squares
 //     per-kind scale factor.
 //
+// Only storage feeds back. The memory model is what Algorithm 1 and
+// admission price, and storage samples compare its byte predictions with the
+// bytes a run's storage pool actually held, so a Fitter refits one storage
+// factor (a Profile) from them and pricing applies it. The time kinds are
+// observed and reported, never fitted.
+//
 // Units: the simulator prices the paper's cluster while the engine runs a
 // scaled-down in-process replica, so absolute stage *times* differ by orders
 // of magnitude by design. Time samples are therefore normalized to shares of
@@ -27,7 +33,8 @@
 // single stage (the realistic failure) shifts its share and registers as
 // drift. Storage samples stay in absolute bytes: the memory model's
 // predictions are built from the measured workload's own row counts and
-// image bytes, so bytes are directly comparable.
+// image bytes, so bytes are directly comparable — which is why storage is
+// the one kind a profile corrects.
 //
 // Decay runs on record timestamps, not the wall clock, so replaying a
 // persisted log offline (vista -calib report) reproduces the live
@@ -37,7 +44,6 @@ package calib
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -171,23 +177,18 @@ type RunEnv struct {
 	Placement     plan.JoinPlacement
 	Nodes, Cores  int
 	MemBytes      int64
-	// InferEstScale multiplies the simulator's inference-stage estimates
-	// before samples are built (0 or 1 = off). It exists as a deliberate
-	// mis-calibration hook so the -max-drift SLO path can be exercised
-	// end-to-end; production callers leave it zero.
-	InferEstScale float64
-	// Profile, when non-nil, is the active calibration profile: estimates
-	// are corrected through it (after the InferEstScale hook, before share
-	// normalization), so the recorded samples measure the residual error the
-	// next refit should act on.
+	// Profile, when non-nil, is the active calibration profile: storage
+	// estimates are corrected through it before samples are built, so the
+	// recorded storage samples measure the residual error the next refit
+	// should act on.
 	Profile *Profile
 }
 
 // EnvFromSpec derives the RunEnv of a run executed from spec over the named
 // dataset preset: the workload shape is read off the rows that actually ran
 // (row count, structured width, sampled image-row bytes), so the memory
-// model's byte predictions line up with the measurement. InferEstScale and
-// Profile are left for the caller to set.
+// model's byte predictions line up with the measurement. Profile is left for
+// the caller to set.
 func EnvFromSpec(spec core.Spec, dataset string) RunEnv {
 	env := RunEnv{
 		ModelName:     spec.ModelName,
@@ -256,14 +257,6 @@ func CompareRun(env RunEnv, trace *obs.Span, series *sampler.Recording) ([]Sampl
 		return nil, err
 	}
 	comps := sim.CompareTrace(simRes, trace)
-	if env.InferEstScale > 0 && env.InferEstScale != 1 {
-		for i := range comps {
-			if k, _ := KindOf(comps[i].Stage); k == KindInfer {
-				comps[i].Estimated = scaleDuration(comps[i].Estimated, env.InferEstScale)
-			}
-		}
-	}
-	env.Profile.ApplyComparisons(comps)
 	if series != nil {
 		rep := sim.CompareSeries(simRes, trace, series)
 		env.Profile.ApplySeries(&rep)
@@ -287,9 +280,4 @@ func countInferStages(trace *obs.Span) int {
 		n = 1
 	}
 	return n
-}
-
-// scaleDuration multiplies d by f.
-func scaleDuration(d time.Duration, f float64) time.Duration {
-	return time.Duration(float64(d) * f)
 }

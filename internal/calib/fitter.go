@@ -22,9 +22,6 @@ type FitterConfig struct {
 	Path string
 	// Interval is the periodic refit cadence (<= 0 = DefaultRefitInterval).
 	Interval time.Duration
-	// Options are the fit guardrails; the zero value means
-	// DefaultFitOptions.
-	Options FitOptions
 	// Initial seeds the active profile (e.g. a pinned file loaded at boot);
 	// nil starts from the identity.
 	Initial *Profile
@@ -42,13 +39,12 @@ type Fitter struct {
 	rec      *Recorder
 	path     string
 	interval time.Duration
-	opts     FitOptions
 	clk      clock.Clock
 
 	active atomic.Pointer[Profile]
 
 	mu       sync.Mutex // serializes RefitNow (persist + swap)
-	baseline map[Kind]lsState
+	baseline lsState    // storage evidence already consumed by a factor change
 	stop     chan struct{}
 	done     chan struct{}
 }
@@ -63,7 +59,6 @@ func NewFitter(cfg FitterConfig) *Fitter {
 		rec:      cfg.Recorder,
 		path:     cfg.Path,
 		interval: cfg.Interval,
-		opts:     cfg.Options.normalize(),
 		clk:      clock.Or(cfg.Clock),
 	}
 	if f.interval <= 0 {
@@ -73,7 +68,7 @@ func NewFitter(cfg FitterConfig) *Fitter {
 		f.active.Store(cfg.Initial)
 	}
 	if f.rec != nil {
-		_, f.baseline = f.rec.agg.fitSince(nil)
+		_, f.baseline = f.rec.agg.fitSince(lsState{})
 	}
 	return f
 }
@@ -90,8 +85,8 @@ func (f *Fitter) Active() *Profile {
 // Refits returns the active profile's refit count (0 when none is active).
 func (f *Fitter) Refits() int64 { return f.Active().refits() }
 
-// RefitNow fits a new profile from the evidence recorded since each kind's
-// last factor change and, when any factor moved, persists it and swaps it in.
+// RefitNow fits a new profile from the storage evidence recorded since the
+// last factor change and, when the factor moved, persists it and swaps it in.
 // It returns whether the profile changed and any persistence error (the swap
 // sticks even when the disk write fails — pricing should not keep stale
 // factors just because a write was lost).
@@ -100,9 +95,9 @@ func (f *Fitter) Refits() int64 { return f.Active().refits() }
 // recorded before a refit carry estimates in the *old* correction basis, and
 // re-fitting them after the factor moved would apply the same residual twice
 // (the cumulative least-squares fit is dominated by the old basis for up to
-// ten half-lives). Each refit therefore consumes its window — a kind's
-// baseline advances only when its factor actually moves, so sparse evidence
-// keeps accumulating toward the MinSamples floor, and once traffic stops
+// ten half-lives). Each refit therefore consumes its window — the baseline
+// advances only when the factor actually moves, so sparse evidence keeps
+// accumulating toward the sample floor, and once traffic stops
 // every subsequent refit is a permanent no-op (the stability the
 // byte-identical live-vs-offline report gate relies on).
 func (f *Fitter) RefitNow() (changed bool, err error) {
@@ -111,23 +106,12 @@ func (f *Fitter) RefitNow() (changed bool, err error) {
 	if f.rec == nil {
 		return false, nil
 	}
-	rep := f.rec.Report()
 	ev, snap := f.rec.agg.fitSince(f.baseline)
-	for i := range rep.Stages {
-		e := ev[Kind(rep.Stages[i].Kind)]
-		rep.Stages[i].Samples = e.samples
-		rep.Stages[i].SuggestedScale = e.suggested
-	}
-	prev := f.active.Load()
-	next, changed := Refit(prev, rep, f.clk.Now(), f.opts)
+	next, changed := refit(f.active.Load(), ev, f.clk.Now())
 	if !changed {
 		return false, nil
 	}
-	for _, k := range Kinds {
-		if next.ScaleFor(k) != prev.ScaleFor(k) {
-			f.baseline[k] = snap[k]
-		}
-	}
+	f.baseline = snap
 	// Persist before publishing: whoever observes the refit through Active,
 	// Refits, /calibration, or the metrics may go straight to the profile
 	// file, so it must already be there (or its write already have failed).
@@ -175,17 +159,14 @@ func (f *Fitter) Stop() {
 }
 
 // RegisterMetrics exposes the active profile as scrape-time series:
-// vista_calib_profile_scale{stage} (the factor pricing currently applies;
-// 1 = uncorrected) and vista_calib_profile_refits_total (profile-changing
-// refits since boot).
+// vista_calib_profile_scale{stage="storage"} (the factor pricing currently
+// applies; 1 = uncorrected) and vista_calib_profile_refits_total
+// (profile-changing refits since boot).
 func (f *Fitter) RegisterMetrics(reg *obs.Registry) {
-	for _, k := range Kinds {
-		k := k
-		reg.GaugeFunc("vista_calib_profile_scale",
-			"Fitted cost-model correction per stage kind currently applied to pricing (1 = uncorrected).",
-			func() float64 { return f.Active().ScaleFor(k) },
-			obs.Label{Key: "stage", Value: string(k)})
-	}
+	reg.GaugeFunc("vista_calib_profile_scale",
+		"Fitted storage-byte correction currently applied to plan choice and admission pricing (1 = uncorrected).",
+		func() float64 { return f.Active().scale() },
+		obs.Label{Key: "stage", Value: string(KindStorage)})
 	reg.CounterFunc("vista_calib_profile_refits_total",
 		"Profile-changing calibration refits since the process started.",
 		func() float64 { return float64(f.Refits()) })

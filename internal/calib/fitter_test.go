@@ -13,12 +13,12 @@ import (
 	"repro/internal/obs"
 )
 
-// recordInfer feeds rec one run whose infer estimate overshoots the
-// measurement by 1/ratio (ratio = meas/est).
-func recordInfer(t *testing.T, rec *Recorder, est, meas float64) {
+// recordStorage feeds rec one run whose peak-storage estimate overshoots the
+// measurement by est/meas.
+func recordStorage(t *testing.T, rec *Recorder, est, meas float64) {
 	t.Helper()
 	if err := rec.Record("fp", []Sample{
-		{Stage: "infer:fc6", Kind: KindInfer, Est: est, Meas: meas},
+		{Stage: "storage:peak", Kind: KindStorage, Est: est, Meas: meas},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -41,9 +41,20 @@ func TestFitterRefitNowFitsAndPersists(t *testing.T) {
 		t.Fatal("fresh fitter has an active profile")
 	}
 
+	// Time kinds are observed, never fitted: a loud infer residual alone
+	// leaves the profile unset.
+	for i := 0; i < 5; i++ {
+		if err := rec.Record("fp", []Sample{{Stage: "infer:fc6", Kind: KindInfer, Est: 25, Meas: 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if changed, err := f.RefitNow(); changed || err != nil {
+		t.Fatalf("infer-only evidence refit: changed=%v err=%v", changed, err)
+	}
+
 	// Below the 3-sample floor nothing happens — and nothing hits the disk.
-	recordInfer(t, rec, 25, 1)
-	recordInfer(t, rec, 25, 1)
+	recordStorage(t, rec, 25, 1)
+	recordStorage(t, rec, 25, 1)
 	if changed, err := f.RefitNow(); changed || err != nil {
 		t.Fatalf("under-evidenced refit: changed=%v err=%v", changed, err)
 	}
@@ -52,14 +63,14 @@ func TestFitterRefitNowFitsAndPersists(t *testing.T) {
 	}
 
 	// The third sample clears the floor: the 25x over-estimate fits 0.04.
-	recordInfer(t, rec, 25, 1)
+	recordStorage(t, rec, 25, 1)
 	changed, err := f.RefitNow()
 	if !changed || err != nil {
 		t.Fatalf("refit: changed=%v err=%v", changed, err)
 	}
 	p := f.Active()
-	if p == nil || p.ScaleFor(KindInfer) != 0.04 {
-		t.Fatalf("active infer factor = %v, want 0.04", p.ScaleFor(KindInfer))
+	if p.scale() != 0.04 {
+		t.Fatalf("active storage factor = %v, want 0.04", p.scale())
 	}
 	if f.Refits() != 1 {
 		t.Errorf("refits = %d, want 1", f.Refits())
@@ -68,7 +79,7 @@ func TestFitterRefitNowFitsAndPersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if onDisk.ScaleFor(KindInfer) != 0.04 || onDisk.Refits != 1 {
+	if onDisk.StorageScale != 0.04 || onDisk.Refits != 1 {
 		t.Errorf("persisted profile = %+v", onDisk)
 	}
 }
@@ -83,7 +94,7 @@ func TestFitterWindowPreventsCompounding(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "profile.json")
 	f, rec := newTestFitter(t, fc, path)
 	for i := 0; i < 5; i++ {
-		recordInfer(t, rec, 25, 1)
+		recordStorage(t, rec, 25, 1)
 	}
 	if changed, _ := f.RefitNow(); !changed {
 		t.Fatal("first refit did not fire")
@@ -101,7 +112,7 @@ func TestFitterWindowPreventsCompounding(t *testing.T) {
 			t.Fatalf("tick %d without evidence: changed=%v err=%v", i, changed, err)
 		}
 	}
-	if got := f.Active().ScaleFor(KindInfer); got != 0.04 {
+	if got := f.Active().scale(); got != 0.04 {
 		t.Fatalf("factor compounded to %v, want stable 0.04", got)
 	}
 	after, err := os.ReadFile(path)
@@ -115,7 +126,7 @@ func TestFitterWindowPreventsCompounding(t *testing.T) {
 	// Post-refit runs record residual ≈ 1 (the profile corrected the
 	// estimates before they were logged): still a no-op, the fixed point.
 	for i := 0; i < 5; i++ {
-		recordInfer(t, rec, 1, 1)
+		recordStorage(t, rec, 1, 1)
 	}
 	if changed, _ := f.RefitNow(); changed {
 		t.Error("residual-1 evidence moved the profile")
@@ -124,12 +135,12 @@ func TestFitterWindowPreventsCompounding(t *testing.T) {
 	// A genuine new drift on fresh evidence still refits, composing onto the
 	// existing factor: residual 2 on 0.04 → 0.08.
 	for i := 0; i < 5; i++ {
-		recordInfer(t, rec, 1, 2)
+		recordStorage(t, rec, 1, 2)
 	}
 	if changed, _ := f.RefitNow(); !changed {
 		t.Fatal("fresh drift ignored")
 	}
-	got := f.Active().ScaleFor(KindInfer)
+	got := f.Active().scale()
 	// The residual-1 samples above share the window, so the fit lands between
 	// 1 and 2; assert it moved up and stayed under the naive compound.
 	if got <= 0.04 || got > 0.08 {
@@ -151,7 +162,7 @@ func TestFitterBootSnapshotIgnoresReplayedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		recordInfer(t, rec, 25, 1)
+		recordStorage(t, rec, 25, 1)
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
@@ -170,12 +181,12 @@ func TestFitterBootSnapshotIgnoresReplayedLog(t *testing.T) {
 	// samples share the same basis here (no profile was ever active), so the
 	// fit may legitimately use only the new window.
 	for i := 0; i < 3; i++ {
-		recordInfer(t, rec2, 25, 1)
+		recordStorage(t, rec2, 25, 1)
 	}
 	if changed, _ := f.RefitNow(); !changed {
 		t.Fatal("live evidence ignored after replay")
 	}
-	if got := f.Active().ScaleFor(KindInfer); got != 0.04 {
+	if got := f.Active().scale(); got != 0.04 {
 		t.Errorf("fitted factor = %v, want 0.04", got)
 	}
 }
@@ -186,7 +197,7 @@ func TestFitterSwapSticksWhenPersistFails(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "profile.json")
 	f, rec := newTestFitter(t, fc, path)
 	for i := 0; i < 3; i++ {
-		recordInfer(t, rec, 25, 1)
+		recordStorage(t, rec, 25, 1)
 	}
 	faultinject.Arm(FaultProfileSave+".write", faultinject.FailAlways())
 	changed, err := f.RefitNow()
@@ -198,7 +209,7 @@ func TestFitterSwapSticksWhenPersistFails(t *testing.T) {
 	}
 	// Pricing still sees the new factors: a lost disk write must not pin the
 	// process to stale constants.
-	if got := f.Active().ScaleFor(KindInfer); got != 0.04 {
+	if got := f.Active().scale(); got != 0.04 {
 		t.Errorf("active factor after failed persist = %v, want 0.04", got)
 	}
 }
@@ -213,7 +224,7 @@ func TestFitterPersistsBeforePublishing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "profile.json")
 	f, rec := newTestFitter(t, fc, path)
 	for i := 0; i < 3; i++ {
-		recordInfer(t, rec, 25, 1)
+		recordStorage(t, rec, 25, 1)
 	}
 	visits := 0
 	faultinject.Arm(FaultProfileSave+".rename", faultinject.Callback(func() {
@@ -240,7 +251,7 @@ func TestFitterTickerLoopOnFakeClock(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "profile.json")
 	f, rec := newTestFitter(t, fc, path)
 	for i := 0; i < 4; i++ {
-		recordInfer(t, rec, 25, 1)
+		recordStorage(t, rec, 25, 1)
 	}
 	// The loop's refit persists the profile before publishing it, holding
 	// f.mu throughout; the save's rename is the event that a refit is under
@@ -268,7 +279,7 @@ func TestFitterTickerLoopOnFakeClock(t *testing.T) {
 	if f.Refits() != 1 {
 		t.Fatalf("refits after the first tick = %d, want 1", f.Refits())
 	}
-	if got := f.Active().ScaleFor(KindInfer); got != 0.04 {
+	if got := f.Active().scale(); got != 0.04 {
 		t.Errorf("loop-fitted factor = %v, want 0.04", got)
 	}
 	// Later ticks with no evidence stay no-ops (windowing), so the count is
@@ -293,7 +304,7 @@ func TestFitterMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	f.RegisterMetrics(reg)
 	for i := 0; i < 3; i++ {
-		recordInfer(t, rec, 25, 1)
+		recordStorage(t, rec, 25, 1)
 	}
 	if _, err := f.RefitNow(); err != nil {
 		t.Fatal(err)
@@ -303,12 +314,15 @@ func TestFitterMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`vista_calib_profile_scale{stage="infer"} 0.04`,
-		`vista_calib_profile_scale{stage="join"} 1`,
+		`vista_calib_profile_scale{stage="storage"} 0.04`,
 		`vista_calib_profile_refits_total 1`,
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("scrape missing %q:\n%s", want, buf.String())
 		}
+	}
+	// The profile is one storage factor: no time kind exports a scale.
+	if n := strings.Count(buf.String(), "\nvista_calib_profile_scale{"); n != 1 {
+		t.Errorf("scrape has %d vista_calib_profile_scale series, want 1:\n%s", n, buf.String())
 	}
 }

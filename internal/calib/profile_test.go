@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,26 +13,23 @@ import (
 	"repro/internal/sim"
 )
 
-// stage builds a minimal report row for Refit tests: only Kind, Samples and
-// SuggestedScale participate in the fit.
-func stage(k Kind, samples int64, suggested float64) StageAggregate {
-	return StageAggregate{Kind: string(k), Samples: samples, SuggestedScale: suggested}
+// window builds the windowed evidence a refit fits.
+func window(samples int64, suggested float64) fitEvidence {
+	return fitEvidence{samples: samples, suggested: suggested}
 }
-
-func reportOf(stages ...StageAggregate) Report { return Report{Stages: stages} }
 
 func TestProfileNilSafety(t *testing.T) {
 	var p *Profile
-	if got := p.ScaleFor(KindInfer); got != 1 {
-		t.Errorf("nil ScaleFor = %v, want 1", got)
+	if got := p.scale(); got != 1 {
+		t.Errorf("nil scale = %v, want 1", got)
 	}
-	if !p.CostScales().IsIdentity() {
-		t.Error("nil CostScales not identity")
+	if got := (&Profile{Version: 2}).scale(); got != 1 {
+		t.Errorf("unset scale = %v, want 1", got)
 	}
-	comps := []sim.StageComparison{{Stage: "infer:fc6", Estimated: time.Second}}
-	p.ApplyComparisons(comps) // must not panic
-	if comps[0].Estimated != time.Second {
-		t.Error("nil ApplyComparisons mutated estimates")
+	rep := sim.SeriesReport{PredPeakStorageBytes: memory.MB(100)}
+	p.ApplySeries(&rep)
+	if rep.PredPeakStorageBytes != memory.MB(100) {
+		t.Error("nil ApplySeries mutated estimates")
 	}
 	p.ApplySeries(nil) // must not panic
 	if p.refits() != 0 {
@@ -39,52 +37,8 @@ func TestProfileNilSafety(t *testing.T) {
 	}
 }
 
-func TestProfileScaleForAndCostScales(t *testing.T) {
-	p := &Profile{Version: 1, Scales: []ProfileScale{
-		{Kind: "infer", Scale: 0.04},
-		{Kind: "storage", Scale: 2.5},
-		{Kind: "train", Scale: 0}, // unset factor = identity
-	}}
-	if got := p.ScaleFor(KindInfer); got != 0.04 {
-		t.Errorf("infer = %v, want 0.04", got)
-	}
-	if got := p.ScaleFor(KindTrain); got != 1 {
-		t.Errorf("unset train = %v, want 1", got)
-	}
-	if got := p.ScaleFor(KindIngest); got != 1 {
-		t.Errorf("absent ingest = %v, want 1", got)
-	}
-	sc := p.CostScales()
-	if sc.Infer != 0.04 || sc.Storage != 2.5 || sc.Ingest != 1 || sc.Join != 1 || sc.Train != 1 {
-		t.Errorf("CostScales = %+v", sc)
-	}
-	if sc.IsIdentity() {
-		t.Error("non-trivial profile renders identity scales")
-	}
-}
-
-func TestProfileApplyComparisons(t *testing.T) {
-	p := &Profile{Version: 1, Scales: []ProfileScale{{Kind: "infer", Scale: 0.5}}}
-	comps := []sim.StageComparison{
-		{Stage: "infer:fc6", Estimated: 10 * time.Second},
-		{Stage: "shared:fc7", Estimated: 4 * time.Second}, // attach labels are infer-kind too
-		{Stage: "ingest", Estimated: 2 * time.Second},     // factor 1: untouched
-		{Stage: "mystery", Estimated: 3 * time.Second},    // unmodeled: untouched
-	}
-	p.ApplyComparisons(comps)
-	if comps[0].Estimated != 5*time.Second {
-		t.Errorf("infer estimate = %v, want 5s", comps[0].Estimated)
-	}
-	if comps[1].Estimated != 2*time.Second {
-		t.Errorf("shared estimate = %v, want 2s", comps[1].Estimated)
-	}
-	if comps[2].Estimated != 2*time.Second || comps[3].Estimated != 3*time.Second {
-		t.Errorf("untouched stages moved: %v, %v", comps[2].Estimated, comps[3].Estimated)
-	}
-}
-
 func TestProfileApplySeries(t *testing.T) {
-	p := &Profile{Version: 1, Scales: []ProfileScale{{Kind: "storage", Scale: 2}}}
+	p := &Profile{Version: 2, StorageScale: 2}
 	rep := sim.SeriesReport{
 		PredPeakStorageBytes: memory.MB(100),
 		PredSpillBytes:       memory.MB(10),
@@ -107,31 +61,25 @@ func TestProfileApplySeries(t *testing.T) {
 
 func TestRefitFitsAndComposes(t *testing.T) {
 	now := time.Unix(20000, 0)
-	opts := DefaultFitOptions()
 
-	// First fit from identity: infer's residual 0.04 becomes the factor.
-	p1, changed := Refit(nil, reportOf(stage(KindInfer, 5, 0.04)), now, opts)
+	// First fit from identity: the storage residual 0.25 becomes the factor.
+	p1, changed := refit(nil, window(5, 0.25), now)
 	if !changed || p1 == nil {
 		t.Fatal("first fit reported unchanged")
 	}
-	if got := p1.ScaleFor(KindInfer); got != 0.04 {
-		t.Errorf("fitted infer = %v, want 0.04", got)
+	if p1.StorageScale != 0.25 || p1.Samples != 5 {
+		t.Errorf("fitted storage = %v on %d samples, want 0.25 on 5", p1.StorageScale, p1.Samples)
 	}
-	if p1.Refits != 1 || !p1.FittedAt.Equal(now) || p1.Version != 1 {
+	if p1.Refits != 1 || !p1.FittedAt.Equal(now) || p1.Version != 2 {
 		t.Errorf("profile metadata = %+v", p1)
 	}
-	// Untouched kinds carry factor 1 explicitly.
-	if got := p1.ScaleFor(KindJoin); got != 1 {
-		t.Errorf("unfitted join = %v, want 1", got)
-	}
-
-	// Second fit composes multiplicatively: residual 1.5 on a 0.04 factor.
-	p2, changed := Refit(p1, reportOf(stage(KindInfer, 9, 1.5)), now.Add(time.Minute), opts)
+	// Second fit composes multiplicatively: residual 1.5 on a 0.25 factor.
+	p2, changed := refit(p1, window(9, 1.5), now.Add(time.Minute))
 	if !changed {
 		t.Fatal("residual 1.5 inside hysteresis?")
 	}
-	if got := p2.ScaleFor(KindInfer); got != round6(0.04*1.5) {
-		t.Errorf("composed infer = %v, want %v", got, round6(0.04*1.5))
+	if got := p2.StorageScale; got != round6(0.25*1.5) {
+		t.Errorf("composed storage = %v, want %v", got, round6(0.25*1.5))
 	}
 	if p2.Refits != 2 {
 		t.Errorf("refits = %d, want 2", p2.Refits)
@@ -139,10 +87,10 @@ func TestRefitFitsAndComposes(t *testing.T) {
 }
 
 func TestRefitMinSamplesFloor(t *testing.T) {
-	// Two samples sit below the 3-sample floor: the kind keeps its prior
-	// factor no matter how loud the residual is.
-	prev := &Profile{Version: 1, Refits: 1, Scales: []ProfileScale{{Kind: "infer", Scale: 2}}}
-	next, changed := Refit(prev, reportOf(stage(KindInfer, 2, 25)), time.Unix(1, 0), DefaultFitOptions())
+	// Two samples sit below the 3-sample floor: the factor keeps its prior
+	// value no matter how loud the residual is.
+	prev := &Profile{Version: 2, Refits: 1, StorageScale: 2}
+	next, changed := refit(prev, window(2, 25), time.Unix(1, 0))
 	if changed {
 		t.Fatal("under-evidenced refit changed the profile")
 	}
@@ -150,57 +98,55 @@ func TestRefitMinSamplesFloor(t *testing.T) {
 		t.Error("unchanged refit must return prev itself")
 	}
 	// At the floor the evidence counts.
-	next, changed = Refit(prev, reportOf(stage(KindInfer, 3, 25)), time.Unix(1, 0), DefaultFitOptions())
-	if !changed || next.ScaleFor(KindInfer) != 50 {
-		t.Errorf("at-floor refit: changed=%v scale=%v, want clamp 50", changed, next.ScaleFor(KindInfer))
+	next, changed = refit(prev, window(minSamples, 25), time.Unix(1, 0))
+	if !changed || next.StorageScale != maxScale {
+		t.Errorf("at-floor refit: changed=%v scale=%v, want clamp %v", changed, next.StorageScale, maxScale)
 	}
 }
 
 func TestRefitClampSaturation(t *testing.T) {
-	opts := DefaultFitOptions()
-	// A runaway residual saturates at MaxScale instead of tracking it.
-	up, changed := Refit(nil, reportOf(stage(KindStorage, 10, 1e6)), time.Unix(1, 0), opts)
-	if !changed || up.ScaleFor(KindStorage) != opts.MaxScale {
-		t.Errorf("runaway fit = %v, want clamp %v", up.ScaleFor(KindStorage), opts.MaxScale)
+	// A runaway residual saturates at maxScale instead of tracking it.
+	up, changed := refit(nil, window(10, 1e6), time.Unix(1, 0))
+	if !changed || up.StorageScale != maxScale {
+		t.Errorf("runaway fit = %v, want clamp %v", up.StorageScale, maxScale)
 	}
-	// And a collapsing one at MinScale.
-	down, changed := Refit(nil, reportOf(stage(KindStorage, 10, 1e-9)), time.Unix(1, 0), opts)
-	if !changed || down.ScaleFor(KindStorage) != opts.MinScale {
-		t.Errorf("collapsing fit = %v, want clamp %v", down.ScaleFor(KindStorage), opts.MinScale)
+	// And a collapsing one at minScale.
+	down, changed := refit(nil, window(10, 1e-9), time.Unix(1, 0))
+	if !changed || down.StorageScale != minScale {
+		t.Errorf("collapsing fit = %v, want clamp %v", down.StorageScale, minScale)
 	}
 	// Saturated factors stay saturated under further pressure — and report
 	// unchanged, so the profile file is not rewritten every interval.
-	again, changed := Refit(up, reportOf(stage(KindStorage, 20, 1e6)), time.Unix(2, 0), opts)
+	again, changed := refit(up, window(20, 1e6), time.Unix(2, 0))
 	if changed || again != up {
 		t.Error("saturated refit should be a no-op")
 	}
 }
 
 func TestRefitHysteresisDeadBand(t *testing.T) {
-	opts := DefaultFitOptions() // 0.10 on |ln(suggested)|
-	prev := &Profile{Version: 1, Refits: 3, Scales: []ProfileScale{{Kind: "ingest", Scale: 1.4}}}
+	prev := &Profile{Version: 2, Refits: 3, StorageScale: 1.4}
 
 	// Alternating small over- and under-estimates inside the band: the factor
 	// must not see-saw — every refit is a no-op returning prev.
 	for i, s := range []float64{1.05, 0.95, 1.09, 0.92, 1.0} {
-		next, changed := Refit(prev, reportOf(stage(KindIngest, 50, s)), time.Unix(int64(i), 0), opts)
+		next, changed := refit(prev, window(50, s), time.Unix(int64(i), 0))
 		if changed || next != prev {
 			t.Fatalf("residual %v inside the dead band changed the profile", s)
 		}
 	}
 	// Just outside the band the factor moves: ln(1.12) ≈ 0.113 > 0.10.
-	next, changed := Refit(prev, reportOf(stage(KindIngest, 50, 1.12)), time.Unix(9, 0), opts)
-	if !changed || next.ScaleFor(KindIngest) != round6(1.4*1.12) {
-		t.Errorf("outside-band refit: changed=%v scale=%v, want %v", changed, next.ScaleFor(KindIngest), round6(1.4*1.12))
+	next, changed := refit(prev, window(50, 1.12), time.Unix(9, 0))
+	if !changed || next.StorageScale != round6(1.4*1.12) {
+		t.Errorf("outside-band refit: changed=%v scale=%v, want %v", changed, next.StorageScale, round6(1.4*1.12))
 	}
-	if math.Abs(math.Log(0.95)) > opts.Hysteresis || math.Abs(math.Log(1.12)) < opts.Hysteresis {
+	if math.Abs(math.Log(0.95)) > hysteresis || math.Abs(math.Log(1.12)) < hysteresis {
 		t.Error("test factors straddle the wrong side of the band")
 	}
 }
 
 func TestSaveLoadProfileRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "profile.json")
-	p, _ := Refit(nil, reportOf(stage(KindInfer, 5, 0.04), stage(KindStorage, 8, 3)), time.Unix(30000, 0).UTC(), DefaultFitOptions())
+	p, _ := refit(nil, window(8, 3), time.Unix(30000, 0).UTC())
 	if err := SaveProfile(path, p); err != nil {
 		t.Fatal(err)
 	}
@@ -208,13 +154,8 @@ func TestSaveLoadProfileRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Version != p.Version || got.Refits != p.Refits || !got.FittedAt.Equal(p.FittedAt) {
-		t.Errorf("roundtrip metadata: got %+v, want %+v", got, p)
-	}
-	for _, k := range Kinds {
-		if got.ScaleFor(k) != p.ScaleFor(k) {
-			t.Errorf("%s roundtrip = %v, want %v", k, got.ScaleFor(k), p.ScaleFor(k))
-		}
+	if *got != *p {
+		t.Errorf("roundtrip: got %+v, want %+v", got, p)
 	}
 }
 
@@ -236,8 +177,18 @@ func TestLoadProfileRejectsGarbage(t *testing.T) {
 	if _, err := LoadProfile(write("v9.json", `{"version":9}`)); err == nil {
 		t.Error("future version accepted")
 	}
-	if _, err := LoadProfile(write("neg.json", `{"version":1,"scales":[{"kind":"infer","scale":-2}]}`)); err == nil {
+	if _, err := LoadProfile(write("neg.json", `{"version":2,"storage_scale":-2}`)); err == nil {
 		t.Error("negative scale accepted")
+	}
+	// A version-1 profile held share-space time factors; it is refused with
+	// an error naming the file and the version, never half-applied.
+	v1 := write("v1.json", `{"version":1,"refits":4,"scales":[{"kind":"storage","scale":0.5,"samples":9}]}`)
+	_, err := LoadProfile(v1)
+	if err == nil {
+		t.Fatal("version-1 profile accepted")
+	}
+	if !strings.Contains(err.Error(), v1) || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("version-1 error %q does not name the path and the version", err)
 	}
 }
 
@@ -245,7 +196,7 @@ func TestSaveProfileFailpoint(t *testing.T) {
 	defer faultinject.DisarmAll()
 	faultinject.Arm(FaultProfileSave+".write", faultinject.FailAlways())
 	path := filepath.Join(t.TempDir(), "profile.json")
-	p, _ := Refit(nil, reportOf(stage(KindInfer, 5, 0.04)), time.Unix(1, 0), DefaultFitOptions())
+	p, _ := refit(nil, window(5, 0.04), time.Unix(1, 0))
 	if err := SaveProfile(path, p); err == nil {
 		t.Fatal("injected write failure not surfaced")
 	}
@@ -267,14 +218,14 @@ func TestReportWithProfile(t *testing.T) {
 	if got := rep.WithProfile(nil); got.Profile != nil {
 		t.Error("nil profile embedded")
 	}
-	p := &Profile{Version: 1, Scales: []ProfileScale{{Kind: "infer", Scale: 0.04}}}
+	p := &Profile{Version: 2, StorageScale: 0.04}
 	ann := rep.WithProfile(p)
 	if ann.Profile != p {
 		t.Error("profile not embedded")
 	}
 	for _, st := range ann.Stages {
 		want := 1.0
-		if st.Kind == "infer" {
+		if st.Kind == "storage" {
 			want = 0.04
 		}
 		if st.ActiveScale != want {

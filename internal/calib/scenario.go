@@ -2,48 +2,34 @@ package calib
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/sim"
 )
 
-// StageShare is one stage's true share of a synthetic run's time, the ground
-// truth a Scenario's measurements are drawn from.
-type StageShare struct {
-	// Stage is the span label ("ingest", "infer:fc6", ...).
-	Stage string
-	// Share is the stage's true fraction of the run.
-	Share float64
-}
-
-// Scenario is a synthetic mis-calibration workload for exercising the full
-// observe → fit → re-price loop without running the engine: each round
-// fabricates the stage comparisons a run with known true shares would
-// produce under an injected estimate error, pushes them through the exact
-// production path (active-profile correction, share normalization, recorder,
-// windowed refit), and tracks how fast drift converges back to 1. The graded
-// suite (ConvergenceScenarios) is the repo's convergence proof: easy is the
-// single-kind textbook case, medium adds opposing errors and noise, complex
-// alternates workload shapes and adds storage drift plus an evidence-starved
-// kind that must stay floored.
+// Scenario is a synthetic storage mis-calibration workload for exercising the
+// full observe → fit → re-price loop without running the engine: each run
+// fabricates the storage:peak sample a run with known true bytes would
+// produce under an injected estimate error, pushes it through the exact
+// production path (active-profile correction, recorder, windowed refit), and
+// tracks how fast storage drift converges back to 1. The graded suite
+// (ConvergenceScenarios) is the repo's convergence proof.
 type Scenario struct {
 	// Name labels the scenario in reports.
 	Name string
-	// Shapes are the true share vectors of the workloads in rotation; run i
-	// uses Shapes[i % len(Shapes)].
-	Shapes [][]StageShare
-	// EstScale injects the mis-calibration: the cost model's estimate for a
-	// kind is truth × EstScale[kind] (absent or 1 = calibrated).
-	EstScale map[Kind]float64
-	// StorageTrueBytes and StorageEstScale, when positive, add a storage:peak
-	// byte sample per run with the same injected-error convention.
-	StorageTrueBytes int64
-	StorageEstScale  float64
+	// TrueBytes is a run's true peak storage; the memory model's estimate
+	// is TrueBytes × EstScale, the injected mis-calibration.
+	TrueBytes int64
+	EstScale  float64
 	// NoisePct is the amplitude of deterministic multiplicative jitter on the
 	// measured side (0.2 = ±20%), so fits see realistic scatter.
 	NoisePct float64
+	// EvidenceEvery, when above 1, gives only every EvidenceEvery-th run a
+	// storage sample (the others record no storage evidence, as a run without
+	// a sampled series does), so a refit window can fall short of the sample
+	// floor.
+	EvidenceEvery int
 	// Runs is the total synthetic run count; RunsPerRefit is the fitter
 	// cadence (a refit fires after every RunsPerRefit-th run).
 	Runs, RunsPerRefit int
@@ -52,21 +38,18 @@ type Scenario struct {
 // ScenarioResult is one scenario's convergence record.
 type ScenarioResult struct {
 	Name string
-	// Runs and Refits count what happened; ProfileChanges counts refits that
-	// actually moved a factor.
-	Runs, Refits, ProfileChanges int
-	// ConvergedAfterRuns is the first run index (1-based) from which every
-	// evidenced kind's drift ratio stays inside [0.5, 2.0] through the end;
-	// 0 means the scenario never converged.
+	// Runs, Evidenced and Refits count what happened (Evidenced: runs that
+	// carried a storage sample); ProfileChanges counts refits that actually
+	// moved the factor.
+	Runs, Evidenced, Refits, ProfileChanges int
+	// ConvergedAfterRuns is the first run index (1-based) from which the
+	// storage drift ratio stays inside [0.5, 2.0] through the end; 0 means
+	// the scenario never converged.
 	ConvergedAfterRuns int
-	// MaxAbsLogDrift tracks convergence quality: the worst |ln(drift)| over
-	// evidenced kinds at the final run.
-	MaxAbsLogDrift float64
-	// FinalDrift and FinalScale record, per kind with evidence, the closing
-	// drift ratio and the active profile factor.
-	FinalDrift, FinalScale map[Kind]float64
-	// Profile is the profile active when the scenario ended (nil if no refit
-	// ever changed it).
+	// FinalDrift is the closing storage drift ratio.
+	FinalDrift float64
+	// Profile is the profile active when the scenario ended, carrying the
+	// fitted storage factor (nil if no refit ever changed it).
 	Profile *Profile
 }
 
@@ -75,60 +58,15 @@ type ScenarioResult struct {
 // the same [0.5, 2.0] window the CI calibration smoke asserts.
 const ConvergenceBand = 2.0
 
-// ConvergenceScenarios returns the graded suite, mildest first.
+// ConvergenceScenarios returns the graded suite, mildest first: easy is a
+// noiseless 3× over-estimate, medium adds ±10% measurement noise, and complex
+// adds ±20% noise with storage evidence on only every third run, so the
+// sample floor binds before the first refit.
 func ConvergenceScenarios() []Scenario {
-	base := []StageShare{
-		{Stage: "ingest", Share: 0.2},
-		{Stage: "join", Share: 0.1},
-		{Stage: "infer:fc6", Share: 0.5},
-		{Stage: "train:fc6", Share: 0.2},
-	}
-	inferHeavy := []StageShare{
-		{Stage: "ingest", Share: 0.1},
-		{Stage: "join", Share: 0.05},
-		{Stage: "infer:conv5", Share: 0.45},
-		{Stage: "infer:fc6", Share: 0.3},
-		{Stage: "train:fc6", Share: 0.1},
-	}
-	// The complex grade starves train of evidence: a shape that omits it
-	// rotates in, so its windowed sample count crawls and the factor must
-	// wait at the MinSamples floor instead of fitting noise.
-	noTrain := []StageShare{
-		{Stage: "ingest", Share: 0.3},
-		{Stage: "join", Share: 0.2},
-		{Stage: "infer:fc6", Share: 0.5},
-	}
 	return []Scenario{
-		{
-			Name:   "easy",
-			Shapes: [][]StageShare{base},
-			EstScale: map[Kind]float64{
-				KindInfer: 25, // the CI smoke's -calib-infer-scale
-			},
-			Runs: 24, RunsPerRefit: 4,
-		},
-		{
-			Name:   "medium",
-			Shapes: [][]StageShare{base},
-			EstScale: map[Kind]float64{
-				KindInfer: 5,
-				KindJoin:  0.3, // opposing error: join under-estimated
-			},
-			NoisePct: 0.10,
-			Runs:     32, RunsPerRefit: 4,
-		},
-		{
-			Name:   "complex",
-			Shapes: [][]StageShare{base, inferHeavy, noTrain},
-			EstScale: map[Kind]float64{
-				KindInfer: 8,
-				KindJoin:  0.25,
-			},
-			StorageTrueBytes: 64 << 20,
-			StorageEstScale:  3,
-			NoisePct:         0.20,
-			Runs:             48, RunsPerRefit: 4,
-		},
+		{Name: "easy", TrueBytes: 64 << 20, EstScale: 3, Runs: 24, RunsPerRefit: 4},
+		{Name: "medium", TrueBytes: 64 << 20, EstScale: 3, NoisePct: 0.10, Runs: 32, RunsPerRefit: 4},
+		{Name: "complex", TrueBytes: 64 << 20, EstScale: 3, NoisePct: 0.20, EvidenceEvery: 3, Runs: 48, RunsPerRefit: 4},
 	}
 }
 
@@ -141,40 +79,19 @@ func (s Scenario) Run() ScenarioResult {
 	fitter := NewFitter(FitterConfig{Recorder: rec, Clock: fc})
 	rng := newJitter(s.Name)
 
-	res := ScenarioResult{
-		Name:       s.Name,
-		FinalDrift: make(map[Kind]float64),
-		FinalScale: make(map[Kind]float64),
-	}
+	res := ScenarioResult{Name: s.Name}
 	inBand := make([]bool, s.Runs)
 	for run := 0; run < s.Runs; run++ {
-		shape := s.Shapes[run%len(s.Shapes)]
-		comps := make([]sim.StageComparison, 0, len(shape))
-		for _, st := range shape {
-			k, _ := KindOf(st.Stage)
-			scale := s.EstScale[k]
-			if scale <= 0 {
-				scale = 1
-			}
-			truth := st.Share * rng.factor(s.NoisePct)
-			comps = append(comps, sim.StageComparison{
-				Stage:     st.Stage,
-				Estimated: time.Duration(st.Share * scale * float64(time.Second)),
-				Measured:  time.Duration(truth * float64(time.Second)),
-			})
-		}
-		active := fitter.Active()
-		active.ApplyComparisons(comps)
 		var series *sim.SeriesReport
-		if s.StorageTrueBytes > 0 && s.StorageEstScale > 0 {
-			rep := sim.SeriesReport{
-				PredPeakStorageBytes: int64(float64(s.StorageTrueBytes) * s.StorageEstScale),
-				MeasPeakStorageBytes: int64(float64(s.StorageTrueBytes) * rng.factor(s.NoisePct)),
+		if s.EvidenceEvery <= 1 || run%s.EvidenceEvery == 0 {
+			series = &sim.SeriesReport{
+				PredPeakStorageBytes: int64(float64(s.TrueBytes) * s.EstScale),
+				MeasPeakStorageBytes: int64(float64(s.TrueBytes) * rng.factor(s.NoisePct)),
 			}
-			active.ApplySeries(&rep)
-			series = &rep
+			fitter.Active().ApplySeries(series)
+			res.Evidenced++
 		}
-		_ = rec.Record(fmt.Sprintf("scenario|%s|%d", s.Name, run), SamplesFromRun(comps, series))
+		_ = rec.Record(fmt.Sprintf("scenario|%s|%d", s.Name, run), SamplesFromRun(nil, series))
 		res.Runs++
 		fc.Advance(time.Second)
 		if (run+1)%s.RunsPerRefit == 0 {
@@ -184,53 +101,14 @@ func (s Scenario) Run() ScenarioResult {
 				res.ProfileChanges++
 			}
 		}
-		inBand[run] = reportInBand(rec.Report())
+		res.FinalDrift = rec.agg.driftOf(KindStorage)
+		inBand[run] = res.FinalDrift <= ConvergenceBand && res.FinalDrift >= 1/ConvergenceBand
 	}
-
-	rep := rec.Report()
 	res.Profile = fitter.Active()
-	for _, st := range rep.Stages {
-		if st.Samples == 0 {
-			continue
-		}
-		k := Kind(st.Kind)
-		res.FinalDrift[k] = st.DriftRatio
-		res.FinalScale[k] = res.Profile.ScaleFor(k)
-		if d := absLog(st.DriftRatio); d > res.MaxAbsLogDrift {
-			res.MaxAbsLogDrift = d
-		}
-	}
 	for run := s.Runs - 1; run >= 0 && inBand[run]; run-- {
 		res.ConvergedAfterRuns = run + 1
 	}
 	return res
-}
-
-// reportInBand reports whether every evidenced kind's drift ratio sits inside
-// the convergence band.
-func reportInBand(rep Report) bool {
-	for _, st := range rep.Stages {
-		if st.Samples == 0 {
-			continue
-		}
-		if st.DriftRatio > ConvergenceBand || st.DriftRatio < 1/ConvergenceBand {
-			return false
-		}
-	}
-	return true
-}
-
-// absLog is |ln(v)| (0 for non-positive v, which only a sample-free kind
-// reports).
-func absLog(v float64) float64 {
-	if v <= 0 {
-		return 0
-	}
-	l := math.Log(v)
-	if l < 0 {
-		return -l
-	}
-	return l
 }
 
 // jitter is a deterministic xorshift-based multiplicative noise source, so

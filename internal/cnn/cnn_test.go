@@ -9,6 +9,12 @@ import (
 	"repro/internal/tensor"
 )
 
+// fullInfer is full CNN inference f(t) (Definition 3.6): partial inference
+// over every layer.
+func fullInfer(m *Model, w *Weights, in *tensor.Tensor) (*tensor.Tensor, error) {
+	return m.PartialInfer(w, in, 0, len(m.Layers)-1)
+}
+
 func TestAlexNetShapes(t *testing.T) {
 	m := AlexNet()
 	tests := []struct {
@@ -268,7 +274,7 @@ func TestTinyModelsEndToEndInference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("RealizeWeights: %v", err)
 			}
-			out, err := m.Infer(w, randImage(m, 1))
+			out, err := fullInfer(m, w, randImage(m, 1))
 			if err != nil {
 				t.Fatalf("Infer: %v", err)
 			}
@@ -297,7 +303,7 @@ func TestPartialInferenceComposes(t *testing.T) {
 	img := randImage(m, 2)
 	split := m.FeatureLayers[0].LayerIndex // conv4_6
 
-	full, err := m.Infer(w, img.Clone())
+	full, err := fullInfer(m, w, img.Clone())
 	if err != nil {
 		t.Fatalf("full inference: %v", err)
 	}

@@ -76,7 +76,7 @@ func TestTinyDenseNetEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := m.Infer(w, randImage(m, 1))
+	out, err := fullInfer(m, w, randImage(m, 1))
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestTinyDenseNetPartialInferenceComposes(t *testing.T) {
 	}
 	img := randImage(m, 2)
 	split := m.FeatureLayers[0].LayerIndex // dense1
-	full, err := m.Infer(w, img.Clone())
+	full, err := fullInfer(m, w, img.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,13 +150,9 @@ func (m *Model) RealizeWeights(seed int64) (*Weights, error) {
 	return w, nil
 }
 
-// Infer computes full CNN inference f(t) (Definition 3.6).
-func (m *Model) Infer(w *Weights, in *tensor.Tensor) (*tensor.Tensor, error) {
-	return m.PartialInfer(w, in, 0, len(m.Layers)-1)
-}
-
-// PartialInfer computes partial CNN inference f̂_{from→to} (Definition 3.7):
-// it applies Layers[from..to] (inclusive) to in, which must be
+// PartialInfer computes partial CNN inference f̂_{from→to} (Definition 3.7),
+// which from the first layer to the last is full inference f(t) (Definition
+// 3.6): it applies Layers[from..to] (inclusive) to in, which must be
 // shape-compatible with Layers[from].
 //
 // Intermediate activations are recycled into the tensor slab pool as soon as

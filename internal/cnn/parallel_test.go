@@ -41,7 +41,7 @@ func TestParallelInferSharedModel(t *testing.T) {
 			imgs := []*tensor.Tensor{randImage(m, 1), randImage(m, 2), randImage(m, 3)}
 			wants := make([]*tensor.Tensor, len(imgs))
 			for i, img := range imgs {
-				if wants[i], err = m.Infer(w, img); err != nil {
+				if wants[i], err = fullInfer(m, w, img); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -54,7 +54,7 @@ func TestParallelInferSharedModel(t *testing.T) {
 					defer wg.Done()
 					for iter := 0; iter < 4; iter++ {
 						i := (g + iter) % len(imgs)
-						got, err := m.Infer(w, imgs[i])
+						got, err := fullInfer(m, w, imgs[i])
 						if err != nil {
 							errs[g] = err
 							return

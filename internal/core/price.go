@@ -34,7 +34,7 @@ func PriceFollower(spec Spec) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return sim.FollowerCostScaled(d, spec.Nodes, spec.params().Scales), nil
+	return sim.FollowerCostScaled(d, spec.Nodes, spec.params().StorageScale), nil
 }
 
 // price resolves spec's decision and its full admission charge.

@@ -169,12 +169,11 @@ type Spec struct {
 	// Params, when non-nil, overrides the Table 1(C) fixed-but-adjustable
 	// system parameters (OS reservation, Core Memory, partition caps, α).
 	Params *optimizer.Params
-	// CostScales applies a fitted calibration profile's per-stage-kind
-	// corrections (calib.Profile.CostScales) to plan choice and pricing.
-	// The zero value is the identity — the paper constants unchanged. When
-	// both Params and CostScales are set, CostScales wins over
-	// Params.Scales.
-	CostScales optimizer.CostScales
+	// StorageScale applies a fitted calibration profile's storage factor
+	// (calib.Profile.StorageScale) to plan choice and pricing. The zero
+	// value is the identity — the paper constants unchanged. When positive
+	// it wins over Params.StorageScale.
+	StorageScale float64
 	// SpillDir overrides the engine's spill directory (tests).
 	SpillDir string
 }
@@ -195,14 +194,14 @@ type FeatureSink interface {
 }
 
 // params returns the effective Table 1(C) parameters, with the spec's
-// calibration scales folded in.
+// calibration storage factor folded in.
 func (s *Spec) params() optimizer.Params {
 	p := optimizer.DefaultParams()
 	if s.Params != nil {
 		p = *s.Params
 	}
-	if !s.CostScales.IsIdentity() {
-		p.Scales = s.CostScales
+	if s.StorageScale > 0 {
+		p.StorageScale = s.StorageScale
 	}
 	return p
 }

@@ -2,8 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"math"
 
 	"repro/internal/calib"
 	"repro/internal/memory"
@@ -17,26 +16,28 @@ import (
 type CalibrationScenarioRow struct {
 	// Name is the scenario grade ("easy", "medium", "complex").
 	Name string
-	// Runs, Refits, and ProfileChanges count the scenario's activity.
-	Runs, Refits, ProfileChanges int
-	// ConvergedAfterRuns is the first run from which drift stays inside
-	// [0.5, 2.0] through the end (0 = never).
+	// Injected describes the injected storage error ("3x over, ±10% noise").
+	Injected string
+	// Runs, Evidenced, Refits, and ProfileChanges count the scenario's
+	// activity (Evidenced: runs that carried a storage sample).
+	Runs, Evidenced, Refits, ProfileChanges int
+	// ConvergedAfterRuns is the first run from which storage drift stays
+	// inside [0.5, 2.0] through the end (0 = never).
 	ConvergedAfterRuns int
-	// MaxAbsLogDrift is the worst |ln(drift)| at the final run.
-	MaxAbsLogDrift float64
-	// FinalScales renders the fitted per-kind factors ("infer=0.52 ...").
-	FinalScales string
+	// FinalDrift is the closing storage drift ratio and StorageScale the
+	// fitted factor.
+	FinalDrift, StorageScale float64
 }
 
 // CalibrationResult is the closed-loop calibration exhibit: the graded
 // scenario suite's convergence numbers plus an admission-flip demonstration —
-// the easy scenario's fitted profile re-prices a paper-scale workload and a
-// budget between the plain and fitted prices flips the verdict.
+// the easy scenario's fitted storage factor re-prices a paper-scale workload
+// and a budget between the plain and fitted prices flips the verdict.
 type CalibrationResult struct {
 	Scenarios []CalibrationScenarioRow
 
 	// PlainCostBytes and FittedCostBytes are the admission prices of the
-	// demo workload under identity scales and under the fitted profile.
+	// demo workload under the paper constants and under the fitted factor.
 	PlainCostBytes, FittedCostBytes int64
 	// FlipBudgetBytes is the midpoint budget that separates the verdicts.
 	FlipBudgetBytes int64
@@ -44,7 +45,7 @@ type CalibrationResult struct {
 	PlainAdmit, FittedAdmit bool
 }
 
-// CalibrationConvergence runs the graded mis-calibration suite
+// CalibrationConvergence runs the graded storage mis-calibration suite
 // (calib.ConvergenceScenarios) through the production observe → fit →
 // re-price loop on a fake clock, then demonstrates the pricing consequence
 // on a resnet50 paper-cluster workload.
@@ -53,20 +54,26 @@ func CalibrationConvergence() (*CalibrationResult, error) {
 	var easy *calib.Profile
 	for _, s := range calib.ConvergenceScenarios() {
 		r := s.Run()
-		if r.ConvergedAfterRuns == 0 {
+		if r.ConvergedAfterRuns == 0 || r.Profile == nil {
 			return nil, fmt.Errorf("experiments: scenario %s never converged (drift %v)", r.Name, r.FinalDrift)
 		}
 		if easy == nil {
 			easy = r.Profile
 		}
+		injected := fmt.Sprintf("%gx over", s.EstScale)
+		if s.NoisePct > 0 {
+			injected += fmt.Sprintf(", ±%g%% noise", 100*s.NoisePct)
+		}
 		res.Scenarios = append(res.Scenarios, CalibrationScenarioRow{
 			Name:               r.Name,
+			Injected:           injected,
 			Runs:               r.Runs,
+			Evidenced:          r.Evidenced,
 			Refits:             r.Refits,
 			ProfileChanges:     r.ProfileChanges,
 			ConvergedAfterRuns: r.ConvergedAfterRuns,
-			MaxAbsLogDrift:     r.MaxAbsLogDrift,
-			FinalScales:        renderScales(r.FinalScale),
+			FinalDrift:         r.FinalDrift,
+			StorageScale:       r.Profile.StorageScale,
 		})
 	}
 
@@ -83,7 +90,7 @@ func CalibrationConvergence() (*CalibrationResult, error) {
 		return nil, err
 	}
 	params := optimizer.DefaultParams()
-	params.Scales = easy.CostScales()
+	params.StorageScale = easy.StorageScale
 	_, fitted, err := sim.AdmissionCost(wl.Inputs, params)
 	if err != nil {
 		return nil, err
@@ -93,20 +100,6 @@ func CalibrationConvergence() (*CalibrationResult, error) {
 	res.PlainAdmit = plain <= res.FlipBudgetBytes
 	res.FittedAdmit = fitted <= res.FlipBudgetBytes
 	return res, nil
-}
-
-// renderScales formats a per-kind factor map in stable kind order.
-func renderScales(scales map[calib.Kind]float64) string {
-	keys := make([]string, 0, len(scales))
-	for k := range scales {
-		keys = append(keys, string(k))
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s=%.3g", k, scales[calib.Kind(k)]))
-	}
-	return strings.Join(parts, " ")
 }
 
 func verdict(admit bool) string {
@@ -120,12 +113,13 @@ func verdict(admit bool) string {
 // caption.
 func (r *CalibrationResult) Tables() []Table {
 	t := Table{
-		Title:  "Closed-loop calibration — graded mis-calibration scenarios, converged = drift within [0.5, 2.0]",
-		Header: []string{"grade", "runs", "refits", "changes", "converged@run", "|ln drift|", "fitted factors"},
+		Title:  "Closed-loop storage calibration — graded mis-calibration scenarios, converged = storage drift within [0.5, 2.0]",
+		Header: []string{"grade", "injected error", "runs", "evidenced", "refits", "changes", "converged@run", "|ln drift|", "storage factor"},
 	}
 	for _, s := range r.Scenarios {
-		t.add(s.Name, fmt.Sprint(s.Runs), fmt.Sprint(s.Refits), fmt.Sprint(s.ProfileChanges),
-			fmt.Sprint(s.ConvergedAfterRuns), fmt.Sprintf("%.3f", s.MaxAbsLogDrift), s.FinalScales)
+		t.add(s.Name, s.Injected, fmt.Sprint(s.Runs), fmt.Sprint(s.Evidenced), fmt.Sprint(s.Refits),
+			fmt.Sprint(s.ProfileChanges), fmt.Sprint(s.ConvergedAfterRuns),
+			fmt.Sprintf("%.3f", math.Abs(math.Log(s.FinalDrift))), fmt.Sprintf("%.3g", s.StorageScale))
 	}
 	flip := fmt.Sprintf("Admission flip (resnet50, 5 layers, 8x32 GB): plain %s -> %s, fitted %s -> %s at budget %s",
 		fmtGiB(r.PlainCostBytes), verdict(r.PlainAdmit),

@@ -6,16 +6,16 @@
 // through Runner.Do and only map its typed Outcome onto their own surface
 // (HTTP statuses, exit codes, flood counters).
 //
-// The order Do enforces: apply the active calibration profile's scales, so
-// plan choice and pricing see one cost model; resolve the run's identity
-// (core.Resolve) once for everything below; join the sharing group, which
-// never waits (the first arrival leads at once); as a follower, wait for the
-// leader before admission, holding zero budget (a queued follower must never
-// starve its own leader), then re-read the role, since a failed leader
-// promotes a follower; price by role and hold the grant for the whole run;
-// run; record calibration while still holding grant and ticket; release the
-// grant, then finish the ticket with the run's error, which commits the role
-// the outcome reports.
+// The order Do enforces: apply the active calibration profile's storage
+// factor, so plan choice and pricing see one cost model; resolve the run's
+// identity (core.Resolve) once for everything below; join the sharing group,
+// which never waits (the first arrival leads at once); as a follower, wait
+// for the leader before admission, holding zero budget (a queued follower
+// must never starve its own leader), then re-read the role, since a failed
+// leader promotes a follower; price by role and hold the grant for the whole
+// run; run; record calibration while still holding grant and ticket; release
+// the grant, then finish the ticket with the run's error, which commits the
+// role the outcome reports.
 package lifecycle
 
 import (
@@ -47,13 +47,9 @@ type Runner struct {
 	// records nothing.
 	Calib *calib.Recorder
 	// Fitter holds the active calibration profile (pinned or auto-fitted)
-	// that corrects pricing and the estimate side of calibration records;
-	// nil means the identity.
+	// whose storage factor corrects pricing and the storage estimates of
+	// calibration records; nil means the identity.
 	Fitter *calib.Fitter
-	// InferEstScale deliberately mis-scales the simulator's inference
-	// estimates in calibration records (0 or 1 = off): the test hook behind
-	// vista-server's -calib-infer-scale.
-	InferEstScale float64
 
 	seq atomic.Uint64
 }
@@ -114,7 +110,7 @@ type Outcome struct {
 // preset the spec's rows came from; it labels the calibration record.
 func (l *Runner) Do(ctx context.Context, spec core.Spec, dataset string) (out Outcome) {
 	if p := l.Fitter.Active(); p != nil {
-		spec.CostScales = p.CostScales()
+		spec.StorageScale = p.StorageScale
 	}
 	// Sharing, pricing and the run each need the model, its plan and the
 	// run's content address; derive them once. A spec that does not resolve
@@ -202,7 +198,6 @@ func (l *Runner) Do(ctx context.Context, spec core.Spec, dataset string) (out Ou
 		// while the run executed, and the record must measure the residual
 		// against whatever pricing uses next.
 		env := calib.EnvFromSpec(spec, dataset)
-		env.InferEstScale = l.InferEstScale
 		env.Profile = l.Fitter.Active()
 		samples, err := calib.CompareRun(env, res.Trace, res.Series)
 		if err != nil {

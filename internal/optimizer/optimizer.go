@@ -31,10 +31,11 @@ type Params struct {
 	// Alpha is the fudge factor for the size blow-up of binary feature
 	// vectors as managed-runtime objects (default 2).
 	Alpha float64
-	// Scales are fitted per-stage-kind corrections applied on top of the
-	// paper constants (see CostScales). The zero value is the identity:
-	// plan choice and pricing then use the Table 1(C) model unchanged.
-	Scales CostScales
+	// StorageScale is a fitted correction to the Equation 16 intermediate
+	// sizes (internal/calib's calibration profile, fitted from measured
+	// storage bytes). 0 and 1 are the identity: plan choice and pricing
+	// then use the Table 1(C) model unchanged.
+	StorageScale float64
 }
 
 // DefaultParams returns the paper's Table 1(C) defaults.
@@ -297,24 +298,20 @@ func validate(in Inputs) error {
 // cpu from min(cpu_sys, cpu_max)−1 down to 1, maximizing cpu (Equation 8)
 // subject to Equations 9–15.
 //
-// When params.Scales carries a fitted calibration profile, the search runs
-// under the corrected constants: Storage scales the Equation 16 intermediate
-// sizes (so np, the Serialized/Deserialized choice, and memory-only
-// feasibility are re-ranked), Infer scales the Equation 11 DL replica
-// footprint, and Train scales the downstream model's memory. The returned
-// Decision's MemDL/SSingle/SDouble then carry the scaled estimates.
+// When params.StorageScale carries a fitted calibration factor, the search
+// runs under corrected Equation 16 intermediate sizes, so np, the
+// Serialized/Deserialized choice, and memory-only feasibility are re-ranked;
+// the returned Decision's SSingle/SDouble carry the scaled estimates.
 func Optimize(in Inputs, params Params) (Decision, error) {
 	if err := validate(in); err != nil {
 		return Decision{}, err
 	}
-	sc := params.Scales
 	_, sSingle, sDouble, err := IntermediateSizes(in, params)
 	if err != nil {
 		return Decision{}, err
 	}
-	sSingle = ScaleBytes(sSingle, sc.Storage)
-	sDouble = ScaleBytes(sDouble, sc.Storage)
-	in.DownstreamMemBytes = ScaleBytes(in.DownstreamMemBytes, sc.Train)
+	sSingle = ScaleBytes(sSingle, params.StorageScale)
+	sDouble = ScaleBytes(sDouble, params.StorageScale)
 	st := in.ModelStats
 
 	upper := in.CPUSys
@@ -333,8 +330,8 @@ func Optimize(in Inputs, params Params) (Decision, error) {
 		}
 		np := NumPartitions(sSingle, x, in.NNodes, params.PMax)
 
-		// DL Execution Memory (Equation 11), under the fitted Infer scale.
-		memDL := ScaleBytes(DLMemoryNeed(in, x), sc.Infer)
+		// DL Execution Memory (Equation 11).
+		memDL := DLMemoryNeed(in, x)
 
 		// User Memory (Equation 10).
 		memUser := UserMemoryNeed(in, x, np, params)
@@ -348,7 +345,7 @@ func Optimize(in Inputs, params Params) (Decision, error) {
 			if err != nil {
 				return Decision{}, err
 			}
-			peak = ScaleBytes(peak, sc.Storage)
+			peak = ScaleBytes(peak, params.StorageScale)
 			needStorage := int64(float64(peak) / memoryOnlyCompression / float64(in.NNodes))
 			if memWorker-memUser-params.MemCore < needStorage {
 				continue

@@ -1,40 +1,8 @@
 package optimizer
 
-// CostScales are per-stage-kind multiplicative corrections to the cost
-// model's estimates, fitted from measured runs (internal/calib's calibration
-// profile). Each factor multiplies every estimate the model attributes to
-// that stage kind: Infer scales the Equation 11 DL replica footprint, Storage
-// scales the Equation 16 intermediate-size estimates (and through them
-// partition count, the persistence-format choice, and memory-only
-// feasibility), and Train scales the downstream model's working memory.
-// Ingest and Join are time-only kinds — they calibrate runtime comparisons
-// (sim.CompareTrace), not memory, so the optimizer ignores them.
-//
-// The zero value is the identity: a factor that is zero (or negative, which
-// no fit produces) means "uncalibrated, use the paper constant as-is". An
-// identity CostScales leaves every optimizer and pricing output bit-for-bit
-// unchanged.
-type CostScales struct {
-	Ingest  float64
-	Join    float64
-	Infer   float64
-	Train   float64
-	Storage float64
-}
-
-// IsIdentity reports whether applying s changes nothing: every factor is
-// either unset (<= 0) or exactly 1.
-func (s CostScales) IsIdentity() bool {
-	for _, v := range []float64{s.Ingest, s.Join, s.Infer, s.Train, s.Storage} {
-		if v > 0 && v != 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// ScaleBytes applies factor f to a byte quantity; f <= 0 and f == 1 are the
-// identity (and return v untouched, so unprofiled paths stay bit-exact).
+// ScaleBytes applies a fitted storage factor f (Params.StorageScale) to a
+// byte quantity; f <= 0 and f == 1 are the identity and return v untouched,
+// so unprofiled paths stay bit-exact.
 func ScaleBytes(v int64, f float64) int64 {
 	if f <= 0 || f == 1 {
 		return v

@@ -10,7 +10,8 @@ import (
 func TestScaleBytesIdentityIsExact(t *testing.T) {
 	// Identity factors must return the input untouched — not merely a value
 	// that rounds back. Pricing bit-exactness under an absent profile depends
-	// on no float round-trip happening at all.
+	// on no float round-trip happening at all. Non-positive factors are
+	// "unset", which no fit produces.
 	vals := []int64{0, 1, 7, 1<<40 + 3, 1<<62 + 12345}
 	for _, v := range vals {
 		for _, f := range []float64{0, 1, -2.5} {
@@ -27,27 +28,8 @@ func TestScaleBytesIdentityIsExact(t *testing.T) {
 	}
 }
 
-func TestCostScalesIsIdentity(t *testing.T) {
-	cases := []struct {
-		sc   CostScales
-		want bool
-	}{
-		{CostScales{}, true},
-		{CostScales{Ingest: 1, Join: 1, Infer: 1, Train: 1, Storage: 1}, true},
-		{CostScales{Infer: 1, Storage: -3}, true}, // non-positive = unset
-		{CostScales{Infer: 1.01}, false},
-		{CostScales{Storage: 0.5}, false},
-		{CostScales{Ingest: 2}, false},
-	}
-	for i, tc := range cases {
-		if got := tc.sc.IsIdentity(); got != tc.want {
-			t.Errorf("case %d: IsIdentity(%+v) = %v, want %v", i, tc.sc, got, tc.want)
-		}
-	}
-}
-
 func TestOptimizeIdentityScalesBitExact(t *testing.T) {
-	// Explicit all-ones scales must reproduce the unscaled decision exactly:
+	// An explicit factor of 1 must reproduce the unscaled decision exactly:
 	// an empty or identity profile changes nothing about plan choice.
 	in := paperCluster(t, "resnet50", 5, 20000, 130)
 	plain, err := Optimize(in, DefaultParams())
@@ -55,22 +37,22 @@ func TestOptimizeIdentityScalesBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := DefaultParams()
-	params.Scales = CostScales{Ingest: 1, Join: 1, Infer: 1, Train: 1, Storage: 1}
+	params.StorageScale = 1
 	scaled, err := Optimize(in, params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain != scaled {
-		t.Errorf("identity scales changed the decision:\nplain  %+v\nscaled %+v", plain, scaled)
+		t.Errorf("identity scale changed the decision:\nplain  %+v\nscaled %+v", plain, scaled)
 	}
 }
 
 func TestOptimizeStorageScaleFlipsPersistence(t *testing.T) {
 	// Algorithm 1 line 15 serializes when the per-worker share of sDouble
-	// overflows Storage Memory. A fitted Storage scale saying the memory model
-	// under-estimates intermediates by 12× must flip a comfortably-fitting
-	// workload from Deserialized to Serialized — the plan is re-ranked under
-	// the corrected constants.
+	// overflows Storage Memory. A fitted storage factor saying the memory
+	// model under-estimates intermediates by 12× must flip a comfortably-
+	// fitting workload from Deserialized to Serialized — the plan is
+	// re-ranked under the corrected constants.
 	in := paperCluster(t, "alexnet", 4, 20000, 130)
 	plain, err := Optimize(in, DefaultParams())
 	if err != nil {
@@ -80,7 +62,7 @@ func TestOptimizeStorageScaleFlipsPersistence(t *testing.T) {
 		t.Fatalf("baseline workload should fit deserialized, got %v", plain.Pers)
 	}
 	params := DefaultParams()
-	params.Scales = CostScales{Storage: 12}
+	params.StorageScale = 12
 	scaled, err := Optimize(in, params)
 	if err != nil {
 		t.Fatal(err)
@@ -95,24 +77,34 @@ func TestOptimizeStorageScaleFlipsPersistence(t *testing.T) {
 	if scaled.NP < plain.NP {
 		t.Errorf("12x larger intermediates should not shrink np: %d vs %d", scaled.NP, plain.NP)
 	}
+	// The factor is a byte correction to Equation 16 only: the DL replicas
+	// (Equation 11) and the downstream model's User Memory (Equation 10) are
+	// priced from the paper constants at whatever cpu and np were chosen.
+	if want := DLMemoryNeed(in, scaled.CPU); scaled.MemDL != want {
+		t.Errorf("scaled MemDL = %d, want unscaled Equation 11 %d", scaled.MemDL, want)
+	}
+	if want := UserMemoryNeed(in, scaled.CPU, scaled.NP, params); scaled.MemUser != want {
+		t.Errorf("scaled MemUser = %d, want unscaled Equation 10 %d", scaled.MemUser, want)
+	}
 }
 
 func TestOptimizeInferScaleRaisesDLMemory(t *testing.T) {
-	// The Infer factor corrects the Equation 11 replica footprint: the chosen
-	// decision must carry the scaled MemDL, and a large enough factor squeezes
-	// the rest of the apportionment.
+	// No fitted factor scales the Equation 11 replica footprint; a CNN whose
+	// |f|_mem is 3x larger must still reach the decision's MemDL, and the
+	// larger footprint squeezes the rest of the apportionment.
 	in := paperCluster(t, "vgg16", 3, 20000, 130)
 	plain, err := Optimize(in, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := DefaultParams()
-	params.Scales = CostScales{Infer: 3}
-	scaled, err := Optimize(in, params)
+	big := *in.ModelStats
+	big.MemBytes *= 3
+	in.ModelStats = &big
+	scaled, err := Optimize(in, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := ScaleBytes(DLMemoryNeed(in, scaled.CPU), 3); scaled.MemDL != want {
+	if want := DLMemoryNeed(in, scaled.CPU); scaled.MemDL != want {
 		t.Errorf("scaled MemDL = %d, want %d", scaled.MemDL, want)
 	}
 	if scaled.CPU > plain.CPU {
@@ -125,25 +117,25 @@ func TestOptimizeInferScaleRaisesDLMemory(t *testing.T) {
 }
 
 func TestOptimizeTrainScaleFeedsUserMemory(t *testing.T) {
-	// Train scales |M|_mem. With a PD-resident downstream model big enough to
-	// dominate User Memory, the factor must show up in the decision's MemUser.
+	// |M|_mem reaches User Memory unscaled. With a PD-resident downstream
+	// model big enough to dominate User Memory, a 3x larger model must show
+	// up in the decision's MemUser.
 	in := paperCluster(t, "alexnet", 4, 20000, 130)
 	in.DownstreamMemBytes = memory.GB(2)
 	plain, err := Optimize(in, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := DefaultParams()
-	params.Scales = CostScales{Train: 3}
-	scaled, err := Optimize(in, params)
+	in.DownstreamMemBytes *= 3
+	scaled, err := Optimize(in, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if scaled.MemUser <= plain.MemUser {
-		t.Errorf("3x train scale did not raise MemUser: %d vs %d", scaled.MemUser, plain.MemUser)
+		t.Errorf("3x downstream model did not raise MemUser: %d vs %d", scaled.MemUser, plain.MemUser)
 	}
-	if want := int64(scaled.CPU) * ScaleBytes(in.DownstreamMemBytes, 3); scaled.MemUser != want {
-		t.Errorf("scaled MemUser = %d, want cpu x scaled |M| = %d", scaled.MemUser, want)
+	if want := int64(scaled.CPU) * in.DownstreamMemBytes; scaled.MemUser != want {
+		t.Errorf("scaled MemUser = %d, want cpu x |M| = %d", scaled.MemUser, want)
 	}
 }
 
@@ -159,7 +151,7 @@ func TestOptimizeStorageScaleTripsMemoryOnlyFeasibility(t *testing.T) {
 		t.Fatalf("baseline memory-only workload should be feasible: %v", err)
 	}
 	params := DefaultParams()
-	params.Scales = CostScales{Storage: 40}
+	params.StorageScale = 40
 	if _, err := Optimize(in, params); err == nil {
 		t.Error("40x storage scale should make the memory-only workload infeasible")
 	}

@@ -19,15 +19,16 @@ import (
 // the optimizer cannot fit on the cluster at all cannot be priced (and would
 // not survive execution either).
 //
-// When params.Scales carries a fitted calibration profile, both halves go
-// through it: Optimize re-ranks the plan under the corrected constants, and
-// the charge is computed by DecisionCostScaled instead of DecisionCost.
+// When params.StorageScale carries a fitted calibration factor, both halves
+// go through it: Optimize re-ranks the plan under the corrected intermediate
+// sizes, and the charge is computed by DecisionCostScaled instead of
+// DecisionCost.
 func AdmissionCost(in optimizer.Inputs, params optimizer.Params) (optimizer.Decision, int64, error) {
 	d, err := optimizer.Optimize(in, params)
 	if err != nil {
 		return optimizer.Decision{}, 0, err
 	}
-	return d, DecisionCostScaled(d, in.NNodes, params.Scales), nil
+	return d, DecisionCostScaled(d, in.NNodes, params.StorageScale), nil
 }
 
 // DecisionCost renders an optimizer decision as an admission charge: the
@@ -40,19 +41,18 @@ func DecisionCost(d optimizer.Decision, nodes int) int64 {
 	return int64(nodes) * (d.MemStorage + d.MemUser + d.MemDL)
 }
 
-// DecisionCostScaled is DecisionCost under a fitted calibration profile.
-// With identity scales it returns exactly DecisionCost — unprofiled servers
-// price bit-for-bit as before. With a real profile the Storage term switches
-// from the full per-worker remainder (MemStorage, which Algorithm 1 sets to
-// everything left after User and DL memory) to the modeled storage *need*,
-// min(MemStorage, ⌈SDouble/nodes⌉): because MemStorage is a remainder, any
-// correction to the DL or intermediate-size estimates would otherwise
-// telescope away — Storage absorbing exactly what Infer released — and the
-// charge would never move. The decision's MemDL and SDouble already carry
-// the Infer and Storage scales when the decision came from a scaled
-// Optimize, so no factor is applied again here.
-func DecisionCostScaled(d optimizer.Decision, nodes int, scales optimizer.CostScales) int64 {
-	if scales.IsIdentity() {
+// DecisionCostScaled is DecisionCost under a fitted storage factor. With the
+// identity (storageScale 0 or 1) it returns exactly DecisionCost —
+// unprofiled servers price bit-for-bit as before. With a real factor the
+// Storage term switches from the full per-worker remainder (MemStorage,
+// which Algorithm 1 sets to everything left after User and DL memory) to the
+// modeled storage *need*, min(MemStorage, ⌈SDouble/nodes⌉): because
+// MemStorage is a remainder, a correction to the intermediate-size estimates
+// would otherwise never move the charge. The decision's SDouble already
+// carries the factor when the decision came from a scaled Optimize, so it is
+// not applied again here.
+func DecisionCostScaled(d optimizer.Decision, nodes int, storageScale float64) int64 {
+	if storageScale <= 0 || storageScale == 1 {
 		return DecisionCost(d, nodes)
 	}
 	if nodes < 1 {
@@ -70,8 +70,9 @@ func DecisionCostScaled(d optimizer.Decision, nodes int, scales optimizer.CostSc
 // charged the full AdmissionCost once, for the leader, and each follower only
 // its marginal reservation — the decision with DL Execution Memory zeroed
 // (Equation 13's replicas are never loaded), keeping Storage and User memory
-// for the attached tables and downstream training. scales is the fitted
-// calibration profile (see DecisionCostScaled for the charge semantics).
-func FollowerCostScaled(d optimizer.Decision, nodes int, scales optimizer.CostScales) int64 {
-	return DecisionCostScaled(optimizer.FollowerDecision(d), nodes, scales)
+// for the attached tables and downstream training. storageScale is the
+// fitted calibration factor (see DecisionCostScaled for the charge
+// semantics).
+func FollowerCostScaled(d optimizer.Decision, nodes int, storageScale float64) int64 {
+	return DecisionCostScaled(optimizer.FollowerDecision(d), nodes, storageScale)
 }

@@ -240,7 +240,7 @@ for _ in 1 2 3; do
         -d '{"model":"tiny-alexnet","dataset":"foods","layers":2,"rows":100}' >/dev/null
 done
 curl -sf "http://127.0.0.1:$calib_port/calibration" >"$calib_tmp/live.json"
-for kind in ingest join infer train; do
+for kind in ingest join infer train storage; do
     if ! grep -q "\"kind\":\"$kind\",\"samples\":[1-9]" "$calib_tmp/live.json"; then
         echo "calibration smoke: kind $kind has no samples after 3 runs" >&2
         cat "$calib_tmp/live.json" >&2
@@ -262,22 +262,23 @@ cmp "$calib_tmp/live.json" "$calib_tmp/offline.json"
 rm -rf "$calib_tmp"
 
 echo "== calibration closed-loop smoke (-auto-calibrate) =="
-# Boot a deliberately mis-calibrated server (-calib-infer-scale 25) with the
-# feedback loop on, and assert the loop end to end: the distortion shows up as
-# out-of-band drift, a refit fits and persists a profile (visible on /metrics
-# as vista_calib_profile_*), fresh traffic recorded under the profile brings
-# every kind's drift ratio back inside [0.5, 2.0], and the offline replay with
-# the same half-life and the fitted profile reproduces the live /calibration
-# JSON byte-for-byte. Single-layer runs keep each stage kind homogeneous so a
-# per-kind factor can fully correct it (see docs/CALIBRATION.md).
+# Mis-calibrate a server the way an operator would: seed -calib-profile with a
+# storage factor 3x off, and turn the feedback loop on. Assert the loop end to
+# end: the seeded factor shows up as out-of-band storage drift, a refit fits
+# and persists a new factor (visible on /metrics as vista_calib_profile_*),
+# fresh traffic recorded under it brings the storage drift ratio back inside
+# [0.5, 2.0], and the offline replay with the same half-life and the fitted
+# profile reproduces the live /calibration JSON byte-for-byte.
 loop_tmp=$(mktemp -d)
 loop_port=$((20000 + RANDOM % 10000))
 go build -o "$loop_tmp/vista-server" ./cmd/vista-server
 go build -o "$loop_tmp/vista" ./cmd/vista
+echo '{"version":2,"fitted_at":"2026-01-01T00:00:00Z","refits":0,"storage_scale":3,"samples":0}' \
+    >"$loop_tmp/profile.json"
 "$loop_tmp/vista-server" -addr "127.0.0.1:$loop_port" -feature-cache-mb 0 \
     -calib-log "$loop_tmp/calib.log" -calib-half-life 5s \
     -calib-profile "$loop_tmp/profile.json" -auto-calibrate \
-    -calib-refit-interval 2s -calib-infer-scale 25 -log-format json \
+    -calib-refit-interval 2s -log-format json \
     >"$loop_tmp/server.log" 2>&1 &
 loop_server_pid=$!
 trap 'kill "$loop_server_pid" 2>/dev/null || true' EXIT
@@ -287,41 +288,22 @@ for _ in $(seq 1 50); do
 done
 loop_run() {
     curl -sf "http://127.0.0.1:$loop_port/run" \
-        -d '{"model":"tiny-alexnet","dataset":"foods","layers":1,"rows":100}' >/dev/null
+        -d '{"model":"tiny-alexnet","dataset":"foods","layers":2,"rows":100}' >/dev/null
 }
-# drift_of METRICS_FILE STAGE: pull one stage's vista_calib_drift_ratio.
-drift_of() {
-    sed -n "s/^vista_calib_drift_ratio{stage=\"$2\"} //p" "$1"
+# storage_drift METRICS_FILE: pull the storage vista_calib_drift_ratio.
+storage_drift() {
+    sed -n 's/^vista_calib_drift_ratio{stage="storage"} //p' "$1"
 }
-# band_ok LIVE_JSON: every evidenced kind's drift_ratio within [0.5, 2.0].
-# Kinds whose active scale sits at a clamp bound (0.02 / 50, the
-# DefaultFitOptions guardrail) are exempt: the loop has corrected as far as
-# the guardrail allows, by design — see docs/CALIBRATION.md on saturation.
-band_ok() {
-    tr '{' '\n' <"$1" | awk -F'[:,]' '
-        /"kind"/ && /"drift_ratio"/ {
-            kind = ""; samples = 0; drift = 1; active = 1
-            for (i = 1; i < NF; i++) {
-                if ($i == "\"kind\"")         { gsub(/"/, "", $(i+1)); kind = $(i+1) }
-                if ($i == "\"samples\"")      samples = $(i+1)
-                if ($i == "\"drift_ratio\"")  drift = $(i+1)
-                if ($i == "\"active_scale\"") active = $(i+1)
-            }
-            if (active <= 0.02 || active >= 50) next
-            if (samples > 0 && (drift < 0.5 || drift > 2.0)) {
-                printf "  %s drift %s out of band\n", kind, drift
-                bad = 1
-            }
-        }
-        END { exit bad }'
+# in_band DRIFT: the drift ratio lies within [0.5, 2.0].
+in_band() {
+    awk -v d="$1" 'BEGIN { exit !(d >= 0.5 && d <= 2.0) }'
 }
 for _ in 1 2 3; do loop_run; done
-# Probe A: the injected 25x inference inflation deflates the other kinds'
-# estimated shares, so train's drift ratio blows out above the band.
+# Probe A: estimates inflated 3x put the storage drift ratio near 1/3.
 curl -sf "http://127.0.0.1:$loop_port/metrics" >"$loop_tmp/metrics_a.txt"
-drift_a=$(drift_of "$loop_tmp/metrics_a.txt" train)
-if ! awk -v d="$drift_a" 'BEGIN { exit !(d > 2.0) }'; then
-    echo "closed-loop smoke: train drift before refit = $drift_a, want > 2.0" >&2
+drift_a=$(storage_drift "$loop_tmp/metrics_a.txt")
+if in_band "$drift_a"; then
+    echo "closed-loop smoke: storage drift under the seeded factor = $drift_a, want outside [0.5, 2.0]" >&2
     exit 1
 fi
 # The refit loop notices within a couple of intervals.
@@ -334,35 +316,28 @@ for i in $(seq 1 40); do
     fi
     sleep 0.5
 done
-if ! grep -q '^vista_calib_profile_scale{stage="train"} ' "$loop_tmp/metrics.txt"; then
-    echo "closed-loop smoke: vista_calib_profile_scale missing from /metrics" >&2
+if grep -q '^vista_calib_profile_scale{stage="storage"} 3$' "$loop_tmp/metrics.txt"; then
+    echo "closed-loop smoke: vista_calib_profile_scale still reports the seeded factor" >&2
     exit 1
 fi
-[[ -s "$loop_tmp/profile.json" ]] || { echo "closed-loop smoke: profile file not persisted" >&2; exit 1; }
 # Convergence rounds: fade the mis-calibrated history (several half-lives),
 # drive fresh profile-corrected traffic, give the fitter two intervals to
-# consume the residual window, and check the band. Real stage times are noisy
-# (join is milliseconds of wall clock), so allow a few corrective rounds.
+# consume the residual window, and check the band. The seeded factor re-ranked
+# np and persistence for the first runs, so a second refit may be needed.
 loop_converged=0
 for round in 1 2 3; do
     sleep 12
     for _ in 1 2 3; do loop_run; done
     sleep 5
     curl -sf "http://127.0.0.1:$loop_port/calibration" >"$loop_tmp/live.json"
-    if band_ok "$loop_tmp/live.json"; then loop_converged=1; break; fi
-    echo "closed-loop smoke: round $round not yet converged"
+    curl -sf "http://127.0.0.1:$loop_port/metrics" >"$loop_tmp/metrics_b.txt"
+    drift_b=$(storage_drift "$loop_tmp/metrics_b.txt")
+    if in_band "$drift_b"; then loop_converged=1; break; fi
+    echo "closed-loop smoke: round $round not yet converged (storage drift $drift_b)"
 done
 if [[ "$loop_converged" != 1 ]]; then
-    echo "closed-loop smoke: drift never converged into [0.5, 2.0]" >&2
+    echo "closed-loop smoke: storage drift never converged into [0.5, 2.0]: before=$drift_a after=$drift_b" >&2
     cat "$loop_tmp/live.json" >&2
-    exit 1
-fi
-# Probe B: the same gauge that blew out at probe A is back inside the band.
-curl -sf "http://127.0.0.1:$loop_port/metrics" >"$loop_tmp/metrics_b.txt"
-drift_b=$(drift_of "$loop_tmp/metrics_b.txt" train)
-if ! awk -v a="$drift_a" -v b="$drift_b" \
-    'function al(x) { return x < 1 ? -log(x) : log(x) } BEGIN { exit !(al(b) < al(a) && b >= 0.5 && b <= 2.0) }'; then
-    echo "closed-loop smoke: train drift did not converge: before=$drift_a after=$drift_b" >&2
     exit 1
 fi
 kill "$loop_server_pid"
