@@ -127,13 +127,14 @@ func TestCalibrationReconcilesWithMetrics(t *testing.T) {
 	}
 }
 
-// TestDriftSLOTrips pins a storage factor 3x off (the way an operator would
-// mis-calibrate a server, through -calib-profile) and checks that
+// TestDriftSLOTrips pins a storage factor 10x (the way an operator would
+// mis-calibrate a server, through -calib-profile; the run holds about 1.9x
+// the paper model's bytes, so drift sits near 0.19) and checks that
 // /healthz?slo=1 degrades to 503 with a storage-only calibration clause,
 // while a plain probe and a loose bound stay healthy.
 func TestDriftSLOTrips(t *testing.T) {
-	offBy3 := &calib.Profile{Version: 2, StorageScale: 3}
-	a := newAPI(serverConfig{sloP99: defaultSLOP99, maxDrift: 0.5, calibProfile: offBy3})
+	offBy10 := &calib.Profile{Version: 2, StorageScale: 10}
+	a := newAPI(serverConfig{sloP99: defaultSLOP99, maxDrift: 0.5, calibProfile: offBy10})
 	h := a.handler()
 	code, body := doJSON(t, h, "POST", "/run",
 		`{"model":"tiny-alexnet","dataset":"foods","layers":2,"rows":100}`)
@@ -148,7 +149,7 @@ func TestDriftSLOTrips(t *testing.T) {
 
 	code, body = doJSON(t, h, "GET", "/healthz?slo=1", "")
 	if code != http.StatusServiceUnavailable || body["status"] != "slo-violated" {
-		t.Fatalf("healthz?slo=1 under a 3x storage mis-calibration = %d %v, want 503", code, body)
+		t.Fatalf("healthz?slo=1 under a 10x storage mis-calibration = %d %v, want 503", code, body)
 	}
 	viol := body["calibration_violations"].([]any)
 	if len(viol) != 1 {
@@ -161,7 +162,7 @@ func TestDriftSLOTrips(t *testing.T) {
 
 	// Same mis-calibration, loose bound: drift is visible in the checked
 	// list but does not degrade health.
-	loose := newAPI(serverConfig{sloP99: defaultSLOP99, maxDrift: 1e6, calibProfile: offBy3})
+	loose := newAPI(serverConfig{sloP99: defaultSLOP99, maxDrift: 1e6, calibProfile: offBy10})
 	lh := loose.handler()
 	if code, body := doJSON(t, lh, "POST", "/run",
 		`{"model":"tiny-alexnet","dataset":"foods","layers":2,"rows":100}`); code != http.StatusOK {

@@ -141,8 +141,8 @@ type runOptions struct {
 }
 
 // observing reports whether the run needs the metrics registry and sampler.
-// Calibration needs the sampled series for its storage samples, so -calib
-// turns observation on too.
+// Calibration reads its storage samples from the recording's final frame, so
+// -calib turns observation on too.
 func (o *runOptions) observing() bool {
 	return o.trace || o.traceOut != "" || o.timeseriesOut != "" || o.calibLog != ""
 }
@@ -333,7 +333,7 @@ func printSimComparison(w io.Writer, o runOptions, runSpec core.Spec, res *core.
 	fmt.Fprintf(w, "\nEstimate vs measured (simulator prices the paper cluster; compare shares, not absolutes):\n")
 	sim.RenderComparison(w, sim.CompareTrace(simRes, res.Trace))
 	if res.Series != nil {
-		fmt.Fprintf(w, "\nMemory-model validation (sampled pool occupancy and spill vs Section 4.1 estimates):\n")
+		fmt.Fprintf(w, "\nMemory-model validation (the engine's peak storage and spill vs Section 4.1 estimates):\n")
 		sim.RenderSeriesReport(w, sim.CompareSeries(simRes, res.Trace, res.Series))
 	}
 }

@@ -5,8 +5,9 @@
 // eyeballs in a single -trace table.
 //
 // After every run, the per-stage (estimated, measured) pairs from
-// sim.CompareTrace and the peak-storage/spill deltas from sim.CompareSeries
-// are folded into two places:
+// sim.CompareTrace and the run's peak-storage and spill pairs from
+// sim.CompareSeries (the model against the engine's exact counters) are
+// folded into two places:
 //
 //   - an append-only, crash-safe on-disk calibration log (one compact record
 //     per run: fingerprint, per-stage kind, estimate, measurement,
@@ -48,6 +49,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/sampler"
+	"repro/internal/optimizer"
 	"repro/internal/plan"
 	"repro/internal/sim"
 )
@@ -116,11 +118,16 @@ func (s Sample) counts() bool {
 // series report) into calibration samples, normalizing time rows to shares of
 // their run. Only rows that will enter the aggregates participate in the
 // share denominators, so an attach-served (cached/shared) stage does not
-// dilute the shape of the rows actually being compared.
+// dilute the shape of the rows actually being compared. The storage samples
+// carry the run's attach flags: the memory model prices a cold run, and a run
+// that attached any feature table from the store or a share group held less.
 func SamplesFromRun(comps []sim.StageComparison, series *sim.SeriesReport) []Sample {
 	var estTotal, measTotal float64
+	var cached, shared bool
 	include := make([]bool, len(comps))
 	for i, c := range comps {
+		cached = cached || c.Cached
+		shared = shared || c.Shared
 		if c.Cached || c.Shared || c.Unmodeled || c.Estimated <= 0 || c.Measured <= 0 {
 			continue
 		}
@@ -143,20 +150,17 @@ func SamplesFromRun(comps []sim.StageComparison, series *sim.SeriesReport) []Sam
 		out = append(out, s)
 	}
 	if series != nil {
-		if series.PredPeakStorageBytes > 0 || series.MeasPeakStorageBytes > 0 {
-			out = append(out, Sample{
-				Stage: "storage:peak", Kind: KindStorage,
-				Est:  float64(series.PredPeakStorageBytes),
-				Meas: float64(series.MeasPeakStorageBytes),
-			})
+		storage := func(stage string, est, meas int64) {
+			if est > 0 || meas > 0 {
+				out = append(out, Sample{
+					Stage: stage, Kind: KindStorage,
+					Est: float64(est), Meas: float64(meas),
+					Cached: cached, Shared: shared,
+				})
+			}
 		}
-		if series.PredSpillBytes > 0 || series.MeasSpillBytes > 0 {
-			out = append(out, Sample{
-				Stage: "storage:spill", Kind: KindStorage,
-				Est:  float64(series.PredSpillBytes),
-				Meas: float64(series.MeasSpillBytes),
-			})
-		}
+		storage("storage:peak", series.PredPeakStorageBytes, series.MeasPeakStorageBytes)
+		storage("storage:spill", series.PredSpillBytes, series.MeasSpillBytes)
 	}
 	return out
 }
@@ -208,10 +212,12 @@ func EnvFromSpec(spec core.Spec, dataset string) RunEnv {
 }
 
 // Simulate prices env's workload, exploring numLayers feature layers, on the
-// paper cluster profile under the configuration Vista's optimizer picks. It
-// fails when the optimizer finds the simulated workload infeasible or the
-// simulated run crashes — there is no estimate to compare against (tiny
-// in-process runs can describe workloads the paper cluster model rejects).
+// paper cluster profile under the configuration Vista's optimizer picks with
+// env.Profile's storage factor — the decision core.Run executed under the
+// same profile. It fails when the optimizer finds the simulated workload
+// infeasible or the simulated run crashes — there is no estimate to compare
+// against (tiny in-process runs can describe workloads the paper cluster
+// model rejects).
 func Simulate(env RunEnv, numLayers int) (sim.Result, error) {
 	wl, err := sim.NewWorkload(sim.WorkloadSpec{
 		ModelName: env.ModelName,
@@ -231,13 +237,15 @@ func Simulate(env RunEnv, numLayers int) (sim.Result, error) {
 	if err != nil {
 		return sim.Result{}, fmt.Errorf("calib: workload: %w", err)
 	}
-	cfg, err := sim.VistaConfig(wl)
+	params := optimizer.DefaultParams()
+	params.StorageScale = env.Profile.scale()
+	d, err := optimizer.Optimize(wl.Inputs, params)
 	if err != nil {
 		return sim.Result{}, fmt.Errorf("calib: config: %w", err)
 	}
 	prof := sim.PaperCluster().WithNodes(env.Nodes)
 	prof.MemPerNode = env.MemBytes
-	simRes := sim.Run(wl, cfg, prof)
+	simRes := sim.Run(wl, sim.FromDecision(d, params), prof)
 	if simRes.Crash != nil {
 		return sim.Result{}, fmt.Errorf("calib: simulated run crashes: %w", simRes.Crash)
 	}
@@ -246,8 +254,8 @@ func Simulate(env RunEnv, numLayers int) (sim.Result, error) {
 
 // CompareRun simulates env's workload (Simulate, stage-for-stage with the
 // layers the trace shows were explored), lines the result up against the
-// measured trace (and sampled series, when non-nil), and returns the run's
-// calibration samples.
+// measured trace (and, when series is non-nil, the engine's peak storage and
+// spill in its final frame), and returns the run's calibration samples.
 func CompareRun(env RunEnv, trace *obs.Span, series *sampler.Recording) ([]Sample, error) {
 	if trace == nil {
 		return nil, fmt.Errorf("calib: no trace to compare")

@@ -1,0 +1,192 @@
+package calib
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/data"
+	"repro/internal/dataflow"
+	"repro/internal/memory"
+	"repro/internal/obs"
+	"repro/internal/optimizer"
+	"repro/internal/plan"
+	"repro/internal/sim"
+)
+
+// storageSamples picks a run's storage samples out by stage.
+func storageSamples(samples []Sample) map[string]Sample {
+	out := make(map[string]Sample)
+	for _, s := range samples {
+		if s.Kind == KindStorage {
+			out[s.Stage] = s
+		}
+	}
+	return out
+}
+
+// A cold run's storage samples measure exactly what its engine counted: the
+// high-water mark of the storage pools and the bytes it spilled, not the
+// largest value some sample period happened to catch.
+func TestCompareRunStorageIsEngineExact(t *testing.T) {
+	structRows, imageRows, err := data.Generate(data.Foods().WithRows(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spilling := &optimizer.Decision{
+		CPU: 2, NP: 16,
+		MemDL:      memory.MB(64),
+		MemUser:    memory.MB(64),
+		MemStorage: memory.MB(2), // cannot hold the tables: the run spills
+		Join:       dataflow.ShuffleJoin,
+		Pers:       dataflow.Deserialized,
+	}
+	for _, tc := range []struct {
+		name     string
+		decision *optimizer.Decision
+	}{{"optimized", nil}, {"spilling", spilling}} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := core.Spec{
+				Nodes: 2, CoresPerNode: 2, MemPerNode: memory.GB(32),
+				SystemKind: memory.SparkLike,
+				ModelName:  "tiny-alexnet", NumLayers: 2,
+				Downstream: core.DefaultDownstream(),
+				StructRows: structRows, ImageRows: imageRows, Seed: 1,
+				PlanKind: plan.Staged, Placement: plan.AfterJoin,
+				Decision:    tc.decision,
+				Metrics:     obs.NewRegistry(),
+				SampleEvery: 5 * time.Millisecond,
+				SpillDir:    t.TempDir(),
+			}
+			res, err := core.Run(spec)
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			samples, err := CompareRun(EnvFromSpec(spec, "foods"), res.Trace, res.Series)
+			if err != nil {
+				t.Fatalf("CompareRun: %v", err)
+			}
+			got := storageSamples(samples)
+			peak, ok := got["storage:peak"]
+			if !ok || peak.Meas <= 0 || peak.Meas != float64(res.Counters.PeakStorageBytes) {
+				t.Errorf("storage:peak Meas = %v (present %v), want the engine's %d",
+					peak.Meas, ok, res.Counters.PeakStorageBytes)
+			}
+			if !peak.counts() {
+				t.Errorf("a cold run's storage:peak must feed the fit: %+v", peak)
+			}
+			spill, ok := got["storage:spill"]
+			if tc.decision != nil && res.Counters.BytesSpilled <= 0 {
+				t.Fatal("the spilling decision spilled nothing")
+			}
+			if res.Counters.BytesSpilled > 0 && (!ok || spill.Meas != float64(res.Counters.BytesSpilled)) {
+				t.Errorf("storage:spill Meas = %v (present %v), want the engine's %d",
+					spill.Meas, ok, res.Counters.BytesSpilled)
+			}
+		})
+	}
+}
+
+// A run that attached any feature table — from the store or a share group —
+// held less storage than the cold run the memory model prices: its storage
+// samples are logged but never reach the aggregates the fit reads.
+func TestSamplesFromRunExcludesAttachedStorage(t *testing.T) {
+	series := &sim.SeriesReport{
+		PredPeakStorageBytes: 6 << 20, MeasPeakStorageBytes: 1 << 20,
+		PredSpillBytes: 2 << 20, MeasSpillBytes: 1 << 20,
+	}
+	cold := []sim.StageComparison{
+		{Stage: "ingest", Estimated: time.Second, Measured: time.Second},
+		{Stage: "infer:fc6", Estimated: time.Second, Measured: time.Second},
+		{Stage: "infer:fc7", Estimated: time.Second, Measured: time.Second},
+	}
+	cached := append(cold[:2:2], sim.StageComparison{Stage: "cache:fc7", Measured: time.Millisecond, Cached: true})
+	shared := append(cold[:2:2], sim.StageComparison{Stage: "shared:fc7", Measured: time.Millisecond, Shared: true})
+	for _, tc := range []struct {
+		name          string
+		comps         []sim.StageComparison
+		wantCounts    bool
+		cache, shared bool
+	}{
+		{"cold", cold, true, false, false},
+		{"cache", cached, false, true, false},
+		{"shared", shared, false, false, true},
+	} {
+		got := storageSamples(SamplesFromRun(tc.comps, series))
+		if len(got) != 2 {
+			t.Fatalf("%s: storage samples = %v, want peak and spill", tc.name, got)
+		}
+		for stage, s := range got {
+			if s.counts() != tc.wantCounts || s.Cached != tc.cache || s.Shared != tc.shared {
+				t.Errorf("%s: %s = %+v, want counts=%v cached=%v shared=%v",
+					tc.name, stage, s, tc.wantCounts, tc.cache, tc.shared)
+			}
+		}
+		a := NewAggregator(0)
+		a.Add(Record{At: time.Unix(1000, 0), Samples: SamplesFromRun(tc.comps, series)})
+		if ev, _ := a.fitSince(lsState{}); (ev.samples > 0) != tc.wantCounts {
+			t.Errorf("%s: storage fit evidence = %d samples, want some=%v", tc.name, ev.samples, tc.wantCounts)
+		}
+	}
+}
+
+// Simulate prices the decision the run executed: the optimizer's choice under
+// the active profile's storage factor, not under the paper constants.
+func TestSimulatePricesScaledDecision(t *testing.T) {
+	env := RunEnv{
+		ModelName: "alexnet", Dataset: "foods",
+		Rows: 20000, StructDim: 130, ImageRowBytes: 14 << 10,
+		PlanKind: plan.Staged, Placement: plan.AfterJoin,
+		Nodes: 8, Cores: 8, MemBytes: memory.GB(32),
+		Profile: &Profile{Version: 2, StorageScale: 12},
+	}
+	const layers = 4
+	wl, err := sim.NewWorkload(sim.WorkloadSpec{
+		ModelName: env.ModelName, NumLayers: layers,
+		Dataset: sim.DatasetSpec{
+			Name: env.Dataset, Rows: env.Rows, StructDim: env.StructDim, ImageRowBytes: env.ImageRowBytes,
+		},
+		PlanKind: env.PlanKind, Placement: env.Placement,
+		Nodes: env.Nodes, CPUSys: env.Cores, MemSys: env.MemBytes,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainParams, scaledParams := optimizer.DefaultParams(), optimizer.DefaultParams()
+	scaledParams.StorageScale = env.Profile.StorageScale
+	plain, err := optimizer.Optimize(wl.Inputs, plainParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaled, err := optimizer.Optimize(wl.Inputs, scaledParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.NP == scaled.NP && plain.Pers == scaled.Pers {
+		t.Fatalf("the factor must re-rank np or persistence for this test to discriminate: %+v", scaled)
+	}
+	prof := sim.PaperCluster().WithNodes(env.Nodes)
+	prof.MemPerNode = env.MemBytes
+	want := sim.Run(wl, sim.FromDecision(scaled, scaledParams), prof)
+	if reflect.DeepEqual(want, sim.Run(wl, sim.FromDecision(plain, plainParams), prof)) {
+		t.Fatal("the two decisions simulate identically; pick a workload where they differ")
+	}
+	got, err := Simulate(env, layers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Simulate under factor 12 =\n%+v\nwant the scaled decision's\n%+v", got, want)
+	}
+
+	// Without a profile, Simulate prices the paper constants' decision.
+	env.Profile = nil
+	got, err = Simulate(env, layers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sim.Run(wl, sim.FromDecision(plain, plainParams), prof); !reflect.DeepEqual(got, want) {
+		t.Errorf("unprofiled Simulate = %+v, want the plain decision's %+v", got, want)
+	}
+}

@@ -82,10 +82,6 @@ func (p *Profile) ApplySeries(rep *sim.SeriesReport) {
 	}
 	rep.PredPeakStorageBytes = optimizer.ScaleBytes(rep.PredPeakStorageBytes, f)
 	rep.PredSpillBytes = optimizer.ScaleBytes(rep.PredSpillBytes, f)
-	for i := range rep.Stages {
-		rep.Stages[i].PredStorageBytes = optimizer.ScaleBytes(rep.Stages[i].PredStorageBytes, f)
-		rep.Stages[i].PredSpillBytes = optimizer.ScaleBytes(rep.Stages[i].PredSpillBytes, f)
-	}
 }
 
 // refit folds a windowed storage residual fit into prev, producing the next

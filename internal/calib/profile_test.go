@@ -43,19 +43,14 @@ func TestProfileApplySeries(t *testing.T) {
 		PredPeakStorageBytes: memory.MB(100),
 		PredSpillBytes:       memory.MB(10),
 		MeasPeakStorageBytes: memory.MB(150),
-		Stages: []sim.StageSeries{
-			{Stage: "infer:fc6", PredStorageBytes: memory.MB(40), PredSpillBytes: memory.MB(4)},
-		},
+		MeasSpillBytes:       memory.MB(15),
 	}
 	p.ApplySeries(&rep)
 	if rep.PredPeakStorageBytes != memory.MB(200) || rep.PredSpillBytes != memory.MB(20) {
 		t.Errorf("peak/spill = %d/%d, want doubled", rep.PredPeakStorageBytes, rep.PredSpillBytes)
 	}
-	if rep.MeasPeakStorageBytes != memory.MB(150) {
+	if rep.MeasPeakStorageBytes != memory.MB(150) || rep.MeasSpillBytes != memory.MB(15) {
 		t.Error("measured side must never be corrected")
-	}
-	if rep.Stages[0].PredStorageBytes != memory.MB(80) || rep.Stages[0].PredSpillBytes != memory.MB(8) {
-		t.Errorf("per-stage preds = %d/%d, want doubled", rep.Stages[0].PredStorageBytes, rep.Stages[0].PredSpillBytes)
 	}
 }
 

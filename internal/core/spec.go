@@ -150,10 +150,11 @@ type Spec struct {
 	// SampleEvery, when positive (and Metrics is set), runs a time-series
 	// sampler for the duration of the run: every period it snapshots this
 	// run's engine/pool/feature-store series — never another run's — into
-	// an in-memory ring, tagging each frame with the stage open at that
+	// an in-memory recording, tagging each frame with the stage open at that
 	// instant. The recording lands on Result.Series, ready for the export
-	// writers (CSV/JSON time series, Chrome trace counter tracks) and
-	// sim.CompareSeries.
+	// writers (CSV/JSON time series, Chrome trace counter tracks); its final
+	// frame carries the engine's exact peak storage and spill volume, which
+	// sim.CompareSeries reads.
 	SampleEvery time.Duration
 
 	// — Experiment overrides (default zero values = Vista's choices) —
@@ -315,7 +316,7 @@ type Result struct {
 	// and Spec.Metrics were set): per-period frames of engine counters, pool
 	// gauges, and feature-store series with live stage markers. Feed it to
 	// export.WriteTimeseriesCSV/JSON, export.WriteChromeTrace (counter
-	// tracks), or sim.CompareSeries.
+	// tracks), or sim.CompareSeries (which reads the final frame).
 	Series *sampler.Recording
 	// Cache reports feature-store usage (zero value when no store).
 	Cache CacheReport

@@ -1,26 +1,24 @@
 // Package sampler turns the registry's point-in-time series into a time
-// series: a background goroutine periodically snapshots selected metric
+// series: a background goroutine periodically snapshots the run's metric
 // families (pool gauges, spill/eviction counters, feature-store bytes, task
-// counts) into a fixed-capacity in-memory ring of timestamped frames while a
-// run executes, tagging every frame with the stage currently open in the
-// run's live span tree.
+// counts) into timestamped frames while a run executes, tagging every frame
+// with the stage currently open in the run's live span tree.
 //
-// The design goal is to observe a run without perturbing it: the write path
-// is a single goroutine storing immutable frames through atomic pointers (no
-// locks shared with the engine), the registry reads are the same func-backed
-// loads a /metrics scrape performs, and the ring bounds memory regardless of
-// run length — old frames are overwritten and counted as Dropped.
+// The design goal is to observe a run without perturbing it: the registry
+// reads are the same func-backed loads a /metrics scrape performs, and one
+// goroutine owns the frames until Stop collects them, so nothing is shared
+// with the engine. A recording holds at most maxFrames frames; a longer run
+// overwrites its oldest frames and counts them as Dropped.
 //
-// A finished recording feeds the exporters (Chrome trace counter tracks, CSV
-// and JSON time series) and sim.CompareSeries, which validates the
-// simulator's peak-storage and spill-volume predictions against the sampled
-// gauges stage by stage instead of only against end-of-run totals.
+// A finished recording feeds the exporters: Chrome trace counter tracks and
+// CSV and JSON time series. Its final frame, taken after the last stage while
+// the engine is still open, is also what sim.CompareSeries reads a run's
+// exact peak storage and spill volume from.
 package sampler
 
 import (
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -32,14 +30,14 @@ import (
 // several frames per stage, coarse enough to stay invisible in profiles.
 const DefaultEvery = 10 * time.Millisecond
 
-// DefaultCapacity is the ring's frame capacity when Config.Capacity is zero
-// (at the default period: ~80 s of history before frames drop).
-const DefaultCapacity = 8192
+// maxFrames bounds a recording (at the default period, ~80 s of history
+// before frames drop).
+const maxFrames = 8192
 
-// DefaultMatch selects the run-relevant families: engine counters, per-node
-// pool gauges, and feature-store series. HTTP server series are excluded —
-// they describe the service, not the run.
-func DefaultMatch(name string) bool {
+// match selects the run-relevant families: engine counters, per-node pool
+// gauges, and feature-store series. HTTP server series are excluded — they
+// describe the service, not the run.
+func match(name string) bool {
 	for _, p := range []string{"vista_engine_", "vista_pool_", "vista_featurestore_"} {
 		if strings.HasPrefix(name, p) {
 			return true
@@ -57,11 +55,6 @@ type Config struct {
 	Trace *obs.Span
 	// Every is the sample period (0 = DefaultEvery).
 	Every time.Duration
-	// Capacity is the ring size in frames (0 = DefaultCapacity). When the
-	// run outlives the ring, the oldest frames are overwritten and counted.
-	Capacity int
-	// Match selects series families by name (nil = DefaultMatch).
-	Match func(name string) bool
 	// Clock supplies time and the sampling ticker (nil = the real clock).
 	// Tests inject a fake to step the loop deterministically.
 	Clock clock.Clock
@@ -86,29 +79,6 @@ func (f Frame) Value(key string) (float64, bool) {
 	return v, ok
 }
 
-// Sum adds up every series in the frame belonging to the named family whose
-// rendered labels contain all the given pairs — e.g. summing
-// vista_pool_used_bytes{pool="storage"} across nodes.
-func (f Frame) Sum(name string, labels ...obs.Label) float64 {
-	var total float64
-	for key, v := range f.Values {
-		if key != name && !strings.HasPrefix(key, name+"{") {
-			continue
-		}
-		ok := true
-		for _, l := range labels {
-			if !strings.Contains(key, l.Key+`="`+l.Value+`"`) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			total += v
-		}
-	}
-	return total
-}
-
 // Recording is a finished sampling session, frames oldest to newest.
 type Recording struct {
 	// Every is the configured sample period.
@@ -117,7 +87,8 @@ type Recording struct {
 	Start, End time.Time
 	// Frames are the retained samples in time order.
 	Frames []Frame
-	// Dropped counts frames overwritten by the ring before Stop.
+	// Dropped counts the oldest frames overwritten once the recording held
+	// maxFrames.
 	Dropped int
 }
 
@@ -138,29 +109,20 @@ func (r *Recording) SeriesKeys() []string {
 	return keys
 }
 
-// ValueAt returns the named series' value in the latest frame taken at or
-// before t (0, false when no frame qualifies) — the primitive CompareSeries
-// uses to read cumulative counters at stage boundaries.
-func (r *Recording) ValueAt(key string, t time.Time) (float64, bool) {
-	for i := len(r.Frames) - 1; i >= 0; i-- {
-		if !r.Frames[i].T.After(t) {
-			v, ok := r.Frames[i].Value(key)
-			return v, ok
-		}
-	}
-	return 0, false
-}
-
 // Sampler snapshots a registry on a fixed period. Start it before the run,
 // Stop it after; Stop returns the Recording.
 type Sampler struct {
-	cfg   Config
-	clk   clock.Clock
-	ring  []atomic.Pointer[Frame]
-	head  atomic.Int64 // total frames ever written
-	stop  chan struct{}
-	done  chan struct{}
-	start time.Time
+	cfg Config
+	clk clock.Clock
+	// frames is a ring once it holds maxFrames; n counts frames ever taken.
+	// Start's first frame is taken before the loop goroutine starts and
+	// Stop's last one after it exits, so the goroutine is their only writer
+	// in between and nothing reads them until Stop.
+	frames []Frame
+	n      int
+	stop   chan struct{}
+	done   chan struct{}
+	start  time.Time
 }
 
 // Start begins sampling in a background goroutine. It takes one frame
@@ -170,16 +132,9 @@ func Start(cfg Config) *Sampler {
 	if cfg.Every <= 0 {
 		cfg.Every = DefaultEvery
 	}
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultCapacity
-	}
-	if cfg.Match == nil {
-		cfg.Match = DefaultMatch
-	}
 	s := &Sampler{
 		cfg:  cfg,
 		clk:  clock.Or(cfg.Clock),
-		ring: make([]atomic.Pointer[Frame], cfg.Capacity),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -206,17 +161,18 @@ func (s *Sampler) loop() {
 	}
 }
 
-// sample takes one frame. Single writer: only the Start goroutine (first
-// frame) and the loop goroutine call it, never concurrently.
+// sample takes one frame, overwriting the oldest once the recording is full.
 func (s *Sampler) sample(t time.Time) {
-	f := &Frame{T: t, Values: make(map[string]float64)}
-	for _, sm := range s.cfg.Registry.Samples(s.cfg.Match) {
+	f := Frame{T: t, Stage: openStage(s.cfg.Trace), Values: make(map[string]float64)}
+	for _, sm := range s.cfg.Registry.Samples(match) {
 		f.Values[sm.Key()] = sm.Value
 	}
-	f.Stage = openStage(s.cfg.Trace)
-	h := s.head.Load()
-	s.ring[h%int64(len(s.ring))].Store(f)
-	s.head.Store(h + 1)
+	if len(s.frames) < maxFrames {
+		s.frames = append(s.frames, f)
+	} else {
+		s.frames[s.n%maxFrames] = f
+	}
+	s.n++
 }
 
 // openStage returns the name of the last top-level child span of root that
@@ -241,19 +197,16 @@ func (s *Sampler) Stop() *Recording {
 	<-s.done
 	s.sample(s.clk.Now())
 
-	h := s.head.Load()
-	n := h
-	if max := int64(len(s.ring)); n > max {
-		n = max
+	frames := s.frames
+	if s.n > maxFrames {
+		oldest := s.n % maxFrames
+		frames = append(frames[oldest:len(frames):len(frames)], frames[:oldest]...)
 	}
-	rec := &Recording{Every: s.cfg.Every, Start: s.start, Dropped: int(h - n)}
-	for i := h - n; i < h; i++ {
-		if f := s.ring[i%int64(len(s.ring))].Load(); f != nil {
-			rec.Frames = append(rec.Frames, *f)
-		}
+	return &Recording{
+		Every:   s.cfg.Every,
+		Start:   s.start,
+		End:     frames[len(frames)-1].T,
+		Frames:  frames,
+		Dropped: s.n - len(frames),
 	}
-	if len(rec.Frames) > 0 {
-		rec.End = rec.Frames[len(rec.Frames)-1].T
-	}
-	return rec
 }

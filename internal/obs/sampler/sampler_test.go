@@ -21,7 +21,7 @@ func TestSamplerRecordsChangingValues(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := reg.Gauge("vista_pool_used_bytes", "pool", obs.Label{Key: "node", Value: "0"}, obs.Label{Key: "pool", Value: "storage"})
 	g.Set(100)
-	reg.Counter("unrelated_total", "excluded by DefaultMatch").Inc()
+	reg.Counter("unrelated_total", "excluded by match").Inc()
 
 	s := Start(Config{Registry: reg, Every: time.Hour})
 	g.Set(250)
@@ -42,7 +42,7 @@ func TestSamplerRecordsChangingValues(t *testing.T) {
 	}
 	for _, f := range rec.Frames {
 		if _, ok := f.Value("unrelated_total"); ok {
-			t.Errorf("DefaultMatch leaked unrelated series into frame %v", f)
+			t.Errorf("match leaked unrelated series into frame %v", f)
 		}
 	}
 }
@@ -81,54 +81,37 @@ func TestSamplerStageMarkers(t *testing.T) {
 func TestSamplerRingOverwrite(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := reg.Counter("vista_engine_tasks_total", "tasks")
-	s := Start(Config{Registry: reg, Every: time.Hour, Capacity: 4})
-	for i := 0; i < 10; i++ {
+	s := Start(Config{Registry: reg, Every: time.Hour})
+	const manual = maxFrames + 8
+	for i := 0; i < manual; i++ {
 		c.Inc()
 		sampleAt(s, fixedBase.Add(time.Duration(i)*time.Millisecond))
 	}
 	rec := s.Stop()
 
-	if len(rec.Frames) != 4 {
-		t.Fatalf("frames = %d, want ring capacity 4", len(rec.Frames))
+	if len(rec.Frames) != maxFrames {
+		t.Fatalf("frames = %d, want the bound %d", len(rec.Frames), maxFrames)
 	}
-	// 12 total samples (initial + 10 manual + final), 4 retained.
-	if rec.Dropped != 8 {
-		t.Errorf("dropped = %d, want 8", rec.Dropped)
+	// manual+2 total samples (initial + manual + final), maxFrames retained.
+	if want := manual + 2 - maxFrames; rec.Dropped != want {
+		t.Errorf("dropped = %d, want %d", rec.Dropped, want)
 	}
-	// Retained frames are the newest, in time order.
-	for i := 1; i < len(rec.Frames); i++ {
+	// Retained frames are the newest, in time order: the oldest retained is
+	// manual sample 9, the newest Stop's final frame.
+	if v, _ := rec.Frames[0].Value("vista_engine_tasks_total"); v != 10 {
+		t.Errorf("oldest retained frame counter = %v, want 10", v)
+	}
+	for i := 1; i < len(rec.Frames)-1; i++ {
 		if rec.Frames[i].T.Before(rec.Frames[i-1].T) {
-			t.Errorf("frames out of order: %v then %v", rec.Frames[i-1].T, rec.Frames[i].T)
+			t.Fatalf("frames out of order at %d: %v then %v", i, rec.Frames[i-1].T, rec.Frames[i].T)
 		}
 	}
-	if v, _ := rec.Frames[len(rec.Frames)-1].Value("vista_engine_tasks_total"); v != 10 {
-		t.Errorf("newest retained frame counter = %v, want 10", v)
+	if v, _ := rec.Frames[len(rec.Frames)-1].Value("vista_engine_tasks_total"); v != manual {
+		t.Errorf("newest retained frame counter = %v, want %d", v, manual)
 	}
 }
 
-func TestFrameSum(t *testing.T) {
-	f := Frame{Values: map[string]float64{
-		`vista_pool_used_bytes{node="0",pool="storage"}`: 100,
-		`vista_pool_used_bytes{node="1",pool="storage"}`: 50,
-		`vista_pool_used_bytes{node="0",pool="user"}`:    7,
-		"vista_engine_bytes_spilled_total":               3,
-	}}
-	if got := f.Sum("vista_pool_used_bytes", obs.Label{Key: "pool", Value: "storage"}); got != 150 {
-		t.Errorf("storage sum = %v, want 150", got)
-	}
-	if got := f.Sum("vista_pool_used_bytes"); got != 157 {
-		t.Errorf("family sum = %v, want 157", got)
-	}
-	if got := f.Sum("vista_engine_bytes_spilled_total"); got != 3 {
-		t.Errorf("label-less sum = %v, want 3", got)
-	}
-	// A family sharing a prefix must not match.
-	if got := f.Sum("vista_pool_used"); got != 0 {
-		t.Errorf("prefix-only name matched: %v", got)
-	}
-}
-
-func TestRecordingValueAtAndKeys(t *testing.T) {
+func TestRecordingSeriesKeys(t *testing.T) {
 	rec := &Recording{Frames: []Frame{
 		{T: fixedBase, Values: map[string]float64{"a": 1}},
 		{T: fixedBase.Add(10 * time.Millisecond), Values: map[string]float64{"a": 2, "b": 9}},
@@ -137,18 +120,6 @@ func TestRecordingValueAtAndKeys(t *testing.T) {
 	keys := rec.SeriesKeys()
 	if len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
 		t.Errorf("SeriesKeys = %v, want [a b]", keys)
-	}
-	if v, ok := rec.ValueAt("a", fixedBase.Add(15*time.Millisecond)); !ok || v != 2 {
-		t.Errorf("ValueAt(a, 15ms) = %v,%v, want 2", v, ok)
-	}
-	if v, ok := rec.ValueAt("a", fixedBase.Add(time.Hour)); !ok || v != 3 {
-		t.Errorf("ValueAt(a, +1h) = %v,%v, want 3", v, ok)
-	}
-	if _, ok := rec.ValueAt("a", fixedBase.Add(-time.Second)); ok {
-		t.Error("ValueAt before first frame should miss")
-	}
-	if _, ok := rec.ValueAt("b", fixedBase); ok {
-		t.Error("ValueAt for a key absent from the qualifying frame should miss")
 	}
 }
 

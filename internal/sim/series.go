@@ -10,52 +10,27 @@ import (
 	"repro/internal/obs/sampler"
 )
 
-// This file validates the simulator's memory-model predictions *continuously*
-// rather than against end-of-run totals: CompareSeries buckets a run's
-// sampled time series (pool gauges, spill counters) into the per-stage
-// windows of the measured span tree and lines each window up against the
-// abstract memory model's predictions for that stage — peak storage-pool
-// occupancy (Section 4.1, Eqs. 9–15, via the intermediate-size estimates of
-// Eq. 16) and spill volume. Like CompareTrace, absolute scales only match
-// when the simulated workload mirrors the measured one (same rows and image
-// bytes); the per-stage *shape* of the occupancy curve is the signal either
-// way, and sustained drift in one stage points at the term of the model that
-// prices it.
+// This file validates the simulator's memory-model predictions against what a
+// real run's storage held: CompareSeries lines the abstract memory model's
+// run-level predictions — peak storage-pool occupancy (Section 4.1,
+// Eqs. 9–15, via the intermediate-size estimates of Eq. 16) and spill volume —
+// up against the engine's exact counters. Like CompareTrace, absolute scales
+// only match when the simulated workload mirrors the measured one (same rows
+// and image bytes).
 
-// Series keys the comparison reads from sampled frames (registered by
-// dataflow.RegisterMetrics).
+// Series keys the comparison reads from a recording's final frame (registered
+// by dataflow.RegisterMetrics): the engine's high-water mark of storage-pool
+// bytes across nodes, and its cumulative spill volume.
 const (
-	storagePoolSeries = "vista_pool_used_bytes"
+	peakStorageSeries = "vista_engine_peak_storage_bytes"
 	spillBytesSeries  = "vista_engine_bytes_spilled_total"
 )
 
-// StageSeries is one stage's predicted-vs-sampled memory behaviour.
-type StageSeries struct {
-	// Stage is the span label ("ingest", "join", "infer:fc6", ...).
-	Stage string
-	// Cached marks a feature-store attach stage (see StageComparison.Cached).
-	Cached bool
-	// Frames is how many sampled frames fell inside the stage's window; with
-	// zero frames (stage shorter than the sample period) the measured fields
-	// are unknown, not zero.
-	Frames int
-	// PredStorageBytes is the model's cluster-wide storage-pool occupancy
-	// while this stage runs (0 = the model does not price the stage).
-	PredStorageBytes int64
-	// MeasPeakStorageBytes is the sampled peak of the storage-pool gauges
-	// (summed across nodes) inside the stage's window.
-	MeasPeakStorageBytes int64
-	// PredSpillBytes and MeasSpillBytes are the stage's spill volume: the
-	// model's attribution versus the sampled spill counter's delta across
-	// the window.
-	PredSpillBytes int64
-	MeasSpillBytes int64
-}
-
-// SeriesReport is the full per-stage validation plus run totals.
+// SeriesReport is one run's predicted-vs-measured memory behaviour.
 type SeriesReport struct {
-	Stages []StageSeries
-	// PredPeakStorageBytes / MeasPeakStorageBytes are the run-wide peaks.
+	// PredPeakStorageBytes is the model's largest cluster-wide storage-pool
+	// occupancy over the run's stages; MeasPeakStorageBytes is the engine's
+	// high-water mark of the same pools.
 	PredPeakStorageBytes int64
 	MeasPeakStorageBytes int64
 	// PredSpillBytes / MeasSpillBytes are the run-wide spill volumes.
@@ -63,118 +38,66 @@ type SeriesReport struct {
 	MeasSpillBytes int64
 }
 
-// CompareSeries buckets rec's frames into the per-stage windows of the
-// measured span tree and pairs each stage's sampled peak storage occupancy
-// and spill-volume delta with the simulator's prediction for that stage:
+// CompareSeries pairs the run's measured peak storage and spill volume with
+// the simulator's prediction. The prediction walks the stages of the measured
+// span tree — the largest per-stage occupancy is the predicted peak and the
+// per-stage spill volumes add up:
 //
 //	ingest, join      → BaseStorageBytes (both base tables resident)
 //	infer:<l>         → the layer's LiveStorageBytes; its SpilledBytes
 //	premat:<l>        → same (the base pass materializes the layer's table)
 //	cache:<l>         → the layer's LiveStorageBytes (attach loads the same
-//	                    table), flagged Cached
+//	                    table) and SpilledBytes
 //	train:<l>         → the layer's LiveStorageBytes (its table stays live)
 //
-// A crashed simulation yields all-zero predictions; the measurements remain.
+// The measurement is rec's final frame, which the sampler takes after the
+// last stage while the engine is still open. A crashed simulation yields
+// zero predictions; the measurements remain.
 func CompareSeries(r Result, trace *obs.Span, rec *sampler.Recording) SeriesReport {
+	var rep SeriesReport
+	if n := len(rec.Frames); n > 0 {
+		last := rec.Frames[n-1]
+		peak, _ := last.Value(peakStorageSeries)
+		spill, _ := last.Value(spillBytesSeries)
+		rep.MeasPeakStorageBytes, rep.MeasSpillBytes = int64(peak), int64(spill)
+	}
+	if r.Crash != nil {
+		return rep
+	}
 	byLayer := make(map[string]LayerCost, len(r.Layers))
 	for _, lc := range r.Layers {
 		byLayer[lc.Layer] = lc
 	}
-	predict := func(label string) (storage, spill int64) {
-		if r.Crash != nil {
-			return 0, 0
-		}
-		name, layer, _ := strings.Cut(label, ":")
+	for _, sp := range trace.Children() {
+		var storage, spill int64
+		name, layer, _ := strings.Cut(sp.Name(), ":")
 		switch name {
 		case "ingest", "join":
-			return r.BaseStorageBytes, 0
+			storage = r.BaseStorageBytes
 		case "infer", "premat", "cache":
-			lc := byLayer[layer]
-			return lc.LiveStorageBytes, lc.SpilledBytes
+			storage, spill = byLayer[layer].LiveStorageBytes, byLayer[layer].SpilledBytes
 		case "train":
-			return byLayer[layer].LiveStorageBytes, 0
+			storage = byLayer[layer].LiveStorageBytes
 		}
-		return 0, 0
-	}
-
-	var rep SeriesReport
-	traceEnd := trace.Start()
-	if t, ok := trace.EndTime(); ok {
-		traceEnd = t
-	}
-	for _, sp := range trace.Children() {
-		start := sp.Start()
-		end, ended := sp.EndTime()
-		if !ended {
-			end = traceEnd
-		}
-		row := StageSeries{
-			Stage:  sp.Name(),
-			Cached: strings.HasPrefix(sp.Name(), "cache:"),
-		}
-		row.PredStorageBytes, row.PredSpillBytes = predict(sp.Name())
-
-		var peak float64
-		for _, f := range rec.Frames {
-			if f.T.Before(start) || f.T.After(end) {
-				continue
-			}
-			row.Frames++
-			if v := f.Sum(storagePoolSeries, obs.Label{Key: "pool", Value: "storage"}); v > peak {
-				peak = v
-			}
-		}
-		row.MeasPeakStorageBytes = int64(peak)
-		at, _ := rec.ValueAt(spillBytesSeries, start)
-		to, _ := rec.ValueAt(spillBytesSeries, end)
-		if d := to - at; d > 0 {
-			row.MeasSpillBytes = int64(d)
-		}
-
-		rep.Stages = append(rep.Stages, row)
-		if row.PredStorageBytes > rep.PredPeakStorageBytes {
-			rep.PredPeakStorageBytes = row.PredStorageBytes
-		}
-		if row.MeasPeakStorageBytes > rep.MeasPeakStorageBytes {
-			rep.MeasPeakStorageBytes = row.MeasPeakStorageBytes
-		}
-		rep.PredSpillBytes += row.PredSpillBytes
-		rep.MeasSpillBytes += row.MeasSpillBytes
+		rep.PredPeakStorageBytes = max(rep.PredPeakStorageBytes, storage)
+		rep.PredSpillBytes += spill
 	}
 	return rep
 }
 
-// RenderSeriesReport writes the validation as an aligned table — one row per
-// stage, a totals row, and a drift note per stage where both sides are
-// non-zero.
+// RenderSeriesReport writes the validation as a two-row table: estimated vs
+// measured peak storage, and estimated vs measured spill, each with its
+// drift ratio where both sides are non-zero.
 func RenderSeriesReport(w io.Writer, rep SeriesReport) {
-	width := len("stage")
-	for _, s := range rep.Stages {
-		if len(s.Stage) > width {
-			width = len(s.Stage)
-		}
-	}
-	fmt.Fprintf(w, "%-*s  %7s  %12s %12s  %12s %12s\n", width, "stage",
-		"frames", "est peak", "meas peak", "est spill", "meas spill")
-	for _, s := range rep.Stages {
-		meas, spill := "-", "-"
-		if s.Frames > 0 {
-			meas = memory.FormatBytes(s.MeasPeakStorageBytes)
-			spill = memory.FormatBytes(s.MeasSpillBytes)
-		}
+	fmt.Fprintf(w, "%-13s  %12s %12s\n", "", "estimated", "measured")
+	row := func(label string, est, meas int64) {
 		note := ""
-		if s.Cached {
-			note = "  (cached)"
-		} else if s.Frames > 0 && s.PredStorageBytes > 0 && s.MeasPeakStorageBytes > 0 {
-			note = fmt.Sprintf("  (peak drift %.2fx)",
-				float64(s.MeasPeakStorageBytes)/float64(s.PredStorageBytes))
+		if est > 0 && meas > 0 {
+			note = fmt.Sprintf("  (drift %.2fx)", float64(meas)/float64(est))
 		}
-		fmt.Fprintf(w, "%-*s  %7d  %12s %12s  %12s %12s%s\n", width, s.Stage,
-			s.Frames,
-			memory.FormatBytes(s.PredStorageBytes), meas,
-			memory.FormatBytes(s.PredSpillBytes), spill, note)
+		fmt.Fprintf(w, "%-13s  %12s %12s%s\n", label,
+			memory.FormatBytes(est), memory.FormatBytes(meas), note)
 	}
-	fmt.Fprintf(w, "%-*s  %7s  %12s %12s  %12s %12s\n", width, "total", "",
-		memory.FormatBytes(rep.PredPeakStorageBytes), memory.FormatBytes(rep.MeasPeakStorageBytes),
-		memory.FormatBytes(rep.PredSpillBytes), memory.FormatBytes(rep.MeasSpillBytes))
+	row("peak storage", rep.PredPeakStorageBytes, rep.MeasPeakStorageBytes)
+	row("spill", rep.PredSpillBytes, rep.MeasSpillBytes)
 }

@@ -12,7 +12,8 @@ import (
 const testMB = 1 << 20
 
 // simulatedWithStorage extends the shared fixture with the memory-model
-// fields CompareSeries reads.
+// fields CompareSeries reads. Layer fc8 is priced but absent from
+// measuredTrace, so it must not reach the prediction.
 func simulatedWithStorage() Result {
 	r := simulated()
 	r.BaseStorageBytes = 1 * testMB
@@ -20,22 +21,24 @@ func simulatedWithStorage() Result {
 	r.Layers[0].LiveStorageBytes = 4 * testMB
 	r.Layers[0].SpilledBytes = 1 * testMB
 	r.Layers[1].LiveStorageBytes = 2 * testMB
+	r.Layers = append(r.Layers, LayerCost{Layer: "fc8", LiveStorageBytes: 9 * testMB, SpilledBytes: 3 * testMB})
 	return r
 }
 
-// measuredRecording builds frames aligned with measuredTrace's stage windows:
-// two storage-pool gauges (summed across nodes) and a cumulative spill
-// counter that jumps by 1 MiB mid-infer.
+// measuredRecording builds a recording whose final frame carries the engine's
+// peak-storage and spill counters. Earlier frames hold other values, and the
+// pool gauges disagree with the counters: only the final frame's counters may
+// be read.
 func measuredRecording() *sampler.Recording {
 	t0 := time.Unix(0, 0)
-	frame := func(ms int, stage string, poolMB0, poolMB1, spillMB float64) sampler.Frame {
+	frame := func(ms int, stage string, peakMB, spillMB, poolMB float64) sampler.Frame {
 		return sampler.Frame{
 			T: t0.Add(time.Duration(ms) * time.Millisecond), Stage: stage,
 			Values: map[string]float64{
-				`vista_pool_used_bytes{node="0",pool="storage"}`: poolMB0 * testMB,
-				`vista_pool_used_bytes{node="1",pool="storage"}`: poolMB1 * testMB,
-				`vista_pool_used_bytes{node="0",pool="user"}`:    64 * testMB, // must not count
+				"vista_engine_peak_storage_bytes":                peakMB * testMB,
 				"vista_engine_bytes_spilled_total":               spillMB * testMB,
+				`vista_pool_used_bytes{node="0",pool="storage"}`: poolMB * testMB,
+				`vista_pool_used_bytes{node="1",pool="storage"}`: poolMB * testMB,
 			},
 		}
 	}
@@ -43,60 +46,26 @@ func measuredRecording() *sampler.Recording {
 		Every: 10 * time.Millisecond,
 		Start: t0, End: t0.Add(900 * time.Millisecond),
 		Frames: []sampler.Frame{
-			frame(50, "ingest", 0.5, 0.4, 0),
-			frame(120, "join", 0.6, 0.5, 0),
-			frame(200, "infer:fc6", 1.5, 1.5, 0),
-			frame(400, "infer:fc6", 2.5, 2.0, 1),
-			frame(700, "train:fc6", 2.0, 2.0, 1),
-			frame(860, "cache:fc7", 1.0, 1.0, 1),
+			frame(0, "", 0, 0, 0),
+			frame(400, "infer:fc6", 5, 1, 2.5),
+			frame(900, "", 6.5, 1.5, 1),
 		},
 	}
 }
 
 func TestCompareSeries(t *testing.T) {
 	rep := CompareSeries(simulatedWithStorage(), measuredTrace(), measuredRecording())
-	if len(rep.Stages) != 5 {
-		t.Fatalf("got %d stages, want 5", len(rep.Stages))
+	want := SeriesReport{
+		// max(base 1, infer/train fc6 4, cache fc7 2) and fc6's spill; fc8
+		// never ran.
+		PredPeakStorageBytes: 4 * testMB,
+		PredSpillBytes:       1 * testMB,
+		// The final frame's counters, exactly.
+		MeasPeakStorageBytes: int64(6.5 * testMB),
+		MeasSpillBytes:       int64(1.5 * testMB),
 	}
-	want := []struct {
-		stage              string
-		cached             bool
-		frames             int
-		predMB, measPeakMB float64
-		predSpillMB        float64
-		measSpillMB        float64
-	}{
-		{"ingest", false, 1, 1, 0.9, 0, 0},
-		{"join", false, 1, 1, 1.1, 0, 0},
-		{"infer:fc6", false, 2, 4, 4.5, 1, 1},
-		{"train:fc6", false, 1, 4, 4.0, 0, 0},
-		{"cache:fc7", true, 1, 2, 2.0, 0, 0},
-	}
-	for i, w := range want {
-		s := rep.Stages[i]
-		if s.Stage != w.stage || s.Cached != w.cached || s.Frames != w.frames {
-			t.Errorf("row %d = %q cached=%v frames=%d, want %q/%v/%d",
-				i, s.Stage, s.Cached, s.Frames, w.stage, w.cached, w.frames)
-		}
-		if s.PredStorageBytes != int64(w.predMB*testMB) {
-			t.Errorf("%s pred storage = %d, want %v MiB", w.stage, s.PredStorageBytes, w.predMB)
-		}
-		if s.MeasPeakStorageBytes != int64(w.measPeakMB*testMB) {
-			t.Errorf("%s meas peak = %d, want %v MiB", w.stage, s.MeasPeakStorageBytes, w.measPeakMB)
-		}
-		if s.PredSpillBytes != int64(w.predSpillMB*testMB) {
-			t.Errorf("%s pred spill = %d, want %v MiB", w.stage, s.PredSpillBytes, w.predSpillMB)
-		}
-		if s.MeasSpillBytes != int64(w.measSpillMB*testMB) {
-			t.Errorf("%s meas spill = %d, want %v MiB", w.stage, s.MeasSpillBytes, w.measSpillMB)
-		}
-	}
-	if rep.PredPeakStorageBytes != 4*testMB || rep.MeasPeakStorageBytes != int64(4.5*testMB) {
-		t.Errorf("run peaks = %d/%d, want 4 MiB / 4.5 MiB",
-			rep.PredPeakStorageBytes, rep.MeasPeakStorageBytes)
-	}
-	if rep.PredSpillBytes != 1*testMB || rep.MeasSpillBytes != 1*testMB {
-		t.Errorf("run spill = %d/%d, want 1 MiB both", rep.PredSpillBytes, rep.MeasSpillBytes)
+	if rep != want {
+		t.Errorf("report = %+v, want %+v", rep, want)
 	}
 }
 
@@ -104,33 +73,27 @@ func TestCompareSeriesCrashedSim(t *testing.T) {
 	r := simulatedWithStorage()
 	r.Crash = errors.New("storage exhausted")
 	rep := CompareSeries(r, measuredTrace(), measuredRecording())
-	for _, s := range rep.Stages {
-		if s.PredStorageBytes != 0 || s.PredSpillBytes != 0 {
-			t.Errorf("%s predicted %d/%d on a crashed sim", s.Stage, s.PredStorageBytes, s.PredSpillBytes)
-		}
+	if rep.PredPeakStorageBytes != 0 || rep.PredSpillBytes != 0 {
+		t.Errorf("predicted %d/%d on a crashed sim", rep.PredPeakStorageBytes, rep.PredSpillBytes)
 	}
 	// Measurements survive the crash.
-	if rep.MeasPeakStorageBytes == 0 || rep.MeasSpillBytes == 0 {
+	if rep.MeasPeakStorageBytes != int64(6.5*testMB) || rep.MeasSpillBytes != int64(1.5*testMB) {
 		t.Errorf("measurements lost: peak=%d spill=%d", rep.MeasPeakStorageBytes, rep.MeasSpillBytes)
 	}
 }
 
-func TestCompareSeriesEmptyWindow(t *testing.T) {
-	// A stage shorter than the sample period catches no frames: unknown, not
-	// zero.
+func TestCompareSeriesMissingCounters(t *testing.T) {
+	// A final frame without the engine counters, and a recording without
+	// frames, measure nothing rather than failing.
 	rec := measuredRecording()
-	rec.Frames = rec.Frames[:1] // only the ingest frame remains
-	rep := CompareSeries(simulatedWithStorage(), measuredTrace(), rec)
-	for _, s := range rep.Stages[1:] {
-		if s.Frames != 0 {
-			t.Errorf("%s caught %d frames, want 0", s.Stage, s.Frames)
+	rec.Frames = append(rec.Frames, sampler.Frame{T: rec.End, Values: map[string]float64{}})
+	for _, rec := range []*sampler.Recording{rec, {}} {
+		rep := CompareSeries(simulatedWithStorage(), measuredTrace(), rec)
+		if rep.MeasPeakStorageBytes != 0 || rep.MeasSpillBytes != 0 {
+			t.Errorf("measured %d/%d without counters", rep.MeasPeakStorageBytes, rep.MeasSpillBytes)
 		}
-	}
-	var b strings.Builder
-	RenderSeriesReport(&b, rep)
-	for _, line := range strings.Split(b.String(), "\n") {
-		if strings.HasPrefix(line, "join") && !strings.Contains(line, "-") {
-			t.Errorf("frameless stage should render '-' measurements: %q", line)
+		if rep.PredPeakStorageBytes != 4*testMB {
+			t.Errorf("prediction = %d, want 4 MiB", rep.PredPeakStorageBytes)
 		}
 	}
 }
@@ -138,16 +101,19 @@ func TestCompareSeriesEmptyWindow(t *testing.T) {
 func TestRenderSeriesReport(t *testing.T) {
 	var b strings.Builder
 	RenderSeriesReport(&b, CompareSeries(simulatedWithStorage(), measuredTrace(), measuredRecording()))
-	out := b.String()
-	for _, want := range []string{
-		"stage", "frames", "est peak", "meas peak", "est spill", "meas spill",
-		"infer:fc6", "4.0 MB", "4.5 MB", // infer row: prediction and sampled peak
-		"(peak drift 1.12x)", // 4.5/4.0
-		"(cached)",           // the cache:fc7 row is labeled, not compared
-		"total",
+	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("rendered %d lines, want a header and two rows:\n%s", len(lines), b.String())
+	}
+	for i, want := range [][]string{
+		{"estimated", "measured"},
+		{"peak storage", "4.0 MB", "6.5 MB", "(drift 1.62x)"},
+		{"spill", "1.0 MB", "1.5 MB", "(drift 1.50x)"},
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("rendered report missing %q:\n%s", want, out)
+		for _, w := range want {
+			if !strings.Contains(lines[i], w) {
+				t.Errorf("line %d = %q, missing %q", i, lines[i], w)
+			}
 		}
 	}
 }

@@ -59,9 +59,8 @@ type LayerCost struct {
 	// SpillSec is disk-spill I/O attributed to this layer's stage.
 	SpillSec float64
 	// LiveStorageBytes is the predicted cluster-wide storage-pool occupancy
-	// while this layer's table is live, capped at the storage budget — the
-	// quantity a sampled vista_pool_used_bytes{pool="storage"} gauge should
-	// track (CompareSeries reads it).
+	// while this layer's table is live, capped at the storage budget
+	// (CompareSeries takes the run's peak over them).
 	LiveStorageBytes int64
 	// SpilledBytes is the spill volume attributed to this layer's stage.
 	SpilledBytes int64

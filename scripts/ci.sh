@@ -263,7 +263,8 @@ rm -rf "$calib_tmp"
 
 echo "== calibration closed-loop smoke (-auto-calibrate) =="
 # Mis-calibrate a server the way an operator would: seed -calib-profile with a
-# storage factor 3x off, and turn the feedback loop on. Assert the loop end to
+# storage factor of 10, and turn the feedback loop on. These runs hold about
+# 1.9x the paper model's bytes, so the seed puts storage drift near 0.19. Assert the loop end to
 # end: the seeded factor shows up as out-of-band storage drift, a refit fits
 # and persists a new factor (visible on /metrics as vista_calib_profile_*),
 # fresh traffic recorded under it brings the storage drift ratio back inside
@@ -273,7 +274,7 @@ loop_tmp=$(mktemp -d)
 loop_port=$((20000 + RANDOM % 10000))
 go build -o "$loop_tmp/vista-server" ./cmd/vista-server
 go build -o "$loop_tmp/vista" ./cmd/vista
-echo '{"version":2,"fitted_at":"2026-01-01T00:00:00Z","refits":0,"storage_scale":3,"samples":0}' \
+echo '{"version":2,"fitted_at":"2026-01-01T00:00:00Z","refits":0,"storage_scale":10,"samples":0}' \
     >"$loop_tmp/profile.json"
 "$loop_tmp/vista-server" -addr "127.0.0.1:$loop_port" -feature-cache-mb 0 \
     -calib-log "$loop_tmp/calib.log" -calib-half-life 5s \
@@ -299,7 +300,7 @@ in_band() {
     awk -v d="$1" 'BEGIN { exit !(d >= 0.5 && d <= 2.0) }'
 }
 for _ in 1 2 3; do loop_run; done
-# Probe A: estimates inflated 3x put the storage drift ratio near 1/3.
+# Probe A: estimates inflated 10x put the storage drift ratio near 1.9/10.
 curl -sf "http://127.0.0.1:$loop_port/metrics" >"$loop_tmp/metrics_a.txt"
 drift_a=$(storage_drift "$loop_tmp/metrics_a.txt")
 if in_band "$drift_a"; then
@@ -316,7 +317,7 @@ for i in $(seq 1 40); do
     fi
     sleep 0.5
 done
-if grep -q '^vista_calib_profile_scale{stage="storage"} 3$' "$loop_tmp/metrics.txt"; then
+if grep -q '^vista_calib_profile_scale{stage="storage"} 10$' "$loop_tmp/metrics.txt"; then
     echo "closed-loop smoke: vista_calib_profile_scale still reports the seeded factor" >&2
     exit 1
 fi
