@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -53,6 +54,33 @@ func TestRunSaveDataAndModels(t *testing.T) {
 	o2.dataDir = o.saveData
 	if _, _, err := runBuf(o2); err != nil {
 		t.Fatalf("run from saved data: %v", err)
+	}
+}
+
+// deflateEraImage is a 1×2×3 image as builds before the raw float32 image
+// format saved it (deflate-compressed rank, dims and payload).
+const deflateEraImage = "\x04\xc0\x01\x01\x00\x10\x10\x03\xc0\xe3{\x99h\x8b\"\xaa\x1b,l\f\x80\x1e\x84\x1b\x1a^~\x00\x00\x00\xff\xff"
+
+// TestRunRefusesDeflateEraDataset: -data over a directory saved by an earlier
+// build fails before any run, naming the image file and the format it lacks.
+func TestRunRefusesDeflateEraDataset(t *testing.T) {
+	dir := t.TempDir()
+	img := filepath.Join(dir, "images", "0.img")
+	if err := os.MkdirAll(filepath.Dir(img), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "structured.csv"), []byte("0,1,0.5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(img, []byte(deflateEraImage), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o := smallOpts(t)
+	o.dataDir = dir
+	_, _, err := runBuf(o)
+	if !errors.Is(err, tensor.ErrCorrupt) || !strings.Contains(err.Error(), img) ||
+		!strings.Contains(err.Error(), "raw float32 image") || !strings.Contains(err.Error(), "-save-data") {
+		t.Fatalf("run over a deflate-era dataset: %v", err)
 	}
 }
 

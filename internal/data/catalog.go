@@ -6,6 +6,7 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/featurestore"
 	"repro/internal/lru"
+	"repro/internal/tensor"
 )
 
 // Tables is one generated dataset with what every run over it needs, computed
@@ -43,9 +44,9 @@ func (t *Tables) Bytes() int64 {
 }
 
 // catalogBytes is every catalog's budget: the feature store's default, and
-// room for about 5000 rows of a 64×64 preset (a generated row is ≈ 43 KiB,
-// nearly all of it the compressed image, so the 100-row datasets of a typical
-// served workload are ≈ 4 MiB each). A constant, not a parameter: no caller
+// room for about 5000 rows of a 64×64 preset (a generated row is ≈ 49 KiB,
+// nearly all of it the float32 image, so the 100-row datasets of a typical
+// served workload are ≈ 4.7 MiB each). A constant, not a parameter: no caller
 // has a reason to pick another value.
 const catalogBytes = 256 << 20
 
@@ -141,10 +142,11 @@ func (c *Catalog) build(spec Spec) (*Tables, error) {
 	}, nil
 }
 
-// estimatedBytes sizes spec's tables before generating them: the float32
-// payloads uncompressed. Generated images are flate-compressed noise, about a
-// tenth smaller than this, so the estimate errs towards bypassing a dataset
-// that would have just fit, never towards generating one only to drop it.
+// estimatedBytes sizes spec's tables before generating them, exactly as
+// Bytes will: per row, two rows' fixed overhead, the structured floats and
+// the encoded image.
 func (s Spec) estimatedBytes() int64 {
-	return int64(s.Rows) * 4 * int64(3*s.ImageSize*s.ImageSize+s.StructDim)
+	overhead := (&dataflow.Row{}).MemBytes()
+	image := int64(tensor.EncodedBytes(tensor.Shape{3, s.ImageSize, s.ImageSize}))
+	return int64(s.Rows) * (2*overhead + 4*int64(s.StructDim) + image)
 }

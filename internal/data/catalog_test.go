@@ -46,7 +46,7 @@ func TestCatalogEntryCarriesItsStatistics(t *testing.T) {
 	if want := Stats(structRows, imageRows); tables.Stats != want {
 		t.Errorf("Stats = %+v, want %+v", tables.Stats, want)
 	}
-	if est := spec.estimatedBytes(); tables.Bytes() > est || tables.Bytes() < est/2 {
+	if est := spec.estimatedBytes(); tables.Bytes() != est {
 		t.Errorf("Bytes %d, but the pre-generation estimate was %d", tables.Bytes(), est)
 	}
 }
@@ -113,19 +113,10 @@ func TestCatalogSingleflight(t *testing.T) {
 }
 
 func TestCatalogEvictsLeastRecentlyUsedByBytes(t *testing.T) {
-	// Entries differ slightly in size (the images compress differently), so
-	// size the budget from the real ones: room for any two, not for three.
-	sizes := make(map[int64]int64)
-	var total int64
-	for _, seed := range []int64{1, 2, 3} {
-		tables, err := NewCatalog().Get(tinySpec(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sizes[seed] = tables.Bytes()
-		total += tables.Bytes()
-	}
-	c := newCatalog(total - 1)
+	// Every tinySpec entry charges the size its spec predicts: room for two,
+	// not for three.
+	size := tinySpec(1).estimatedBytes()
+	c := newCatalog(3*size - 1)
 	for _, seed := range []int64{1, 2} {
 		if _, err := c.Get(tinySpec(seed)); err != nil {
 			t.Fatal(err)
@@ -142,7 +133,7 @@ func TestCatalogEvictsLeastRecentlyUsedByBytes(t *testing.T) {
 			t.Errorf("entry %d resident = %v, want %v", seed, got, want)
 		}
 	}
-	if want := sizes[1] + sizes[3]; c.tables.Used() != want {
+	if want := 2 * size; c.tables.Used() != want {
 		t.Errorf("used = %d, want %d", c.tables.Used(), want)
 	}
 	// An evicted dataset is simply generated again.

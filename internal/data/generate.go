@@ -99,11 +99,7 @@ func Generate(spec Spec) (structRows, imageRows []dataflow.Row, err error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		blob, err := tensor.Encode(img)
-		if err != nil {
-			return nil, nil, err
-		}
-		imageRows[i] = dataflow.Row{ID: int64(i), Image: blob}
+		imageRows[i] = dataflow.Row{ID: int64(i), Image: tensor.Encode(img)}
 	}
 	return structRows, imageRows, nil
 }

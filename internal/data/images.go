@@ -142,15 +142,11 @@ func LoadImageDir(dir string, size int) ([]dataflow.Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("data: %s: %w", name, err)
 		}
-		blob, err := tensor.Encode(t)
-		if err != nil {
-			return nil, err
-		}
 		id := int64(i)
 		if n, err := parseNumericStem(name); err == nil {
 			id = n
 		}
-		rows = append(rows, dataflow.Row{ID: id, Image: blob})
+		rows = append(rows, dataflow.Row{ID: id, Image: tensor.Encode(t)})
 	}
 	return rows, nil
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"repro/internal/dataflow"
+	"repro/internal/tensor"
 )
 
 // This file persists multimodal datasets in the layout the paper's workloads
@@ -62,7 +63,9 @@ func Save(dir string, structRows, imageRows []dataflow.Row) error {
 }
 
 // Load reads a dataset saved by Save. Reading pays one file open per image,
-// like the paper's HDFS ingest.
+// like the paper's HDFS ingest, and decodes each image once to check it, so a
+// file in another format (an earlier build's deflate-compressed images) fails
+// here, named, rather than deep inside a run.
 func Load(dir string) (structRows, imageRows []dataflow.Row, err error) {
 	f, err := os.Open(filepath.Join(dir, structuredFile))
 	if err != nil {
@@ -98,10 +101,16 @@ func Load(dir string) (structRows, imageRows []dataflow.Row, err error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("data: load: bad image filename %q", name)
 		}
-		blob, err := os.ReadFile(filepath.Join(dir, imagesDir, name))
+		path := filepath.Join(dir, imagesDir, name)
+		blob, err := os.ReadFile(path)
 		if err != nil {
 			return nil, nil, fmt.Errorf("data: load image %d: %w", id, err)
 		}
+		img, err := tensor.Decode(blob)
+		if err != nil {
+			return nil, nil, fmt.Errorf("data: load %s: %w; a dataset saved by an earlier build must be re-saved with -save-data", path, err)
+		}
+		tensor.Recycle(img)
 		byID[id] = blob
 	}
 	for i := range structRows {

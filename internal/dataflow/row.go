@@ -27,7 +27,7 @@ const (
 )
 
 // Row is one record of a Vista table: the primary key, the downstream label,
-// the structured feature vector X, the raw (compressed) image payload I, and
+// the structured feature vector X, the encoded image payload I, and
 // any materialized feature layers carried as a TensorList (Section 3.3:
 // "Image and feature tensors are stored with our custom TensorList
 // datatype").
@@ -103,8 +103,8 @@ func (r *Row) Clone() Row {
 // Fixed-width words are little-endian. Nothing is compressed: post-ReLU
 // feature tensors are largely exact zeros, which the zero runs drop, and
 // deflate saved 10–25 % of the bytes beyond them at 11 times the decode
-// time. Image bytes are already compressed by tensor.Encode and are copied
-// through.
+// time. Image bytes are tensor.Encode blobs and are copied through as they
+// are.
 
 // null-bitmap bits for the row's variable-length fields.
 const (
@@ -128,8 +128,8 @@ const (
 )
 
 // maxFloats bounds how many float32 values a blob of n bytes may decode to:
-// the 1032:1 expansion a deflate stream tops out at, the bound tensor.Decode
-// enforces too. A corrupt length word cannot size a slice beyond it.
+// 1032:1, comfortably above the 683:1 the zero-run cap allows. A corrupt
+// length word cannot size a slice beyond it.
 func maxFloats(n int) int { return int(min((1032*int64(n)+64)/4, math.MaxInt)) }
 
 var (

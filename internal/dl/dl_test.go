@@ -41,12 +41,8 @@ func imageRows(t *testing.T, m *cnn.Model, n int) []dataflow.Row {
 		for j := range img.Data() {
 			img.Data()[j] = rng.Float32()
 		}
-		blob, err := tensor.Encode(img)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rows[i] = dataflow.Row{ID: int64(i), Label: float32(i % 2),
-			Structured: []float32{float32(i)}, Image: blob}
+			Structured: []float32{float32(i)}, Image: tensor.Encode(img)}
 	}
 	return rows
 }
@@ -309,10 +305,7 @@ func TestInferenceWrongImageShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	blob, err := tensor.Encode(tensor.New(3, 8, 8)) // wrong resolution
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := tensor.Encode(tensor.New(3, 8, 8)) // wrong resolution
 	tb, err := e.CreateTable("bad", []dataflow.Row{{ID: 1, Image: blob}}, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -76,7 +76,8 @@ type Inputs struct {
 	NumRows int
 	// StructDim is ds, the structured feature count.
 	StructDim int
-	// ImageRowBytes is the average raw (compressed) image payload per row;
+	// ImageRowBytes is the average stored image payload per row (JPEG in the
+	// paper's datasets, the raw float32 tensor format in served runs);
 	// it sizes the base joined table. When 0, the CNN's input-tensor size
 	// with a conservative 4× compression ratio is assumed.
 	ImageRowBytes int64

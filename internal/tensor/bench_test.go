@@ -73,11 +73,7 @@ func BenchmarkEncodeDecode(b *testing.B) {
 	b.SetBytes(in.SizeBytes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		blob, err := Encode(in)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Decode(blob); err != nil {
+		if _, err := Decode(Encode(in)); err != nil {
 			b.Fatal(err)
 		}
 	}

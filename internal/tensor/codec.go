@@ -1,113 +1,90 @@
 package tensor
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"sync"
 )
 
-// ErrCorrupt indicates a malformed encoded tensor.
-var ErrCorrupt = errors.New("tensor: corrupt encoding")
+var (
+	// ErrCorrupt indicates a malformed encoded tensor.
+	ErrCorrupt = errors.New("tensor: corrupt encoding")
+	// errFormat is the ErrCorrupt of a blob without imageFormat's word.
+	errFormat = fmt.Errorf("%w: not a raw float32 image (format word %q)", ErrCorrupt, imageFormat)
+)
 
-// Encode serializes a tensor into a flate-compressed binary blob:
-// rank, dims, then float32 data, all little-endian. It is the "raw image"
-// format of this reproduction — like JPEG in the paper, the on-disk image is
-// much smaller than its decoded tensor (Section 1.1).
-func Encode(t *Tensor) ([]byte, error) {
-	shape := t.Shape()
-	raw := make([]byte, 0, 4+4*len(shape)+4*len(t.Data()))
-	var scratch [4]byte
-	put := func(v uint32) {
-		binary.LittleEndian.PutUint32(scratch[:], v)
-		raw = append(raw, scratch[:]...)
-	}
-	put(uint32(len(shape)))
+// The image format is the tensor's bytes as they are, behind a short header:
+//
+//	blob = "VTI" version | rank u32 | dim u32 × rank | float32 bits × ∏dim
+//
+// all little-endian, so a blob is exactly 8 + 4·rank + 4·∏dim bytes. Nothing
+// is compressed: the generated images are float32 noise that deflate shrank
+// only to 0.88×, and inflating a 64×64×3 image took about 25 times as long as
+// this format's one copy.
+const (
+	// imageFormat opens every blob: a magic and the format version. A blob of
+	// any other version, such as the deflate-compressed images earlier builds
+	// wrote, is refused as corrupt, never misread.
+	imageFormat = "VTI\x01"
+	// maxRank bounds the rank a blob may claim.
+	maxRank = 8
+)
+
+// EncodedBytes is the length of Encode's blob for a tensor of shape s.
+func EncodedBytes(s Shape) int { return len(imageFormat) + 4 + 4*len(s) + 4*s.NumElements() }
+
+// Encode serializes a tensor of rank at most 8 into the image format: the
+// "raw image" of this reproduction, the payload every image row carries.
+func Encode(t *Tensor) []byte {
+	shape, data := t.Shape(), t.Data()
+	dst := make([]byte, 0, EncodedBytes(shape))
+	dst = append(dst, imageFormat...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(shape)))
 	for _, d := range shape {
-		put(uint32(d))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(d))
 	}
-	for _, v := range t.Data() {
-		put(math.Float32bits(v))
+	for _, v := range data {
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
 	}
-	var out bytes.Buffer
-	w, err := flate.NewWriter(&out, flate.BestSpeed)
-	if err != nil {
-		return nil, fmt.Errorf("tensor: encode: %w", err)
-	}
-	if _, err := w.Write(raw); err != nil {
-		return nil, fmt.Errorf("tensor: encode: %w", err)
-	}
-	if err := w.Close(); err != nil {
-		return nil, fmt.Errorf("tensor: encode: %w", err)
-	}
-	return out.Bytes(), nil
+	return dst
 }
 
-// inflater is the reusable state of one Decode: the flate decompressor (its
-// 32 KiB window and Huffman tables are the bulk of what flate.NewReader
-// allocates) and the buffer the payload inflates into.
-type inflater struct {
-	src bytes.Reader
-	fr  io.ReadCloser // also a flate.Resetter
-	raw []byte
-}
-
-var inflaters = sync.Pool{New: func() any { return &inflater{fr: flate.NewReader(nil)} }}
-
-// maxInflate bounds how much a deflate stream of n bytes can inflate to (the
-// format tops out near 1032:1), so a corrupt header cannot size a buffer
-// beyond what its blob could possibly fill.
-func maxInflate(n int) int { return 1032*n + 64 }
-
-// Decode reverses Encode. The payload is inflated by a pooled decompressor
-// into a pooled buffer sized from the header, and the tensor's storage comes
-// from the slab pool, so the caller may Recycle it once it is consumed.
+// Decode reverses Encode in one pass from the blob into a tensor whose
+// storage comes from the slab pool, so the caller may Recycle it once it is
+// consumed. A blob of another format, a rank above 8, a zero dim, dims the
+// payload cannot hold (checked before anything is allocated), a short payload
+// or trailing bytes are ErrCorrupt.
 func Decode(blob []byte) (*Tensor, error) {
-	z := inflaters.Get().(*inflater)
-	defer inflaters.Put(z)
-	z.src.Reset(blob)
-	if err := z.fr.(flate.Resetter).Reset(&z.src, nil); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	head := len(imageFormat) + 4
+	if len(blob) < len(imageFormat) || string(blob[:len(imageFormat)]) != imageFormat {
+		return nil, errFormat
 	}
-	var head [4 + 4*8]byte
-	if _, err := io.ReadFull(z.fr, head[:4]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	rank := int(binary.LittleEndian.Uint32(head[:]))
-	if rank > 8 {
+	if len(blob) < head {
 		return nil, ErrCorrupt
 	}
-	dims := head[4 : 4+4*rank]
-	if _, err := io.ReadFull(z.fr, dims); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	// The rank is bounded as read, before a 32-bit int could turn it negative.
+	rank := binary.LittleEndian.Uint32(blob[len(imageFormat):])
+	if rank > maxRank || len(blob) < head+4*int(rank) {
+		return nil, ErrCorrupt
 	}
+	payload := blob[head+4*int(rank):]
 	shape := make(Shape, rank)
-	elems, limit := 1, maxInflate(len(blob))/4
+	elems, limit := 1, len(payload)/4
 	for i := range shape {
-		shape[i] = int(binary.LittleEndian.Uint32(dims[4*i:]))
+		shape[i] = int(binary.LittleEndian.Uint32(blob[head+4*i:]))
 		if shape[i] <= 0 || shape[i] > limit/elems {
 			return nil, ErrCorrupt
 		}
 		elems *= shape[i]
 	}
-	if cap(z.raw) < 4*elems {
-		z.raw = make([]byte, 4*elems)
-	}
-	raw := z.raw[:4*elems]
-	if _, err := io.ReadFull(z.fr, raw); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	// The stream must end exactly where the header said the data does.
-	if n, err := z.fr.Read(head[:1]); n != 0 || err != io.EOF {
+	if len(payload) != 4*elems {
 		return nil, ErrCorrupt
 	}
 	t := newUninit(shape...)
 	for i := range t.data {
-		t.data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		t.data[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload))
+		payload = payload[4:]
 	}
 	return t, nil
 }

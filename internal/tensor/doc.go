@@ -8,8 +8,8 @@
 // (channels, height, width), matching the convention used throughout
 // internal/cnn. SizeBytes reports a tensor's accounting size — the number
 // the engine's Storage/User Memory pools charge when tensors flow through
-// tables — and Encode/Decode give tensors a compact binary form for
-// feature-store persistence.
+// tables — and Encode/Decode give image tensors their stored form: a format
+// word, the shape, then the float32 payload uncompressed.
 //
 // Convolution is im2col plus a GEMM whose arithmetic is one 4×16 micro-kernel
 // (kernel.go) with two bodies: AVX2+FMA assembly on amd64 CPUs that have it,

@@ -59,6 +59,14 @@ echo "== fuzz smoke (row codec) =="
 # a blob that panics it or decodes to rows that do not round-trip.
 go test -run '^$' -fuzz '^FuzzDecodeRows$' -fuzztime 15s ./internal/dataflow
 
+echo "== fuzz smoke (image codec) =="
+# A saved dataset's .img files arrive from disk through `vista -data`, so an
+# image blob is outside input too. The format is uncompressed: the decoder
+# bounds what the header may claim by the blob's own length, and this smoke
+# looks for a blob that panics it or decodes to a tensor that does not
+# re-encode to the same bytes.
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 15s ./internal/tensor
+
 echo "== GEMM micro-kernel: pure-Go body, and a non-amd64 build =="
 # internal/tensor has two bodies of one micro-kernel contract: Go assembly
 # (AVX2+FMA) on amd64 and a pure-Go body everywhere else. The tests above ran
