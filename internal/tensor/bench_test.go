@@ -80,8 +80,8 @@ func BenchmarkEncodeDecode(b *testing.B) {
 }
 
 // rosterGEMMShapes are the (M, K, N) products the tiny roster's convolutions
-// lower to, named for the layer they come from: what sgemm is actually asked
-// to run, including its hard cases — N below the tile width (tiny-resnet50's
+// lower to, named for the layer they come from: what the GEMM driver is
+// asked to run (before conv2DGEMM widens a ragged output grid), including its hard cases — N below the tile width (tiny-resnet50's
 // last stage), K of one short block (27) and K spanning two (432).
 var rosterGEMMShapes = []struct {
 	name    string
@@ -103,19 +103,19 @@ var rosterGEMMShapes = []struct {
 	{"probe.1x1", 256, 256, 1024},
 }
 
-// BenchmarkSgemmRosterShapes reports the bare sgemm rate (one goroutine) on
-// every roster shape for both kernel bodies (the assembly rows are absent
-// where the build or the CPU has no assembly body).
+// BenchmarkSgemmRosterShapes reports the bare GEMM rate (one goroutine) over
+// a dense B on every roster shape for both kernel bodies (the assembly rows
+// are absent where the build or the CPU has no assembly body).
 func BenchmarkSgemmRosterShapes(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, body := range kernelBodies() {
 		for _, s := range rosterGEMMShapes {
-			a, bm := randSlice(rng, s.m*s.k), randSlice(rng, s.k*s.n)
-			bias, c := randSlice(rng, s.m), make([]float32, s.m*s.n)
+			a, bm, bias := randSlice(rng, s.m*s.k), randSlice(rng, s.k*s.n), randSlice(rng, s.m)
+			g := denseGEMM(s.m, s.n, s.k, a, bm, bias, Epilogue{ReLU: true})
 			b.Run(body.name+"/"+s.name, func(b *testing.B) {
 				defer body.use()()
 				for i := 0; i < b.N; i++ {
-					sgemm(s.m, s.n, s.k, a, bm, bias, c, Epilogue{ReLU: true})
+					g.run()
 				}
 				flops := 2 * float64(s.m) * float64(s.k) * float64(s.n) * float64(b.N)
 				b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")

@@ -11,7 +11,9 @@
 // tables — and Encode/Decode give image tensors their stored form: a format
 // word, the shape, then the float32 payload uncompressed.
 //
-// Convolution is im2col plus a GEMM whose arithmetic is one 4×16 micro-kernel
+// Convolution is a GEMM over the convolution's zero-padded input, read in
+// place through a table of per-reduction-row offsets rather than copied into
+// a column matrix (gemm.go); its arithmetic is one 4×16 micro-kernel
 // (kernel.go) with two bodies: AVX2+FMA assembly on amd64 CPUs that have it,
 // and the same tile in pure Go everywhere else and under -tags purego.
 // KernelName reports which one a process runs; the two agree to 1e-4, not

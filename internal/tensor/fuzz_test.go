@@ -44,8 +44,14 @@ func FuzzConv2DGEMMParity(f *testing.F) {
 	f.Add(int64(2), uint8(1), uint8(1), uint8(5), uint8(13), uint8(7), uint8(2), uint8(3))
 	f.Add(int64(3), uint8(7), uint8(5), uint8(16), uint8(8), uint8(5), uint8(2), uint8(0))
 	// A 6-wide kernel over a 1×1 input padded by 3: some kernel columns never
-	// meet the input at all (this one found an out-of-range slice in im2col).
+	// meet the input at all (this one found an out-of-range slice in the
+	// column-matrix build that preceded the offset table).
 	f.Add(int64(-144), uint8(14), uint8(92), uint8(96), uint8(0), uint8(12), uint8(45), uint8(87))
+	// Input 5×6×3, k=4, stride 3, no padding: OutShape truncates (3−4)/3 to
+	// 0, so the 4-wide kernel overhangs the 3-wide input and still yields one
+	// output column, whose last tap must read zero. A padded slab sized by
+	// the input rather than the receptive field read it from the next row.
+	f.Add(int64(5), uint8(4), uint8(2), uint8(5), uint8(2), uint8(3), uint8(2), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, inC, outC, h, w, k, stride, pad uint8) {
 		spec := Conv2DSpec{
 			InChannels:  1 + int(inC)%8,

@@ -2,131 +2,162 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/faultinject"
 )
 
-// This file is the GEMM convolution hot path: Conv2D lowers to an im2col
-// column-buffer build plus a cache-blocked, register-blocked sgemm. One
-// convolution runs on its caller's goroutine — a roster conv is 10–100 µs of
-// kernel, too little to share — and parallelism comes from the rows of a
-// batch (internal/dl, over parallel.go). The direct-loop kernel in ops.go
-// stays only as Conv2DDirect, the reference implementation the parity suite
-// in gemm_test.go and FuzzConv2DGEMMParity compare against. The arithmetic
+// This file is the GEMM convolution hot path: Conv2D is a cache-blocked,
+// register-blocked GEMM whose B operand is the convolution's input, read in
+// place through a table of offsets — Dukhan's indirect convolution, with the
+// indirection per reduction row instead of per pixel. One convolution runs
+// on its caller's goroutine — a roster conv is 10–100 µs of kernel, too
+// little to share — and parallelism comes from the rows of a batch
+// (internal/dl, over parallel.go). The direct-loop kernel in ops.go stays
+// only as Conv2DDirect, the reference implementation the parity suite in
+// gemm_test.go and FuzzConv2DGEMMParity compare against. The arithmetic
 // itself is the micro-kernel in kernel.go.
 //
-// Layout: for a conv with C_in input channels and a K×K kernel over an
-// H_out×W_out output, the column buffer is a (C_in·K·K) × (H_out·W_out)
-// row-major matrix whose row r = (ic, ky, kx) holds, for every output pixel
-// (oy, ox), the input value at channel ic, position (oy·stride−pad+ky,
-// ox·stride−pad+kx), or 0 outside the input. The filter tensor
-// [out][in][kh][kw] flattens to exactly the matching (C_out) × (C_in·K·K)
-// row-major A matrix, so C = A·B + bias lands directly in CHW output order
-// with no post-pass.
+// Layout: the filter tensor [out][in][kh][kw] flattens to the (C_out) ×
+// (C_in·K·K) row-major A matrix, whose reduction index is p = (ic, ky, kx).
+// conv2DGEMM copies the input once into a zero-padded slab of planes wq
+// floats wide, and B row p, column oy·wq+ox, is the slab float at boff[p] +
+// oy·wq + ox with boff[p] = ic·plane + ky·wq + kx: the input under tap
+// (ky, kx) of output pixel (oy, ox), or a padding zero. A B panel is 16
+// consecutive floats of one padded row, and no column matrix is built.
+//
+//   - Stride s > 1: each channel becomes s² phase planes,
+//     Q[ic][py][px][y][x] = padded[ic][y·s+py][x·s+px], read at stride 1:
+//     boff = base(ic, ky%s, kx%s) + (ky/s)·wq + kx/s.
+//   - Panels walk output rows, writing C straight into the CHW output, when
+//     outW is a multiple of 16 (or the planes are exactly outW wide).
+//     Otherwise they walk the whole outH × wq grid into a scratch C, and one
+//     copy compacts it.
+//   - When the padded slab would equal the input (stride 1, no padding,
+//     panels written straight), the input is read in place: a 1×1 conv over
+//     n = H·W pixels, n a multiple of 16, has boff[p] = p·n.
+//
+// The reduction runs in the same order (p ascending, kcBlock terms per
+// kernel call) over the same terms, padding zeros included, as over an
+// explicit column matrix, so the outputs are bit for bit those of the
+// column-buffer GEMM this replaced, on each kernel body.
 
-// FaultConvCol guards the im2col column-buffer acquisition — the one large
-// scratch allocation each GEMM convolution makes.
-const FaultConvCol = "tensor/conv.col"
+// FaultConvPad guards the padded-slab acquisition — the one large scratch
+// allocation a GEMM convolution makes when it cannot read its input in place.
+const FaultConvPad = "tensor/conv.pad"
 
-// kcBlock is the K-dimension block of the sgemm: one kernel call reduces at
-// most kcBlock terms, so the A tile (mr × kcBlock) and the B panel
-// (kcBlock × nr) it streams stay L1-resident while the accumulators are in
-// registers. Every roster conv except tiny-alexnet's and tiny-densenet's
-// widest (K = 432, 360) fits one block.
+// kcBlock is the K-dimension block of the GEMM: one kernel call reduces at
+// most kcBlock terms, so the A tile (mr × kcBlock) and the B rows it streams
+// stay L1-resident while the accumulators are in registers. Every roster conv
+// except tiny-alexnet's and tiny-densenet's widest (K = 432, 360) fits one
+// block.
 const kcBlock = 256
 
-// conv2DGEMM computes the convolution via im2col + blocked GEMM, with ep
-// applied per output channel. Arguments are pre-validated by Conv2DFused.
+// conv2DGEMM computes the convolution as one offset-table GEMM over the
+// (padded) input, with ep applied per output channel. Arguments are
+// pre-validated by Conv2DFused.
 func conv2DGEMM(in *Tensor, spec Conv2DSpec, weights, bias []float32, ep Epilogue, outShape Shape) (*Tensor, error) {
-	inH, inW := in.Shape()[1], in.Shape()[2]
+	c, inH, inW := spec.InChannels, in.Shape()[1], in.Shape()[2]
+	k, s, pad := spec.Kernel, spec.Stride, spec.Pad
 	outH, outW := outShape[1], outShape[2]
-	m := spec.OutChannels
-	kd := spec.InChannels * spec.Kernel * spec.Kernel
 	n := outH * outW
 
-	var col []float32
-	if spec.Kernel == 1 && spec.Stride == 1 && spec.Pad == 0 {
-		// 1×1 stride-1 convolution: the column matrix is the input itself.
-		col = in.Data()
-	} else {
-		if err := faultinject.Hit(FaultConvCol); err != nil {
-			return nil, fmt.Errorf("conv2d column buffer (%d floats): %w", kd*n, err)
-		}
-		col = getSlab(kd * n)
-		defer putSlab(col)
-		im2col(in.Data(), col, spec, inH, inW, outH, outW)
-	}
-
-	out := newUninit(outShape...)
-	sgemm(m, n, kd, weights, col, bias, out.Data(), ep)
-	return out, nil
-}
-
-// im2col fills the (C_in·K·K) × (outH·outW) column matrix for the given conv
-// geometry. Every element of col[:kd*n] is written (padding cells as zeros),
-// so the destination may be a dirty slab.
-func im2col(src, col []float32, spec Conv2DSpec, inH, inW, outH, outW int) {
-	k, stride, pad := spec.Kernel, spec.Stride, spec.Pad
-	n := outH * outW
-	same := stride == 1 && outH == inH && outW == inW
-	r := 0
-	for ic := 0; ic < spec.InChannels; ic++ {
-		sBase := ic * inH * inW
+	// The padded extent covers every output's receptive field, not just the
+	// input plus its padding: OutShape truncates toward zero, so a kernel
+	// that overhangs the padded input still yields one output, and the taps
+	// past the edge must read zeros.
+	hq := (max(inH+2*pad, (outH-1)*s+k) + s - 1) / s
+	wq := (max(inW+2*pad, (outW-1)*s+k) + s - 1) / s
+	plane := hq * wq
+	g := gemm{m: spec.OutChannels, k: c * k * k, a: weights, bias: bias, ep: ep, boff: make([]int32, c*k*k)}
+	// boff[(ic, ky, kx)] = ((ic·s + ky%s)·s + kx%s)·plane + (ky/s)·wq + kx/s,
+	// walked with the phases as counters instead of dividing per entry.
+	maxOff, p := 0, 0
+	for ic := 0; ic < c; ic++ {
 		for ky := 0; ky < k; ky++ {
-			for kx := 0; kx < k; kx++ {
-				dstRow := col[r*n : (r+1)*n]
-				if same {
-					shiftPlane(dstRow, src[sBase:sBase+n], inH, inW, ky-pad, kx-pad)
-					r++
-					continue
+			row := (ic*s+ky%s)*s*plane + ky/s*wq
+			for kx, px, qx := 0, 0, 0; kx < k; kx++ {
+				off := row + px*plane + qx
+				g.boff[p] = int32(off)
+				maxOff = max(maxOff, off)
+				p++
+				if px++; px == s {
+					px, qx = 0, qx+1
 				}
-				for oy := 0; oy < outH; oy++ {
-					iy := oy*stride - pad + ky
-					dst := dstRow[oy*outW : (oy+1)*outW]
-					if iy < 0 || iy >= inH {
-						zeroFill(dst)
-						continue
-					}
-					srcRow := src[sBase+iy*inW : sBase+(iy+1)*inW]
-					for ox := 0; ox < outW; ox++ {
-						ix := ox*stride - pad + kx
-						if ix < 0 || ix >= inW {
-							dst[ox] = 0
-						} else {
-							dst[ox] = srcRow[ix]
-						}
-					}
-				}
-				r++
 			}
 		}
 	}
+
+	direct := n%nr == 0 && (outW%nr == 0 || outW == wq)
+	if direct {
+		g.n, g.rowW, g.ldRow = n, outW, wq
+	} else {
+		g.n = (outH*wq + nr - 1) / nr * nr
+		g.rowW = g.n
+	}
+
+	if direct && s == 1 && pad == 0 {
+		g.b = in.Data() // the padded slab would be the input itself
+	} else {
+		planes := c * s * s * plane
+		if err := faultinject.Hit(FaultConvPad); err != nil {
+			return nil, fmt.Errorf("conv2d padded input (%d floats): %w", planes, err)
+		}
+		// The wide grid's last panel runs up to nr−1 columns past outH·wq,
+		// and a tap's offset inside its plane up to (k−1)/s past the grid.
+		g.b = getSlab(planes + nr + k)
+		defer putSlab(g.b)
+		padPhases(g.b, in.Data(), c, inH, inW, pad, s, hq, wq)
+	}
+	// The assembly body indexes B through boff with no bounds check.
+	if last := maxOff + g.panel(g.n-nr) + nr; maxOff > math.MaxInt32 || last > len(g.b) {
+		panic(fmt.Sprintf("tensor: conv2d %+v over %v: B reads reach float %d of %d", spec, in.Shape(), last, len(g.b)))
+	}
+
+	out := newUninit(outShape...)
+	if direct {
+		g.c = out.Data()
+		g.run()
+		return out, nil
+	}
+	g.c = getSlab(g.m * g.n)
+	defer putSlab(g.c)
+	g.run()
+	dst := out.Data()
+	for oc := 0; oc < g.m; oc++ {
+		for oy := 0; oy < outH; oy++ {
+			copy(dst[(oc*outH+oy)*outW:][:outW], g.c[oc*g.n+oy*wq:])
+		}
+	}
+	return out, nil
 }
 
-// shiftPlane writes dst[y][x] = src[y+dy][x+dx], or 0 where that falls
-// outside the h×w plane: one column-matrix row of a stride-1 convolution
-// whose output is as large as its input. Inside the plane the shift is a
-// constant offset dy·w+dx between the two flat arrays, so the row is one
-// bulk copy; what the copy wraps around a row end, and the rows it does not
-// reach, are then zeroed. The deep layers' rows are 4–16 floats wide, where
-// copying row by row costs more in calls than in bytes.
-func shiftPlane(dst, src []float32, h, w, dy, dx int) {
-	yLo, yHi := max(0, -dy), min(h, h-dy) // output rows that read inside the plane
-	if yLo >= yHi || dx <= -w || dx >= w {
-		zeroFill(dst)
-		return
-	}
-	off := dy*w + dx
-	d0, d1 := max(yLo*w, -off), min(yHi*w, h*w-off)
-	zeroFill(dst[:d0])
-	copy(dst[d0:d1], src[d0+off:d1+off])
-	zeroFill(dst[d1:])
-	for y := yLo; y < yHi; y++ {
-		row := dst[y*w : (y+1)*w]
-		if dx < 0 {
-			zeroFill(row[:-dx])
-		} else {
-			zeroFill(row[w-dx:])
+// padPhases writes the c×h×w input src into dst as c·s² phase planes of
+// hq×wq floats, Q[ic][py][px][y][x] = padded[ic][y·s+py][x·s+px], where
+// padded is src behind pad zeros on every side and zeros beyond. Every float
+// of dst is written, zeros past the planes, so dst may be a dirty slab.
+func padPhases(dst, src []float32, c, h, w, pad, s, hq, wq int) {
+	plane := hq * wq
+	zeroFill(dst)
+	for ic := 0; ic < c; ic++ {
+		// Input row iy is padded row iy+pad = y·s+py, counted without dividing.
+		y, py := pad/s, pad%s
+		for iy := 0; iy < h; iy++ {
+			at := (ic*s+py)*s*plane + y*wq
+			row := src[(ic*h+iy)*w:][:w]
+			if s == 1 {
+				copy(dst[at+pad:], row)
+			} else {
+				for ix, x, px := 0, pad/s, pad%s; ix < w; ix++ {
+					dst[at+px*plane+x] = row[ix]
+					if px++; px == s {
+						px, x = 0, x+1
+					}
+				}
+			}
+			if py++; py == s {
+				py, y = 0, y+1
+			}
 		}
 	}
 }
@@ -137,54 +168,52 @@ func zeroFill(s []float32) {
 	}
 }
 
-// sgemm computes C = epilogue(A·B + bias), where A is m×k row-major, B is
-// k×n row-major, C is m×n row-major, bias[i] starts every element of C row i,
-// and ep (per C row) is applied once, when the reduction is complete. C is
-// cut into mr×nr tiles, each computed by the micro-kernel (kernel.go), one
-// mr-row strip of that grid after another.
+// gemm is one convolution's matrix product,
 //
-// A ragged last strip (m % mr) or last column panel (n % nr) goes through
-// the same kernel on zero-padded copies of the A strip and B panel, built
-// here once per call, so there is no scalar edge path. An element of C is
-// the same sum in the same order wherever its tile falls.
-func sgemm(m, n, k int, a, b, bias, c []float32, ep Epilogue) {
-	g := gemm{m: m, n: n, k: k, a: a, b: b, c: c, bias: bias, ep: ep}
-	if rows := m % mr; rows != 0 {
-		// The last strip's A rows and per-row vectors, padded to mr rows.
-		r0 := m - rows
-		g.aEdge = getSlab(mr * k)
-		defer putSlab(g.aEdge)
-		zeroFill(g.aEdge)
-		copy(g.aEdge, a[r0*k:])
-		copy(g.biasEdge[:], bias[r0:])
-		if ep.Scale != nil {
-			copy(g.scaleEdge[:], ep.Scale[r0:])
-			copy(g.shiftEdge[:], ep.Shift[r0:])
-		}
-	}
-	if cols := n % nr; cols != 0 {
-		// The last panel's B columns, padded to nr columns.
-		g.bEdge = getSlab(k * nr)
-		defer putSlab(g.bEdge)
-		zeroFill(g.bEdge)
-		for p := 0; p < k; p++ {
-			copy(g.bEdge[p*nr:p*nr+cols], b[p*n+n-cols:])
-		}
-	}
-	for s := 0; s < (m+mr-1)/mr; s++ {
-		g.strip(s)
-	}
+//	C[m×n] = epilogue(A[m×k]·B[k×n] + bias),
+//
+// with A and C row-major and dense, n a multiple of nr, bias[i] starting
+// every element of C row i, and ep (per C row) applied once, when the
+// reduction is complete. B is read through the offset table: row p of the
+// panel at column j0 starts at b[panel(j0)+boff[p]].
+type gemm struct {
+	m, n, k    int
+	a, bias, c []float32
+	b          []float32
+	boff       []int32
+	// Panels walk B in runs of rowW columns, one run every ldRow floats:
+	// output rows over a wider padded plane, or (rowW = n) one run.
+	rowW, ldRow int
+	ep          Epilogue
+	// A zero-padded copy of a ragged last A strip, with its per-row vectors.
+	aEdge                          []float32
+	biasEdge, scaleEdge, shiftEdge [mr]float32
 }
 
-// gemm is one sgemm call's operands.
-type gemm struct {
-	m, n, k       int
-	a, b, c, bias []float32
-	ep            Epilogue
-	// Zero-padded copies of a ragged last A strip, with its per-row vectors,
-	// and of a ragged last B panel.
-	aEdge, bEdge                   []float32
-	biasEdge, scaleEdge, shiftEdge [mr]float32
+// panel returns the offset in b of the B panel whose first column is j0.
+func (g *gemm) panel(j0 int) int { return j0/g.rowW*g.ldRow + j0%g.rowW }
+
+// run cuts C into mr×nr tiles, each computed by the micro-kernel (kernel.go),
+// one mr-row strip of that grid after another. A ragged last strip (m % mr)
+// goes through the same kernel on a zero-padded copy of its A rows, built
+// here once per call, so there is no scalar edge path. An element of C is
+// the same sum in the same order wherever its tile falls.
+func (g *gemm) run() {
+	if rows := g.m % mr; rows != 0 {
+		r0 := g.m - rows
+		g.aEdge = getSlab(mr * g.k)
+		defer putSlab(g.aEdge)
+		zeroFill(g.aEdge)
+		copy(g.aEdge, g.a[r0*g.k:])
+		copy(g.biasEdge[:], g.bias[r0:])
+		if g.ep.Scale != nil {
+			copy(g.scaleEdge[:], g.ep.Scale[r0:])
+			copy(g.shiftEdge[:], g.ep.Shift[r0:])
+		}
+	}
+	for s := 0; s < (g.m+mr-1)/mr; s++ {
+		g.strip(s)
+	}
 }
 
 // strip computes C rows [s·mr, s·mr+mr): for each column panel, the
@@ -206,20 +235,14 @@ func (g *gemm) strip(s int) {
 	var cEdge [mr * nr]float32
 	t := tile{lda: g.k}
 	for j0 := 0; j0 < g.n; j0 += nr {
-		cols := min(nr, g.n-j0)
-		b, ldb := g.b[j0:], g.n
-		if cols < nr {
-			b, ldb = g.bEdge, nr
-		}
+		t.b = g.b[g.panel(j0):]
 		t.c, t.ldc = g.c[r0*g.n+j0:], g.n
-		edge := rows < mr || cols < nr
-		if edge {
+		if rows < mr {
 			t.c, t.ldc = cEdge[:], nr
 		}
-		t.ldb = ldb
 		for k0 := 0; k0 < g.k; k0 += kcBlock {
 			t.k = min(kcBlock, g.k-k0)
-			t.a, t.b = a[k0:], b[k0*ldb:]
+			t.a, t.boff = a[k0:], g.boff[k0:k0+t.k]
 			t.bias, t.scale, t.shift, t.relu = nil, nil, nil, false
 			if k0 == 0 {
 				t.bias = bias
@@ -229,9 +252,9 @@ func (g *gemm) strip(s int) {
 			}
 			kernel(&t)
 		}
-		if edge {
+		if rows < mr {
 			for i := 0; i < rows; i++ {
-				copy(g.c[(r0+i)*g.n+j0:(r0+i)*g.n+j0+cols], cEdge[i*nr:])
+				copy(g.c[(r0+i)*g.n+j0:][:nr], cEdge[i*nr:])
 			}
 		}
 	}

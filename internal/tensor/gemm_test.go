@@ -77,14 +77,24 @@ func convParity(t *testing.T, rng *rand.Rand, c, h, w int, spec Conv2DSpec) {
 // TestConv2DGEMMParity sweeps the GEMM kernel against the direct reference
 // across kernel sizes, strides, pads, odd channel counts, and non-square
 // inputs — the permanent contract of the escape hatch — once per micro-kernel
-// body. The grid reaches both im2col forms (the shifted-plane copy of
-// same-size stride-1 convs: k/pad 3/1, 5/2, 7/3; and the general gather)
-// and the 1×1 zero-copy path.
+// body. The grid reaches every form of conv2DGEMM's one offset-table path:
+//   - row-walk: outW a multiple of 16 (16×16 and 32×32 inputs, k/pad 3/1,
+//     5/2, 7/3), C written straight into the output;
+//   - wide + compact: any other outW (13×13, 13×19, 21×9), C written over
+//     the padded-width grid and compacted;
+//   - stride-2 phases: every stride-2 geometry, row-walk on the 32×32 input
+//     with k/pad 3/1, wide elsewhere;
+//   - 1×1 in place: k=1, stride 1, pad 0 over 16×16 or 32×32 (n a multiple
+//     of 16), no padded slab;
+//   - 1×1 with a ragged n: the same over 13×13, through a padded slab;
+//   - a ragged m: 1 and 5 output channels;
+//   - an overhanging kernel: 6×6 with k=7, stride 2, pad 0, where OutShape's
+//     truncation yields one output whose last taps lie past the input.
 func TestConv2DGEMMParity(t *testing.T) {
 	forEachKernelBody(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		channels := []struct{ in, out int }{{1, 1}, {3, 5}, {7, 4}, {16, 32}}
-		inputs := []struct{ h, w int }{{13, 13}, {16, 16}, {13, 19}, {21, 9}}
+		inputs := []struct{ h, w int }{{13, 13}, {16, 16}, {13, 19}, {21, 9}, {32, 32}, {6, 6}}
 		for _, k := range []int{1, 3, 5, 7} {
 			for _, stride := range []int{1, 2} {
 				for _, pad := range []int{0, 1, 2, 3} {
@@ -171,7 +181,7 @@ func TestConv2DFusedMatchesSeparatePasses(t *testing.T) {
 
 // TestConv2DGEMMParallelShared runs many concurrent convolutions over one
 // shared input and weight set. Under -race this asserts the slab arena, the
-// edge panels and the column buffers are goroutine-clean; the output check
+// edge panels and the padded slabs are goroutine-clean; the output check
 // asserts results are not cross-contaminated between concurrent calls.
 func TestConv2DGEMMParallelShared(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -215,11 +225,11 @@ func TestConv2DGEMMParallelShared(t *testing.T) {
 	}
 }
 
-// TestConvColFaultSite asserts the column-buffer failpoint surfaces a typed
+// TestConvPadFaultSite asserts the padded-slab failpoint surfaces a typed
 // error from Conv2D rather than panicking mid-kernel.
-func TestConvColFaultSite(t *testing.T) {
-	faultinject.Arm(FaultConvCol, faultinject.FailAlways())
-	defer faultinject.Disarm(FaultConvCol)
+func TestConvPadFaultSite(t *testing.T) {
+	faultinject.Arm(FaultConvPad, faultinject.FailAlways())
+	defer faultinject.Disarm(FaultConvPad)
 	in := New(2, 8, 8)
 	spec := Conv2DSpec{InChannels: 2, OutChannels: 2, Kernel: 3, Stride: 1, Pad: 1}
 	_, err := Conv2D(in, spec, make([]float32, spec.WeightCount()), make([]float32, 2))
@@ -229,11 +239,11 @@ func TestConvColFaultSite(t *testing.T) {
 	if _, ok := faultinject.AsFault(err); !ok {
 		t.Fatalf("error %v is not a faultinject.Error", err)
 	}
-	// The 1×1 fast path performs no column-buffer allocation, so the site
-	// must not fire there.
+	// A 1×1 conv over 64 pixels reads its input in place and acquires no
+	// padded slab, so the site must not fire there.
 	spec1 := Conv2DSpec{InChannels: 2, OutChannels: 2, Kernel: 1, Stride: 1}
 	if _, err := Conv2D(in, spec1, make([]float32, spec1.WeightCount()), make([]float32, 2)); err != nil {
-		t.Fatalf("1x1 fast path hit the column-buffer site: %v", err)
+		t.Fatalf("in-place 1x1 conv hit the padded-slab site: %v", err)
 	}
 }
 

@@ -32,15 +32,19 @@ const (
 // the continuation of a reduction the driver split into k blocks. The
 // epilogue is acc·scale[i]+shift[i] when scale is non-nil, then max(acc, 0)
 // when relu is set; the driver asks for it on a reduction's last block only.
-// a, b and c are addressed as base + row·stride and must hold mr, k and mr
-// full rows: the driver pads ragged edges (gemm.go), so the bodies have no
-// tail loops. bias, scale and shift hold mr values.
+// a and c are addressed as base + row·stride and must hold mr full rows; B
+// row p is the nr floats at b[boff[p]:], so one table serves a dense matrix
+// (boff[p] = p·ldb) and a convolution's padded input read in place
+// (gemm.go). The driver pads a ragged last strip and never asks for a ragged
+// panel, so the bodies have no tail loops. bias, scale and shift hold mr
+// values. The assembly body checks no bounds: the driver proves every read
+// is inside b before the first call.
 type tile struct {
 	k     int
 	a     []float32
 	lda   int
 	b     []float32
-	ldb   int
+	boff  []int32
 	c     []float32
 	ldc   int
 	bias  []float32
@@ -86,7 +90,7 @@ func kernelGo(t *tile) {
 	a0, a1, a2, a3 := t.a[:t.k], t.a[t.lda:t.lda+t.k], t.a[2*t.lda:2*t.lda+t.k], t.a[3*t.lda:3*t.lda+t.k]
 	for p, v0 := range a0 {
 		v1, v2, v3 := a1[p], a2[p], a3[p]
-		brow := (*[nr]float32)(t.b[p*t.ldb : p*t.ldb+nr])
+		brow := (*[nr]float32)(t.b[t.boff[p]:])
 		for j, bv := range brow {
 			acc[0][j] += v0 * bv
 			acc[1][j] += v1 * bv

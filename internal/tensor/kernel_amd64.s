@@ -11,11 +11,13 @@
 //   Y8, Y9   the current B row (16 floats)
 //   Y10..13  one A scalar each, broadcast to 8 lanes
 //   SI       &A[0][p]; R8 = lda in bytes; R11 = &A[3][p]
-//   BX       &B[p][0]; R9 = ldb in bytes
+//   BX       &b[0], the panel base; R9 = &boff[p]
+//   AX, R13  boff[p] of the current step, sign-extended
 //   DX       &C[0][0]; R10 = ldc in bytes; R12 = &C[3][0]
 //   CX       k steps left
 
 // One reduction step: A column at byte offset aoff, B row halves at b0, b1.
+// B row p is read at b[boff[p]:], one MOVLQSX ahead of its two loads.
 #define KSTEP(aoff, b0, b1) \
 	VMOVUPS      b0, Y8;             \
 	VMOVUPS      b1, Y9;             \
@@ -42,8 +44,7 @@ TEXT ·kernelAsm(SB), NOSPLIT, $0-8
 	LEAQ (R8)(R8*2), R11
 	ADDQ SI, R11
 	MOVQ tile_b(DI), BX
-	MOVQ tile_ldb(DI), R9
-	SHLQ $2, R9
+	MOVQ tile_boff(DI), R9
 	MOVQ tile_c(DI), DX
 	MOVQ tile_ldc(DI), R10
 	SHLQ $2, R10
@@ -79,14 +80,17 @@ reduce:
 	JLT  tail
 
 by4:
-	KSTEP(0, (BX), 32(BX))
-	KSTEP(4, (BX)(R9*1), 32(BX)(R9*1))
-	KSTEP(8, (BX)(R9*2), 32(BX)(R9*2))
-	LEAQ (BX)(R9*2), BX
-	KSTEP(12, (BX)(R9*1), 32(BX)(R9*1))
-	LEAQ (BX)(R9*2), BX
+	MOVLQSX 0(R9), AX
+	KSTEP(0, (BX)(AX*4), 32(BX)(AX*4))
+	MOVLQSX 4(R9), R13
+	KSTEP(4, (BX)(R13*4), 32(BX)(R13*4))
+	MOVLQSX 8(R9), AX
+	KSTEP(8, (BX)(AX*4), 32(BX)(AX*4))
+	MOVLQSX 12(R9), R13
+	KSTEP(12, (BX)(R13*4), 32(BX)(R13*4))
 	ADDQ $16, SI
 	ADDQ $16, R11
+	ADDQ $16, R9
 	SUBQ $4, CX
 	CMPQ CX, $4
 	JGE  by4
@@ -96,8 +100,9 @@ tail:
 	JZ    epilogue
 
 by1:
-	KSTEP(0, (BX), 32(BX))
-	ADDQ R9, BX
+	MOVLQSX (R9), AX
+	KSTEP(0, (BX)(AX*4), 32(BX)(AX*4))
+	ADDQ $4, R9
 	ADDQ $4, SI
 	ADDQ $4, R11
 	DECQ CX

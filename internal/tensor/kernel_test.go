@@ -71,12 +71,32 @@ func gemmReference(m, n, k int, a, b, bias []float32, ep Epilogue) []float64 {
 	return c
 }
 
+// denseGEMM returns the driver set up over a dense row-major B (k×n) the way
+// conv2DGEMM sets up a ragged output grid: B's rows padded with zeros to a
+// multiple of nr columns and addressed through boff[p] = p·ldb, and a
+// scratch C as wide. C starts as NaN, so a tile that accumulated into it
+// instead of starting from bias would show.
+func denseGEMM(m, n, k int, a, b, bias []float32, ep Epilogue) *gemm {
+	ldb := (n + nr - 1) / nr * nr
+	g := &gemm{m: m, n: ldb, k: k, a: a, bias: bias, ep: ep, rowW: ldb,
+		b: make([]float32, k*ldb), boff: make([]int32, k), c: make([]float32, m*ldb)}
+	for p := 0; p < k; p++ {
+		copy(g.b[p*ldb:], b[p*n:(p+1)*n])
+		g.boff[p] = int32(p * ldb)
+	}
+	for i := range g.c {
+		g.c[i] = float32(math.NaN())
+	}
+	return g
+}
+
 // TestSgemmBodiesAgree runs both kernel bodies over the roster's real GEMM
 // shapes and over every edge of the driver — ragged last strip (m % mr),
-// ragged and sub-tile last panel (n % nr, n < nr), k shorter than one block,
-// exactly one block, one past, and several — with and without the fused
-// affine and ReLU. Each body must match the float64 reference, and therefore
-// the other body, within a tolerance scaled to the length of the sum.
+// ragged and sub-tile n (n % nr, n < nr, padded as conv2DGEMM pads its wide
+// grid), k shorter than one block, exactly one block, one past, and several
+// — with and without the fused affine and ReLU. Each body must match the
+// float64 reference, and therefore the other body, within a tolerance scaled
+// to the length of the sum.
 func TestSgemmBodiesAgree(t *testing.T) {
 	type shape struct{ m, k, n int }
 	var shapes []shape
@@ -110,14 +130,14 @@ func TestSgemmBodiesAgree(t *testing.T) {
 			}
 			for _, body := range kernelBodies() {
 				restore := body.use()
-				// A dirty C proves every element is written, none accumulated into.
-				c := randSlice(rng, s.m*s.n)
-				sgemm(s.m, s.n, s.k, a, b, bias, c, ep)
+				g := denseGEMM(s.m, s.n, s.k, a, b, bias, ep)
+				g.run()
 				restore()
-				for i, v := range c {
-					if d := math.Abs(float64(v) - want[i]); d > tol*(1+math.Abs(want[i])) {
+				for i, w := range want {
+					v := g.c[i/s.n*g.n+i%s.n]
+					if d := math.Abs(float64(v) - w); d > tol*(1+math.Abs(w)) {
 						t.Fatalf("%s m=%d k=%d n=%d ep=%+v: c[%d] = %v, reference %v (|diff| %g)",
-							body.name, s.m, s.k, s.n, ep.ReLU, i, v, want[i], d)
+							body.name, s.m, s.k, s.n, ep.ReLU, i, v, w, d)
 					}
 				}
 			}

@@ -35,8 +35,8 @@ func (c Conv2DSpec) WeightCount() int {
 
 // Conv2D computes a 2-D convolution of the CHW input with the given filter
 // weights (layout [out][in][kh][kw], row-major) and per-output-channel
-// biases, returning a new CHW tensor via the im2col + blocked-GEMM kernel
-// (gemm.go).
+// biases, returning a new CHW tensor via the blocked GEMM over the padded
+// input (gemm.go).
 func Conv2D(in *Tensor, spec Conv2DSpec, weights, bias []float32) (*Tensor, error) {
 	return Conv2DFused(in, spec, weights, bias, Epilogue{})
 }

@@ -67,6 +67,15 @@ echo "== fuzz smoke (image codec) =="
 # re-encode to the same bytes.
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 15s ./internal/tensor
 
+echo "== fuzz smoke (convolution) =="
+# The GEMM micro-kernel reads B at b[boff[p]:] straight out of a convolution's
+# padded input, and the assembly body checks no bounds, so a wrong offset
+# reads memory outside the slab instead of panicking. conv2DGEMM asserts the
+# farthest read once per call; this smoke drives random geometries (padding,
+# strides, kernels that overhang the input) through both kernel bodies
+# against the direct convolution.
+go test -run '^$' -fuzz '^FuzzConv2DGEMMParity$' -fuzztime 15s ./internal/tensor
+
 echo "== GEMM micro-kernel: pure-Go body, and a non-amd64 build =="
 # internal/tensor has two bodies of one micro-kernel contract: Go assembly
 # (AVX2+FMA) on amd64 and a pure-Go body everywhere else. The tests above ran
