@@ -9,7 +9,8 @@ import (
 
 // Bottleneck is a ResNet bottleneck residual block: a 1×1 reduce, 3×3, and
 // 1×1 expand BN-conv chain with an identity or 1×1-projection shortcut,
-// followed by an elementwise add and ReLU (He et al., CVPR 2016). The paper
+// followed by an elementwise add and ReLU (He et al., CVPR 2016), both of
+// which run in the expand convolution's epilogue. The paper
 // models ResNet50 as a chain of such blocks ("it is easy to extend our
 // definitions to DAG-structured CNNs", Definition 3.4, footnote 1); treating
 // each block as one composite Layer keeps the model a chain while preserving
@@ -24,8 +25,6 @@ type Bottleneck struct {
 	// Project forces a 1×1 projection shortcut; it is also used
 	// automatically when input channels != 4*Mid or Stride != 1.
 	Project bool
-
-	in tensor.Shape // cached by sublayer builders; not part of identity
 }
 
 // Name implements Layer.
@@ -37,12 +36,12 @@ func (b *Bottleneck) needsProjection(in tensor.Shape) bool {
 
 // sublayers returns the block's internal layers for the given input shape:
 // reduce, mid, expand, and (optionally) the projection shortcut last.
-func (b *Bottleneck) sublayers(in tensor.Shape) ([]Layer, error) {
+func (b *Bottleneck) sublayers(in tensor.Shape) ([]*BNConv, error) {
 	if len(in) != 3 {
 		return nil, fmt.Errorf("%w: bottleneck %s expects CHW, got %v", tensor.ErrShape, b.LayerName, in)
 	}
 	inC := in[0]
-	ls := []Layer{
+	ls := []*BNConv{
 		&BNConv{LayerName: b.LayerName + ".reduce", ReLU: true,
 			Spec: tensor.Conv2DSpec{InChannels: inC, OutChannels: b.Mid, Kernel: 1, Stride: 1}},
 		&BNConv{LayerName: b.LayerName + ".mid", ReLU: true,
@@ -124,7 +123,11 @@ func (b *Bottleneck) Params(in tensor.Shape) int64 {
 	return total
 }
 
-// Apply implements Layer.
+// Apply implements Layer. The shortcut runs first, so the expand
+// convolution can add it and apply the block's ReLU in its epilogue: the
+// block is its three or four convolutions and no elementwise pass. Each
+// intermediate goes back to the slab pool once the next convolution has read
+// it; the block input is the caller's.
 func (b *Bottleneck) Apply(in *tensor.Tensor, w *LayerWeights) (*tensor.Tensor, error) {
 	ls, err := b.sublayers(in.Shape())
 	if err != nil {
@@ -134,22 +137,24 @@ func (b *Bottleneck) Apply(in *tensor.Tensor, w *LayerWeights) (*tensor.Tensor, 
 		return nil, fmt.Errorf("cnn: bottleneck %s: %d weight sets for %d sublayers",
 			b.LayerName, len(w.Sub), len(ls))
 	}
-	out := in
-	for i, l := range ls[:3] {
-		if out, err = l.Apply(out, w.Sub[i]); err != nil {
-			return nil, err
-		}
-	}
 	shortcut := in
 	if len(ls) == 4 {
 		if shortcut, err = ls[3].Apply(in, w.Sub[3]); err != nil {
 			return nil, err
 		}
+		defer tensor.Recycle(shortcut)
 	}
-	if err := tensor.AddInPlace(out, shortcut); err != nil {
-		return nil, fmt.Errorf("cnn: bottleneck %s residual: %w", b.LayerName, err)
+	reduced, err := ls[0].Apply(in, w.Sub[0])
+	if err != nil {
+		return nil, err
 	}
-	return tensor.ReLU(out), nil
+	mid, err := ls[1].Apply(reduced, w.Sub[1])
+	tensor.Recycle(reduced)
+	if err != nil {
+		return nil, err
+	}
+	defer tensor.Recycle(mid)
+	return ls[2].apply(mid, w.Sub[2], shortcut.Data(), true)
 }
 
 // residualBranchGain scales the expand convolution's batch-norm gain at

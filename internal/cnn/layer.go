@@ -280,11 +280,18 @@ const bnEps = 1e-5
 // per-channel affine per application, and the convolution kernel applies it
 // (and the ReLU) in its output step, not as passes over the result.
 func (c *BNConv) Apply(in *tensor.Tensor, w *LayerWeights) (*tensor.Tensor, error) {
+	return c.apply(in, w, nil, c.ReLU)
+}
+
+// apply is Apply with the epilogue's residual operand (nil for none) and
+// ReLU given by the caller: a bottleneck's expand convolution adds the
+// block's shortcut and applies the block's ReLU after it.
+func (c *BNConv) apply(in *tensor.Tensor, w *LayerWeights, residual []float32, relu bool) (*tensor.Tensor, error) {
 	scale, shift, err := tensor.BatchNormAffine(w.Gamma, w.Beta, w.Mean, w.Var, bnEps)
 	if err != nil {
 		return nil, fmt.Errorf("cnn: layer %s: %w", c.LayerName, err)
 	}
-	out, err := tensor.Conv2DFused(in, c.Spec, w.W, w.B, tensor.Epilogue{Scale: scale, Shift: shift, ReLU: c.ReLU})
+	out, err := tensor.Conv2DFused(in, c.Spec, w.W, w.B, tensor.Epilogue{Scale: scale, Shift: shift, Residual: residual, ReLU: relu})
 	if err != nil {
 		return nil, fmt.Errorf("cnn: layer %s: %w", c.LayerName, err)
 	}

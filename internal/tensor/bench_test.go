@@ -54,6 +54,22 @@ func BenchmarkMaxPool2D(b *testing.B) {
 	}
 }
 
+// BenchmarkMaxPool2DStem is tiny-resnet50's stem pool: 3×3, stride 2, pad 1
+// over conv1's 16×32×32 output, so every window overlaps its neighbours and
+// the first row and column of windows are clipped by the padding.
+func BenchmarkMaxPool2DStem(b *testing.B) {
+	in := benchInput(16, 32, 32)
+	spec := PoolSpec{Kernel: 3, Stride: 2, Pad: 1}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := MaxPool2D(in, spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		Recycle(out)
+	}
+}
+
 func BenchmarkMatVec(b *testing.B) {
 	const rows, cols = 256, 2048
 	w := make([]float32, rows*cols)

@@ -39,20 +39,29 @@ func FuzzDecode(f *testing.F) {
 // FuzzConv2DGEMMParity drives randomized convolution geometries through the
 // direct kernel and the GEMM path under every micro-kernel body, and requires
 // elementwise agreement — the fuzzing arm of the parity suite in gemm_test.go.
+// An odd epi byte adds a random residual operand and a ReLU to the epilogue,
+// held to the direct convolution followed by AddInPlace and ReLU: the kernel
+// reads the residual unchecked too.
 func FuzzConv2DGEMMParity(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(4), uint8(9), uint8(9), uint8(3), uint8(1), uint8(1))
-	f.Add(int64(2), uint8(1), uint8(1), uint8(5), uint8(13), uint8(7), uint8(2), uint8(3))
-	f.Add(int64(3), uint8(7), uint8(5), uint8(16), uint8(8), uint8(5), uint8(2), uint8(0))
+	f.Add(int64(1), uint8(3), uint8(4), uint8(9), uint8(9), uint8(3), uint8(1), uint8(1), uint8(0))
+	f.Add(int64(2), uint8(1), uint8(1), uint8(5), uint8(13), uint8(7), uint8(2), uint8(3), uint8(0))
+	f.Add(int64(3), uint8(7), uint8(5), uint8(16), uint8(8), uint8(5), uint8(2), uint8(0), uint8(0))
 	// A 6-wide kernel over a 1×1 input padded by 3: some kernel columns never
 	// meet the input at all (this one found an out-of-range slice in the
 	// column-matrix build that preceded the offset table).
-	f.Add(int64(-144), uint8(14), uint8(92), uint8(96), uint8(0), uint8(12), uint8(45), uint8(87))
+	f.Add(int64(-144), uint8(14), uint8(92), uint8(96), uint8(0), uint8(12), uint8(45), uint8(87), uint8(0))
 	// Input 5×6×3, k=4, stride 3, no padding: OutShape truncates (3−4)/3 to
 	// 0, so the 4-wide kernel overhangs the 3-wide input and still yields one
 	// output column, whose last tap must read zero. A padded slab sized by
 	// the input rather than the receptive field read it from the next row.
-	f.Add(int64(5), uint8(4), uint8(2), uint8(5), uint8(2), uint8(3), uint8(2), uint8(0))
-	f.Fuzz(func(t *testing.T, seed int64, inC, outC, h, w, k, stride, pad uint8) {
+	f.Add(int64(5), uint8(4), uint8(2), uint8(5), uint8(2), uint8(3), uint8(2), uint8(0), uint8(0))
+	// A 1×1 stride-2 projection over 7×8×8 with a residual: the padded slab
+	// holds the one phase plane of four the kernel reads.
+	f.Add(int64(6), uint8(6), uint8(7), uint8(7), uint8(7), uint8(0), uint8(1), uint8(0), uint8(1))
+	// A 1×1 over 2×2 with 7 output channels and a residual: the wide grid
+	// and a ragged strip, where the driver stages the residual.
+	f.Add(int64(7), uint8(4), uint8(6), uint8(1), uint8(1), uint8(0), uint8(0), uint8(0), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, inC, outC, h, w, k, stride, pad, epi uint8) {
 		spec := Conv2DSpec{
 			InChannels:  1 + int(inC)%8,
 			OutChannels: 1 + int(outC)%8,
@@ -79,17 +88,26 @@ func FuzzConv2DGEMMParity(f *testing.F) {
 		if err != nil {
 			t.Fatalf("direct: %v", err)
 		}
+		var ep Epilogue
+		if epi%2 == 1 {
+			res := randTensor(rng, want.Shape()...)
+			if err := AddInPlace(want, res); err != nil {
+				t.Fatal(err)
+			}
+			ReLU(want)
+			ep = Epilogue{Residual: res.Data(), ReLU: true}
+		}
 		for _, body := range kernelBodies() {
 			restore := body.use()
-			got, err := Conv2D(input, spec, weights, bias)
+			got, err := Conv2DFused(input, spec, weights, bias, ep)
 			restore()
 			if err != nil {
 				t.Fatalf("gemm: %v", err)
 			}
 			for i, v := range got.Data() {
 				if math.Abs(float64(v-want.Data()[i])) > parityEps {
-					t.Fatalf("divergence at %d: %s gemm %v vs direct %v (spec %+v, input %v)",
-						i, body.name, v, want.Data()[i], spec, in)
+					t.Fatalf("divergence at %d: %s gemm %v vs direct %v (spec %+v, input %v, residual %v)",
+						i, body.name, v, want.Data()[i], spec, in, ep.Residual != nil)
 				}
 			}
 		}

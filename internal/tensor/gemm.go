@@ -26,13 +26,15 @@ import (
 // (ky, kx) of output pixel (oy, ox), or a padding zero. A B panel is 16
 // consecutive floats of one padded row, and no column matrix is built.
 //
-//   - Stride s > 1: each channel becomes s² phase planes,
+//   - Stride s > 1: each channel becomes np² phase planes, np = min(k, s),
 //     Q[ic][py][px][y][x] = padded[ic][y·s+py][x·s+px], read at stride 1:
-//     boff = base(ic, ky%s, kx%s) + (ky/s)·wq + kx/s.
+//     boff = base(ic, ky%s, kx%s) + (ky/s)·wq + kx/s. A kernel narrower than
+//     its stride reads only phases below k, so a 1×1 stride-2 projection
+//     copies one plane of the four.
 //   - Panels walk output rows, writing C straight into the CHW output, when
 //     outW is a multiple of 16 (or the planes are exactly outW wide).
 //     Otherwise they walk the whole outH × wq grid into a scratch C, and one
-//     copy compacts it.
+//     copy compacts it; a residual operand is staged into the same grid.
 //   - When the padded slab would equal the input (stride 1, no padding,
 //     panels written straight), the input is read in place: a 1×1 conv over
 //     n = H·W pixels, n a multiple of 16, has boff[p] = p·n.
@@ -69,13 +71,14 @@ func conv2DGEMM(in *Tensor, spec Conv2DSpec, weights, bias []float32, ep Epilogu
 	hq := (max(inH+2*pad, (outH-1)*s+k) + s - 1) / s
 	wq := (max(inW+2*pad, (outW-1)*s+k) + s - 1) / s
 	plane := hq * wq
+	np := min(k, s)
 	g := gemm{m: spec.OutChannels, k: c * k * k, a: weights, bias: bias, ep: ep, boff: make([]int32, c*k*k)}
-	// boff[(ic, ky, kx)] = ((ic·s + ky%s)·s + kx%s)·plane + (ky/s)·wq + kx/s,
+	// boff[(ic, ky, kx)] = ((ic·np + ky%s)·np + kx%s)·plane + (ky/s)·wq + kx/s,
 	// walked with the phases as counters instead of dividing per entry.
 	maxOff, p := 0, 0
 	for ic := 0; ic < c; ic++ {
-		for ky := 0; ky < k; ky++ {
-			row := (ic*s+ky%s)*s*plane + ky/s*wq
+		for ky, py, qy := 0, 0, 0; ky < k; ky++ {
+			row := (ic*np+py)*np*plane + qy*wq
 			for kx, px, qx := 0, 0, 0; kx < k; kx++ {
 				off := row + px*plane + qx
 				g.boff[p] = int32(off)
@@ -84,6 +87,9 @@ func conv2DGEMM(in *Tensor, spec Conv2DSpec, weights, bias []float32, ep Epilogu
 				if px++; px == s {
 					px, qx = 0, qx+1
 				}
+			}
+			if py++; py == s {
+				py, qy = 0, qy+1
 			}
 		}
 	}
@@ -99,7 +105,7 @@ func conv2DGEMM(in *Tensor, spec Conv2DSpec, weights, bias []float32, ep Epilogu
 	if direct && s == 1 && pad == 0 {
 		g.b = in.Data() // the padded slab would be the input itself
 	} else {
-		planes := c * s * s * plane
+		planes := c * np * np * plane
 		if err := faultinject.Hit(FaultConvPad); err != nil {
 			return nil, fmt.Errorf("conv2d padded input (%d floats): %w", planes, err)
 		}
@@ -107,7 +113,7 @@ func conv2DGEMM(in *Tensor, spec Conv2DSpec, weights, bias []float32, ep Epilogu
 		// and a tap's offset inside its plane up to (k−1)/s past the grid.
 		g.b = getSlab(planes + nr + k)
 		defer putSlab(g.b)
-		padPhases(g.b, in.Data(), c, inH, inW, pad, s, hq, wq)
+		padPhases(g.b, in.Data(), c, inH, inW, pad, s, np, hq, wq)
 	}
 	// The assembly body indexes B through boff with no bounds check.
 	if last := maxOff + g.panel(g.n-nr) + nr; maxOff > math.MaxInt32 || last > len(g.b) {
@@ -122,6 +128,19 @@ func conv2DGEMM(in *Tensor, spec Conv2DSpec, weights, bias []float32, ep Epilogu
 	}
 	g.c = getSlab(g.m * g.n)
 	defer putSlab(g.c)
+	if ep.Residual != nil {
+		// The residual goes where its output element sits in the scratch C.
+		// The grid columns past outW keep whatever the slab held: they land
+		// only in the C columns the compaction below drops.
+		res := getSlab(g.m * g.n)
+		defer putSlab(res)
+		for oc := 0; oc < g.m; oc++ {
+			for oy := 0; oy < outH; oy++ {
+				copy(res[oc*g.n+oy*wq:][:outW], ep.Residual[(oc*outH+oy)*outW:])
+			}
+		}
+		g.ep.Residual = res
+	}
 	g.run()
 	dst := out.Data()
 	for oc := 0; oc < g.m; oc++ {
@@ -132,31 +151,49 @@ func conv2DGEMM(in *Tensor, spec Conv2DSpec, weights, bias []float32, ep Epilogu
 	return out, nil
 }
 
-// padPhases writes the c×h×w input src into dst as c·s² phase planes of
-// hq×wq floats, Q[ic][py][px][y][x] = padded[ic][y·s+py][x·s+px], where
-// padded is src behind pad zeros on every side and zeros beyond. Every float
-// of dst is written, zeros past the planes, so dst may be a dirty slab.
-func padPhases(dst, src []float32, c, h, w, pad, s, hq, wq int) {
+// padPhases writes the c×h×w input src into dst as c·np² phase planes of
+// hq×wq floats, Q[ic][py][px][y][x] = padded[ic][y·s+py][x·s+px] for py, px
+// < np, where padded is src behind pad zeros on every side and zeros beyond.
+// Every float of dst is written, zeros past the planes, so dst may be a dirty
+// slab. At stride 1 each row is one copy; past it, each phase row is a
+// strided gather from its source row.
+func padPhases(dst, src []float32, c, h, w, pad, s, np, hq, wq int) {
 	plane := hq * wq
 	zeroFill(dst)
+	if s == 1 {
+		for ic := 0; ic < c; ic++ {
+			for iy := 0; iy < h; iy++ {
+				copy(dst[ic*plane+(iy+pad)*wq+pad:], src[(ic*h+iy)*w:][:w])
+			}
+		}
+		return
+	}
+	// Input row or column i is padded i+pad = (i+pad)/s·s + (i+pad)%s, so
+	// phase px's first input column is px−r (padded column q·s+px), or px−r+s
+	// one plane column later, and it holds every s-th column from there.
+	q, r := pad/s, pad%s
 	for ic := 0; ic < c; ic++ {
-		// Input row iy is padded row iy+pad = y·s+py, counted without dividing.
-		y, py := pad/s, pad%s
-		for iy := 0; iy < h; iy++ {
-			at := (ic*s+py)*s*plane + y*wq
-			row := src[(ic*h+iy)*w:][:w]
-			if s == 1 {
-				copy(dst[at+pad:], row)
-			} else {
-				for ix, x, px := 0, pad/s, pad%s; ix < w; ix++ {
-					dst[at+px*plane+x] = row[ix]
-					if px++; px == s {
-						px, x = 0, x+1
+		for px := 0; px < np; px++ {
+			ix0, x0 := px-r, q
+			if ix0 < 0 {
+				ix0, x0 = ix0+s, x0+1
+			}
+			if ix0 >= w {
+				continue // the phase holds padding only
+			}
+			n := (w - ix0 + s - 1) / s
+			y, py := q, r
+			for iy := 0; iy < h; iy++ {
+				if py < np {
+					row := src[(ic*h+iy)*w+ix0:]
+					d := dst[((ic*np+py)*np+px)*plane+y*wq+x0:][:n]
+					for j := range d {
+						d[j] = row[j*s]
 					}
 				}
-			}
-			if py++; py == s {
-				py, y = 0, y+1
+				if py++; py == s {
+					py, y = 0, y+1
+				}
 			}
 		}
 	}
@@ -174,8 +211,9 @@ func zeroFill(s []float32) {
 //
 // with A and C row-major and dense, n a multiple of nr, bias[i] starting
 // every element of C row i, and ep (per C row) applied once, when the
-// reduction is complete. B is read through the offset table: row p of the
-// panel at column j0 starts at b[panel(j0)+boff[p]].
+// reduction is complete; ep.Residual, when set, is laid out like C. B is read
+// through the offset table: row p of the panel at column j0 starts at
+// b[panel(j0)+boff[p]].
 type gemm struct {
 	m, n, k    int
 	a, bias, c []float32
@@ -217,8 +255,9 @@ func (g *gemm) run() {
 }
 
 // strip computes C rows [s·mr, s·mr+mr): for each column panel, the
-// reduction in kcBlock steps — bias on the first, the epilogue on the last,
-// the tile carried in C between them.
+// reduction in kcBlock steps — bias on the first, the epilogue (and with it
+// the residual) on the last, the tile carried in C between them. A ragged
+// strip stages its C and residual rows through mr×nr tiles.
 func (g *gemm) strip(s int) {
 	r0 := s * mr
 	a, bias, scale, shift := g.a[r0*g.k:], g.bias[r0:], g.ep.Scale, g.ep.Shift
@@ -232,23 +271,33 @@ func (g *gemm) strip(s int) {
 			scale, shift = g.scaleEdge[:], g.shiftEdge[:]
 		}
 	}
-	var cEdge [mr * nr]float32
+	var cEdge, rEdge [mr * nr]float32
 	t := tile{lda: g.k}
+	var res []float32
 	for j0 := 0; j0 < g.n; j0 += nr {
 		t.b = g.b[g.panel(j0):]
 		t.c, t.ldc = g.c[r0*g.n+j0:], g.n
+		if g.ep.Residual != nil {
+			res, t.ldr = g.ep.Residual[r0*g.n+j0:], g.n
+		}
 		if rows < mr {
 			t.c, t.ldc = cEdge[:], nr
+			if res != nil {
+				for i := 0; i < rows; i++ {
+					copy(rEdge[i*nr:][:nr], res[i*g.n:])
+				}
+				res, t.ldr = rEdge[:], nr
+			}
 		}
 		for k0 := 0; k0 < g.k; k0 += kcBlock {
 			t.k = min(kcBlock, g.k-k0)
 			t.a, t.boff = a[k0:], g.boff[k0:k0+t.k]
-			t.bias, t.scale, t.shift, t.relu = nil, nil, nil, false
+			t.bias, t.scale, t.shift, t.res, t.relu = nil, nil, nil, nil, false
 			if k0 == 0 {
 				t.bias = bias
 			}
 			if k0+t.k == g.k {
-				t.scale, t.shift, t.relu = scale, shift, g.ep.ReLU
+				t.scale, t.shift, t.res, t.relu = scale, shift, res, g.ep.ReLU
 			}
 			kernel(&t)
 		}

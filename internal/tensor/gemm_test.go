@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -123,7 +124,13 @@ func TestConv2DGEMMParity(t *testing.T) {
 // it replaces: Conv2D, then BatchNorm, then ReLU, each over the whole
 // activation. Bias-only and ReLU-only epilogues must be bit-identical to the
 // passes (same operations on the same values); the affine is allowed the
-// rounding of one fused multiply-add.
+// rounding of one fused multiply-add. A residual epilogue is held bit for bit
+// to the convolution with the same affine, then AddInPlace, then ReLU: the
+// add and the max are the same float32 operations wherever they run. Its
+// cases reach each place the driver puts the residual — straight through on
+// the direct path, staged into a ragged strip (7 output channels), into the
+// wide grid (a 1×1 over 2×2, N = 4), and added once, on the last k block, of
+// a reduction longer than kcBlock (a 1×1 over 300 channels).
 func TestConv2DFusedMatchesSeparatePasses(t *testing.T) {
 	forEachKernelBody(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(23))
@@ -171,11 +178,59 @@ func TestConv2DFusedMatchesSeparatePasses(t *testing.T) {
 				}
 			}
 		}
+
+		for _, c := range []struct {
+			name string
+			h, w int
+			spec Conv2DSpec
+		}{
+			{"direct 3x3", 16, 16, Conv2DSpec{InChannels: 5, OutChannels: 8, Kernel: 3, Stride: 1, Pad: 1}},
+			{"ragged m", 8, 8, Conv2DSpec{InChannels: 6, OutChannels: 7, Kernel: 1, Stride: 1}},
+			{"wide grid", 2, 2, Conv2DSpec{InChannels: 12, OutChannels: 16, Kernel: 1, Stride: 1}},
+			{"wide grid, ragged m", 2, 2, Conv2DSpec{InChannels: 12, OutChannels: 7, Kernel: 1, Stride: 1}},
+			{"k > kcBlock", 4, 4, Conv2DSpec{InChannels: 300, OutChannels: 8, Kernel: 1, Stride: 1}},
+		} {
+			in := randTensor(rng, c.spec.InChannels, c.h, c.w)
+			w, bias := randSlice(rng, c.spec.WeightCount()), randSlice(rng, c.spec.OutChannels)
+			scale, shift := randSlice(rng, c.spec.OutChannels), randSlice(rng, c.spec.OutChannels)
+			for _, bn := range []bool{false, true} {
+				ep := Epilogue{}
+				if bn {
+					ep.Scale, ep.Shift = scale, shift
+				}
+				want, err := Conv2DFused(in, c.spec, w, bias, ep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res := randTensor(rng, want.Shape()...)
+				if err := AddInPlace(want, res); err != nil {
+					t.Fatal(err)
+				}
+				ReLU(want)
+				ep.Residual, ep.ReLU = res.Data(), true
+				got, err := Conv2DFused(in, c.spec, w, bias, ep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, v := range got.Data() {
+					if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
+						t.Fatalf("%s bn=%v: residual epilogue [%d] = %v, separate passes %v", c.name, bn, i, v, want.Data()[i])
+					}
+				}
+			}
+		}
 	})
 	bad := Epilogue{Scale: make([]float32, 3), Shift: make([]float32, 2)}
 	spec := Conv2DSpec{InChannels: 1, OutChannels: 3, Kernel: 1, Stride: 1}
 	if _, err := Conv2DFused(New(1, 2, 2), spec, make([]float32, 3), make([]float32, 3), bad); err == nil {
 		t.Error("mismatched epilogue vectors accepted")
+	}
+	// The assembly body reads the residual unchecked: a short one is an error.
+	for _, n := range []int{0, 11, 13} {
+		short := Epilogue{Residual: make([]float32, n)}
+		if _, err := Conv2DFused(New(1, 2, 2), spec, make([]float32, 3), make([]float32, 3), short); !errors.Is(err, ErrShape) {
+			t.Errorf("residual of %d floats for a 3×2×2 output: err %v, want ErrShape", n, err)
+		}
 	}
 }
 

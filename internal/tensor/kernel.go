@@ -30,9 +30,11 @@ const (
 //
 // init is bias[i] across row i, or, when bias is nil, what C already holds —
 // the continuation of a reduction the driver split into k blocks. The
-// epilogue is acc·scale[i]+shift[i] when scale is non-nil, then max(acc, 0)
-// when relu is set; the driver asks for it on a reduction's last block only.
-// a and c are addressed as base + row·stride and must hold mr full rows; B
+// epilogue is acc·scale[i]+shift[i] when scale is non-nil, then acc + R when
+// res is non-nil (R is mr×nr, addressed like C: row i at res[i·ldr:]), then
+// max(acc, 0) when relu is set; the driver asks for it on a reduction's last
+// block only. a, c and res are addressed as base + row·stride and must hold
+// mr full rows; B
 // row p is the nr floats at b[boff[p]:], so one table serves a dense matrix
 // (boff[p] = p·ldb) and a convolution's padded input read in place
 // (gemm.go). The driver pads a ragged last strip and never asks for a ragged
@@ -50,6 +52,8 @@ type tile struct {
 	bias  []float32
 	scale []float32
 	shift []float32
+	res   []float32
+	ldr   int
 	relu  bool
 }
 
@@ -104,6 +108,11 @@ func kernelGo(t *tile) {
 			sc, sh := t.scale[i], t.shift[i]
 			for j := range row {
 				row[j] = row[j]*sc + sh
+			}
+		}
+		if t.res != nil {
+			for j, r := range t.res[i*t.ldr : i*t.ldr+nr] {
+				row[j] += r
 			}
 		}
 		if t.relu {

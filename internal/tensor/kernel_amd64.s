@@ -15,6 +15,7 @@
 //   AX, R13  boff[p] of the current step, sign-extended
 //   DX       &C[0][0]; R10 = ldc in bytes; R12 = &C[3][0]
 //   CX       k steps left
+// The epilogue reuses SI, R8 and R11 for the residual tile R.
 
 // One reduction step: A column at byte offset aoff, B row halves at b0, b1.
 // B row p is read at b[boff[p]:], one MOVLQSX ahead of its two loads.
@@ -111,7 +112,7 @@ by1:
 epilogue:
 	MOVQ  tile_scale(DI), AX
 	TESTQ AX, AX
-	JZ    relu
+	JZ    residual
 	MOVQ  tile_shift(DI), R13
 	VBROADCASTSS 0(AX), Y8
 	VBROADCASTSS 0(R13), Y9
@@ -129,6 +130,25 @@ epilogue:
 	VBROADCASTSS 12(R13), Y9
 	VFMADD213PS  Y9, Y8, Y6
 	VFMADD213PS  Y9, Y8, Y7
+
+residual:
+	// acc + R, R addressed like C: SI = &R[0][0], R8 = ldr in bytes,
+	// R11 = &R[3][0]. The accumulator is the first source, as in `acc += r`.
+	MOVQ  tile_res(DI), SI
+	TESTQ SI, SI
+	JZ    relu
+	MOVQ  tile_ldr(DI), R8
+	SHLQ  $2, R8
+	LEAQ  (R8)(R8*2), R11
+	ADDQ  SI, R11
+	VADDPS (SI), Y0, Y0
+	VADDPS 32(SI), Y1, Y1
+	VADDPS (SI)(R8*1), Y2, Y2
+	VADDPS 32(SI)(R8*1), Y3, Y3
+	VADDPS (SI)(R8*2), Y4, Y4
+	VADDPS 32(SI)(R8*2), Y5, Y5
+	VADDPS (R11), Y6, Y6
+	VADDPS 32(R11), Y7, Y7
 
 relu:
 	MOVBLZX tile_relu(DI), AX

@@ -152,6 +152,9 @@ func TestSgemmBodiesAgree(t *testing.T) {
 // With M = 5 the last channel is alone in its strip; it must agree with the
 // four before it and with the direct kernel. The bodies must also agree on
 // what ReLU does to a NaN (keeps it) — they implement `if v < 0 { v = 0 }`.
+// A residual holding NaN, −0 and +0 must come out of the fused add and ReLU
+// exactly as out of AddInPlace then ReLU: the NaN kept, and −0 + −0 staying
+// −0 through the ReLU.
 func TestKernelNonFinite(t *testing.T) {
 	forEachKernelBody(t, func(t *testing.T) {
 		in := New(2, 3, 3)
@@ -185,6 +188,56 @@ func TestKernelNonFinite(t *testing.T) {
 				if g, w := got.At(oc, 0, 0), want.At(oc, 0, 0); g != w {
 					t.Errorf("relu=%v: finite pixel of channel %d = %v, direct %v", ep.ReLU, oc, g, w)
 				}
+			}
+		}
+
+		// Weights −1 on channel 0 and −0 on channel 1, bias −0: the
+		// accumulator is −0 + (−x0) + (−0·x1), so −1 at pixel (0, 0), where
+		// x0 = 1, and −0 at (0, 1), where x0 = 0.
+		zin := in.Clone()
+		zin.Set(1, 0, 0, 0)
+		zin.Set(0, 0, 0, 1)
+		neg := make([]float32, spec.WeightCount())
+		negZero := float32(math.Copysign(0, -1))
+		zbias := make([]float32, spec.OutChannels)
+		for oc := 0; oc < spec.OutChannels; oc++ {
+			neg[oc*2], neg[oc*2+1] = -1, negZero
+			zbias[oc] = negZero
+		}
+		res := New(spec.OutChannels, 3, 3)
+		for oc := 0; oc < spec.OutChannels; oc++ {
+			res.Set(float32(math.NaN()), oc, 2, 2)
+			res.Set(negZero, oc, 0, 1) // acc −0 there: −0 + −0 = −0
+			res.Set(negZero, oc, 0, 2) // acc −1 there: −1 + −0 = −1
+			res.Set(3, oc, 0, 0)       // −1 + 3 = 2
+		}
+		want, err = Conv2D(zin, spec, neg, zbias)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := AddInPlace(want, res); err != nil {
+			t.Fatal(err)
+		}
+		ReLU(want)
+		got, err := Conv2DFused(zin, spec, neg, zbias, Epilogue{Residual: res.Data(), ReLU: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range got.Data() {
+			if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
+				t.Errorf("residual: [%d] = %v (%#x), separate passes %v (%#x)", i, v, math.Float32bits(v),
+					want.Data()[i], math.Float32bits(want.Data()[i]))
+			}
+		}
+		for oc := 0; oc < spec.OutChannels; oc++ {
+			if v := got.At(oc, 2, 2); !math.IsNaN(float64(v)) {
+				t.Errorf("residual: NaN in R gave %v in channel %d", v, oc)
+			}
+			if v := got.At(oc, 0, 1); v != 0 || !math.Signbit(float64(v)) {
+				t.Errorf("residual: −0 + −0 through the ReLU gave %v in channel %d, want −0", v, oc)
+			}
+			if v := got.At(oc, 0, 0); v != 2 {
+				t.Errorf("residual: channel %d pixel (0,0) = %v, want 2", oc, v)
 			}
 		}
 	})

@@ -42,13 +42,16 @@ func Conv2D(in *Tensor, spec Conv2DSpec, weights, bias []float32) (*Tensor, erro
 }
 
 // Epilogue is what a convolution does to each output element after the
-// reduction and before the element is stored, so that a following batch-norm
-// or ReLU costs no pass of its own over the activation: y = conv + bias, then
-// y·Scale[oc] + Shift[oc] when Scale is set, then max(y, 0) when ReLU is set.
+// reduction and before the element is stored, so that a following batch-norm,
+// residual add or ReLU costs no pass of its own over the activation:
+// y = conv + bias, then y·Scale[oc] + Shift[oc] when Scale is set, then
+// y + Residual[i] when Residual is set, then max(y, 0) when ReLU is set.
 // Scale and Shift are per output channel and set together (BatchNormAffine
-// derives them from batch-norm statistics).
+// derives them from batch-norm statistics). Residual has the output's shape,
+// element for element: a residual block's shortcut.
 type Epilogue struct {
 	Scale, Shift []float32
+	Residual     []float32
 	ReLU         bool
 }
 
@@ -61,6 +64,11 @@ func Conv2DFused(in *Tensor, spec Conv2DSpec, weights, bias []float32, ep Epilog
 	if (ep.Scale != nil || ep.Shift != nil) && (len(ep.Scale) != spec.OutChannels || len(ep.Shift) != spec.OutChannels) {
 		return nil, fmt.Errorf("%w: conv2d epilogue scale/shift len %d/%d, want %d",
 			ErrShape, len(ep.Scale), len(ep.Shift), spec.OutChannels)
+	}
+	// The assembly body reads the residual with no bounds check.
+	if ep.Residual != nil && len(ep.Residual) != outShape.NumElements() {
+		return nil, fmt.Errorf("%w: conv2d residual len %d, want %d (%v)",
+			ErrShape, len(ep.Residual), outShape.NumElements(), outShape)
 	}
 	return conv2DGEMM(in, spec, weights, bias, ep, outShape)
 }
@@ -153,8 +161,17 @@ func (p PoolSpec) OutShape(in Shape) (Shape, error) {
 	return Shape{in[0], h, w}, nil
 }
 
-// MaxPool2D applies max pooling to the CHW input. A window holding a NaN
+// MaxPool2D applies max pooling to the CHW input. A window is clipped to the
+// input; one lying entirely in the padding pools to 0. A window holding a NaN
 // pools to NaN (Go's builtin max), here and in GridMaxPool.
+//
+// An output row is its window's clipped input rows folded elementwise into
+// one, then that row folded over each output's column window — plain loops
+// over contiguous rows, with the builtin max, which compiles without a
+// data-dependent branch: activations are not predictable. The columns whose
+// window lies inside the input (all of them when the window tiles it) fold a
+// tap at a time across the row; only the clipped ones at the edges test
+// bounds, once per output.
 func MaxPool2D(in *Tensor, spec PoolSpec) (*Tensor, error) {
 	outShape, err := spec.OutShape(in.Shape())
 	if err != nil {
@@ -162,77 +179,64 @@ func MaxPool2D(in *Tensor, spec PoolSpec) (*Tensor, error) {
 	}
 	c, inH, inW := in.Shape()[0], in.Shape()[1], in.Shape()[2]
 	outH, outW := outShape[1], outShape[2]
+	k, s, pad := spec.Kernel, spec.Stride, spec.Pad
 	out := newUninit(outShape...)
-	src := in.Data()
-	dst := out.Data()
-	if spec.Pad == 0 && spec.Kernel == spec.Stride {
-		maxPoolTiled(src, dst, c, inH, inW, outH, outW, spec.Kernel)
-		return out, nil
-	}
+	src, dst := in.Data(), out.Data()
 
-	for ch := 0; ch < c; ch++ {
-		sBase := ch * inH * inW
-		for oy := 0; oy < outH; oy++ {
-			iy0 := oy*spec.Stride - spec.Pad
-			for ox := 0; ox < outW; ox++ {
-				ix0 := ox*spec.Stride - spec.Pad
-				acc := float32(math.Inf(-1))
-				n := 0
-				for ky := 0; ky < spec.Kernel; ky++ {
-					iy := iy0 + ky
-					if iy < 0 || iy >= inH {
-						continue
-					}
-					for kx := 0; kx < spec.Kernel; kx++ {
-						ix := ix0 + kx
-						if ix < 0 || ix >= inW {
-							continue
-						}
-						acc = max(acc, src[sBase+iy*inW+ix])
-						n++
-					}
-				}
-				if n == 0 {
-					acc = 0 // the window lies entirely in the padding
-				}
-				dst[(ch*outH+oy)*outW+ox] = acc
-			}
-		}
+	// The windows of outputs lo ≤ ox < hi lie inside the input; no window
+	// reads past column w−1, so a folded row is w wide.
+	lo := min((pad+s-1)/s, outW)
+	hi := lo
+	if inW+pad >= k {
+		hi = max(lo, min(outW, (inW+pad-k)/s+1))
 	}
-	return out, nil
-}
-
-// maxPoolTiled is max pooling with an unpadded window that tiles the input
-// (kernel == stride): every window lies inside the input, so there is
-// nothing to clip or count. An output row is k input rows folded elementwise
-// into one, then that row folded k columns at a time — plain loops over
-// contiguous rows, with the builtin max, which compiles without a
-// data-dependent branch: activations are not predictable.
-func maxPoolTiled(src, dst []float32, c, inH, inW, outH, outW, k int) {
-	w := outW * k
+	w := max(0, min(inW, (outW-1)*s-pad+k))
 	fold := getSlab(w)
 	defer putSlab(fold)
 	for ch := 0; ch < c; ch++ {
 		plane := src[ch*inH*inW : (ch+1)*inH*inW]
 		for oy := 0; oy < outH; oy++ {
-			rows := plane[oy*k*inW:]
-			copy(fold, rows[:w])
-			for ky := 1; ky < k; ky++ {
-				for i, v := range rows[ky*inW:][:w] {
+			drow := dst[(ch*outH+oy)*outW:][:outW]
+			y0 := oy*s - pad
+			y1 := min(y0+k, inH)
+			y0 = max(y0, 0)
+			if y0 >= y1 {
+				zeroFill(drow) // every window of the row lies in the padding
+				continue
+			}
+			copy(fold, plane[y0*inW:][:w])
+			for y := y0 + 1; y < y1; y++ {
+				for i, v := range plane[y*inW:][:w] {
 					fold[i] = max(fold[i], v)
 				}
 			}
-			drow := dst[(ch*outH+oy)*outW:][:outW]
-			for ox := range drow {
-				drow[ox] = fold[ox*k]
+			inner, taps := drow[lo:hi], fold[min(lo*s-pad, w):] // taps is unread when inner is empty
+			for ox := range inner {
+				inner[ox] = taps[ox*s]
 			}
 			for kx := 1; kx < k; kx++ {
-				for ox := range drow {
-					drow[ox] = max(drow[ox], fold[ox*k+kx])
+				for ox, v := range inner {
+					inner[ox] = max(v, taps[ox*s+kx])
+				}
+			}
+			for _, edge := range [2][2]int{{0, lo}, {hi, outW}} {
+				for ox := edge[0]; ox < edge[1]; ox++ {
+					x0 := ox*s - pad
+					x1 := min(x0+k, w)
+					x0 = max(x0, 0)
+					acc := float32(0) // the window lies entirely in the padding
+					if x0 < x1 {
+						acc = fold[x0]
+						for _, v := range fold[x0+1 : x1] {
+							acc = max(acc, v)
+						}
+					}
+					drow[ox] = acc
 				}
 			}
 		}
 	}
+	return out, nil
 }
 
 // gridAxis returns the kernel, stride, and output extent that reduce one
@@ -350,7 +354,11 @@ func ReLU(t *Tensor) *Tensor {
 	return t
 }
 
-// AddInPlace adds b into a elementwise (a += b); shapes must match.
+// AddInPlace adds b into a elementwise (a += b); shapes must match. A
+// residual block adds its shortcut in the convolution's epilogue instead
+// (Epilogue.Residual); this pass is the reference that epilogue is held to.
+//
+//vista:keep the reference the residual epilogue tests compare against
 func AddInPlace(a, b *Tensor) error {
 	if !a.Shape().Equal(b.Shape()) {
 		return fmt.Errorf("%w: add %v + %v", ErrShape, a.Shape(), b.Shape())

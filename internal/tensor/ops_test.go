@@ -134,40 +134,73 @@ func TestMaxPool2D(t *testing.T) {
 	}
 }
 
-// TestMaxPool2DTiledMatchesWindows checks the unpadded kernel == stride path
-// against a window-by-window maximum, on a dirty slab, for window sizes that
-// do and do not divide the input (the remainder rows and columns are dropped,
-// as OutShape says).
-func TestMaxPool2DTiledMatchesWindows(t *testing.T) {
+// TestMaxPool2DMatchesWindows holds every form of max pooling — tiled 2/2
+// and 3/3 with the remainder rows and columns dropped, overlapping 3/2,
+// padded 3/2/1 (tiny-resnet50's stem), a window larger than the input, and
+// windows lying entirely in the padding — to a window-by-window maximum over
+// the clipped window, on a slab dirtied with NaN. A window with no input
+// element pools to 0.
+func TestMaxPool2DMatchesWindows(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	for _, c := range []struct{ ch, h, w, k int }{{3, 8, 8, 2}, {2, 7, 9, 2}, {2, 9, 10, 3}, {1, 5, 4, 4}, {2, 3, 3, 1}} {
+	for _, c := range []struct {
+		name        string
+		ch, h, w    int
+		spec        PoolSpec
+		paddingOnly bool // some window holds no input element
+	}{
+		{name: "tiled 2/2", ch: 3, h: 8, w: 8, spec: PoolSpec{Kernel: 2, Stride: 2}},
+		{name: "tiled 2/2 remainder", ch: 2, h: 7, w: 9, spec: PoolSpec{Kernel: 2, Stride: 2}},
+		{name: "tiled 3/3 remainder", ch: 2, h: 9, w: 10, spec: PoolSpec{Kernel: 3, Stride: 3}},
+		{name: "tiled 4/4 one window", ch: 1, h: 5, w: 4, spec: PoolSpec{Kernel: 4, Stride: 4}},
+		{name: "tiled 1/1", ch: 2, h: 3, w: 3, spec: PoolSpec{Kernel: 1, Stride: 1}},
+		{name: "overlapping 3/2", ch: 2, h: 9, w: 11, spec: PoolSpec{Kernel: 3, Stride: 2}},
+		{name: "padded 3/2/1 stem", ch: 16, h: 32, w: 32, spec: PoolSpec{Kernel: 3, Stride: 2, Pad: 1}},
+		{name: "padded 3/2/1 odd", ch: 2, h: 7, w: 10, spec: PoolSpec{Kernel: 3, Stride: 2, Pad: 1}},
+		{name: "k > input", ch: 2, h: 3, w: 2, spec: PoolSpec{Kernel: 5, Stride: 1, Pad: 2}},
+		{name: "padding-only windows", ch: 2, h: 1, w: 2, spec: PoolSpec{Kernel: 1, Stride: 1, Pad: 1}, paddingOnly: true},
+		{name: "padding-only corner", ch: 1, h: 2, w: 2, spec: PoolSpec{Kernel: 2, Stride: 3, Pad: 2}, paddingOnly: true},
+	} {
 		in := randTensor(rng, c.ch, c.h, c.w)
-		dirty := getSlab(c.ch * (c.h / c.k) * (c.w / c.k))
+		shape, err := c.spec.OutShape(in.Shape())
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		dirty := getSlab(shape.NumElements())
 		for i := range dirty {
 			dirty[i] = float32(math.NaN())
 		}
 		putSlab(dirty)
-		out, err := MaxPool2D(in, PoolSpec{Kernel: c.k, Stride: c.k})
+		out, err := MaxPool2D(in, c.spec)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		if want := (Shape{c.ch, c.h / c.k, c.w / c.k}); !out.Shape().Equal(want) {
-			t.Fatalf("%+v: shape %v, want %v", c, out.Shape(), want)
+		if !out.Shape().Equal(shape) {
+			t.Fatalf("%s: shape %v, want %v", c.name, out.Shape(), shape)
 		}
+		k, s, pad := c.spec.Kernel, c.spec.Stride, c.spec.Pad
+		empty := 0
 		for ch := 0; ch < c.ch; ch++ {
-			for oy := 0; oy < c.h/c.k; oy++ {
-				for ox := 0; ox < c.w/c.k; ox++ {
-					want := float32(math.Inf(-1))
-					for ky := 0; ky < c.k; ky++ {
-						for kx := 0; kx < c.k; kx++ {
-							want = max(want, in.At(ch, oy*c.k+ky, ox*c.k+kx))
+			for oy := 0; oy < shape[1]; oy++ {
+				for ox := 0; ox < shape[2]; ox++ {
+					want, n := float32(math.Inf(-1)), 0
+					for iy := oy*s - pad; iy < oy*s-pad+k; iy++ {
+						for ix := ox*s - pad; ix < ox*s-pad+k; ix++ {
+							if iy >= 0 && iy < c.h && ix >= 0 && ix < c.w {
+								want, n = max(want, in.At(ch, iy, ix)), n+1
+							}
 						}
 					}
+					if n == 0 {
+						want, empty = 0, empty+1
+					}
 					if got := out.At(ch, oy, ox); got != want {
-						t.Fatalf("%+v: out[%d,%d,%d] = %v, want %v", c, ch, oy, ox, got, want)
+						t.Fatalf("%s: out[%d,%d,%d] = %v, want %v", c.name, ch, oy, ox, got, want)
 					}
 				}
 			}
+		}
+		if c.paddingOnly != (empty > 0) {
+			t.Errorf("%s: %d windows lie entirely in the padding", c.name, empty)
 		}
 	}
 }

@@ -69,11 +69,12 @@ go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 15s ./internal/tensor
 
 echo "== fuzz smoke (convolution) =="
 # The GEMM micro-kernel reads B at b[boff[p]:] straight out of a convolution's
-# padded input, and the assembly body checks no bounds, so a wrong offset
-# reads memory outside the slab instead of panicking. conv2DGEMM asserts the
-# farthest read once per call; this smoke drives random geometries (padding,
-# strides, kernels that overhang the input) through both kernel bodies
-# against the direct convolution.
+# padded input, and the epilogue's residual operand R tile by tile, and the
+# assembly body checks no bounds, so a wrong offset reads memory outside the
+# slab instead of panicking. conv2DGEMM asserts the farthest B read once per
+# call; this smoke drives random geometries (padding, strides, kernels that
+# overhang the input, some with a residual and ReLU) through both kernel
+# bodies against the direct convolution plus AddInPlace and ReLU.
 go test -run '^$' -fuzz '^FuzzConv2DGEMMParity$' -fuzztime 15s ./internal/tensor
 
 echo "== GEMM micro-kernel: pure-Go body, and a non-amd64 build =="
