@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -80,45 +81,31 @@ func sweepMemory(model, dataset string, layers, nodes, cores int, gpuGB float64,
 }
 
 func sweepPoint(model, dataset string, layers, nodes, cores int, memGB, gpuGB float64, ignite bool) (string, error) {
-	w, err := buildWorkload(model, dataset, layers, nodes, cores, memGB, gpuGB, ignite)
+	wi, err := whatIf(model, dataset, layers, nodes, cores, memGB, gpuGB, ignite)
+	if errors.Is(err, optimizer.ErrNoFeasible) {
+		return fmt.Sprintf("%-8s %-10s", fmt.Sprintf("%.0f GB", memGB), "no"), nil
+	}
 	if err != nil {
 		return "", err
 	}
-	d, err := optimizer.Optimize(w.Inputs, optimizer.DefaultParams())
-	if err != nil {
-		return fmt.Sprintf("%-8s %-10s", fmt.Sprintf("%.0f GB", memGB), "no"), nil
-	}
-	prof := sim.PaperCluster().WithNodes(nodes)
-	if ignite {
-		prof = sim.IgniteCluster().WithNodes(nodes)
-	}
-	prof.MemPerNode = memory.GB(memGB)
-	r := sim.Run(w, sim.FromDecision(d, optimizer.DefaultParams()), prof)
 	pred := "crash"
-	if r.Crash == nil {
-		pred = fmt.Sprintf("%.1f min", r.TotalMin())
+	if wi.Result.Crash == nil {
+		pred = fmt.Sprintf("%.1f min", wi.Result.TotalMin())
 	}
+	d := wi.Decision
 	return fmt.Sprintf("%-8s %-10s %-5d %-6d %-10v %-13v %s",
 		fmt.Sprintf("%.0f GB", memGB), "yes", d.CPU, d.NP, d.Join, d.Pers, pred), nil
 }
 
-// buildWorkload assembles the simulator workload for the given environment.
-func buildWorkload(model, dataset string, layers, nodes, cores int, memGB, gpuGB float64, ignite bool) (sim.Workload, error) {
+// whatIf asks sim.Vista what Vista picks for the workload on the given
+// cluster, and what the run costs.
+func whatIf(model, dataset string, layers, nodes, cores int, memGB, gpuGB float64, ignite bool) (*sim.WhatIf, error) {
 	preset, ok := data.Preset(dataset)
 	if !ok {
-		return sim.Workload{}, fmt.Errorf("unknown dataset %q", dataset)
+		return nil, fmt.Errorf("unknown dataset %q", dataset)
 	}
-	ds := sim.PaperDataset(preset)
-	m, err := cnn.ByName(model)
-	if err != nil {
-		return sim.Workload{}, err
-	}
-	if layers <= 0 {
-		// The paper's |L| for every roster model is all its feature layers.
-		layers = len(m.FeatureLayers)
-	}
-	return sim.NewWorkload(sim.WorkloadSpec{
-		ModelName: model, NumLayers: layers, Dataset: ds,
+	return sim.Vista(sim.WorkloadSpec{
+		ModelName: model, NumLayers: layers, Dataset: sim.PaperDataset(preset),
 		PlanKind: plan.Staged, Placement: plan.AfterJoin,
 		Nodes: nodes, CPUSys: cores,
 		MemSys: memory.GB(memGB), MemGPU: memory.GB(gpuGB),
@@ -127,41 +114,31 @@ func buildWorkload(model, dataset string, layers, nodes, cores int, memGB, gpuGB
 }
 
 func run(model, dataset string, layers, nodes, cores int, memGB, gpuGB float64, ignite bool) error {
-	w, err := buildWorkload(model, dataset, layers, nodes, cores, memGB, gpuGB, ignite)
-	if err != nil {
+	// An infeasible workload still has its estimates to show: wi is nil only
+	// when the workload does not build.
+	wi, err := whatIf(model, dataset, layers, nodes, cores, memGB, gpuGB, ignite)
+	if wi == nil {
 		return err
 	}
-	layers = w.Inputs.NumLayers
-	ds := sim.DatasetSpec{Name: dataset, Rows: w.Inputs.NumRows,
-		StructDim: w.Inputs.StructDim, ImageRowBytes: w.Inputs.ImageRowBytes}
-	params := optimizer.DefaultParams()
-
-	sizes, sSingle, sDouble, err := optimizer.IntermediateSizes(w.Inputs, params)
-	if err != nil {
-		return err
-	}
-	st := w.Inputs.ModelStats
+	in := wi.Workload.Inputs
+	st := in.ModelStats
 	fmt.Printf("Model %s: %d params, |f|_ser=%s, |f|_mem=%s, |f|_mem_gpu=%s\n",
 		st.ModelName, st.Params, memory.FormatBytes(st.SerializedBytes),
 		memory.FormatBytes(st.MemBytes), memory.FormatBytes(st.GPUMemBytes))
-	fmt.Printf("Workload: %s (%d rows × %d features), |L|=%d\n\n", ds.Name, ds.Rows, ds.StructDim, layers)
+	fmt.Printf("Workload: %s (%d rows × %d features), |L|=%d\n\n", dataset, in.NumRows, in.StructDim, in.NumLayers)
 
 	fmt.Println("Intermediate table estimates (Equation 16):")
-	lsList, err := st.TopLayerStats(layers)
-	if err != nil {
-		return err
-	}
-	for i, ls := range lsList {
+	for i, ls := range wi.Workload.Plan.Layers {
 		fmt.Printf("  T%d (%s): %s (raw %d elems, pooled %d dims)\n",
-			i+1, ls.Name, memory.FormatBytes(sizes[i]), ls.RawElems, ls.FeatureDim)
+			i+1, ls.Name, memory.FormatBytes(wi.TableSizes[i]), ls.RawElems, ls.FeatureDim)
 	}
 	fmt.Printf("  s_single=%s  s_double=%s\n\n",
-		memory.FormatBytes(sSingle), memory.FormatBytes(sDouble))
+		memory.FormatBytes(wi.SSingle), memory.FormatBytes(wi.SDouble))
 
-	d, err := optimizer.Optimize(w.Inputs, params)
 	if err != nil {
 		return fmt.Errorf("optimizer: %w", err)
 	}
+	d := wi.Decision
 	fmt.Println("Decision (Algorithm 1):")
 	fmt.Printf("  cpu         = %d\n", d.CPU)
 	fmt.Printf("  np          = %d\n", d.NP)
@@ -171,21 +148,12 @@ func run(model, dataset string, layers, nodes, cores int, memGB, gpuGB float64, 
 	fmt.Printf("  mem_user    = %s\n", memory.FormatBytes(d.MemUser))
 	fmt.Printf("  mem_dl      = %s\n\n", memory.FormatBytes(d.MemDL))
 
-	prof := sim.PaperCluster().WithNodes(nodes)
-	if ignite {
-		prof = sim.IgniteCluster().WithNodes(nodes)
-	}
-	if gpuGB > 0 {
-		prof = sim.SingleNodeGPU()
-		prof.Nodes = nodes
-		prof.GPU.MemBytes = memory.GB(gpuGB)
-	}
-	r := sim.Run(w, sim.FromDecision(d, params), prof)
+	r := wi.Result
 	if r.Crash != nil {
 		return fmt.Errorf("simulated run crashed (should not happen with an optimizer decision): %w", r.Crash)
 	}
 	fmt.Printf("Predicted runtime on %s: %.1f min (read %.1f, join %.1f, spills %s)\n",
-		prof.Name, r.TotalMin(), r.ReadSec/60, r.JoinSec/60, memory.FormatBytes(r.SpilledBytes))
+		wi.Profile.Name, r.TotalMin(), r.ReadSec/60, r.JoinSec/60, memory.FormatBytes(r.SpilledBytes))
 	for _, l := range r.Layers {
 		fmt.Printf("  %-10s infer %6.1fs  train %6.1fs\n", l.Layer, l.InferSec, l.TrainFirstSec+l.TrainRestSec)
 	}

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"io"
+	"os"
 	"strings"
 	"testing"
 )
@@ -60,5 +62,56 @@ func TestExplainValidation(t *testing.T) {
 	// Infeasible: an 8 GB node cannot host VGG16.
 	if err := run("vgg16", "foods", 3, 8, 8, 8, 0, false); err == nil {
 		t.Error("infeasible environment accepted")
+	}
+}
+
+// captureStdout returns what f prints to stdout.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	err = f()
+	os.Stdout = stdout
+	w.Close()
+	b := <-out
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestExplainSimulatesAskedMemory: the single-point report simulates on the
+// worker memory it was asked for, so at 48 GB it agrees with the memory
+// sweep's 48 GB point on the decision and the predicted minutes.
+func TestExplainSimulatesAskedMemory(t *testing.T) {
+	out := captureStdout(t, func() error { return run("vgg16", "amazon", 0, 8, 8, 48, 0, false) })
+	line, err := sweepPoint("vgg16", "amazon", 0, 8, 8, 48, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// "48 GB yes cpu np join pers M min"
+	f := strings.Fields(line)
+	if len(f) != 9 || f[2] != "yes" {
+		t.Fatalf("48 GB sweep point = %q, want a feasible prediction", line)
+	}
+	for _, want := range []string{
+		"  cpu         = " + f[3] + "\n",
+		"  np          = " + f[4] + "\n",
+		"  join        = " + f[5] + "\n",
+		"  persistence = " + f[6] + "\n",
+		": " + f[7] + " min (",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("single-point report lacks %q the sweep reports:\n%s", want, out)
+		}
 	}
 }

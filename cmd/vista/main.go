@@ -212,14 +212,7 @@ func run(ctx context.Context, o runOptions, stdout, stderr io.Writer) error {
 		runSpec.Metrics = obs.NewRegistry()
 		runSpec.SampleEvery = o.sampleEvery
 	}
-	switch strings.ToLower(o.planKind) {
-	case "lazy":
-		runSpec.PlanKind = plan.Lazy
-	case "eager":
-		runSpec.PlanKind = plan.Eager
-	case "staged":
-		runSpec.PlanKind = plan.Staged
-	default:
+	if runSpec.PlanKind, err = plan.ParseKind(strings.ToLower(o.planKind)); err != nil {
 		return fmt.Errorf("unknown plan %q", o.planKind)
 	}
 	switch strings.ToLower(o.placement) {

@@ -55,27 +55,17 @@ func main() {
 	fmt.Println("is Lazy's redundant inference and Eager's peak memory footprint.")
 
 	fmt.Println("\n== Simulator, paper scale (8×32 GB nodes, Amazon/ResNet50, |L|=5) ==")
-	ds := sim.AmazonSpec()
 	for _, kind := range []plan.Kind{plan.Lazy, plan.Eager, plan.Staged} {
-		w, err := sim.NewWorkload(sim.WorkloadSpec{
-			ModelName: "resnet50", NumLayers: 5, Dataset: ds,
+		// Vista's decision depends on the workload's shape, not its plan, so
+		// every plan runs under the configuration Vista picks for Staged.
+		wi, err := sim.Vista(sim.WorkloadSpec{
+			ModelName: "resnet50", NumLayers: 5, Dataset: sim.AmazonSpec(),
 			PlanKind: kind, Placement: plan.AfterJoin,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		ref, err := sim.NewWorkload(sim.WorkloadSpec{
-			ModelName: "resnet50", NumLayers: 5, Dataset: ds,
-			PlanKind: plan.Staged, Placement: plan.AfterJoin,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg, err := sim.VistaConfig(ref)
-		if err != nil {
-			log.Fatal(err)
-		}
-		r := sim.Run(w, cfg, sim.PaperCluster())
+		r := wi.Result
 		if r.Crash != nil {
 			fmt.Printf("%-10s CRASH: %v\n", kind, r.Crash)
 			continue

@@ -30,7 +30,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/sampler"
-	"repro/internal/optimizer"
 	"repro/internal/plan"
 	"repro/internal/sim"
 )
@@ -93,6 +92,9 @@ type RunEnv struct {
 	Placement     plan.JoinPlacement
 	Nodes, Cores  int
 	MemBytes      int64
+	// Downstream is the downstream model the run trained (the zero value is
+	// logistic regression).
+	Downstream sim.Downstream
 	// Profile, when non-nil, is the active calibration profile: storage
 	// estimates are corrected through it before samples are built, so the
 	// recorded storage samples measure the residual error the next refit
@@ -116,6 +118,7 @@ func EnvFromSpec(spec core.Spec, dataset string) RunEnv {
 		Nodes:         spec.Nodes,
 		Cores:         spec.CoresPerNode,
 		MemBytes:      spec.MemPerNode,
+		Downstream:    spec.Downstream.Footprint(),
 	}
 	if len(spec.StructRows) > 0 {
 		env.StructDim = len(spec.StructRows[0].Structured)
@@ -131,7 +134,7 @@ func EnvFromSpec(spec core.Spec, dataset string) RunEnv {
 // against (tiny in-process runs can describe workloads the paper cluster
 // model rejects).
 func Simulate(env RunEnv, numLayers int) (sim.Result, error) {
-	wl, err := sim.NewWorkload(sim.WorkloadSpec{
+	wi, err := sim.Vista(sim.WorkloadSpec{
 		ModelName: env.ModelName,
 		NumLayers: numLayers,
 		Dataset: sim.DatasetSpec{
@@ -140,28 +143,21 @@ func Simulate(env RunEnv, numLayers int) (sim.Result, error) {
 			StructDim:     env.StructDim,
 			ImageRowBytes: env.ImageRowBytes,
 		},
-		PlanKind:  env.PlanKind,
-		Placement: env.Placement,
-		Nodes:     env.Nodes,
-		CPUSys:    env.Cores,
-		MemSys:    env.MemBytes,
+		PlanKind:     env.PlanKind,
+		Placement:    env.Placement,
+		Nodes:        env.Nodes,
+		CPUSys:       env.Cores,
+		MemSys:       env.MemBytes,
+		Downstream:   env.Downstream,
+		StorageScale: env.Profile.scale(),
 	})
 	if err != nil {
-		return sim.Result{}, fmt.Errorf("calib: workload: %w", err)
+		return sim.Result{}, fmt.Errorf("calib: simulate: %w", err)
 	}
-	params := optimizer.DefaultParams()
-	params.StorageScale = env.Profile.scale()
-	d, err := optimizer.Optimize(wl.Inputs, params)
-	if err != nil {
-		return sim.Result{}, fmt.Errorf("calib: config: %w", err)
+	if wi.Result.Crash != nil {
+		return sim.Result{}, fmt.Errorf("calib: simulated run crashes: %w", wi.Result.Crash)
 	}
-	prof := sim.PaperCluster().WithNodes(env.Nodes)
-	prof.MemPerNode = env.MemBytes
-	simRes := sim.Run(wl, sim.FromDecision(d, params), prof)
-	if simRes.Crash != nil {
-		return sim.Result{}, fmt.Errorf("calib: simulated run crashes: %w", simRes.Crash)
-	}
-	return simRes, nil
+	return wi.Result, nil
 }
 
 // CompareRun simulates env's workload (Simulate, stage-for-stage with the

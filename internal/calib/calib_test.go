@@ -178,8 +178,8 @@ func TestSimulatePricesScaledDecision(t *testing.T) {
 	if plain.NP == scaled.NP && plain.Pers == scaled.Pers {
 		t.Fatalf("the factor must re-rank np or persistence for this test to discriminate: %+v", scaled)
 	}
-	prof := sim.PaperCluster().WithNodes(env.Nodes)
-	prof.MemPerNode = env.MemBytes
+	prof := sim.PaperCluster()
+	prof.Nodes, prof.MemPerNode = env.Nodes, env.MemBytes
 	want := sim.Run(wl, sim.FromDecision(scaled, scaledParams), prof)
 	if reflect.DeepEqual(want, sim.Run(wl, sim.FromDecision(plain, plainParams), prof)) {
 		t.Fatal("the two decisions simulate identically; pick a workload where they differ")
@@ -200,5 +200,34 @@ func TestSimulatePricesScaledDecision(t *testing.T) {
 	}
 	if want := sim.Run(wl, sim.FromDecision(plain, plainParams), prof); !reflect.DeepEqual(got, want) {
 		t.Errorf("unprofiled Simulate = %+v, want the plain decision's %+v", got, want)
+	}
+}
+
+// Simulate prices the downstream model the run trained: an MLP run's memory
+// model is the decision core made for it, with the MLP in DL Execution
+// Memory, not a logistic regression's.
+func TestSimulatePricesRunDownstream(t *testing.T) {
+	structRows, imageRows, err := data.Generate(data.Foods().WithRows(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := core.Spec{
+		Nodes: 2, CoresPerNode: 4, MemPerNode: memory.GB(32),
+		SystemKind: memory.SparkLike,
+		ModelName:  "tiny-alexnet", NumLayers: 2,
+		Downstream: core.DefaultDownstream(),
+		StructRows: structRows, ImageRows: imageRows, Seed: 1,
+	}
+	spec.Downstream.Kind = core.MLP
+	ex, err := core.Explain(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Simulate(EnvFromSpec(spec, "foods"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(spec.Nodes) * ex.Decision.MemStorage; got.StorageCapBytes != want {
+		t.Errorf("simulated storage cap = %d, want the MLP decision's %d", got.StorageCapBytes, want)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/memory"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
+	"repro/internal/sim"
 )
 
 // Explanation describes what Vista *would* do for a spec without executing
@@ -32,7 +33,6 @@ func Explain(spec Spec) (*Explanation, error) {
 	if err != nil {
 		return nil, err
 	}
-	compiled := id.Plan
 	in, err := optimizerInputs(spec, id)
 	if err != nil {
 		return nil, err
@@ -41,13 +41,8 @@ func Explain(spec Spec) (*Explanation, error) {
 	if err != nil {
 		return nil, err
 	}
-	ex := &Explanation{Plan: compiled, TableSizes: sizes, SSingle: sSingle, SDouble: sDouble}
-	d, err := optimizer.Optimize(in, spec.params())
-	if err != nil {
-		ex.Infeasible = err
-		return ex, nil
-	}
-	ex.Decision = d
+	ex := &Explanation{Plan: id.Plan, TableSizes: sizes, SSingle: sSingle, SDouble: sDouble}
+	ex.Decision, ex.Infeasible = optimizer.Optimize(in, spec.params())
 	return ex, nil
 }
 
@@ -72,38 +67,21 @@ func (e *Explanation) Render() string {
 	return b.String()
 }
 
-// optimizerInputs assembles the Algorithm 1 inputs for a spec (shared by Run
-// and Explain).
+// optimizerInputs assembles the Algorithm 1 inputs for a spec (shared by Run,
+// Price and Explain) through the simulator's one input builder.
 func optimizerInputs(spec Spec, id *Identity) (optimizer.Inputs, error) {
-	layers, err := id.Stats.TopLayerStats(spec.NumLayers)
-	if err != nil {
-		return optimizer.Inputs{}, err
-	}
-	structDim := len(spec.StructRows[0].Structured)
-	maxDim := structDim
-	for _, l := range layers {
-		if l.FeatureDim+structDim > maxDim {
-			maxDim = l.FeatureDim + structDim
-		}
-	}
-	in := optimizer.Inputs{
-		ModelStats:    id.Stats,
-		NumLayers:     spec.NumLayers,
-		NumRows:       len(spec.StructRows),
-		StructDim:     structDim,
-		ImageRowBytes: id.ImageRowBytes,
-		NNodes:        spec.Nodes,
-		MemSys:        spec.MemPerNode,
-		MemGPU:        spec.GPUMemPerNode,
-		CPUSys:        spec.CoresPerNode,
-	}
-	switch spec.Downstream.Kind {
-	case MLP:
-		in.Placement = optimizer.MInDLMemory
-		in.DownstreamMemBytes = optimizer.MLPMemBytes(maxDim, spec.Downstream.MLP.Hidden)
-	default:
-		in.Placement = optimizer.MInPDUserMemory
-		in.DownstreamMemBytes = optimizer.LogRegMemBytes(maxDim)
-	}
-	return in, nil
+	return sim.WorkloadSpec{
+		ModelName: spec.ModelName,
+		NumLayers: spec.NumLayers,
+		Dataset: sim.DatasetSpec{
+			Rows:          len(spec.StructRows),
+			StructDim:     len(spec.StructRows[0].Structured),
+			ImageRowBytes: id.ImageRowBytes,
+		},
+		Nodes:      spec.Nodes,
+		CPUSys:     spec.CoresPerNode,
+		MemSys:     spec.MemPerNode,
+		MemGPU:     spec.GPUMemPerNode,
+		Downstream: spec.Downstream.Footprint(),
+	}.Inputs(id.Stats)
 }

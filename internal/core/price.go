@@ -53,9 +53,5 @@ func price(spec Spec) (optimizer.Decision, int64, error) {
 	if err != nil {
 		return optimizer.Decision{}, 0, err
 	}
-	d, cost, err := sim.AdmissionCost(in, spec.params())
-	if err != nil {
-		return optimizer.Decision{}, 0, err
-	}
-	return d, cost, nil
+	return sim.AdmissionCost(in, spec.params())
 }

@@ -22,6 +22,7 @@ import (
 	"repro/internal/obs/sampler"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
+	"repro/internal/sim"
 )
 
 // DownstreamKind selects the downstream model M.
@@ -60,6 +61,12 @@ type DownstreamSpec struct {
 	// TestFraction, when positive, holds out that fraction of rows (by ID
 	// hash) for evaluation; metrics are reported on both splits.
 	TestFraction float64
+}
+
+// Footprint is d's memory footprint as Algorithm 1 budgets it. A decision
+// tree is budgeted as logistic regression.
+func (d DownstreamSpec) Footprint() sim.Downstream {
+	return sim.Downstream{MLP: d.Kind == MLP, Hidden: d.MLP.Hidden}
 }
 
 // DefaultDownstream returns the paper's Section 5 settings: logistic
@@ -168,13 +175,10 @@ type Spec struct {
 	// Decision, when non-nil, bypasses the optimizer (baseline configs).
 	Decision *optimizer.Decision
 	// Params, when non-nil, overrides the Table 1(C) fixed-but-adjustable
-	// system parameters (OS reservation, Core Memory, partition caps, α).
+	// system parameters (OS reservation, Core Memory, partition caps, α)
+	// and carries a fitted calibration profile's storage factor
+	// (calib.Profile.StorageScale) into plan choice and pricing.
 	Params *optimizer.Params
-	// StorageScale applies a fitted calibration profile's storage factor
-	// (calib.Profile.StorageScale) to plan choice and pricing. The zero
-	// value is the identity — the paper constants unchanged. When positive
-	// it wins over Params.StorageScale.
-	StorageScale float64
 	// SpillDir overrides the engine's spill directory (tests).
 	SpillDir string
 }
@@ -194,17 +198,12 @@ type FeatureSink interface {
 	Publish(k featurestore.Key, rows []dataflow.Row)
 }
 
-// params returns the effective Table 1(C) parameters, with the spec's
-// calibration storage factor folded in.
+// params returns the effective Table 1(C) parameters.
 func (s *Spec) params() optimizer.Params {
-	p := optimizer.DefaultParams()
 	if s.Params != nil {
-		p = *s.Params
+		return *s.Params
 	}
-	if s.StorageScale > 0 {
-		p.StorageScale = s.StorageScale
-	}
-	return p
+	return optimizer.DefaultParams()
 }
 
 // WithTables returns s reading a catalog entry's rows, remembering the entry

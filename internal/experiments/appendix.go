@@ -10,7 +10,6 @@ import (
 	"repro/internal/dl"
 	"repro/internal/memory"
 	"repro/internal/optimizer"
-	"repro/internal/plan"
 	"repro/internal/sim"
 )
 
@@ -100,7 +99,7 @@ func figure15Row(modelName string, rows int) (*Figure15Row, error) {
 
 	// The largest staged table is the bottom-most selected layer's stage:
 	// pooled feature + raw carry (Figure 5(E)'s T1).
-	base := model.FeatureLayers[len(model.FeatureLayers)-layersFor(modelName)]
+	base := model.FeatureLayers[0]
 	udf, err := session.PartitionFunc(dl.InferenceSpec{
 		From: 0, FromImage: true,
 		EmitLayers: []int{base.LayerIndex},
@@ -259,26 +258,28 @@ func Figure16() (*Figure16Result, error) {
 	res := &Figure16Result{}
 	for _, model := range Models {
 		series := Figure16Series{Model: model}
-		maxK := layersFor(model)
+		maxK, err := featureLayers(model)
+		if err != nil {
+			return nil, err
+		}
 		for k := maxK; k >= 1; k-- {
-			w, err := sim.NewWorkload(sim.WorkloadSpec{ModelName: model, NumLayers: k,
-				Dataset: sim.FoodsSpec(), PlanKind: plan.Staged, Placement: plan.AfterJoin})
+			spec := vistaSpec(model, sim.FoodsSpec(), 8)
+			spec.NumLayers = k
+			vista, err := sim.Vista(spec)
 			if err != nil {
 				return nil, err
 			}
-			cfg, err := sim.VistaConfig(w)
-			if err != nil {
-				return nil, err
-			}
-			without := sim.Run(w, cfg, sim.PaperCluster())
+			without := vista.Result
 
-			wp, err := sim.NewWorkload(sim.WorkloadSpec{ModelName: model, NumLayers: k,
-				Dataset: sim.FoodsSpec(), PlanKind: plan.Staged, Placement: plan.AfterJoin, PreMat: true})
+			// The pre-materialized variant runs under Vista's decision for
+			// the plain workload.
+			spec.PreMat = true
+			wp, err := sim.NewWorkload(spec)
 			if err != nil {
 				return nil, err
 			}
-			with := sim.Run(wp, cfg, sim.PaperCluster())
-			mat := sim.PreMaterializationCost(wp, cfg, sim.PaperCluster())
+			with := sim.Run(wp, vista.Config, vista.Profile)
+			mat := sim.PreMaterializationCost(wp, vista.Config, vista.Profile)
 			if without.Crash != nil || with.Crash != nil || mat.Crash != nil {
 				return nil, fmt.Errorf("experiments: figure 16 crash (%s/%dL)", model, k)
 			}
@@ -336,17 +337,13 @@ func Table3() (*Table3Result, error) {
 	for _, model := range Models {
 		res.Breakdown[model] = map[int]Table3Column{}
 		for _, nodes := range res.Nodes {
-			w, err := vistaWorkload(model, layersFor(model), sim.FoodsSpec(), nodes, false)
+			r, err := vistaAt(model, sim.FoodsSpec(), nodes, func(cfg *sim.Config, _ sim.Workload) {
+				cfg.Join = dataflow.ShuffleJoin
+				cfg.Pers = dataflow.Deserialized
+			})
 			if err != nil {
 				return nil, err
 			}
-			cfg, err := sim.VistaConfig(w)
-			if err != nil {
-				return nil, err
-			}
-			cfg.Join = dataflow.ShuffleJoin
-			cfg.Pers = dataflow.Deserialized
-			r := sim.Run(w, cfg, sim.PaperCluster().WithNodes(nodes))
 			if r.Crash != nil {
 				return nil, fmt.Errorf("experiments: table 3 crash (%s, %d nodes): %w", model, nodes, r.Crash)
 			}

@@ -15,24 +15,11 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/cnn"
 	"repro/internal/memory"
 	"repro/internal/plan"
 	"repro/internal/sim"
 )
-
-// layersFor returns the paper's |L| per CNN (Section 5: conv5–fc8 for
-// AlexNet, fc6–fc8 for VGG16, top 5 for ResNet50).
-func layersFor(model string) int {
-	switch {
-	case strings.Contains(model, "alexnet"):
-		return 4
-	case strings.Contains(model, "vgg16"):
-		return 3
-	case strings.Contains(model, "resnet50"):
-		return 5
-	}
-	return 1
-}
 
 // Models are the roster CNNs of the evaluation.
 var Models = []string{"alexnet", "vgg16", "resnet50"}
@@ -50,26 +37,43 @@ func fmtCell(r sim.Result) string {
 	return fmt.Sprintf("%.1f", r.TotalMin())
 }
 
-// vistaWorkload builds the Staged/AJ workload Vista runs.
-func vistaWorkload(model string, k int, ds sim.DatasetSpec, nodes int, memoryOnly bool) (sim.Workload, error) {
-	return sim.NewWorkload(sim.WorkloadSpec{
-		ModelName: model, NumLayers: k, Dataset: ds,
-		PlanKind: plan.Staged, Placement: plan.AfterJoin,
-		Nodes: nodes, MemoryOnly: memoryOnly,
-	})
+// featureLayers is how many feature layers model has: the largest |L| a
+// sweep explores.
+func featureLayers(model string) (int, error) {
+	m, err := cnn.ByName(model)
+	if err != nil {
+		return 0, err
+	}
+	return len(m.FeatureLayers), nil
 }
 
-// runVista optimizes and simulates Vista's execution.
-func runVista(model string, k int, ds sim.DatasetSpec, prof sim.Profile) sim.Result {
-	w, err := vistaWorkload(model, k, ds, prof.Nodes, !prof.Kind.SupportsSpill())
+// vistaSpec is the Staged/AJ workload Vista runs over all of model's
+// feature layers (the paper's |L|) on nodes workers of the paper cluster.
+func vistaSpec(model string, ds sim.DatasetSpec, nodes int) sim.WorkloadSpec {
+	return sim.WorkloadSpec{ModelName: model, Dataset: ds,
+		PlanKind: plan.Staged, Placement: plan.AfterJoin, Nodes: nodes}
+}
+
+// vistaResult is Vista's simulated run of spec, or a crashed result carrying
+// why Vista could not plan it.
+func vistaResult(spec sim.WorkloadSpec) sim.Result {
+	wi, err := sim.Vista(spec)
 	if err != nil {
 		return sim.Result{Crash: err}
 	}
-	cfg, err := sim.VistaConfig(w)
+	return wi.Result
+}
+
+// vistaAt simulates Vista's workload on nodes workers under its decision
+// with mutate applied: a drill-down that pins some of the configuration.
+func vistaAt(model string, ds sim.DatasetSpec, nodes int, mutate func(*sim.Config, sim.Workload)) (sim.Result, error) {
+	wi, err := sim.Vista(vistaSpec(model, ds, nodes))
 	if err != nil {
-		return sim.Result{Crash: err}
+		return sim.Result{}, err
 	}
-	return sim.Run(w, cfg, prof)
+	cfg := wi.Config
+	mutate(&cfg, wi.Workload)
+	return sim.Run(wi.Workload, cfg, wi.Profile), nil
 }
 
 // Table is one grid of an exhibit, its cells formatted once by the harness

@@ -31,7 +31,7 @@ func Figure11() (*Figure11Result, error) {
 	for cpu := 1; cpu <= 8; cpu++ {
 		p := SweepPoint{X: fmt.Sprintf("%d", cpu), Series: map[string]sim.Result{}}
 		for _, model := range Models {
-			r, err := runAtConfig(model, sim.FoodsSpec(), func(cfg *sim.Config, w sim.Workload) {
+			r, err := vistaAt(model, sim.FoodsSpec(), 8, func(cfg *sim.Config, w sim.Workload) {
 				cfg.CPU = cpu
 				// Memory regions re-apportioned for the chosen cpu, as the
 				// drill-down does ("explicitly apportioning the memory
@@ -55,7 +55,7 @@ func Figure11() (*Figure11Result, error) {
 	for _, np := range []int{8, 32, 128, 512, 2048, 4096} {
 		p := SweepPoint{X: fmt.Sprintf("%d", np), Series: map[string]sim.Result{}}
 		for _, model := range Models {
-			r, err := runAtConfig(model, sim.FoodsSpec(), func(cfg *sim.Config, _ sim.Workload) {
+			r, err := vistaAt(model, sim.FoodsSpec(), 8, func(cfg *sim.Config, _ sim.Workload) {
 				cfg.NP = np
 				cfg.Join = dataflow.ShuffleJoin
 				cfg.Pers = dataflow.Deserialized
@@ -70,31 +70,13 @@ func Figure11() (*Figure11Result, error) {
 	res.NPSweep = npSweep
 
 	for _, model := range Models {
-		w, err := vistaWorkload(model, layersFor(model), sim.FoodsSpec(), 8, false)
+		wi, err := sim.Vista(vistaSpec(model, sim.FoodsSpec(), 8))
 		if err != nil {
 			return nil, err
 		}
-		d, err := optimizer.Optimize(w.Inputs, optimizer.DefaultParams())
-		if err != nil {
-			return nil, err
-		}
-		res.Picked[model] = d
+		res.Picked[model] = wi.Decision
 	}
 	return res, nil
-}
-
-// runAtConfig simulates Vista's workload with a mutated configuration.
-func runAtConfig(model string, ds sim.DatasetSpec, mutate func(*sim.Config, sim.Workload)) (sim.Result, error) {
-	w, err := vistaWorkload(model, layersFor(model), ds, 8, false)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	cfg, err := sim.VistaConfig(w)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	mutate(&cfg, w)
-	return sim.Run(w, cfg, sim.PaperCluster()), nil
 }
 
 // Tables lays out both sweeps and the optimizer's picks.
@@ -129,24 +111,20 @@ func Figure12() (*Figure12Result, error) {
 		Nodes:      []int{1, 2, 4, 8},
 	}
 	runAt := func(model string, nodes int, scale float64, cpuOverride int) (float64, error) {
-		w, err := vistaWorkload(model, layersFor(model), sim.FoodsSpec().Scale(scale), nodes, false)
+		r, err := vistaAt(model, sim.FoodsSpec().Scale(scale), nodes, func(cfg *sim.Config, w sim.Workload) {
+			cfg.Join = dataflow.ShuffleJoin
+			cfg.Pers = dataflow.Deserialized
+			if cpuOverride > 0 {
+				// The Figure 12(C) drill-down re-apportions memory for each
+				// tested cpu, like Figure 11(A).
+				tuned := sim.TunedBaseline(w, cpuOverride)
+				cfg.CPU = cpuOverride
+				cfg.Apportion = tuned.Apportion
+			}
+		})
 		if err != nil {
 			return 0, err
 		}
-		cfg, err := sim.VistaConfig(w)
-		if err != nil {
-			return 0, err
-		}
-		cfg.Join = dataflow.ShuffleJoin
-		cfg.Pers = dataflow.Deserialized
-		if cpuOverride > 0 {
-			// The Figure 12(C) drill-down re-apportions memory for each
-			// tested cpu, like Figure 11(A).
-			tuned := sim.TunedBaseline(w, cpuOverride)
-			cfg.CPU = cpuOverride
-			cfg.Apportion = tuned.Apportion
-		}
-		r := sim.Run(w, cfg, sim.PaperCluster().WithNodes(nodes))
 		if r.Crash != nil {
 			// Infeasible points (e.g. many VGG16 replicas on one node)
 			// are gaps in the curve, not harness failures.

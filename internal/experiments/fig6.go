@@ -52,8 +52,7 @@ func Figure6() (*Figure6Result, error) {
 		}
 		for _, ds := range []sim.DatasetSpec{sim.FoodsSpec(), sim.AmazonSpec()} {
 			for _, model := range Models {
-				k := layersFor(model)
-				cells, err := figure6Cells(system, prof, memOnly, ds, model, k)
+				cells, err := figure6Cells(system, prof, memOnly, ds, model)
 				if err != nil {
 					return nil, err
 				}
@@ -64,7 +63,7 @@ func Figure6() (*Figure6Result, error) {
 	return res, nil
 }
 
-func figure6Cells(system string, prof sim.Profile, memOnly bool, ds sim.DatasetSpec, model string, k int) ([]Figure6Cell, error) {
+func figure6Cells(system string, prof sim.Profile, memOnly bool, ds sim.DatasetSpec, model string) ([]Figure6Cell, error) {
 	var out []Figure6Cell
 	cell := func(approach string, r sim.Result, premat float64) {
 		out = append(out, Figure6Cell{System: system, Dataset: ds.Name, Model: model,
@@ -72,7 +71,7 @@ func figure6Cells(system string, prof sim.Profile, memOnly bool, ds sim.DatasetS
 	}
 
 	// Lazy-k: the naive baselines with SQL-era default configs.
-	lazyW, err := sim.NewWorkload(sim.WorkloadSpec{ModelName: model, NumLayers: k, Dataset: ds,
+	lazyW, err := sim.NewWorkload(sim.WorkloadSpec{ModelName: model, Dataset: ds,
 		PlanKind: plan.Lazy, Placement: plan.BeforeJoin, Nodes: prof.Nodes, MemoryOnly: memOnly})
 	if err != nil {
 		return nil, err
@@ -87,7 +86,7 @@ func figure6Cells(system string, prof sim.Profile, memOnly bool, ds sim.DatasetS
 
 	// Lazy-5 with Pre-mat: strong baseline; pre-materialization time is
 	// charged to the bar.
-	prematW, err := sim.NewWorkload(sim.WorkloadSpec{ModelName: model, NumLayers: k, Dataset: ds,
+	prematW, err := sim.NewWorkload(sim.WorkloadSpec{ModelName: model, Dataset: ds,
 		PlanKind: plan.Lazy, Placement: plan.BeforeJoin, PreMat: true, Nodes: prof.Nodes, MemoryOnly: memOnly})
 	if err != nil {
 		return nil, err
@@ -98,7 +97,7 @@ func figure6Cells(system string, prof sim.Profile, memOnly bool, ds sim.DatasetS
 	cell("Lazy-5+Pre-mat", prematRun, prematCost.TotalSec())
 
 	// Eager: strong baseline at 5 CPUs with tuned memory.
-	eagerW, err := sim.NewWorkload(sim.WorkloadSpec{ModelName: model, NumLayers: k, Dataset: ds,
+	eagerW, err := sim.NewWorkload(sim.WorkloadSpec{ModelName: model, Dataset: ds,
 		PlanKind: plan.Eager, Placement: plan.BeforeJoin, Nodes: prof.Nodes, MemoryOnly: memOnly})
 	if err != nil {
 		return nil, err
@@ -106,7 +105,9 @@ func figure6Cells(system string, prof sim.Profile, memOnly bool, ds sim.DatasetS
 	cell("Eager", sim.Run(eagerW, sim.TunedBaseline(eagerW, 5), prof), 0)
 
 	// Vista: optimizer-chosen Staged/AJ.
-	cell("Vista", runVista(model, k, ds, prof), 0)
+	spec := vistaSpec(model, ds, prof.Nodes)
+	spec.MemoryOnly = memOnly
+	cell("Vista", vistaResult(spec), 0)
 	return out, nil
 }
 

@@ -21,8 +21,7 @@ func Figure7A() (*Figure7AResult, error) {
 	res := &Figure7AResult{}
 	ds := sim.FoodsSpec()
 	for _, model := range Models {
-		k := layersFor(model)
-		lazyW, err := sim.NewWorkload(sim.WorkloadSpec{ModelName: model, NumLayers: k, Dataset: ds,
+		lazyW, err := sim.NewWorkload(sim.WorkloadSpec{ModelName: model, Dataset: ds,
 			PlanKind: plan.Lazy, Placement: plan.BeforeJoin, Nodes: 1, MemGPU: prof.GPU.MemBytes})
 		if err != nil {
 			return nil, err
@@ -32,7 +31,7 @@ func Figure7A() (*Figure7AResult, error) {
 				Model: model, Approach: fmt.Sprintf("Lazy-%d", cpu),
 				Result: sim.Run(lazyW, sim.BaselineSpark(cpu), prof)})
 		}
-		eagerW, err := sim.NewWorkload(sim.WorkloadSpec{ModelName: model, NumLayers: k, Dataset: ds,
+		eagerW, err := sim.NewWorkload(sim.WorkloadSpec{ModelName: model, Dataset: ds,
 			PlanKind: plan.Eager, Placement: plan.BeforeJoin, Nodes: 1, MemGPU: prof.GPU.MemBytes})
 		if err != nil {
 			return nil, err
@@ -43,17 +42,10 @@ func Figure7A() (*Figure7AResult, error) {
 		res.Cells = append(res.Cells, Figure6Cell{System: "spark-gpu", Dataset: ds.Name,
 			Model: model, Approach: "Eager", Result: sim.Run(eagerW, eagerCfg, prof)})
 
-		vistaW, err := sim.NewWorkload(sim.WorkloadSpec{ModelName: model, NumLayers: k, Dataset: ds,
-			PlanKind: plan.Staged, Placement: plan.AfterJoin, Nodes: 1, MemGPU: prof.GPU.MemBytes})
-		if err != nil {
-			return nil, err
-		}
-		vr := sim.Result{Crash: fmt.Errorf("no config")}
-		if cfg, err := sim.VistaConfig(vistaW); err == nil {
-			vr = sim.Run(vistaW, cfg, prof)
-		}
+		spec := vistaSpec(model, ds, 1)
+		spec.MemGPU = prof.GPU.MemBytes
 		res.Cells = append(res.Cells, Figure6Cell{System: "spark-gpu", Dataset: ds.Name,
-			Model: model, Approach: "Vista", Result: vr})
+			Model: model, Approach: "Vista", Result: vistaResult(spec)})
 	}
 	return res, nil
 }
@@ -106,12 +98,14 @@ type Figure7BResult struct {
 func Figure7B() (*Figure7BResult, error) {
 	res := &Figure7BResult{}
 	ds := sim.FoodsSpec()
+	// TFT+Beam trains a distributed MLP downstream.
+	mlp := sim.Downstream{MLP: true, Hidden: []int{1024, 1024}}
 	for k := 1; k <= 5; k++ {
 		// TFT+Beam: Eager-style extraction on the Flink profile with the
 		// paper's hand-tuned working configuration (parallelism 32 over 8
 		// nodes = 4 per node, 25 GB heap).
 		tftW, err := sim.NewWorkload(sim.WorkloadSpec{ModelName: "resnet50", NumLayers: k,
-			Dataset: ds, PlanKind: plan.Eager, Placement: plan.AfterJoin, MLPDownstream: true})
+			Dataset: ds, PlanKind: plan.Eager, Placement: plan.AfterJoin, Downstream: mlp})
 		if err != nil {
 			return nil, err
 		}
@@ -125,16 +119,13 @@ func Figure7B() (*Figure7BResult, error) {
 		}
 		tft := sim.Run(tftW, tftCfg, sim.FlinkLike())
 
-		vistaW, err := sim.NewWorkload(sim.WorkloadSpec{ModelName: "resnet50", NumLayers: k,
-			Dataset: ds, PlanKind: plan.Staged, Placement: plan.AfterJoin, MLPDownstream: true})
+		spec := vistaSpec("resnet50", ds, 8)
+		spec.NumLayers, spec.Downstream = k, mlp
+		wi, err := sim.Vista(spec)
 		if err != nil {
 			return nil, err
 		}
-		cfg, err := sim.VistaConfig(vistaW)
-		if err != nil {
-			return nil, err
-		}
-		vista := sim.Run(vistaW, cfg, sim.PaperCluster())
+		vista := wi.Result
 		if tft.Crash != nil || vista.Crash != nil {
 			return nil, fmt.Errorf("experiments: figure 7B crash at k=%d: %v / %v", k, tft.Crash, vista.Crash)
 		}

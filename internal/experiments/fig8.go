@@ -108,10 +108,14 @@ func figure8Panel(spec data.Spec, structRows, imageRows []dataflow.Row, model st
 	panel.Entries = append(panel.Entries, Figure8Entry{FeatureSet: "struct+HOG", F1: metH.F1})
 
 	// struct + CNN layers, via the full Vista pipeline.
+	k, err := featureLayers(model)
+	if err != nil {
+		return nil, err
+	}
 	runSpec := core.Spec{
 		Nodes: 2, CoresPerNode: 4, MemPerNode: memory.GB(32),
 		SystemKind: memory.SparkLike,
-		ModelName:  model, NumLayers: layersFor(model),
+		ModelName:  model, NumLayers: k,
 		Downstream: core.DownstreamSpec{Kind: core.LogisticRegression, LogReg: cfg, TestFraction: testFraction},
 		StructRows: structRows, ImageRows: imageRows,
 		Seed: seed, PlanKind: plan.Staged, Placement: plan.AfterJoin,

@@ -100,7 +100,10 @@ func Figure9() ([]*SweepResult, error) {
 		for _, c := range logicalCombos {
 			sw.Series = append(sw.Series, c.name)
 		}
-		maxK := layersFor(model)
+		maxK, err := featureLayers(model)
+		if err != nil {
+			return nil, err
+		}
 		for k := 1; k <= maxK; k++ {
 			p := SweepPoint{X: fmt.Sprintf("%dL", k), Series: map[string]sim.Result{}}
 			for _, c := range logicalCombos {
@@ -117,7 +120,10 @@ func Figure9() ([]*SweepResult, error) {
 
 	// Panels 3–4: vary data scale at full |L|.
 	for _, model := range []string{"alexnet", "resnet50"} {
-		k := layersFor(model)
+		k, err := featureLayers(model)
+		if err != nil {
+			return nil, err
+		}
 		sw := &SweepResult{Title: fmt.Sprintf("Figure 9(%s/%dL): runtime (min) vs data scale", model, k)}
 		for _, c := range logicalCombos {
 			sw.Series = append(sw.Series, c.name)
@@ -153,7 +159,9 @@ var physicalCombos = []struct {
 // runPhysical simulates Staged/AJ under one physical choice with the
 // Section 5.3 drill-down configuration.
 func runPhysical(model string, k int, ds sim.DatasetSpec, join dataflow.JoinKind, pers dataflow.PersistFormat) (sim.Result, error) {
-	w, err := vistaWorkload(model, k, ds, 8, false)
+	spec := vistaSpec(model, ds, 8)
+	spec.NumLayers = k
+	w, err := sim.NewWorkload(spec)
 	if err != nil {
 		return sim.Result{}, err
 	}
@@ -170,7 +178,10 @@ func runPhysical(model string, k int, ds sim.DatasetSpec, join dataflow.JoinKind
 func Figure10() ([]*SweepResult, error) {
 	var out []*SweepResult
 	for _, model := range []string{"alexnet", "resnet50"} {
-		k := layersFor(model)
+		k, err := featureLayers(model)
+		if err != nil {
+			return nil, err
+		}
 		sw := &SweepResult{Title: fmt.Sprintf("Figure 10(%s/%dL): runtime (min) vs data scale", model, k)}
 		for _, c := range physicalCombos {
 			sw.Series = append(sw.Series, c.name)
@@ -189,7 +200,10 @@ func Figure10() ([]*SweepResult, error) {
 		out = append(out, sw)
 	}
 	for _, model := range []string{"alexnet", "resnet50"} {
-		k := layersFor(model)
+		k, err := featureLayers(model)
+		if err != nil {
+			return nil, err
+		}
 		sw := &SweepResult{Title: fmt.Sprintf("Figure 10(%s/%dL/8X): runtime (min) vs #structured features", model, k)}
 		for _, c := range physicalCombos {
 			sw.Series = append(sw.Series, c.name)

@@ -29,6 +29,7 @@ import (
 	"repro/internal/calib"
 	"repro/internal/core"
 	"repro/internal/memory"
+	"repro/internal/optimizer"
 	"repro/internal/share"
 )
 
@@ -110,8 +111,13 @@ type Outcome struct {
 // Do executes spec through the whole lifecycle under ctx. dataset names the
 // preset the spec's rows came from; it labels the calibration record.
 func (l *Runner) Do(ctx context.Context, spec core.Spec, dataset string) (out Outcome) {
-	if p := l.Fitter.Active(); p != nil {
-		spec.StorageScale = p.StorageScale
+	if p := l.Fitter.Active(); p != nil && p.StorageScale > 0 {
+		params := optimizer.DefaultParams()
+		if spec.Params != nil {
+			params = *spec.Params
+		}
+		params.StorageScale = p.StorageScale
+		spec.Params = &params
 	}
 	// Sharing, pricing and the run each need the model, its plan and the
 	// run's content address; derive them once. A spec that does not resolve

@@ -44,6 +44,17 @@ func (k Kind) String() string {
 	return fmt.Sprintf("plan(%d)", int(k))
 }
 
+// ParseKind is the inverse of Kind.String: it maps "staged", "lazy" or
+// "eager" onto its plan.
+func ParseKind(s string) (Kind, error) {
+	for _, k := range []Kind{Staged, Lazy, Eager} {
+		if s == k.String() {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown plan %q", s)
+}
+
 // JoinPlacement says whether CNN inference runs after or before the
 // structured join (Section 5.3: "Eager or Staged combined with inference
 // After Join (AJ) or Before Join (BJ)"). AJ joins Tstr with Timg first —

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cnn"
@@ -197,6 +198,21 @@ func TestPlanNames(t *testing.T) {
 	}
 	if AfterJoin.String() != "AJ" || BeforeJoin.String() != "BJ" {
 		t.Error("placement strings wrong")
+	}
+}
+
+// TestParseKind: ParseKind inverts Kind.String exactly — no other spelling,
+// case or the empty string — and names what it could not parse.
+func TestParseKind(t *testing.T) {
+	for _, k := range []Kind{Staged, Lazy, Eager} {
+		if got, err := ParseKind(k.String()); err != nil || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	for _, s := range []string{"", "Lazy", "STAGED", "nope"} {
+		if _, err := ParseKind(s); err == nil || err.Error() != fmt.Sprintf("unknown plan %q", s) {
+			t.Errorf("ParseKind(%q) error = %v, want unknown plan %q", s, err, s)
+		}
 	}
 }
 

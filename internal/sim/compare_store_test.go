@@ -24,7 +24,7 @@ func simulateLike(t *testing.T, structRows, imageRows []dataflow.Row, layers, no
 		imgBytes += imageRows[i].MemBytes()
 	}
 	imgBytes /= int64(len(imageRows))
-	wl, err := sim.NewWorkload(sim.WorkloadSpec{
+	wi, err := sim.Vista(sim.WorkloadSpec{
 		ModelName: "tiny-alexnet", NumLayers: layers,
 		Dataset: sim.DatasetSpec{
 			Name: "foods", Rows: len(structRows),
@@ -35,15 +35,9 @@ func simulateLike(t *testing.T, structRows, imageRows []dataflow.Row, layers, no
 		Nodes: nodes, CPUSys: cores, MemSys: memory.GB(memGB),
 	})
 	if err != nil {
-		t.Fatalf("NewWorkload: %v", err)
+		t.Fatalf("Vista: %v", err)
 	}
-	cfg, err := sim.VistaConfig(wl)
-	if err != nil {
-		t.Fatalf("VistaConfig: %v", err)
-	}
-	prof := sim.PaperCluster().WithNodes(nodes)
-	prof.MemPerNode = memory.GB(memGB)
-	return sim.Run(wl, cfg, prof)
+	return wi.Result
 }
 
 // TestCompareAgainstFeatureStoreRun validates both comparisons against real

@@ -29,13 +29,30 @@ func TestProfilePresets(t *testing.T) {
 	}
 }
 
-func TestWithNodes(t *testing.T) {
-	p := PaperCluster().WithNodes(3)
-	if p.Nodes != 3 {
-		t.Errorf("WithNodes = %d", p.Nodes)
+// TestVistaProfile: the what-if simulates on the cluster its spec describes
+// (its node count and per-node memory, Ignite-like semantics, the GPU
+// workstation's device), and never mutates the presets.
+func TestVistaProfile(t *testing.T) {
+	for _, tc := range []struct {
+		ws   WorkloadSpec
+		name string
+	}{
+		{WorkloadSpec{Nodes: 3, MemSys: memory.GB(48)}, "spark-cloudlab"},
+		{WorkloadSpec{Nodes: 3, MemSys: memory.GB(48), MemoryOnly: true}, "ignite-cloudlab"},
+		{WorkloadSpec{Nodes: 3, MemSys: memory.GB(48), MemGPU: memory.GB(6)}, "spark-gpu-workstation"},
+	} {
+		tc.ws.ModelName, tc.ws.Dataset = "alexnet", FoodsSpec()
+		p := mustVista(t, tc.ws).Profile
+		if p.Name != tc.name || p.Nodes != 3 || p.MemPerNode != memory.GB(48) {
+			t.Errorf("%+v: profile %s with %d × %d B, want %s with 3 × 48 GB",
+				tc.ws, p.Name, p.Nodes, p.MemPerNode, tc.name)
+		}
+		if (p.GPU != nil) != (tc.ws.MemGPU > 0) || p.GPU != nil && p.GPU.MemBytes != tc.ws.MemGPU {
+			t.Errorf("%s: GPU %+v, want %d B of device memory", tc.name, p.GPU, tc.ws.MemGPU)
+		}
 	}
-	if PaperCluster().Nodes != 8 {
-		t.Error("WithNodes mutated the preset")
+	if PaperCluster().Nodes != 8 || SingleNodeGPU().GPU.MemBytes != memory.GB(12) {
+		t.Error("the what-if mutated a preset")
 	}
 }
 

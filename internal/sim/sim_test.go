@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/cnn"
 	"repro/internal/dataflow"
 	"repro/internal/memory"
 	"repro/internal/optimizer"
@@ -19,27 +20,28 @@ func mustWorkload(t *testing.T, ws WorkloadSpec) Workload {
 	return w
 }
 
-func layersFor(model string) int {
-	return map[string]int{"alexnet": 4, "vgg16": 3, "resnet50": 5}[model]
+// mustVista is Vista's what-if for ws; the test fails when nothing fits.
+func mustVista(t *testing.T, ws WorkloadSpec) *WhatIf {
+	t.Helper()
+	wi, err := Vista(ws)
+	if err != nil {
+		t.Fatalf("Vista found no config for %s/%s: %v", ws.ModelName, ws.Dataset.Name, err)
+	}
+	return wi
 }
 
 func vistaRun(t *testing.T, model string, ds DatasetSpec, prof Profile) Result {
 	t.Helper()
 	memOnly := !prof.Kind.SupportsSpill()
-	w := mustWorkload(t, WorkloadSpec{ModelName: model, NumLayers: layersFor(model),
-		Dataset: ds, PlanKind: plan.Staged, Placement: plan.AfterJoin,
-		Nodes: prof.Nodes, MemoryOnly: memOnly})
-	cfg, err := VistaConfig(w)
-	if err != nil {
-		t.Fatalf("Vista optimizer found no config for %s/%s on %s: %v", model, ds.Name, prof.Name, err)
-	}
-	return Run(w, cfg, prof)
+	return mustVista(t, WorkloadSpec{ModelName: model, Dataset: ds,
+		PlanKind: plan.Staged, Placement: plan.AfterJoin,
+		Nodes: prof.Nodes, MemoryOnly: memOnly}).Result
 }
 
 func lazyRun(t *testing.T, model string, ds DatasetSpec, cpu int, prof Profile) Result {
 	t.Helper()
 	memOnly := !prof.Kind.SupportsSpill()
-	w := mustWorkload(t, WorkloadSpec{ModelName: model, NumLayers: layersFor(model),
+	w := mustWorkload(t, WorkloadSpec{ModelName: model,
 		Dataset: ds, PlanKind: plan.Lazy, Placement: plan.BeforeJoin,
 		Nodes: prof.Nodes, MemoryOnly: memOnly})
 	cfg := BaselineSpark(cpu)
@@ -193,13 +195,10 @@ func TestGPUProfile(t *testing.T) {
 			t.Errorf("GPU Lazy-%d VGG16: want gpu-memory-exhausted, got %v", cpu, r.Crash)
 		}
 	}
-	wv := mustWorkload(t, WorkloadSpec{ModelName: "vgg16", NumLayers: 3,
+	vista := mustVista(t, WorkloadSpec{ModelName: "vgg16", NumLayers: 3,
 		Dataset: FoodsSpec(), PlanKind: plan.Staged, Placement: plan.AfterJoin,
 		Nodes: 1, MemGPU: prof.GPU.MemBytes})
-	cfg, err := VistaConfig(wv)
-	if err != nil {
-		t.Fatalf("optimizer: %v", err)
-	}
+	wv, cfg := vista.Workload, vista.Config
 	if r := Run(wv, cfg, prof); r.Crash != nil {
 		t.Errorf("Vista on GPU crashed: %v", r.Crash)
 	}
@@ -213,12 +212,9 @@ func TestEagerDegradesWithScale(t *testing.T) {
 		ds := FoodsSpec().Scale(scale)
 		we := mustWorkload(t, WorkloadSpec{ModelName: "resnet50", NumLayers: 5,
 			Dataset: ds, PlanKind: plan.Eager, Placement: plan.AfterJoin})
-		ws := mustWorkload(t, WorkloadSpec{ModelName: "resnet50", NumLayers: 5,
+		vista := mustVista(t, WorkloadSpec{ModelName: "resnet50", NumLayers: 5,
 			Dataset: ds, PlanKind: plan.Staged, Placement: plan.AfterJoin})
-		cfg, err := VistaConfig(ws)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ws, cfg := vista.Workload, vista.Config
 		// Figure 9 pins the physical plan to Shuffle/Deserialized; the
 		// spills driving Eager's degradation are a deserialized-format
 		// phenomenon.
@@ -245,14 +241,11 @@ func TestEagerDegradesWithScale(t *testing.T) {
 // slower than Staged for multi-layer transfer.
 func TestLazyAlwaysSlowerThanStaged(t *testing.T) {
 	for _, model := range []string{"alexnet", "vgg16", "resnet50"} {
-		ws := mustWorkload(t, WorkloadSpec{ModelName: model, NumLayers: layersFor(model),
+		vista := mustVista(t, WorkloadSpec{ModelName: model,
 			Dataset: FoodsSpec(), PlanKind: plan.Staged, Placement: plan.AfterJoin})
-		wl := mustWorkload(t, WorkloadSpec{ModelName: model, NumLayers: layersFor(model),
+		ws, cfg := vista.Workload, vista.Config
+		wl := mustWorkload(t, WorkloadSpec{ModelName: model,
 			Dataset: FoodsSpec(), PlanKind: plan.Lazy, Placement: plan.AfterJoin})
-		cfg, err := VistaConfig(ws)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rs := Run(ws, cfg, PaperCluster())
 		rl := Run(wl, cfg, PaperCluster())
 		if rs.Crash != nil || rl.Crash != nil {
@@ -267,12 +260,9 @@ func TestLazyAlwaysSlowerThanStaged(t *testing.T) {
 // TestHighNPOverhead checks Figure 11(B)'s right side: runtimes rise again
 // at very high np.
 func TestHighNPOverhead(t *testing.T) {
-	w := mustWorkload(t, WorkloadSpec{ModelName: "alexnet", NumLayers: 4,
+	vista := mustVista(t, WorkloadSpec{ModelName: "alexnet", NumLayers: 4,
 		Dataset: FoodsSpec(), PlanKind: plan.Staged, Placement: plan.AfterJoin})
-	cfg, err := VistaConfig(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, cfg := vista.Workload, vista.Config
 	base := Run(w, cfg, PaperCluster())
 	cfgHigh := cfg
 	cfgHigh.NP = 6000
@@ -289,12 +279,9 @@ func TestHighNPOverhead(t *testing.T) {
 // TestLowNPCrashes checks Figure 11(B)'s left side: too few partitions crash
 // the join with oversized partitions.
 func TestLowNPCrashes(t *testing.T) {
-	w := mustWorkload(t, WorkloadSpec{ModelName: "resnet50", NumLayers: 5,
+	vista := mustVista(t, WorkloadSpec{ModelName: "resnet50", NumLayers: 5,
 		Dataset: FoodsSpec(), PlanKind: plan.Staged, Placement: plan.AfterJoin})
-	cfg, err := VistaConfig(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, cfg := vista.Workload, vista.Config
 	cfg.NP = 4
 	r := Run(w, cfg, PaperCluster())
 	oom, ok := memory.IsOOM(r.Crash)
@@ -308,12 +295,9 @@ func TestLowNPCrashes(t *testing.T) {
 func TestBroadcastCrashAtManyFeatures(t *testing.T) {
 	mkCfg := func(dim int) (Workload, Config) {
 		ds := FoodsSpec().Scale(8).WithStructDim(dim)
-		w := mustWorkload(t, WorkloadSpec{ModelName: "alexnet", NumLayers: 4,
+		vista := mustVista(t, WorkloadSpec{ModelName: "alexnet", NumLayers: 4,
 			Dataset: ds, PlanKind: plan.Staged, Placement: plan.AfterJoin})
-		cfg, err := VistaConfig(w)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w, cfg := vista.Workload, vista.Config
 		cfg.Join = dataflow.BroadcastJoin
 		return w, cfg
 	}
@@ -333,12 +317,9 @@ func TestBroadcastCrashAtManyFeatures(t *testing.T) {
 // decision switches to shuffle and survives.
 func TestOptimizerAvoidsBroadcastCrash(t *testing.T) {
 	ds := FoodsSpec().Scale(8).WithStructDim(10000)
-	w := mustWorkload(t, WorkloadSpec{ModelName: "alexnet", NumLayers: 4,
+	vista := mustVista(t, WorkloadSpec{ModelName: "alexnet", NumLayers: 4,
 		Dataset: ds, PlanKind: plan.Staged, Placement: plan.AfterJoin})
-	cfg, err := VistaConfig(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, cfg := vista.Workload, vista.Config
 	if cfg.Join != dataflow.ShuffleJoin {
 		t.Errorf("optimizer chose %v for an oversized Tstr, want shuffle", cfg.Join)
 	}
@@ -351,15 +332,9 @@ func TestOptimizerAvoidsBroadcastCrash(t *testing.T) {
 // speedup that is sub-linear for AlexNet but closer to linear for VGG16.
 func TestScaleupAndSpeedupShapes(t *testing.T) {
 	runAt := func(model string, nodes int, scale float64) float64 {
-		prof := PaperCluster().WithNodes(nodes)
-		w := mustWorkload(t, WorkloadSpec{ModelName: model, NumLayers: layersFor(model),
+		r := mustVista(t, WorkloadSpec{ModelName: model,
 			Dataset: FoodsSpec().Scale(scale), PlanKind: plan.Staged, Placement: plan.AfterJoin,
-			Nodes: nodes})
-		cfg, err := VistaConfig(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := Run(w, cfg, prof)
+			Nodes: nodes}).Result
 		if r.Crash != nil {
 			t.Fatalf("%s @%d nodes crashed: %v", model, nodes, r.Crash)
 		}
@@ -403,14 +378,8 @@ func TestTable3Ballpark(t *testing.T) {
 		{"vgg16", 8, 5.7, 0.9},
 	}
 	for _, tc := range tests {
-		prof := PaperCluster().WithNodes(tc.nodes)
-		w := mustWorkload(t, WorkloadSpec{ModelName: tc.model, NumLayers: layersFor(tc.model),
-			Dataset: FoodsSpec(), PlanKind: plan.Staged, Placement: plan.AfterJoin, Nodes: tc.nodes})
-		cfg, err := VistaConfig(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := Run(w, cfg, prof)
+		r := mustVista(t, WorkloadSpec{ModelName: tc.model,
+			Dataset: FoodsSpec(), PlanKind: plan.Staged, Placement: plan.AfterJoin, Nodes: tc.nodes}).Result
 		if r.Crash != nil {
 			t.Fatalf("%s@%d crashed: %v", tc.model, tc.nodes, r.Crash)
 		}
@@ -436,12 +405,9 @@ func TestTable3Ballpark(t *testing.T) {
 // table makes it a wash or worse.
 func TestPreMaterializationShapes(t *testing.T) {
 	run := func(model string, k int, premat bool) float64 {
-		w := mustWorkload(t, WorkloadSpec{ModelName: model, NumLayers: k,
+		vista := mustVista(t, WorkloadSpec{ModelName: model, NumLayers: k,
 			Dataset: FoodsSpec(), PlanKind: plan.Staged, Placement: plan.AfterJoin, PreMat: premat})
-		cfg, err := VistaConfig(w)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w, cfg := vista.Workload, vista.Config
 		r := Run(w, cfg, PaperCluster())
 		if r.Crash != nil {
 			t.Fatalf("%s premat=%v crashed: %v", model, premat, r.Crash)
@@ -470,12 +436,9 @@ func TestPreMaterializationShapes(t *testing.T) {
 // scale the serialized format cuts spill volume.
 func TestSerializedReducesSpills(t *testing.T) {
 	ds := FoodsSpec().Scale(8)
-	w := mustWorkload(t, WorkloadSpec{ModelName: "resnet50", NumLayers: 5,
+	vista := mustVista(t, WorkloadSpec{ModelName: "resnet50", NumLayers: 5,
 		Dataset: ds, PlanKind: plan.Staged, Placement: plan.AfterJoin})
-	cfg, err := VistaConfig(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, cfg := vista.Workload, vista.Config
 	cfgD, cfgS := cfg, cfg
 	cfgD.Pers = dataflow.Deserialized
 	cfgS.Pers = dataflow.Serialized
@@ -490,12 +453,9 @@ func TestSerializedReducesSpills(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	w := mustWorkload(t, WorkloadSpec{ModelName: "alexnet", NumLayers: 2,
+	vista := mustVista(t, WorkloadSpec{ModelName: "alexnet", NumLayers: 2,
 		Dataset: FoodsSpec(), PlanKind: plan.Staged, Placement: plan.AfterJoin})
-	cfg, err := VistaConfig(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, cfg := vista.Workload, vista.Config
 	bad := w
 	bad.Plan = nil
 	if r := Run(bad, cfg, PaperCluster()); r.Crash == nil {
@@ -527,13 +487,33 @@ func TestNewWorkloadValidation(t *testing.T) {
 	}
 }
 
-func TestVistaConfigInfeasible(t *testing.T) {
-	w := mustWorkload(t, WorkloadSpec{ModelName: "vgg16", NumLayers: 3,
+// TestVistaInfeasible: a workload nothing fits still reports its Equation 16
+// estimates alongside ErrNoFeasible.
+func TestVistaInfeasible(t *testing.T) {
+	wi, err := Vista(WorkloadSpec{ModelName: "vgg16", NumLayers: 3,
 		Dataset: FoodsSpec(), PlanKind: plan.Staged, Placement: plan.AfterJoin,
 		MemSys: memory.GB(8)})
-	_, err := VistaConfig(w)
 	if !errors.Is(err, optimizer.ErrNoFeasible) {
-		t.Errorf("want ErrNoFeasible on an 8 GB node, got %v", err)
+		t.Fatalf("want ErrNoFeasible on an 8 GB node, got %v", err)
+	}
+	if len(wi.TableSizes) != 3 || wi.SDouble <= 0 {
+		t.Errorf("infeasible what-if lacks its estimates: %+v", wi)
+	}
+}
+
+// TestNumLayersDefaultsToAllFeatureLayers: |L| = 0 selects every feature
+// layer of the model, the paper's default, for every roster CNN.
+func TestNumLayersDefaultsToAllFeatureLayers(t *testing.T) {
+	for _, name := range cnn.RosterNames() {
+		m, err := cnn.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := mustWorkload(t, WorkloadSpec{ModelName: name, Dataset: FoodsSpec()})
+		if got, want := w.Inputs.NumLayers, len(m.FeatureLayers); got != want || len(w.Plan.Layers) != want {
+			t.Errorf("%s: |L| = 0 resolved to %d inputs / %d plan layers, want all %d",
+				name, got, len(w.Plan.Layers), want)
+		}
 	}
 }
 
@@ -575,12 +555,9 @@ func TestScaleNeverTruncatesToZeroRows(t *testing.T) {
 }
 
 func TestPreMaterializationCost(t *testing.T) {
-	w := mustWorkload(t, WorkloadSpec{ModelName: "resnet50", NumLayers: 5,
+	vista := mustVista(t, WorkloadSpec{ModelName: "resnet50", NumLayers: 5,
 		Dataset: FoodsSpec(), PlanKind: plan.Staged, Placement: plan.AfterJoin, PreMat: true})
-	cfg, err := VistaConfig(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, cfg := vista.Workload, vista.Config
 	r := PreMaterializationCost(w, cfg, PaperCluster())
 	if r.Crash != nil {
 		t.Fatalf("premat cost crashed: %v", r.Crash)
@@ -610,12 +587,9 @@ func TestParallelEfficiencyShape(t *testing.T) {
 // faster), and a fully-warm run skips the image read entirely.
 func TestSimCachedLayersCutInference(t *testing.T) {
 	prof := PaperCluster()
-	w := mustWorkload(t, WorkloadSpec{ModelName: "alexnet", NumLayers: layersFor("alexnet"),
+	vista := mustVista(t, WorkloadSpec{ModelName: "alexnet",
 		Dataset: FoodsSpec(), PlanKind: plan.Staged, Placement: plan.AfterJoin, Nodes: prof.Nodes})
-	cfg, err := VistaConfig(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, cfg := vista.Workload, vista.Config
 	cold := Run(w, cfg, prof)
 	if cold.Crash != nil {
 		t.Fatalf("cold run crashed: %v", cold.Crash)

@@ -58,33 +58,94 @@ func (d DatasetSpec) WithStructDim(dim int) DatasetSpec {
 	return d
 }
 
-// WorkloadSpec bundles everything needed to build a simulator workload.
+// WorkloadSpec is one feature-transfer workload's shape: the model, its
+// layers and data, the logical plan, the workers, and the downstream model.
 type WorkloadSpec struct {
 	ModelName string
+	// NumLayers is |L|, counted from the top-most feature layer; 0 selects
+	// all the model's feature layers, the paper's default (Section 5).
 	NumLayers int
 	Dataset   DatasetSpec
 	PlanKind  plan.Kind
 	Placement plan.JoinPlacement
 	PreMat    bool
-	// Nodes defaults to the profile's node count at Run time but is needed
-	// here for optimizer inputs.
-	Nodes int
-	// CPUSys and MemSys describe the worker (default: paper cluster).
+	// Nodes, CPUSys and MemSys describe the workers (default: the paper
+	// cluster's 8 nodes × 8 cores × 32 GB); MemGPU is per-worker
+	// accelerator memory (0 = none).
+	Nodes  int
 	CPUSys int
 	MemSys int64
 	MemGPU int64
 	// TrainIters defaults to the paper's 10.
 	TrainIters int
-	// MLPDownstream marks the downstream model as a DL-resident MLP
-	// (the TFT+Beam comparison); default is PD-resident logistic
-	// regression.
-	MLPDownstream bool
+	// Downstream is the downstream model M's memory footprint.
+	Downstream Downstream
 	// MemoryOnly marks Ignite-like execution semantics: UDFs materialize
 	// whole decoded partitions (inflating User Memory needs) and Storage
-	// Memory must fit the peak intermediate footprint (no disk spill). Set
-	// it when the target profile is Ignite-like so the optimizer budgets
-	// accordingly.
+	// Memory must fit the peak intermediate footprint (no disk spill).
 	MemoryOnly bool
+	// CachedLayers is how many selected layers (bottom-up) a feature store
+	// already holds; it shrinks Equation 16's inputs.
+	CachedLayers int
+	// StorageScale is a fitted calibration factor Vista plans under
+	// (optimizer.Params.StorageScale; 0 = the paper constants).
+	StorageScale float64
+}
+
+// Downstream is the downstream model M as Algorithm 1 budgets it. The zero
+// value is the paper's M: logistic regression in PD User Memory.
+type Downstream struct {
+	// MLP places M in DL Execution Memory as a multilayer perceptron with
+	// Hidden layer widths.
+	MLP    bool
+	Hidden []int
+}
+
+// Inputs turns ws's shape over stats, its model's statistics, into
+// Algorithm 1's inputs. It is the one place Equation 16's inputs are built:
+// the simulator's workloads and core's planning and pricing both call it.
+func (ws WorkloadSpec) Inputs(stats *cnn.Stats) (optimizer.Inputs, error) {
+	if ws.Nodes <= 0 {
+		ws.Nodes = 8
+	}
+	if ws.CPUSys <= 0 {
+		ws.CPUSys = 8
+	}
+	if ws.MemSys <= 0 {
+		ws.MemSys = memory.GB(32)
+	}
+	if ws.NumLayers <= 0 {
+		ws.NumLayers = len(stats.FeatureLayers)
+	}
+	layers, err := stats.TopLayerStats(ws.NumLayers)
+	if err != nil {
+		return optimizer.Inputs{}, err
+	}
+	maxDim := ws.Dataset.StructDim
+	for _, l := range layers {
+		maxDim = max(maxDim, l.FeatureDim+ws.Dataset.StructDim)
+	}
+	in := optimizer.Inputs{
+		ModelStats:           stats,
+		NumLayers:            ws.NumLayers,
+		NumRows:              ws.Dataset.Rows,
+		StructDim:            ws.Dataset.StructDim,
+		ImageRowBytes:        ws.Dataset.ImageRowBytes,
+		WholePartitionDecode: ws.MemoryOnly,
+		StorageMustFit:       ws.MemoryOnly,
+		Placement:            optimizer.MInPDUserMemory,
+		DownstreamMemBytes:   optimizer.LogRegMemBytes(maxDim),
+		NNodes:               ws.Nodes,
+		MemSys:               ws.MemSys,
+		MemGPU:               ws.MemGPU,
+		CPUSys:               ws.CPUSys,
+		CachedLayers:         ws.CachedLayers,
+	}
+	if ws.Downstream.MLP {
+		in.Placement = optimizer.MInDLMemory
+		in.DownstreamMemBytes = optimizer.MLPMemBytes(maxDim, ws.Downstream.Hidden)
+	}
+	return in, nil
 }
 
 // NewWorkload compiles the plan and assembles optimizer inputs.
@@ -97,63 +158,17 @@ func NewWorkload(ws WorkloadSpec) (Workload, error) {
 	if err != nil {
 		return Workload{}, err
 	}
-	p, err := plan.Compile(ws.PlanKind, ws.Placement, stats, ws.NumLayers,
+	in, err := ws.Inputs(stats)
+	if err != nil {
+		return Workload{}, err
+	}
+	p, err := plan.Compile(ws.PlanKind, ws.Placement, stats, in.NumLayers,
 		plan.Options{PreMaterializeBase: ws.PreMat})
 	if err != nil {
 		return Workload{}, err
 	}
-	if ws.Nodes <= 0 {
-		ws.Nodes = 8
-	}
-	if ws.CPUSys <= 0 {
-		ws.CPUSys = 8
-	}
-	if ws.MemSys <= 0 {
-		ws.MemSys = memory.GB(32)
-	}
 	if ws.TrainIters <= 0 {
 		ws.TrainIters = 10
 	}
-	maxDim := ws.Dataset.StructDim
-	layers, err := stats.TopLayerStats(ws.NumLayers)
-	if err != nil {
-		return Workload{}, err
-	}
-	for _, l := range layers {
-		if l.FeatureDim+ws.Dataset.StructDim > maxDim {
-			maxDim = l.FeatureDim + ws.Dataset.StructDim
-		}
-	}
-	in := optimizer.Inputs{
-		ModelStats:           stats,
-		NumLayers:            ws.NumLayers,
-		NumRows:              ws.Dataset.Rows,
-		StructDim:            ws.Dataset.StructDim,
-		ImageRowBytes:        ws.Dataset.ImageRowBytes,
-		WholePartitionDecode: ws.MemoryOnly,
-		StorageMustFit:       ws.MemoryOnly,
-		NNodes:               ws.Nodes,
-		MemSys:               ws.MemSys,
-		MemGPU:               ws.MemGPU,
-		CPUSys:               ws.CPUSys,
-	}
-	if ws.MLPDownstream {
-		in.Placement = optimizer.MInDLMemory
-		in.DownstreamMemBytes = optimizer.MLPMemBytes(maxDim, []int{1024, 1024})
-	} else {
-		in.Placement = optimizer.MInPDUserMemory
-		in.DownstreamMemBytes = optimizer.LogRegMemBytes(maxDim)
-	}
 	return Workload{Plan: p, Inputs: in, TrainIters: ws.TrainIters}, nil
-}
-
-// VistaConfig runs the optimizer for the workload and returns the resulting
-// configuration. It fails with optimizer.ErrNoFeasible when no configuration
-// fits.
-func VistaConfig(w Workload) (Config, error) {
-	d, err := optimizer.Optimize(w.Inputs, optimizer.DefaultParams())
-	if err != nil {
-		return Config{}, err
-	}
-	return FromDecision(d, optimizer.DefaultParams()), nil
 }

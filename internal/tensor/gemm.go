@@ -12,8 +12,9 @@ import (
 // place through a table of offsets — Dukhan's indirect convolution, with the
 // indirection per reduction row instead of per pixel. One convolution runs
 // on its caller's goroutine — a roster conv is 10–100 µs of kernel, too
-// little to share — and parallelism comes from the rows of a batch
-// (internal/dl, over parallel.go). The direct-loop kernel in ops.go stays
+// little to share. dl.PartitionFunc runs a partition's rows in order, and
+// parallelism comes from the dataflow engine running a stage's partitions
+// side by side. The direct-loop kernel in ops.go stays
 // only as Conv2DDirect, the reference implementation the parity suite in
 // gemm_test.go and FuzzConv2DGEMMParity compare against. The arithmetic
 // itself is the micro-kernel in kernel.go.

@@ -24,6 +24,15 @@ go run ./scripts/unref
 echo "== go build =="
 go build ./...
 
+echo "== examples (run each once) =="
+# The build above only compiles the five examples; running each once catches
+# one that builds but fails at run time (about 5 s in total on a 2-core box).
+# An example's nonzero exit fails CI under set -e.
+for ex in examples/*/; do
+    echo "-- $ex"
+    go run "./$ex" >/dev/null
+done
+
 echo "== go test -race =="
 # The full chaos schedule set is too slow under the race detector; it gets a
 # dedicated -short smoke below plus a full non-race run. internal/experiments,
