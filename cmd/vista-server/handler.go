@@ -311,34 +311,6 @@ func (a *api) handleFeatureStore(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// cachedLayersFor probes the feature store for a workload /run has
-// materialized before: how many of its top req.Layers feature layers
-// (bottom-up) are cached. The workload's content address is what serving it
-// left in the bounded sums memo, so a workload never run (or aged out of the
-// memo) probes as cold.
-func (a *api) cachedLayersFor(req *workloadRequest) int {
-	if a.store == nil {
-		return 0
-	}
-	preset, ok := data.Preset(req.Dataset)
-	if !ok {
-		return 0
-	}
-	weightsSum, dataSum, ok := core.MemoizedSums(req.Model, req.Seed, preset.WithRows(req.Rows))
-	if !ok {
-		return 0
-	}
-	m, err := cnn.ByName(req.Model)
-	if err != nil || req.Layers > len(m.FeatureLayers) {
-		return 0
-	}
-	var layers []int
-	for _, fl := range m.FeatureLayers[len(m.FeatureLayers)-req.Layers:] {
-		layers = append(layers, fl.LayerIndex)
-	}
-	return a.store.CachedLayers(req.Model, weightsSum, dataSum, layers)
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -397,10 +369,11 @@ func handleRoster(w http.ResponseWriter, _ *http.Request) {
 }
 
 // whatIf asks sim.Vista what Vista picks for req's workload under the
-// given logical plan, and what the run costs. cachedLayers of its layers
-// come from the feature store. The WhatIf is nil only when req names no
-// workload that builds; an infeasible one comes back with its estimates.
-func whatIf(req *workloadRequest, kind plan.Kind, cachedLayers int) (*sim.WhatIf, error) {
+// given logical plan, and what the run costs. The plan steps a /run of the
+// workload would attach from store (nil for none) are priced as store
+// reads. The WhatIf is nil only when req names no workload that builds; an
+// infeasible one comes back with its estimates.
+func whatIf(req *workloadRequest, kind plan.Kind, store *featurestore.Store) (*sim.WhatIf, error) {
 	preset, ok := data.Preset(req.Dataset)
 	if !ok {
 		return nil, fmt.Errorf("unknown dataset %q", req.Dataset)
@@ -409,9 +382,9 @@ func whatIf(req *workloadRequest, kind plan.Kind, cachedLayers int) (*sim.WhatIf
 		ModelName: req.Model, NumLayers: req.Layers, Dataset: sim.PaperDataset(preset),
 		PlanKind: kind, Placement: plan.AfterJoin,
 		Nodes: req.Nodes, CPUSys: req.Cores,
-		MemSys:       memory.GB(req.MemGB),
-		MemoryOnly:   req.Ignite,
-		CachedLayers: cachedLayers,
+		MemSys:     memory.GB(req.MemGB),
+		MemoryOnly: req.Ignite,
+		Stored:     core.StoredEntries(store, req.Model, req.Seed, preset.WithRows(req.Rows)),
 	})
 }
 
@@ -421,7 +394,7 @@ func handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	wi, err := whatIf(req, plan.Staged, 0)
+	wi, err := whatIf(req, plan.Staged, nil)
 	if wi == nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -456,9 +429,8 @@ func (a *api) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// A workload /run already materialized simulates against warm features:
-	// cached stages cost store I/O instead of CNN inference.
-	cachedLayers := a.cachedLayersFor(req)
-	wi, err := whatIf(req, kind, cachedLayers)
+	// attached stages cost store I/O instead of CNN inference.
+	wi, err := whatIf(req, kind, a.store)
 	if wi == nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -493,7 +465,7 @@ func (a *api) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		"read_sec":      res.ReadSec,
 		"join_sec":      res.JoinSec,
 		"spilled_bytes": res.SpilledBytes,
-		"cached_layers": cachedLayers,
+		"cached_layers": wi.Workload.Plan.AttachedLayers(wi.Workload.Attached),
 		"layers":        layers,
 	})
 }

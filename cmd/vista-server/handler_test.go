@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cnn"
 	"repro/internal/data"
 	"repro/internal/featurestore"
 	"repro/internal/memory"
@@ -209,6 +210,68 @@ func TestServerFeatureReuse(t *testing.T) {
 	a.catalog = data.NewCatalog()
 	if _, again := doJSON(t, h, "POST", "/simulate", simBody); again["cached_layers"].(float64) != 2 {
 		t.Fatalf("simulate cached_layers = %v once the tables left the catalog, want 2", again["cached_layers"])
+	}
+}
+
+// TestSimulateAttachesWhatRunAttaches covers stores an LRU leaves partly
+// evicted: /simulate's cached_layers must be the layers the next /run of the
+// workload attaches, since both decide with plan.Attachable.
+func TestSimulateAttachesWhatRunAttaches(t *testing.T) {
+	full, err := featurestore.Open(t.TempDir(), memory.MB(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := newAPI(serverConfig{store: full, sloP99: defaultSLOP99})
+	h := a.handler()
+	const body = `{"model":"tiny-alexnet","dataset":"foods","layers":3,"rows":40}`
+	code, cold := doJSON(t, h, "POST", "/run", body)
+	if code != http.StatusOK {
+		t.Fatalf("cold run = %d %v", code, cold)
+	}
+	sums := cold["cache"].(map[string]any)
+	m, err := cnn.ByName("tiny-alexnet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	layers := m.FeatureLayers[len(m.FeatureLayers)-3:]
+	for _, tc := range []struct {
+		name string
+		held []int // positions in layers whose feature entries the store keeps
+		want float64
+	}{
+		// The top steps attach: each one's successor attaches too, so no
+		// raw carry is needed.
+		{"top two features", []int{1, 2}, 2},
+		// The top step runs live, so the middle one needs its carry, and
+		// so does the bottom one: nothing attaches.
+		{"bottom two features, no carries", []int{0, 1}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			part, err := featurestore.Open(t.TempDir(), memory.MB(64))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, i := range tc.held {
+				k := featurestore.Key{Model: m.Name, WeightsSum: sums["weights_sum"].(string),
+					DataSum: sums["data_sum"].(string), LayerIndex: layers[i].LayerIndex, Kind: featurestore.Feature}
+				rows, ok, err := full.Get(k)
+				if !ok || err != nil {
+					t.Fatalf("cold run stored no %s features: %v", layers[i].Name, err)
+				}
+				if err := part.Put(k, rows); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a.store = part
+			_, sim := doJSON(t, h, "POST", "/simulate", body)
+			if sim["cached_layers"] != tc.want {
+				t.Errorf("/simulate cached_layers = %v, want %v", sim["cached_layers"], tc.want)
+			}
+			_, run := doJSON(t, h, "POST", "/run", body)
+			if got := run["cache"].(map[string]any)["stages_from_cache"]; got != tc.want {
+				t.Errorf("/run attached %v steps, want %v", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -17,32 +17,14 @@ type SLOStatus struct {
 	OK           bool    `json:"ok"`
 }
 
-// CheckSLO evaluates path's p99 request latency against p99Bound (seconds),
-// reading the vista_http_request_seconds histogram out of reg. An endpoint
-// with no recorded requests passes vacuously (found=false): absence of
-// traffic is not an SLO violation, and probing must not mint empty series
-// into the exposition.
-func CheckSLO(reg *obs.Registry, path string, p99Bound float64) (st SLOStatus, found bool) {
+// CheckSLO evaluates the p99 of the histogram series (name, labels) in reg
+// against p99Bound (seconds), reporting it under path. A series with no
+// recorded observations passes vacuously (found=false): absence of traffic
+// is not an SLO violation, and probing must not mint empty series into the
+// exposition.
+func CheckSLO(reg *obs.Registry, path string, p99Bound float64, name string, labels ...obs.Label) (st SLOStatus, found bool) {
 	st = SLOStatus{Path: path, BoundSeconds: p99Bound, OK: true}
-	h := reg.FindHistogram("vista_http_request_seconds", obs.Label{Key: "path", Value: path})
-	if h == nil {
-		return st, false
-	}
-	p99, ok := h.Quantile(0.99)
-	if !ok {
-		return st, false
-	}
-	st.P99Seconds = p99
-	st.OK = p99 <= p99Bound
-	return st, true
-}
-
-// CheckQueueWaitSLO evaluates the admission queue-wait p99 against the same
-// bound the endpoint sweep uses, reading vista_admission_queue_wait_seconds.
-// Like CheckSLO, an idle controller (no requests observed) passes vacuously.
-func CheckQueueWaitSLO(reg *obs.Registry, p99Bound float64) (st SLOStatus, found bool) {
-	st = SLOStatus{Path: "admission-queue", BoundSeconds: p99Bound, OK: true}
-	h := reg.FindHistogram("vista_admission_queue_wait_seconds")
+	h := reg.FindHistogram(name, labels...)
 	if h == nil {
 		return st, false
 	}
@@ -67,23 +49,20 @@ func (a *api) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var checked, violations []SLOStatus
-	for _, path := range a.paths {
-		st, found := CheckSLO(a.metrics, path, a.sloP99)
+	check := func(st SLOStatus, found bool) {
 		if !found {
-			continue
+			return
 		}
 		checked = append(checked, st)
 		if !st.OK {
 			violations = append(violations, st)
 		}
 	}
+	for _, path := range a.paths {
+		check(CheckSLO(a.metrics, path, a.sloP99, "vista_http_request_seconds", obs.Label{Key: "path", Value: path}))
+	}
 	if a.life.Admit != nil {
-		if st, found := CheckQueueWaitSLO(a.metrics, a.sloP99); found {
-			checked = append(checked, st)
-			if !st.OK {
-				violations = append(violations, st)
-			}
-		}
+		check(CheckSLO(a.metrics, "admission-queue", a.sloP99, "vista_admission_queue_wait_seconds"))
 	}
 	var driftChecked, driftViolations []DriftStatus
 	if a.maxDrift > 0 {

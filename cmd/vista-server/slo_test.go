@@ -9,10 +9,13 @@ import (
 
 func TestCheckSLO(t *testing.T) {
 	reg := obs.NewRegistry()
+	check := func(bound float64) (SLOStatus, bool) {
+		return CheckSLO(reg, "/healthz", bound, "vista_http_request_seconds", obs.Label{Key: "path", Value: "/healthz"})
+	}
 
 	// No series for the path yet: vacuous pass, and the probe must not mint
 	// an empty histogram into the exposition.
-	st, found := CheckSLO(reg, "/healthz", 0.5)
+	st, found := check(0.5)
 	if found || !st.OK {
 		t.Fatalf("missing series: found=%v ok=%v, want vacuous pass", found, st.OK)
 	}
@@ -23,11 +26,11 @@ func TestCheckSLO(t *testing.T) {
 		h.Observe(0.003)
 	}
 
-	st, found = CheckSLO(reg, "/healthz", 0.5)
+	st, found = check(0.5)
 	if !found || !st.OK || st.P99Seconds <= 0 {
 		t.Errorf("fast endpoint: found=%v ok=%v p99=%v, want pass", found, st.OK, st.P99Seconds)
 	}
-	st, found = CheckSLO(reg, "/healthz", 1e-9)
+	st, found = check(1e-9)
 	if !found || st.OK {
 		t.Errorf("tiny bound: found=%v ok=%v p99=%v, want violation", found, st.OK, st.P99Seconds)
 	}

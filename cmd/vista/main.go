@@ -327,7 +327,7 @@ func printSimComparison(w io.Writer, o runOptions, runSpec core.Spec, res *core.
 	sim.RenderComparison(w, sim.CompareTrace(simRes, res.Trace))
 	if res.Series != nil {
 		fmt.Fprintf(w, "\nMemory-model validation (the engine's peak storage and spill vs Section 4.1 estimates):\n")
-		sim.RenderSeriesReport(w, sim.CompareSeries(simRes, res.Trace, res.Series))
+		sim.RenderSeriesReport(w, sim.CompareSeries(simRes, res.Series))
 	}
 }
 

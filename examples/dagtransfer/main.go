@@ -87,7 +87,7 @@ func main() {
 	udf, err := session.PartitionFunc(dl.InferenceSpec{
 		From: 0, FromImage: true,
 		EmitLayers: []int{dense1.LayerIndex, dense2.LayerIndex},
-		KeepRawAt:  -1, DropInput: true,
+		KeepRawAt:  -1,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -160,8 +160,8 @@ func Simulate(env RunEnv, numLayers int) (sim.Result, error) {
 	return wi.Result, nil
 }
 
-// CompareRun simulates env's workload (Simulate, stage-for-stage with the
-// layers the trace shows were explored), compares its memory model with the
+// CompareRun simulates env's workload (Simulate, over the layers the trace
+// shows were explored), compares its memory model with the
 // engine's peak storage and spill in the final frame of series, and returns
 // the run's storage samples, their estimates corrected by env.Profile. A run
 // without a trace or a series has nothing to compare.
@@ -169,28 +169,25 @@ func CompareRun(env RunEnv, trace *obs.Span, series *sampler.Recording) ([]Sampl
 	if trace == nil || series == nil {
 		return nil, fmt.Errorf("calib: a run needs a trace and a sampled series to compare")
 	}
-	simRes, err := Simulate(env, countInferStages(trace))
+	simRes, err := Simulate(env, exploredLayers(trace))
 	if err != nil {
 		return nil, err
 	}
-	rep := sim.CompareSeries(simRes, trace, series)
+	rep := sim.CompareSeries(simRes, series)
 	env.Profile.ApplySeries(&rep)
 	return samplesFromRun(trace, rep), nil
 }
 
-// countInferStages counts how many feature layers the measured run actually
-// explored, so the simulated workload matches the trace stage-for-stage.
-func countInferStages(trace *obs.Span) int {
+// exploredLayers counts the feature layers the measured run explored, so
+// the simulated workload prices the same layers: every plan trains once per
+// explored layer, whether the layer's features came from an infer:, premat:,
+// cache: or shared: stage or from an Eager pass that emitted several.
+func exploredLayers(trace *obs.Span) int {
 	n := 0
 	for _, sp := range trace.Children() {
-		name, _, _ := strings.Cut(sp.Name(), ":")
-		switch name {
-		case "infer", "premat", "cache", "shared":
+		if strings.HasPrefix(sp.Name(), "train:") {
 			n++
 		}
 	}
-	if n == 0 {
-		n = 1
-	}
-	return n
+	return max(n, 1)
 }

@@ -94,6 +94,53 @@ func TestCompareRunStorageIsEngineExact(t *testing.T) {
 	}
 }
 
+// An Eager run infers every layer in one infer: stage and then trains each
+// layer: its storage estimate must price all the layers it explored, not
+// one per inference stage.
+func TestCompareRunPricesEveryExploredLayer(t *testing.T) {
+	structRows, imageRows, err := data.Generate(data.Foods().WithRows(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := core.Spec{
+		Nodes: 2, CoresPerNode: 2, MemPerNode: memory.GB(32),
+		SystemKind: memory.SparkLike,
+		ModelName:  "tiny-alexnet", NumLayers: 3,
+		Downstream: core.DefaultDownstream(),
+		StructRows: structRows, ImageRows: imageRows, Seed: 1,
+		PlanKind: plan.Eager, Placement: plan.AfterJoin,
+		Metrics:     obs.NewRegistry(),
+		SampleEvery: 5 * time.Millisecond,
+		SpillDir:    t.TempDir(),
+	}
+	res, err := core.Run(spec)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	env := EnvFromSpec(spec, "foods")
+	samples, err := CompareRun(env, res.Trace, res.Series)
+	if err != nil {
+		t.Fatalf("CompareRun: %v", err)
+	}
+	predictedPeak := func(layers int) float64 {
+		r, err := Simulate(env, layers)
+		if err != nil {
+			t.Fatalf("Simulate(%d): %v", layers, err)
+		}
+		peak := r.BaseStorageBytes
+		for _, lc := range r.Layers {
+			peak = max(peak, lc.LiveStorageBytes)
+		}
+		return float64(peak)
+	}
+	if predictedPeak(1) == predictedPeak(3) {
+		t.Fatal("one and three simulated layers predict the same peak: the check below is vacuous")
+	}
+	if got, want := byStage(samples)["storage:peak"].Est, predictedPeak(3); got != want {
+		t.Errorf("storage:peak Est = %v, want %v, the 3-layer simulation's", got, want)
+	}
+}
+
 // A run that attached any feature table — from the store or a share group —
 // held less storage than the cold run the memory model prices: its storage
 // samples are logged but never reach the aggregates the fit reads.

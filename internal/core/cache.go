@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/data"
 	"repro/internal/dataflow"
 	"repro/internal/featurestore"
 	"repro/internal/plan"
@@ -42,22 +43,19 @@ type runCache struct {
 	model      string
 	weightsSum string
 	dataSum    string
+	attached   []bool       // plan.Attachable's answer, indexed by plan step
 	steps      []*stepCache // indexed by plan step; nil = execute live
 	loaded     int          // durable-store entries loaded
 }
 
 // loadRunCache probes the spec's feature store and share handoff for the
-// run's compiled plan, resolving steps back to front. A step is attachable
-// iff every emitted layer hits and either its successor is attachable too or
-// its raw carry hits: the carry is the input of the next step's partial
-// inference and nothing else reads it, so it is fetched only when that step
-// will execute live. A fully-warm run therefore loads feature entries only
-// (in the store the carries are about three times their size), a step whose
-// features hit but whose needed carry is gone cascades to live, and a
-// partial-prefix hit still resumes from the carried raw tensor. Per entry,
-// the in-memory source wins over the store. Returns nil when the spec has
-// neither store nor source/sink, or the model's weights cannot be realized
-// (then no cache identity exists).
+// run's compiled plan under plan.Attachable's rule, loading every entry it
+// asks for and keeping the hits for the steps that attach. A fully-warm run
+// therefore loads feature entries only (in the store the carries are about
+// three times their size), and a partial hit still resumes from the carried
+// raw tensor. Per entry, the in-memory source wins over the store. Returns
+// nil when the spec has neither store nor source/sink, or the model's
+// weights cannot be realized (then no cache identity exists).
 func loadRunCache(spec *Spec, id *Identity) *runCache {
 	if spec.FeatureStore == nil && spec.FeatureSource == nil && spec.FeatureSink == nil {
 		return nil
@@ -66,7 +64,6 @@ func loadRunCache(spec *Spec, id *Identity) *runCache {
 	if err != nil {
 		return nil
 	}
-	steps := id.Plan.Steps
 	rc := &runCache{
 		store:      spec.FeatureStore,
 		source:     spec.FeatureSource,
@@ -74,31 +71,65 @@ func loadRunCache(spec *Spec, id *Identity) *runCache {
 		model:      id.Model.Name,
 		weightsSum: weightsSum,
 		dataSum:    dataSum,
-		steps:      make([]*stepCache, len(steps)),
 	}
-	nextLive := false // nothing consumes the last step's output tensor
-	for si := len(steps) - 1; si >= 0; si-- {
-		step := steps[si]
+	type hit struct {
+		rows   map[int64]*tensor.Tensor
+		shared bool
+	}
+	hits := make(map[featurestore.Key]hit)
+	rc.attached = id.Plan.Attachable(func(layer int, carry bool) bool {
+		k := rc.key(layer, entryKind(carry))
+		rows, shared := rc.load(k)
+		if rows != nil {
+			hits[k] = hit{rows, shared}
+		}
+		return rows != nil
+	})
+	rc.steps = make([]*stepCache, len(id.Plan.Steps))
+	for si, step := range id.Plan.Steps {
+		if !rc.attached[si] {
+			continue
+		}
 		sc := &stepCache{feats: make([]map[int64]*tensor.Tensor, len(step.Emits))}
-		ok := true
 		for ei, em := range step.Emits {
-			if sc.feats[ei] = rc.load(sc, em.LayerIndex, featurestore.Feature); sc.feats[ei] == nil {
-				ok = false
-				break
-			}
+			h := hits[rc.key(em.LayerIndex, featurestore.Feature)]
+			sc.feats[ei], sc.shared = h.rows, sc.shared || h.shared
 		}
-		if ok && step.KeepRaw && nextLive {
-			last := step.Emits[len(step.Emits)-1]
-			if sc.raw = rc.load(sc, last.LayerIndex, featurestore.RawCarry); sc.raw == nil {
-				ok = false
-			}
+		// The carry was asked for, so hit, only when the next step runs live.
+		last := step.Emits[len(step.Emits)-1].LayerIndex
+		if h, ok := hits[rc.key(last, featurestore.RawCarry)]; ok {
+			sc.raw, sc.shared = h.rows, sc.shared || h.shared
 		}
-		if ok {
-			rc.steps[si] = sc
-		}
-		nextLive = !ok
+		rc.steps[si] = sc
 	}
 	return rc
+}
+
+// entryKind is the store entry plan.Attachable's predicate asks about.
+func entryKind(carry bool) featurestore.EntryKind {
+	if carry {
+		return featurestore.RawCarry
+	}
+	return featurestore.Feature
+}
+
+// StoredEntries is the predicate plan.Attachable asks, answered from
+// store.Contains for the workload (model, seed, dataset) a run in this
+// process resolved: what a /run of it would find, probed without loading an
+// entry or touching recency. nil, which a what-if reads as cold, when there
+// is no store or no run memoized the workload's content address.
+func StoredEntries(store *featurestore.Store, model string, seed int64, dataset data.Spec) func(layerIndex int, carry bool) bool {
+	if store == nil {
+		return nil
+	}
+	weightsSum, dataSum, ok := memoizedSums(model, seed, dataset)
+	if !ok {
+		return nil
+	}
+	return func(layer int, carry bool) bool {
+		return store.Contains(featurestore.Key{Model: model, WeightsSum: weightsSum, DataSum: dataSum,
+			LayerIndex: layer, Kind: entryKind(carry)})
+	}
 }
 
 // key builds the content address for one of this run's layers.
@@ -114,30 +145,28 @@ func (rc *runCache) key(layer int, kind featurestore.EntryKind) featurestore.Key
 
 // load fetches one entry and indexes its tensors by row ID; nil on a miss or
 // a malformed entry. The in-memory source is probed first (its rows are this
-// group's freshly computed tables; a hit marks the step shared), then the
+// group's freshly computed tables; shared reports such a hit), then the
 // durable store.
-func (rc *runCache) load(sc *stepCache, layer int, kind featurestore.EntryKind) map[int64]*tensor.Tensor {
-	k := rc.key(layer, kind)
+func (rc *runCache) load(k featurestore.Key) (rows map[int64]*tensor.Tensor, shared bool) {
 	if rc.source != nil {
 		if rows, ok := rc.source.Lookup(k); ok {
 			if m := indexRows(rows); m != nil {
-				sc.shared = true
-				return m
+				return m, true
 			}
 		}
 	}
 	if rc.store == nil {
-		return nil
+		return nil, false
 	}
-	rows, ok, err := rc.store.Get(k)
+	stored, ok, err := rc.store.Get(k)
 	if err != nil || !ok {
-		return nil
+		return nil, false
 	}
-	m := indexRows(rows)
+	m := indexRows(stored)
 	if m != nil {
 		rc.loaded++
 	}
-	return m
+	return m, false
 }
 
 // indexRows maps one entry's rows by ID; nil when any row is malformed.
@@ -155,28 +184,13 @@ func indexRows(rows []dataflow.Row) map[int64]*tensor.Tensor {
 // cached reports whether plan step i is served from materialized features.
 // Safe on a nil receiver (no store or handoff configured).
 func (rc *runCache) cached(i int) bool {
-	return rc != nil && rc.steps[i] != nil
+	return rc != nil && rc.attached[i]
 }
 
 // sharedStep reports whether plan step i attaches from the in-memory share
 // handoff (implies cached(i)). Safe on a nil receiver.
 func (rc *runCache) sharedStep(i int) bool {
-	return rc != nil && rc.steps[i] != nil && rc.steps[i].shared
-}
-
-// cachedEmits counts the selected layers served from the store — the value
-// fed to optimizer.Inputs.CachedLayers so Equation 16's inputs shrink.
-func (rc *runCache) cachedEmits(p *plan.Plan) int {
-	if rc == nil {
-		return 0
-	}
-	n := 0
-	for i, step := range p.Steps {
-		if rc.cached(i) {
-			n += len(step.Emits)
-		}
-	}
-	return n
+	return rc.cached(i) && rc.steps[i].shared
 }
 
 // attachStep replaces one inference pass with a cache attach: each row gets

@@ -187,14 +187,13 @@ type sums struct{ weights, data string }
 // touches no rows.
 var sumsMemo = newSumMemo(sumsMemoCap)
 
-// MemoizedSums reports the content-address checksums of the workload
+// memoizedSums reports the content-address checksums of the workload
 // (model, seed, dataset) if a run over a catalog entry of that dataset
 // resolved them in this process (and the memo still holds them). It computes
-// nothing: callers that only probe for what earlier runs materialized
-// (vista-server's /simulate) must stay cheap. The sums outlive the catalog's
+// nothing, so StoredEntries stays cheap. The sums outlive the catalog's
 // tables, so a workload whose dataset was evicted, or never held, still
 // answers.
-func MemoizedSums(model string, seed int64, dataset data.Spec) (weightsSum, dataSum string, ok bool) {
+func memoizedSums(model string, seed int64, dataset data.Spec) (weightsSum, dataSum string, ok bool) {
 	memo, ok := sumsMemo.get(sumsKey{model: model, seed: seed, data: dataset})
 	if !ok || memo.data == "" {
 		return "", "", false

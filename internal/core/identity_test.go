@@ -51,7 +51,7 @@ func TestSumMemoBounded(t *testing.T) {
 // TestIdentityMatchesDirectDerivation asserts the identity's lazily derived
 // sums equal what each consumer used to derive for itself, over rows the
 // caller built and over a catalog entry, and that only the catalogued
-// workload's sums are then answerable by name (MemoizedSums).
+// workload's sums are then answerable by name (memoizedSums).
 func TestIdentityMatchesDirectDerivation(t *testing.T) {
 	const seed = 424242
 	dataset := data.Foods().WithRows(12)
@@ -89,13 +89,13 @@ func TestIdentityMatchesDirectDerivation(t *testing.T) {
 			t.Fatalf("catalogued=%v: fingerprint %+v ok=%v", catalogued, fp, ok)
 		}
 	}
-	gotWeights, gotData, ok := MemoizedSums("tiny-alexnet", seed, dataset)
+	gotWeights, gotData, ok := memoizedSums("tiny-alexnet", seed, dataset)
 	if !ok || gotWeights != wantWeights || gotData != wantData {
-		t.Fatalf("MemoizedSums = %q, %q, %v after a catalogued resolve", gotWeights, gotData, ok)
+		t.Fatalf("memoizedSums = %q, %q, %v after a catalogued resolve", gotWeights, gotData, ok)
 	}
 	// Rows no catalog built have no name to be asked for by.
-	if _, _, ok := MemoizedSums("tiny-alexnet", seed, data.Spec{}); ok {
-		t.Fatal("MemoizedSums answered for uncatalogued rows")
+	if _, _, ok := memoizedSums("tiny-alexnet", seed, data.Spec{}); ok {
+		t.Fatal("memoizedSums answered for uncatalogued rows")
 	}
 }
 

@@ -67,7 +67,7 @@ func RunContext(ctx context.Context, spec Spec) (*Result, error) {
 	// Probe the feature store (when configured) before deciding: cached
 	// stages shrink the optimizer's cost picture.
 	cache := loadRunCache(&spec, id)
-	decision, err := decide(spec, id, cache.cachedEmits(compiled))
+	decision, err := decide(spec, id, cache != nil && compiled.FullyCached(cache.attached))
 	if err != nil {
 		return nil, err
 	}
@@ -196,11 +196,11 @@ func RunContext(ctx context.Context, spec Spec) (*Result, error) {
 	}, nil
 }
 
-// decide runs the optimizer unless the spec pins a decision. cachedLayers is
-// how many selected layers a feature store already holds; it shrinks the
+// decide runs the optimizer unless the spec pins a decision. fullyCached
+// says every plan step attaches from stored features; it shrinks the
 // Equation 16 inputs (a fully-warm run needs no images, replicas, or
 // broadcast).
-func decide(spec Spec, id *Identity, cachedLayers int) (optimizer.Decision, error) {
+func decide(spec Spec, id *Identity, fullyCached bool) (optimizer.Decision, error) {
 	if spec.Decision != nil {
 		return *spec.Decision, nil
 	}
@@ -208,7 +208,7 @@ func decide(spec Spec, id *Identity, cachedLayers int) (optimizer.Decision, erro
 	if err != nil {
 		return optimizer.Decision{}, err
 	}
-	in.CachedLayers = cachedLayers
+	in.FullyCached = fullyCached
 	return optimizer.Optimize(in, spec.params())
 }
 
@@ -448,7 +448,6 @@ func (ex *executor) runStep(name string, in *dataflow.Table, step plan.Step, raw
 		FromImage:  step.FromImage,
 		InputIndex: rawIdx,
 		KeepRawAt:  -1,
-		DropInput:  true,
 	}
 	for _, em := range step.Emits {
 		spec.EmitLayers = append(spec.EmitLayers, em.LayerIndex)
@@ -479,7 +478,6 @@ func (ex *executor) preMaterialize(in *dataflow.Table, consume bool, trainFn tra
 		From: 0, FromImage: true,
 		EmitLayers: []int{bl.LayerIndex},
 		KeepRawAt:  bl.LayerIndex,
-		DropInput:  true,
 	})
 	if err != nil {
 		release()

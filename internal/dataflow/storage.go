@@ -53,17 +53,37 @@ func (sc *storageCache) add(p *Partition) error {
 	need := p.MemBytes()
 	detail := fmt.Sprintf("cache partition %d (%s)", p.index, memory.FormatBytes(need))
 
-	err := sc.pool.TryAllocOrEvict(need, detail, func(int64) int64 {
-		if !sc.engine.cfg.Kind.SupportsSpill() {
-			return 0 // memory-only system: nothing evictable
-		}
-		return sc.evictLRULocked()
-	})
-	if err != nil {
+	if err := sc.admitLocked(need, detail); err != nil {
 		return err
 	}
 	sc.cached.Add(p.id, p, 0)
 	sc.updatePeak()
+	return nil
+}
+
+// admitLocked charges need bytes to the pool, spilling least-recently-used
+// partitions to make room (Spark); a memory-only system has nothing
+// evictable, so the charge fails instead (Ignite).
+func (sc *storageCache) admitLocked(need int64, detail string) error {
+	return sc.pool.TryAllocOrEvict(need, detail, func(int64) int64 {
+		if !sc.engine.cfg.Kind.SupportsSpill() {
+			return 0
+		}
+		return sc.evictLRULocked()
+	})
+}
+
+// spillLocked writes p to a spill file and counts the write, as every disk
+// write of a partition must be counted, or instrumentation (and
+// sim.CompareSeries's spill-volume comparison) undercounts I/O.
+func (sc *storageCache) spillLocked(p *Partition) error {
+	written, err := p.spill(sc.engine.spillDir)
+	if err != nil {
+		return err
+	}
+	sc.engine.counters.BytesSpilled.Add(written)
+	sc.engine.counters.Spills.Add(1)
+	sc.engine.noteSpillLocked(p.SpillPath())
 	return nil
 }
 
@@ -75,19 +95,11 @@ func (sc *storageCache) evictLRULocked() int64 {
 		return 0
 	}
 	charged := p.MemBytes()
-	written, err := p.spill(sc.engine.spillDir)
-	if err != nil {
-		// Disk trouble: drop the partition from cache anyway (its rows stay
-		// readable in memory) and release its charge — the cache no longer
-		// tracks it, so keeping the charge would leak Storage-pool bytes
-		// forever and fabricate StorageExhausted crashes on healthy runs.
-		sc.cached.Remove(p.id)
-		sc.pool.Free(charged)
-		return charged
-	}
-	sc.engine.counters.BytesSpilled.Add(written)
-	sc.engine.counters.Spills.Add(1)
-	sc.engine.noteSpillLocked(p.SpillPath())
+	// On disk trouble the partition leaves the cache anyway (its rows stay
+	// readable in memory) and its charge is released: the cache no longer
+	// tracks it, so keeping the charge would leak Storage-pool bytes forever
+	// and fabricate StorageExhausted crashes on healthy runs.
+	_ = sc.spillLocked(p)
 	sc.cached.Remove(p.id)
 	sc.pool.Free(charged)
 	return charged
@@ -116,27 +128,14 @@ func (sc *storageCache) touch(p *Partition) ([]Row, error) {
 			sc.engine.counters.Unspills.Add(1)
 			err = faultinject.Hit(FaultUnspillAdmit)
 			if err == nil {
-				err = sc.pool.TryAllocOrEvict(n, "unspill", func(int64) int64 {
-					if !sc.engine.cfg.Kind.SupportsSpill() {
-						return 0
-					}
-					return sc.evictLRULocked()
-				})
+				err = sc.admitLocked(n, "unspill")
 			}
 			if err != nil {
 				// The rows are already resident but the pool refused the
 				// charge: re-spill (or, under disk trouble, discard) so the
 				// partition never lingers as memory the model can't see.
-				// The recovery spill is a real disk write: it must move the
-				// same counters the eviction path moves, or instrumentation
-				// (and sim.CompareTrace's spill-volume comparison)
-				// undercounts I/O.
-				if written, spillErr := p.spill(sc.engine.spillDir); spillErr != nil {
+				if sc.spillLocked(p) != nil {
 					p.discard()
-				} else {
-					sc.engine.counters.BytesSpilled.Add(written)
-					sc.engine.counters.Spills.Add(1)
-					sc.engine.noteSpillLocked(p.SpillPath())
 				}
 				return nil, err
 			}

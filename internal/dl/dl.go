@@ -171,10 +171,6 @@ type InferenceSpec struct {
 	// continue partial inference from it. The raw tensor is appended after
 	// all emitted features.
 	KeepRawAt int
-	// DropInput discards the input tensor (and any other pre-existing
-	// features) from the output rows instead of carrying them forward.
-	// When false, pre-existing features are preserved ahead of new ones.
-	DropInput bool
 }
 
 // validate checks the spec against the model and returns the final layer.
@@ -247,12 +243,9 @@ func (s *Session) inferRow(tc *dataflow.TaskContext, in *Row, out *Row, spec Inf
 	if err != nil {
 		return fmt.Errorf("dl: partition %d row %d: %w", tc.Part, in.ID, err)
 	}
+	// The output holds this pass's tensors only: the input tensor and any
+	// other features the row arrived with are dropped.
 	features := tensor.NewTensorList()
-	if !spec.DropInput && in.Features != nil {
-		for j := 0; j < in.Features.Len(); j++ {
-			features.Append(in.Features.Get(j))
-		}
-	}
 	input := t
 	cursor := spec.From
 	for _, emit := range emits {

@@ -210,7 +210,6 @@ func TestStagedInferenceMatchesDirect(t *testing.T) {
 		From: conv5.LayerIndex + 1, FromImage: false, InputIndex: 1,
 		EmitLayers: []int{fc6.LayerIndex},
 		KeepRawAt:  -1,
-		DropInput:  true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -104,7 +104,6 @@ func figure15Row(modelName string, rows int) (*Figure15Row, error) {
 		From: 0, FromImage: true,
 		EmitLayers: []int{base.LayerIndex},
 		KeepRawAt:  base.LayerIndex,
-		DropInput:  true,
 	})
 	if err != nil {
 		return nil, err

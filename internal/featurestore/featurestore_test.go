@@ -406,27 +406,6 @@ func TestStoreSkipsOversizedEntry(t *testing.T) {
 	}
 }
 
-func TestCachedLayersPrefix(t *testing.T) {
-	s, err := Open(t.TempDir(), 1<<20)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	for _, li := range []int{4, 5, 7} { // hole at 6
-		if err := s.Put(testKey(li, Feature), featRows(li, 4, 4)); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-	}
-	if n := s.CachedLayers("tiny-alexnet", "w0", "d0", []int{4, 5, 6, 7}); n != 2 {
-		t.Fatalf("CachedLayers = %d, want 2 (stop at the hole)", n)
-	}
-	if n := s.CachedLayers("tiny-alexnet", "w0", "d0", []int{4, 5, 7}); n != 3 {
-		t.Fatalf("CachedLayers = %d, want 3", n)
-	}
-	if n := s.CachedLayers("tiny-alexnet", "other", "d0", []int{4}); n != 0 {
-		t.Fatalf("CachedLayers with wrong weights = %d, want 0", n)
-	}
-}
-
 func TestDataChecksumSensitivity(t *testing.T) {
 	rows := []dataflow.Row{
 		{ID: 1, Image: []byte{1, 2, 3}},

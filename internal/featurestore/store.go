@@ -253,22 +253,6 @@ func (s *Store) Contains(k Key) bool {
 	return ok
 }
 
-// CachedLayers reports how many of the given layer indices — taken in order —
-// have Feature entries cached for the (model, weights, data) triple. The
-// count stops at the first miss because the executor consumes layers
-// bottom-up: a hole in the middle forces inference from the image anyway.
-func (s *Store) CachedLayers(model, weightsSum, dataSum string, layers []int) int {
-	n := 0
-	for _, li := range layers {
-		k := Key{Model: model, WeightsSum: weightsSum, DataSum: dataSum, LayerIndex: li, Kind: Feature}
-		if !s.Contains(k) {
-			break
-		}
-		n++
-	}
-	return n
-}
-
 // Snapshot returns current counters.
 func (s *Store) Snapshot() Stats {
 	s.mu.Lock()

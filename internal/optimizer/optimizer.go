@@ -105,20 +105,12 @@ type Inputs struct {
 	MemGPU int64
 	// CPUSys is the core count per worker.
 	CPUSys int
-	// CachedLayers is how many of the selected layers (bottom-up) a
-	// materialized feature store already holds for this exact (model,
-	// weights, data) triple. It shrinks the Equation 16 cost picture: cached
-	// stages run no CNN inference, and once every layer is cached
-	// (CachedLayers >= NumLayers) the workload needs no raw images, no model
-	// replicas in DL Execution Memory, and no broadcast of the serialized
-	// model.
-	CachedLayers int
-}
-
-// FullyCached reports whether every selected layer comes from a feature
-// store, i.e. the run performs zero CNN inference.
-func (in Inputs) FullyCached() bool {
-	return in.NumLayers > 0 && in.CachedLayers >= in.NumLayers
+	// FullyCached says every step of the workload's plan attaches from a
+	// materialized feature store for this exact (model, weights, data)
+	// triple (plan.Attachable). It shrinks the Equation 16 cost picture: the
+	// workload needs no raw images, no model replicas in DL Execution
+	// Memory, and no broadcast of the serialized model.
+	FullyCached bool
 }
 
 // Decision is the optimizer's output: the Table 1(B) variables.
@@ -200,7 +192,7 @@ func IntermediateSizes(in Inputs, params Params) (sizes []int64, sSingle, sDoubl
 		imgBytes = in.ModelStats.InputBytes / 4
 	}
 	base := StructTableSize(in.NumRows, in.StructDim)
-	if !in.FullyCached() {
+	if !in.FullyCached {
 		// Fully-cached runs never load the raw image payloads, so the base
 		// joined table shrinks to Tstr.
 		base += int64(in.NumRows) * imgBytes
@@ -244,7 +236,7 @@ func StagedPeakBytes(in Inputs) (int64, error) {
 	rows := int64(in.NumRows)
 	tstr := StructTableSize(in.NumRows, in.StructDim)
 	base := tstr
-	if !in.FullyCached() {
+	if !in.FullyCached {
 		base += rows * imgBytes
 	}
 	table := func(i int) int64 {
@@ -386,7 +378,7 @@ func Optimize(in Inputs, params Params) (Decision, error) {
 // simulator's accounting by construction.
 func DLMemoryNeed(in Inputs, cpu int) int64 {
 	need := int64(cpu) * in.ModelStats.MemBytes
-	if in.FullyCached() {
+	if in.FullyCached {
 		// No inference → no CNN replicas; only a DL-resident downstream
 		// model still claims DL Execution Memory.
 		need = 0
@@ -415,7 +407,7 @@ func UserMemoryNeed(in Inputs, cpu, np int, params Params) int64 {
 	featPart := ceilDiv(sSingle, int64(np))
 	working := featPart
 	serialized := in.ModelStats.SerializedBytes
-	if in.FullyCached() {
+	if in.FullyCached {
 		// Cached features stream straight from the store: no image decoding,
 		// no DL batching, no activations, and no broadcast checkpoint.
 		serialized = 0

@@ -9,6 +9,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cnn"
 )
@@ -252,4 +253,57 @@ func titleCase(s string) string {
 		return s
 	}
 	return string(s[0]-'a'+'A') + s[1:]
+}
+
+// Attachable decides which steps a run serves from stored features instead
+// of inference; it is the one attach rule the executor, the simulator and
+// what-if probes share. has reports whether a store holds one entry: the
+// feature vectors emitted at model layer layerIndex or, when carry is set,
+// the raw tensor a Staged step keeps there. Steps resolve back to front. A
+// step attaches iff every emitted layer is held and, when it keeps a raw
+// carry, the next step attaches too or the carry is held: the carry is the
+// next step's input and nothing else reads it, so it is asked for only when
+// that step runs live. has is called in exactly this order and not again
+// after a step's first missing emit, so a predicate that loads entries reads
+// only what the run may use. A nil has attaches nothing.
+func (p *Plan) Attachable(has func(layerIndex int, carry bool) bool) []bool {
+	attached := make([]bool, len(p.Steps))
+	if has == nil {
+		return attached
+	}
+	nextLive := false // nothing consumes the last step's output tensor
+	for si := len(p.Steps) - 1; si >= 0; si-- {
+		step := p.Steps[si]
+		ok := true
+		for _, em := range step.Emits {
+			if !has(em.LayerIndex, false) {
+				ok = false
+				break
+			}
+		}
+		if ok && step.KeepRaw && nextLive {
+			ok = has(step.Emits[len(step.Emits)-1].LayerIndex, true)
+		}
+		attached[si] = ok
+		nextLive = !ok
+	}
+	return attached
+}
+
+// FullyCached reports whether attached, Attachable's answer for p, serves
+// the whole run from stored features: every step attaches and no
+// pre-materialized base is read, so the run needs no images and no CNN.
+func (p *Plan) FullyCached(attached []bool) bool {
+	return p.PreMaterializedBase < 0 && len(attached) > 0 && !slices.Contains(attached, false)
+}
+
+// AttachedLayers counts the selected layers attached steps emit.
+func (p *Plan) AttachedLayers(attached []bool) int {
+	n := 0
+	for i, a := range attached {
+		if a {
+			n += len(p.Steps[i].Emits)
+		}
+	}
+	return n
 }

@@ -233,3 +233,78 @@ func TestTinyModelsCompileToo(t *testing.T) {
 		}
 	}
 }
+
+// TestAttachable pins the attach rule and the order it asks the store in:
+// back to front, a step's emits bottom-up up to the first miss, and a carry
+// only when the next step runs live. Each case names the plan's selected
+// layers 0..2 bottom-up and the entries the store holds.
+func TestAttachable(t *testing.T) {
+	type entry struct {
+		layer int // position in Plan.Layers
+		carry bool
+	}
+	cases := []struct {
+		name     string
+		kind     Kind
+		held     []entry
+		want     []bool
+		wantAsks []entry
+	}{
+		{"staged/cold", Staged, nil,
+			[]bool{false, false, false}, []entry{{2, false}, {1, false}, {0, false}}},
+		{"staged/features only", Staged, []entry{{0, false}, {1, false}, {2, false}},
+			[]bool{true, true, true}, []entry{{2, false}, {1, false}, {0, false}}},
+		{"staged/top two features", Staged, []entry{{1, false}, {2, false}},
+			[]bool{false, true, true}, []entry{{2, false}, {1, false}, {0, false}}},
+		{"staged/bottom two features, no carry", Staged, []entry{{0, false}, {1, false}},
+			[]bool{false, false, false},
+			[]entry{{2, false}, {1, false}, {1, true}, {0, false}, {0, true}}},
+		{"staged/bottom two features and carries", Staged, []entry{{0, false}, {0, true}, {1, false}, {1, true}},
+			[]bool{true, true, false},
+			[]entry{{2, false}, {1, false}, {1, true}, {0, false}}},
+		{"eager/hole stops the step", Eager, []entry{{0, false}, {2, false}},
+			[]bool{false}, []entry{{0, false}, {1, false}}},
+		{"lazy/steps stand alone", Lazy, []entry{{0, false}, {2, false}},
+			[]bool{true, false, true}, []entry{{2, false}, {1, false}, {0, false}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := compile(t, tc.kind, AfterJoin, "alexnet", 3, Options{})
+			pos := make(map[int]int)
+			for i, l := range p.Layers {
+				pos[l.LayerIndex] = i
+			}
+			held := make(map[entry]bool)
+			for _, e := range tc.held {
+				held[e] = true
+			}
+			var asks []entry
+			got := p.Attachable(func(layer int, carry bool) bool {
+				e := entry{pos[layer], carry}
+				asks = append(asks, e)
+				return held[e]
+			})
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Errorf("attached %v, want %v", got, tc.want)
+			}
+			if fmt.Sprint(asks) != fmt.Sprint(tc.wantAsks) {
+				t.Errorf("asked %v, want %v", asks, tc.wantAsks)
+			}
+			all := fmt.Sprint(got) == fmt.Sprint([]bool{true, true, true}[:len(got)])
+			if p.FullyCached(got) != all {
+				t.Errorf("FullyCached = %v with attached %v", p.FullyCached(got), got)
+			}
+		})
+	}
+	p := compile(t, Staged, AfterJoin, "alexnet", 3, Options{})
+	if got := p.Attachable(nil); fmt.Sprint(got) != "[false false false]" {
+		t.Errorf("nil predicate attached %v", got)
+	}
+	if n := p.AttachedLayers([]bool{false, true, true}); n != 2 {
+		t.Errorf("AttachedLayers = %d, want 2", n)
+	}
+	pre := compile(t, Staged, AfterJoin, "alexnet", 3, Options{PreMaterializeBase: true})
+	if pre.FullyCached(pre.Attachable(func(int, bool) bool { return true })) {
+		t.Error("a plan reading a pre-materialized base counted as fully cached")
+	}
+}

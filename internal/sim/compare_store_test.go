@@ -115,7 +115,7 @@ func TestCompareAgainstFeatureStoreRun(t *testing.T) {
 	if cold.Series == nil || len(cold.Series.Frames) < 2 {
 		t.Fatalf("cold run recorded no series")
 	}
-	rep := sim.CompareSeries(simRes, cold.Trace, cold.Series)
+	rep := sim.CompareSeries(simRes, cold.Series)
 	if rep.MeasPeakStorageBytes <= 0 || rep.MeasPeakStorageBytes != cold.Counters.PeakStorageBytes {
 		t.Errorf("measured peak storage = %d, want the engine's %d",
 			rep.MeasPeakStorageBytes, cold.Counters.PeakStorageBytes)
@@ -128,8 +128,8 @@ func TestCompareAgainstFeatureStoreRun(t *testing.T) {
 	}
 	// The warm run attaches its feature tables from the store: it measures
 	// its own, smaller engine, while the prediction still prices each
-	// attached table (a cache: stage loads the same table).
-	warmRep := sim.CompareSeries(simRes, warm.Trace, warm.Series)
+	// layer's table (an attach loads the same table).
+	warmRep := sim.CompareSeries(simRes, warm.Series)
 	if warmRep.MeasPeakStorageBytes != warm.Counters.PeakStorageBytes {
 		t.Errorf("warm measured peak = %d, want the engine's %d",
 			warmRep.MeasPeakStorageBytes, warm.Counters.PeakStorageBytes)

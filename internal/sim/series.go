@@ -3,10 +3,8 @@ package sim
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/memory"
-	"repro/internal/obs"
 	"repro/internal/obs/sampler"
 )
 
@@ -39,21 +37,14 @@ type SeriesReport struct {
 }
 
 // CompareSeries pairs the run's measured peak storage and spill volume with
-// the simulator's prediction. The prediction walks the stages of the measured
-// span tree — the largest per-stage occupancy is the predicted peak and the
-// per-stage spill volumes add up:
-//
-//	ingest, join      → BaseStorageBytes (both base tables resident)
-//	infer:<l>         → the layer's LiveStorageBytes; its SpilledBytes
-//	premat:<l>        → same (the base pass materializes the layer's table)
-//	cache:<l>         → the layer's LiveStorageBytes (attach loads the same
-//	                    table) and SpilledBytes
-//	train:<l>         → the layer's LiveStorageBytes (its table stays live)
-//
+// the simulator's prediction for it, r: the predicted peak is the largest of
+// the base tables' occupancy (BaseStorageBytes) and every layer's
+// LiveStorageBytes, and the predicted spill is the layers' SpilledBytes
+// summed. r must price the layers the run explored, as calib.Simulate does.
 // The measurement is rec's final frame, which the sampler takes after the
 // last stage while the engine is still open. A crashed simulation yields
 // zero predictions; the measurements remain.
-func CompareSeries(r Result, trace *obs.Span, rec *sampler.Recording) SeriesReport {
+func CompareSeries(r Result, rec *sampler.Recording) SeriesReport {
 	var rep SeriesReport
 	if n := len(rec.Frames); n > 0 {
 		last := rec.Frames[n-1]
@@ -64,23 +55,10 @@ func CompareSeries(r Result, trace *obs.Span, rec *sampler.Recording) SeriesRepo
 	if r.Crash != nil {
 		return rep
 	}
-	byLayer := make(map[string]LayerCost, len(r.Layers))
+	rep.PredPeakStorageBytes = r.BaseStorageBytes
 	for _, lc := range r.Layers {
-		byLayer[lc.Layer] = lc
-	}
-	for _, sp := range trace.Children() {
-		var storage, spill int64
-		name, layer, _ := strings.Cut(sp.Name(), ":")
-		switch name {
-		case "ingest", "join":
-			storage = r.BaseStorageBytes
-		case "infer", "premat", "cache":
-			storage, spill = byLayer[layer].LiveStorageBytes, byLayer[layer].SpilledBytes
-		case "train":
-			storage = byLayer[layer].LiveStorageBytes
-		}
-		rep.PredPeakStorageBytes = max(rep.PredPeakStorageBytes, storage)
-		rep.PredSpillBytes += spill
+		rep.PredPeakStorageBytes = max(rep.PredPeakStorageBytes, lc.LiveStorageBytes)
+		rep.PredSpillBytes += lc.SpilledBytes
 	}
 	return rep
 }

@@ -12,8 +12,7 @@ import (
 const testMB = 1 << 20
 
 // simulatedWithStorage extends the shared fixture with the memory-model
-// fields CompareSeries reads. Layer fc8 is priced but absent from
-// measuredTrace, so it must not reach the prediction.
+// fields CompareSeries reads.
 func simulatedWithStorage() Result {
 	r := simulated()
 	r.BaseStorageBytes = 1 * testMB
@@ -21,7 +20,6 @@ func simulatedWithStorage() Result {
 	r.Layers[0].LiveStorageBytes = 4 * testMB
 	r.Layers[0].SpilledBytes = 1 * testMB
 	r.Layers[1].LiveStorageBytes = 2 * testMB
-	r.Layers = append(r.Layers, LayerCost{Layer: "fc8", LiveStorageBytes: 9 * testMB, SpilledBytes: 3 * testMB})
 	return r
 }
 
@@ -54,10 +52,9 @@ func measuredRecording() *sampler.Recording {
 }
 
 func TestCompareSeries(t *testing.T) {
-	rep := CompareSeries(simulatedWithStorage(), measuredTrace(), measuredRecording())
+	rep := CompareSeries(simulatedWithStorage(), measuredRecording())
 	want := SeriesReport{
-		// max(base 1, infer/train fc6 4, cache fc7 2) and fc6's spill; fc8
-		// never ran.
+		// max(base 1, fc6 4, fc7 2) and the layers' spill summed.
 		PredPeakStorageBytes: 4 * testMB,
 		PredSpillBytes:       1 * testMB,
 		// The final frame's counters, exactly.
@@ -72,7 +69,7 @@ func TestCompareSeries(t *testing.T) {
 func TestCompareSeriesCrashedSim(t *testing.T) {
 	r := simulatedWithStorage()
 	r.Crash = errors.New("storage exhausted")
-	rep := CompareSeries(r, measuredTrace(), measuredRecording())
+	rep := CompareSeries(r, measuredRecording())
 	if rep.PredPeakStorageBytes != 0 || rep.PredSpillBytes != 0 {
 		t.Errorf("predicted %d/%d on a crashed sim", rep.PredPeakStorageBytes, rep.PredSpillBytes)
 	}
@@ -88,7 +85,7 @@ func TestCompareSeriesMissingCounters(t *testing.T) {
 	rec := measuredRecording()
 	rec.Frames = append(rec.Frames, sampler.Frame{T: rec.End, Values: map[string]float64{}})
 	for _, rec := range []*sampler.Recording{rec, {}} {
-		rep := CompareSeries(simulatedWithStorage(), measuredTrace(), rec)
+		rep := CompareSeries(simulatedWithStorage(), rec)
 		if rep.MeasPeakStorageBytes != 0 || rep.MeasSpillBytes != 0 {
 			t.Errorf("measured %d/%d without counters", rep.MeasPeakStorageBytes, rep.MeasSpillBytes)
 		}
@@ -100,7 +97,7 @@ func TestCompareSeriesMissingCounters(t *testing.T) {
 
 func TestRenderSeriesReport(t *testing.T) {
 	var b strings.Builder
-	RenderSeriesReport(&b, CompareSeries(simulatedWithStorage(), measuredTrace(), measuredRecording()))
+	RenderSeriesReport(&b, CompareSeries(simulatedWithStorage(), measuredRecording()))
 	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("rendered %d lines, want a header and two rows:\n%s", len(lines), b.String())

@@ -21,7 +21,13 @@ type Workload struct {
 	Inputs optimizer.Inputs
 	// TrainIters is the downstream model's iteration count (paper: 10).
 	TrainIters int
+	// Attached marks the plan steps served from a feature store
+	// (plan.Attachable), indexed by step; nil or a false entry runs live.
+	Attached []bool
 }
+
+// attached reports whether plan step i is served from the feature store.
+func (w Workload) attached(i int) bool { return i < len(w.Attached) && w.Attached[i] }
 
 // Config is the system configuration under test: either an optimizer
 // Decision (Vista) or a hand-built baseline.
@@ -133,7 +139,7 @@ func newModel(w Workload, cfg Config, prof Profile) *model {
 	m := &model{w: w, cfg: cfg, prof: prof, rows: float64(w.Inputs.NumRows)}
 	m.tstr = float64(optimizer.StructTableSize(w.Inputs.NumRows, w.Inputs.StructDim))
 	m.timg = m.rows * float64(w.Inputs.ImageRowBytes)
-	if w.Inputs.FullyCached() {
+	if w.Inputs.FullyCached {
 		// Every selected layer streams from the feature store: the raw image
 		// payloads are never loaded (mirrors optimizer.IntermediateSizes).
 		m.timg = 0
@@ -264,7 +270,7 @@ func (m *model) userNeed() int64 {
 	featPart := maxTable / float64(m.cfg.NP)
 	working := featPart
 	serialized := float64(st.SerializedBytes)
-	if m.w.Inputs.FullyCached() {
+	if m.w.Inputs.FullyCached {
 		// Mirrors optimizer.UserMemoryNeed: a fully-warm run decodes no
 		// images, batches nothing into the DL system, and broadcasts no
 		// checkpoint.
@@ -302,22 +308,10 @@ func Run(w Workload, cfg Config, prof Profile) Result {
 	st := w.Inputs.ModelStats
 	res := Result{}
 
-	// A step is served from the feature store when every computed layer it
-	// emits falls inside the cached bottom-up prefix (Inputs.CachedLayers):
-	// no CNN FLOPs, no image read — just loading the materialized table.
-	stepCached := make([]bool, len(w.Plan.Steps))
-	{
-		idx := 0
-		for i, s := range w.Plan.Steps {
-			stepCached[i] = idx+len(s.Emits) <= w.Inputs.CachedLayers
-			idx += len(s.Emits)
-		}
-	}
-
 	// ——— Read ———
-	readsImages := w.Plan.PreMaterializedBase < 0 && len(w.Plan.Steps) > 0 && !stepCached[0]
+	readsImages := false
 	for i, s := range w.Plan.Steps {
-		if s.FromImage && !stepCached[i] {
+		if s.FromImage && !w.attached(i) {
 			readsImages = true
 		}
 	}
@@ -362,7 +356,7 @@ func Run(w Workload, cfg Config, prof Profile) Result {
 	layerIdx := 0
 	for stepIdx, step := range w.Plan.Steps {
 		var inferSec float64
-		if stepCached[stepIdx] {
+		if w.attached(stepIdx) {
 			// Cache attach: load the stage's materialized table from the
 			// store instead of running partial inference — disk I/O plus the
 			// task overhead of the attach pass, zero CNN FLOPs and no DL

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/cnn"
@@ -583,12 +584,15 @@ func TestParallelEfficiencyShape(t *testing.T) {
 }
 
 // TestSimCachedLayersCutInference checks the simulator's feature-store
-// model: cached stages drop their CNN compute (a warm run is strictly
-// faster), and a fully-warm run skips the image read entirely.
+// model: stores holding a growing bottom-up prefix of the features (and the
+// raw carries the next live step resumes from) drop those stages' CNN
+// compute (a warmer run is strictly faster), and a fully-warm run skips the
+// image read entirely.
 func TestSimCachedLayersCutInference(t *testing.T) {
 	prof := PaperCluster()
-	vista := mustVista(t, WorkloadSpec{ModelName: "alexnet",
-		Dataset: FoodsSpec(), PlanKind: plan.Staged, Placement: plan.AfterJoin, Nodes: prof.Nodes})
+	ws := WorkloadSpec{ModelName: "alexnet",
+		Dataset: FoodsSpec(), PlanKind: plan.Staged, Placement: plan.AfterJoin, Nodes: prof.Nodes}
+	vista := mustVista(t, ws)
 	w, cfg := vista.Workload, vista.Config
 	cold := Run(w, cfg, prof)
 	if cold.Crash != nil {
@@ -597,8 +601,18 @@ func TestSimCachedLayersCutInference(t *testing.T) {
 
 	prev := cold.TotalSec()
 	for cachedL := 1; cachedL <= w.Inputs.NumLayers; cachedL++ {
-		warm := w
-		warm.Inputs.CachedLayers = cachedL
+		stored := make(map[int]bool)
+		for _, l := range w.Plan.Layers[:cachedL] {
+			stored[l.LayerIndex] = true
+		}
+		ws.Stored = func(layer int, _ bool) bool { return stored[layer] }
+		warm, err := NewWorkload(ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := warm.Plan.AttachedLayers(warm.Attached); got != cachedL {
+			t.Fatalf("cached=%d attaches %d layers", cachedL, got)
+		}
 		r := Run(warm, cfg, prof)
 		if r.Crash != nil {
 			t.Fatalf("cached=%d crashed: %v", cachedL, r.Crash)
@@ -612,8 +626,59 @@ func TestSimCachedLayersCutInference(t *testing.T) {
 			continue
 		}
 		// Fully warm: no image ingestion, only Tstr is read.
+		if !warm.Inputs.FullyCached {
+			t.Error("every step attaches but the inputs are not fully cached")
+		}
 		if r.ReadSec >= cold.ReadSec {
 			t.Errorf("fully-warm ReadSec %.2f not below cold %.2f", r.ReadSec, cold.ReadSec)
+		}
+	}
+}
+
+// TestSimTopStepsAttached prices a Staged workload whose store holds only
+// the top layers' features, as an LRU that evicted the bottom entry and
+// every raw carry leaves it: the top steps attach (each one's successor
+// attaches, so no carry is needed), and inference is charged for the bottom
+// step alone.
+func TestSimTopStepsAttached(t *testing.T) {
+	prof := PaperCluster()
+	ws := WorkloadSpec{ModelName: "alexnet", NumLayers: 3,
+		Dataset: FoodsSpec(), PlanKind: plan.Staged, Placement: plan.AfterJoin, Nodes: prof.Nodes}
+	vista := mustVista(t, ws)
+	cold := vista.Result
+	if cold.Crash != nil {
+		t.Fatalf("cold run crashed: %v", cold.Crash)
+	}
+	top := map[int]bool{}
+	for _, l := range vista.Workload.Plan.Layers[1:] {
+		top[l.LayerIndex] = true
+	}
+	ws.Stored = func(layer int, carry bool) bool { return !carry && top[layer] }
+	w, err := NewWorkload(ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []bool{false, true, true}; !reflect.DeepEqual(w.Attached, want) {
+		t.Fatalf("Attached = %v, want %v", w.Attached, want)
+	}
+	if w.Inputs.FullyCached {
+		t.Fatal("a live bottom step priced as a fully-warm run")
+	}
+	r := Run(w, vista.Config, prof)
+	if r.Crash != nil {
+		t.Fatalf("crashed: %v", r.Crash)
+	}
+	if r.Layers[0].InferSec != cold.Layers[0].InferSec {
+		t.Errorf("bottom step InferSec %.2f, want the cold pass's %.2f", r.Layers[0].InferSec, cold.Layers[0].InferSec)
+	}
+	if r.ReadSec != cold.ReadSec {
+		t.Errorf("ReadSec %.2f, want the cold image read %.2f", r.ReadSec, cold.ReadSec)
+	}
+	for _, lc := range r.Layers[1:] {
+		// A live pass pays the DL stage startup (3 s) on top of its FLOPs;
+		// an attach is a store read and one task wave.
+		if lc.InferSec >= 3 {
+			t.Errorf("%s: InferSec %.2f is priced as inference, not an attach", lc.Layer, lc.InferSec)
 		}
 	}
 }

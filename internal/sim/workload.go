@@ -84,9 +84,13 @@ type WorkloadSpec struct {
 	// whole decoded partitions (inflating User Memory needs) and Storage
 	// Memory must fit the peak intermediate footprint (no disk spill).
 	MemoryOnly bool
-	// CachedLayers is how many selected layers (bottom-up) a feature store
-	// already holds; it shrinks Equation 16's inputs.
-	CachedLayers int
+	// Stored reports which entries a feature store holds for this workload:
+	// the features emitted at model layer layerIndex or, with carry, the raw
+	// tensor a Staged step keeps there. NewWorkload decides from it which plan
+	// steps attach (plan.Attachable), which Run prices as store reads, and
+	// whether Equation 16's inputs shrink to a fully-warm run's. nil means
+	// cold.
+	Stored func(layerIndex int, carry bool) bool
 	// StorageScale is a fitted calibration factor Vista plans under
 	// (optimizer.Params.StorageScale; 0 = the paper constants).
 	StorageScale float64
@@ -139,7 +143,6 @@ func (ws WorkloadSpec) Inputs(stats *cnn.Stats) (optimizer.Inputs, error) {
 		MemSys:               ws.MemSys,
 		MemGPU:               ws.MemGPU,
 		CPUSys:               ws.CPUSys,
-		CachedLayers:         ws.CachedLayers,
 	}
 	if ws.Downstream.MLP {
 		in.Placement = optimizer.MInDLMemory
@@ -148,7 +151,8 @@ func (ws WorkloadSpec) Inputs(stats *cnn.Stats) (optimizer.Inputs, error) {
 	return in, nil
 }
 
-// NewWorkload compiles the plan and assembles optimizer inputs.
+// NewWorkload compiles the plan, decides which of its steps attach from
+// ws.Stored, and assembles optimizer inputs.
 func NewWorkload(ws WorkloadSpec) (Workload, error) {
 	m, err := cnn.ByName(ws.ModelName)
 	if err != nil {
@@ -170,5 +174,7 @@ func NewWorkload(ws WorkloadSpec) (Workload, error) {
 	if ws.TrainIters <= 0 {
 		ws.TrainIters = 10
 	}
-	return Workload{Plan: p, Inputs: in, TrainIters: ws.TrainIters}, nil
+	attached := p.Attachable(ws.Stored)
+	in.FullyCached = p.FullyCached(attached)
+	return Workload{Plan: p, Inputs: in, TrainIters: ws.TrainIters, Attached: attached}, nil
 }

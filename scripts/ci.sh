@@ -24,6 +24,9 @@ go run ./scripts/unref
 echo "== go build =="
 go build ./...
 
+echo "== non-test Go lines outside bench/ (informational, not a gate) =="
+find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+
 echo "== examples (run each once) =="
 # The build above only compiles the five examples; running each once catches
 # one that builds but fails at run time (about 5 s in total on a 2-core box).
