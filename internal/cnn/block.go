@@ -34,11 +34,12 @@ func (b *Bottleneck) needsProjection(in tensor.Shape) bool {
 	return b.Project || b.Stride != 1 || in[0] != 4*b.Mid
 }
 
-// sublayers returns the block's internal layers for the given input shape:
-// reduce, mid, expand, and (optionally) the projection shortcut last.
+// sublayers returns the block's internal layers for the given input shape (a
+// CHW image or a (C, N, H, W) batch): reduce, mid, expand, and (optionally)
+// the projection shortcut last.
 func (b *Bottleneck) sublayers(in tensor.Shape) ([]*BNConv, error) {
-	if len(in) != 3 {
-		return nil, fmt.Errorf("%w: bottleneck %s expects CHW, got %v", tensor.ErrShape, b.LayerName, in)
+	if len(in) != 3 && len(in) != 4 {
+		return nil, fmt.Errorf("%w: bottleneck %s expects CHW or CNHW, got %v", tensor.ErrShape, b.LayerName, in)
 	}
 	inC := in[0]
 	ls := []*BNConv{
@@ -125,7 +126,8 @@ func (b *Bottleneck) Params(in tensor.Shape) int64 {
 
 // Apply implements Layer. The shortcut runs first, so the expand
 // convolution can add it and apply the block's ReLU in its epilogue: the
-// block is its three or four convolutions and no elementwise pass. Each
+// block is its three or four convolutions and no elementwise pass, and the
+// shortcut is in the expand output's batch layout either way. Each
 // intermediate goes back to the slab pool once the next convolution has read
 // it; the block input is the caller's.
 func (b *Bottleneck) Apply(in *tensor.Tensor, w *LayerWeights) (*tensor.Tensor, error) {

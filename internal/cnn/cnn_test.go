@@ -358,10 +358,14 @@ func TestFeatureVectorPoolsConvLayers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vec, err := FeatureVector(raw)
+	vecs, err := FeatureVectors(raw)
 	if err != nil {
-		t.Fatalf("FeatureVector: %v", err)
+		t.Fatalf("FeatureVectors: %v", err)
 	}
+	if len(vecs) != 1 {
+		t.Fatalf("%d vectors for one image", len(vecs))
+	}
+	vec := vecs[0]
 	wantDim, err := m.FeatureDim(fl)
 	if err != nil {
 		t.Fatal(err)

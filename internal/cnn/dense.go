@@ -28,8 +28,8 @@ func (d *DenseBlock) Name() string { return d.LayerName }
 
 // convs returns the internal convolution layers for the given input shape.
 func (d *DenseBlock) convs(in tensor.Shape) ([]*BNConv, error) {
-	if len(in) != 3 {
-		return nil, fmt.Errorf("%w: dense block %s expects CHW, got %v", tensor.ErrShape, d.LayerName, in)
+	if len(in) != 3 && len(in) != 4 {
+		return nil, fmt.Errorf("%w: dense block %s expects CHW or CNHW, got %v", tensor.ErrShape, d.LayerName, in)
 	}
 	if d.Convs <= 0 || d.Growth <= 0 {
 		return nil, fmt.Errorf("cnn: dense block %s needs positive convs/growth", d.LayerName)

@@ -24,7 +24,9 @@ type Layer interface {
 	// Params returns the number of learned parameters (weights + biases)
 	// for an input of the given shape.
 	Params(in tensor.Shape) int64
-	// Apply runs the layer on in using the realized weights w.
+	// Apply runs the layer on in using the realized weights w. in is one
+	// input or a batch of them (tensor.NewBatch), and the output is of the
+	// same kind: item i of the output is the layer applied to item i.
 	Apply(in *tensor.Tensor, w *LayerWeights) (*tensor.Tensor, error)
 	// InitWeights draws the layer's weights for the given input shape from
 	// rng (He initialization for weights, zeros for biases).
@@ -152,7 +154,8 @@ func (p *MaxPool) InitWeights(in tensor.Shape, _ *rand.Rand) (*LayerWeights, err
 	return &LayerWeights{}, nil
 }
 
-// GlobalAvgPool reduces a CHW input to a length-C vector (ResNet-style head).
+// GlobalAvgPool reduces a CHW input to a length-C vector (ResNet-style head),
+// and a batch of them to an (N, C) batch of vectors.
 type GlobalAvgPool struct {
 	LayerName string
 }
@@ -188,7 +191,8 @@ func (g *GlobalAvgPool) InitWeights(in tensor.Shape, _ *rand.Rand) (*LayerWeight
 }
 
 // FC is a fully connected layer; it flattens its input and applies
-// out = W·flatten(in) + b, with optional fused ReLU.
+// out = W·flatten(in) + b, with optional fused ReLU. A batch runs item by
+// item through MatVec: FC layers are a small share of a row.
 type FC struct {
 	LayerName string
 	Units     int
@@ -218,13 +222,16 @@ func (f *FC) Params(in tensor.Shape) int64 {
 
 // Apply implements Layer.
 func (f *FC) Apply(in *tensor.Tensor, w *LayerWeights) (*tensor.Tensor, error) {
-	x := in.Flatten()
-	cols := x.NumElements()
-	out, err := tensor.MatVec(w.W, f.Units, cols, x.Data(), w.B)
-	if err != nil {
-		return nil, fmt.Errorf("cnn: layer %s: %w", f.LayerName, err)
+	t := tensor.New(tensor.BatchLike(in.Shape(), tensor.Shape{f.Units})...)
+	for i := 0; i < tensor.BatchLen(in.Shape()); i++ {
+		x := tensor.Item(in, i)
+		out, err := tensor.MatVec(w.W, f.Units, x.NumElements(), x.Data(), w.B)
+		tensor.Recycle(x)
+		if err != nil {
+			return nil, fmt.Errorf("cnn: layer %s: %w", f.LayerName, err)
+		}
+		copy(t.Data()[i*f.Units:], out)
 	}
-	t := tensor.MustFromSlice(out, f.Units)
 	if f.ReLU {
 		tensor.ReLU(t)
 	}

@@ -153,14 +153,17 @@ func (m *Model) RealizeWeights(seed int64) (*Weights, error) {
 // PartialInfer computes partial CNN inference f̂_{from→to} (Definition 3.7),
 // which from the first layer to the last is full inference f(t) (Definition
 // 3.6): it applies Layers[from..to] (inclusive) to in, which must be
-// shape-compatible with Layers[from].
+// shape-compatible with Layers[from]. in is one input or a batch of them
+// (tensor.NewBatch); every layer runs once over the whole batch, each
+// convolution as one GEMM, and item i of the result is bit for bit item i
+// inferred alone.
 //
 // Intermediate activations are recycled into the tensor slab pool as soon as
-// the next layer has consumed them, so a batch of rows advancing through the
-// same layer range reuses a fixed working set instead of allocating one
-// tensor per layer per row. The function input and the returned tensor are
-// never recycled, and an intermediate is kept whenever the next layer's
-// output aliases its storage (in-place layers).
+// the next layer has consumed them, so batches advancing through the same
+// layer range reuse a fixed working set instead of allocating one tensor per
+// layer per batch. The function input and the returned tensor are never
+// recycled, and an intermediate is kept whenever the next layer's output
+// aliases its storage (in-place layers).
 func (m *Model) PartialInfer(w *Weights, in *tensor.Tensor, from, to int) (*tensor.Tensor, error) {
 	if from < 0 || to >= len(m.Layers) || from > to {
 		return nil, fmt.Errorf("cnn: invalid layer range [%d,%d] for %s", from, to, m.Name)
@@ -182,19 +185,26 @@ func (m *Model) PartialInfer(w *Weights, in *tensor.Tensor, from, to int) (*tens
 	return t, nil
 }
 
-// FeatureVector applies g_l ∘ f̂_l to a raw feature tensor that was produced
-// at feature layer fl: convolutional (CHW) outputs are grid-max-pooled to a
+// FeatureVectors applies g_l ∘ f̂_l to a raw feature tensor, or a batch of
+// them, produced at one feature layer, and returns each item's vector:
+// convolutional (CHW) outputs are grid-max-pooled to a
 // FeatureGrid×FeatureGrid grid and flattened; vector outputs pass through.
-// This is the paper's g_l FlattenOp with the standard pre-pooling.
-func FeatureVector(raw *tensor.Tensor) (*tensor.Tensor, error) {
-	if len(raw.Shape()) == 3 {
-		pooled, err := tensor.GridMaxPool(raw, FeatureGrid)
-		if err != nil {
+// This is the paper's g_l FlattenOp with the standard pre-pooling. Every
+// vector is a copy, owned by its caller; raw is left as it was.
+func FeatureVectors(raw *tensor.Tensor) ([]*tensor.Tensor, error) {
+	pooled := raw
+	if len(tensor.ItemShape(raw.Shape())) == 3 {
+		var err error
+		if pooled, err = tensor.GridMaxPool(raw, FeatureGrid); err != nil {
 			return nil, err
 		}
-		return pooled.Flatten(), nil
+		defer tensor.Recycle(pooled)
 	}
-	return raw.Flatten(), nil
+	vecs := make([]*tensor.Tensor, tensor.BatchLen(raw.Shape()))
+	for i := range vecs {
+		vecs[i] = tensor.Item(pooled, i).Flatten()
+	}
+	return vecs, nil
 }
 
 // FeatureDim returns the length of the flattened (post-pooling) feature

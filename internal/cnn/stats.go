@@ -22,6 +22,14 @@ const (
 	gpuMemMultiplier   = 5.0
 )
 
+// InferenceBatch is how many rows one inference UDF thread runs through the
+// CNN at once (TensorFrames-style batching, Section 4.1): dl.PartitionFunc
+// cuts a partition into near-equal batches of at most this many images, and
+// the optimizer and the simulator price a decoded input batch of this many
+// images in User Memory. The batch's activations are not priced apart:
+// memMultiplier's |f|_mem already covers per-thread activation buffers.
+const InferenceBatch = 8
+
 // LayerStat describes one feature layer of a model for the optimizer.
 type LayerStat struct {
 	// Name is the feature-layer label (e.g. "conv5").

@@ -121,7 +121,8 @@ func (s *Spec) identity() (*Identity, error) {
 
 // Weights returns the model's weights realized under the spec's seed,
 // realizing them on first call. The result is shared: treat it as read-only
-// (dl.NewSession works on its own deserialized copy).
+// (dl.NewSession borrows these very slices through dl.Options.Weights and
+// only ever reads them).
 func (id *Identity) Weights() (*cnn.Weights, error) {
 	id.weightsOnce.Do(func() {
 		id.weights, id.weightsErr = id.Model.RealizeWeights(id.from.seed)

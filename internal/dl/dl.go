@@ -16,8 +16,8 @@ const (
 	// FaultSessionBroadcast guards the driver's serialized-model broadcast
 	// allocation in NewSession.
 	FaultSessionBroadcast = "dl/session.broadcast"
-	// FaultInferBatch guards the per-partition batch-buffer allocation at
-	// the top of every inference UDF invocation.
+	// FaultInferBatch guards the batch-slab acquisition at the start of
+	// every inference batch, before any row of it is decoded or gathered.
 	FaultInferBatch = "dl/infer.batch"
 )
 
@@ -199,10 +199,12 @@ func (s *Session) validate(spec InferenceSpec) (int, error) {
 	return last, nil
 }
 
-// PartitionFunc builds the dataflow UDF running this inference spec. Each
-// row's input tensor is advanced through the layer range segment by segment,
-// emitting pooled feature vectors at the requested layers; FLOPs are recorded
-// on the task context.
+// PartitionFunc builds the dataflow UDF running this inference spec. It cuts
+// each partition into near-equal batches of at most cnn.InferenceBatch rows
+// (9 rows run as 5 + 4) and advances each batch through the layer range
+// segment by segment as one tensor, emitting pooled feature vectors at the
+// requested layers; FLOPs are recorded on the task context. A row's outputs
+// are bit for bit those it gets inferred alone.
 func (s *Session) PartitionFunc(spec InferenceSpec) (dataflow.PartitionFunc, error) {
 	last, err := s.validate(spec)
 	if err != nil {
@@ -214,103 +216,125 @@ func (s *Session) PartitionFunc(spec InferenceSpec) (dataflow.PartitionFunc, err
 	if err != nil {
 		return nil, err
 	}
+	// The input of layer From: the image, or the raw carry a previous pass
+	// kept at layer From−1.
+	item, err := s.model.ShapeAt(spec.From - 1)
+	if err != nil {
+		return nil, err
+	}
 
 	return func(tc *dataflow.TaskContext, in []Row) ([]Row, error) {
-		if err := faultinject.Hit(FaultInferBatch); err != nil {
-			return nil, fmt.Errorf("dl: partition %d batch buffer: %w", tc.Part, err)
-		}
-		// Rows run in order on the partition's goroutine: the engine already
-		// runs a stage's partitions side by side, and the optimizer gives
-		// every run at least one partition per modeled core.
+		// Batches run in order on the partition's goroutine: the engine
+		// already runs a stage's partitions side by side, and the optimizer
+		// gives every run at least one partition per modeled core.
 		out := make([]Row, len(in))
-		for i := range in {
-			if err := s.inferRow(tc, &in[i], &out[i], spec, emits, last); err != nil {
+		nb := (len(in) + cnn.InferenceBatch - 1) / cnn.InferenceBatch
+		for b, lo := 0, 0; b < nb; b++ {
+			hi := lo + (len(in)-lo+nb-b-1)/(nb-b)
+			if err := s.inferBatch(tc, in[lo:hi], out[lo:hi], spec, item, emits, last); err != nil {
 				return nil, err
 			}
+			lo = hi
 		}
 		tc.AddFLOPs(perRowFLOPs * int64(len(in)))
 		return out, nil
 	}, nil
 }
 
-// inferRow advances one row's input tensor through the spec's layer range,
-// emitting pooled feature vectors at the requested layers. The session's
-// model and weights are read-only during inference: concurrent partitions
-// (and sessions borrowing the same weights) share them.
-func (s *Session) inferRow(tc *dataflow.TaskContext, in *Row, out *Row, spec InferenceSpec, emits []int, last int) error {
-	r := *in // shallow copy; payloads are replaced below
-	t, err := s.inputTensor(in, spec)
+// inferBatch advances the rows' inputs, as one batch of item-shaped tensors,
+// through the spec's layer range, and writes each row's emitted feature
+// vectors (and raw carry) to the same row of out. The session's model and
+// weights are read-only during inference: concurrent partitions (and
+// sessions borrowing the same weights) share them.
+func (s *Session) inferBatch(tc *dataflow.TaskContext, in, out []Row, spec InferenceSpec, item tensor.Shape, emits []int, last int) error {
+	t, err := inputBatch(tc, in, spec, item)
 	if err != nil {
-		return fmt.Errorf("dl: partition %d row %d: %w", tc.Part, in.ID, err)
+		return err
 	}
 	// The output holds this pass's tensors only: the input tensor and any
-	// other features the row arrived with are dropped.
-	features := tensor.NewTensorList()
-	input := t
+	// other features a row arrived with are dropped.
+	features := make([]*tensor.TensorList, len(in))
+	for i := range features {
+		features[i] = tensor.NewTensorList()
+	}
 	cursor := spec.From
-	for _, emit := range emits {
-		if t, err = s.model.PartialInfer(s.weights, t, cursor, emit); err != nil {
-			return err
-		}
-		cursor = emit + 1
-		vec, err := cnn.FeatureVector(t)
+	advance := func(to int) error {
+		next, err := s.model.PartialInfer(s.weights, t, cursor, to)
 		if err != nil {
 			return err
 		}
-		features.Append(vec)
+		// The batch before this segment is this call's own slab: the input
+		// gathered above or the previous segment's output, each consumed.
+		if !tensor.SameStorage(next, t) {
+			tensor.Recycle(t)
+		}
+		t, cursor = next, to+1
+		return nil
+	}
+	for _, emit := range emits {
+		if err := advance(emit); err != nil {
+			return err
+		}
+		vecs, err := cnn.FeatureVectors(t)
+		if err != nil {
+			return err
+		}
+		for i, v := range vecs {
+			features[i].Append(v)
+		}
 	}
 	if cursor <= last {
-		if t, err = s.model.PartialInfer(s.weights, t, cursor, last); err != nil {
+		if err := advance(last); err != nil {
 			return err
 		}
 	}
 	if spec.KeepRawAt >= 0 {
-		features.Append(t)
-	} else if len(t.Shape()) == 3 && !tensor.SameStorage(t, input) {
-		// The raw output of the last computed layer is dropped, and no
-		// emitted feature can alias a CHW tensor (FeatureVector pools CHW
-		// outputs into fresh storage), so its slab goes back to the pool for
-		// the next row.
-		tensor.Recycle(t)
-	}
-	r.Features = features
-	if spec.FromImage {
-		r.Image = nil // decoded and consumed; drop the raw payload
-		// The decoded image is this row's own slab (tensor.Decode) and the
-		// first layer has read it; it goes back to the pool for the next row
-		// unless a layer handed its storage on into the output.
-		kept := false
-		for j := 0; j < features.Len(); j++ {
-			kept = kept || tensor.SameStorage(features.Get(j), input)
-		}
-		if !kept {
-			tensor.Recycle(input)
+		for i := range features {
+			features[i].Append(tensor.Item(t, i))
 		}
 	}
-	*out = r
+	tensor.Recycle(t)
+	for i := range in {
+		r := in[i] // shallow copy; payloads are replaced below
+		r.Features = features[i]
+		if spec.FromImage {
+			r.Image = nil // decoded and consumed; drop the raw payload
+		}
+		out[i] = r
+	}
 	return nil
 }
 
 // Row aliases dataflow.Row for UDF signatures.
 type Row = dataflow.Row
 
-func (s *Session) inputTensor(r *dataflow.Row, spec InferenceSpec) (*tensor.Tensor, error) {
+// inputBatch acquires a batch slab of len(rows) item-shaped tensors and
+// fills it: each row's image decoded straight into its slot, or its raw
+// carry copied in.
+func inputBatch(tc *dataflow.TaskContext, rows []Row, spec InferenceSpec, item tensor.Shape) (*tensor.Tensor, error) {
+	if err := faultinject.Hit(FaultInferBatch); err != nil {
+		return nil, fmt.Errorf("dl: partition %d batch buffer: %w", tc.Part, err)
+	}
+	b := tensor.NewBatch(item, len(rows))
+	for i := range rows {
+		if err := fillSlot(b, i, &rows[i], spec); err != nil {
+			tensor.Recycle(b)
+			return nil, fmt.Errorf("dl: partition %d row %d: %w", tc.Part, rows[i].ID, err)
+		}
+	}
+	return b, nil
+}
+
+// fillSlot writes row r's input into slot i of batch b.
+func fillSlot(b *tensor.Tensor, i int, r *Row, spec InferenceSpec) error {
 	if spec.FromImage {
 		if r.Image == nil {
-			return nil, fmt.Errorf("row has no image payload")
+			return fmt.Errorf("row has no image payload")
 		}
-		t, err := tensor.Decode(r.Image)
-		if err != nil {
-			return nil, err
-		}
-		if !t.Shape().Equal(s.model.InputShape) {
-			return nil, fmt.Errorf("%w: image %v vs model input %v",
-				tensor.ErrShape, t.Shape(), s.model.InputShape)
-		}
-		return t, nil
+		return tensor.DecodeItem(r.Image, b, i)
 	}
 	if r.Features == nil || r.Features.Len() <= spec.InputIndex {
-		return nil, fmt.Errorf("row has no feature tensor at index %d", spec.InputIndex)
+		return fmt.Errorf("row has no feature tensor at index %d", spec.InputIndex)
 	}
-	return r.Features.Get(spec.InputIndex), nil
+	return tensor.SetItem(b, i, r.Features.Get(spec.InputIndex))
 }

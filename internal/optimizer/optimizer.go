@@ -389,11 +389,6 @@ func DLMemoryNeed(in Inputs, cpu int) int64 {
 	return need
 }
 
-// inferenceBatchImages is how many decoded image tensors one UDF thread
-// buffers at a time when feeding the DL system (TensorFrames-style
-// batching); partitions stream through, so only a batch is resident.
-const inferenceBatchImages = 8
-
 // UserMemoryNeed is the actual User Memory a configuration consumes
 // (Equation 10, extended): the serialized model, plus per-core UDF working
 // sets — the materialized output feature partition, a decoded input batch,
@@ -412,7 +407,9 @@ func UserMemoryNeed(in Inputs, cpu, np int, params Params) int64 {
 		// no DL batching, no activations, and no broadcast checkpoint.
 		serialized = 0
 	} else {
-		batch := int64(inferenceBatchImages) * in.ModelStats.InputBytes
+		// Partitions stream through the DL system a batch at a time, so
+		// only cnn.InferenceBatch decoded images are resident.
+		batch := int64(cnn.InferenceBatch) * in.ModelStats.InputBytes
 		decode := batch
 		if in.WholePartitionDecode {
 			if whole := ceilDiv(int64(in.NumRows)*in.ModelStats.InputBytes, int64(np)); whole > decode {

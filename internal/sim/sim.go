@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/cnn"
 	"repro/internal/dataflow"
 	"repro/internal/memory"
 	"repro/internal/optimizer"
@@ -276,7 +277,7 @@ func (m *model) userNeed() int64 {
 		// checkpoint.
 		serialized = 0
 	} else {
-		batch := float64(8) * float64(st.InputBytes)
+		batch := float64(cnn.InferenceBatch) * float64(st.InputBytes)
 		decode := batch
 		if m.w.Inputs.WholePartitionDecode || !m.prof.Kind.SupportsSpill() {
 			if whole := m.rows * float64(st.InputBytes) / float64(m.cfg.NP); whole > decode {

@@ -6,21 +6,25 @@ import (
 )
 
 // This file implements the buffer arena behind the inference path: a set of
-// size-classed sync.Pools of float32 slabs that decoded images, the
+// size-classed sync.Pools of float32 slabs that a partition's batch slabs
+// (images decoded or raw carries gathered into their slots), the
 // convolution's padded inputs, scratch outputs and staged residuals,
-// activation tensors (convolution and pooling outputs, a residual block's
+// activation batches (convolution and pooling outputs, a residual block's
 // intermediates included), max pooling's folded row and the GEMM's edge
-// strips draw from, so steady-state inference over a batch of rows recycles a
-// fixed working set instead of allocating fresh tensors per call and leaning
-// on the garbage collector. There are no column buffers: a convolution reads
-// its padded input through an offset table, and that slab is about 1/K² the
-// size of the column matrix a K×K kernel would need.
+// strips draw from, so steady-state inference over a partition's batches
+// recycles a fixed working set instead of allocating fresh tensors per call
+// and leaning on the garbage collector. A batch of B images takes B times
+// one image's slabs, at most cnn.InferenceBatch images per UDF thread. There
+// are no column buffers: a convolution reads its padded input through an
+// offset table, and that slab is about 1/K² the size of the column matrix a
+// K×K kernel would need.
 //
 // Slabs are handed out dirty: every consumer must overwrite the full slice it
-// requested. Decode, the padded-input copy, the GEMM, the pooling kernels and
-// GridMaxPool all write every element of what they take, so no zeroing pass
-// runs on the hot path; the consumers that need zeros (the padding itself and
-// the GEMM's padded edge strip) write their own. The one exception is the
+// requested. Decode and DecodeItem, SetItem and Item, the padded-input copy,
+// the GEMM, the pooling kernels and GridMaxPool all write every element of
+// what they take (a batch slab is written slot by slot), so no zeroing pass
+// runs on the hot path; the consumers that need zeros (the padding itself
+// and the GEMM's padded edge strip) write their own. The one exception is the
 // wide grid's staged residual, whose columns past the output width stay dirty
 // because they feed only scratch-C columns that are never read.
 

@@ -56,17 +56,47 @@ func Encode(t *Tensor) []byte {
 // payload cannot hold (checked before anything is allocated), a short payload
 // or trailing bytes are ErrCorrupt.
 func Decode(blob []byte) (*Tensor, error) {
+	shape, payload, err := parseBlob(blob)
+	if err != nil {
+		return nil, err
+	}
+	t := newUninit(shape...)
+	decodeFloats(t.data, payload)
+	return t, nil
+}
+
+// DecodeItem decodes the blob straight into item i of batch b, the blob's
+// shape being the batch's item shape; it fails as Decode does, and with
+// ErrShape on any other shape.
+func DecodeItem(blob []byte, b *Tensor, i int) error {
+	shape, payload, err := parseBlob(blob)
+	if err != nil {
+		return err
+	}
+	if item := ItemShape(b.shape); !shape.Equal(item) {
+		return fmt.Errorf("%w: image %v for a batch of %v", ErrShape, shape, item)
+	}
+	off, run, stride, runs := itemRuns(b.shape, i)
+	for r := 0; r < runs; r++ {
+		decodeFloats(b.data[off+r*stride:][:run], payload[4*r*run:])
+	}
+	return nil
+}
+
+// parseBlob checks the blob's header against its length and returns its
+// shape and float32 payload.
+func parseBlob(blob []byte) (Shape, []byte, error) {
 	head := len(imageFormat) + 4
 	if len(blob) < len(imageFormat) || string(blob[:len(imageFormat)]) != imageFormat {
-		return nil, errFormat
+		return nil, nil, errFormat
 	}
 	if len(blob) < head {
-		return nil, ErrCorrupt
+		return nil, nil, ErrCorrupt
 	}
 	// The rank is bounded as read, before a 32-bit int could turn it negative.
 	rank := binary.LittleEndian.Uint32(blob[len(imageFormat):])
 	if rank > maxRank || len(blob) < head+4*int(rank) {
-		return nil, ErrCorrupt
+		return nil, nil, ErrCorrupt
 	}
 	payload := blob[head+4*int(rank):]
 	shape := make(Shape, rank)
@@ -74,17 +104,20 @@ func Decode(blob []byte) (*Tensor, error) {
 	for i := range shape {
 		shape[i] = int(binary.LittleEndian.Uint32(blob[head+4*i:]))
 		if shape[i] <= 0 || shape[i] > limit/elems {
-			return nil, ErrCorrupt
+			return nil, nil, ErrCorrupt
 		}
 		elems *= shape[i]
 	}
 	if len(payload) != 4*elems {
-		return nil, ErrCorrupt
+		return nil, nil, ErrCorrupt
 	}
-	t := newUninit(shape...)
-	for i := range t.data {
-		t.data[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload))
-		payload = payload[4:]
+	return shape, payload, nil
+}
+
+// decodeFloats fills dst from the little-endian float32 words of src.
+func decodeFloats(dst []float32, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src))
+		src = src[4:]
 	}
-	return t, nil
 }

@@ -6,7 +6,9 @@
 //
 // Tensors are stored row-major. Image tensors use CHW layout
 // (channels, height, width), matching the convention used throughout
-// internal/cnn. SizeBytes reports a tensor's accounting size — the number
+// internal/cnn, and a batch of N images is one (C, N, H, W) tensor that
+// every layer op runs over in one call (batch.go); a CHW image is the batch
+// of one. SizeBytes reports a tensor's accounting size — the number
 // the engine's Storage/User Memory pools charge when tensors flow through
 // tables — and Encode/Decode give image tensors their stored form: a format
 // word, the shape, then the float32 payload uncompressed.

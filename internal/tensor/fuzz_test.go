@@ -39,29 +39,42 @@ func FuzzDecode(f *testing.F) {
 // FuzzConv2DGEMMParity drives randomized convolution geometries through the
 // direct kernel and the GEMM path under every micro-kernel body, and requires
 // elementwise agreement — the fuzzing arm of the parity suite in gemm_test.go.
-// An odd epi byte adds a random residual operand and a ReLU to the epilogue,
-// held to the direct convolution followed by AddInPlace and ReLU: the kernel
-// reads the residual unchecked too.
+// The GEMM runs once over a batch of 1 + batch%9 images, and each image of
+// its output is held to that image convolved alone. An odd epi byte adds a
+// random residual operand and a ReLU to the epilogue, held to the direct
+// convolution followed by AddInPlace and ReLU: the kernel reads the residual
+// unchecked too.
 func FuzzConv2DGEMMParity(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(4), uint8(9), uint8(9), uint8(3), uint8(1), uint8(1), uint8(0))
-	f.Add(int64(2), uint8(1), uint8(1), uint8(5), uint8(13), uint8(7), uint8(2), uint8(3), uint8(0))
-	f.Add(int64(3), uint8(7), uint8(5), uint8(16), uint8(8), uint8(5), uint8(2), uint8(0), uint8(0))
+	f.Add(int64(1), uint8(3), uint8(4), uint8(9), uint8(9), uint8(3), uint8(1), uint8(1), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(1), uint8(1), uint8(5), uint8(13), uint8(7), uint8(2), uint8(3), uint8(0), uint8(0))
+	f.Add(int64(3), uint8(7), uint8(5), uint8(16), uint8(8), uint8(5), uint8(2), uint8(0), uint8(0), uint8(0))
 	// A 6-wide kernel over a 1×1 input padded by 3: some kernel columns never
 	// meet the input at all (this one found an out-of-range slice in the
 	// column-matrix build that preceded the offset table).
-	f.Add(int64(-144), uint8(14), uint8(92), uint8(96), uint8(0), uint8(12), uint8(45), uint8(87), uint8(0))
+	f.Add(int64(-144), uint8(14), uint8(92), uint8(96), uint8(0), uint8(12), uint8(45), uint8(87), uint8(0), uint8(0))
 	// Input 5×6×3, k=4, stride 3, no padding: OutShape truncates (3−4)/3 to
 	// 0, so the 4-wide kernel overhangs the 3-wide input and still yields one
 	// output column, whose last tap must read zero. A padded slab sized by
 	// the input rather than the receptive field read it from the next row.
-	f.Add(int64(5), uint8(4), uint8(2), uint8(5), uint8(2), uint8(3), uint8(2), uint8(0), uint8(0))
+	f.Add(int64(5), uint8(4), uint8(2), uint8(5), uint8(2), uint8(3), uint8(2), uint8(0), uint8(0), uint8(0))
 	// A 1×1 stride-2 projection over 7×8×8 with a residual: the padded slab
 	// holds the one phase plane of four the kernel reads.
-	f.Add(int64(6), uint8(6), uint8(7), uint8(7), uint8(7), uint8(0), uint8(1), uint8(0), uint8(1))
+	f.Add(int64(6), uint8(6), uint8(7), uint8(7), uint8(7), uint8(0), uint8(1), uint8(0), uint8(1), uint8(0))
 	// A 1×1 over 2×2 with 7 output channels and a residual: the wide grid
 	// and a ragged strip, where the driver stages the residual.
-	f.Add(int64(7), uint8(4), uint8(6), uint8(1), uint8(1), uint8(0), uint8(0), uint8(0), uint8(1))
-	f.Fuzz(func(t *testing.T, seed int64, inC, outC, h, w, k, stride, pad, epi uint8) {
+	f.Add(int64(7), uint8(4), uint8(6), uint8(1), uint8(1), uint8(0), uint8(0), uint8(0), uint8(1), uint8(0))
+	// The same over 8 images: 32 contiguous columns, read in place, panels
+	// spanning images; and over 5, a wide grid across the whole batch.
+	f.Add(int64(8), uint8(4), uint8(6), uint8(1), uint8(1), uint8(0), uint8(0), uint8(0), uint8(1), uint8(7))
+	f.Add(int64(9), uint8(4), uint8(6), uint8(1), uint8(1), uint8(0), uint8(0), uint8(0), uint8(1), uint8(4))
+	// A 3×3 pad-1 conv over 3 images of 4×4: one wide grid per image.
+	f.Add(int64(10), uint8(3), uint8(3), uint8(3), uint8(3), uint8(2), uint8(0), uint8(1), uint8(1), uint8(2))
+	// A 1×1 stride-2 projection over 6 images of 4×4: one phase plane per
+	// image, contiguous across the batch.
+	f.Add(int64(11), uint8(5), uint8(7), uint8(3), uint8(3), uint8(0), uint8(1), uint8(0), uint8(1), uint8(5))
+	// A 3×3 pad-1 conv over 2 images of 16×16: direct, image by image.
+	f.Add(int64(12), uint8(2), uint8(3), uint8(15), uint8(15), uint8(2), uint8(0), uint8(1), uint8(1), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, inC, outC, h, w, k, stride, pad, epi, batch uint8) {
 		spec := Conv2DSpec{
 			InChannels:  1 + int(inC)%8,
 			OutChannels: 1 + int(outC)%8,
@@ -69,13 +82,12 @@ func FuzzConv2DGEMMParity(f *testing.F) {
 			Stride:      1 + int(stride)%3,
 			Pad:         int(pad) % 4,
 		}
-		ih, iw := 1+int(h)%24, 1+int(w)%24
+		ih, iw, nb := 1+int(h)%24, 1+int(w)%24, 1+int(batch)%9
 		in := Shape{spec.InChannels, ih, iw}
 		if _, err := spec.OutShape(in); err != nil {
 			return // degenerate geometry
 		}
 		rng := rand.New(rand.NewSource(seed))
-		input := randTensor(rng, spec.InChannels, ih, iw)
 		weights := make([]float32, spec.WeightCount())
 		for i := range weights {
 			weights[i] = float32(rng.NormFloat64())
@@ -84,17 +96,35 @@ func FuzzConv2DGEMMParity(f *testing.F) {
 		for i := range bias {
 			bias[i] = float32(rng.NormFloat64())
 		}
-		want, err := Conv2DDirect(input, spec, weights, bias)
-		if err != nil {
-			t.Fatalf("direct: %v", err)
-		}
-		var ep Epilogue
-		if epi%2 == 1 {
-			res := randTensor(rng, want.Shape()...)
-			if err := AddInPlace(want, res); err != nil {
+		input := NewBatch(in, nb)
+		wants := make([]*Tensor, nb)
+		var res *Tensor
+		for img := range wants {
+			x := randTensor(rng, in...)
+			if err := SetItem(input, img, x); err != nil {
 				t.Fatal(err)
 			}
-			ReLU(want)
+			want, err := Conv2DDirect(x, spec, weights, bias)
+			if err != nil {
+				t.Fatalf("direct: %v", err)
+			}
+			if epi%2 == 1 {
+				r := randTensor(rng, want.Shape()...)
+				if res == nil {
+					res = NewBatch(want.Shape(), nb)
+				}
+				if err := SetItem(res, img, r); err != nil {
+					t.Fatal(err)
+				}
+				if err := AddInPlace(want, r); err != nil {
+					t.Fatal(err)
+				}
+				ReLU(want)
+			}
+			wants[img] = want
+		}
+		var ep Epilogue
+		if res != nil {
 			ep = Epilogue{Residual: res.Data(), ReLU: true}
 		}
 		for _, body := range kernelBodies() {
@@ -104,10 +134,12 @@ func FuzzConv2DGEMMParity(f *testing.F) {
 			if err != nil {
 				t.Fatalf("gemm: %v", err)
 			}
-			for i, v := range got.Data() {
-				if math.Abs(float64(v-want.Data()[i])) > parityEps {
-					t.Fatalf("divergence at %d: %s gemm %v vs direct %v (spec %+v, input %v, residual %v)",
-						i, body.name, v, want.Data()[i], spec, in, ep.Residual != nil)
+			for img, want := range wants {
+				for i, v := range Item(got, img).Data() {
+					if math.Abs(float64(v-want.Data()[i])) > parityEps {
+						t.Fatalf("divergence at image %d of %d, element %d: %s gemm %v vs direct %v (spec %+v, input %v, residual %v)",
+							img, nb, i, body.name, v, want.Data()[i], spec, in, ep.Residual != nil)
+					}
 				}
 			}
 		}

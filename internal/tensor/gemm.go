@@ -11,39 +11,48 @@ import (
 // register-blocked GEMM whose B operand is the convolution's input, read in
 // place through a table of offsets — Dukhan's indirect convolution, with the
 // indirection per reduction row instead of per pixel. One convolution runs
-// on its caller's goroutine — a roster conv is 10–100 µs of kernel, too
-// little to share. dl.PartitionFunc runs a partition's rows in order, and
-// parallelism comes from the dataflow engine running a stage's partitions
-// side by side. The direct-loop kernel in ops.go stays
-// only as Conv2DDirect, the reference implementation the parity suite in
+// on its caller's goroutine over a whole batch of images (batch.go): one
+// GEMM with the images' output columns side by side, n = N·H·W, so a small
+// late-stage image no longer pays the call's set-up alone or fills a
+// 16-wide panel with padding. dl.PartitionFunc runs a partition's batches in
+// order, and parallelism comes from the dataflow engine running a stage's
+// partitions side by side. The direct-loop kernel in ops.go stays only as
+// Conv2DDirect, the reference implementation the parity suite in
 // gemm_test.go and FuzzConv2DGEMMParity compare against. The arithmetic
 // itself is the micro-kernel in kernel.go.
 //
 // Layout: the filter tensor [out][in][kh][kw] flattens to the (C_out) ×
 // (C_in·K·K) row-major A matrix, whose reduction index is p = (ic, ky, kx).
-// conv2DGEMM copies the input once into a zero-padded slab of planes wq
-// floats wide, and B row p, column oy·wq+ox, is the slab float at boff[p] +
-// oy·wq + ox with boff[p] = ic·plane + ky·wq + kx: the input under tap
-// (ky, kx) of output pixel (oy, ox), or a padding zero. A B panel is 16
-// consecutive floats of one padded row, and no column matrix is built.
+// The input is a (C, N, H, W) batch, a CHW image being N = 1, so it is C·N
+// planes. conv2DGEMM copies them once into a zero-padded slab of planes wq
+// floats wide, and B row p, column oy·wq+ox of image img, is the slab float
+// at boff[p] + img·plane + oy·wq + ox with boff[p] = ic·N·plane + ky·wq +
+// kx: the input under tap (ky, kx) of that image's output pixel (oy, ox),
+// or a padding zero. A B panel is 16 consecutive floats of one padded row,
+// and no column matrix is built. C is C_out × (N·outH·outW), which is the
+// output batch as it stands.
 //
-//   - Stride s > 1: each channel becomes np² phase planes, np = min(k, s),
-//     Q[ic][py][px][y][x] = padded[ic][y·s+py][x·s+px], read at stride 1:
-//     boff = base(ic, ky%s, kx%s) + (ky/s)·wq + kx/s. A kernel narrower than
-//     its stride reads only phases below k, so a 1×1 stride-2 projection
-//     copies one plane of the four.
-//   - Panels walk output rows, writing C straight into the CHW output, when
-//     outW is a multiple of 16 (or the planes are exactly outW wide).
-//     Otherwise they walk the whole outH × wq grid into a scratch C, and one
-//     copy compacts it; a residual operand is staged into the same grid.
+//   - Stride s > 1: each plane becomes np² phase planes, np = min(k, s),
+//     Q[ic][img][py][px][y][x] = padded[ic][img][y·s+py][x·s+px], read at
+//     stride 1: boff = base(ic, ky%s, kx%s) + (ky/s)·wq + kx/s, and images
+//     np²·plane apart. A kernel narrower than its stride reads only phases
+//     below k, so a 1×1 stride-2 projection copies one plane of the four.
+//   - Panels walk output rows, writing C straight into the output, when
+//     outW is a multiple of 16 (or the planes are exactly outW wide) and an
+//     image is whole panels; when the batch's outputs are one contiguous
+//     run of B (planes exactly outW wide and outH tall), panels walk it
+//     across images. Otherwise they walk each image's outH × wq grid,
+//     rounded up to whole panels, into a scratch C, and one copy compacts
+//     it; a residual operand is staged into the same grids.
 //   - When the padded slab would equal the input (stride 1, no padding,
 //     panels written straight), the input is read in place: a 1×1 conv over
-//     n = H·W pixels, n a multiple of 16, has boff[p] = p·n.
+//     n = N·H·W pixels, n a multiple of 16, has boff[p] = p·n.
 //
 // The reduction runs in the same order (p ascending, kcBlock terms per
 // kernel call) over the same terms, padding zeros included, as over an
 // explicit column matrix, so the outputs are bit for bit those of the
-// column-buffer GEMM this replaced, on each kernel body.
+// column-buffer GEMM this replaced, on each kernel body, and an image's are
+// the same in any batch and at any slot of it.
 
 // FaultConvPad guards the padded-slab acquisition — the one large scratch
 // allocation a GEMM convolution makes when it cannot read its input in place.
@@ -60,10 +69,10 @@ const kcBlock = 256
 // (padded) input, with ep applied per output channel. Arguments are
 // pre-validated by Conv2DFused.
 func conv2DGEMM(in *Tensor, spec Conv2DSpec, weights, bias []float32, ep Epilogue, outShape Shape) (*Tensor, error) {
-	c, inH, inW := spec.InChannels, in.Shape()[1], in.Shape()[2]
+	c, nb, inH, inW, _ := planes(in.Shape())
+	_, _, outH, outW, _ := planes(outShape)
 	k, s, pad := spec.Kernel, spec.Stride, spec.Pad
-	outH, outW := outShape[1], outShape[2]
-	n := outH * outW
+	hw := outH * outW
 
 	// The padded extent covers every output's receptive field, not just the
 	// input plus its padding: OutShape truncates toward zero, so a kernel
@@ -74,12 +83,13 @@ func conv2DGEMM(in *Tensor, spec Conv2DSpec, weights, bias []float32, ep Epilogu
 	plane := hq * wq
 	np := min(k, s)
 	g := gemm{m: spec.OutChannels, k: c * k * k, a: weights, bias: bias, ep: ep, boff: make([]int32, c*k*k)}
-	// boff[(ic, ky, kx)] = ((ic·np + ky%s)·np + kx%s)·plane + (ky/s)·wq + kx/s,
-	// walked with the phases as counters instead of dividing per entry.
+	// boff[(ic, ky, kx)] = (((ic·nb)·np + ky%s)·np + kx%s)·plane + (ky/s)·wq +
+	// kx/s, image 0's plane of that phase, walked with the phases as counters
+	// instead of dividing per entry.
 	maxOff, p := 0, 0
 	for ic := 0; ic < c; ic++ {
 		for ky, py, qy := 0, 0, 0; ky < k; ky++ {
-			row := (ic*np+py)*np*plane + qy*wq
+			row := (ic*nb*np+py)*np*plane + qy*wq
 			for kx, px, qx := 0, 0, 0; kx < k; kx++ {
 				off := row + px*plane + qx
 				g.boff[p] = int32(off)
@@ -95,26 +105,35 @@ func conv2DGEMM(in *Tensor, spec Conv2DSpec, weights, bias []float32, ep Epilogu
 		}
 	}
 
-	direct := n%nr == 0 && (outW%nr == 0 || outW == wq)
-	if direct {
-		g.n, g.rowW, g.ldRow = n, outW, wq
-	} else {
-		g.n = (outH*wq + nr - 1) / nr * nr
-		g.rowW = g.n
+	// An image's outputs are one run of B when its planes are exactly outW
+	// wide, and the batch's are when, besides, each image is one plane of
+	// outH rows: then a panel may span rows and images.
+	g.imgStride = np * np * plane
+	contiguous := outW == wq && g.imgStride == hw
+	direct := nb*hw%nr == 0 && (contiguous || hw%nr == 0 && (outW%nr == 0 || outW == wq))
+	switch {
+	case direct:
+		g.n, g.imgCols, g.rowW, g.ldRow = nb*hw, hw, outW, wq
+	case contiguous:
+		g.n = (nb*hw + nr - 1) / nr * nr
+		g.imgCols, g.rowW = g.n, g.n
+	default:
+		g.imgCols = (outH*wq + nr - 1) / nr * nr
+		g.n, g.rowW = nb*g.imgCols, g.imgCols
 	}
 
 	if direct && s == 1 && pad == 0 {
 		g.b = in.Data() // the padded slab would be the input itself
 	} else {
-		planes := c * np * np * plane
+		floats := c * nb * np * np * plane
 		if err := faultinject.Hit(FaultConvPad); err != nil {
-			return nil, fmt.Errorf("conv2d padded input (%d floats): %w", planes, err)
+			return nil, fmt.Errorf("conv2d padded input (%d floats): %w", floats, err)
 		}
 		// The wide grid's last panel runs up to nr−1 columns past outH·wq,
 		// and a tap's offset inside its plane up to (k−1)/s past the grid.
-		g.b = getSlab(planes + nr + k)
+		g.b = getSlab(floats + nr + k)
 		defer putSlab(g.b)
-		padPhases(g.b, in.Data(), c, inH, inW, pad, s, np, hq, wq)
+		padPhases(g.b, in.Data(), c*nb, inH, inW, pad, s, np, hq, wq)
 	}
 	// The assembly body indexes B through boff with no bounds check.
 	if last := maxOff + g.panel(g.n-nr) + nr; maxOff > math.MaxInt32 || last > len(g.b) {
@@ -127,6 +146,12 @@ func conv2DGEMM(in *Tensor, spec Conv2DSpec, weights, bias []float32, ep Epilogu
 		g.run()
 		return out, nil
 	}
+	// The wide grid: image img's output (oy, ox) is C column
+	// img·cImg + oy·wq + ox, cImg the columns per image.
+	cImg := g.imgCols
+	if contiguous {
+		cImg = hw
+	}
 	g.c = getSlab(g.m * g.n)
 	defer putSlab(g.c)
 	if ep.Residual != nil {
@@ -136,8 +161,10 @@ func conv2DGEMM(in *Tensor, spec Conv2DSpec, weights, bias []float32, ep Epilogu
 		res := getSlab(g.m * g.n)
 		defer putSlab(res)
 		for oc := 0; oc < g.m; oc++ {
-			for oy := 0; oy < outH; oy++ {
-				copy(res[oc*g.n+oy*wq:][:outW], ep.Residual[(oc*outH+oy)*outW:])
+			for img := 0; img < nb; img++ {
+				for oy := 0; oy < outH; oy++ {
+					copy(res[oc*g.n+img*cImg+oy*wq:][:outW], ep.Residual[((oc*nb+img)*outH+oy)*outW:])
+				}
 			}
 		}
 		g.ep.Residual = res
@@ -145,8 +172,10 @@ func conv2DGEMM(in *Tensor, spec Conv2DSpec, weights, bias []float32, ep Epilogu
 	g.run()
 	dst := out.Data()
 	for oc := 0; oc < g.m; oc++ {
-		for oy := 0; oy < outH; oy++ {
-			copy(dst[(oc*outH+oy)*outW:][:outW], g.c[oc*g.n+oy*wq:])
+		for img := 0; img < nb; img++ {
+			for oy := 0; oy < outH; oy++ {
+				copy(dst[((oc*nb+img)*outH+oy)*outW:][:outW], g.c[oc*g.n+img*cImg+oy*wq:])
+			}
 		}
 	}
 	return out, nil
@@ -220,17 +249,21 @@ type gemm struct {
 	a, bias, c []float32
 	b          []float32
 	boff       []int32
-	// Panels walk B in runs of rowW columns, one run every ldRow floats:
-	// output rows over a wider padded plane, or (rowW = n) one run.
-	rowW, ldRow int
-	ep          Epilogue
+	// Panels walk B an image of imgCols columns every imgStride floats, and
+	// inside an image in runs of rowW columns, one run every ldRow floats:
+	// output rows over a wider padded plane, or (rowW = imgCols) one run.
+	imgCols, imgStride, rowW, ldRow int
+	ep                              Epilogue
 	// A zero-padded copy of a ragged last A strip, with its per-row vectors.
 	aEdge                          []float32
 	biasEdge, scaleEdge, shiftEdge [mr]float32
 }
 
 // panel returns the offset in b of the B panel whose first column is j0.
-func (g *gemm) panel(j0 int) int { return j0/g.rowW*g.ldRow + j0%g.rowW }
+func (g *gemm) panel(j0 int) int {
+	j := j0 % g.imgCols
+	return j0/g.imgCols*g.imgStride + j/g.rowW*g.ldRow + j%g.rowW
+}
 
 // run cuts C into mr×nr tiles, each computed by the micro-kernel (kernel.go),
 // one mr-row strip of that grid after another. A ragged last strip (m % mr)

@@ -78,7 +78,7 @@ func gemmReference(m, n, k int, a, b, bias []float32, ep Epilogue) []float64 {
 // instead of starting from bias would show.
 func denseGEMM(m, n, k int, a, b, bias []float32, ep Epilogue) *gemm {
 	ldb := (n + nr - 1) / nr * nr
-	g := &gemm{m: m, n: ldb, k: k, a: a, bias: bias, ep: ep, rowW: ldb,
+	g := &gemm{m: m, n: ldb, k: k, a: a, bias: bias, ep: ep, imgCols: ldb, rowW: ldb,
 		b: make([]float32, k*ldb), boff: make([]int32, k), c: make([]float32, m*ldb)}
 	for p := 0; p < k; p++ {
 		copy(g.b[p*ldb:], b[p*n:(p+1)*n])

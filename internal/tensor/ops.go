@@ -5,7 +5,8 @@ import (
 	"math"
 )
 
-// Conv2DSpec describes a 2-D convolution over a CHW input.
+// Conv2DSpec describes a 2-D convolution over a CHW input or a (C, N, H, W)
+// batch of them (batch.go).
 type Conv2DSpec struct {
 	InChannels  int
 	OutChannels int
@@ -14,18 +15,19 @@ type Conv2DSpec struct {
 	Pad         int // symmetric zero padding
 }
 
-// OutShape returns the CHW output shape of the convolution for the given CHW
-// input shape.
+// OutShape returns the output shape of the convolution for the given CHW
+// input shape, or the (C_out, N, H', W') batch for a (C, N, H, W) one.
 func (c Conv2DSpec) OutShape(in Shape) (Shape, error) {
-	if len(in) != 3 || in[0] != c.InChannels {
-		return nil, fmt.Errorf("%w: conv2d expects (%d,H,W), got %v", ErrShape, c.InChannels, in)
+	ch, _, ih, iw, ok := planes(in)
+	if !ok || ch != c.InChannels {
+		return nil, fmt.Errorf("%w: conv2d expects (%d,H,W) or (%d,N,H,W), got %v", ErrShape, c.InChannels, c.InChannels, in)
 	}
-	h := (in[1]+2*c.Pad-c.Kernel)/c.Stride + 1
-	w := (in[2]+2*c.Pad-c.Kernel)/c.Stride + 1
+	h := (ih+2*c.Pad-c.Kernel)/c.Stride + 1
+	w := (iw+2*c.Pad-c.Kernel)/c.Stride + 1
 	if h <= 0 || w <= 0 {
 		return nil, fmt.Errorf("%w: conv2d output %dx%d for input %v", ErrShape, h, w, in)
 	}
-	return Shape{c.OutChannels, h, w}, nil
+	return BatchLike(in, Shape{c.OutChannels, h, w}), nil
 }
 
 // WeightCount returns the number of filter weights (excluding biases).
@@ -33,10 +35,11 @@ func (c Conv2DSpec) WeightCount() int {
 	return c.OutChannels * c.InChannels * c.Kernel * c.Kernel
 }
 
-// Conv2D computes a 2-D convolution of the CHW input with the given filter
-// weights (layout [out][in][kh][kw], row-major) and per-output-channel
-// biases, returning a new CHW tensor via the blocked GEMM over the padded
-// input (gemm.go).
+// Conv2D computes a 2-D convolution of the CHW input, or of each image of a
+// (C, N, H, W) batch, with the given filter weights (layout
+// [out][in][kh][kw], row-major) and per-output-channel biases, returning a
+// new tensor of the input's kind via the blocked GEMM over the padded input
+// (gemm.go).
 func Conv2D(in *Tensor, spec Conv2DSpec, weights, bias []float32) (*Tensor, error) {
 	return Conv2DFused(in, spec, weights, bias, Epilogue{})
 }
@@ -47,8 +50,9 @@ func Conv2D(in *Tensor, spec Conv2DSpec, weights, bias []float32) (*Tensor, erro
 // y = conv + bias, then y·Scale[oc] + Shift[oc] when Scale is set, then
 // y + Residual[i] when Residual is set, then max(y, 0) when ReLU is set.
 // Scale and Shift are per output channel and set together (BatchNormAffine
-// derives them from batch-norm statistics). Residual has the output's shape,
-// element for element: a residual block's shortcut.
+// derives them from batch-norm statistics). Residual has the output's shape
+// and layout, element for element, batch included: a residual block's
+// shortcut.
 type Epilogue struct {
 	Scale, Shift []float32
 	Residual     []float32
@@ -92,10 +96,13 @@ func conv2DCheck(in *Tensor, spec Conv2DSpec, weights, bias []float32) (Shape, e
 // Conv2DDirect computes the convolution with the naive triple-loop kernel. It
 // is the permanent reference implementation for the GEMM path only: the
 // parity test suite asserts Conv2D against it across the geometry grid, and
-// nothing serves traffic through it.
+// nothing serves traffic through it. It takes one CHW image, not a batch.
 //
 //vista:keep the reference the GEMM parity suite and fuzzer compare against
 func Conv2DDirect(in *Tensor, spec Conv2DSpec, weights, bias []float32) (*Tensor, error) {
+	if len(in.Shape()) != 3 {
+		return nil, fmt.Errorf("%w: direct conv2d expects CHW, got %v", ErrShape, in.Shape())
+	}
 	outShape, err := conv2DCheck(in, spec, weights, bias)
 	if err != nil {
 		return nil, err
@@ -141,27 +148,31 @@ func Conv2DDirect(in *Tensor, spec Conv2DSpec, weights, bias []float32) (*Tensor
 	return out, nil
 }
 
-// PoolSpec describes a 2-D pooling window over a CHW input.
+// PoolSpec describes a 2-D pooling window over a CHW input or a (C, N, H, W)
+// batch.
 type PoolSpec struct {
 	Kernel int
 	Stride int
 	Pad    int
 }
 
-// OutShape returns the CHW output shape of the pooling for the given input.
+// OutShape returns the output shape of the pooling for the given input, of
+// the input's kind.
 func (p PoolSpec) OutShape(in Shape) (Shape, error) {
-	if len(in) != 3 {
-		return nil, fmt.Errorf("%w: pool expects CHW, got %v", ErrShape, in)
+	c, _, ih, iw, ok := planes(in)
+	if !ok {
+		return nil, fmt.Errorf("%w: pool expects CHW or CNHW, got %v", ErrShape, in)
 	}
-	h := (in[1]+2*p.Pad-p.Kernel)/p.Stride + 1
-	w := (in[2]+2*p.Pad-p.Kernel)/p.Stride + 1
+	h := (ih+2*p.Pad-p.Kernel)/p.Stride + 1
+	w := (iw+2*p.Pad-p.Kernel)/p.Stride + 1
 	if h <= 0 || w <= 0 {
 		return nil, fmt.Errorf("%w: pool output %dx%d for input %v", ErrShape, h, w, in)
 	}
-	return Shape{in[0], h, w}, nil
+	return BatchLike(in, Shape{c, h, w}), nil
 }
 
-// MaxPool2D applies max pooling to the CHW input. A window is clipped to the
+// MaxPool2D applies max pooling to the CHW input, or to each image of a
+// batch: either way it pools C·N planes alike. A window is clipped to the
 // input; one lying entirely in the padding pools to 0. A window holding a NaN
 // pools to NaN (Go's builtin max), here and in GridMaxPool.
 //
@@ -177,8 +188,9 @@ func MaxPool2D(in *Tensor, spec PoolSpec) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, inH, inW := in.Shape()[0], in.Shape()[1], in.Shape()[2]
-	outH, outW := outShape[1], outShape[2]
+	c, nb, inH, inW, _ := planes(in.Shape())
+	_, _, outH, outW, _ := planes(outShape)
+	c *= nb
 	k, s, pad := spec.Kernel, spec.Stride, spec.Pad
 	out := newUninit(outShape...)
 	src, dst := in.Data(), out.Data()
@@ -251,7 +263,8 @@ func gridAxis(n, grid int) (kernel, stride, out int) {
 	return kernel, stride, grid
 }
 
-// GridMaxPool reduces a CHW feature map to a (C, grid, grid) tensor using max
+// GridMaxPool reduces a CHW feature map to a (C, grid, grid) tensor, or each
+// image of a (C, N, H, W) batch to (C, N, grid, grid), using max
 // pooling with per-axis window and stride chosen to produce a grid×grid
 // output; an axis already at or below the target passes through unchanged, so
 // non-square inputs reduce correctly on each axis independently. This
@@ -265,25 +278,25 @@ func gridAxis(n, grid int) (kernel, stride, out int) {
 // return would let them corrupt the source feature map.
 func GridMaxPool(in *Tensor, grid int) (*Tensor, error) {
 	s := in.Shape()
-	if len(s) != 3 {
-		return nil, fmt.Errorf("%w: GridMaxPool expects CHW, got %v", ErrShape, s)
+	c, nb, inH, inW, ok := planes(s)
+	if !ok {
+		return nil, fmt.Errorf("%w: GridMaxPool expects CHW or CNHW, got %v", ErrShape, s)
 	}
 	if grid <= 0 {
 		return nil, fmt.Errorf("%w: GridMaxPool grid %d", ErrShape, grid)
 	}
-	if s[1] <= grid && s[2] <= grid {
+	if inH <= grid && inW <= grid {
 		// Already at or below target resolution; nothing to reduce. Copy so
 		// the caller owns its result and cannot mutate the source map.
 		out := newUninit(s...)
 		copy(out.Data(), in.Data())
 		return out, nil
 	}
-	kh, sh, outH := gridAxis(s[1], grid)
-	kw, sw, outW := gridAxis(s[2], grid)
-	c, inH, inW := s[0], s[1], s[2]
-	out := newUninit(c, outH, outW)
+	kh, sh, outH := gridAxis(inH, grid)
+	kw, sw, outW := gridAxis(inW, grid)
+	out := newUninit(BatchLike(s, Shape{c, outH, outW})...)
 	src, dst := in.Data(), out.Data()
-	for ch := 0; ch < c; ch++ {
+	for ch := 0; ch < c*nb; ch++ {
 		sBase := ch * inH * inW
 		for oy := 0; oy < outH; oy++ {
 			iy0 := oy * sh
@@ -314,27 +327,30 @@ func GridPooledShape(in Shape, grid int) Shape {
 	return Shape{in[0], h, w}
 }
 
-// ConcatChannels concatenates CHW tensors along the channel dimension; all
-// inputs must share spatial dimensions. It is the primitive behind
-// DAG-structured CNN blocks (DenseNet-style concatenation).
+// ConcatChannels concatenates CHW tensors, or (C, N, H, W) batches, along
+// the channel dimension; all inputs must share every other dimension. The
+// channel is the outermost dimension either way, so the result is the inputs
+// end to end. It is the primitive behind DAG-structured CNN blocks
+// (DenseNet-style concatenation).
 func ConcatChannels(ts ...*Tensor) (*Tensor, error) {
 	if len(ts) == 0 {
 		return nil, fmt.Errorf("%w: concat of no tensors", ErrShape)
 	}
 	first := ts[0].Shape()
-	if len(first) != 3 {
-		return nil, fmt.Errorf("%w: concat expects CHW, got %v", ErrShape, first)
+	if _, _, _, _, ok := planes(first); !ok {
+		return nil, fmt.Errorf("%w: concat expects CHW or CNHW, got %v", ErrShape, first)
 	}
-	h, w := first[1], first[2]
 	totalC := 0
 	for _, t := range ts {
 		s := t.Shape()
-		if len(s) != 3 || s[1] != h || s[2] != w {
-			return nil, fmt.Errorf("%w: concat spatial mismatch %v vs (%d,%d)", ErrShape, s, h, w)
+		if len(s) != len(first) || !s[1:].Equal(first[1:]) {
+			return nil, fmt.Errorf("%w: concat mismatch %v vs %v", ErrShape, s, first)
 		}
 		totalC += s[0]
 	}
-	out := newUninit(totalC, h, w) // the copies below cover every element
+	shape := first.Clone()
+	shape[0] = totalC
+	out := newUninit(shape...) // the copies below cover every element
 	off := 0
 	for _, t := range ts {
 		n := copy(out.Data()[off:], t.Data())
@@ -455,22 +471,25 @@ func BatchNorm(t *Tensor, gamma, beta, mean, variance []float32, eps float32) er
 }
 
 // GlobalAvgPool reduces a CHW tensor to a length-C vector by averaging each
-// channel's spatial plane.
+// channel's spatial plane, and a (C, N, H, W) batch to its (N, C) batch of
+// vectors.
 func GlobalAvgPool(in *Tensor) (*Tensor, error) {
 	s := in.Shape()
-	if len(s) != 3 {
-		return nil, fmt.Errorf("%w: GlobalAvgPool expects CHW, got %v", ErrShape, s)
+	c, nb, h, w, ok := planes(s)
+	if !ok {
+		return nil, fmt.Errorf("%w: GlobalAvgPool expects CHW or CNHW, got %v", ErrShape, s)
 	}
-	c, hw := s[0], s[1]*s[2]
-	out := New(c)
+	hw := h * w
+	out := New(BatchLike(s, Shape{c})...)
 	src, dst := in.Data(), out.Data()
 	for ch := 0; ch < c; ch++ {
-		var sum float32
-		base := ch * hw
-		for i := 0; i < hw; i++ {
-			sum += src[base+i]
+		for n := 0; n < nb; n++ {
+			var sum float32
+			for _, v := range src[(ch*nb+n)*hw:][:hw] {
+				sum += v
+			}
+			dst[n*c+ch] = sum / float32(hw)
 		}
-		dst[ch] = sum / float32(hw)
 	}
 	return out, nil
 }

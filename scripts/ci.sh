@@ -85,8 +85,9 @@ echo "== fuzz smoke (convolution) =="
 # assembly body checks no bounds, so a wrong offset reads memory outside the
 # slab instead of panicking. conv2DGEMM asserts the farthest B read once per
 # call; this smoke drives random geometries (padding, strides, kernels that
-# overhang the input, some with a residual and ReLU) through both kernel
-# bodies against the direct convolution plus AddInPlace and ReLU.
+# overhang the input, some with a residual and ReLU) over batches of 1 to 9
+# images, whose panels may run across images, through both kernel bodies,
+# holding each image to its direct convolution plus AddInPlace and ReLU.
 go test -run '^$' -fuzz '^FuzzConv2DGEMMParity$' -fuzztime 15s ./internal/tensor
 
 echo "== GEMM micro-kernel: pure-Go body, and a non-amd64 build =="
