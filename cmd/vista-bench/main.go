@@ -1,6 +1,6 @@
 // Command vista-bench regenerates the paper's evaluation — every figure and
-// table of Section 5 and Appendices A–C, plus the admission, sharing and
-// calibration exhibits and the claims scorecard — as text tables, each
+// table of Section 5 and Appendices A–C, plus the admission and sharing
+// exhibits and the claims scorecard — as text tables, each
 // exhibit under a "==== name ====" header, with each exhibit's wall time on
 // stderr. Select exhibits with -only (comma-separated); -csv DIR also writes
 // DIR/name.csv per exhibit, one table,row,column,value record per cell.
@@ -24,7 +24,7 @@ import (
 
 func main() {
 	var (
-		only     = flag.String("only", "", "comma-separated exhibits to run (default: all): fig6,fig7a,fig7b,fig8,fig9,fig10,fig11,fig12,fig15,fig16,table2,table3,fig17,sec52,admission,share,calib,verify")
+		only     = flag.String("only", "", "comma-separated exhibits to run (default: all): fig6,fig7a,fig7b,fig8,fig9,fig10,fig11,fig12,fig15,fig16,table2,table3,fig17,sec52,admission,share,verify")
 		fig8Rows = flag.Int("fig8-rows", 1000, "rows per dataset for the real-engine accuracy experiment")
 		fig15Rws = flag.Int("fig15-rows", 300, "rows for the real-engine size-estimation experiment")
 		csvDir   = flag.String("csv", "", "also write one plot-ready CSV per exhibit into this directory")

@@ -11,11 +11,11 @@ import (
 )
 
 // deterministic names the exhibits whose output depends on neither the GEMM
-// kernel body nor the wall clock: the simulator exhibits, calibration on its
-// fake clock, and the claims scorecard. fig8, fig15, sec52, admission and
-// share stay in results.txt as an archived run.
+// kernel body nor the wall clock: the simulator exhibits and the claims
+// scorecard. fig8, fig15, sec52, admission and share stay in results.txt as
+// an archived run.
 var deterministic = []string{"fig6", "fig7a", "fig7b", "fig9", "fig10", "fig11", "fig12",
-	"fig16", "table2", "table3", "fig17", "calib", "verify"}
+	"fig16", "table2", "table3", "fig17", "verify"}
 
 // blocks splits vista-bench output into each "==== name ====" header's text,
 // up to the next header.

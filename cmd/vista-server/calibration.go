@@ -8,10 +8,9 @@ import (
 
 // handleCalibration serves the cost model's rolling drift report: JSON by
 // default (the golden-tested wire format vista -calib report reproduces
-// offline, including the active-profile annotation when one is set), an
-// aligned text table with ?format=text.
+// offline), an aligned text table with ?format=text.
 func (a *api) handleCalibration(w http.ResponseWriter, r *http.Request) {
-	rep := a.life.Calib.Report().WithProfile(a.life.Fitter.Active())
+	rep := a.life.Calib.Report()
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.WriteHeader(http.StatusOK)

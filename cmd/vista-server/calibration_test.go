@@ -16,7 +16,7 @@ import (
 // records in TestCalibrationGoldenJSON: the endpoint's wire format is part of
 // the operational surface (vista -calib report must reproduce it
 // byte-for-byte), so it is pinned literally.
-const calibrationGolden = `{"runs":2,"samples":3,"excluded":1,"half_life_seconds":1800,"ewma_log_ratio":0.039651,"drift_ratio":1.040448,"drift":0.040448,"suggested_scale":0.857143,"active_scale":1,"rel_err_hist":[{"le":"0.1","count":0},{"le":"0.25","count":1},{"le":"0.5","count":2},{"le":"1","count":0},{"le":"2","count":0},{"le":"5","count":0},{"le":"+Inf","count":0}]}
+const calibrationGolden = `{"runs":2,"samples":3,"excluded":1,"half_life_seconds":1800,"ewma_log_ratio":0.039651,"drift_ratio":1.040448,"drift":0.040448,"suggested_scale":0.857143,"rel_err_hist":[{"le":"0.1","count":0},{"le":"0.25","count":1},{"le":"0.5","count":2},{"le":"1","count":0},{"le":"2","count":0},{"le":"5","count":0},{"le":"+Inf","count":0}]}
 `
 
 func TestCalibrationGoldenJSON(t *testing.T) {
@@ -109,29 +109,27 @@ func TestCalibrationReconcilesWithMetrics(t *testing.T) {
 	}
 }
 
-// TestDriftSLOTrips pins a storage factor 10x (the way an operator would
-// mis-calibrate a server, through -calib-profile; the run holds about 1.9x
-// the paper model's bytes, so drift sits near 0.19) and checks that
-// /healthz?slo=1 degrades to 503 with its calibration clause,
-// while a plain probe and a loose bound stay healthy.
+// TestDriftSLOTrips feeds the server's recorder a storage sample measuring 3x
+// its estimate (drift 2) and checks that /healthz?slo=1 degrades to 503 with
+// its calibration clause, while a plain probe and a loose bound stay healthy.
 func TestDriftSLOTrips(t *testing.T) {
-	offBy10 := &calib.Profile{Version: 2, StorageScale: 10}
-	a := newAPI(serverConfig{sloP99: defaultSLOP99, maxDrift: 0.5, calibProfile: offBy10})
-	h := a.handler()
-	code, body := doJSON(t, h, "POST", "/run",
-		`{"model":"tiny-alexnet","dataset":"foods","layers":2,"rows":100}`)
-	if code != http.StatusOK {
-		t.Fatalf("run = %d %v", code, body)
+	drifted := func() *calib.Recorder {
+		rec, _ := calib.Open(calib.Config{}) // no path: cannot fail
+		if err := rec.Record("drifted", []calib.Sample{{Stage: "storage:peak", Est: 1, Meas: 3}}); err != nil {
+			t.Fatal(err)
+		}
+		return rec
 	}
+	h := newAPI(serverConfig{sloP99: defaultSLOP99, maxDrift: 0.5, calib: drifted()}).handler()
 
 	// Liveness without ?slo=1 never degrades.
 	if code, body := doJSON(t, h, "GET", "/healthz", ""); code != http.StatusOK {
 		t.Fatalf("plain healthz = %d %v", code, body)
 	}
 
-	code, body = doJSON(t, h, "GET", "/healthz?slo=1", "")
+	code, body := doJSON(t, h, "GET", "/healthz?slo=1", "")
 	if code != http.StatusServiceUnavailable || body["status"] != "slo-violated" {
-		t.Fatalf("healthz?slo=1 under a 10x storage mis-calibration = %d %v, want 503", code, body)
+		t.Fatalf("healthz?slo=1 under a 3x storage drift = %d %v, want 503", code, body)
 	}
 	viol := body["calibration_violations"].([]any)
 	if len(viol) != 1 {
@@ -142,14 +140,9 @@ func TestDriftSLOTrips(t *testing.T) {
 		t.Errorf("violation %v is not a storage drift above the bound", d)
 	}
 
-	// Same mis-calibration, loose bound: drift is visible in the checked
-	// list but does not degrade health.
-	loose := newAPI(serverConfig{sloP99: defaultSLOP99, maxDrift: 1e6, calibProfile: offBy10})
-	lh := loose.handler()
-	if code, body := doJSON(t, lh, "POST", "/run",
-		`{"model":"tiny-alexnet","dataset":"foods","layers":2,"rows":100}`); code != http.StatusOK {
-		t.Fatalf("run = %d %v", code, body)
-	}
+	// Same drift, loose bound: drift is visible in the checked list but does
+	// not degrade health.
+	lh := newAPI(serverConfig{sloP99: defaultSLOP99, maxDrift: 1e6, calib: drifted()}).handler()
 	code, body = doJSON(t, lh, "GET", "/healthz?slo=1", "")
 	if code != http.StatusOK {
 		t.Fatalf("healthz?slo=1 with loose bound = %d %v, want 200", code, body)

@@ -116,8 +116,8 @@ type api struct {
 	catalog *data.Catalog
 	metrics *obs.Registry
 	// life is the run lifecycle every /run executes through: it holds the
-	// admission controller, sharing coordinator and profile fitter (each nil
-	// when its feature is off — see lifecycle.Runner) and the calibration
+	// admission controller and sharing coordinator (each nil when its
+	// feature is off — see lifecycle.Runner) and the calibration
 	// recorder behind GET /calibration (never nil here; memory-only when no
 	// log is configured).
 	life *lifecycle.Runner
@@ -181,16 +181,6 @@ type serverConfig struct {
 	calib *calib.Recorder
 	// maxDrift enables the /healthz?slo=1 calibration clause (0 = off).
 	maxDrift float64
-	// calibProfile seeds the active calibration profile (nil = none). With
-	// autoCalibrate false the profile is pinned: pricing uses it as loaded,
-	// forever.
-	calibProfile *calib.Profile
-	// autoCalibrate builds a refitting Fitter (main starts its loop);
-	// profile-changing refits persist to calibProfilePath when non-empty.
-	autoCalibrate    bool
-	calibProfilePath string
-	// refitInterval is the auto-calibration cadence (0 = the default).
-	refitInterval time.Duration
 	// logger receives server logs (nil = discard; main wires stderr).
 	logger *slog.Logger
 }
@@ -218,20 +208,6 @@ func newAPI(cfg serverConfig) *api {
 		a.logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	a.life.Calib.RegisterMetrics(a.metrics)
-	if cfg.calibProfile != nil || cfg.autoCalibrate {
-		path := ""
-		if cfg.autoCalibrate {
-			path = cfg.calibProfilePath // a pinned profile is never rewritten
-		}
-		a.life.Fitter = calib.NewFitter(calib.FitterConfig{
-			Recorder: a.life.Calib,
-			Path:     path,
-			Interval: cfg.refitInterval,
-			Initial:  cfg.calibProfile,
-			Clock:    cfg.clk,
-		})
-		a.life.Fitter.RegisterMetrics(a.metrics)
-	}
 	if cfg.memBudgetBytes > 0 {
 		ctrl, err := admission.New(admission.Config{
 			BudgetBytes:  cfg.memBudgetBytes,

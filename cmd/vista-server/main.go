@@ -48,10 +48,8 @@
 // what plan choice and admission price — append to the -calib-log file
 // (replayed on restart, and offline by vista -calib report) and fold into
 // the rolling aggregates behind GET /calibration and the vista_calib_*
-// metrics. A -calib-profile file carries one fitted storage factor, pinned as
-// loaded or, with -auto-calibrate, refitted from the storage drift. With
-// -max-drift, /healthz?slo=1 degrades to 503 when the storage drift exceeds
-// the bound. -debug-addr serves
+// metrics. With -max-drift, /healthz?slo=1 degrades to 503 when the storage
+// drift exceeds the bound. -debug-addr serves
 // net/http/pprof on a separate opt-in listener, and -log-format selects
 // text or JSON structured logs (run-ID tagged, joinable against
 // /trace?run=ID). See docs/OPERATIONS.md for the full operator guide.
@@ -110,12 +108,6 @@ func main() {
 		"storage drift bound enforced by /healthz?slo=1: 503 when the storage EWMA drift (max(ratio,1/ratio)-1) exceeds it (0 disables)")
 	calibHalfLife := flag.Duration("calib-half-life", 0,
 		"calibration EWMA half-life (0 = the 30m default); offline replays must pass the same value to reproduce /calibration byte-for-byte")
-	calibProfile := flag.String("calib-profile", "",
-		"calibration profile file: its fitted storage factor is loaded at boot and applied to /run plan choice and admission pricing; pinned as-is unless -auto-calibrate also rewrites it on profile-changing refits")
-	autoCalibrate := flag.Bool("auto-calibrate", false,
-		"close the calibration loop: periodically refit the storage factor from the rolling storage drift and price /run through the fitted profile")
-	refitInterval := flag.Duration("calib-refit-interval", calib.DefaultRefitInterval,
-		"how often -auto-calibrate refits the profile from the aggregates")
 	debugAddr := flag.String("debug-addr", "",
 		"optional separate listen address serving net/http/pprof profiles under /debug/pprof/ (empty = off)")
 	logFormat := flag.String("log-format", "text",
@@ -133,8 +125,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vista-server: -max-drift must be >= 0")
 		os.Exit(2)
 	}
-	if *calibHalfLife < 0 || *refitInterval <= 0 {
-		fmt.Fprintln(os.Stderr, "vista-server: -calib-half-life must be >= 0 and -calib-refit-interval > 0")
+	if *calibHalfLife < 0 {
+		fmt.Fprintln(os.Stderr, "vista-server: -calib-half-life must be >= 0")
 		os.Exit(2)
 	}
 	var logger *slog.Logger
@@ -184,48 +176,20 @@ func main() {
 			"path", *calibLog, "replayed_runs", calibRec.Report().Runs)
 	}
 
-	var initProfile *calib.Profile
-	if *calibProfile != "" {
-		p, perr := calib.LoadProfile(*calibProfile)
-		switch {
-		case perr == nil:
-			initProfile = p
-		case errors.Is(perr, os.ErrNotExist) && *autoCalibrate:
-			// The first profile-changing refit will create the file.
-		default:
-			fmt.Fprintln(os.Stderr, "vista-server:", perr)
-			os.Exit(1)
-		}
-	}
-
 	a := newAPI(serverConfig{
-		store:            store,
-		sloP99:           *sloP99,
-		memBudgetBytes:   *memBudget << 20,
-		queueDepth:       *queueDepth,
-		queueTimeout:     *queueTimeout,
-		runHistory:       *runHistory,
-		share:            *shareOn,
-		shareWindow:      *shareWindow,
-		calib:            calibRec,
-		maxDrift:         *maxDrift,
-		calibProfile:     initProfile,
-		autoCalibrate:    *autoCalibrate,
-		calibProfilePath: *calibProfile,
-		refitInterval:    *refitInterval,
-		logger:           logger,
+		store:          store,
+		sloP99:         *sloP99,
+		memBudgetBytes: *memBudget << 20,
+		queueDepth:     *queueDepth,
+		queueTimeout:   *queueTimeout,
+		runHistory:     *runHistory,
+		share:          *shareOn,
+		shareWindow:    *shareWindow,
+		calib:          calibRec,
+		maxDrift:       *maxDrift,
+		logger:         logger,
 	})
 	handler := a.handler()
-	if *autoCalibrate {
-		a.life.Fitter.Start()
-		defer a.life.Fitter.Stop()
-		logger.Info("auto-calibration enabled",
-			"refit_interval", *refitInterval, "profile", *calibProfile,
-			"seeded_refits", a.life.Fitter.Refits())
-	} else if initProfile != nil {
-		logger.Info("calibration profile pinned",
-			"path", *calibProfile, "fitted_at", initProfile.FittedAt)
-	}
 	if *memBudget > 0 {
 		logger.Info("admission control enabled", "budget_mib", *memBudget,
 			"queue_depth", *queueDepth, "queue_timeout", *queueTimeout)

@@ -12,22 +12,13 @@ import (
 // report a live server computes — decay runs on record timestamps, so the
 // offline aggregates match the server's byte-for-byte over the same log
 // (pass the server's -calib-half-life value for the decay clocks to agree).
-// When profilePath names a fitted profile the report is annotated with its
-// storage factor, reproducing GET /calibration on a profile-bearing server.
-func calibReport(path, profilePath string, halfLife time.Duration, asJSON bool, stdout, stderr io.Writer) error {
+func calibReport(path string, halfLife time.Duration, asJSON bool, stdout, stderr io.Writer) error {
 	rep, dropped, err := calib.ReplayReport(path, halfLife)
 	if err != nil {
 		return err
 	}
 	if dropped > 0 {
 		fmt.Fprintf(stderr, "calibration log has a torn tail: %d unreadable trailing bytes ignored (a crashed writer; the next append-mode open truncates them)\n", dropped)
-	}
-	if profilePath != "" {
-		p, err := calib.LoadProfile(profilePath)
-		if err != nil {
-			return err
-		}
-		rep = rep.WithProfile(p)
 	}
 	if asJSON {
 		return calib.WriteReportJSON(stdout, rep)

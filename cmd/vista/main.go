@@ -66,7 +66,6 @@ func main() {
 		sampleEvr  = flag.Duration("sample-every", 10*time.Millisecond, "time-series sample period (with -timeseries-out / -trace-out / -trace)")
 		calibLog   = flag.String("calib", "", "calibration log file: append this run's estimate-vs-measured samples to it, or replay it with the 'report' subcommand (vista -calib <log> report)")
 		calibJSON  = flag.Bool("calib-json", false, "with 'report': emit the calibration report as JSON, byte-identical to a server's GET /calibration over the same log")
-		calibProf  = flag.String("calib-profile", "", "calibration profile file (written by an auto-calibrating vista-server): apply its fitted storage factor to plan choice and to the storage estimates -calib records, and annotate 'report' output with it")
 		calibHL    = flag.Duration("calib-half-life", 0, "calibration EWMA half-life (0 = the 30m default); must match the server's -calib-half-life for byte-identical reports over the same log")
 	)
 	flag.Parse()
@@ -80,7 +79,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "vista: report requires -calib <log-file>")
 			os.Exit(2)
 		}
-		if err := calibReport(*calibLog, *calibProf, *calibHL, *calibJSON, os.Stdout, os.Stderr); err != nil {
+		if err := calibReport(*calibLog, *calibHL, *calibJSON, os.Stdout, os.Stderr); err != nil {
 			fmt.Fprintln(os.Stderr, "vista:", err)
 			os.Exit(1)
 		}
@@ -95,7 +94,7 @@ func main() {
 		cacheDir: *cacheDir, cacheMB: *cacheMB, trace: *trace,
 		traceOut: *traceOut, traceFormat: *traceFmt,
 		timeseriesOut: *seriesOut, sampleEvery: *sampleEvr,
-		calibLog: *calibLog, calibProfile: *calibProf, calibHalfLife: *calibHL,
+		calibLog: *calibLog, calibHalfLife: *calibHL,
 	}
 	// Ctrl-C / SIGTERM cancels the run context: the executor aborts at the
 	// next stage boundary (or inside the running stage, via TaskContext),
@@ -136,7 +135,6 @@ type runOptions struct {
 	timeseriesOut string
 	sampleEvery   time.Duration
 	calibLog      string
-	calibProfile  string
 	calibHalfLife time.Duration
 }
 
@@ -164,18 +162,11 @@ func run(ctx context.Context, o runOptions, stdout, stderr io.Writer) error {
 		o.sampleEvery = time.Millisecond
 	}
 	// The CLI runs through the same lifecycle a served run does, minus the
-	// process-wide coordinators: no sharing, no admission, a pinned profile,
-	// and a recorder only when -calib names a log — the same samples a
-	// vista-server with -calib-log would record for this workload, so CLI and
-	// served runs can share one log.
+	// process-wide coordinators: no sharing, no admission, and a recorder
+	// only when -calib names a log — the same samples a vista-server with
+	// -calib-log would record for this workload, so CLI and served runs can
+	// share one log.
 	runner := &lifecycle.Runner{}
-	if o.calibProfile != "" {
-		p, err := calib.LoadProfile(o.calibProfile)
-		if err != nil {
-			return err
-		}
-		runner.Fitter = calib.NewFitter(calib.FitterConfig{Initial: p})
-	}
 	if o.calibLog != "" {
 		rec, err := calib.Open(calib.Config{Path: o.calibLog, HalfLife: o.calibHalfLife})
 		if err != nil {

@@ -32,12 +32,14 @@ type Aggregator struct {
 	sumW     float64
 	sumWX    float64
 	hist     []int64 // len(relErrBounds)+1; last bucket is +Inf
-	// ls accumulates the least-squares scale fit s = Σ(est·meas)/Σ(est²),
-	// the minimizer of Σ(meas − s·est)². Its sums decay with the same
-	// half-life as the EWMA: once a profile refit changes what "estimated"
-	// means, pre-refit history must fade at the same rate as the drift signal
-	// or the residual fit never converges.
-	ls lsState
+	nsamples int64
+	// sumEstMeas and sumEstSq accumulate the least-squares scale fit
+	// s = Σ(est·meas)/Σ(est²), the minimizer of Σ(meas − s·est)². They decay
+	// with the same half-life as the EWMA, so the fit tracks the same recent
+	// traffic as the drift signal.
+	sumEstMeas, sumEstSq float64
+	// last is the newest record timestamp folded in; decay runs from it.
+	last time.Time
 }
 
 // NewAggregator returns an empty aggregator with the given EWMA half-life
@@ -60,21 +62,21 @@ func (a *Aggregator) Add(rec Record) {
 			a.excluded++
 			continue
 		}
-		if a.ls.samples > 0 {
-			if dt := rec.At.Sub(a.ls.last); dt > 0 {
+		if a.nsamples > 0 {
+			if dt := rec.At.Sub(a.last); dt > 0 {
 				d := math.Pow(0.5, dt.Seconds()/a.halfLife.Seconds())
 				a.sumW *= d
 				a.sumWX *= d
-				a.ls.sumEstMeas *= d
-				a.ls.sumEstSq *= d
+				a.sumEstMeas *= d
+				a.sumEstSq *= d
 			}
 		}
-		if rec.At.After(a.ls.last) {
-			a.ls.last = rec.At
+		if rec.At.After(a.last) {
+			a.last = rec.At
 		}
 		a.sumW++
 		a.sumWX += math.Log(s.Meas / s.Est)
-		a.ls.samples++
+		a.nsamples++
 		rel := math.Abs(s.Meas/s.Est - 1)
 		idx := len(relErrBounds)
 		for i, ub := range relErrBounds {
@@ -84,8 +86,8 @@ func (a *Aggregator) Add(rec Record) {
 			}
 		}
 		a.hist[idx]++
-		a.ls.sumEstMeas += s.Est * s.Meas
-		a.ls.sumEstSq += s.Est * s.Est
+		a.sumEstMeas += s.Est * s.Meas
+		a.sumEstSq += s.Est * s.Est
 	}
 }
 
@@ -115,29 +117,10 @@ type Report struct {
 	// -max-drift bounds: 0.5 means "off by 1.5× in either direction".
 	Drift float64 `json:"drift"`
 	// SuggestedScale is the decayed least-squares scale s minimizing
-	// Σ(meas − s·est)² over recent samples. With a profile active the
-	// estimates entering the fit are already profile-corrected, so this is
-	// the *residual* correction a refit would multiply onto the active
-	// factor (see Fitter.RefitNow).
-	SuggestedScale float64 `json:"suggested_scale"`
-	// ActiveScale is the factor the active calibration profile applies to
-	// the estimates (1 when none is active); set by Report.WithProfile.
-	ActiveScale float64      `json:"active_scale"`
-	RelErrHist  []HistBucket `json:"rel_err_hist"`
-	// Profile is the active calibration profile, when one is (see
-	// WithProfile); omitted entirely for unprofiled reports.
-	Profile *Profile `json:"profile,omitempty"`
-}
-
-// WithProfile annotates the report with the active profile p: ActiveScale
-// becomes p's factor, and the profile itself is embedded. A nil p returns
-// the report unchanged (ActiveScale stays 1).
-func (r Report) WithProfile(p *Profile) Report {
-	if p != nil {
-		r.ActiveScale = round6(p.scale())
-		r.Profile = p
-	}
-	return r
+	// Σ(meas − s·est)² over recent samples: the factor the estimates would
+	// need to match the measurements.
+	SuggestedScale float64      `json:"suggested_scale"`
+	RelErrHist     []HistBucket `json:"rel_err_hist"`
 }
 
 // Report snapshots the aggregates; floats are rounded to 6 decimals so the
@@ -147,20 +130,20 @@ func (a *Aggregator) Report() Report {
 	defer a.mu.Unlock()
 	rep := Report{
 		Runs:            a.runs,
-		Samples:         a.ls.samples,
+		Samples:         a.nsamples,
 		Excluded:        a.excluded,
 		HalfLifeSeconds: a.halfLife.Seconds(),
-		DriftRatio:      1, SuggestedScale: 1, ActiveScale: 1,
+		DriftRatio:      1, SuggestedScale: 1,
 	}
-	if a.ls.samples > 0 && a.sumW > 0 {
+	if a.nsamples > 0 && a.sumW > 0 {
 		mean := a.sumWX / a.sumW
 		r := math.Exp(mean)
 		rep.EWMALogRatio = round6(mean)
 		rep.DriftRatio = round6(r)
 		rep.Drift = round6(math.Max(r, 1/r) - 1)
 	}
-	if a.ls.sumEstSq > 0 {
-		rep.SuggestedScale = round6(a.ls.sumEstMeas / a.ls.sumEstSq)
+	if a.sumEstSq > 0 {
+		rep.SuggestedScale = round6(a.sumEstMeas / a.sumEstSq)
 	}
 	rep.RelErrHist = make([]HistBucket, len(a.hist))
 	for i, b := range relErrBounds {
@@ -170,59 +153,11 @@ func (a *Aggregator) Report() Report {
 	return rep
 }
 
-// lsState is the raw least-squares accumulator. Because every sum decays by
-// the same multiplicative factor, a snapshot taken at a refit boundary can be
-// decayed forward to a later snapshot's timestamp and subtracted out, leaving
-// exactly the contribution of the samples recorded in between — the
-// windowing fitSince builds on.
-type lsState struct {
-	samples    int64
-	sumEstMeas float64
-	sumEstSq   float64
-	last       time.Time
-}
-
-// fitEvidence is a windowed residual fit: the least-squares scale restricted
-// to samples recorded after a snapshot, plus how many there were. An unusable
-// window reports zero samples and scale 1.
-type fitEvidence struct {
-	samples   int64
-	suggested float64
-}
-
-// fitSince returns the residual fit over samples recorded since base (the
-// zero base means "since the beginning"), and the current snapshot a caller
-// consuming the evidence should store as its next base. The Fitter uses this
-// so each refit acts only on evidence gathered under the factor it is about
-// to revise: refitting from the cumulative fit would re-apply history already
-// absorbed into the profile and compound the correction past its fixed point.
-func (a *Aggregator) fitSince(base lsState) (fitEvidence, lsState) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	cur := a.ls
-	em, ee := cur.sumEstMeas, cur.sumEstSq
-	if base.samples > 0 {
-		d := 1.0
-		if dt := cur.last.Sub(base.last); dt > 0 {
-			d = math.Pow(0.5, dt.Seconds()/a.halfLife.Seconds())
-		}
-		em -= d * base.sumEstMeas
-		ee -= d * base.sumEstSq
-	}
-	e := fitEvidence{samples: cur.samples - base.samples, suggested: 1}
-	if e.samples > 0 && ee > 0 && em > 0 {
-		e.suggested = em / ee
-	} else {
-		e.samples = 0 // numerically empty window: no evidence
-	}
-	return e, cur
-}
-
 // drift reads the live drift ratio (for the metrics gauge).
 func (a *Aggregator) drift() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.ls.samples == 0 || a.sumW <= 0 {
+	if a.nsamples == 0 || a.sumW <= 0 {
 		return 1
 	}
 	return math.Exp(a.sumWX / a.sumW)
@@ -232,7 +167,7 @@ func (a *Aggregator) drift() float64 {
 func (a *Aggregator) samples() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.ls.samples
+	return a.nsamples
 }
 
 // storageLabel labels the calibration series on /metrics: storage is the one

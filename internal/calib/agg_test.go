@@ -135,7 +135,7 @@ func TestAggregatorLeastSquaresScale(t *testing.T) {
 
 func TestReportEmptyIdentity(t *testing.T) {
 	rep := NewAggregator(0).Report()
-	if rep.Samples != 0 || rep.DriftRatio != 1 || rep.Drift != 0 || rep.SuggestedScale != 1 || rep.ActiveScale != 1 {
+	if rep.Samples != 0 || rep.DriftRatio != 1 || rep.Drift != 0 || rep.SuggestedScale != 1 {
 		t.Errorf("empty report = %+v, want the identity calibration", rep)
 	}
 	if len(rep.RelErrHist) != len(relErrBounds)+1 {

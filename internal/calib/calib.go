@@ -1,16 +1,14 @@
-// Package calib is the memory model's drift observatory and its feedback
-// loop. Algorithm 1 and admission price runs with the Section 4.1 memory
-// model (sim.AdmissionCost gates real traffic on it), so calib measures
-// exactly that model against reality and corrects it:
-//
-//   - After every run, sim.CompareSeries pairs the model's predicted peak
-//     storage and spill bytes with the engine's exact counters, and the two
-//     pairs (storage:peak, storage:spill) are folded into an append-only,
-//     crash-safe on-disk log (one compact record per run) and into rolling
-//     aggregates: a time-decayed EWMA of ln(measured/estimated), a
-//     relative-error histogram, sample counts, and a least-squares scale.
-//   - A Fitter refits one storage factor (a Profile) from those aggregates,
-//     and plan choice and admission pricing apply it.
+// Package calib is the memory model's drift observatory. Algorithm 1 and
+// admission price runs with the Section 4.1 memory model (sim.AdmissionCost
+// gates real traffic on it), so calib measures exactly that model against
+// reality: after every run, sim.CompareSeries pairs the model's predicted
+// peak storage and spill bytes with the engine's exact counters, and the two
+// pairs (storage:peak, storage:spill) are folded into an append-only,
+// crash-safe on-disk log (one compact record per run) and into rolling
+// aggregates: a time-decayed EWMA of ln(measured/estimated), a
+// relative-error histogram, sample counts, and a least-squares scale. Nothing
+// feeds back into pricing: a drift outside the band the -max-drift SLO sets
+// is a defect in the engine or the model, to be fixed there.
 //
 // Bytes are directly comparable: the model predicts from the measured
 // workload's own row counts and image bytes. Stage times are not: the
@@ -95,18 +93,12 @@ type RunEnv struct {
 	// Downstream is the downstream model the run trained (the zero value is
 	// logistic regression).
 	Downstream sim.Downstream
-	// Profile, when non-nil, is the active calibration profile: storage
-	// estimates are corrected through it before samples are built, so the
-	// recorded storage samples measure the residual error the next refit
-	// should act on.
-	Profile *Profile
 }
 
 // EnvFromSpec derives the RunEnv of a run executed from spec over the named
 // dataset preset: the workload shape is read off the rows that actually ran
 // (row count, structured width, sampled image-row bytes), so the memory
-// model's byte predictions line up with the measurement. Profile is left for
-// the caller to set.
+// model's byte predictions line up with the measurement.
 func EnvFromSpec(spec core.Spec, dataset string) RunEnv {
 	env := RunEnv{
 		ModelName:     spec.ModelName,
@@ -127,9 +119,8 @@ func EnvFromSpec(spec core.Spec, dataset string) RunEnv {
 }
 
 // Simulate prices env's workload, exploring numLayers feature layers, on the
-// paper cluster profile under the configuration Vista's optimizer picks with
-// env.Profile's storage factor — the decision core.Run executed under the
-// same profile. It fails when the optimizer finds the simulated workload
+// paper cluster profile under the configuration Vista's optimizer picks —
+// the decision core.Run executed. It fails when the optimizer finds the simulated workload
 // infeasible or the simulated run crashes — there is no estimate to compare
 // against (tiny in-process runs can describe workloads the paper cluster
 // model rejects).
@@ -143,13 +134,12 @@ func Simulate(env RunEnv, numLayers int) (sim.Result, error) {
 			StructDim:     env.StructDim,
 			ImageRowBytes: env.ImageRowBytes,
 		},
-		PlanKind:     env.PlanKind,
-		Placement:    env.Placement,
-		Nodes:        env.Nodes,
-		CPUSys:       env.Cores,
-		MemSys:       env.MemBytes,
-		Downstream:   env.Downstream,
-		StorageScale: env.Profile.scale(),
+		PlanKind:   env.PlanKind,
+		Placement:  env.Placement,
+		Nodes:      env.Nodes,
+		CPUSys:     env.Cores,
+		MemSys:     env.MemBytes,
+		Downstream: env.Downstream,
 	})
 	if err != nil {
 		return sim.Result{}, fmt.Errorf("calib: simulate: %w", err)
@@ -163,8 +153,8 @@ func Simulate(env RunEnv, numLayers int) (sim.Result, error) {
 // CompareRun simulates env's workload (Simulate, over the layers the trace
 // shows were explored), compares its memory model with the
 // engine's peak storage and spill in the final frame of series, and returns
-// the run's storage samples, their estimates corrected by env.Profile. A run
-// without a trace or a series has nothing to compare.
+// the run's storage samples. A run without a trace or a series has nothing
+// to compare.
 func CompareRun(env RunEnv, trace *obs.Span, series *sampler.Recording) ([]Sample, error) {
 	if trace == nil || series == nil {
 		return nil, fmt.Errorf("calib: a run needs a trace and a sampled series to compare")
@@ -173,9 +163,7 @@ func CompareRun(env RunEnv, trace *obs.Span, series *sampler.Recording) ([]Sampl
 	if err != nil {
 		return nil, err
 	}
-	rep := sim.CompareSeries(simRes, series)
-	env.Profile.ApplySeries(&rep)
-	return samplesFromRun(trace, rep), nil
+	return samplesFromRun(trace, sim.CompareSeries(simRes, series)), nil
 }
 
 // exploredLayers counts the feature layers the measured run explored, so

@@ -172,8 +172,8 @@ func TestSamplesFromRunExcludesAttachedStorage(t *testing.T) {
 		}
 		a := NewAggregator(0)
 		a.Add(Record{At: time.Unix(1000, 0), Samples: samples})
-		if ev, _ := a.fitSince(lsState{}); (ev.samples > 0) != tc.wantCounts {
-			t.Errorf("%s: storage fit evidence = %d samples, want some=%v", tc.name, ev.samples, tc.wantCounts)
+		if n := a.Report().Samples; (n > 0) != tc.wantCounts {
+			t.Errorf("%s: aggregated storage samples = %d, want some=%v", tc.name, n, tc.wantCounts)
 		}
 	}
 }
@@ -190,15 +190,14 @@ func TestCompareRunNeedsSeries(t *testing.T) {
 	}
 }
 
-// Simulate prices the decision the run executed: the optimizer's choice under
-// the active profile's storage factor, not under the paper constants.
-func TestSimulatePricesScaledDecision(t *testing.T) {
+// Simulate prices the decision the run executed: Algorithm 1's choice for
+// the run's workload under the paper constants.
+func TestSimulatePricesVistaDecision(t *testing.T) {
 	env := RunEnv{
 		ModelName: "alexnet", Dataset: "foods",
 		Rows: 20000, StructDim: 130, ImageRowBytes: 14 << 10,
 		PlanKind: plan.Staged, Placement: plan.AfterJoin,
 		Nodes: 8, Cores: 8, MemBytes: memory.GB(32),
-		Profile: &Profile{Version: 2, StorageScale: 12},
 	}
 	const layers = 4
 	wl, err := sim.NewWorkload(sim.WorkloadSpec{
@@ -212,41 +211,19 @@ func TestSimulatePricesScaledDecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainParams, scaledParams := optimizer.DefaultParams(), optimizer.DefaultParams()
-	scaledParams.StorageScale = env.Profile.StorageScale
-	plain, err := optimizer.Optimize(wl.Inputs, plainParams)
+	params := optimizer.DefaultParams()
+	d, err := optimizer.Optimize(wl.Inputs, params)
 	if err != nil {
 		t.Fatal(err)
-	}
-	scaled, err := optimizer.Optimize(wl.Inputs, scaledParams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.NP == scaled.NP && plain.Pers == scaled.Pers {
-		t.Fatalf("the factor must re-rank np or persistence for this test to discriminate: %+v", scaled)
 	}
 	prof := sim.PaperCluster()
 	prof.Nodes, prof.MemPerNode = env.Nodes, env.MemBytes
-	want := sim.Run(wl, sim.FromDecision(scaled, scaledParams), prof)
-	if reflect.DeepEqual(want, sim.Run(wl, sim.FromDecision(plain, plainParams), prof)) {
-		t.Fatal("the two decisions simulate identically; pick a workload where they differ")
-	}
 	got, err := Simulate(env, layers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Simulate under factor 12 =\n%+v\nwant the scaled decision's\n%+v", got, want)
-	}
-
-	// Without a profile, Simulate prices the paper constants' decision.
-	env.Profile = nil
-	got, err = Simulate(env, layers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := sim.Run(wl, sim.FromDecision(plain, plainParams), prof); !reflect.DeepEqual(got, want) {
-		t.Errorf("unprofiled Simulate = %+v, want the plain decision's %+v", got, want)
+	if want := sim.Run(wl, sim.FromDecision(d, params), prof); !reflect.DeepEqual(got, want) {
+		t.Errorf("Simulate = %+v, want the optimizer decision's %+v", got, want)
 	}
 }
 

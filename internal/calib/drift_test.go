@@ -1,0 +1,71 @@
+package calib
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/data"
+	"repro/internal/memory"
+	"repro/internal/obs"
+	"repro/internal/plan"
+	"repro/internal/sim"
+)
+
+// TestStoragePeakMatchesModel pins the memory model's shape against the
+// engine: a cold run's measured peak storage is what Section 4.1 prices,
+// within [0.95, 1.12]. While the join kept its image input cached until it
+// returned, every AJ run peaked at about 1.9x the estimate inside ingest +
+// join, with the image bytes resident twice.
+func TestStoragePeakMatchesModel(t *testing.T) {
+	tables, err := data.NewCatalog().Get(data.Foods().WithRows(400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type run struct {
+		model     string
+		kind      plan.Kind
+		placement plan.JoinPlacement
+	}
+	var runs []run
+	for _, m := range []string{"tiny-alexnet", "tiny-vgg16", "tiny-resnet50"} {
+		runs = append(runs, run{m, plan.Staged, plan.AfterJoin})
+	}
+	runs = append(runs,
+		run{"tiny-alexnet", plan.Lazy, plan.AfterJoin},
+		run{"tiny-alexnet", plan.Eager, plan.AfterJoin},
+		run{"tiny-alexnet", plan.Staged, plan.BeforeJoin})
+	for _, r := range runs {
+		t.Run(fmt.Sprintf("%s/%s/%s", r.model, r.kind, r.placement), func(t *testing.T) {
+			spec := core.Spec{
+				Nodes: 2, CoresPerNode: 4, MemPerNode: memory.GB(32),
+				SystemKind: memory.SparkLike,
+				ModelName:  r.model, NumLayers: 2,
+				Downstream: core.DefaultDownstream(),
+				Seed:       1,
+				PlanKind:   r.kind, Placement: r.placement,
+				Metrics:     obs.NewRegistry(),
+				SampleEvery: time.Millisecond,
+				SpillDir:    t.TempDir(),
+			}.WithTables(tables)
+			res, err := core.Run(spec)
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			simRes, err := Simulate(EnvFromSpec(spec, "foods"), spec.NumLayers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := sim.CompareSeries(simRes, res.Series)
+			if rep.PredPeakStorageBytes <= 0 {
+				t.Fatalf("no peak-storage estimate: %+v", rep)
+			}
+			drift := float64(rep.MeasPeakStorageBytes) / float64(rep.PredPeakStorageBytes)
+			if drift < 0.95 || drift > 1.12 {
+				t.Errorf("peak storage drift %.3fx (measured %d, estimated %d), want within [0.95, 1.12]",
+					drift, rep.MeasPeakStorageBytes, rep.PredPeakStorageBytes)
+			}
+		})
+	}
+}

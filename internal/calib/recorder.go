@@ -112,21 +112,18 @@ func WriteReportJSON(w io.Writer, rep Report) error {
 }
 
 // RenderReport writes the report as an aligned operator-readable table: the
-// storage sample counts, drift, the suggested (residual) and active
-// (profile-applied) scales, and the relative-error histogram counts.
+// storage sample counts, drift, the suggested scale, and the
+// relative-error histogram counts.
 func RenderReport(w io.Writer, rep Report) {
 	fmt.Fprintf(w, "calibration: %d runs, %d samples, half-life %s\n",
 		rep.Runs, rep.Samples, time.Duration(rep.HalfLifeSeconds*float64(time.Second)))
-	if p := rep.Profile; p != nil {
-		fmt.Fprintf(w, "profile: refit %d at %s\n", p.Refits, p.FittedAt.UTC().Format(time.RFC3339))
-	}
 	hist := make([]string, len(rep.RelErrHist))
 	for i, b := range rep.RelErrHist {
 		hist[i] = fmt.Sprint(b.Count)
 	}
-	fmt.Fprintf(w, "%8s %9s %12s %12s %8s %8s  %s\n",
-		"samples", "excluded", "drift-ratio", "drift", "scale", "active", "|err| <=10% <=25% <=50% <=2x <=3x <=6x >6x")
-	fmt.Fprintf(w, "%8d %9d %12.4f %12.4f %8.3f %8.3f  %s\n",
+	fmt.Fprintf(w, "%8s %9s %12s %12s %8s  %s\n",
+		"samples", "excluded", "drift-ratio", "drift", "scale", "|err| <=10% <=25% <=50% <=2x <=3x <=6x >6x")
+	fmt.Fprintf(w, "%8d %9d %12.4f %12.4f %8.3f  %s\n",
 		rep.Samples, rep.Excluded, rep.DriftRatio, rep.Drift,
-		rep.SuggestedScale, rep.ActiveScale, strings.Join(hist, " "))
+		rep.SuggestedScale, strings.Join(hist, " "))
 }

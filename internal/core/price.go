@@ -25,7 +25,7 @@ func Price(spec Spec) (int64, error) {
 // group leader's feature tables instead of executing its own partial
 // inference. The group pays the leader's full Price once; each follower is
 // charged only its marginal reservation — the same decision with DL
-// Execution Memory zeroed (sim.FollowerCostScaled), since a follower never
+// Execution Memory zeroed (sim.FollowerCost), since a follower never
 // opens a DL session. This is the Eq. 16 cost-model extension that lets the
 // admission controller accept shared groups the solo pricing would have
 // serialized.
@@ -34,7 +34,7 @@ func PriceFollower(spec Spec) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return sim.FollowerCostScaled(d, spec.Nodes, spec.params().StorageScale), nil
+	return sim.FollowerCost(d, spec.Nodes), nil
 }
 
 // price resolves spec's decision and its full admission charge.

@@ -276,20 +276,16 @@ func (ex *executor) runAfterJoin(tstr, timg *dataflow.Table) ([]LayerResult, err
 	join := ex.stage("join")
 	joinRows := counterDelta(ex.engine.Counters().RowsProcessed.Load)
 	shuffled := counterDelta(ex.engine.Counters().BytesShuffled.Load)
+	// Join consumes timg, on failure too; tstr is released here.
 	base, err := ex.engine.Join("joined", tstr, timg, ex.decision.Join)
+	tstr.Drop()
 	if err != nil {
-		// A failed join must release both inputs, or their cached (and
-		// possibly spilled) partitions outlive the run.
 		join.End()
-		tstr.Drop()
-		timg.Drop()
 		return nil, err
 	}
 	join.SetAttr("rows", joinRows())
 	join.SetAttr("shuffle_bytes", shuffled())
 	join.End()
-	tstr.Drop()
-	timg.Drop()
 
 	var results []LayerResult
 	rawIdx := -1
@@ -318,7 +314,6 @@ func (ex *executor) runBeforeJoin(tstr, timg *dataflow.Table) ([]LayerResult, er
 			return LayerResult{}, err
 		}
 		joined, err := ex.engine.Join("train-"+em.LayerName, tstr, proj, ex.decision.Join)
-		proj.Drop()
 		if err != nil {
 			return LayerResult{}, err
 		}

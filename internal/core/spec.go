@@ -175,9 +175,7 @@ type Spec struct {
 	// Decision, when non-nil, bypasses the optimizer (baseline configs).
 	Decision *optimizer.Decision
 	// Params, when non-nil, overrides the Table 1(C) fixed-but-adjustable
-	// system parameters (OS reservation, Core Memory, partition caps, α)
-	// and carries a fitted calibration profile's storage factor
-	// (calib.Profile.StorageScale) into plan choice and pricing.
+	// system parameters (OS reservation, Core Memory, partition caps, α).
 	Params *optimizer.Params
 	// SpillDir overrides the engine's spill directory (tests).
 	SpillDir string

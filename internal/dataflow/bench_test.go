@@ -47,12 +47,14 @@ func BenchmarkShuffleJoin(b *testing.B) {
 	for i := range rightRows {
 		rightRows[i].Image = []byte{1, 2, 3}
 	}
-	right, err := e.CreateTable("r", rightRows, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		right, err := e.CreateTable("r", rightRows, 8) // Join consumes it
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 		out, err := e.Join("j", left, right, ShuffleJoin)
 		if err != nil {
 			b.Fatal(err)
@@ -67,12 +69,15 @@ func BenchmarkBroadcastJoin(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	right, err := e.CreateTable("r", makeRows(2000, 5), 8)
-	if err != nil {
-		b.Fatal(err)
-	}
+	rightRows := makeRows(2000, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		right, err := e.CreateTable("r", rightRows, 8) // Join consumes it
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 		out, err := e.Join("j", left, right, BroadcastJoin)
 		if err != nil {
 			b.Fatal(err)

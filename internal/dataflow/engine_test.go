@@ -316,11 +316,11 @@ func TestJoinInnerSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	rightRows := []Row{{ID: 3, Image: []byte{1}}, {ID: 7, Image: []byte{2}}, {ID: 99, Image: []byte{3}}}
-	right, err := e.CreateTable("r", rightRows, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, kind := range []JoinKind{ShuffleJoin, BroadcastJoin} {
+		right, err := e.CreateTable("r", rightRows, 2) // Join consumes it
+		if err != nil {
+			t.Fatal(err)
+		}
 		joined, err := e.Join("j", left, right, kind)
 		if err != nil {
 			t.Fatalf("%v join: %v", kind, err)

@@ -125,13 +125,12 @@ func TestJoinEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rt, err := e.CreateTable("r", dedupeByID(rightRows), 5)
-		if err != nil {
-			return false
-		}
 		defer lt.Drop()
-		defer rt.Drop()
 		for _, kind := range []JoinKind{ShuffleJoin, BroadcastJoin} {
+			rt, err := e.CreateTable("r", dedupeByID(rightRows), 5) // Join consumes it
+			if err != nil {
+				return false
+			}
 			out, err := e.Join("j", lt, rt, kind)
 			if err != nil {
 				return false

@@ -63,7 +63,13 @@ func mergeRows(left, right *Row) Row {
 // step (3): T' ← Tstr ⋈ T'img) using the chosen physical operator, producing
 // a new cached table partitioned like the left input for shuffle joins and
 // like the right input for broadcast joins.
+//
+// Join takes ownership of right: each task drops the right-side partition it
+// has read before caching its output, so the image bytes are resident once,
+// as Section 4.1's memory model prices the join. right is dropped on every
+// exit path, failures included. left stays the caller's.
 func (e *Engine) Join(name string, left, right *Table, kind JoinKind) (*Table, error) {
+	defer right.Drop()
 	switch kind {
 	case ShuffleJoin:
 		return e.shuffleJoin(name, left, right)
@@ -74,14 +80,17 @@ func (e *Engine) Join(name string, left, right *Table, kind JoinKind) (*Table, e
 }
 
 // shuffleJoin aligns both tables to a common partitioning, then joins each
-// partition pair locally with a hash join whose build side is charged to
-// Core Memory (crash scenario 3 for oversized partitions).
+// partition pair locally with a hash join whose build side (right) is charged
+// to Core Memory (crash scenario 3 for oversized partitions) and dropped from
+// storage once built.
 func (e *Engine) shuffleJoin(name string, left, right *Table) (*Table, error) {
 	np := left.NumPartitions()
 	r := right
 	if right.NumPartitions() != np {
-		// Both sides must agree on partitioning; re-shuffle the right side.
+		// Both sides must agree on partitioning; re-shuffle the right side,
+		// which nothing reads again.
 		rp, err := e.Repartition(right.Name+".shuffled", right, np)
+		right.Drop()
 		if err != nil {
 			return nil, err
 		}
@@ -110,6 +119,7 @@ func (e *Engine) shuffleJoin(name string, left, right *Table) (*Table, error) {
 		for i := range buildRows {
 			build[buildRows[i].ID] = &buildRows[i]
 		}
+		node.storage.drop(r.partitions[tc.Part])
 		probeRows, err := node.storage.touch(left.partitions[tc.Part])
 		if err != nil {
 			return err
@@ -137,9 +147,9 @@ func (e *Engine) shuffleJoin(name string, left, right *Table) (*Table, error) {
 
 // broadcastJoin replicates the left (smaller) table to every node — charging
 // each node's User Memory for the broadcast hash table — and probes it with
-// the right table's partitions locally. This reproduces the paper's
-// Figure 10 behavior: broadcast is faster at modest sizes but crashes as the
-// broadcast side grows.
+// the right table's partitions locally, dropping each once probed. This
+// reproduces the paper's Figure 10 behavior: broadcast is faster at modest
+// sizes but crashes as the broadcast side grows.
 func (e *Engine) broadcastJoin(name string, small, large *Table) (*Table, error) {
 	rows, err := e.collectForBroadcast(small)
 	if err != nil {
@@ -183,6 +193,7 @@ func (e *Engine) broadcastJoin(name string, small, large *Table) (*Table, error)
 				joined = append(joined, mergeRows(match, &probeRows[i]))
 			}
 		}
+		node.storage.drop(large.partitions[tc.Part])
 		e.counters.RowsProcessed.Add(int64(len(probeRows)))
 		p := newPartition(tc.Part, joined)
 		if err := node.storage.add(p); err != nil {

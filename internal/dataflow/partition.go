@@ -101,13 +101,6 @@ func (p *Partition) MemBytes() int64 {
 	return p.memBytes
 }
 
-// Format returns the partition's persistence format.
-func (p *Partition) Format() PersistFormat {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.format
-}
-
 // Spilled reports whether the partition currently lives on disk.
 func (p *Partition) Spilled() bool {
 	p.mu.Lock()

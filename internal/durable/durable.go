@@ -1,8 +1,8 @@
 // Package durable owns the repo's one crash-safe file-replacement routine:
 // write a temp file next to the target, then rename it over the final name,
 // so readers (and crashes) never observe a partially written file. The
-// feature store's entries, the calibration log's torn-tail recovery, and
-// fitted calibration profiles all persist through it.
+// feature store's entries and the calibration log's torn-tail recovery
+// persist through it.
 //
 // The guarantee is all-or-nothing visibility across a process crash (the
 // crash tests kill -9 writers mid-write and check it). Durability across

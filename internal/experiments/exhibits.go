@@ -31,7 +31,6 @@ var Exhibits = []Exhibit{
 	{"sec52", func(Options) ([]Table, error) { return tables(Section52(0)) }},
 	{"admission", func(Options) ([]Table, error) { return tables(AdmissionThroughput(0)) }},
 	{"share", func(Options) ([]Table, error) { return tables(ShareThroughput(0)) }},
-	{"calib", func(Options) ([]Table, error) { return tables(CalibrationConvergence()) }},
 	{"verify", func(Options) ([]Table, error) { return tables(VerifyClaims()) }},
 }
 

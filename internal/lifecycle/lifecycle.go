@@ -6,16 +6,15 @@
 // through Runner.Do and only map its typed Outcome onto their own surface
 // (HTTP statuses, exit codes, flood counters).
 //
-// The order Do enforces: apply the active calibration profile's storage
-// factor, so plan choice and pricing see one cost model; resolve the run's
-// identity (core.Resolve) once for everything below; join the sharing group,
-// which never waits (the first arrival leads at once); as a follower, wait
-// for the leader before admission, holding zero budget (a queued follower
-// must never starve its own leader), then re-read the role, since a failed
-// leader promotes a follower; price by role and hold the grant for the whole
-// run; run; record calibration while still holding grant and ticket; release
-// the grant, then finish the ticket with the run's error, which commits the
-// role the outcome reports.
+// The order Do enforces: resolve the run's identity (core.Resolve) once for
+// everything below; join the sharing group, which never waits (the first
+// arrival leads at once); as a follower, wait for the leader before
+// admission, holding zero budget (a queued follower must never starve its
+// own leader), then re-read the role, since a failed leader promotes a
+// follower; price by role and hold the grant for the whole run; run; record
+// calibration while still holding grant and ticket; release the grant, then
+// finish the ticket with the run's error, which commits the role the outcome
+// reports.
 package lifecycle
 
 import (
@@ -29,14 +28,13 @@ import (
 	"repro/internal/calib"
 	"repro/internal/core"
 	"repro/internal/memory"
-	"repro/internal/optimizer"
 	"repro/internal/share"
 )
 
 // Runner carries the process-wide collaborators one run moves through.
-// Every field is optional; the zero value runs every spec solo, unadmitted,
-// unrecorded, under the paper's cost constants. A Runner is shared by all
-// concurrent runs of a process and must not be copied after first use.
+// Every field is optional; the zero value runs every spec solo, unadmitted
+// and unrecorded. A Runner is shared by all concurrent runs of a process and
+// must not be copied after first use.
 type Runner struct {
 	// Share coalesces concurrent identical runs into one partial-inference
 	// pass; nil runs every request solo.
@@ -47,10 +45,6 @@ type Runner struct {
 	// Calib receives every completed run's estimate-vs-measured samples; nil
 	// records nothing.
 	Calib *calib.Recorder
-	// Fitter holds the active calibration profile (pinned or auto-fitted)
-	// whose storage factor corrects pricing and the storage estimates of
-	// calibration records; nil means the identity.
-	Fitter *calib.Fitter
 
 	seq atomic.Uint64
 }
@@ -111,14 +105,6 @@ type Outcome struct {
 // Do executes spec through the whole lifecycle under ctx. dataset names the
 // preset the spec's rows came from; it labels the calibration record.
 func (l *Runner) Do(ctx context.Context, spec core.Spec, dataset string) (out Outcome) {
-	if p := l.Fitter.Active(); p != nil && p.StorageScale > 0 {
-		params := optimizer.DefaultParams()
-		if spec.Params != nil {
-			params = *spec.Params
-		}
-		params.StorageScale = p.StorageScale
-		spec.Params = &params
-	}
 	// Sharing, pricing and the run each need the model, its plan and the
 	// run's content address; derive them once. A spec that does not resolve
 	// goes on without an identity and fails the same way in core.RunContext,
@@ -201,12 +187,7 @@ func (l *Runner) Do(ctx context.Context, spec core.Spec, dataset string) (out Ou
 	}
 	out = Outcome{Kind: Completed, Result: res, RunSeq: seq}
 	if l.Calib != nil {
-		// The active profile is read again here: a refit may have landed
-		// while the run executed, and the record must measure the residual
-		// against whatever pricing uses next.
-		env := calib.EnvFromSpec(spec, dataset)
-		env.Profile = l.Fitter.Active()
-		samples, err := calib.CompareRun(env, res.Trace, res.Series)
+		samples, err := calib.CompareRun(calib.EnvFromSpec(spec, dataset), res.Trace, res.Series)
 		if err != nil {
 			out.CompareErr = err
 		} else {

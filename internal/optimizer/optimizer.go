@@ -31,11 +31,6 @@ type Params struct {
 	// Alpha is the fudge factor for the size blow-up of binary feature
 	// vectors as managed-runtime objects (default 2).
 	Alpha float64
-	// StorageScale is a fitted correction to the Equation 16 intermediate
-	// sizes (internal/calib's calibration profile, fitted from measured
-	// storage bytes). 0 and 1 are the identity: plan choice and pricing
-	// then use the Table 1(C) model unchanged.
-	StorageScale float64
 }
 
 // DefaultParams returns the paper's Table 1(C) defaults.
@@ -290,11 +285,6 @@ func validate(in Inputs) error {
 // Optimize implements Algorithm 1 (OptimizeFeatureTransfer): linear search on
 // cpu from min(cpu_sys, cpu_max)−1 down to 1, maximizing cpu (Equation 8)
 // subject to Equations 9–15.
-//
-// When params.StorageScale carries a fitted calibration factor, the search
-// runs under corrected Equation 16 intermediate sizes, so np, the
-// Serialized/Deserialized choice, and memory-only feasibility are re-ranked;
-// the returned Decision's SSingle/SDouble carry the scaled estimates.
 func Optimize(in Inputs, params Params) (Decision, error) {
 	if err := validate(in); err != nil {
 		return Decision{}, err
@@ -303,8 +293,6 @@ func Optimize(in Inputs, params Params) (Decision, error) {
 	if err != nil {
 		return Decision{}, err
 	}
-	sSingle = ScaleBytes(sSingle, params.StorageScale)
-	sDouble = ScaleBytes(sDouble, params.StorageScale)
 	st := in.ModelStats
 
 	upper := in.CPUSys
@@ -338,7 +326,6 @@ func Optimize(in Inputs, params Params) (Decision, error) {
 			if err != nil {
 				return Decision{}, err
 			}
-			peak = ScaleBytes(peak, params.StorageScale)
 			needStorage := int64(float64(peak) / memoryOnlyCompression / float64(in.NNodes))
 			if memWorker-memUser-params.MemCore < needStorage {
 				continue

@@ -461,3 +461,54 @@ func TestFullyCachedShrinksNeeds(t *testing.T) {
 		t.Errorf("cached peaks (%d,%d) not below cold (%d,%d)", warmSingle, warmDouble, coldSingle, coldDouble)
 	}
 }
+
+func TestOptimizeInferScaleRaisesDLMemory(t *testing.T) {
+	// The Equation 11 replica footprint reaches the decision as is: a CNN
+	// whose |f|_mem is 3x larger must show up in the decision's MemDL, and
+	// the larger footprint squeezes the rest of the apportionment.
+	in := paperCluster(t, "vgg16", 3, 20000, 130)
+	plain, err := Optimize(in, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := *in.ModelStats
+	big.MemBytes *= 3
+	in.ModelStats = &big
+	scaled, err := Optimize(in, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := DLMemoryNeed(in, scaled.CPU); scaled.MemDL != want {
+		t.Errorf("scaled MemDL = %d, want %d", scaled.MemDL, want)
+	}
+	if scaled.CPU > plain.CPU {
+		t.Errorf("3x DL footprint should not raise cpu: %d vs %d", scaled.CPU, plain.CPU)
+	}
+	// Same cpu would leave less Storage; lower cpu is the other legal escape.
+	if scaled.CPU == plain.CPU && scaled.MemStorage >= plain.MemStorage {
+		t.Errorf("3x DL footprint left storage untouched: %d vs %d", scaled.MemStorage, plain.MemStorage)
+	}
+}
+
+func TestOptimizeTrainScaleFeedsUserMemory(t *testing.T) {
+	// |M|_mem reaches User Memory unscaled. With a PD-resident downstream
+	// model big enough to dominate User Memory, a 3x larger model must show
+	// up in the decision's MemUser.
+	in := paperCluster(t, "alexnet", 4, 20000, 130)
+	in.DownstreamMemBytes = memory.GB(2)
+	plain, err := Optimize(in, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.DownstreamMemBytes *= 3
+	scaled, err := Optimize(in, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scaled.MemUser <= plain.MemUser {
+		t.Errorf("3x downstream model did not raise MemUser: %d vs %d", scaled.MemUser, plain.MemUser)
+	}
+	if want := int64(scaled.CPU) * in.DownstreamMemBytes; scaled.MemUser != want {
+		t.Errorf("scaled MemUser = %d, want cpu x |M| = %d", scaled.MemUser, want)
+	}
+}

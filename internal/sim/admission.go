@@ -18,17 +18,12 @@ import (
 // charges. Infeasible workloads return optimizer.ErrNoFeasible — a workload
 // the optimizer cannot fit on the cluster at all cannot be priced (and would
 // not survive execution either).
-//
-// When params.StorageScale carries a fitted calibration factor, both halves
-// go through it: Optimize re-ranks the plan under the corrected intermediate
-// sizes, and the charge is computed by DecisionCostScaled instead of
-// DecisionCost.
 func AdmissionCost(in optimizer.Inputs, params optimizer.Params) (optimizer.Decision, int64, error) {
 	d, err := optimizer.Optimize(in, params)
 	if err != nil {
 		return optimizer.Decision{}, 0, err
 	}
-	return d, DecisionCostScaled(d, in.NNodes, params.StorageScale), nil
+	return d, DecisionCost(d, in.NNodes), nil
 }
 
 // DecisionCost renders an optimizer decision as an admission charge: the
@@ -41,38 +36,12 @@ func DecisionCost(d optimizer.Decision, nodes int) int64 {
 	return int64(nodes) * (d.MemStorage + d.MemUser + d.MemDL)
 }
 
-// DecisionCostScaled is DecisionCost under a fitted storage factor. With the
-// identity (storageScale 0 or 1) it returns exactly DecisionCost —
-// unprofiled servers price bit-for-bit as before. With a real factor the
-// Storage term switches from the full per-worker remainder (MemStorage,
-// which Algorithm 1 sets to everything left after User and DL memory) to the
-// modeled storage *need*, min(MemStorage, ⌈SDouble/nodes⌉): because
-// MemStorage is a remainder, a correction to the intermediate-size estimates
-// would otherwise never move the charge. The decision's SDouble already
-// carries the factor when the decision came from a scaled Optimize, so it is
-// not applied again here.
-func DecisionCostScaled(d optimizer.Decision, nodes int, storageScale float64) int64 {
-	if storageScale <= 0 || storageScale == 1 {
-		return DecisionCost(d, nodes)
-	}
-	if nodes < 1 {
-		nodes = 1
-	}
-	storage := d.MemStorage
-	if need := (d.SDouble + int64(nodes) - 1) / int64(nodes); need < storage {
-		storage = need
-	}
-	return int64(nodes) * (storage + d.MemUser + d.MemDL)
-}
-
-// FollowerCostScaled prices a run that attaches a sharing leader's feature
+// FollowerCost prices a run that attaches a sharing leader's feature
 // tables instead of executing its own partial-inference pass: the group is
 // charged the full AdmissionCost once, for the leader, and each follower only
 // its marginal reservation — the decision with DL Execution Memory zeroed
 // (Equation 13's replicas are never loaded), keeping Storage and User memory
-// for the attached tables and downstream training. storageScale is the
-// fitted calibration factor (see DecisionCostScaled for the charge
-// semantics).
-func FollowerCostScaled(d optimizer.Decision, nodes int, storageScale float64) int64 {
-	return DecisionCostScaled(optimizer.FollowerDecision(d), nodes, storageScale)
+// for the attached tables and downstream training.
+func FollowerCost(d optimizer.Decision, nodes int) int64 {
+	return DecisionCost(optimizer.FollowerDecision(d), nodes)
 }

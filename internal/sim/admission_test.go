@@ -49,3 +49,30 @@ func TestAdmissionCost(t *testing.T) {
 		t.Errorf("infeasible workload priced: err = %v", err)
 	}
 }
+
+// TestFollowerCost pins the follower's marginal price: its decision with DL
+// Execution Memory zeroed, charged like any decision, and never above the
+// leader's price.
+func TestFollowerCost(t *testing.T) {
+	wl, err := NewWorkload(WorkloadSpec{
+		ModelName: "resnet50", NumLayers: 5, Dataset: FoodsSpec(),
+		PlanKind: plan.Staged, Placement: plan.AfterJoin,
+		Nodes: 8, CPUSys: 8, MemSys: memory.GB(32),
+	})
+	if err != nil {
+		t.Fatalf("NewWorkload: %v", err)
+	}
+	d, err := optimizer.Optimize(wl.Inputs, optimizer.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nodes := range []int{0, 1, 4, 8} {
+		got := FollowerCost(d, nodes)
+		if want := DecisionCost(optimizer.FollowerDecision(d), nodes); got != want {
+			t.Errorf("nodes=%d: follower cost %d, want DecisionCost of the follower decision %d", nodes, got, want)
+		}
+		if leader := DecisionCost(d, nodes); got >= leader {
+			t.Errorf("nodes=%d: follower cost %d not below leader cost %d", nodes, got, leader)
+		}
+	}
+}

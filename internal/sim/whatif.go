@@ -22,7 +22,7 @@ type WhatIf struct {
 
 // Vista answers what Vista picks for ws on the cluster ws describes and what
 // that run costs. It builds the workload, estimates its intermediates, runs
-// Algorithm 1 under ws.StorageScale, and simulates the decision on the
+// Algorithm 1, and simulates the decision on the
 // cluster with ws's node count and per-node memory: the paper cluster,
 // Ignite-like under MemoryOnly, or the GPU workstation with MemGPU of device
 // memory. When no configuration fits, Vista returns the WhatIf with its
@@ -33,7 +33,6 @@ func Vista(ws WorkloadSpec) (*WhatIf, error) {
 		return nil, err
 	}
 	params := optimizer.DefaultParams()
-	params.StorageScale = ws.StorageScale
 	wi := &WhatIf{Workload: w, Profile: profile(w.Inputs)}
 	wi.TableSizes, wi.SSingle, wi.SDouble, err = optimizer.IntermediateSizes(w.Inputs, params)
 	if err != nil {

@@ -91,9 +91,6 @@ type WorkloadSpec struct {
 	// whether Equation 16's inputs shrink to a fully-warm run's. nil means
 	// cold.
 	Stored func(layerIndex int, carry bool) bool
-	// StorageScale is a fitted calibration factor Vista plans under
-	// (optimizer.Params.StorageScale; 0 = the paper constants).
-	StorageScale float64
 }
 
 // Downstream is the downstream model M as Algorithm 1 budgets it. The zero

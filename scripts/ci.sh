@@ -250,9 +250,11 @@ rm -rf "$load_tmp"
 echo "== calibration smoke (drift observatory end-to-end) =="
 # Boot a log-backed server, drive three real /run requests, and assert the
 # drift observatory saw them on every surface: /calibration reports storage
-# samples, /metrics exports the vista_calib_* series, and the
-# offline replay (vista -calib report) reproduces the live JSON byte-for-byte
-# from the persisted log — the property that makes the log trustworthy.
+# samples, /metrics exports the vista_calib_* series with the storage drift
+# ratio inside [0.8, 1.25] (the engine holds what Section 4.1 prices), and
+# the offline replay (vista -calib report) reproduces the live JSON
+# byte-for-byte from the persisted log — the property that makes the log
+# trustworthy.
 calib_tmp=$(mktemp -d)
 calib_port=$((20000 + RANDOM % 10000))
 go build -o "$calib_tmp/vista-server" ./cmd/vista-server
@@ -283,103 +285,17 @@ if ! grep -q '^vista_calib_samples_total{stage="storage"} [1-9]' "$calib_tmp/met
     echo "calibration smoke: vista_calib_samples_total missing from /metrics" >&2
     exit 1
 fi
+calib_drift=$(sed -n 's/^vista_calib_drift_ratio{stage="storage"} //p' "$calib_tmp/metrics.txt")
+if ! awk -v d="$calib_drift" 'BEGIN { exit !(d != "" && d >= 0.8 && d <= 1.25) }'; then
+    echo "calibration smoke: storage drift ratio = '$calib_drift', want within [0.8, 1.25]" >&2
+    exit 1
+fi
 kill "$calib_server_pid"
 wait "$calib_server_pid" 2>/dev/null || true
 trap - EXIT
 "$calib_tmp/vista" -calib "$calib_tmp/calib.log" -calib-json report >"$calib_tmp/offline.json"
 cmp "$calib_tmp/live.json" "$calib_tmp/offline.json"
 rm -rf "$calib_tmp"
-
-echo "== calibration closed-loop smoke (-auto-calibrate) =="
-# Mis-calibrate a server the way an operator would: seed -calib-profile with a
-# storage factor of 10, and turn the feedback loop on. These runs hold about
-# 1.9x the paper model's bytes, so the seed puts storage drift near 0.19. Assert the loop end to
-# end: the seeded factor shows up as out-of-band storage drift, a refit fits
-# and persists a new factor (visible on /metrics as vista_calib_profile_*),
-# fresh traffic recorded under it brings the storage drift ratio back inside
-# [0.5, 2.0], and the offline replay with the same half-life and the fitted
-# profile reproduces the live /calibration JSON byte-for-byte.
-loop_tmp=$(mktemp -d)
-loop_port=$((20000 + RANDOM % 10000))
-go build -o "$loop_tmp/vista-server" ./cmd/vista-server
-go build -o "$loop_tmp/vista" ./cmd/vista
-echo '{"version":2,"fitted_at":"2026-01-01T00:00:00Z","refits":0,"storage_scale":10,"samples":0}' \
-    >"$loop_tmp/profile.json"
-"$loop_tmp/vista-server" -addr "127.0.0.1:$loop_port" -feature-cache-mb 0 \
-    -calib-log "$loop_tmp/calib.log" -calib-half-life 5s \
-    -calib-profile "$loop_tmp/profile.json" -auto-calibrate \
-    -calib-refit-interval 2s -log-format json \
-    >"$loop_tmp/server.log" 2>&1 &
-loop_server_pid=$!
-trap 'kill "$loop_server_pid" 2>/dev/null || true' EXIT
-for _ in $(seq 1 50); do
-    if (exec 3<>"/dev/tcp/127.0.0.1/$loop_port") 2>/dev/null; then exec 3>&- 3<&-; break; fi
-    sleep 0.2
-done
-loop_run() {
-    curl -sf "http://127.0.0.1:$loop_port/run" \
-        -d '{"model":"tiny-alexnet","dataset":"foods","layers":2,"rows":100}' >/dev/null
-}
-# storage_drift METRICS_FILE: pull the storage vista_calib_drift_ratio.
-storage_drift() {
-    sed -n 's/^vista_calib_drift_ratio{stage="storage"} //p' "$1"
-}
-# in_band DRIFT: the drift ratio lies within [0.5, 2.0].
-in_band() {
-    awk -v d="$1" 'BEGIN { exit !(d >= 0.5 && d <= 2.0) }'
-}
-for _ in 1 2 3; do loop_run; done
-# Probe A: estimates inflated 10x put the storage drift ratio near 1.9/10.
-curl -sf "http://127.0.0.1:$loop_port/metrics" >"$loop_tmp/metrics_a.txt"
-drift_a=$(storage_drift "$loop_tmp/metrics_a.txt")
-if in_band "$drift_a"; then
-    echo "closed-loop smoke: storage drift under the seeded factor = $drift_a, want outside [0.5, 2.0]" >&2
-    exit 1
-fi
-# The refit loop notices within a couple of intervals.
-for i in $(seq 1 40); do
-    curl -sf "http://127.0.0.1:$loop_port/metrics" >"$loop_tmp/metrics.txt"
-    if grep -q '^vista_calib_profile_refits_total [1-9]' "$loop_tmp/metrics.txt"; then break; fi
-    if [[ "$i" == 40 ]]; then
-        echo "closed-loop smoke: no profile refit after 20s" >&2
-        exit 1
-    fi
-    sleep 0.5
-done
-if grep -q '^vista_calib_profile_scale{stage="storage"} 10$' "$loop_tmp/metrics.txt"; then
-    echo "closed-loop smoke: vista_calib_profile_scale still reports the seeded factor" >&2
-    exit 1
-fi
-# Convergence rounds: fade the mis-calibrated history (several half-lives),
-# drive fresh profile-corrected traffic, give the fitter two intervals to
-# consume the residual window, and check the band. The seeded factor re-ranked
-# np and persistence for the first runs, so a second refit may be needed.
-loop_converged=0
-for round in 1 2 3; do
-    sleep 12
-    for _ in 1 2 3; do loop_run; done
-    sleep 5
-    curl -sf "http://127.0.0.1:$loop_port/calibration" >"$loop_tmp/live.json"
-    curl -sf "http://127.0.0.1:$loop_port/metrics" >"$loop_tmp/metrics_b.txt"
-    drift_b=$(storage_drift "$loop_tmp/metrics_b.txt")
-    if in_band "$drift_b"; then loop_converged=1; break; fi
-    echo "closed-loop smoke: round $round not yet converged (storage drift $drift_b)"
-done
-if [[ "$loop_converged" != 1 ]]; then
-    echo "closed-loop smoke: storage drift never converged into [0.5, 2.0]: before=$drift_a after=$drift_b" >&2
-    cat "$loop_tmp/live.json" >&2
-    exit 1
-fi
-kill "$loop_server_pid"
-wait "$loop_server_pid" 2>/dev/null || true
-trap - EXIT
-# Offline replay with the fitted profile active must reproduce the last live
-# capture byte-for-byte: same log, same half-life, same profile file. (The
-# capture above waited out two idle refit intervals, so the profile is stable.)
-"$loop_tmp/vista" -calib "$loop_tmp/calib.log" -calib-half-life 5s \
-    -calib-profile "$loop_tmp/profile.json" -calib-json report >"$loop_tmp/offline.json"
-cmp "$loop_tmp/live.json" "$loop_tmp/offline.json"
-rm -rf "$loop_tmp"
 
 echo "== bench smoke (BENCH_SHORT=1) =="
 bench_out=$(mktemp)
