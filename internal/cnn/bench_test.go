@@ -88,7 +88,7 @@ func BenchmarkComputeStatsFullRoster(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := ComputeStats(m); err != nil {
+			if _, err := walkStats(m); err != nil {
 				b.Fatal(err)
 			}
 		}

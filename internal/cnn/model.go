@@ -36,6 +36,10 @@ type Model struct {
 	// FeatureLayers lists the transferable layers bottom-to-top; the
 	// paper's set L is a suffix of this list (the |L| top-most entries).
 	FeatureLayers []FeatureLayer
+
+	// entry is the roster entry ByName built the model from (nil for a
+	// model built any other way); ComputeStats reads its memoized Stats.
+	entry *rosterEntry
 }
 
 // ErrNoSuchLayer indicates a feature-layer lookup failure.

@@ -2,6 +2,7 @@ package cnn
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/tensor"
 )
@@ -228,29 +229,48 @@ func TinyResNet50() *Model {
 	}
 }
 
-// ByName returns the roster model with the given name.
+// rosterEntry is one named architecture of the roster. Its Stats are a
+// pure function of the architecture, so they are derived once per process,
+// on the first ComputeStats of a model ByName built from it.
+type rosterEntry struct {
+	name  string
+	build func() *Model
+
+	statsOnce sync.Once
+	stats     *Stats
+	statsErr  error
+}
+
+// roster lists the named models, full-scale first.
+var roster = []*rosterEntry{
+	{name: "alexnet", build: AlexNet},
+	{name: "vgg16", build: VGG16},
+	{name: "resnet50", build: ResNet50},
+	{name: "tiny-alexnet", build: TinyAlexNet},
+	{name: "tiny-vgg16", build: TinyVGG16},
+	{name: "tiny-resnet50", build: TinyResNet50},
+	{name: "tiny-densenet", build: TinyDenseNet},
+}
+
+// ByName returns the roster model with the given name: a new Model each
+// call, whose ComputeStats is the roster entry's shared, read-only Stats.
+// Its architecture must not be modified.
 func ByName(name string) (*Model, error) {
-	switch name {
-	case "alexnet":
-		return AlexNet(), nil
-	case "vgg16":
-		return VGG16(), nil
-	case "resnet50":
-		return ResNet50(), nil
-	case "tiny-alexnet":
-		return TinyAlexNet(), nil
-	case "tiny-vgg16":
-		return TinyVGG16(), nil
-	case "tiny-resnet50":
-		return TinyResNet50(), nil
-	case "tiny-densenet":
-		return TinyDenseNet(), nil
+	for _, e := range roster {
+		if e.name == name {
+			m := e.build()
+			m.entry = e
+			return m, nil
+		}
 	}
 	return nil, fmt.Errorf("cnn: unknown roster model %q", name)
 }
 
 // RosterNames lists all models in the roster, full-scale first.
 func RosterNames() []string {
-	return []string{"alexnet", "vgg16", "resnet50",
-		"tiny-alexnet", "tiny-vgg16", "tiny-resnet50", "tiny-densenet"}
+	names := make([]string, len(roster))
+	for i, e := range roster {
+		names[i] = e.name
+	}
+	return names
 }

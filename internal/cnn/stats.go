@@ -86,8 +86,20 @@ type Stats struct {
 
 // ComputeStats derives a model's roster statistics by walking its layer
 // chain. Everything is computed from the architecture definition, so the
-// optimizer's inputs are always consistent with the inference engine.
+// optimizer's inputs are always consistent with the inference engine. A
+// model from ByName walks its roster entry's chain once per process and
+// every later call returns the same Stats, which callers must treat as
+// read-only; any other model is walked on every call.
 func ComputeStats(m *Model) (*Stats, error) {
+	if e := m.entry; e != nil {
+		e.statsOnce.Do(func() { e.stats, e.statsErr = walkStats(m) })
+		return e.stats, e.statsErr
+	}
+	return walkStats(m)
+}
+
+// walkStats is ComputeStats without the roster memo.
+func walkStats(m *Model) (*Stats, error) {
 	params, err := m.TotalParams()
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -444,6 +445,9 @@ func TestIgniteCrashesUnderPressure(t *testing.T) {
 	if oom.Scenario != memory.StorageExhausted {
 		t.Errorf("scenario = %v, want storage-exhausted", oom.Scenario)
 	}
+	if !regexp.MustCompile(`^cache partition \d+ \([0-9.]+ [KMG]?B\)$`).MatchString(oom.Detail) {
+		t.Errorf("detail = %q, want the refused cache partition and its size", oom.Detail)
+	}
 }
 
 func TestUserMemoryCrashInUDF(t *testing.T) {
@@ -472,6 +476,9 @@ func TestUserMemoryCrashInUDF(t *testing.T) {
 	if oom.Scenario != memory.InsufficientUser {
 		t.Errorf("scenario = %v, want insufficient-user-memory (crash scenario 2)", oom.Scenario)
 	}
+	if !regexp.MustCompile(`^udf output partition [01]$`).MatchString(oom.Detail) {
+		t.Errorf("detail = %q, want the UDF output partition", oom.Detail)
+	}
 }
 
 func TestCoreMemoryCrashInJoin(t *testing.T) {
@@ -487,6 +494,9 @@ func TestCoreMemoryCrashInJoin(t *testing.T) {
 	}
 	if oom.Scenario != memory.LargePartition {
 		t.Errorf("scenario = %v, want oversized-partition (crash scenario 3)", oom.Scenario)
+	}
+	if !regexp.MustCompile(`^hash-join build partition \d+$`).MatchString(oom.Detail) {
+		t.Errorf("detail = %q, want the hash-join build partition", oom.Detail)
 	}
 }
 
@@ -504,8 +514,12 @@ func TestBroadcastCrashWhenTooLarge(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = e.Join("j", big, small, BroadcastJoin)
-	if _, ok := memory.IsOOM(err); !ok {
+	oom, ok := memory.IsOOM(err)
+	if !ok {
 		t.Fatalf("expected broadcast OOM (Figure 10 crash), got %v", err)
+	}
+	if !regexp.MustCompile(`^broadcast big \([0-9.]+ [KMG]?B\)$`).MatchString(oom.Detail) {
+		t.Errorf("detail = %q, want the broadcast table and its size", oom.Detail)
 	}
 }
 

@@ -110,8 +110,8 @@ func (e *Engine) shuffleJoin(name string, left, right *Table) (*Table, error) {
 			return err
 		}
 		buildBytes := rowsMemBytes(buildRows)
-		if err := node.core.Alloc(buildBytes, fmt.Sprintf("hash-join build partition %d", tc.Part)); err != nil {
-			return err
+		if err := node.core.Alloc(buildBytes, ""); err != nil {
+			return memory.Describe(err, fmt.Sprintf("hash-join build partition %d", tc.Part))
 		}
 		defer node.core.Free(buildBytes)
 
@@ -167,9 +167,9 @@ func (e *Engine) broadcastJoin(name string, small, large *Table) (*Table, error)
 		}
 	}
 	for _, n := range e.nodes {
-		if err := n.user.Alloc(bcastBytes, fmt.Sprintf("broadcast %s (%s)", small.Name, memory.FormatBytes(bcastBytes))); err != nil {
+		if err := n.user.Alloc(bcastBytes, ""); err != nil {
 			release()
-			return nil, err
+			return nil, memory.Describe(err, fmt.Sprintf("broadcast %s (%s)", small.Name, memory.FormatBytes(bcastBytes)))
 		}
 		charged = append(charged, n)
 	}
@@ -224,8 +224,8 @@ func (e *Engine) collectForBroadcast(t *Table) ([]Row, error) {
 		}
 		all = append(all, rows...)
 	}
-	if err := e.driver.Alloc(total, fmt.Sprintf("broadcast build of %s", t.Name)); err != nil {
-		return nil, err
+	if err := e.driver.Alloc(total, ""); err != nil {
+		return nil, memory.Describe(err, fmt.Sprintf("broadcast build of %s", t.Name))
 	}
 	e.driver.Free(total)
 	return all, nil

@@ -51,10 +51,8 @@ func (sc *storageCache) add(p *Partition) error {
 		p.mu.Unlock()
 	}
 	need := p.MemBytes()
-	detail := fmt.Sprintf("cache partition %d (%s)", p.index, memory.FormatBytes(need))
-
-	if err := sc.admitLocked(need, detail); err != nil {
-		return err
+	if err := sc.admitLocked(need, ""); err != nil {
+		return memory.Describe(err, fmt.Sprintf("cache partition %d (%s)", p.index, memory.FormatBytes(need)))
 	}
 	sc.cached.Add(p.id, p, 0)
 	sc.updatePeak()

@@ -3,6 +3,8 @@ package dataflow
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/memory"
 )
 
 // Table is a distributed collection of rows split into partitions, each owned
@@ -88,8 +90,8 @@ func (e *Engine) MapPartitions(name string, t *Table, fn PartitionFunc) (*Table,
 			return err
 		}
 		inBytes := rowsMemBytes(rows)
-		if err := node.user.Alloc(inBytes, fmt.Sprintf("udf input partition %d", tc.Part)); err != nil {
-			return err
+		if err := node.user.Alloc(inBytes, ""); err != nil {
+			return memory.Describe(err, fmt.Sprintf("udf input partition %d", tc.Part))
 		}
 		defer node.user.Free(inBytes)
 
@@ -98,8 +100,8 @@ func (e *Engine) MapPartitions(name string, t *Table, fn PartitionFunc) (*Table,
 			return err
 		}
 		outBytes := rowsMemBytes(outRows)
-		if err := node.user.Alloc(outBytes, fmt.Sprintf("udf output partition %d", tc.Part)); err != nil {
-			return err
+		if err := node.user.Alloc(outBytes, ""); err != nil {
+			return memory.Describe(err, fmt.Sprintf("udf output partition %d", tc.Part))
 		}
 		defer node.user.Free(outBytes)
 
@@ -173,8 +175,8 @@ func (e *Engine) ForEachPartition(t *Table, fn func(tc *TaskContext, rows []Row)
 			return err
 		}
 		inBytes := rowsMemBytes(rows)
-		if err := node.user.Alloc(inBytes, fmt.Sprintf("aggregate input partition %d", tc.Part)); err != nil {
-			return err
+		if err := node.user.Alloc(inBytes, ""); err != nil {
+			return memory.Describe(err, fmt.Sprintf("aggregate input partition %d", tc.Part))
 		}
 		defer node.user.Free(inBytes)
 		e.counters.RowsProcessed.Add(int64(len(rows)))
@@ -197,8 +199,8 @@ func (e *Engine) Collect(t *Table) ([]Row, error) {
 		}
 		all = append(all, rows...)
 	}
-	if err := e.driver.Alloc(total, fmt.Sprintf("collect %s (%d rows)", t.Name, len(all))); err != nil {
-		return nil, err
+	if err := e.driver.Alloc(total, ""); err != nil {
+		return nil, memory.Describe(err, fmt.Sprintf("collect %s (%d rows)", t.Name, len(all)))
 	}
 	e.driver.Free(total) // the caller owns the data beyond this accounting probe
 	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })

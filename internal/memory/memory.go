@@ -106,6 +106,20 @@ func (e *OOMError) Error() string {
 		e.Scenario, e.Region, FormatBytes(e.Need), FormatBytes(e.Avail), e.Detail)
 }
 
+// Describe sets the Detail of the OOM crash err is (or wraps) and returns
+// err, so a caller on a hot path charges with an empty detail and formats the
+// explanation only once the charge is refused:
+//
+//	if err := pool.Alloc(n, ""); err != nil {
+//		return memory.Describe(err, fmt.Sprintf("input of partition %d", part))
+//	}
+func Describe(err error, detail string) error {
+	if oom, ok := IsOOM(err); ok {
+		oom.Detail = detail
+	}
+	return err
+}
+
 // IsOOM reports whether err is (or wraps) a memory crash, returning it.
 func IsOOM(err error) (*OOMError, bool) {
 	var oom *OOMError

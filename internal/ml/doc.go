@@ -5,7 +5,11 @@
 //
 // Training consumes dataflow tables whose rows carry [structured features,
 // CNN feature vectors]; StructuredPlusFeature builds the extractor that
-// concatenates them for one emitted layer. Logistic regression trains
+// concatenates them for one emitted layer. A FeatureFunc is append-style: it
+// builds x in the dst buffer its caller lends (dst[:0], grown when too
+// small), so a caller that extracts row after row reuses one buffer; a func
+// may instead return memory it does not own, such as the row's own
+// structured slice, only if it never writes dst. Logistic regression trains
 // distributed (gradient aggregation via ForEachPartition, so its working
 // set is charged to the engine's pools); the tree and MLP collect to the
 // driver first, reproducing the paper's driver-memory pressure for

@@ -8,15 +8,20 @@ import (
 )
 
 // FeatureFunc assembles one training example from a row: the feature vector
-// x and the binary label y ∈ {0, 1}.
-type FeatureFunc func(r *dataflow.Row) (x []float32, y float32, err error)
+// x and the binary label y ∈ {0, 1}. dst is scratch the caller lends for x:
+// a func that builds x appends it to dst[:0] (growing it when too small), so
+// a caller extracting many rows passes each call's x back as the next dst
+// and allocates once. A caller that keeps every x passes nil. A func may
+// return memory it does not own (a row's own slice) only if it never writes
+// dst; the caller must treat x as read-only either way.
+type FeatureFunc func(dst []float32, r *dataflow.Row) (x []float32, y float32, err error)
 
 // ErrNoFeatures indicates a row without the expected materialized features.
 var ErrNoFeatures = errors.New("ml: row lacks requested feature tensor")
 
 // StructuredOnly uses only the structured features X.
 func StructuredOnly() FeatureFunc {
-	return func(r *dataflow.Row) ([]float32, float32, error) {
+	return func(_ []float32, r *dataflow.Row) ([]float32, float32, error) {
 		return r.Structured, r.Label, nil
 	}
 }
@@ -30,7 +35,7 @@ func StructuredPlusFeature(idx int) FeatureFunc { return StructuredPlusConcat(id
 // BERT-style models ("aggregating features from multiple decoder layers
 // using concatenation").
 func StructuredPlusConcat(indices ...int) FeatureFunc {
-	return func(r *dataflow.Row) ([]float32, float32, error) {
+	return func(dst []float32, r *dataflow.Row) ([]float32, float32, error) {
 		total := len(r.Structured)
 		for _, idx := range indices {
 			if r.Features == nil || r.Features.Len() <= idx {
@@ -42,8 +47,10 @@ func StructuredPlusConcat(indices ...int) FeatureFunc {
 			}
 			total += f.NumElements()
 		}
-		x := make([]float32, 0, total)
-		x = append(x, r.Structured...)
+		if cap(dst) < total {
+			dst = make([]float32, 0, total)
+		}
+		x := append(dst[:0], r.Structured...)
 		for _, idx := range indices {
 			x = append(x, r.Features.Get(idx).Data()...)
 		}
@@ -73,9 +80,11 @@ type Metrics struct {
 // metrics. Rows failing extraction propagate the error.
 func Evaluate(m Model, rows []dataflow.Row, extract FeatureFunc) (Metrics, error) {
 	var tp, fp, tn, fn int
+	var x []float32
 	for i := range rows {
-		x, y, err := extract(&rows[i])
-		if err != nil {
+		var y float32
+		var err error
+		if x, y, err = extract(x, &rows[i]); err != nil {
 			return Metrics{}, err
 		}
 		pred := classify(m, x)

@@ -3,7 +3,6 @@ package ml
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/dataflow"
 	"repro/internal/memory"
@@ -116,8 +115,8 @@ func TrainLogReg(e *dataflow.Engine, t *dataflow.Table, extract FeatureFunc, dim
 	// 4.1, crash scenario 4: "the Driver may also have to collect partial
 	// results from workers"); charge it once against driver memory.
 	gradBytes := int64(dim) * 8
-	if err := e.DriverPool().Alloc(gradBytes, fmt.Sprintf("gradient aggregation over %d features", dim)); err != nil {
-		return nil, err
+	if err := e.DriverPool().Alloc(gradBytes, ""); err != nil {
+		return nil, memory.Describe(err, fmt.Sprintf("gradient aggregation over %d features", dim))
 	}
 	defer e.DriverPool().Free(gradBytes)
 	return fit(t.NumPartitions(), func(fn blockFunc) error {
@@ -140,20 +139,30 @@ type blockFunc func(tc *dataflow.TaskContext, part int, rows []dataflow.Row) err
 // designBlock is one partition's training examples as the iterations read
 // them: rows×dim features (standardized when the fit standardizes),
 // row-major, with the labels beside them. On an engine it is charged to its
-// node's User pool for the whole fit.
+// node's User pool for the whole fit. Beside it the partition keeps what it
+// contributes to the driver: its standardizer moments after extraction, and
+// its gradient sums after each iteration.
 type designBlock struct {
 	x, y  []float64
 	pool  *memory.Pool
 	bytes int64
+
+	moments *standardizer
+	grad    []float64
+	gradB   float64
 }
 
 // fit trains over parts partitions; each runs fn once per partition (as
 // engine tasks, or inline) and returns the first error. The first pass
-// extracts every row once into its partition's design block and feeds the
-// standardizer; the blocks are then scaled in place, and each iteration reads
-// only them. Every value is computed with the operations, in the order,
-// Predict uses, so a one-partition fit is bit-identical to re-extracting and
-// standardizing every row through Predict on every iteration.
+// extracts every row once into its partition's design block and its own
+// standardizer moments; the blocks are then scaled in place, and each
+// iteration reads only them. Every value is computed with the operations, in
+// the order, Predict uses, so a one-partition fit is bit-identical to
+// re-extracting and standardizing every row through Predict on every
+// iteration. Partitions hand their moments and gradients to the driver
+// through their own block, and the driver sums them in partition order after
+// each pass, so the fit is a pure function of its input whatever order the
+// tasks finish in.
 func fit(parts int, each func(blockFunc) error, extract FeatureFunc, dim int, cfg LogRegConfig) (*LogisticRegression, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("ml: non-positive feature dim %d", dim)
@@ -169,23 +178,25 @@ func fit(parts int, each func(blockFunc) error, extract FeatureFunc, dim int, cf
 			}
 		}
 	}()
-	st := newStandardizer(dim)
-	var n int64
-	var mu sync.Mutex
 	err := each(func(tc *dataflow.TaskContext, part int, rows []dataflow.Row) error {
 		b := &blocks[part]
 		if tc != nil {
 			pool, bytes := tc.Engine.UserPool(tc.NodeID), int64(len(rows))*int64(dim+1)*8
-			if err := pool.Alloc(bytes, fmt.Sprintf("design block of partition %d", part)); err != nil {
-				return err
+			if err := pool.Alloc(bytes, ""); err != nil {
+				return memory.Describe(err, fmt.Sprintf("design block of partition %d", part))
 			}
 			b.pool, b.bytes = pool, bytes
 		}
 		b.x, b.y = make([]float64, len(rows)*dim), make([]float64, len(rows))
-		local := newStandardizer(dim)
+		b.grad = make([]float64, dim)
+		if cfg.Standardize {
+			b.moments = newStandardizer(dim)
+		}
+		var x []float32
 		for i := range rows {
-			x, y, err := extract(&rows[i])
-			if err != nil {
+			var y float32
+			var err error
+			if x, y, err = extract(x, &rows[i]); err != nil {
 				return err
 			}
 			if len(x) != dim {
@@ -196,18 +207,23 @@ func fit(parts int, each func(blockFunc) error, extract FeatureFunc, dim int, cf
 				row[j] = float64(v)
 			}
 			b.y[i] = float64(y)
-			if cfg.Standardize {
-				local.add(x)
+			if b.moments != nil {
+				b.moments.add(x)
 			}
 		}
-		mu.Lock()
-		st.merge(local)
-		n += int64(len(rows))
-		mu.Unlock()
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	st := newStandardizer(dim)
+	var n int64
+	for i := range blocks {
+		b := &blocks[i]
+		n += int64(len(b.y))
+		if b.moments != nil {
+			st.merge(b.moments)
+		}
 	}
 	if n == 0 {
 		return nil, fmt.Errorf("ml: no training rows")
@@ -227,42 +243,30 @@ func fit(parts int, each func(blockFunc) error, extract FeatureFunc, dim int, cf
 
 	inv := 1 / float64(n)
 	w64 := make([]float64, dim)
+	grad := make([]float64, dim)
 	for iter := 0; iter < cfg.Iterations; iter++ {
 		for j, w := range model.W {
 			w64[j] = float64(w)
 		}
 		b64 := float64(model.B)
-		grad := make([]float64, dim)
-		var gradB float64
 		err := each(func(tc *dataflow.TaskContext, part int, _ []dataflow.Row) error {
 			b := &blocks[part]
-			localGrad := make([]float64, dim)
-			var localB float64
-			for r, y := range b.y {
-				x := b.x[r*dim : (r+1)*dim]
-				z := b64
-				for j, xv := range x {
-					z += w64[j] * xv
-				}
-				diff := float64(float32(1/(1+math.Exp(-z)))) - y
-				for j, xv := range x {
-					localGrad[j] += diff * xv
-				}
-				localB += diff
-			}
+			b.gradient(w64, b64)
 			if tc != nil {
 				tc.AddFLOPs(int64(dim) * 4 * int64(len(b.y))) // predict + gradient accumulate
 			}
-			mu.Lock()
-			for j := range grad {
-				grad[j] += localGrad[j]
-			}
-			gradB += localB
-			mu.Unlock()
 			return nil
 		})
 		if err != nil {
 			return nil, err
+		}
+		clear(grad)
+		var gradB float64
+		for i := range blocks {
+			for j, g := range blocks[i].grad {
+				grad[j] += g
+			}
+			gradB += blocks[i].gradB
 		}
 		for j := range model.W {
 			w := float64(model.W[j])
@@ -272,6 +276,63 @@ func fit(parts int, each func(blockFunc) error, extract FeatureFunc, dim int, cf
 		model.B = float32(float64(model.B) - cfg.LearningRate*gradB*inv)
 	}
 	return model, nil
+}
+
+// gradient sets b.grad and b.gradB to one iteration's gradient sums over the
+// block at weights w and bias b64. It takes the rows four at a time: four
+// independent dot products share each w[j] load (so they overlap instead of
+// waiting on one add chain), and one column sweep then adds the four rows'
+// terms into grad[j] in row order. Each z and each grad[j] is therefore the
+// same sequence of float64 operations as the one-row loop that finishes the
+// block's last rows, and the result is bit-identical to it.
+func (b *designBlock) gradient(w []float64, b64 float64) {
+	dim := len(w)
+	grad := b.grad[:dim]
+	clear(grad)
+	var gradB float64
+	r := 0
+	for ; r+4 <= len(b.y); r += 4 {
+		x0 := b.x[r*dim:][:dim]
+		x1 := b.x[(r+1)*dim:][:dim]
+		x2 := b.x[(r+2)*dim:][:dim]
+		x3 := b.x[(r+3)*dim:][:dim]
+		z0, z1, z2, z3 := b64, b64, b64, b64
+		for j, wj := range w {
+			z0 += wj * x0[j]
+			z1 += wj * x1[j]
+			z2 += wj * x2[j]
+			z3 += wj * x3[j]
+		}
+		d0 := float64(float32(1/(1+math.Exp(-z0)))) - b.y[r]
+		d1 := float64(float32(1/(1+math.Exp(-z1)))) - b.y[r+1]
+		d2 := float64(float32(1/(1+math.Exp(-z2)))) - b.y[r+2]
+		d3 := float64(float32(1/(1+math.Exp(-z3)))) - b.y[r+3]
+		for j := range grad {
+			g := grad[j]
+			g += d0 * x0[j]
+			g += d1 * x1[j]
+			g += d2 * x2[j]
+			g += d3 * x3[j]
+			grad[j] = g
+		}
+		gradB += d0
+		gradB += d1
+		gradB += d2
+		gradB += d3
+	}
+	for ; r < len(b.y); r++ {
+		x := b.x[r*dim:][:dim]
+		z := b64
+		for j, wj := range w {
+			z += wj * x[j]
+		}
+		d := float64(float32(1/(1+math.Exp(-z)))) - b.y[r]
+		for j := range grad {
+			grad[j] += d * x[j]
+		}
+		gradB += d
+	}
+	b.gradB = gradB
 }
 
 func sign(v float64) float64 {

@@ -78,7 +78,7 @@ func referenceTrainLogReg(rows []dataflow.Row, extract FeatureFunc, dim int, cfg
 	if cfg.Standardize {
 		st := newStandardizer(dim)
 		for i := range rows {
-			x, _, err := extract(&rows[i])
+			x, _, err := extract(nil, &rows[i])
 			if err != nil {
 				return nil, err
 			}
@@ -97,7 +97,7 @@ func referenceTrainLogReg(rows []dataflow.Row, extract FeatureFunc, dim int, cfg
 		var gradB float64
 		var count int64
 		for i := range rows {
-			x, y, err := extract(&rows[i])
+			x, y, err := extract(nil, &rows[i])
 			if err != nil {
 				return nil, err
 			}
@@ -137,50 +137,117 @@ func testEngine(t testing.TB, nodes int, user int64) *dataflow.Engine {
 	return e
 }
 
-func sameModel(a, b *LogisticRegression) bool {
-	if math.Float32bits(a.B) != math.Float32bits(b.B) || len(a.W) != len(b.W) {
+func sameBits(a, b []float32) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	for j := range a.W {
-		if math.Float32bits(a.W[j]) != math.Float32bits(b.W[j]) {
+	for j := range a {
+		if math.Float32bits(a[j]) != math.Float32bits(b[j]) {
 			return false
 		}
 	}
 	return true
 }
 
+// sameModel reports whether two models are bit-identical: weights, bias and
+// standardization.
+func sameModel(a, b *LogisticRegression) bool {
+	return math.Float32bits(a.B) == math.Float32bits(b.B) &&
+		sameBits(a.W, b.W) && sameBits(a.Mu, b.Mu) && sameBits(a.Sigma, b.Sigma)
+}
+
+// TestTrainLogRegBitIdenticalToReference holds one-partition fits to the
+// per-row reference. The row counts cover the gradient pass's four-row loop
+// alone (4), its one-row remainder alone (1, 3) and both (5, 13, 90); the
+// dims are odd.
 func TestTrainLogRegBitIdenticalToReference(t *testing.T) {
-	const structDim, featDim = 5, 40
-	rows := featureRows(90, structDim, featDim, 11)
-	extract := StructuredPlusFeature(0)
-	for _, standardize := range []bool{true, false} {
+	for _, shape := range []struct{ structDim, featDim int }{{5, 40}, {2, 5}} {
+		dim := shape.structDim + shape.featDim
+		all := featureRows(90, shape.structDim, shape.featDim, 11)
+		extract := StructuredPlusFeature(0)
+		for _, n := range []int{1, 3, 4, 5, 13, 90} {
+			rows := all[:n]
+			for _, standardize := range []bool{true, false} {
+				cfg := DefaultLogRegConfig()
+				cfg.Standardize = standardize
+				want, err := referenceTrainLogReg(rows, extract, dim, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				local, err := TrainLogRegRows(rows, extract, dim, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameModel(local, want) {
+					t.Errorf("dim %d, %d rows, standardize=%v: TrainLogRegRows differs from the per-row reference", dim, n, standardize)
+				}
+				e := testEngine(t, 1, memory.MB(64))
+				tb, err := e.CreateTable("t", rows, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dist, err := TrainLogReg(e, tb, extract, dim, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameModel(dist, want) {
+					t.Errorf("dim %d, %d rows, standardize=%v: one-partition TrainLogReg differs from the per-row reference", dim, n, standardize)
+				}
+				if standardize && (want.Sigma[0] != 1 || want.Mu[0] != 1) {
+					t.Errorf("constant dim: mu %v sigma %v, want 1 and 1", want.Mu[0], want.Sigma[0])
+				}
+			}
+		}
+	}
+}
+
+// TestFitIndependentOfPartitionOrder runs one six-partition fit with its
+// partitions visited forward and again in reverse, as tasks may finish in
+// either order: the driver merges moments and gradients in partition order,
+// so both fits must be bit-identical. The first two partitions' rows share
+// one label and carry 2^53 and -13·2^53 in structured dim 1: their moments
+// and first gradients cancel exactly when added to each other first and
+// swallow the other partitions' low bits when not, so a merge in visiting
+// order fails.
+func TestFitIndependentOfPartitionOrder(t *testing.T) {
+	const structDim, featDim = 3, 22
+	rows := featureRows(70, structDim, featDim, 14)
+	var parts [][]dataflow.Row
+	for _, n := range []int{13, 1, 4, 20, 3, 29} {
+		parts, rows = append(parts, rows[:n]), rows[n:]
+	}
+	const big = 1 << 53
+	for i := range parts[0] {
+		parts[0][i].Structured[1], parts[0][i].Label = big, 1
+	}
+	parts[1][0].Structured[1], parts[1][0].Label = -13*big, 1
+	visit := func(reverse bool) func(blockFunc) error {
+		return func(fn blockFunc) error {
+			for i := range parts {
+				p := i
+				if reverse {
+					p = len(parts) - 1 - i
+				}
+				if err := fn(nil, p, parts[p]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	for _, standardize := range []bool{true, false} { // order of the moments, of the gradients
 		cfg := DefaultLogRegConfig()
 		cfg.Standardize = standardize
-		want, err := referenceTrainLogReg(rows, extract, structDim+featDim, cfg)
+		forward, err := fit(len(parts), visit(false), StructuredPlusFeature(0), structDim+featDim, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		local, err := TrainLogRegRows(rows, extract, structDim+featDim, cfg)
+		reverse, err := fit(len(parts), visit(true), StructuredPlusFeature(0), structDim+featDim, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameModel(local, want) {
-			t.Errorf("standardize=%v: TrainLogRegRows differs from the per-row reference", standardize)
-		}
-		e := testEngine(t, 1, memory.MB(64))
-		tb, err := e.CreateTable("t", rows, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dist, err := TrainLogReg(e, tb, extract, structDim+featDim, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameModel(dist, want) {
-			t.Errorf("standardize=%v: one-partition TrainLogReg differs from the per-row reference", standardize)
-		}
-		if standardize && (want.Sigma[0] != 1 || want.Mu[0] != 1) {
-			t.Errorf("constant dim: mu %v sigma %v, want 1 and 1", want.Mu[0], want.Sigma[0])
+		if !sameModel(forward, reverse) {
+			t.Errorf("standardize=%v: reverse partition order changed the fit:\nforward %+v\nreverse %+v", standardize, forward, reverse)
 		}
 	}
 }
@@ -219,11 +286,11 @@ func TestTrainLogRegReleasesDesignBlocks(t *testing.T) {
 			t.Fatal(err)
 		}
 		bad := errors.New("bad row")
-		extract := func(r *dataflow.Row) ([]float32, float32, error) {
+		extract := func(dst []float32, r *dataflow.Row) ([]float32, float32, error) {
 			if r.ID == 57 {
 				return nil, 0, bad
 			}
-			return StructuredPlusFeature(0)(r)
+			return StructuredPlusFeature(0)(dst, r)
 		}
 		if _, err := TrainLogReg(e, tb, extract, dim, DefaultLogRegConfig()); !errors.Is(err, bad) {
 			t.Fatalf("err = %v, want the extract error", err)
@@ -240,11 +307,11 @@ func TestTrainLogRegReleasesDesignBlocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		extract := func(r *dataflow.Row) ([]float32, float32, error) {
+		extract := func(dst []float32, r *dataflow.Row) ([]float32, float32, error) {
 			if r.ID == 59 { // the last row: every partition is being extracted
 				cancel()
 			}
-			return StructuredPlusFeature(0)(r)
+			return StructuredPlusFeature(0)(dst, r)
 		}
 		if _, err := TrainLogReg(e, tb, extract, dim, DefaultLogRegConfig()); !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
@@ -283,6 +350,8 @@ func TestTrainLogRegDesignBlockOOM(t *testing.T) {
 			}
 		} else if oom, ok := memory.IsOOM(err); !ok || oom.Scenario != memory.InsufficientUser {
 			t.Fatalf("User pool one byte short of input + block: err = %v, want an InsufficientUser OOM", err)
+		} else if oom.Detail != "design block of partition 0" {
+			t.Errorf("detail = %q, want the design block of partition 0", oom.Detail)
 		}
 		assertUserDrained(t, e, 1)
 	}
@@ -414,24 +483,24 @@ func TestFeatureFuncs(t *testing.T) {
 		Structured: []float32{1, 2},
 		Features:   tensor.NewTensorList(tensor.MustFromSlice([]float32{3, 4, 5}, 3)),
 	}
-	x, y, err := StructuredOnly()(&r)
+	x, y, err := StructuredOnly()(nil, &r)
 	if err != nil || y != 1 || len(x) != 2 {
 		t.Fatalf("StructuredOnly: %v %v %v", x, y, err)
 	}
-	x, _, err = StructuredPlusFeature(0)(&r)
+	x, _, err = StructuredPlusFeature(0)(nil, &r)
 	if err != nil || len(x) != 5 || x[2] != 3 {
 		t.Fatalf("StructuredPlusFeature: %v %v", x, err)
 	}
-	if _, _, err := StructuredPlusFeature(5)(&r); err == nil {
+	if _, _, err := StructuredPlusFeature(5)(nil, &r); err == nil {
 		t.Error("out-of-range feature index accepted")
 	}
 	bare := dataflow.Row{ID: 2}
-	if _, _, err := StructuredPlusFeature(0)(&bare); err == nil {
+	if _, _, err := StructuredPlusFeature(0)(nil, &bare); err == nil {
 		t.Error("missing features accepted")
 	}
 	// Rank-2 feature tensors are rejected.
 	r2 := dataflow.Row{Features: tensor.NewTensorList(tensor.New(2, 2))}
-	if _, _, err := StructuredPlusFeature(0)(&r2); err == nil {
+	if _, _, err := StructuredPlusFeature(0)(nil, &r2); err == nil {
 		t.Error("rank-2 feature tensor accepted")
 	}
 }
@@ -445,7 +514,7 @@ func TestStructuredPlusConcat(t *testing.T) {
 			tensor.MustFromSlice([]float32{5}, 1),
 		),
 	}
-	x, y, err := StructuredPlusConcat(0, 1)(&r)
+	x, y, err := StructuredPlusConcat(0, 1)(nil, &r)
 	if err != nil || y != 1 {
 		t.Fatalf("concat: %v %v", x, err)
 	}
@@ -458,11 +527,11 @@ func TestStructuredPlusConcat(t *testing.T) {
 			t.Fatalf("x[%d] = %v, want %v", i, x[i], want[i])
 		}
 	}
-	if _, _, err := StructuredPlusConcat(0, 5)(&r); err == nil {
+	if _, _, err := StructuredPlusConcat(0, 5)(nil, &r); err == nil {
 		t.Error("out-of-range index accepted")
 	}
 	r2 := dataflow.Row{Features: tensor.NewTensorList(tensor.New(2, 2))}
-	if _, _, err := StructuredPlusConcat(0)(&r2); err == nil {
+	if _, _, err := StructuredPlusConcat(0)(nil, &r2); err == nil {
 		t.Error("rank-2 tensor accepted")
 	}
 }

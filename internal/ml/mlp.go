@@ -102,7 +102,7 @@ func TrainMLP(rows []dataflow.Row, extract FeatureFunc, dim int, cfg MLPConfig) 
 	}
 	examples := make([]example, 0, len(rows))
 	for i := range rows {
-		x, y, err := extract(&rows[i])
+		x, y, err := extract(nil, &rows[i]) // each example keeps its x
 		if err != nil {
 			return nil, err
 		}

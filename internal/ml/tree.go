@@ -61,7 +61,7 @@ func TrainTree(rows []dataflow.Row, extract FeatureFunc, cfg TreeConfig) (*Decis
 	examples := make([]example, 0, len(rows))
 	dim := -1
 	for i := range rows {
-		x, y, err := extract(&rows[i])
+		x, y, err := extract(nil, &rows[i]) // each example keeps its x
 		if err != nil {
 			return nil, err
 		}
