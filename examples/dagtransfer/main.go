@@ -106,22 +106,16 @@ func main() {
 	}
 	dim := spec.StructDim + d1 + d2
 	extract := ml.StructuredPlusConcat(0, 1)
-	train, err := engine.Filter("train", feats, func(r *dataflow.Row) bool { return !ml.IsTestID(r.ID, 0.2) })
+	keep := func(r *dataflow.Row) bool { return !ml.IsTestID(r.ID, 0.2) }
+	m, err := ml.TrainLogReg(engine, feats, keep, extract, dim, ml.DefaultLogRegConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
-	test, err := engine.Filter("test", feats, func(r *dataflow.Row) bool { return ml.IsTestID(r.ID, 0.2) })
+	rows, err := engine.Collect(feats)
 	if err != nil {
 		log.Fatal(err)
 	}
-	m, err := ml.TrainLogReg(engine, train, extract, dim, ml.DefaultLogRegConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-	testRows, err := engine.Collect(test)
-	if err != nil {
-		log.Fatal(err)
-	}
+	_, testRows := ml.SplitByID(rows, 0.2)
 	met, err := ml.Evaluate(m, testRows, extract)
 	if err != nil {
 		log.Fatal(err)

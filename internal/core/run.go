@@ -541,47 +541,24 @@ func (ex *executor) train(t *dataflow.Table, featIdx int, em plan.Emit) (LayerRe
 	dim := structDim + em.FeatureDim
 	extract := ml.StructuredPlusFeature(featIdx)
 
-	trainTable := t
-	var testRows []dataflow.Row
-	if ds.TestFraction > 0 {
-		var err error
-		trainTable, err = e.Filter("train-split", t, func(r *dataflow.Row) bool {
-			return !ml.IsTestID(r.ID, ds.TestFraction)
-		})
-		if err != nil {
-			return LayerResult{}, err
-		}
-		defer trainTable.Drop()
-		testTable, err := e.Filter("test-split", t, func(r *dataflow.Row) bool {
-			return ml.IsTestID(r.ID, ds.TestFraction)
-		})
-		if err != nil {
-			return LayerResult{}, err
-		}
-		testRows, err = e.Collect(testTable)
-		testTable.Drop()
-		if err != nil {
-			return LayerResult{}, err
-		}
+	// The split is a predicate over the stage table, not a copy of it:
+	// logistic regression reads t and skips the held-out rows, and the
+	// driver collects t once for the other trainers and both evaluations.
+	rows, err := e.Collect(t)
+	if err != nil {
+		return LayerResult{}, err
 	}
+	trainRows, testRows := ml.SplitByID(rows, ds.TestFraction)
+	keep := func(r *dataflow.Row) bool { return !ml.IsTestID(r.ID, ds.TestFraction) }
 
 	var model ml.Model
-	var err error
 	switch ds.Kind {
 	case LogisticRegression:
-		model, err = ml.TrainLogReg(e, trainTable, extract, dim, ds.LogReg)
+		model, err = ml.TrainLogReg(e, t, keep, extract, dim, ds.LogReg)
 	case DecisionTree:
-		var rows []dataflow.Row
-		rows, err = e.Collect(trainTable)
-		if err == nil {
-			model, err = ml.TrainTree(rows, extract, ds.Tree)
-		}
+		model, err = ml.TrainTree(trainRows, extract, ds.Tree)
 	case MLP:
-		var rows []dataflow.Row
-		rows, err = e.Collect(trainTable)
-		if err == nil {
-			model, err = ml.TrainMLP(rows, extract, dim, ds.MLP)
-		}
+		model, err = ml.TrainMLP(trainRows, extract, dim, ds.MLP)
 	default:
 		err = fmt.Errorf("core: unknown downstream kind %d", int(ds.Kind))
 	}
@@ -590,10 +567,6 @@ func (ex *executor) train(t *dataflow.Table, featIdx int, em plan.Emit) (LayerRe
 	}
 
 	res := LayerResult{LayerName: em.LayerName, FeatureDim: em.FeatureDim, Model: model}
-	trainRows, err := e.Collect(trainTable)
-	if err != nil {
-		return LayerResult{}, err
-	}
 	if res.Train, err = ml.Evaluate(model, trainRows, extract); err != nil {
 		return LayerResult{}, err
 	}

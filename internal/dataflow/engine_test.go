@@ -134,41 +134,6 @@ func TestMapPartitionsTransforms(t *testing.T) {
 	}
 }
 
-func TestMapAndFilter(t *testing.T) {
-	e := newTestEngine(t, testConfig())
-	tb, err := e.CreateTable("t", makeRows(40, 1), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doubled, err := e.MapPartitions("d", tb, func(_ *TaskContext, in []Row) ([]Row, error) {
-		out := make([]Row, len(in))
-		for i := range in {
-			out[i] = in[i].Clone()
-			out[i].Structured[0] *= 2
-		}
-		return out, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	even, err := e.Filter("e", doubled, func(r *Row) bool { return r.ID%2 == 0 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := e.Collect(even)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 20 {
-		t.Fatalf("filtered to %d rows, want 20", len(rows))
-	}
-	for _, r := range rows {
-		if r.Structured[0] != float32(r.ID*2) {
-			t.Fatalf("row %d structured = %v", r.ID, r.Structured[0])
-		}
-	}
-}
-
 func TestMapPartitionsErrorPropagates(t *testing.T) {
 	e := newTestEngine(t, testConfig())
 	tb, err := e.CreateTable("t", makeRows(10, 1), 2)

@@ -120,19 +120,6 @@ func (e *Engine) MapPartitions(name string, t *Table, fn PartitionFunc) (*Table,
 	return out, nil
 }
 
-// Filter keeps rows for which pred returns true.
-func (e *Engine) Filter(name string, t *Table, pred func(r *Row) bool) (*Table, error) {
-	return e.MapPartitions(name, t, func(_ *TaskContext, in []Row) ([]Row, error) {
-		var out []Row
-		for i := range in {
-			if pred(&in[i]) {
-				out = append(out, in[i])
-			}
-		}
-		return out, nil
-	})
-}
-
 // Repartition redistributes a table into np hash partitions on ID, shuffling
 // every byte across the cluster.
 func (e *Engine) Repartition(name string, t *Table, np int) (*Table, error) {

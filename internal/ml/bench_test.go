@@ -32,7 +32,7 @@ func BenchmarkTrainLogRegServed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := TrainLogReg(e, tb, StructuredPlusFeature(0), structDim+featDim, cfg); err != nil {
+		if _, err := TrainLogReg(e, tb, nil, StructuredPlusFeature(0), structDim+featDim, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,5 +14,7 @@
 // set is charged to the engine's pools); the tree and MLP collect to the
 // driver first, reproducing the paper's driver-memory pressure for
 // collect-style trainers. IsTestID provides the deterministic train/test
-// split shared by every trainer.
+// split shared by every trainer: TrainLogReg reads it as a keep predicate
+// over the table, and SplitByID applies it to collected rows, so the split
+// never copies a table.
 package ml

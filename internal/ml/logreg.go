@@ -108,9 +108,10 @@ func (s *standardizer) finalize() (mu, sigma []float32) {
 // extracts every partition's design block on the workers, then every
 // iteration aggregates per-partition gradient sums over those blocks in
 // parallel (through the engine's memory-accounted aggregation path) and
-// takes one driver-side step. dim is the feature dimensionality of
-// extract's output.
-func TrainLogReg(e *dataflow.Engine, t *dataflow.Table, extract FeatureFunc, dim int, cfg LogRegConfig) (*LogisticRegression, error) {
+// takes one driver-side step. The fit reads only the rows keep accepts (nil
+// keeps every row), so a held-out split is a predicate over t, not a copy of
+// it. dim is the feature dimensionality of extract's output.
+func TrainLogReg(e *dataflow.Engine, t *dataflow.Table, keep func(*dataflow.Row) bool, extract FeatureFunc, dim int, cfg LogRegConfig) (*LogisticRegression, error) {
 	// The driver accumulates one gradient vector per iteration (Section
 	// 4.1, crash scenario 4: "the Driver may also have to collect partial
 	// results from workers"); charge it once against driver memory.
@@ -123,14 +124,14 @@ func TrainLogReg(e *dataflow.Engine, t *dataflow.Table, extract FeatureFunc, dim
 		return e.ForEachPartition(t, func(tc *dataflow.TaskContext, rows []dataflow.Row) error {
 			return fn(tc, tc.Part, rows)
 		})
-	}, extract, dim, cfg)
+	}, keep, extract, dim, cfg)
 }
 
 // TrainLogRegRows fits on an in-memory row slice on the driver (evaluation
 // splits, exhibits and tests): TrainLogReg's fit over one partition, run
 // inline, with nothing charged to an engine.
 func TrainLogRegRows(rows []dataflow.Row, extract FeatureFunc, dim int, cfg LogRegConfig) (*LogisticRegression, error) {
-	return fit(1, func(fn blockFunc) error { return fn(nil, 0, rows) }, extract, dim, cfg)
+	return fit(1, func(fn blockFunc) error { return fn(nil, 0, rows) }, nil, extract, dim, cfg)
 }
 
 // blockFunc works on one partition of a fit; tc is nil on the driver.
@@ -154,21 +155,25 @@ type designBlock struct {
 
 // fit trains over parts partitions; each runs fn once per partition (as
 // engine tasks, or inline) and returns the first error. The first pass
-// extracts every row once into its partition's design block and its own
-// standardizer moments; the blocks are then scaled in place, and each
-// iteration reads only them. Every value is computed with the operations, in
-// the order, Predict uses, so a one-partition fit is bit-identical to
+// extracts every row keep accepts (every row when keep is nil) once into its
+// partition's design block and its own standardizer moments; the first
+// iteration's task scales its block in place before its gradient, and every
+// iteration reads only the blocks. Every value is computed with the
+// operations, in the order, Predict uses, so a one-partition fit is bit-identical to
 // re-extracting and standardizing every row through Predict on every
 // iteration. Partitions hand their moments and gradients to the driver
 // through their own block, and the driver sums them in partition order after
 // each pass, so the fit is a pure function of its input whatever order the
 // tasks finish in.
-func fit(parts int, each func(blockFunc) error, extract FeatureFunc, dim int, cfg LogRegConfig) (*LogisticRegression, error) {
+func fit(parts int, each func(blockFunc) error, keep func(*dataflow.Row) bool, extract FeatureFunc, dim int, cfg LogRegConfig) (*LogisticRegression, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("ml: non-positive feature dim %d", dim)
 	}
 	if cfg.Iterations <= 0 {
 		return nil, fmt.Errorf("ml: non-positive iterations %d", cfg.Iterations)
+	}
+	if keep == nil {
+		keep = func(*dataflow.Row) bool { return true }
 	}
 	blocks := make([]designBlock, parts)
 	defer func() {
@@ -180,20 +185,30 @@ func fit(parts int, each func(blockFunc) error, extract FeatureFunc, dim int, cf
 	}()
 	err := each(func(tc *dataflow.TaskContext, part int, rows []dataflow.Row) error {
 		b := &blocks[part]
+		kept := 0
+		for i := range rows {
+			if keep(&rows[i]) {
+				kept++
+			}
+		}
 		if tc != nil {
-			pool, bytes := tc.Engine.UserPool(tc.NodeID), int64(len(rows))*int64(dim+1)*8
+			pool, bytes := tc.Engine.UserPool(tc.NodeID), int64(kept)*int64(dim+1)*8
 			if err := pool.Alloc(bytes, ""); err != nil {
 				return memory.Describe(err, fmt.Sprintf("design block of partition %d", part))
 			}
 			b.pool, b.bytes = pool, bytes
 		}
-		b.x, b.y = make([]float64, len(rows)*dim), make([]float64, len(rows))
+		b.x, b.y = make([]float64, kept*dim), make([]float64, kept)
 		b.grad = make([]float64, dim)
 		if cfg.Standardize {
 			b.moments = newStandardizer(dim)
 		}
 		var x []float32
+		k := 0
 		for i := range rows {
+			if !keep(&rows[i]) {
+				continue
+			}
 			var y float32
 			var err error
 			if x, y, err = extract(x, &rows[i]); err != nil {
@@ -202,14 +217,15 @@ func fit(parts int, each func(blockFunc) error, extract FeatureFunc, dim int, cf
 			if len(x) != dim {
 				return fmt.Errorf("ml: row %d has %d features, want %d", rows[i].ID, len(x), dim)
 			}
-			row := b.x[i*dim : (i+1)*dim]
+			row := b.x[k*dim : (k+1)*dim]
 			for j, v := range x {
 				row[j] = float64(v)
 			}
-			b.y[i] = float64(y)
+			b.y[k] = float64(y)
 			if b.moments != nil {
 				b.moments.add(x)
 			}
+			k++
 		}
 		return nil
 	})
@@ -231,14 +247,6 @@ func fit(parts int, each func(blockFunc) error, extract FeatureFunc, dim int, cf
 	model := &LogisticRegression{W: make([]float32, dim)}
 	if cfg.Standardize {
 		model.Mu, model.Sigma = st.finalize()
-		for _, b := range blocks {
-			for r := range b.y {
-				row := b.x[r*dim : (r+1)*dim]
-				for j := range row {
-					row[j] = (row[j] - float64(model.Mu[j])) / float64(model.Sigma[j])
-				}
-			}
-		}
 	}
 
 	inv := 1 / float64(n)
@@ -249,8 +257,12 @@ func fit(parts int, each func(blockFunc) error, extract FeatureFunc, dim int, cf
 			w64[j] = float64(w)
 		}
 		b64 := float64(model.B)
+		scale := iter == 0 && cfg.Standardize
 		err := each(func(tc *dataflow.TaskContext, part int, _ []dataflow.Row) error {
 			b := &blocks[part]
+			if scale {
+				b.standardize(model.Mu, model.Sigma)
+			}
 			b.gradient(w64, b64)
 			if tc != nil {
 				tc.AddFLOPs(int64(dim) * 4 * int64(len(b.y))) // predict + gradient accumulate
@@ -276,6 +288,18 @@ func fit(parts int, each func(blockFunc) error, extract FeatureFunc, dim int, cf
 		model.B = float32(float64(model.B) - cfg.LearningRate*gradB*inv)
 	}
 	return model, nil
+}
+
+// standardize z-scores the block in place, element by element with
+// Predict's scaling expression.
+func (b *designBlock) standardize(mu, sigma []float32) {
+	dim := len(mu)
+	for r := range b.y {
+		row := b.x[r*dim : (r+1)*dim]
+		for j := range row {
+			row[j] = (row[j] - float64(mu[j])) / float64(sigma[j])
+		}
+	}
 }
 
 // gradient sets b.grad and b.gradB to one iteration's gradient sums over the

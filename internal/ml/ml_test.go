@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dataflow"
@@ -186,7 +187,7 @@ func TestTrainLogRegBitIdenticalToReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				dist, err := TrainLogReg(e, tb, extract, dim, cfg)
+				dist, err := TrainLogReg(e, tb, nil, extract, dim, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -238,11 +239,11 @@ func TestFitIndependentOfPartitionOrder(t *testing.T) {
 	for _, standardize := range []bool{true, false} { // order of the moments, of the gradients
 		cfg := DefaultLogRegConfig()
 		cfg.Standardize = standardize
-		forward, err := fit(len(parts), visit(false), StructuredPlusFeature(0), structDim+featDim, cfg)
+		forward, err := fit(len(parts), visit(false), nil, StructuredPlusFeature(0), structDim+featDim, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reverse, err := fit(len(parts), visit(true), StructuredPlusFeature(0), structDim+featDim, cfg)
+		reverse, err := fit(len(parts), visit(true), nil, StructuredPlusFeature(0), structDim+featDim, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +274,7 @@ func TestTrainLogRegReleasesDesignBlocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := TrainLogReg(e, tb, StructuredPlusFeature(0), dim, DefaultLogRegConfig()); err != nil {
+		if _, err := TrainLogReg(e, tb, nil, StructuredPlusFeature(0), dim, DefaultLogRegConfig()); err != nil {
 			t.Fatal(err)
 		}
 		assertUserDrained(t, e, nodes)
@@ -292,7 +293,7 @@ func TestTrainLogRegReleasesDesignBlocks(t *testing.T) {
 			}
 			return StructuredPlusFeature(0)(dst, r)
 		}
-		if _, err := TrainLogReg(e, tb, extract, dim, DefaultLogRegConfig()); !errors.Is(err, bad) {
+		if _, err := TrainLogReg(e, tb, nil, extract, dim, DefaultLogRegConfig()); !errors.Is(err, bad) {
 			t.Fatalf("err = %v, want the extract error", err)
 		}
 		assertUserDrained(t, e, nodes)
@@ -313,7 +314,7 @@ func TestTrainLogRegReleasesDesignBlocks(t *testing.T) {
 			}
 			return StructuredPlusFeature(0)(dst, r)
 		}
-		if _, err := TrainLogReg(e, tb, extract, dim, DefaultLogRegConfig()); !errors.Is(err, context.Canceled) {
+		if _, err := TrainLogReg(e, tb, nil, extract, dim, DefaultLogRegConfig()); !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 		assertUserDrained(t, e, nodes)
@@ -340,7 +341,7 @@ func TestTrainLogRegDesignBlockOOM(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = TrainLogReg(e, tb, StructuredPlusFeature(0), dim, DefaultLogRegConfig())
+		_, err = TrainLogReg(e, tb, nil, StructuredPlusFeature(0), dim, DefaultLogRegConfig())
 		if !tc.oom {
 			if err != nil {
 				t.Fatalf("User pool of input + block (%d bytes): %v", tc.user, err)
@@ -355,6 +356,115 @@ func TestTrainLogRegDesignBlockOOM(t *testing.T) {
 		}
 		assertUserDrained(t, e, 1)
 	}
+}
+
+// TestTrainLogRegKeep holds a fit over a six-partition table with a held-out
+// predicate to the nil-keep fit over a table that holds only the kept rows,
+// in the same partitions and order: the same blocks in the same merge order,
+// so bit-identical weights, bias and standardization. Partition 5 holds only
+// held-out rows. On one core the User peak is every design block plus the
+// largest input partition, so the peak net of that partition equals on both
+// sides only if the design blocks are charged by kept rows.
+func TestTrainLogRegKeep(t *testing.T) {
+	const parts, structDim, featDim, testFraction = 6, 3, 22, 0.2
+	dim := structDim + featDim
+	heldOut := func(r *dataflow.Row) bool { return IsTestID(r.ID, testFraction) }
+	keep := func(r *dataflow.Row) bool { return !heldOut(r) }
+	var rows []dataflow.Row
+	for i, r := range featureRows(400, structDim, featDim, 15) {
+		r.ID = int64(i)
+		if i%parts != parts-1 || heldOut(&r) {
+			rows = append(rows, r)
+		}
+	}
+	kept := 0
+	var inBytes, keptBytes [parts]int64
+	for i := range rows {
+		p := rows[i].ID % parts
+		inBytes[p] += rows[i].MemBytes()
+		if keep(&rows[i]) {
+			keptBytes[p] += rows[i].MemBytes()
+			kept++
+		}
+	}
+	if keptBytes[parts-1] != 0 || inBytes[parts-1] == 0 {
+		t.Fatalf("partition %d: %d input bytes, %d kept; want a partition of held-out rows only", parts-1, inBytes[parts-1], keptBytes[parts-1])
+	}
+	engine := func() *dataflow.Engine {
+		e, err := dataflow.NewEngine(dataflow.Config{
+			Nodes: 1, CoresPerNode: 1, Kind: memory.SparkLike,
+			Apportion: memory.Apportionment{
+				User: memory.MB(64), Core: memory.MB(64), Storage: memory.MB(64), DLExecution: memory.MB(8),
+			},
+			DriverMemory: memory.MB(64),
+			SpillDir:     t.TempDir(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		return e
+	}
+	blockBytes := int64(kept) * int64(dim+1) * 8
+	for _, standardize := range []bool{true, false} {
+		cfg := DefaultLogRegConfig()
+		cfg.Standardize = standardize
+
+		e := engine()
+		tb, err := e.CreateTable("t", rows, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := TrainLogReg(e, tb, keep, StructuredPlusFeature(0), dim, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotBlocks := e.UserPool(0).Peak() - slices.Max(inBytes[:])
+		assertUserDrained(t, e, 1)
+
+		ref := engine()
+		tb, err = ref.CreateTable("t", rows, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		split, err := ref.MapPartitions("kept", tb, func(_ *dataflow.TaskContext, in []dataflow.Row) ([]dataflow.Row, error) {
+			var out []dataflow.Row
+			for i := range in {
+				if keep(&in[i]) {
+					out = append(out, in[i])
+				}
+			}
+			return out, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.UserPool(0).Reset() // the split's own task charges are not the fit's
+		want, err := TrainLogReg(ref, split, nil, StructuredPlusFeature(0), dim, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBlocks := ref.UserPool(0).Peak() - slices.Max(keptBytes[:])
+
+		if !sameModel(got, want) {
+			t.Errorf("standardize=%v: the keep fit differs from the fit over the kept rows", standardize)
+		}
+		if gotBlocks != wantBlocks || gotBlocks != blockBytes {
+			t.Errorf("standardize=%v: design blocks charged %d bytes with keep, %d over the kept rows, want %d (%d kept rows)",
+				standardize, gotBlocks, wantBlocks, blockBytes, kept)
+		}
+	}
+
+	e := engine()
+	tb, err := e.CreateTable("t", rows, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	none := func(*dataflow.Row) bool { return false }
+	if _, err := TrainLogReg(e, tb, none, StructuredPlusFeature(0), dim, DefaultLogRegConfig()); err == nil || err.Error() != "ml: no training rows" {
+		t.Errorf("keep rejecting every row: err = %v, want ml: no training rows", err)
+	}
+	assertUserDrained(t, e, 1)
 }
 
 func TestLogRegLearnsLinearSeparation(t *testing.T) {
@@ -396,7 +506,7 @@ func TestDistributedLogRegMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := LogRegConfig{Iterations: 20, LearningRate: 0.5, Alpha: 0.5, Lambda: 0.01}
-	dist, err := TrainLogReg(e, tb, StructuredOnly(), 6, cfg)
+	dist, err := TrainLogReg(e, tb, nil, StructuredOnly(), 6, cfg)
 	if err != nil {
 		t.Fatalf("TrainLogReg: %v", err)
 	}
@@ -440,7 +550,7 @@ func TestTrainLogRegDriverOOM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = TrainLogReg(e, tb, StructuredOnly(), dim, DefaultLogRegConfig())
+	_, err = TrainLogReg(e, tb, nil, StructuredOnly(), dim, DefaultLogRegConfig())
 	oom, ok := memory.IsOOM(err)
 	if !ok {
 		t.Fatalf("expected driver OOM, got %v", err)
@@ -472,7 +582,7 @@ func TestTrainLogRegValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := TrainLogReg(e, tb, StructuredOnly(), 3, bad); err == nil {
+	if _, err := TrainLogReg(e, tb, nil, StructuredOnly(), 3, bad); err == nil {
 		t.Error("accepted zero iterations")
 	}
 }
