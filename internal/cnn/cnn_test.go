@@ -3,6 +3,7 @@ package cnn
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -249,6 +250,41 @@ func TestRealizeWeightsDeterministic(t *testing.T) {
 	}
 	if w1.Layers[0].W[0] == w3.Layers[0].W[0] {
 		t.Error("different seeds produced identical first weight")
+	}
+}
+
+// TestRealizeWeightsMatchesSequential holds the parallel realization to the
+// sequential loop it replaced: layer i drawn from its own (seed·1000003 + i)
+// RNG at the shape the chain gives it. Run under -cpu 1,2,4 it covers one
+// goroutine, fewer goroutines than layers and (for the shorter models) as
+// many.
+func TestRealizeWeightsMatchesSequential(t *testing.T) {
+	for _, name := range tinyRoster {
+		m, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []int64{1, 42} {
+			want := &Weights{}
+			s := m.InputShape
+			for i, l := range m.Layers {
+				lw, err := l.InitWeights(s, rand.New(rand.NewSource(seed*1000003+int64(i))))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.Layers = append(want.Layers, lw)
+				if s, err = l.OutShape(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := m.RealizeWeights(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s seed %d: parallel realization differs from the sequential one", name, seed)
+			}
+		}
 	}
 }
 

@@ -1,9 +1,14 @@
 package cnn
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/tensor"
 )
@@ -128,27 +133,50 @@ const MaxRealizableParams = 64 << 20
 
 // RealizeWeights draws deterministic pseudo-random weights for every layer.
 // The per-layer RNG is seeded from (seed, layer index), so any contiguous
-// partial realization is consistent with the full one.
+// partial realization is consistent with the full one, and the layers are
+// independent draws: once the shape chain is known they are drawn on
+// min(GOMAXPROCS, layers) goroutines, largest first, with the same values
+// as one after another.
 func (m *Model) RealizeWeights(seed int64) (*Weights, error) {
-	params, err := m.TotalParams()
-	if err != nil {
-		return nil, err
-	}
-	if params > MaxRealizableParams {
-		return nil, fmt.Errorf("cnn: model %s has %d parameters, above the realization limit %d; use its Tiny variant for real execution",
-			m.Name, params, int64(MaxRealizableParams))
-	}
-	w := &Weights{Layers: make([]*LayerWeights, len(m.Layers))}
+	in := make([]tensor.Shape, len(m.Layers))
+	params := make([]int64, len(m.Layers))
+	order := make([]int, len(m.Layers))
+	var total int64
 	s := m.InputShape
 	for i, l := range m.Layers {
-		rng := rand.New(rand.NewSource(seed*1000003 + int64(i)))
-		lw, err := l.InitWeights(s, rng)
+		in[i], params[i], order[i] = s, l.Params(s), i
+		total += params[i]
+		out, err := l.OutShape(s)
 		if err != nil {
 			return nil, fmt.Errorf("cnn: %s layer %d (%s): %w", m.Name, i, l.Name(), err)
 		}
-		w.Layers[i] = lw
-		if s, err = l.OutShape(s); err != nil {
-			return nil, err
+		s = out
+	}
+	if total > MaxRealizableParams {
+		return nil, fmt.Errorf("cnn: model %s has %d parameters, above the realization limit %d; use its Tiny variant for real execution",
+			m.Name, total, int64(MaxRealizableParams))
+	}
+	// Largest first, so that no big layer is left to start last.
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(params[b], params[a]) })
+	w := &Weights{Layers: make([]*LayerWeights, len(m.Layers))}
+	errs := make([]error, len(m.Layers))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for g := min(runtime.GOMAXPROCS(0), len(m.Layers)); g > 0; g-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := int(next.Add(1) - 1); k < len(order); k = int(next.Add(1) - 1) {
+				i := order[k]
+				rng := rand.New(rand.NewSource(seed*1000003 + int64(i)))
+				w.Layers[i], errs[i] = m.Layers[i].InitWeights(in[i], rng)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("cnn: %s layer %d (%s): %w", m.Name, i, m.Layers[i].Name(), err)
 		}
 	}
 	return w, nil

@@ -132,8 +132,10 @@ func (id *Identity) Weights() (*cnn.Weights, error) {
 
 // Sums returns the run's content-address components, the weights checksum
 // and the image table's checksum: from the process-wide memo when this
-// workload resolved them before, else by realizing the weights and hashing
-// the rows (once per catalog entry, whichever run gets there first).
+// workload resolved them before, else by preparing the model (realizing the
+// weights and hashing them, in one flight per (model, seed) that every
+// concurrent miss joins and takes its weights from) and hashing the rows
+// (once per catalog entry, whichever run gets there first).
 func (id *Identity) Sums() (weightsSum, dataSum string, err error) {
 	id.sumsOnce.Do(func() {
 		tables := id.from.tables
@@ -143,12 +145,13 @@ func (id *Identity) Sums() (weightsSum, dataSum string, err error) {
 		}
 		memo, ok := sumsMemo.get(key)
 		if !ok {
-			w, err := id.Weights()
+			p, err := preparations.prepare(id.Model, id.from.seed)
 			if err != nil {
 				id.sumsErr = err
 				return
 			}
-			memo.weights = cnn.WeightsChecksum(w)
+			id.weightsOnce.Do(func() { id.weights = p.weights })
+			memo.weights = p.sum
 			if tables != nil {
 				memo.data = tables.DataSum()
 			}
@@ -160,6 +163,80 @@ func (id *Identity) Sums() (weightsSum, dataSum string, err error) {
 		}
 	})
 	return id.weightsSum, id.dataSum, id.sumsErr
+}
+
+// preparations is the process's one preparer: concurrent first sightings of
+// a (model, seed) share one realization and one hash.
+var preparations = newPreparer()
+
+// prepKey names a prepared model: its weights are a pure function of the
+// roster model and the seed.
+type prepKey struct {
+	model string
+	seed  int64
+}
+
+// preparation is one (model, seed) being prepared — the realized weights and
+// their checksum, what Vista's driver builds once and broadcasts (Section
+// 4.1). weights, sum and err are set before done is closed.
+type preparation struct {
+	done    chan struct{}
+	weights *cnn.Weights
+	sum     string
+	err     error
+}
+
+// preparer runs at most one preparation per key at a time, the way
+// data.Catalog generates a dataset: a caller that finds the key in flight
+// waits for that flight's result instead of starting its own. Nothing
+// outlives a flight; the sums memo keeps the checksum, and each Identity
+// that took part keeps its pointer to the weights.
+type preparer struct {
+	// realize is cnn.(*Model).RealizeWeights; tests substitute a gated or
+	// failing one.
+	realize func(m *cnn.Model, seed int64) (*cnn.Weights, error)
+	// joined, when non-nil, receives one value per prepare that joins
+	// another caller's flight, sent before it parks.
+	joined chan<- struct{}
+
+	mu      sync.Mutex
+	flights map[prepKey]*preparation
+}
+
+func newPreparer() *preparer {
+	return &preparer{
+		realize: (*cnn.Model).RealizeWeights,
+		flights: make(map[prepKey]*preparation),
+	}
+}
+
+// prepare returns m's weights under seed and their checksum. A failure
+// reaches every caller waiting on that flight and is not remembered: the
+// next prepare retries.
+func (pr *preparer) prepare(m *cnn.Model, seed int64) (*preparation, error) {
+	key := prepKey{model: m.Name, seed: seed}
+	pr.mu.Lock()
+	if p, ok := pr.flights[key]; ok {
+		pr.mu.Unlock()
+		if pr.joined != nil {
+			pr.joined <- struct{}{}
+		}
+		<-p.done
+		return p, p.err
+	}
+	p := &preparation{done: make(chan struct{})}
+	pr.flights[key] = p
+	pr.mu.Unlock()
+
+	if p.weights, p.err = pr.realize(m, seed); p.err == nil {
+		p.sum = cnn.WeightsChecksum(p.weights)
+	}
+
+	pr.mu.Lock()
+	delete(pr.flights, key)
+	pr.mu.Unlock()
+	close(p.done)
+	return p, p.err
 }
 
 // sumsMemoCap bounds the process-wide sums memo. An entry is ~250 bytes, so

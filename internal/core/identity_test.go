@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cnn"
@@ -146,5 +149,157 @@ func TestStaleIdentityAndTablesAreNotUsed(t *testing.T) {
 	fp, ok := ShareFingerprint(replaced)
 	if want := featurestore.DataChecksum(other.ImageRows); !ok || fp.DataSum != want || fp.DataSum == tables.DataSum() {
 		t.Errorf("rows replaced after WithTables: fingerprint data sum %q (ok=%v), want %q", fp.DataSum, ok, want)
+	}
+}
+
+// gatedPreparer is a fresh preparer installed for one test, with a fresh
+// sums memo so that every Sums of the test misses; both are restored at
+// cleanup. Its realize counts its calls and blocks each of them until
+// release is closed, signalling started on the first; with fail set, each
+// call then fails with it.
+type gatedPreparer struct {
+	*preparer
+	realized                 atomic.Int32
+	started, release, joined chan struct{}
+}
+
+func withPreparer(t *testing.T, fail error) *gatedPreparer {
+	t.Helper()
+	g := &gatedPreparer{preparer: newPreparer(),
+		started: make(chan struct{}), release: make(chan struct{}), joined: make(chan struct{})}
+	g.preparer.joined = g.joined
+	g.realize = func(m *cnn.Model, seed int64) (*cnn.Weights, error) {
+		if g.realized.Add(1) == 1 {
+			close(g.started)
+		}
+		<-g.release
+		if fail != nil {
+			return nil, fail
+		}
+		return m.RealizeWeights(seed)
+	}
+	oldPrep, oldMemo := preparations, sumsMemo
+	preparations, sumsMemo = g.preparer, newSumMemo(sumsMemoCap)
+	t.Cleanup(func() { preparations, sumsMemo = oldPrep, oldMemo })
+	return g
+}
+
+// inFlight reports how many preparations are in flight.
+func (pr *preparer) inFlight() int {
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	return len(pr.flights)
+}
+
+// concurrentSums resolves n fresh Identities of spec and calls Sums on all of
+// them at once: the first call's preparation is held open until the other
+// n-1 have joined it, then released.
+func (g *gatedPreparer) concurrentSums(t *testing.T, spec Spec, n int) ([]*Identity, []error) {
+	t.Helper()
+	ids := make([]*Identity, n)
+	for i := range ids {
+		id, err := Resolve(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	sums := func(i int) {
+		defer wg.Done()
+		_, _, errs[i] = ids[i].Sums()
+	}
+	wg.Add(n)
+	go sums(0)
+	<-g.started // the flight is registered: every later Sums joins it
+	for i := 1; i < n; i++ {
+		go sums(i)
+	}
+	for i := 1; i < n; i++ {
+		<-g.joined
+	}
+	close(g.release)
+	wg.Wait()
+	return ids, errs
+}
+
+// TestPreparationFlight holds one (model, seed)'s preparation open until
+// every concurrent Sums of it has joined: the weights are realized once, and
+// every Identity gets the same sums and borrows the very same weights, so the
+// run that leads a share group realizes nothing more. Nothing stays in flight
+// afterwards.
+func TestPreparationFlight(t *testing.T) {
+	const callers = 6
+	g := withPreparer(t, nil)
+	spec := tinySpec(t, 8)
+	spec.Seed = 4711
+	ids, errs := g.concurrentSums(t, spec, callers)
+	if n := g.realized.Load(); n != 1 {
+		t.Fatalf("%d realizations for %d concurrent Sums, want 1", n, callers)
+	}
+	model, err := cnn.ByName(spec.ModelName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := model.RealizeWeights(spec.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantWeights := cnn.WeightsChecksum(w)
+	first, err := ids[0].Weights()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		weightsSum, dataSum, err := id.Sums()
+		if errs[i] != nil || err != nil || weightsSum != wantWeights || dataSum != featurestore.DataChecksum(spec.ImageRows) {
+			t.Fatalf("caller %d: Sums = %q, %q, %v (first call %v); want weights %q", i, weightsSum, dataSum, err, errs[i], wantWeights)
+		}
+		if got, err := id.Weights(); err != nil || got != first {
+			t.Errorf("caller %d borrows weights %p, %v; caller 0 borrows %p", i, got, err, first)
+		}
+	}
+	if n := g.inFlight(); n != 0 {
+		t.Errorf("%d preparations still in flight", n)
+	}
+}
+
+// TestPreparationFailureNotRemembered fails a preparation that several Sums
+// wait on: each of them gets the error, nothing stays in flight, and the next
+// Sums of the same (model, seed) prepares again and succeeds.
+func TestPreparationFailureNotRemembered(t *testing.T) {
+	const callers = 4
+	boom := errors.New("realize failed")
+	g := withPreparer(t, boom)
+	spec := tinySpec(t, 8)
+	spec.Seed = 4712
+	_, errs := g.concurrentSums(t, spec, callers)
+	for i, err := range errs {
+		if !errors.Is(err, boom) {
+			t.Errorf("caller %d: Sums error %v, want %v", i, err, boom)
+		}
+	}
+	if n := g.realized.Load(); n != 1 {
+		t.Fatalf("%d realizations for %d concurrent Sums, want 1", n, callers)
+	}
+	if n := g.inFlight(); n != 0 {
+		t.Fatalf("%d preparations still in flight after a failure", n)
+	}
+
+	var retried atomic.Int32
+	g.realize = func(m *cnn.Model, seed int64) (*cnn.Weights, error) {
+		retried.Add(1)
+		return m.RealizeWeights(seed)
+	}
+	id, err := Resolve(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if weightsSum, _, err := id.Sums(); err != nil || weightsSum == "" {
+		t.Fatalf("Sums after a failed preparation = %q, %v; want a retry that succeeds", weightsSum, err)
+	}
+	if n := retried.Load(); n != 1 {
+		t.Fatalf("the retry realized %d times, want 1", n)
 	}
 }

@@ -72,11 +72,17 @@ func TestUnspillChargeFailureKeepsAccountingExact(t *testing.T) {
 	sc := e.nodes[0].storage
 
 	p := newPartition(0, makeRows(200, 100))
-	if _, err := p.spill(e.spillDir); err != nil {
+	e.mu.Lock()
+	dir, err := e.spillDirLocked()
+	e.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.spill(dir); err != nil {
 		t.Fatal(err)
 	}
 
-	_, err := sc.touch(p)
+	_, err = sc.touch(p)
 	if err == nil {
 		t.Fatal("touch succeeded with a 4 KB storage pool")
 	}

@@ -24,7 +24,8 @@ type Config struct {
 	Apportion memory.Apportionment
 	// DriverMemory bounds the driver's collect buffers (crash scenario 4).
 	DriverMemory int64
-	// SpillDir is where spill files go; empty means a fresh temp dir.
+	// SpillDir is where spill files go; empty means a fresh temp dir, made
+	// at the first spill.
 	SpillDir string
 	// DefaultFormat is the persistence format for cached partitions
 	// (Table 1(B): pers).
@@ -38,11 +39,13 @@ type Engine struct {
 	nodes    []*node
 	driver   *memory.Pool
 	counters Counters
-	spillDir string
-	ownDir   bool
 
 	mu     sync.Mutex
 	closed bool
+	// spillDir is Config.SpillDir, or the engine's own temp dir once the
+	// first spill made it (ownDir); "" until then.
+	spillDir string
+	ownDir   bool
 	// runCtx is the run-scoped cancellation context (SetContext); nil means
 	// never cancelled.
 	runCtx context.Context
@@ -70,17 +73,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.DriverMemory <= 0 {
 		cfg.DriverMemory = memory.GB(4)
 	}
-	spillDir := cfg.SpillDir
-	ownDir := false
-	if spillDir == "" {
-		d, err := os.MkdirTemp("", "vista-spill-*")
-		if err != nil {
-			return nil, fmt.Errorf("dataflow: spill dir: %w", err)
-		}
-		spillDir = d
-		ownDir = true
-	}
-	e := &Engine{cfg: cfg, spillDir: spillDir, ownDir: ownDir, spillFiles: make(map[string]struct{})}
+	e := &Engine{cfg: cfg, spillDir: cfg.SpillDir, spillFiles: make(map[string]struct{})}
 	e.driver = memory.NewPool(memory.User, memory.DriverOOM, cfg.DriverMemory)
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &node{
@@ -143,6 +136,24 @@ func (e *Engine) StorageUsed() int64 {
 		total += n.storage.pool.Used()
 	}
 	return total
+}
+
+// spillDirLocked returns the directory spill files go to, making the
+// engine's own temp dir on the first call when Config.SpillDir is empty: a
+// run that never spills never touches the file system. Callers hold e.mu.
+func (e *Engine) spillDirLocked() (string, error) {
+	if e.spillDir != "" {
+		return e.spillDir, nil
+	}
+	if e.closed {
+		return "", fmt.Errorf("dataflow: spill after the engine closed")
+	}
+	d, err := os.MkdirTemp("", "vista-spill-*")
+	if err != nil {
+		return "", fmt.Errorf("dataflow: spill dir: %w", err)
+	}
+	e.spillDir, e.ownDir = d, true
+	return d, nil
 }
 
 // Close releases spill files and (if owned) the spill directory. Spill files
@@ -238,6 +249,8 @@ func (e *Engine) runTasks(tasks int, fn func(tc *TaskContext) error) error {
 		mu       sync.Mutex
 		firstErr error
 		done     = make(chan struct{})
+		// one allocation for every task's context, not one per task
+		tcs = make([]TaskContext, tasks)
 	)
 	fail := func(err error) {
 		mu.Lock()
@@ -249,18 +262,10 @@ func (e *Engine) runTasks(tasks int, fn func(tc *TaskContext) error) error {
 	}
 	// Propagate run-level cancellation into this operation's done channel, so
 	// one mechanism covers both "a sibling task failed" and "the whole run
-	// was cancelled". The watcher exits with the operation.
+	// was cancelled". The callback is deregistered with the operation.
 	if ctx.Done() != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-ctx.Done():
-				fail(ctx.Err())
-			case <-done:
-			case <-stop:
-			}
-		}()
+		stop := context.AfterFunc(ctx, func() { fail(ctx.Err()) })
+		defer stop()
 	}
 	cancelled := func() bool {
 		select {
@@ -290,14 +295,16 @@ schedule:
 			defer wg.Done()
 			defer func() { n.slots <- struct{}{} }()
 			e.counters.TasksRun.Add(1)
-			tc := &TaskContext{Engine: e, NodeID: n.id, Part: taskIdx, done: done}
+			tc := &tcs[taskIdx]
+			*tc = TaskContext{Engine: e, NodeID: n.id, Part: taskIdx, done: done}
 			if err := fn(tc); err != nil {
 				fail(err)
 			}
 		}(i, n)
 	}
 	wg.Wait()
-	// The context watcher stops only on return: read under the lock it writes.
+	// The cancellation callback is deregistered only on return: read under
+	// the lock it writes.
 	mu.Lock()
 	defer mu.Unlock()
 	return firstErr

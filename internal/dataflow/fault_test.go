@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -193,5 +194,74 @@ func TestCloseRemovesSpillFilesFromSharedDir(t *testing.T) {
 	}
 	if len(des) != 0 {
 		t.Fatalf("Close left %d spill files in shared dir", len(des))
+	}
+}
+
+// TestOwnSpillDirIsLazy covers an engine without a configured SpillDir: a
+// run that never spills creates no directory at all, and one that spills
+// makes its own directory at the first spill, and Close removes its spill
+// files and that directory.
+func TestOwnSpillDirIsLazy(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	entries := func() []os.DirEntry {
+		t.Helper()
+		des, err := os.ReadDir(tmp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return des
+	}
+
+	cfg := testConfig()
+	cfg.Nodes = 1
+	quiet, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := quiet.CreateTable("small", makeRows(100, 10), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := quiet.Collect(tb); err != nil {
+		t.Fatal(err)
+	}
+	if quiet.Counters().Spills.Load() != 0 {
+		t.Fatal("the small table spilled")
+	}
+	if des := entries(); len(des) != 0 {
+		t.Fatalf("a run that never spilled created %s", des[0].Name())
+	}
+	if err := quiet.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	cfg.Apportion.Storage = memory.MB(0.5)
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err = e.CreateTable("big", makeRows(5000, 100), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Collect(tb); err != nil {
+		t.Fatal(err)
+	}
+	if e.Counters().Spills.Load() == 0 {
+		t.Fatal("table too small: nothing spilled")
+	}
+	des := entries()
+	if len(des) != 1 || !des[0].IsDir() {
+		t.Fatalf("spilling engine made %d entries in TMPDIR, want its one directory", len(des))
+	}
+	if files, err := os.ReadDir(filepath.Join(tmp, des[0].Name())); err != nil || len(files) == 0 {
+		t.Fatalf("spill directory holds %d files (%v), want the spilled partitions", len(files), err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if des := entries(); len(des) != 0 {
+		t.Fatalf("Close left %s behind", des[0].Name())
 	}
 }

@@ -75,7 +75,11 @@ func (sc *storageCache) admitLocked(need int64, detail string) error {
 // write of a partition must be counted, or instrumentation (and
 // sim.CompareSeries's spill-volume comparison) undercounts I/O.
 func (sc *storageCache) spillLocked(p *Partition) error {
-	written, err := p.spill(sc.engine.spillDir)
+	dir, err := sc.engine.spillDirLocked()
+	if err != nil {
+		return err
+	}
+	written, err := p.spill(dir)
 	if err != nil {
 		return err
 	}
