@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/memory"
@@ -20,10 +21,15 @@ func BenchmarkTrainLogReg(b *testing.B) {
 // BenchmarkTrainLogRegServed times the fit a warm-repeat request runs: 80
 // training rows of 8 structured dims plus a 512-wide post-ReLU feature
 // through StructuredPlusFeature(0), in 6 partitions on an engine, at the
-// paper's settings.
+// paper's settings. The engine carries a cancellable run context, as a
+// served run's does (core.RunContext), so every pass pays runTasks'
+// cancellation registration.
 func BenchmarkTrainLogRegServed(b *testing.B) {
 	const structDim, featDim = 8, 512
 	e := testEngine(b, 2, memory.MB(64))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	e.SetContext(ctx)
 	tb, err := e.CreateTable("train", featureRows(80, structDim, featDim, 1), 6)
 	if err != nil {
 		b.Fatal(err)

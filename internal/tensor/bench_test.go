@@ -54,6 +54,26 @@ func BenchmarkMaxPool2D(b *testing.B) {
 	}
 }
 
+// BenchmarkMaxPool2DBatch is tiny-vgg16's pool1 over one inference batch:
+// 8 channels of 8 images of 64×64, 2/2, under each kernel body.
+func BenchmarkMaxPool2DBatch(b *testing.B) {
+	in := MustFromSlice(benchInput(8, 8*64, 64).Data(), 8, 8, 64, 64)
+	spec := PoolSpec{Kernel: 2, Stride: 2}
+	for _, body := range kernelBodies() {
+		b.Run(body.name, func(b *testing.B) {
+			defer body.use()()
+			b.SetBytes(int64(in.NumElements() * 4))
+			for i := 0; i < b.N; i++ {
+				out, err := MaxPool2D(in, spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				Recycle(out)
+			}
+		})
+	}
+}
+
 // BenchmarkMaxPool2DStem is tiny-resnet50's stem pool: 3×3, stride 2, pad 1
 // over conv1's 16×32×32 output, so every window overlaps its neighbours and
 // the first row and column of windows are clipped by the padding.

@@ -19,5 +19,9 @@
 // (kernel.go) with two bodies: AVX2+FMA assembly on amd64 CPUs that have it,
 // and the same tile in pure Go everywhere else and under -tags purego.
 // KernelName reports which one a process runs; the two agree to 1e-4, not
-// bit for bit.
+// bit for bit. Max pooling with 2×2 windows at stride 2 — every pool of
+// tiny-vgg16, tiny-alexnet and tiny-densenet — is a second routine behind the
+// same choice: an AVX2 body eight outputs per step, and a Go body for the
+// tail and for every other build. max is exact, so those two bodies agree
+// bit for bit; every other pooling spec runs a windowed Go loop (ops.go).
 package tensor

@@ -145,3 +145,45 @@ func FuzzConv2DGEMMParity(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMaxPool2DParity drives random 2/2 pooling geometries over batches of 1
+// to 9 images (a batch of one as a CHW image) through MaxPool2D under every
+// kernel body, and holds each to the window-by-window reference bit for bit,
+// except that any NaN matches any NaN. A share of up to 7/16 of the inputs,
+// set by special, is NaN, ±0 or ±Inf, so windows mixing signed zeros and
+// non-finite values land in the assembly body's lanes and in the Go tail.
+func FuzzMaxPool2DParity(f *testing.F) {
+	f.Add(int64(1), uint8(1), uint8(16), uint8(16), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(2), uint8(17), uint8(37), uint8(2), uint8(5))
+	f.Add(int64(3), uint8(0), uint8(2), uint8(69), uint8(8), uint8(7))
+	f.Add(int64(4), uint8(3), uint8(5), uint8(3), uint8(4), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, c, h, w, batch, special uint8) {
+		ch, ih, iw, nb := 1+int(c)%4, 2+int(h)%20, 2+int(w)%72, 1+int(batch)%9
+		shape := Shape{ch, nb, ih, iw}
+		if nb == 1 {
+			shape = Shape{ch, ih, iw}
+		}
+		rng := rand.New(rand.NewSource(seed))
+		in := randTensor(rng, shape...)
+		palette := []float32{float32(math.NaN()), float32(math.Copysign(0, -1)), 0, float32(math.Inf(1)), float32(math.Inf(-1))}
+		for i := range in.Data() {
+			if rng.Intn(16) < int(special)%8 {
+				in.Data()[i] = palette[rng.Intn(len(palette))]
+			}
+		}
+		spec := PoolSpec{Kernel: 2, Stride: 2}
+		want, _ := poolWindows(in, spec)
+		for _, body := range kernelBodies() {
+			restore := body.use()
+			got, err := MaxPool2D(in, spec)
+			restore()
+			if err != nil {
+				t.Fatalf("%s: %v", body.name, err)
+			}
+			if i, ok := sameFloats(got.Data(), want); !ok {
+				t.Fatalf("%s body, input %v: out[%d] = %v (%#08x), want %v (%#08x)", body.name, shape,
+					i, got.Data()[i], math.Float32bits(got.Data()[i]), want[i], math.Float32bits(want[i]))
+			}
+		}
+	})
+}

@@ -16,9 +16,9 @@ import (
 // late-stage image no longer pays the call's set-up alone or fills a
 // 16-wide panel with padding. dl.PartitionFunc runs a partition's batches in
 // order, and parallelism comes from the dataflow engine running a stage's
-// partitions side by side. The direct-loop kernel in ops.go stays only as
-// Conv2DDirect, the reference implementation the parity suite in
-// gemm_test.go and FuzzConv2DGEMMParity compare against. The arithmetic
+// partitions side by side. The direct-loop kernel lives in gemm_test.go as
+// Conv2DDirect, the reference implementation the parity suite there and
+// FuzzConv2DGEMMParity compare against. The arithmetic
 // itself is the micro-kernel in kernel.go.
 //
 // Layout: the filter tensor [out][in][kh][kw] flattens to the (C_out) ×

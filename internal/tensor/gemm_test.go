@@ -36,6 +36,60 @@ func randTensor(rng *rand.Rand, shape ...int) *Tensor {
 	return t
 }
 
+// Conv2DDirect computes the convolution with the naive triple-loop kernel. It
+// is the permanent reference implementation for the GEMM path: the parity
+// suite asserts Conv2D against it across the geometry grid, and
+// FuzzConv2DGEMMParity over random geometries. It takes one CHW image, not a
+// batch.
+func Conv2DDirect(in *Tensor, spec Conv2DSpec, weights, bias []float32) (*Tensor, error) {
+	if len(in.Shape()) != 3 {
+		return nil, fmt.Errorf("%w: direct conv2d expects CHW, got %v", ErrShape, in.Shape())
+	}
+	outShape, err := conv2DCheck(in, spec, weights, bias)
+	if err != nil {
+		return nil, err
+	}
+	inH, inW := in.Shape()[1], in.Shape()[2]
+	outH, outW := outShape[1], outShape[2]
+	out := New(outShape...)
+	src := in.Data()
+	dst := out.Data()
+	k := spec.Kernel
+
+	for oc := 0; oc < spec.OutChannels; oc++ {
+		wBase := oc * spec.InChannels * k * k
+		b := bias[oc]
+		for oy := 0; oy < outH; oy++ {
+			iy0 := oy*spec.Stride - spec.Pad
+			for ox := 0; ox < outW; ox++ {
+				ix0 := ox*spec.Stride - spec.Pad
+				sum := b
+				for ic := 0; ic < spec.InChannels; ic++ {
+					sBase := ic * inH * inW
+					fBase := wBase + ic*k*k
+					for ky := 0; ky < k; ky++ {
+						iy := iy0 + ky
+						if iy < 0 || iy >= inH {
+							continue
+						}
+						rowBase := sBase + iy*inW
+						fRow := fBase + ky*k
+						for kx := 0; kx < k; kx++ {
+							ix := ix0 + kx
+							if ix < 0 || ix >= inW {
+								continue
+							}
+							sum += src[rowBase+ix] * weights[fRow+kx]
+						}
+					}
+				}
+				dst[(oc*outH+oy)*outW+ox] = sum
+			}
+		}
+	}
+	return out, nil
+}
+
 func maxAbsDiff(a, b *Tensor) float64 {
 	var m float64
 	for i, v := range a.Data() {

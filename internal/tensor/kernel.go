@@ -125,3 +125,39 @@ func kernelGo(t *tile) {
 		copy(t.c[i*t.ldc:i*t.ldc+nr], row[:])
 	}
 }
+
+// The 2×2 max-pool row-pair contract, the second routine behind useAsm:
+//
+//	dst[i] = max(a[2i], a[2i+1], b[2i], b[2i+1])   for every i < w
+//
+// with a and b the two input rows of one output row of w outputs, and max
+// Go's builtin: a NaN operand gives NaN and +0 beats −0. max is exact, so
+// unlike the GEMM's two bodies these two agree bit for bit (up to which NaN
+// a NaN window yields). maxPool2x2 applies it to rows output rows at once —
+// output row r, at dst[r·w:], pools input rows 2r and 2r+1 of src, ld floats
+// apart (rows ≥ 1) — because a call per row cost more than the row's
+// arithmetic on every tiny-vgg16 pool. The assembly body (maxPool2x2Asm, kernel_amd64.s)
+// takes each row's whole steps of 8 outputs; the Go body takes the rest of
+// each row (all of it below 8 outputs) and every output of a build without
+// the assembly.
+func maxPool2x2(dst, src []float32, rows, w, ld int) {
+	dst, src = dst[:rows*w], src[:(2*rows-1)*ld+2*w]
+	done := 0
+	if useAsm && w >= 8 {
+		maxPool2x2Asm(dst, src, rows, w, ld)
+		done = w &^ 7
+	}
+	for r := 0; r < rows && done < w; r++ {
+		a := src[2*r*ld:]
+		maxPool2x2Go(dst[r*w+done:(r+1)*w], a[2*done:], a[ld+2*done:])
+	}
+}
+
+// maxPool2x2Go is the portable body of the row-pair contract, over one row.
+func maxPool2x2Go(dst, a, b []float32) {
+	a, b = a[:2*len(dst)], b[:2*len(dst)]
+	for i := range dst {
+		a2, b2 := a[2*i:2*i+2], b[2*i:2*i+2]
+		dst[i] = max(a2[0], a2[1], b2[0], b2[1])
+	}
+}

@@ -7,6 +7,14 @@ package tensor
 //go:noescape
 func kernelAsm(t *tile)
 
+// maxPool2x2Asm is the AVX2 body of the 2×2 max-pool row-pair contract
+// (kernel.go): the w/8 whole 8-output steps of each of rows output rows, row
+// r at dst[r·w:] pooling src[2r·ld:] and src[(2r+1)·ld:]. It checks no
+// bounds; maxPool2x2 has sliced both operands to what it reads. w ≥ 8.
+//
+//go:noescape
+func maxPool2x2Asm(dst, src []float32, rows, w, ld int)
+
 // cpuid and xgetbv execute the instructions of the same name (ECX = 0 for
 // XGETBV): the in-repo replacement for x/sys/cpu's feature detection.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

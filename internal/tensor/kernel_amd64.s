@@ -3,8 +3,9 @@
 #include "textflag.h"
 #include "go_asm.h"
 
-// The AVX2+FMA body of the tile contract in kernel.go, plus the two
-// instruction stubs kernel_amd64.go needs to decide whether it may run.
+// The AVX2+FMA body of the tile contract in kernel.go, the AVX2 body of its
+// 2×2 max-pool row-pair contract, and the two instruction stubs
+// kernel_amd64.go needs to decide whether they may run.
 //
 // Register plan for kernelAsm:
 //   Y0..Y7   accumulators: row i of the 4×16 tile is Y(2i) | Y(2i+1)
@@ -176,6 +177,78 @@ store:
 	VMOVUPS Y6, (R12)
 	VMOVUPS Y7, 32(R12)
 	VZEROUPPER
+	RET
+
+// The pool works on negated operands. VMINPS returns its second source when
+// either operand is NaN or both are zeros, so the OR of the two operand
+// orders is NaN when either is, −0 when either is −0, and the minimum
+// otherwise: on negated operands that is −max with Go's max semantics (NaN
+// propagates, +0 beats −0). Rows are negated once on load, every max of the
+// step is one POOLMIN, and the result is negated once before the store.
+#define POOLMIN(x, y, dst, tmp) \
+	VMINPS y, x, dst;  \
+	VMINPS x, y, tmp;  \
+	VORPS  tmp, dst, dst
+
+// func maxPool2x2Asm(dst, src []float32, rows, w, ld int)
+//
+// Register plan: SI = &a of the current row pair, R11 = ld in bytes (b is
+// a + R11), R12 = 2·ld in bytes (the next pair), DI = &dst of the current
+// row, R13 = w in bytes, R10 = steps per row, BX = rows left; within a row
+// AX = &a[2i], DX = &b[2i], R8 = &dst[i], CX = steps left; Y15 = the sign
+// mask. One step reads 16 floats of each row and writes 8 outputs: the two
+// rows fold into Y4 | Y5, VSHUFPS splits those 16 columns into even and odd
+// ones (within each 128-bit lane, so the pairs' maxima come out as
+// o0 o1 o4 o5 | o2 o3 o6 o7), and VPERMPD 0xD8 swaps the middle 64-bit
+// quarters back into order.
+TEXT ·maxPool2x2Asm(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ rows+48(FP), BX
+	MOVQ w+56(FP), R13
+	MOVQ ld+64(FP), R11
+	MOVQ R13, R10
+	SHRQ $3, R10
+	JZ   pooldone
+	TESTQ BX, BX
+	JZ   pooldone
+	SHLQ $2, R13
+	SHLQ $2, R11
+	LEAQ (R11)(R11*1), R12
+	VPCMPEQD Y15, Y15, Y15
+	VPSLLD   $31, Y15, Y15
+
+poolrow:
+	MOVQ SI, AX
+	LEAQ (SI)(R11*1), DX
+	MOVQ DI, R8
+	MOVQ R10, CX
+
+poolstep:
+	VXORPS (AX), Y15, Y0
+	VXORPS 32(AX), Y15, Y1
+	VXORPS (DX), Y15, Y2
+	VXORPS 32(DX), Y15, Y3
+	POOLMIN(Y0, Y2, Y4, Y6)
+	POOLMIN(Y1, Y3, Y5, Y7)
+	VSHUFPS $0x88, Y5, Y4, Y0
+	VSHUFPS $0xDD, Y5, Y4, Y1
+	POOLMIN(Y0, Y1, Y2, Y3)
+	VXORPS  Y15, Y2, Y2
+	VPERMPD $0xD8, Y2, Y2
+	VMOVUPS Y2, (R8)
+	ADDQ $64, AX
+	ADDQ $64, DX
+	ADDQ $32, R8
+	DECQ CX
+	JNZ  poolstep
+	ADDQ R12, SI
+	ADDQ R13, DI
+	DECQ BX
+	JNZ  poolrow
+	VZEROUPPER
+
+pooldone:
 	RET
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

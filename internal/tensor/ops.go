@@ -93,61 +93,6 @@ func conv2DCheck(in *Tensor, spec Conv2DSpec, weights, bias []float32) (Shape, e
 	return outShape, nil
 }
 
-// Conv2DDirect computes the convolution with the naive triple-loop kernel. It
-// is the permanent reference implementation for the GEMM path only: the
-// parity test suite asserts Conv2D against it across the geometry grid, and
-// nothing serves traffic through it. It takes one CHW image, not a batch.
-//
-//vista:keep the reference the GEMM parity suite and fuzzer compare against
-func Conv2DDirect(in *Tensor, spec Conv2DSpec, weights, bias []float32) (*Tensor, error) {
-	if len(in.Shape()) != 3 {
-		return nil, fmt.Errorf("%w: direct conv2d expects CHW, got %v", ErrShape, in.Shape())
-	}
-	outShape, err := conv2DCheck(in, spec, weights, bias)
-	if err != nil {
-		return nil, err
-	}
-	inH, inW := in.Shape()[1], in.Shape()[2]
-	outH, outW := outShape[1], outShape[2]
-	out := New(outShape...)
-	src := in.Data()
-	dst := out.Data()
-	k := spec.Kernel
-
-	for oc := 0; oc < spec.OutChannels; oc++ {
-		wBase := oc * spec.InChannels * k * k
-		b := bias[oc]
-		for oy := 0; oy < outH; oy++ {
-			iy0 := oy*spec.Stride - spec.Pad
-			for ox := 0; ox < outW; ox++ {
-				ix0 := ox*spec.Stride - spec.Pad
-				sum := b
-				for ic := 0; ic < spec.InChannels; ic++ {
-					sBase := ic * inH * inW
-					fBase := wBase + ic*k*k
-					for ky := 0; ky < k; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= inH {
-							continue
-						}
-						rowBase := sBase + iy*inW
-						fRow := fBase + ky*k
-						for kx := 0; kx < k; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= inW {
-								continue
-							}
-							sum += src[rowBase+ix] * weights[fRow+kx]
-						}
-					}
-				}
-				dst[(oc*outH+oy)*outW+ox] = sum
-			}
-		}
-	}
-	return out, nil
-}
-
 // PoolSpec describes a 2-D pooling window over a CHW input or a (C, N, H, W)
 // batch.
 type PoolSpec struct {
@@ -176,13 +121,17 @@ func (p PoolSpec) OutShape(in Shape) (Shape, error) {
 // input; one lying entirely in the padding pools to 0. A window holding a NaN
 // pools to NaN (Go's builtin max), here and in GridMaxPool.
 //
-// An output row is its window's clipped input rows folded elementwise into
-// one, then that row folded over each output's column window — plain loops
-// over contiguous rows, with the builtin max, which compiles without a
-// data-dependent branch: activations are not predictable. The columns whose
-// window lies inside the input (all of them when the window tiles it) fold a
-// tap at a time across the row; only the clipped ones at the edges test
-// bounds, once per output.
+// Kernel 2, stride 2, no padding — every pool of tiny-vgg16, tiny-alexnet
+// and tiny-densenet — runs each plane's output rows through the row-pair
+// contract (maxPool2x2, kernel.go) in one call, eight outputs per AVX2 step
+// where the CPU has it; an odd last input row or column is dropped. Every
+// other spec takes the windowed path: an output row is its window's clipped
+// input rows folded elementwise into one, then that row folded over each
+// output's column window — plain loops over contiguous rows, with the
+// builtin max, which compiles without a data-dependent branch: activations
+// are not predictable. The columns whose window lies inside the input (all
+// of them when the window tiles it) fold a tap at a time across the row;
+// only the clipped ones at the edges test bounds, once per output.
 func MaxPool2D(in *Tensor, spec PoolSpec) (*Tensor, error) {
 	outShape, err := spec.OutShape(in.Shape())
 	if err != nil {
@@ -194,6 +143,12 @@ func MaxPool2D(in *Tensor, spec PoolSpec) (*Tensor, error) {
 	k, s, pad := spec.Kernel, spec.Stride, spec.Pad
 	out := newUninit(outShape...)
 	src, dst := in.Data(), out.Data()
+	if k == 2 && s == 2 && pad == 0 {
+		for ch := 0; ch < c; ch++ {
+			maxPool2x2(dst[ch*outH*outW:], src[ch*inH*inW:], outH, outW, inW)
+		}
+		return out, nil
+	}
 
 	// The windows of outputs lo ≤ ox < hi lie inside the input; no window
 	// reads past column w−1, so a folded row is w wide.

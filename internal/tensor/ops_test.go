@@ -138,103 +138,187 @@ func TestMaxPool2D(t *testing.T) {
 // and 3/3 with the remainder rows and columns dropped, overlapping 3/2,
 // padded 3/2/1 (tiny-resnet50's stem), a window larger than the input, and
 // windows lying entirely in the padding — to a window-by-window maximum over
-// the clipped window, on a slab dirtied with NaN. A window with no input
-// element pools to 0.
+// the clipped window, on a slab dirtied with NaN, under both kernel bodies.
+// A window with no input element pools to 0. The 2/2 cases with outputs 17
+// and 20 wide run whole 8-output steps of the assembly body plus a tail, one
+// of them over a (C, N, H, W) batch.
 func TestMaxPool2DMatchesWindows(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for _, c := range []struct {
-		name        string
-		ch, h, w    int
-		spec        PoolSpec
-		paddingOnly bool // some window holds no input element
-	}{
-		{name: "tiled 2/2", ch: 3, h: 8, w: 8, spec: PoolSpec{Kernel: 2, Stride: 2}},
-		{name: "tiled 2/2 remainder", ch: 2, h: 7, w: 9, spec: PoolSpec{Kernel: 2, Stride: 2}},
-		{name: "tiled 3/3 remainder", ch: 2, h: 9, w: 10, spec: PoolSpec{Kernel: 3, Stride: 3}},
-		{name: "tiled 4/4 one window", ch: 1, h: 5, w: 4, spec: PoolSpec{Kernel: 4, Stride: 4}},
-		{name: "tiled 1/1", ch: 2, h: 3, w: 3, spec: PoolSpec{Kernel: 1, Stride: 1}},
-		{name: "overlapping 3/2", ch: 2, h: 9, w: 11, spec: PoolSpec{Kernel: 3, Stride: 2}},
-		{name: "padded 3/2/1 stem", ch: 16, h: 32, w: 32, spec: PoolSpec{Kernel: 3, Stride: 2, Pad: 1}},
-		{name: "padded 3/2/1 odd", ch: 2, h: 7, w: 10, spec: PoolSpec{Kernel: 3, Stride: 2, Pad: 1}},
-		{name: "k > input", ch: 2, h: 3, w: 2, spec: PoolSpec{Kernel: 5, Stride: 1, Pad: 2}},
-		{name: "padding-only windows", ch: 2, h: 1, w: 2, spec: PoolSpec{Kernel: 1, Stride: 1, Pad: 1}, paddingOnly: true},
-		{name: "padding-only corner", ch: 1, h: 2, w: 2, spec: PoolSpec{Kernel: 2, Stride: 3, Pad: 2}, paddingOnly: true},
-	} {
-		in := randTensor(rng, c.ch, c.h, c.w)
-		shape, err := c.spec.OutShape(in.Shape())
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		dirty := getSlab(shape.NumElements())
-		for i := range dirty {
-			dirty[i] = float32(math.NaN())
-		}
-		putSlab(dirty)
-		out, err := MaxPool2D(in, c.spec)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if !out.Shape().Equal(shape) {
-			t.Fatalf("%s: shape %v, want %v", c.name, out.Shape(), shape)
-		}
-		k, s, pad := c.spec.Kernel, c.spec.Stride, c.spec.Pad
-		empty := 0
-		for ch := 0; ch < c.ch; ch++ {
-			for oy := 0; oy < shape[1]; oy++ {
-				for ox := 0; ox < shape[2]; ox++ {
-					want, n := float32(math.Inf(-1)), 0
-					for iy := oy*s - pad; iy < oy*s-pad+k; iy++ {
-						for ix := ox*s - pad; ix < ox*s-pad+k; ix++ {
-							if iy >= 0 && iy < c.h && ix >= 0 && ix < c.w {
-								want, n = max(want, in.At(ch, iy, ix)), n+1
-							}
-						}
-					}
-					if n == 0 {
-						want, empty = 0, empty+1
-					}
-					if got := out.At(ch, oy, ox); got != want {
-						t.Fatalf("%s: out[%d,%d,%d] = %v, want %v", c.name, ch, oy, ox, got, want)
-					}
-				}
+	forEachKernelBody(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(29))
+		for _, c := range []struct {
+			name        string
+			shape       Shape
+			spec        PoolSpec
+			paddingOnly bool // some window holds no input element
+		}{
+			{name: "tiled 2/2", shape: Shape{3, 8, 8}, spec: PoolSpec{Kernel: 2, Stride: 2}},
+			{name: "tiled 2/2 remainder", shape: Shape{2, 7, 9}, spec: PoolSpec{Kernel: 2, Stride: 2}},
+			{name: "tiled 2/2 wide", shape: Shape{2, 34, 36}, spec: PoolSpec{Kernel: 2, Stride: 2}},
+			{name: "tiled 2/2 wide batch", shape: Shape{3, 2, 18, 40}, spec: PoolSpec{Kernel: 2, Stride: 2}},
+			{name: "tiled 2/2 wide remainder", shape: Shape{1, 3, 5, 35}, spec: PoolSpec{Kernel: 2, Stride: 2}},
+			{name: "tiled 3/3 remainder", shape: Shape{2, 9, 10}, spec: PoolSpec{Kernel: 3, Stride: 3}},
+			{name: "tiled 4/4 one window", shape: Shape{1, 5, 4}, spec: PoolSpec{Kernel: 4, Stride: 4}},
+			{name: "tiled 1/1", shape: Shape{2, 3, 3}, spec: PoolSpec{Kernel: 1, Stride: 1}},
+			{name: "overlapping 3/2", shape: Shape{2, 9, 11}, spec: PoolSpec{Kernel: 3, Stride: 2}},
+			{name: "padded 3/2/1 stem", shape: Shape{16, 32, 32}, spec: PoolSpec{Kernel: 3, Stride: 2, Pad: 1}},
+			{name: "padded 3/2/1 odd", shape: Shape{2, 7, 10}, spec: PoolSpec{Kernel: 3, Stride: 2, Pad: 1}},
+			{name: "k > input", shape: Shape{2, 3, 2}, spec: PoolSpec{Kernel: 5, Stride: 1, Pad: 2}},
+			{name: "padding-only windows", shape: Shape{2, 1, 2}, spec: PoolSpec{Kernel: 1, Stride: 1, Pad: 1}, paddingOnly: true},
+			{name: "padding-only corner", shape: Shape{1, 2, 2}, spec: PoolSpec{Kernel: 2, Stride: 3, Pad: 2}, paddingOnly: true},
+		} {
+			in := randTensor(rng, c.shape...)
+			shape, err := c.spec.OutShape(in.Shape())
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			dirty := getSlab(shape.NumElements())
+			for i := range dirty {
+				dirty[i] = float32(math.NaN())
+			}
+			putSlab(dirty)
+			out, err := MaxPool2D(in, c.spec)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if !out.Shape().Equal(shape) {
+				t.Fatalf("%s: shape %v, want %v", c.name, out.Shape(), shape)
+			}
+			want, empty := poolWindows(in, c.spec)
+			if i, ok := sameFloats(out.Data(), want); !ok {
+				t.Fatalf("%s: out[%d] = %v, want %v", c.name, i, out.Data()[i], want[i])
+			}
+			if c.paddingOnly != (empty > 0) {
+				t.Errorf("%s: %d windows lie entirely in the padding", c.name, empty)
 			}
 		}
-		if c.paddingOnly != (empty > 0) {
-			t.Errorf("%s: %d windows lie entirely in the padding", c.name, empty)
+	})
+}
+
+// poolWindows is the window-by-window reference for MaxPool2D over a CHW
+// image or a (C, N, H, W) batch: each output is the builtin max over its
+// window clipped to the input, or 0 (counted in empty) when the window holds
+// no input element.
+func poolWindows(in *Tensor, spec PoolSpec) (want []float32, empty int) {
+	c, nb, h, w, _ := planes(in.Shape())
+	k, s, pad := spec.Kernel, spec.Stride, spec.Pad
+	outH, outW := (h+2*pad-k)/s+1, (w+2*pad-k)/s+1
+	src := in.Data()
+	for p := 0; p < c*nb; p++ {
+		for oy := 0; oy < outH; oy++ {
+			for ox := 0; ox < outW; ox++ {
+				acc, n := float32(math.Inf(-1)), 0
+				for iy := oy*s - pad; iy < oy*s-pad+k; iy++ {
+					for ix := ox*s - pad; ix < ox*s-pad+k; ix++ {
+						if iy >= 0 && iy < h && ix >= 0 && ix < w {
+							acc, n = max(acc, src[(p*h+iy)*w+ix]), n+1
+						}
+					}
+				}
+				if n == 0 {
+					acc, empty = 0, empty+1
+				}
+				want = append(want, acc)
+			}
 		}
 	}
+	return want, empty
+}
+
+// sameFloats reports whether got and want are equal bit for bit, except that
+// any NaN matches any NaN; i is the first index where they differ.
+func sameFloats(got, want []float32) (i int, ok bool) {
+	if len(got) != len(want) {
+		return min(len(got), len(want)), false
+	}
+	for i, v := range got {
+		if math.Float32bits(v) != math.Float32bits(want[i]) && !(v != v && want[i] != want[i]) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// TestMaxPool2x2Bitwise pins the row-pair contract's three non-finite and
+// signed-zero cases bit for bit, under both kernel bodies, in the lanes of
+// the assembly body's first and second 8-output steps and in the Go tail:
+// a window mixing −0 and +0 pools to +0, one holding a NaN pools to NaN,
+// and ±Inf pool as the extremes they are.
+func TestMaxPool2x2Bitwise(t *testing.T) {
+	negZero, nan := float32(math.Copysign(0, -1)), float32(math.NaN())
+	inf, negInf := float32(math.Inf(1)), float32(math.Inf(-1))
+	const outW = 19 // two 8-output steps and a 3-output tail
+	windows := map[int][4]float32{
+		0:  {negZero, negZero, 0, negZero},
+		5:  {negZero, 0, negZero, negZero},
+		6:  {negZero, negZero, negZero, negZero},
+		9:  {1, 2, nan, 3},
+		10: {-5, inf, 7, 0},
+		11: {negInf, negInf, negInf, negInf},
+		12: {negInf, negZero, negInf, negInf},
+		13: {nan, negInf, inf, nan},
+		17: {negInf, 2, negInf, nan},
+		18: {0, negZero, negZero, negZero},
+	}
+	want := map[int]float32{0: 0, 5: 0, 6: negZero, 9: nan, 10: inf, 11: negInf, 12: negZero, 13: nan, 17: nan, 18: 0}
+	forEachKernelBody(t, func(t *testing.T) {
+		in := New(1, 2, 2*outW)
+		for i := range in.Data() {
+			in.Data()[i] = float32(i)
+		}
+		for ox, win := range windows {
+			in.Set(win[0], 0, 0, 2*ox)
+			in.Set(win[1], 0, 0, 2*ox+1)
+			in.Set(win[2], 0, 1, 2*ox)
+			in.Set(win[3], 0, 1, 2*ox+1)
+		}
+		out, err := MaxPool2D(in, PoolSpec{Kernel: 2, Stride: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ox, v := range out.Data() {
+			w, pinned := want[ox]
+			if !pinned {
+				w = float32(2*outW + 2*ox + 1) // the window's bottom-right element
+			}
+			if _, ok := sameFloats([]float32{v}, []float32{w}); !ok {
+				t.Errorf("out[%d] = %v (%#08x), want %v (%#08x)", ox, v, math.Float32bits(v), w, math.Float32bits(w))
+			}
+		}
+	})
 }
 
 // TestMaxPoolPropagatesNaN pins what every max-pooling path does with a
 // non-finite activation: a window holding a NaN pools to NaN (the builtin
 // max), on the tiled path, the clipped-window path and GridMaxPool alike,
-// and windows that do not hold it are unaffected.
+// under both kernel bodies, and windows that do not hold it are unaffected.
 func TestMaxPoolPropagatesNaN(t *testing.T) {
-	in := New(1, 4, 4)
-	for i := range in.Data() {
-		in.Data()[i] = float32(i)
-	}
-	in.Set(float32(math.NaN()), 0, 1, 0) // the top-left 2×2 quadrant
-	pools := map[string]func() (*Tensor, error){
-		"tiled 2/2":    func() (*Tensor, error) { return MaxPool2D(in, PoolSpec{Kernel: 2, Stride: 2}) },
-		"windowed 3/2": func() (*Tensor, error) { return MaxPool2D(in, PoolSpec{Kernel: 3, Stride: 2, Pad: 1}) },
-		"grid 2":       func() (*Tensor, error) { return GridMaxPool(in, 2) },
-	}
-	for name, pool := range pools {
-		out, err := pool()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	forEachKernelBody(t, func(t *testing.T) {
+		in := New(1, 4, 4)
+		for i := range in.Data() {
+			in.Data()[i] = float32(i)
 		}
-		if !out.Shape().Equal(Shape{1, 2, 2}) {
-			t.Fatalf("%s: shape %v", name, out.Shape())
+		in.Set(float32(math.NaN()), 0, 1, 0) // the top-left 2×2 quadrant
+		pools := map[string]func() (*Tensor, error){
+			"tiled 2/2":    func() (*Tensor, error) { return MaxPool2D(in, PoolSpec{Kernel: 2, Stride: 2}) },
+			"windowed 3/2": func() (*Tensor, error) { return MaxPool2D(in, PoolSpec{Kernel: 3, Stride: 2, Pad: 1}) },
+			"grid 2":       func() (*Tensor, error) { return GridMaxPool(in, 2) },
 		}
-		if v := out.At(0, 0, 0); !math.IsNaN(float64(v)) {
-			t.Errorf("%s: window with a NaN pooled to %v, want NaN", name, v)
+		for name, pool := range pools {
+			out, err := pool()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !out.Shape().Equal(Shape{1, 2, 2}) {
+				t.Fatalf("%s: shape %v", name, out.Shape())
+			}
+			if v := out.At(0, 0, 0); !math.IsNaN(float64(v)) {
+				t.Errorf("%s: window with a NaN pooled to %v, want NaN", name, v)
+			}
+			if v := out.At(0, 1, 1); v != 15 {
+				t.Errorf("%s: NaN-free window pooled to %v, want 15", name, v)
+			}
 		}
-		if v := out.At(0, 1, 1); v != 15 {
-			t.Errorf("%s: NaN-free window pooled to %v, want 15", name, v)
-		}
-	}
+	})
 }
 
 func TestGridMaxPool(t *testing.T) {

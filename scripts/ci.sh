@@ -90,9 +90,19 @@ echo "== fuzz smoke (convolution) =="
 # holding each image to its direct convolution plus AddInPlace and ReLU.
 go test -run '^$' -fuzz '^FuzzConv2DGEMMParity$' -fuzztime 15s ./internal/tensor
 
+echo "== fuzz smoke (max pooling) =="
+# 2×2 stride-2 pooling runs on its own assembly body (eight outputs per AVX2
+# step, the tail in Go), which reads two input rows unchecked and answers
+# NaN and signed zeros through a VMINPS/VORPS identity rather than Go's max.
+# This smoke drives random 2/2 geometries over batches of 1 to 9 images, a
+# share of their inputs NaN, ±0 or ±Inf, through both bodies, holding each
+# to a window-by-window reference bit for bit (any NaN matching any NaN).
+go test -run '^$' -fuzz '^FuzzMaxPool2DParity$' -fuzztime 15s ./internal/tensor
+
 echo "== GEMM micro-kernel: pure-Go body, and a non-amd64 build =="
-# internal/tensor has two bodies of one micro-kernel contract: Go assembly
-# (AVX2+FMA) on amd64 and a pure-Go body everywhere else. The tests above ran
+# internal/tensor has two bodies of one micro-kernel contract, and of the
+# 2×2 max-pool contract: Go assembly (AVX2+FMA) on amd64 and a pure-Go body
+# everywhere else. The tests above ran
 # the parity suites over both on this runner; -tags purego additionally
 # builds the package the way every other GOARCH sees it (no assembly file, no
 # CPUID stub) and runs the layers on top of it. The arm64 cross-build (build
