@@ -36,6 +36,7 @@ import (
 	"repro/internal/ml"
 	"repro/internal/obs"
 	"repro/internal/obs/export"
+	"repro/internal/obs/sampler"
 	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/tensor"
@@ -63,7 +64,6 @@ func main() {
 		traceOut   = flag.String("trace-out", "", "write the run's trace to this file (chrome://tracing / Perfetto loadable)")
 		traceFmt   = flag.String("trace-format", "chrome", "trace file format: chrome (trace-event JSON) or otlp (OTLP-style JSON spans)")
 		seriesOut  = flag.String("timeseries-out", "", "write the run's sampled time series to this file (.csv = CSV, otherwise JSON)")
-		sampleEvr  = flag.Duration("sample-every", 10*time.Millisecond, "time-series sample period (with -timeseries-out / -trace-out / -trace)")
 		calibLog   = flag.String("calib", "", "calibration log file: append this run's estimate-vs-measured samples to it, or replay it with the 'report' subcommand (vista -calib <log> report)")
 		calibJSON  = flag.Bool("calib-json", false, "with 'report': emit the calibration report as JSON, byte-identical to a server's GET /calibration over the same log")
 		calibHL    = flag.Duration("calib-half-life", 0, "calibration EWMA half-life (0 = the 30m default); must match the server's -calib-half-life for byte-identical reports over the same log")
@@ -92,8 +92,7 @@ func main() {
 		planKind: *planKind, placement: *placement, downstream: *downstream,
 		seed: *seed, dataDir: *dataDir, saveData: *saveData, saveModels: *saveModels,
 		cacheDir: *cacheDir, cacheMB: *cacheMB, trace: *trace,
-		traceOut: *traceOut, traceFormat: *traceFmt,
-		timeseriesOut: *seriesOut, sampleEvery: *sampleEvr,
+		traceOut: *traceOut, traceFormat: *traceFmt, timeseriesOut: *seriesOut,
 		calibLog: *calibLog, calibHalfLife: *calibHL,
 	}
 	// Ctrl-C / SIGTERM cancels the run context: the executor aborts at the
@@ -133,17 +132,14 @@ type runOptions struct {
 	traceOut      string
 	traceFormat   string
 	timeseriesOut string
-	sampleEvery   time.Duration
 	calibLog      string
 	calibHalfLife time.Duration
 }
 
-// observing reports whether the run needs the metrics registry and sampler.
-// Calibration reads its storage samples from the recording's final frame, so
-// -calib turns observation on too.
-func (o *runOptions) observing() bool {
-	return o.trace || o.traceOut != "" || o.timeseriesOut != "" || o.calibLog != ""
-}
+// exporting reports whether the run writes a sampled recording (the
+// time-series file, the trace file's counter tracks): only then does it
+// sample. -trace and -calib read the run's span tree.
+func (o *runOptions) exporting() bool { return o.traceOut != "" || o.timeseriesOut != "" }
 
 // run executes the workload under ctx (cancellation aborts it cleanly).
 // Result rows and summary counters go to stdout; diagnostics — the -trace
@@ -157,9 +153,6 @@ func run(ctx context.Context, o runOptions, stdout, stderr io.Writer) error {
 	// after it.
 	if err := export.WriteTrace(io.Discard, o.traceFormat, obs.StartSpan(""), nil); err != nil {
 		return err
-	}
-	if o.observing() && o.sampleEvery <= 0 {
-		o.sampleEvery = time.Millisecond
 	}
 	// The CLI runs through the same lifecycle a served run does, minus the
 	// process-wide coordinators: no sharing, no admission, and a recorder
@@ -199,9 +192,8 @@ func run(ctx context.Context, o runOptions, stdout, stderr io.Writer) error {
 		defer store.Close()
 		runSpec.FeatureStore = store
 	}
-	if o.observing() {
-		runSpec.Metrics = obs.NewRegistry()
-		runSpec.SampleEvery = o.sampleEvery
+	if o.exporting() {
+		runSpec.SampleEvery = sampler.DefaultEvery
 	}
 	if runSpec.PlanKind, err = plan.ParseKind(strings.ToLower(o.planKind)); err != nil {
 		return fmt.Errorf("unknown plan %q", o.planKind)
@@ -316,10 +308,8 @@ func printSimComparison(w io.Writer, o runOptions, runSpec core.Spec, res *core.
 	}
 	fmt.Fprintf(w, "\nEstimate vs measured (simulator prices the paper cluster; compare shares, not absolutes):\n")
 	sim.RenderComparison(w, sim.CompareTrace(simRes, res.Trace))
-	if res.Series != nil {
-		fmt.Fprintf(w, "\nMemory-model validation (the engine's peak storage and spill vs Section 4.1 estimates):\n")
-		sim.RenderSeriesReport(w, sim.CompareSeries(simRes, res.Series))
-	}
+	fmt.Fprintf(w, "\nMemory-model validation (the engine's peak storage and spill vs Section 4.1 estimates):\n")
+	sim.RenderStorageReport(w, sim.CompareStorage(simRes, res.Trace))
 }
 
 // writeTraceFile exports the run's span tree (plus sampled counter tracks for
@@ -339,9 +329,6 @@ func writeTraceFile(path, format string, res *core.Result) error {
 // writeTimeseriesFile exports the sampled recording: CSV when path ends in
 // .csv, JSON otherwise.
 func writeTimeseriesFile(path string, res *core.Result) error {
-	if res.Series == nil {
-		return fmt.Errorf("no time series recorded (run with -sample-every > 0)")
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/calib"
 	"repro/internal/tensor"
 )
 
@@ -121,6 +122,47 @@ func TestTraceReportOnStderr(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "Stage breakdown:") {
 		t.Errorf("result summary missing from stdout")
+	}
+}
+
+// TestCalibWithTraceUnsampled: -calib and -trace read the run's storage
+// counters from its span tree, so neither starts a sampler (Result.Series
+// stays nil); the run still appends a calibration record and prints the
+// memory table with both sides measured. Only the exporters sample.
+func TestCalibWithTraceUnsampled(t *testing.T) {
+	o := smallOpts(t)
+	o.trace = true
+	o.calibLog = filepath.Join(t.TempDir(), "calib.log")
+	if o.exporting() {
+		t.Fatal("-calib -trace counts as exporting: the run would sample")
+	}
+	_, stderr, err := runBuf(o)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !strings.Contains(stderr.String(), "appended calibration record to "+o.calibLog) {
+		t.Errorf("no calibration record appended:\n%s", stderr.String())
+	}
+	var peakRow string
+	for _, ln := range strings.Split(stderr.String(), "\n") {
+		if strings.HasPrefix(ln, "peak storage") {
+			peakRow = ln
+		}
+	}
+	if !strings.Contains(stderr.String(), "Memory-model validation") || !strings.Contains(peakRow, "(drift ") {
+		t.Errorf("memory table missing or unmeasured (peak row %q):\n%s", peakRow, stderr.String())
+	}
+	rep, _, err := calib.ReplayReport(o.calibLog, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Runs != 1 || rep.Samples < 1 {
+		t.Errorf("calibration log replays to %d runs and %d samples, want 1 run with samples", rep.Runs, rep.Samples)
+	}
+	for _, exp := range []runOptions{{traceOut: "t.json"}, {timeseriesOut: "s.csv"}} {
+		if !exp.exporting() {
+			t.Errorf("%+v does not count as exporting: its file would have no samples", exp)
+		}
 	}
 }
 

@@ -27,7 +27,7 @@ func stageTrace(stages ...string) *obs.Span {
 // whatever stages its trace holds: no time stage becomes a sample.
 func TestSamplesFromRunStorageOnly(t *testing.T) {
 	trace := stageTrace("ingest", "join", "infer:fc6", "train:fc6", "frobnicate:x")
-	rep := sim.SeriesReport{
+	rep := sim.StorageReport{
 		PredPeakStorageBytes: 1 << 20, MeasPeakStorageBytes: 2 << 20,
 		PredSpillBytes: 3 << 20, MeasSpillBytes: 5 << 20,
 	}

@@ -1,8 +1,9 @@
 // Package calib is the memory model's drift observatory. Algorithm 1 and
 // admission price runs with the Section 4.1 memory model (sim.AdmissionCost
 // gates real traffic on it), so calib measures exactly that model against
-// reality: after every run, sim.CompareSeries pairs the model's predicted
-// peak storage and spill bytes with the engine's exact counters, and the two
+// reality: after every run, sim.CompareStorage pairs the model's predicted
+// peak storage and spill bytes with the engine's exact counters, which the
+// run's root span carries, and the two
 // pairs (storage:peak, storage:spill) are folded into an append-only,
 // crash-safe on-disk log (one compact record per run) and into rolling
 // aggregates: a time-decayed EWMA of ln(measured/estimated), a
@@ -51,17 +52,15 @@ func (s Sample) counts() bool {
 	return !s.Cached && !s.Shared && s.Est > 0 && s.Meas > 0
 }
 
-// samplesFromRun turns one run's series report into its storage samples,
-// omitting a pair with neither an estimate nor a measurement. trace (nil for
-// none) flags them: a run with any cache: or shared: stage attached tables
-// the model prices as computed.
-func samplesFromRun(trace *obs.Span, rep sim.SeriesReport) []Sample {
+// samplesFromRun turns one run's storage report into its storage samples,
+// omitting a pair with neither an estimate nor a measurement. trace flags
+// them: a run with any cache: or shared: stage attached tables the model
+// prices as computed.
+func samplesFromRun(trace *obs.Span, rep sim.StorageReport) []Sample {
 	var cached, shared bool
-	if trace != nil {
-		for _, sp := range trace.Children() {
-			cached = cached || strings.HasPrefix(sp.Name(), "cache:")
-			shared = shared || strings.HasPrefix(sp.Name(), "shared:")
-		}
+	for _, sp := range trace.Children() {
+		cached = cached || strings.HasPrefix(sp.Name(), "cache:")
+		shared = shared || strings.HasPrefix(sp.Name(), "shared:")
 	}
 	var out []Sample
 	add := func(stage string, est, meas int64) {
@@ -151,19 +150,26 @@ func Simulate(env RunEnv, numLayers int) (sim.Result, error) {
 }
 
 // CompareRun simulates env's workload (Simulate, over the layers the trace
-// shows were explored), compares its memory model with the
-// engine's peak storage and spill in the final frame of series, and returns
-// the run's storage samples. A run without a trace or a series has nothing
-// to compare.
-func CompareRun(env RunEnv, trace *obs.Span, series *sampler.Recording) ([]Sample, error) {
-	if trace == nil || series == nil {
-		return nil, fmt.Errorf("calib: a run needs a trace and a sampled series to compare")
+// shows were explored), compares its memory model with the engine's peak
+// storage and spill on the trace's root span, and returns the run's storage
+// samples. A run without a trace, or whose root carries no storage
+// measurement, has nothing to compare.
+//
+// The third parameter is ignored: bench's traced run still passes the run's
+// sampled recording, and ROADMAP direction 1(d), which rewrites that run,
+// deletes the parameter.
+func CompareRun(env RunEnv, trace *obs.Span, _ *sampler.Recording) ([]Sample, error) {
+	if trace == nil {
+		return nil, fmt.Errorf("calib: a run needs a trace to compare")
+	}
+	if _, ok := trace.Attr(sim.AttrPeakStorageBytes); !ok {
+		return nil, fmt.Errorf("calib: the trace's root carries no storage measurement")
 	}
 	simRes, err := Simulate(env, exploredLayers(trace))
 	if err != nil {
 		return nil, err
 	}
-	return samplesFromRun(trace, sim.CompareSeries(simRes, series)), nil
+	return samplesFromRun(trace, sim.CompareStorage(simRes, trace)), nil
 }
 
 // exploredLayers counts the feature layers the measured run explored, so

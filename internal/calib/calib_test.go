@@ -52,16 +52,14 @@ func TestCompareRunStorageIsEngineExact(t *testing.T) {
 				Downstream: core.DefaultDownstream(),
 				StructRows: structRows, ImageRows: imageRows, Seed: 1,
 				PlanKind: plan.Staged, Placement: plan.AfterJoin,
-				Decision:    tc.decision,
-				Metrics:     obs.NewRegistry(),
-				SampleEvery: 5 * time.Millisecond,
-				SpillDir:    t.TempDir(),
+				Decision: tc.decision,
+				SpillDir: t.TempDir(),
 			}
 			res, err := core.Run(spec)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
-			samples, err := CompareRun(EnvFromSpec(spec, "foods"), res.Trace, res.Series)
+			samples, err := CompareRun(EnvFromSpec(spec, "foods"), res.Trace, nil)
 			if err != nil {
 				t.Fatalf("CompareRun: %v", err)
 			}
@@ -109,16 +107,14 @@ func TestCompareRunPricesEveryExploredLayer(t *testing.T) {
 		Downstream: core.DefaultDownstream(),
 		StructRows: structRows, ImageRows: imageRows, Seed: 1,
 		PlanKind: plan.Eager, Placement: plan.AfterJoin,
-		Metrics:     obs.NewRegistry(),
-		SampleEvery: 5 * time.Millisecond,
-		SpillDir:    t.TempDir(),
+		SpillDir: t.TempDir(),
 	}
 	res, err := core.Run(spec)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	env := EnvFromSpec(spec, "foods")
-	samples, err := CompareRun(env, res.Trace, res.Series)
+	samples, err := CompareRun(env, res.Trace, nil)
 	if err != nil {
 		t.Fatalf("CompareRun: %v", err)
 	}
@@ -145,7 +141,7 @@ func TestCompareRunPricesEveryExploredLayer(t *testing.T) {
 // held less storage than the cold run the memory model prices: its storage
 // samples are logged but never reach the aggregates the fit reads.
 func TestSamplesFromRunExcludesAttachedStorage(t *testing.T) {
-	rep := sim.SeriesReport{
+	rep := sim.StorageReport{
 		PredPeakStorageBytes: 6 << 20, MeasPeakStorageBytes: 1 << 20,
 		PredSpillBytes: 2 << 20, MeasSpillBytes: 1 << 20,
 	}
@@ -178,15 +174,65 @@ func TestSamplesFromRunExcludesAttachedStorage(t *testing.T) {
 	}
 }
 
-// Storage evidence is the sampled series' final frame: a run recorded
-// without one is not compared (and so never logged as an empty record).
-func TestCompareRunNeedsSeries(t *testing.T) {
+// Storage evidence is the storage measurement on the trace's root span: a
+// run whose root carries none, or that has no trace, is not compared (and
+// so never logged as an empty record).
+func TestCompareRunNeedsMeasurement(t *testing.T) {
 	env := RunEnv{
 		ModelName: "tiny-alexnet", Dataset: "foods", Rows: 100, StructDim: 130, ImageRowBytes: 14 << 10,
 		PlanKind: plan.Staged, Placement: plan.AfterJoin, Nodes: 2, Cores: 2, MemBytes: memory.GB(32),
 	}
-	if samples, err := CompareRun(env, stageTrace("ingest", "infer:fc6", "train:fc6"), nil); err == nil {
-		t.Fatalf("CompareRun without a series = %+v, want an error", samples)
+	for _, trace := range []*obs.Span{stageTrace("ingest", "infer:fc6", "train:fc6"), nil} {
+		if samples, err := CompareRun(env, trace, nil); err == nil {
+			t.Fatalf("CompareRun without a storage measurement = %+v, want an error", samples)
+		}
+	}
+}
+
+// Sampling is for the exporters only: the same cold run yields the same
+// calibration samples with and without a sampler, and they are the engine's
+// final counters.
+func TestCompareRunSameSampledOrNot(t *testing.T) {
+	tables, err := data.NewCatalog().Get(data.Foods().WithRows(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs [2][]Sample
+	for i, every := range []time.Duration{0, time.Millisecond} {
+		spec := core.Spec{
+			Nodes: 2, CoresPerNode: 2, MemPerNode: memory.GB(32),
+			SystemKind: memory.SparkLike,
+			ModelName:  "tiny-alexnet", NumLayers: 2,
+			Downstream: core.DefaultDownstream(),
+			Seed:       1,
+			PlanKind:   plan.Staged, Placement: plan.AfterJoin,
+			SampleEvery: every,
+			SpillDir:    t.TempDir(),
+		}.WithTables(tables)
+		res, err := core.Run(spec)
+		if err != nil {
+			t.Fatalf("run (SampleEvery %v): %v", every, err)
+		}
+		if (res.Series != nil) != (every > 0) {
+			t.Fatalf("SampleEvery %v recorded a series: %v", every, res.Series != nil)
+		}
+		samples, err := CompareRun(EnvFromSpec(spec, "foods"), res.Trace, res.Series)
+		if err != nil {
+			t.Fatalf("CompareRun (SampleEvery %v): %v", every, err)
+		}
+		peak := byStage(samples)["storage:peak"]
+		if peak.Meas <= 0 || peak.Meas != float64(res.Counters.PeakStorageBytes) {
+			t.Errorf("SampleEvery %v: storage:peak Meas = %v, want the engine's %d",
+				every, peak.Meas, res.Counters.PeakStorageBytes)
+		}
+		if spill, ok := byStage(samples)["storage:spill"]; ok && spill.Meas != float64(res.Counters.BytesSpilled) {
+			t.Errorf("SampleEvery %v: storage:spill Meas = %v, want the engine's %d",
+				every, spill.Meas, res.Counters.BytesSpilled)
+		}
+		runs[i] = samples
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Errorf("samples differ: unsampled %+v, sampled %+v", runs[0], runs[1])
 	}
 }
 

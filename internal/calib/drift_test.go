@@ -3,12 +3,10 @@ package calib
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/memory"
-	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sim"
 )
@@ -57,9 +55,7 @@ func TestStoragePeakMatchesModel(t *testing.T) {
 				Downstream: core.DefaultDownstream(),
 				Seed:       1,
 				PlanKind:   r.kind, Placement: r.placement,
-				Metrics:     obs.NewRegistry(),
-				SampleEvery: time.Millisecond,
-				SpillDir:    t.TempDir(),
+				SpillDir: t.TempDir(),
 			}.WithTables(tables)
 			res, err := core.Run(spec)
 			if err != nil {
@@ -69,7 +65,7 @@ func TestStoragePeakMatchesModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep := sim.CompareSeries(simRes, res.Series)
+			rep := sim.CompareStorage(simRes, res.Trace)
 			if rep.PredPeakStorageBytes <= 0 {
 				t.Fatalf("no peak-storage estimate: %+v", rep)
 			}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/obs/sampler"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
+	"repro/internal/sim"
 	"repro/internal/tensor"
 )
 
@@ -151,7 +152,7 @@ func RunContext(ctx context.Context, spec Spec) (*Result, error) {
 	// private to the run: the shared one holds whichever engine registered
 	// last, and series of nodes an earlier, larger run had.
 	var smp *sampler.Sampler
-	if spec.Metrics != nil && spec.SampleEvery > 0 {
+	if spec.SampleEvery > 0 {
 		own := obs.NewRegistry()
 		engine.RegisterMetrics(own)
 		if spec.FeatureStore != nil {
@@ -164,6 +165,11 @@ func RunContext(ctx context.Context, spec Spec) (*Result, error) {
 		})
 	}
 	layers, err := ex.run()
+	// The engine's final counters, read once; the root span carries the
+	// storage pair the memory model is checked against.
+	counters := engine.Counters().Snapshot()
+	ex.trace.SetAttr(sim.AttrPeakStorageBytes, counters.PeakStorageBytes)
+	ex.trace.SetAttr(sim.AttrSpilledBytes, counters.BytesSpilled)
 	ex.trace.End()
 	var recording *sampler.Recording
 	if smp != nil {
@@ -188,7 +194,7 @@ func RunContext(ctx context.Context, spec Spec) (*Result, error) {
 		Decision: decision,
 		Plan:     compiled,
 		Layers:   layers,
-		Counters: engine.Counters().Snapshot(),
+		Counters: counters,
 		Elapsed:  time.Since(start),
 		Trace:    ex.trace,
 		Series:   recording,

@@ -154,14 +154,13 @@ type Spec struct {
 	// across runs; each run's engine takes over the engine series.
 	Metrics *obs.Registry
 
-	// SampleEvery, when positive (and Metrics is set), runs a time-series
-	// sampler for the duration of the run: every period it snapshots this
-	// run's engine/pool/feature-store series — never another run's — into
-	// an in-memory recording, tagging each frame with the stage open at that
-	// instant. The recording lands on Result.Series, ready for the export
-	// writers (CSV/JSON time series, Chrome trace counter tracks); its final
-	// frame carries the engine's exact peak storage and spill volume, which
-	// sim.CompareSeries reads.
+	// SampleEvery, when positive, runs a time-series sampler for the
+	// duration of the run: every period it snapshots this run's
+	// engine/pool/feature-store series — never another run's — into an
+	// in-memory recording, tagging each frame with the stage open at that
+	// instant. The recording lands on Result.Series for the export writers
+	// (CSV/JSON time series, Chrome trace counter tracks) only: calibration
+	// reads the run's storage counters from Result.Trace, sampled or not.
 	SampleEvery time.Duration
 
 	// — Experiment overrides (default zero values = Vista's choices) —
@@ -302,6 +301,9 @@ type Result struct {
 	Elapsed  time.Duration
 	// Trace is the run's span tree: a root "run" span with one child per
 	// stage, in execution order, each carrying row/byte/FLOP attributes.
+	// The root carries the engine's final peak storage and spill bytes
+	// (sim.AttrPeakStorageBytes, sim.AttrSpilledBytes), which
+	// sim.CompareStorage reads.
 	// Stage labels: "ingest", "join", "infer:<layer>", "train:<layer>",
 	// "premat:<layer>", "cache:<layer>" (a stage served from the feature
 	// store), or "shared:<layer>" (a stage attached from a sharing group's
@@ -310,10 +312,10 @@ type Result struct {
 	// times up against the simulator's estimates.
 	Trace *obs.Span
 	// Series is the run's sampled time series (nil unless Spec.SampleEvery
-	// and Spec.Metrics were set): per-period frames of engine counters, pool
-	// gauges, and feature-store series with live stage markers. Feed it to
-	// export.WriteTimeseriesCSV/JSON, export.WriteChromeTrace (counter
-	// tracks), or sim.CompareSeries (which reads the final frame).
+	// was set): per-period frames of engine counters, pool gauges, and
+	// feature-store series with live stage markers. Feed it to
+	// export.WriteTimeseriesCSV/JSON or export.WriteChromeTrace (counter
+	// tracks).
 	Series *sampler.Recording
 	// Cache reports feature-store usage (zero value when no store).
 	Cache CacheReport

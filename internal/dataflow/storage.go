@@ -73,7 +73,7 @@ func (sc *storageCache) admitLocked(need int64, detail string) error {
 
 // spillLocked writes p to a spill file and counts the write, as every disk
 // write of a partition must be counted, or instrumentation (and
-// sim.CompareSeries's spill-volume comparison) undercounts I/O.
+// sim.CompareStorage's spill-volume comparison) undercounts I/O.
 func (sc *storageCache) spillLocked(p *Partition) error {
 	dir, err := sc.engine.spillDirLocked()
 	if err != nil {

@@ -187,7 +187,7 @@ func (l *Runner) Do(ctx context.Context, spec core.Spec, dataset string) (out Ou
 	}
 	out = Outcome{Kind: Completed, Result: res, RunSeq: seq}
 	if l.Calib != nil {
-		samples, err := calib.CompareRun(calib.EnvFromSpec(spec, dataset), res.Trace, res.Series)
+		samples, err := calib.CompareRun(calib.EnvFromSpec(spec, dataset), res.Trace, nil)
 		if err != nil {
 			out.CompareErr = err
 		} else {

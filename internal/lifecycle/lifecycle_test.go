@@ -13,7 +13,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/faultinject"
 	"repro/internal/memory"
-	"repro/internal/obs"
 	"repro/internal/share"
 )
 
@@ -58,10 +57,9 @@ func settled(t *testing.T, r *Runner) {
 }
 
 func TestDoCompletedRecordsCalibrationAndSettles(t *testing.T) {
+	// Calibration reads the run's storage counters from its root span, so
+	// the spec runs no sampler.
 	spec := tinySpec(t)
-	// Calibration compares the run's storage with its sampled series' final
-	// frame, as every served run records one.
-	spec.Metrics, spec.SampleEvery = obs.NewRegistry(), time.Millisecond
 	price, err := core.Price(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -10,10 +10,9 @@
 // with the engine. A recording holds at most maxFrames frames; a longer run
 // overwrites its oldest frames and counts them as Dropped.
 //
-// A finished recording feeds the exporters: Chrome trace counter tracks and
-// CSV and JSON time series. Its final frame, taken after the last stage while
-// the engine is still open, is also what sim.CompareSeries reads a run's
-// exact peak storage and spill volume from.
+// A finished recording feeds the exporters only: Chrome trace counter tracks
+// and CSV and JSON time series. Calibration reads a run's exact peak storage
+// and spill volume from its span tree's root, not from a frame.
 package sampler
 
 import (

@@ -3,14 +3,12 @@ package sim_test
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/dataflow"
 	"repro/internal/featurestore"
 	"repro/internal/memory"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -41,7 +39,7 @@ func simulateLike(t *testing.T, structRows, imageRows []dataflow.Row, layers, no
 }
 
 // TestCompareAgainstFeatureStoreRun validates both comparisons against real
-// executions: a cold staged run (every stage live, sampled series populated)
+// executions: a cold staged run (every stage live)
 // and a warm rerun whose inference stages attach from the feature store —
 // those must surface as labeled Cached rows, not as huge relative errors.
 func TestCompareAgainstFeatureStoreRun(t *testing.T) {
@@ -61,8 +59,6 @@ func TestCompareAgainstFeatureStoreRun(t *testing.T) {
 		Downstream: core.DefaultDownstream(),
 		StructRows: structRows, ImageRows: imageRows, Seed: 1,
 		FeatureStore: store,
-		Metrics:      obs.NewRegistry(),
-		SampleEvery:  time.Millisecond,
 	}
 	cold, err := core.Run(spec)
 	if err != nil {
@@ -109,13 +105,10 @@ func TestCompareAgainstFeatureStoreRun(t *testing.T) {
 		t.Errorf("render missing the cached label:\n%s", b.String())
 	}
 
-	// CompareSeries on the cold staged run: the run-level prediction against
+	// CompareStorage on the cold staged run: the run-level prediction against
 	// the engine's own high-water mark and spill volume, read exactly from the
-	// recording's final frame.
-	if cold.Series == nil || len(cold.Series.Frames) < 2 {
-		t.Fatalf("cold run recorded no series")
-	}
-	rep := sim.CompareSeries(simRes, cold.Series)
+	// root span.
+	rep := sim.CompareStorage(simRes, cold.Trace)
 	if rep.MeasPeakStorageBytes <= 0 || rep.MeasPeakStorageBytes != cold.Counters.PeakStorageBytes {
 		t.Errorf("measured peak storage = %d, want the engine's %d",
 			rep.MeasPeakStorageBytes, cold.Counters.PeakStorageBytes)
@@ -129,7 +122,7 @@ func TestCompareAgainstFeatureStoreRun(t *testing.T) {
 	// The warm run attaches its feature tables from the store: it measures
 	// its own, smaller engine, while the prediction still prices each
 	// layer's table (an attach loads the same table).
-	warmRep := sim.CompareSeries(simRes, warm.Series)
+	warmRep := sim.CompareStorage(simRes, warm.Trace)
 	if warmRep.MeasPeakStorageBytes != warm.Counters.PeakStorageBytes {
 		t.Errorf("warm measured peak = %d, want the engine's %d",
 			warmRep.MeasPeakStorageBytes, warm.Counters.PeakStorageBytes)

@@ -67,7 +67,7 @@ type LayerCost struct {
 	SpillSec float64
 	// LiveStorageBytes is the predicted cluster-wide storage-pool occupancy
 	// while this layer's table is live, capped at the storage budget
-	// (CompareSeries takes the run's peak over them).
+	// (CompareStorage takes the run's peak over them).
 	LiveStorageBytes int64
 	// SpilledBytes is the spill volume attributed to this layer's stage.
 	SpilledBytes int64

@@ -305,6 +305,21 @@ wait "$calib_server_pid" 2>/dev/null || true
 trap - EXIT
 "$calib_tmp/vista" -calib "$calib_tmp/calib.log" -calib-json report >"$calib_tmp/offline.json"
 cmp "$calib_tmp/live.json" "$calib_tmp/offline.json"
+# The CLI leg: an unsampled vista -calib run reads its storage counters from
+# the run's span tree, and its record replays to storage samples inside the
+# same drift band.
+"$calib_tmp/vista" -model tiny-alexnet -rows 100 -layers 2 -calib "$calib_tmp/cli.log" >/dev/null
+"$calib_tmp/vista" -calib "$calib_tmp/cli.log" -calib-json report >"$calib_tmp/cli.json"
+if ! grep -q '"samples":[1-9]' "$calib_tmp/cli.json"; then
+    echo "calibration smoke: the CLI run recorded no storage samples" >&2
+    cat "$calib_tmp/cli.json" >&2
+    exit 1
+fi
+cli_drift=$(sed -n 's/.*"drift_ratio":\([0-9.eE+-]*\).*/\1/p' "$calib_tmp/cli.json")
+if ! awk -v d="$cli_drift" 'BEGIN { exit !(d != "" && d >= 0.8 && d <= 1.25) }'; then
+    echo "calibration smoke: CLI storage drift ratio = '$cli_drift', want within [0.8, 1.25]" >&2
+    exit 1
+fi
 rm -rf "$calib_tmp"
 
 echo "== bench smoke (BENCH_SHORT=1) =="
