@@ -174,8 +174,8 @@ func CompareRun(env RunEnv, trace *obs.Span, _ *sampler.Recording) ([]Sample, er
 
 // exploredLayers counts the feature layers the measured run explored, so
 // the simulated workload prices the same layers: every plan trains once per
-// explored layer, whether the layer's features came from an infer:, premat:,
-// cache: or shared: stage or from an Eager pass that emitted several.
+// explored layer, whether the layer's features came from an infer:, cache:
+// or shared: stage or from an Eager pass that emitted several.
 func exploredLayers(trace *obs.Span) int {
 	n := 0
 	for _, sp := range trace.Children() {

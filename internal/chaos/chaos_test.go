@@ -69,7 +69,6 @@ var coreSites = []site{
 	{core.FaultStage + ":join", false},
 	{core.FaultStage + ":infer", false},
 	{core.FaultStage + ":train", false},
-	{core.FaultStage + ":premat", false},
 	{core.FaultStage + ":cache", false},
 	{dl.FaultSessionBroadcast, false},
 	{dl.FaultInferBatch, false},

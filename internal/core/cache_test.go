@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/featurestore"
 	"repro/internal/memory"
+	"repro/internal/obs"
 )
 
 // TestRunFeatureStoreWarmReuse drives the full cross-run caching path: a
@@ -78,6 +79,89 @@ func TestRunFeatureStoreWarmReuse(t *testing.T) {
 	}
 	if cacheStages != nSteps || inferStages != 0 {
 		t.Fatalf("warm timings: %d cache / %d infer stages, want %d/0", cacheStages, inferStages, nSteps)
+	}
+}
+
+// TestRunWarmNeedsNoImagesOrSession pins what a run needs of the image
+// payloads and the CNN: a fully-warm run charges no node's DL pool and
+// ingests the image table without its payloads, while a run with one live
+// inference step opens a session and ingests them.
+func TestRunWarmNeedsNoImagesOrSession(t *testing.T) {
+	// run executes spec against a fresh registry and returns the run, the
+	// largest DL pool peak over its nodes, and its ingest span's bytes.
+	run := func(spec Spec) (*Result, float64, int64) {
+		t.Helper()
+		reg := obs.NewRegistry()
+		spec.Metrics = reg
+		res, err := Run(spec)
+		if err != nil {
+			t.Fatalf("Run (|L|=%d): %v", spec.NumLayers, err)
+		}
+		var dlPeak float64
+		nodes := 0
+		for _, s := range reg.Samples(func(name string) bool { return name == "vista_pool_peak_bytes" }) {
+			if strings.Contains(s.Labels, `pool="dl"`) {
+				dlPeak = max(dlPeak, s.Value)
+				nodes++
+			}
+		}
+		if nodes != spec.Nodes {
+			t.Fatalf("found %d DL pool series, want one per node (%d)", nodes, spec.Nodes)
+		}
+		ingested, ok := res.Trace.Find("ingest").Attr("bytes")
+		if !ok {
+			t.Fatal("ingest span carries no bytes")
+		}
+		return res, dlPeak, ingested
+	}
+	newStore := func() *featurestore.Store {
+		t.Helper()
+		store, err := featurestore.Open(t.TempDir(), memory.MB(256))
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		return store
+	}
+	spec := tinySpec(t, 60)
+	var payloads int64
+	for _, r := range spec.ImageRows {
+		payloads += int64(len(r.Image))
+	}
+	if payloads == 0 {
+		t.Fatal("image rows carry no payloads")
+	}
+
+	spec.FeatureStore = newStore()
+	_, coldPeak, coldIngest := run(spec)
+	if coldPeak <= 0 {
+		t.Fatal("cold run charged no DL pool")
+	}
+	warm, warmPeak, warmIngest := run(spec)
+	if warm.Cache.StagesExecuted != 0 {
+		t.Fatalf("warm run executed %d stages", warm.Cache.StagesExecuted)
+	}
+	if warmPeak != 0 {
+		t.Errorf("fully-warm run charged %.0f bytes to a DL pool, want none", warmPeak)
+	}
+	if got := coldIngest - warmIngest; got != payloads {
+		t.Errorf("warm ingest is %d bytes lighter than cold, want the image payloads' %d", got, payloads)
+	}
+
+	// |L|=1 stores fc8 alone; |L|=2 attaches fc8 and runs fc7 live from
+	// the images.
+	spec.FeatureStore = newStore()
+	spec.NumLayers = 1
+	run(spec)
+	spec.NumLayers = 2
+	partial, partialPeak, partialIngest := run(spec)
+	if partial.Cache.StagesExecuted != 1 || partial.Cache.StagesFromCache != 1 {
+		t.Fatalf("partial run cache report: %+v", partial.Cache)
+	}
+	if partialPeak <= 0 {
+		t.Error("partially-warm run opened no DL session")
+	}
+	if partialIngest != coldIngest {
+		t.Errorf("partially-warm run ingested %d bytes, want the cold run's %d (payloads included)", partialIngest, coldIngest)
 	}
 }
 

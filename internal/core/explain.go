@@ -1,10 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"strings"
-
-	"repro/internal/memory"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
 	"repro/internal/sim"
@@ -46,27 +42,6 @@ func Explain(spec Spec) (*Explanation, error) {
 	return ex, nil
 }
 
-// Render prints the explanation as a human-readable report.
-func (e *Explanation) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Plan: %s (%d inference stage(s), %.2f GFLOPs/example)\n",
-		e.Plan.Name(), len(e.Plan.Steps), float64(e.Plan.TotalInferenceFLOPs())/1e9)
-	for i, l := range e.Plan.Layers {
-		fmt.Fprintf(&b, "  T%d %-9s est. %s\n", i+1, l.Name, memory.FormatBytes(e.TableSizes[i]))
-	}
-	fmt.Fprintf(&b, "Peaks: s_single=%s s_double=%s\n",
-		memory.FormatBytes(e.SSingle), memory.FormatBytes(e.SDouble))
-	if e.Infeasible != nil {
-		fmt.Fprintf(&b, "Decision: INFEASIBLE — %v\n", e.Infeasible)
-		return b.String()
-	}
-	d := e.Decision
-	fmt.Fprintf(&b, "Decision: cpu=%d np=%d join=%v pers=%v\n", d.CPU, d.NP, d.Join, d.Pers)
-	fmt.Fprintf(&b, "Memory:   dl=%s user=%s storage=%s\n",
-		memory.FormatBytes(d.MemDL), memory.FormatBytes(d.MemUser), memory.FormatBytes(d.MemStorage))
-	return b.String()
-}
-
 // optimizerInputs assembles the Algorithm 1 inputs for a spec (shared by Run,
 // Price and Explain) through the simulator's one input builder.
 func optimizerInputs(spec Spec, id *Identity) (optimizer.Inputs, error) {
@@ -81,7 +56,6 @@ func optimizerInputs(spec Spec, id *Identity) (optimizer.Inputs, error) {
 		Nodes:      spec.Nodes,
 		CPUSys:     spec.CoresPerNode,
 		MemSys:     spec.MemPerNode,
-		MemGPU:     spec.GPUMemPerNode,
 		Downstream: spec.Downstream.Footprint(),
 	}.Inputs(id.Stats)
 }

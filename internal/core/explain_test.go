@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/memory"
@@ -32,12 +31,6 @@ func TestExplainMatchesRun(t *testing.T) {
 	if ex.SSingle <= 0 || ex.SDouble <= 0 {
 		t.Error("peak sizes missing")
 	}
-	out := ex.Render()
-	for _, want := range []string{"Staged/AJ", "Decision:", "cpu=", "s_single"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q", want)
-		}
-	}
 }
 
 func TestExplainInfeasible(t *testing.T) {
@@ -50,9 +43,6 @@ func TestExplainInfeasible(t *testing.T) {
 	}
 	if ex.Infeasible == nil {
 		t.Fatal("8 MB node reported feasible")
-	}
-	if !strings.Contains(ex.Render(), "INFEASIBLE") {
-		t.Error("render should flag infeasibility")
 	}
 }
 

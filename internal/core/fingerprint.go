@@ -25,11 +25,10 @@ type Fingerprint struct {
 
 // ShareFingerprint computes spec's sharing identity. ok is false when the
 // run cannot safely share an inference pass: non-Staged plans (Eager/Lazy
-// emit different step structures) and pre-materialized-base variants (the
-// premat pass's outputs are not published under step content addresses)
-// execute solo, as do specs that fail validation or weight realization.
+// emit different step structures) execute solo, as do specs that fail
+// validation or weight realization.
 func ShareFingerprint(spec Spec) (fp Fingerprint, ok bool) {
-	if spec.PlanKind != plan.Staged || spec.PreMaterializeBase {
+	if spec.PlanKind != plan.Staged {
 		return Fingerprint{}, false
 	}
 	id, err := spec.identity()

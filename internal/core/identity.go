@@ -26,8 +26,7 @@ import (
 type Identity struct {
 	Model *cnn.Model
 	Stats *cnn.Stats
-	// Plan is the compiled logical plan (with the spec's PreMaterializeBase
-	// option applied).
+	// Plan is the compiled logical plan.
 	Plan *plan.Plan
 	// ImageRowBytes is Spec.AvgImageBytes: the image-row size the optimizer
 	// prices.
@@ -50,21 +49,20 @@ type Identity struct {
 // identityInputs are the spec fields an Identity is a function of, in
 // comparable form (the image table by slice identity, not content).
 type identityInputs struct {
-	model              string
-	numLayers          int
-	planKind           plan.Kind
-	placement          plan.JoinPlacement
-	preMaterializeBase bool
-	seed               int64
-	firstImageRow      *dataflow.Row
-	numImageRows       int
-	tables             *data.Tables
+	model         string
+	numLayers     int
+	planKind      plan.Kind
+	placement     plan.JoinPlacement
+	seed          int64
+	firstImageRow *dataflow.Row
+	numImageRows  int
+	tables        *data.Tables
 }
 
 func (s *Spec) identityInputs() identityInputs {
 	in := identityInputs{
 		model: s.ModelName, numLayers: s.NumLayers,
-		planKind: s.PlanKind, placement: s.Placement, preMaterializeBase: s.PreMaterializeBase,
+		planKind: s.PlanKind, placement: s.Placement,
 		seed: s.Seed, numImageRows: len(s.ImageRows), tables: s.catalogTables(),
 	}
 	if len(s.ImageRows) > 0 {
@@ -75,8 +73,8 @@ func (s *Spec) identityInputs() identityInputs {
 
 // Resolve validates spec and derives its Identity. Resolve after the last
 // change to the fields the identity depends on (ModelName, NumLayers,
-// PlanKind, Placement, PreMaterializeBase, Seed, ImageRows); everything else
-// on the spec may still change afterwards.
+// PlanKind, Placement, Seed, ImageRows); everything else on the spec may
+// still change afterwards.
 func Resolve(spec Spec) (*Identity, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -89,8 +87,7 @@ func Resolve(spec Spec) (*Identity, error) {
 	if err != nil {
 		return nil, err
 	}
-	compiled, err := plan.Compile(spec.PlanKind, spec.Placement, stats, spec.NumLayers,
-		plan.Options{PreMaterializeBase: spec.PreMaterializeBase})
+	compiled, err := plan.Compile(spec.PlanKind, spec.Placement, stats, spec.NumLayers, plan.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,7 @@ import (
 
 // FaultStage is the failpoint site hit at every executor stage boundary; a
 // labeled variant "core/stage:<label>" is hit first (labels: ingest, join,
-// premat, infer, cache, train), so a schedule can fail the Nth stage of any
+// infer, cache, train), so a schedule can fail the Nth stage of any
 // kind or one specific kind of stage.
 const FaultStage = "core/stage"
 
@@ -73,20 +73,13 @@ func RunContext(ctx context.Context, spec Spec) (*Result, error) {
 		return nil, err
 	}
 
-	// A fully-warm run needs neither the raw image payloads nor a DL
-	// session; pre-materialization and any live inference step bring both
-	// back.
-	imagesNeeded, sessionNeeded := true, true
-	if cache != nil {
-		imagesNeeded = compiled.PreMaterializedBase >= 0
-		sessionNeeded = compiled.PreMaterializedBase >= 0
-		for i, step := range compiled.Steps {
-			if !cache.cached(i) {
-				sessionNeeded = true
-				if step.FromImage {
-					imagesNeeded = true
-				}
-			}
+	// A live inference step needs a DL session, and one that reads images
+	// needs their payloads; a fully-warm run has neither.
+	var imagesNeeded, sessionNeeded bool
+	for i, step := range compiled.Steps {
+		if !cache.cached(i) {
+			sessionNeeded = true
+			imagesNeeded = imagesNeeded || step.FromImage
 		}
 	}
 	if !imagesNeeded {
@@ -122,7 +115,7 @@ func RunContext(ctx context.Context, spec Spec) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		session, err = dl.NewSession(engine, id.Model, dl.Options{Weights: weights, GPUMemBytes: spec.GPUMemPerNode})
+		session, err = dl.NewSession(engine, id.Model, dl.Options{Weights: weights})
 		if err != nil {
 			return nil, err
 		}
@@ -292,22 +285,7 @@ func (ex *executor) runAfterJoin(tstr, timg *dataflow.Table) ([]LayerResult, err
 	join.SetAttr("rows", joinRows())
 	join.SetAttr("shuffle_bytes", shuffled())
 	join.End()
-
-	var results []LayerResult
-	rawIdx := -1
-	if ex.plan.PreMaterializedBase >= 0 {
-		// The pass consumes the joined base, which the passes below never
-		// read again.
-		base, rawIdx, err = ex.preMaterialize(base, true, ex.train, &results)
-		if err != nil {
-			return nil, err
-		}
-	}
-	more, err := ex.runPasses(base, rawIdx, ex.train)
-	if err != nil {
-		return nil, err
-	}
-	return append(results, more...), nil
+	return ex.runPasses(base, ex.train)
 }
 
 // runBeforeJoin runs inference over Timg alone and joins each emitted
@@ -326,22 +304,7 @@ func (ex *executor) runBeforeJoin(tstr, timg *dataflow.Table) ([]LayerResult, er
 		defer joined.Drop()
 		return ex.train(joined, 0, em)
 	}
-	var results []LayerResult
-	rawIdx := -1
-	base := timg
-	if ex.plan.PreMaterializedBase >= 0 {
-		var err error
-		base, rawIdx, err = ex.preMaterialize(timg, false, trainJoined, &results)
-		timg.Drop()
-		if err != nil {
-			return nil, err
-		}
-	}
-	more, err := ex.runPasses(base, rawIdx, trainJoined)
-	if err != nil {
-		return nil, err
-	}
-	return append(results, more...), nil
+	return ex.runPasses(timg, trainJoined)
 }
 
 // trainFunc trains the downstream model on the feature at featIdx of an
@@ -352,8 +315,9 @@ type trainFunc func(out *dataflow.Table, featIdx int, em plan.Emit) (LayerResult
 // emitted layer with trainFn and managing intermediate-table lifetimes: Lazy
 // steps re-read base, Staged steps consume the previous step's raw carry.
 // It takes ownership of base and drops every intermediate it creates.
-func (ex *executor) runPasses(base *dataflow.Table, rawIdx int, trainFn trainFunc) ([]LayerResult, error) {
+func (ex *executor) runPasses(base *dataflow.Table, trainFn trainFunc) ([]LayerResult, error) {
 	var results []LayerResult
+	rawIdx := -1 // index of the raw carry in the carrier's tensor lists
 	carrier := base
 	cleanup := func() {
 		if carrier != nil && carrier != base {
@@ -461,51 +425,6 @@ func (ex *executor) runStep(name string, in *dataflow.Table, step plan.Step, raw
 		return nil, err
 	}
 	return ex.engine.MapPartitions(name, in, udf)
-}
-
-// preMaterialize computes the base layer over in (the joined table under AJ,
-// Timg under BJ): it emits the base feature, trained with trainFn, and keeps
-// the raw base tensor as the staged chain's input (Appendix B). With consume
-// set it drops in on every path, as soon as the pass has read it; otherwise
-// in stays the caller's.
-func (ex *executor) preMaterialize(in *dataflow.Table, consume bool, trainFn trainFunc, results *[]LayerResult) (*dataflow.Table, int, error) {
-	release := func() {
-		if consume {
-			in.Drop()
-		}
-	}
-	bl := ex.plan.Layers[ex.plan.PreMaterializedBase]
-	udf, err := ex.session.PartitionFunc(dl.InferenceSpec{
-		From: 0, FromImage: true,
-		EmitLayers: []int{bl.LayerIndex},
-		KeepRawAt:  bl.LayerIndex,
-	})
-	if err != nil {
-		release()
-		return nil, 0, err
-	}
-	if err := ex.failStage("premat"); err != nil {
-		release()
-		return nil, 0, err
-	}
-	sp := ex.stage("premat:" + bl.Name)
-	flops := counterDelta(ex.engine.Counters().FLOPs.Load)
-	out, err := ex.engine.MapPartitions("premat", in, udf)
-	if err != nil {
-		sp.End()
-		release()
-		return nil, 0, err
-	}
-	sp.SetAttr("flops", flops())
-	sp.End()
-	release()
-	res, err := trainFn(out, 0, plan.Emit{LayerName: bl.Name, LayerIndex: bl.LayerIndex, FeatureDim: bl.FeatureDim})
-	if err != nil {
-		out.Drop()
-		return nil, 0, err
-	}
-	*results = append(*results, res)
-	return out, 1, nil
 }
 
 // newSingletonList wraps one tensor of l into a fresh TensorList.

@@ -162,41 +162,6 @@ func TestAllPlansYieldIdenticalModels(t *testing.T) {
 	}
 }
 
-// TestRunPreMaterializedBase: under both placements the pre-materialized base
-// trains first, and every layer's models match the same spec's run without
-// pre-materialization.
-func TestRunPreMaterializedBase(t *testing.T) {
-	for _, placement := range []plan.JoinPlacement{plan.AfterJoin, plan.BeforeJoin} {
-		spec := tinySpec(t, 60)
-		spec.NumLayers = 4 // conv5 + fc6..fc8
-		spec.Placement = placement
-		plain, err := Run(spec)
-		if err != nil {
-			t.Fatalf("%v: Run without pre-materialization: %v", placement, err)
-		}
-		spec.PreMaterializeBase = true
-		res, err := Run(spec)
-		if err != nil {
-			t.Fatalf("%v: Run: %v", placement, err)
-		}
-		if len(res.Layers) != 4 || len(plain.Layers) != 4 {
-			t.Fatalf("%v: got %d and %d layers, want 4 (base conv5 + 3)", placement, len(res.Layers), len(plain.Layers))
-		}
-		if res.Layers[0].LayerName != "conv5" {
-			t.Errorf("%v: first result = %s, want conv5 (the pre-materialized base)",
-				placement, res.Layers[0].LayerName)
-		}
-		for i, lr := range res.Layers {
-			want := plain.Layers[i]
-			if lr.LayerName != want.LayerName ||
-				math.Abs(lr.Train.F1-want.Train.F1) > 1e-9 || math.Abs(lr.Test.F1-want.Test.F1) > 1e-9 {
-				t.Errorf("%v: %s train/test F1 %.6f/%.6f, without pre-materialization %s %.6f/%.6f",
-					placement, lr.LayerName, lr.Train.F1, lr.Test.F1, want.LayerName, want.Train.F1, want.Test.F1)
-			}
-		}
-	}
-}
-
 func TestRunCustomParams(t *testing.T) {
 	spec := tinySpec(t, 40)
 	spec.NumLayers = 1

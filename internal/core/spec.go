@@ -88,8 +88,6 @@ type Spec struct {
 	Nodes        int
 	CoresPerNode int
 	MemPerNode   int64
-	// GPUMemPerNode is per-worker accelerator memory (0 = CPU only).
-	GPUMemPerNode int64
 	// SystemKind selects Spark-like or Ignite-like PD semantics.
 	SystemKind memory.SystemKind
 
@@ -169,8 +167,6 @@ type Spec struct {
 	// Staged plan"; Section 5.3 validates Staged/AJ).
 	PlanKind  plan.Kind
 	Placement plan.JoinPlacement
-	// PreMaterializeBase enables the Appendix B variant.
-	PreMaterializeBase bool
 	// Decision, when non-nil, bypasses the optimizer (baseline configs).
 	Decision *optimizer.Decision
 	// Params, when non-nil, overrides the Table 1(C) fixed-but-adjustable
@@ -305,8 +301,7 @@ type Result struct {
 	// (sim.AttrPeakStorageBytes, sim.AttrSpilledBytes), which
 	// sim.CompareStorage reads.
 	// Stage labels: "ingest", "join", "infer:<layer>", "train:<layer>",
-	// "premat:<layer>", "cache:<layer>" (a stage served from the feature
-	// store), or "shared:<layer>" (a stage attached from a sharing group's
+	// "cache:<layer>" (a stage served from the feature store), or "shared:<layer>" (a stage attached from a sharing group's
 	// in-memory handoff). Render it for the
 	// -trace report, or feed it to sim.CompareTrace to line measured stage
 	// times up against the simulator's estimates.

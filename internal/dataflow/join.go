@@ -99,7 +99,7 @@ func (e *Engine) shuffleJoin(name string, left, right *Table) (*Table, error) {
 	} else {
 		// Aligned hash partitioning still moves each side's blocks to the
 		// joining worker once in a real cluster; account the smaller side.
-		e.counters.BytesShuffled.Add(min64(left.MemBytes(), right.MemBytes()))
+		e.counters.BytesShuffled.Add(min(left.MemBytes(), right.MemBytes()))
 	}
 
 	out := &Table{Name: name, engine: e, partitions: make([]*Partition, np)}
@@ -151,11 +151,14 @@ func (e *Engine) shuffleJoin(name string, left, right *Table) (*Table, error) {
 // reproduces the paper's Figure 10 behavior: broadcast is faster at modest
 // sizes but crashes as the broadcast side grows.
 func (e *Engine) broadcastJoin(name string, small, large *Table) (*Table, error) {
-	rows, err := e.collectForBroadcast(small)
+	// The driver gathers the broadcast side first (a broadcast that kills
+	// the driver is crash scenario 4).
+	rows, bcastBytes, err := e.gather(small, func(int) string {
+		return fmt.Sprintf("broadcast build of %s", small.Name)
+	})
 	if err != nil {
 		return nil, err
 	}
-	bcastBytes := rowsMemBytes(rows)
 	// The driver serializes and ships the broadcast once per node.
 	e.counters.BytesBroadcast.Add(bcastBytes * int64(len(e.nodes)))
 
@@ -207,33 +210,4 @@ func (e *Engine) broadcastJoin(name string, small, large *Table) (*Table, error)
 		return nil, err
 	}
 	return out, nil
-}
-
-// collectForBroadcast gathers the broadcast side at the driver, charging
-// driver memory (a broadcast that kills the driver is crash scenario 4).
-func (e *Engine) collectForBroadcast(t *Table) ([]Row, error) {
-	var all []Row
-	var total int64
-	for _, p := range t.partitions {
-		rows, err := e.nodeFor(p.index).storage.touch(p)
-		if err != nil {
-			return nil, err
-		}
-		for i := range rows {
-			total += rows[i].MemBytes()
-		}
-		all = append(all, rows...)
-	}
-	if err := e.driver.Alloc(total, ""); err != nil {
-		return nil, memory.Describe(err, fmt.Sprintf("broadcast build of %s", t.Name))
-	}
-	e.driver.Free(total)
-	return all, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

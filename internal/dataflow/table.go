@@ -174,24 +174,36 @@ func (e *Engine) ForEachPartition(t *Table, fn func(tc *TaskContext, rows []Row)
 // Collect gathers all rows at the driver, sorted by ID. The result is charged
 // against Driver memory — crash scenario 4 for oversized collects.
 func (e *Engine) Collect(t *Table) ([]Row, error) {
+	all, _, err := e.gather(t, func(rows int) string {
+		return fmt.Sprintf("collect %s (%d rows)", t.Name, rows)
+	})
+	if err != nil {
+		return nil, err
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
+	return all, nil
+}
+
+// gather reads every partition of t into one slice at the driver and probes
+// Driver memory with the rows' total size, which it returns; the caller owns
+// the rows beyond that accounting probe. what names the gather, given its
+// row count, in an out-of-memory error.
+func (e *Engine) gather(t *Table, what func(rows int) string) ([]Row, int64, error) {
 	var all []Row
 	var total int64
 	for _, p := range t.partitions {
 		rows, err := e.nodeFor(p.index).storage.touch(p)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		for i := range rows {
-			total += rows[i].MemBytes()
-		}
+		total += rowsMemBytes(rows)
 		all = append(all, rows...)
 	}
 	if err := e.driver.Alloc(total, ""); err != nil {
-		return nil, memory.Describe(err, fmt.Sprintf("collect %s (%d rows)", t.Name, len(all)))
+		return nil, 0, memory.Describe(err, what(len(all)))
 	}
-	e.driver.Free(total) // the caller owns the data beyond this accounting probe
-	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
-	return all, nil
+	e.driver.Free(total)
+	return all, total, nil
 }
 
 // Drop removes the table from all caches and deletes its spill files.

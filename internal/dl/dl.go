@@ -32,9 +32,6 @@ type Options struct {
 	// contract data.Catalog tables are shared under, so one *cnn.Weights may
 	// serve any number of concurrent sessions.
 	Weights *cnn.Weights
-	// GPUMemBytes, when positive, enforces the Equation 15 GPU constraint:
-	// replicas × |f|_mem_gpu must fit the device.
-	GPUMemBytes int64
 }
 
 // Session binds one CNN model to a dataflow engine, with its memory
@@ -86,18 +83,6 @@ func NewSession(e *dataflow.Engine, model *cnn.Model, opts Options) (*Session, e
 	e.DriverPool().Free(stats.SerializedBytes)
 	e.Counters().BytesBroadcast.Add(stats.SerializedBytes * int64(e.Config().Nodes))
 	cores := e.Config().CoresPerNode
-	if opts.GPUMemBytes > 0 {
-		need := int64(cores) * stats.GPUMemBytes
-		if need > opts.GPUMemBytes {
-			return nil, &memory.OOMError{
-				Region:   memory.Device,
-				Scenario: memory.DeviceExhausted,
-				Need:     need,
-				Avail:    opts.GPUMemBytes,
-				Detail:   fmt.Sprintf("%d replicas of %s (Equation 15)", cores, model.Name),
-			}
-		}
-	}
 	s := &Session{
 		engine:        e,
 		model:         model,

@@ -82,25 +82,6 @@ func TestNewSessionDLBlowup(t *testing.T) {
 	}
 }
 
-func TestNewSessionGPUConstraint(t *testing.T) {
-	e := testEngine(t, memory.MB(64), memory.MB(64))
-	st, err := cnn.ComputeStats(cnn.TinyAlexNet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 cores × GPU footprint just misses the device: Equation 15 violated.
-	_, err = NewSession(e, cnn.TinyAlexNet(), Options{Seed: 1, GPUMemBytes: 2*st.GPUMemBytes - 1})
-	oom, ok := memory.IsOOM(err)
-	if !ok || oom.Scenario != memory.DeviceExhausted {
-		t.Fatalf("expected gpu-memory-exhausted, got %v", err)
-	}
-	s, err := NewSession(e, cnn.TinyAlexNet(), Options{Seed: 1, GPUMemBytes: 2 * st.GPUMemBytes})
-	if err != nil {
-		t.Fatalf("fitting GPU config rejected: %v", err)
-	}
-	s.Close()
-}
-
 func TestInferenceFromImageEmitsFeatures(t *testing.T) {
 	e := testEngine(t, memory.MB(64), memory.MB(64))
 	m := cnn.TinyAlexNet()

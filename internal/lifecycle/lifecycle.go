@@ -95,8 +95,8 @@ type Outcome struct {
 	GroupSize int
 	// CompareErr and RecordErr report a completed run's calibration record:
 	// CompareErr when there was nothing to compare — no simulator estimate,
-	// or no sampled series to measure storage from — and nothing was
-	// recorded; RecordErr when the samples reached the rolling
+	// or a trace whose root carries no storage measurement — and nothing
+	// was recorded; RecordErr when the samples reached the rolling
 	// aggregates but the log append failed. Calibration is observability —
 	// neither demotes the outcome.
 	CompareErr, RecordErr error

@@ -27,5 +27,5 @@
 // Spans: StartSpan opens a root span; Span.StartChild nests. Spans carry
 // integer attributes (rows, bytes, FLOPs) and render as an indented tree with
 // durations and self-times (Render). core.Run emits one span per stage —
-// ingest, join, premat:<layer>, infer:<layer>, cache:<layer>, train:<layer>.
+// ingest, join, infer:<layer>, cache:<layer>, shared:<layer>, train:<layer>.
 package obs

@@ -88,8 +88,6 @@ type Inputs struct {
 	StorageMustFit bool
 	// DownstreamMemBytes is |M|_mem.
 	DownstreamMemBytes int64
-	// DownstreamGPUMemBytes is |M|_mem_gpu (0 when M runs on CPU).
-	DownstreamGPUMemBytes int64
 	// Placement locates M's working memory.
 	Placement DownstreamPlacement
 	// NNodes is the worker count.
@@ -304,7 +302,7 @@ func Optimize(in Inputs, params Params) (Decision, error) {
 	for x := upper; x >= 1; x-- {
 		// GPU constraint (Equation 15).
 		if in.MemGPU > 0 {
-			gpuNeed := int64(x) * max64(st.GPUMemBytes, in.DownstreamGPUMemBytes)
+			gpuNeed := int64(x) * st.GPUMemBytes
 			if gpuNeed >= in.MemGPU {
 				continue
 			}
@@ -371,7 +369,7 @@ func DLMemoryNeed(in Inputs, cpu int) int64 {
 		need = 0
 	}
 	if in.Placement == MInDLMemory {
-		need = max64(need, int64(cpu)*in.DownstreamMemBytes)
+		need = max(need, int64(cpu)*in.DownstreamMemBytes)
 	}
 	return need
 }
@@ -408,7 +406,7 @@ func UserMemoryNeed(in Inputs, cpu, np int, params Params) int64 {
 	}
 	need := serialized + int64(float64(cpu)*params.Alpha*float64(working))
 	if in.Placement == MInPDUserMemory {
-		need = max64(need, int64(cpu)*in.DownstreamMemBytes)
+		need = max(need, int64(cpu)*in.DownstreamMemBytes)
 	}
 	return need
 }
@@ -433,13 +431,6 @@ func MLPMemBytes(dim int, hidden []int) int64 {
 		params += int64(widths[i])*int64(widths[i+1]) + int64(widths[i+1])
 	}
 	return params*4*3 + memory.MB(64)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func ceilDiv(a, b int64) int64 {

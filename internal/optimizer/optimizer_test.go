@@ -246,7 +246,7 @@ func TestIntermediateSizesSingleLayer(t *testing.T) {
 		t.Fatalf("sizes = %v, want 1 entry", sizes)
 	}
 	base := StructTableSize(1000, 10) + 1000*(14<<10)
-	if sSingle != max64(base, sizes[0]) {
+	if sSingle != max(base, sizes[0]) {
 		t.Errorf("sSingle = %d, want max(base %d, T0 %d)", sSingle, base, sizes[0])
 	}
 	if want := base + sizes[0] - StructTableSize(1000, 10); sDouble != want {

@@ -307,11 +307,6 @@ func TestFingerprintGates(t *testing.T) {
 	if _, ok := core.ShareFingerprint(lazy); ok {
 		t.Error("lazy plan must not share")
 	}
-	premat := base
-	premat.PreMaterializeBase = true
-	if _, ok := core.ShareFingerprint(premat); ok {
-		t.Error("pre-materialized base must not share")
-	}
 
 	// Identity is content-addressed: a different seed (different weights)
 	// must not collide, while an identical spec must.

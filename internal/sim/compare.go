@@ -60,7 +60,6 @@ func share(d time.Duration, total time.Duration) float64 {
 //	ingest            → ReadSec
 //	join              → JoinSec (the AJ placement's up-front join)
 //	infer:<l>         → the layer's InferSec
-//	premat:<l>        → the layer's InferSec (the base pass is inference)
 //	train:<l>         → the layer's TrainFirstSec + TrainRestSec + JoinSec
 //	cache:<l>         → 0 (feature-store attach; the simulator runs cold)
 //	shared:<l>        → 0 (share-handoff attach; the leader ran the pass)
@@ -83,7 +82,7 @@ func CompareTrace(r Result, trace *obs.Span) []StageComparison {
 			sec, modeled = r.ReadSec, true
 		case "join":
 			sec, modeled = r.JoinSec, true
-		case "infer", "premat":
+		case "infer":
 			sec, modeled = lc.InferSec, true
 		case "train":
 			sec, modeled = lc.TrainFirstSec+lc.TrainRestSec+lc.JoinSec, true

@@ -477,7 +477,7 @@ func (m *model) crashCheck() error {
 
 	// Equation 15: GPU memory.
 	if prof.GPU != nil {
-		need := int64(cfg.CPU) * max64(st.GPUMemBytes, in.DownstreamGPUMemBytes)
+		need := int64(cfg.CPU) * st.GPUMemBytes
 		if need >= prof.GPU.MemBytes {
 			return &memory.OOMError{
 				Region: memory.Device, Scenario: memory.DeviceExhausted,
@@ -569,11 +569,4 @@ func validateRun(w Workload, cfg Config, prof Profile) error {
 		return fmt.Errorf("sim: train iterations must be positive")
 	}
 	return nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
