@@ -17,7 +17,8 @@
 // The run records a per-tick timeline — offered load, response classes
 // (200/429/503/other, timeouts, transport failures, driver sheds), latency
 // p50/p99, and vista_admission_queue_depth scraped from /metrics — written
-// as CSV or JSON with -timeline. At exit the run is checked against the
+// with -timeline: JSON to a .json file, CSV to any other file or to stdout
+// (-). At exit the run is checked against the
 // serving contract:
 //
 //   - every offered request is classified exactly once (counter
@@ -47,9 +48,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -69,8 +72,7 @@ func main() {
 	rows := flag.Int("rows", 40, "dataset rows for the /run body")
 	layers := flag.Int("layers", 2, "|L| for the /run body")
 	body := flag.String("body", "", "explicit /run JSON body (overrides -model/-dataset/-rows/-layers)")
-	timeline := flag.String("timeline", "", "write the per-tick timeline to this file (- for stdout)")
-	format := flag.String("timeline-format", "csv", "timeline format: csv or json")
+	timeline := flag.String("timeline", "", "write the per-tick timeline to this file (.json = JSON, otherwise CSV; - for CSV on stdout)")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request wall-clock timeout")
 	maxInFlight := flag.Int("max-inflight", 256, "cap on concurrent in-flight requests before the driver sheds locally")
 	scrape := flag.Bool("scrape", true, "sample vista_admission_queue_depth from /metrics at every tick boundary")
@@ -131,7 +133,7 @@ func main() {
 
 	fmt.Println("vista-load:", res.Summary())
 	if *timeline != "" {
-		if err := writeTimeline(res, *timeline, *format); err != nil {
+		if err := writeTimeline(res, *timeline, os.Stdout); err != nil {
 			fatal(2, "timeline: %v", err)
 		}
 	}
@@ -172,11 +174,11 @@ func main() {
 	}
 }
 
-func writeTimeline(res *workload.Result, path, format string) error {
-	var out *os.File
-	if path == "-" {
-		out = os.Stdout
-	} else {
+// writeTimeline writes res's timeline to path, or to stdout when path is
+// "-": JSON when path ends in .json, CSV otherwise.
+func writeTimeline(res *workload.Result, path string, stdout io.Writer) error {
+	out := stdout
+	if path != "-" {
 		f, err := os.Create(path)
 		if err != nil {
 			return err
@@ -184,14 +186,10 @@ func writeTimeline(res *workload.Result, path, format string) error {
 		defer f.Close()
 		out = f
 	}
-	switch format {
-	case "csv":
-		return res.WriteCSV(out)
-	case "json":
+	if strings.HasSuffix(path, ".json") {
 		return res.WriteJSON(out)
-	default:
-		return fmt.Errorf("unknown timeline format %q (want csv or json)", format)
 	}
+	return res.WriteCSV(out)
 }
 
 func fatal(code int, format string, args ...any) {

@@ -106,8 +106,6 @@ func main() {
 		"append-only calibration log file: every /run's estimate-vs-measured samples persist here and replay on restart (empty = in-memory aggregates only)")
 	maxDrift := flag.Float64("max-drift", 0,
 		"storage drift bound enforced by /healthz?slo=1: 503 when the storage EWMA drift (max(ratio,1/ratio)-1) exceeds it (0 disables)")
-	calibHalfLife := flag.Duration("calib-half-life", 0,
-		"calibration EWMA half-life (0 = the 30m default); offline replays must pass the same value to reproduce /calibration byte-for-byte")
 	debugAddr := flag.String("debug-addr", "",
 		"optional separate listen address serving net/http/pprof profiles under /debug/pprof/ (empty = off)")
 	logFormat := flag.String("log-format", "text",
@@ -123,10 +121,6 @@ func main() {
 	}
 	if *maxDrift < 0 {
 		fmt.Fprintln(os.Stderr, "vista-server: -max-drift must be >= 0")
-		os.Exit(2)
-	}
-	if *calibHalfLife < 0 {
-		fmt.Fprintln(os.Stderr, "vista-server: -calib-half-life must be >= 0")
 		os.Exit(2)
 	}
 	var logger *slog.Logger
@@ -165,7 +159,7 @@ func main() {
 		logger.Info("feature store opened", "dir", dir, "budget_mib", *cacheMB)
 	}
 
-	calibRec, err := calib.Open(calib.Config{Path: *calibLog, HalfLife: *calibHalfLife})
+	calibRec, err := calib.Open(calib.Config{Path: *calibLog})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vista-server:", err)
 		os.Exit(1)

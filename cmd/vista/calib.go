@@ -3,17 +3,15 @@ package main
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/calib"
 )
 
 // calibReport replays a persisted calibration log into the same rolling
 // report a live server computes — decay runs on record timestamps, so the
-// offline aggregates match the server's byte-for-byte over the same log
-// (pass the server's -calib-half-life value for the decay clocks to agree).
-func calibReport(path string, halfLife time.Duration, asJSON bool, stdout, stderr io.Writer) error {
-	rep, dropped, err := calib.ReplayReport(path, halfLife)
+// offline aggregates match the server's byte-for-byte over the same log.
+func calibReport(path string, asJSON bool, stdout, stderr io.Writer) error {
+	rep, dropped, err := calib.ReplayReport(path)
 	if err != nil {
 		return err
 	}

@@ -25,7 +25,6 @@ import (
 	"path/filepath"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/calib"
 	"repro/internal/core"
@@ -66,20 +65,15 @@ func main() {
 		seriesOut  = flag.String("timeseries-out", "", "write the run's sampled time series to this file (.csv = CSV, otherwise JSON)")
 		calibLog   = flag.String("calib", "", "calibration log file: append this run's estimate-vs-measured samples to it, or replay it with the 'report' subcommand (vista -calib <log> report)")
 		calibJSON  = flag.Bool("calib-json", false, "with 'report': emit the calibration report as JSON, byte-identical to a server's GET /calibration over the same log")
-		calibHL    = flag.Duration("calib-half-life", 0, "calibration EWMA half-life (0 = the 30m default); must match the server's -calib-half-life for byte-identical reports over the same log")
 	)
 	flag.Parse()
 
-	if *calibHL < 0 {
-		fmt.Fprintln(os.Stderr, "vista: -calib-half-life must be >= 0")
-		os.Exit(2)
-	}
 	if flag.Arg(0) == "report" {
 		if *calibLog == "" {
 			fmt.Fprintln(os.Stderr, "vista: report requires -calib <log-file>")
 			os.Exit(2)
 		}
-		if err := calibReport(*calibLog, *calibHL, *calibJSON, os.Stdout, os.Stderr); err != nil {
+		if err := calibReport(*calibLog, *calibJSON, os.Stdout, os.Stderr); err != nil {
 			fmt.Fprintln(os.Stderr, "vista:", err)
 			os.Exit(1)
 		}
@@ -93,10 +87,10 @@ func main() {
 		seed: *seed, dataDir: *dataDir, saveData: *saveData, saveModels: *saveModels,
 		cacheDir: *cacheDir, cacheMB: *cacheMB, trace: *trace,
 		traceOut: *traceOut, traceFormat: *traceFmt, timeseriesOut: *seriesOut,
-		calibLog: *calibLog, calibHalfLife: *calibHL,
+		calibLog: *calibLog,
 	}
-	// Ctrl-C / SIGTERM cancels the run context: the executor aborts at the
-	// next stage boundary (or inside the running stage, via TaskContext),
+	// Ctrl-C / SIGTERM cancels the run context: the running stage starts no
+	// further task and the executor aborts at the next stage boundary,
 	// releasing tables, pool charges, and spill files before exit.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -133,7 +127,6 @@ type runOptions struct {
 	traceFormat   string
 	timeseriesOut string
 	calibLog      string
-	calibHalfLife time.Duration
 }
 
 // exporting reports whether the run writes a sampled recording (the
@@ -161,7 +154,7 @@ func run(ctx context.Context, o runOptions, stdout, stderr io.Writer) error {
 	// share one log.
 	runner := &lifecycle.Runner{}
 	if o.calibLog != "" {
-		rec, err := calib.Open(calib.Config{Path: o.calibLog, HalfLife: o.calibHalfLife})
+		rec, err := calib.Open(calib.Config{Path: o.calibLog})
 		if err != nil {
 			// Calibration is observability: report it, don't fail the run.
 			fmt.Fprintf(stderr, "calibration skipped: %v\n", err)

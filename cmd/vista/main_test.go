@@ -152,7 +152,7 @@ func TestCalibWithTraceUnsampled(t *testing.T) {
 	if !strings.Contains(stderr.String(), "Memory-model validation") || !strings.Contains(peakRow, "(drift ") {
 		t.Errorf("memory table missing or unmeasured (peak row %q):\n%s", peakRow, stderr.String())
 	}
-	rep, _, err := calib.ReplayReport(o.calibLog, 0)
+	rep, _, err := calib.ReplayReport(o.calibLog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,13 +20,12 @@ var relErrBounds = []float64{0.1, 0.25, 0.5, 1, 2, 5}
 
 // Aggregator folds calibration records into the rolling storage aggregates.
 // The EWMA is kept as a time-decayed weighted mean — (sumW, sumWX) with both
-// decayed by 0.5^(Δt/halfLife) before each new unit-weight sample — which,
-// unlike the classic w·prev + (1−w)·x recurrence, weighs same-timestamp
-// samples equally and reproduces exactly from record timestamps on offline
-// replay. Safe for concurrent use (metrics callbacks read while runs write).
+// decayed by 0.5^(Δt/DefaultHalfLife) before each new unit-weight sample —
+// which, unlike the classic w·prev + (1−w)·x recurrence, weighs
+// same-timestamp samples equally and reproduces exactly from record
+// timestamps on offline replay. Safe for concurrent use (metrics callbacks read while runs write).
 type Aggregator struct {
 	mu       sync.Mutex
-	halfLife time.Duration
 	runs     int64
 	excluded int64
 	sumW     float64
@@ -42,13 +41,9 @@ type Aggregator struct {
 	last time.Time
 }
 
-// NewAggregator returns an empty aggregator with the given EWMA half-life
-// (<= 0 means DefaultHalfLife).
-func NewAggregator(halfLife time.Duration) *Aggregator {
-	if halfLife <= 0 {
-		halfLife = DefaultHalfLife
-	}
-	return &Aggregator{halfLife: halfLife, hist: make([]int64, len(relErrBounds)+1)}
+// NewAggregator returns an empty aggregator.
+func NewAggregator() *Aggregator {
+	return &Aggregator{hist: make([]int64, len(relErrBounds)+1)}
 }
 
 // Add folds one record into the aggregates. Decay is computed from the
@@ -64,7 +59,7 @@ func (a *Aggregator) Add(rec Record) {
 		}
 		if a.nsamples > 0 {
 			if dt := rec.At.Sub(a.last); dt > 0 {
-				d := math.Pow(0.5, dt.Seconds()/a.halfLife.Seconds())
+				d := math.Pow(0.5, dt.Seconds()/DefaultHalfLife.Seconds())
 				a.sumW *= d
 				a.sumWX *= d
 				a.sumEstMeas *= d
@@ -132,7 +127,7 @@ func (a *Aggregator) Report() Report {
 		Runs:            a.runs,
 		Samples:         a.nsamples,
 		Excluded:        a.excluded,
-		HalfLifeSeconds: a.halfLife.Seconds(),
+		HalfLifeSeconds: DefaultHalfLife.Seconds(),
 		DriftRatio:      1, SuggestedScale: 1,
 	}
 	if a.nsamples > 0 && a.sumW > 0 {

@@ -47,7 +47,7 @@ func TestSamplesFromRunStorageOnly(t *testing.T) {
 }
 
 func TestAggregatorExclusions(t *testing.T) {
-	a := NewAggregator(0)
+	a := NewAggregator()
 	a.Add(Record{At: time.Unix(1000, 0), Samples: []Sample{
 		{Stage: "storage:peak", Est: 1 << 20, Meas: 1 << 20},
 		{Stage: "storage:peak", Est: 1 << 20, Meas: 1 << 19, Cached: true},
@@ -71,7 +71,7 @@ func storageRecord(at time.Time, est, meas float64) Record {
 
 func TestAggregatorEWMADecay(t *testing.T) {
 	t0 := time.Unix(10000, 0)
-	a := NewAggregator(time.Hour)
+	a := NewAggregator()
 
 	a.Add(storageRecord(t0, 1<<20, 4<<20))
 	if got := a.drift(); math.Abs(got-4) > 1e-12 {
@@ -81,7 +81,7 @@ func TestAggregatorEWMADecay(t *testing.T) {
 	// One half-life later a ratio-1 sample arrives: the old sample's weight
 	// decays to 0.5, so the mean log-ratio is (0.5·ln4 + 1·0)/1.5 = ln4/3
 	// and the drift ratio is 4^(1/3).
-	a.Add(storageRecord(t0.Add(time.Hour), 1<<20, 1<<20))
+	a.Add(storageRecord(t0.Add(DefaultHalfLife), 1<<20, 1<<20))
 	want := math.Pow(4, 1.0/3)
 	if got := a.drift(); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("after decayed second sample, drift ratio = %g, want 4^(1/3) = %g", got, want)
@@ -97,7 +97,7 @@ func TestAggregatorEWMADecay(t *testing.T) {
 }
 
 func TestAggregatorSameTimestampSamplesWeighEqually(t *testing.T) {
-	a := NewAggregator(time.Hour)
+	a := NewAggregator()
 	a.Add(Record{At: time.Unix(10000, 0), Samples: []Sample{
 		{Stage: "storage:peak", Est: 1 << 20, Meas: 4 << 20},
 		{Stage: "storage:spill", Est: 1 << 20, Meas: 1 << 20},
@@ -110,7 +110,7 @@ func TestAggregatorSameTimestampSamplesWeighEqually(t *testing.T) {
 }
 
 func TestAggregatorUndershootSymmetric(t *testing.T) {
-	a := NewAggregator(0)
+	a := NewAggregator()
 	a.Add(storageRecord(time.Unix(1000, 0), 4<<20, 1<<20))
 	rep := a.Report()
 	// Measured 4x UNDER estimate: ratio 0.25, but drift magnitude is the
@@ -121,7 +121,7 @@ func TestAggregatorUndershootSymmetric(t *testing.T) {
 }
 
 func TestAggregatorLeastSquaresScale(t *testing.T) {
-	a := NewAggregator(0)
+	a := NewAggregator()
 	a.Add(Record{At: time.Unix(1000, 0), Samples: []Sample{
 		{Stage: "storage:peak", Est: 1 << 20, Meas: 2 << 20},
 		{Stage: "storage:spill", Est: 2 << 20, Meas: 4 << 20},
@@ -134,7 +134,7 @@ func TestAggregatorLeastSquaresScale(t *testing.T) {
 }
 
 func TestReportEmptyIdentity(t *testing.T) {
-	rep := NewAggregator(0).Report()
+	rep := NewAggregator().Report()
 	if rep.Samples != 0 || rep.DriftRatio != 1 || rep.Drift != 0 || rep.SuggestedScale != 1 {
 		t.Errorf("empty report = %+v, want the identity calibration", rep)
 	}
@@ -181,7 +181,7 @@ func TestRecorderFakeClockReplayMatchesLive(t *testing.T) {
 	// Offline replay decays on the persisted record timestamps, so it must
 	// reproduce the live aggregates exactly — the property that makes
 	// `vista -calib report` trustworthy against a server's /calibration.
-	replayed, dropped, err := ReplayReport(path, 0)
+	replayed, dropped, err := ReplayReport(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestRecorderFakeClockReplayMatchesLive(t *testing.T) {
 }
 
 func TestRenderReportTable(t *testing.T) {
-	a := NewAggregator(0)
+	a := NewAggregator()
 	a.Add(storageRecord(time.Unix(1000, 0), 1<<20, 1.1*(1<<20)))
 	var b strings.Builder
 	RenderReport(&b, a.Report())

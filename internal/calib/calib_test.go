@@ -166,7 +166,7 @@ func TestSamplesFromRunExcludesAttachedStorage(t *testing.T) {
 					tc.name, stage, s, tc.wantCounts, tc.cache, tc.shared)
 			}
 		}
-		a := NewAggregator(0)
+		a := NewAggregator()
 		a.Add(Record{At: time.Unix(1000, 0), Samples: samples})
 		if n := a.Report().Samples; (n > 0) != tc.wantCounts {
 			t.Errorf("%s: aggregated storage samples = %d, want some=%v", tc.name, n, tc.wantCounts)

@@ -240,7 +240,6 @@ func (r *payloadReader) str() string {
 // crash is a torn final record, never a corrupt interior.
 type Log struct {
 	f       *os.File
-	path    string
 	records []Record
 }
 
@@ -265,7 +264,7 @@ func OpenLog(path string) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("calib: open log: %w", err)
 	}
-	return &Log{f: f, path: path, records: recs}, nil
+	return &Log{f: f, records: recs}, nil
 }
 
 // Records returns the records recovered at open time (not those appended

@@ -71,7 +71,7 @@ func TestLogDropsTimeSamples(t *testing.T) {
 		Fingerprint: "fp",
 		Samples:     []Sample{{Stage: "storage:peak", Est: 1024, Meas: 2048, Shared: true}},
 	}})
-	rep, _, err := ReplayReport(path, 0)
+	rep, _, err := ReplayReport(path)
 	if err != nil {
 		t.Fatal(err)
 	}

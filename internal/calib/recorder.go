@@ -13,13 +13,11 @@ import (
 )
 
 // Config assembles a Recorder. The zero value is valid: in-memory aggregates
-// only, default half-life, wall clock.
+// only, wall clock.
 type Config struct {
 	// Path is the on-disk calibration log ("" = aggregates only, nothing
 	// persisted).
 	Path string
-	// HalfLife is the drift EWMA half-life (0 = DefaultHalfLife).
-	HalfLife time.Duration
 	// Clock stamps records (nil = wall clock); tests inject a fake so decay
 	// is deterministic.
 	Clock clock.Clock
@@ -40,7 +38,7 @@ type Recorder struct {
 // Open builds a Recorder from cfg, replaying any existing log at cfg.Path
 // into the aggregates. With an empty Path it cannot fail.
 func Open(cfg Config) (*Recorder, error) {
-	r := &Recorder{clk: clock.Or(cfg.Clock), agg: NewAggregator(cfg.HalfLife)}
+	r := &Recorder{clk: clock.Or(cfg.Clock), agg: NewAggregator()}
 	if cfg.Path != "" {
 		l, err := OpenLog(cfg.Path)
 		if err != nil {
@@ -92,12 +90,12 @@ func (r *Recorder) Close() error {
 // aggregator — the offline path (vista -calib report) that must reproduce a
 // live server's /calibration byte-for-byte from the same log. droppedBytes
 // reports any unreadable tail.
-func ReplayReport(path string, halfLife time.Duration) (rep Report, droppedBytes int, err error) {
+func ReplayReport(path string) (rep Report, droppedBytes int, err error) {
 	recs, dropped, err := ReadLog(path)
 	if err != nil {
 		return Report{}, 0, err
 	}
-	agg := NewAggregator(halfLife)
+	agg := NewAggregator()
 	for _, rec := range recs {
 		agg.Add(rec)
 	}

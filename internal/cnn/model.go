@@ -116,15 +116,6 @@ type Weights struct {
 	Layers []*LayerWeights
 }
 
-// SizeBytes returns the total in-memory payload of the realized weights.
-func (w *Weights) SizeBytes() int64 {
-	var n int64
-	for _, lw := range w.Layers {
-		n += lw.SizeBytes()
-	}
-	return n
-}
-
 // MaxRealizableParams guards against accidentally materializing a full-scale
 // model's weights in-process (e.g. VGG16's 138 M parameters). Roster models
 // above this limit serve only as sources of shape/FLOP/footprint statistics;

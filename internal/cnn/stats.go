@@ -43,13 +43,8 @@ type LayerStat struct {
 	// FeatureDim is the flattened post-pooling feature-vector length
 	// |g_l(f̂_l(I))| used for downstream training and Equation 16.
 	FeatureDim int
-	// FeatureBytes is the flattened feature-vector payload.
-	FeatureBytes int64
 	// CumFLOPs is the cost of f̂_l from the raw image.
 	CumFLOPs int64
-	// DeltaFLOPs is the cost of partial inference from the previous feature
-	// layer in L to this one (equal to CumFLOPs for the bottom-most layer).
-	DeltaFLOPs int64
 }
 
 // Stats aggregates the roster statistics Vista stores per model (Section 4.3:
@@ -135,7 +130,6 @@ func walkStats(m *Model) (*Stats, error) {
 	}
 	st.ActivationWorkingBytes = residency * st.PeakActivationBytes
 
-	prevIdx := -1
 	for _, fl := range m.FeatureLayers {
 		raw, err := m.ShapeAt(fl.LayerIndex)
 		if err != nil {
@@ -149,26 +143,14 @@ func walkStats(m *Model) (*Stats, error) {
 		if err != nil {
 			return nil, err
 		}
-		var delta int64
-		if prevIdx < 0 {
-			delta = cum
-		} else {
-			delta, err = m.PartialFLOPs(prevIdx+1, fl.LayerIndex)
-			if err != nil {
-				return nil, err
-			}
-		}
 		st.FeatureLayers = append(st.FeatureLayers, LayerStat{
-			Name:         fl.Name,
-			LayerIndex:   fl.LayerIndex,
-			RawElems:     raw.NumElements(),
-			RawBytes:     int64(raw.NumElements()) * 4,
-			FeatureDim:   dim,
-			FeatureBytes: int64(dim) * 4,
-			CumFLOPs:     cum,
-			DeltaFLOPs:   delta,
+			Name:       fl.Name,
+			LayerIndex: fl.LayerIndex,
+			RawElems:   raw.NumElements(),
+			RawBytes:   int64(raw.NumElements()) * 4,
+			FeatureDim: dim,
+			CumFLOPs:   cum,
 		})
-		prevIdx = fl.LayerIndex
 	}
 	return st, nil
 }
@@ -218,9 +200,8 @@ func (s *Stats) LayerStat(name string) (LayerStat, error) {
 }
 
 // TopLayerStats returns the statistics for the k top-most feature layers,
-// bottom-to-top — aligned with Model.TopFeatureLayers. DeltaFLOPs of the
-// first returned layer is recomputed to be its full from-image cost, since
-// within the selected set L it is the bottom-most layer.
+// bottom-to-top — aligned with Model.TopFeatureLayers. The slice is the
+// caller's own copy.
 func (s *Stats) TopLayerStats(k int) ([]LayerStat, error) {
 	if k <= 0 || k > len(s.FeatureLayers) {
 		return nil, fmt.Errorf("cnn: stats for %s has %d feature layers; requested %d",
@@ -228,6 +209,5 @@ func (s *Stats) TopLayerStats(k int) ([]LayerStat, error) {
 	}
 	out := make([]LayerStat, k)
 	copy(out, s.FeatureLayers[len(s.FeatureLayers)-k:])
-	out[0].DeltaFLOPs = out[0].CumFLOPs
 	return out, nil
 }

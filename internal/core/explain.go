@@ -2,22 +2,14 @@ package core
 
 import (
 	"repro/internal/optimizer"
-	"repro/internal/plan"
 	"repro/internal/sim"
 )
 
 // Explanation describes what Vista *would* do for a spec without executing
-// anything: the optimizer's decision, the compiled plan, and the
-// intermediate-size analysis behind the memory choices — an EXPLAIN for
-// feature-transfer workloads.
+// anything: the optimizer's decision — an EXPLAIN for feature-transfer
+// workloads.
 type Explanation struct {
 	Decision optimizer.Decision
-	Plan     *plan.Plan
-	// TableSizes are the Equation 16 estimates per selected layer,
-	// bottom-to-top.
-	TableSizes []int64
-	// SSingle and SDouble are the Equations 5–6 peaks.
-	SSingle, SDouble int64
 	// Infeasible is set (and Decision zero) when Algorithm 1 finds no
 	// configuration; the workload needs more memory.
 	Infeasible error
@@ -33,11 +25,7 @@ func Explain(spec Spec) (*Explanation, error) {
 	if err != nil {
 		return nil, err
 	}
-	sizes, sSingle, sDouble, err := optimizer.IntermediateSizes(in, spec.params())
-	if err != nil {
-		return nil, err
-	}
-	ex := &Explanation{Plan: id.Plan, TableSizes: sizes, SSingle: sSingle, SDouble: sDouble}
+	ex := &Explanation{}
 	ex.Decision, ex.Infeasible = optimizer.Optimize(in, spec.params())
 	return ex, nil
 }

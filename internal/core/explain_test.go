@@ -22,15 +22,6 @@ func TestExplainMatchesRun(t *testing.T) {
 	if ex.Decision != res.Decision {
 		t.Errorf("Explain decision %+v differs from Run's %+v", ex.Decision, res.Decision)
 	}
-	if ex.Plan.Name() != res.Plan.Name() || len(ex.Plan.Steps) != len(res.Plan.Steps) {
-		t.Error("Explain plan differs from Run's")
-	}
-	if len(ex.TableSizes) != spec.NumLayers {
-		t.Errorf("table sizes = %d, want %d", len(ex.TableSizes), spec.NumLayers)
-	}
-	if ex.SSingle <= 0 || ex.SDouble <= 0 {
-		t.Error("peak sizes missing")
-	}
 }
 
 func TestExplainInfeasible(t *testing.T) {

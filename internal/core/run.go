@@ -26,7 +26,8 @@ const FaultStage = "core/stage"
 // failStage guards a stage boundary: a cancelled run context aborts before
 // the next stage starts, and the failpoint layer gets a shot at injecting a
 // fault. Cancellation inside a stage is handled by the engine's run-scoped
-// context (TaskContext.Done); this check covers the gaps between stages.
+// context, which stops dispatching tasks; this check covers the gaps between
+// stages.
 func (ex *executor) failStage(label string) error {
 	if err := ex.ctx.Err(); err != nil {
 		return fmt.Errorf("core: stage %s: %w", label, err)
@@ -51,8 +52,8 @@ func Run(spec Spec) (*Result, error) {
 
 // RunContext is Run under a caller-owned context: cancelling ctx (a client
 // disconnect, a deadline) aborts the run at the next stage boundary and
-// inside long-running engine operations (via the engine's run-scoped
-// cancellation and TaskContext.Done), releasing every table, pool charge,
+// inside engine operations (the engine's run-scoped cancellation dispatches
+// no further tasks), releasing every table, pool charge,
 // and spill file on the way out. The returned error wraps ctx's error, so
 // errors.Is(err, context.Canceled) identifies an aborted run.
 func RunContext(ctx context.Context, spec Spec) (*Result, error) {

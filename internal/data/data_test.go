@@ -136,7 +136,7 @@ func TestStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := Stats(s, i)
-	if st.NumRows != 50 || st.StructDim != 130 {
+	if st.NumRows != 50 {
 		t.Errorf("stats = %+v", st)
 	}
 	if st.StructRowBytes <= 0 || st.ImageRowBytes <= 0 {

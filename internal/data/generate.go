@@ -203,8 +203,6 @@ func renderImage(spec Spec, latent []float64, label float32, rng *rand.Rand) (*t
 // data").
 type TableStats struct {
 	NumRows int
-	// StructDim is |X|.
-	StructDim int
 	// StructRowBytes is the average in-memory size of one structured row.
 	StructRowBytes int64
 	// ImageRowBytes is the average in-memory size of one raw-image row.
@@ -215,7 +213,6 @@ type TableStats struct {
 func Stats(structRows, imageRows []dataflow.Row) TableStats {
 	st := TableStats{NumRows: len(structRows)}
 	if len(structRows) > 0 {
-		st.StructDim = len(structRows[0].Structured)
 		var b int64
 		for i := range structRows {
 			b += structRows[i].MemBytes()

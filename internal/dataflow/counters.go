@@ -37,17 +37,14 @@ type Counters struct {
 	PeakStorageBytes atomic.Int64
 }
 
-// Snapshot is a plain-value copy of Counters for reporting.
+// Snapshot is a plain-value copy of the Counters a run reports; the spill
+// and ingest event counters feed only the /metrics series.
 type Snapshot struct {
 	TasksRun         int64
 	RowsProcessed    int64
 	BytesShuffled    int64
 	BytesBroadcast   int64
 	BytesSpilled     int64
-	BytesUnspilled   int64
-	Spills           int64
-	Unspills         int64
-	BytesRead        int64
 	FLOPs            int64
 	PeakStorageBytes int64
 }
@@ -60,10 +57,6 @@ func (c *Counters) Snapshot() Snapshot {
 		BytesShuffled:    c.BytesShuffled.Load(),
 		BytesBroadcast:   c.BytesBroadcast.Load(),
 		BytesSpilled:     c.BytesSpilled.Load(),
-		BytesUnspilled:   c.BytesUnspilled.Load(),
-		Spills:           c.Spills.Load(),
-		Unspills:         c.Unspills.Load(),
-		BytesRead:        c.BytesRead.Load(),
 		FLOPs:            c.FLOPs.Load(),
 		PeakStorageBytes: c.PeakStorageBytes.Load(),
 	}

@@ -83,7 +83,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 			dl:    memory.NewPool(memory.DLExecution, memory.DLBlowup, cfg.Apportion.DLExecution),
 			slots: make(chan struct{}, cfg.CoresPerNode),
 		}
-		n.storage = newStorageCache(n, e, cfg.Apportion.Storage)
+		n.storage = newStorageCache(e, cfg.Apportion.Storage)
 		for c := 0; c < cfg.CoresPerNode; c++ {
 			n.slots <- struct{}{}
 		}
@@ -97,9 +97,9 @@ func (e *Engine) Config() Config { return e.cfg }
 
 // SetContext attaches a run-scoped cancellation context. Once ctx is
 // cancelled every subsequent operation (and every operation in flight) fails
-// fast with ctx's error: the scheduler stops dispatching, blocked slot
-// acquires abort, and running tasks observe the cancellation through
-// TaskContext.Done. Safe to call once, before the first operation.
+// with ctx's error: the scheduler stops dispatching and blocked slot acquires
+// abort, while running tasks finish. Safe to call once, before the first
+// operation.
 func (e *Engine) SetContext(ctx context.Context) {
 	e.mu.Lock()
 	e.runCtx = ctx
@@ -203,26 +203,6 @@ type TaskContext struct {
 	Engine *Engine
 	NodeID int
 	Part   int
-	// done is closed when another task in the same operation fails or the
-	// run-scoped context attached via Engine.SetContext is cancelled.
-	done <-chan struct{}
-}
-
-// Done returns a channel closed when the operation this task belongs to has
-// failed or the whole run has been cancelled (Engine.SetContext); long-running
-// UDFs may watch it to abort cooperatively. Nil when the context was built
-// outside runTasks (then it blocks forever, i.e. never cancelled).
-func (tc *TaskContext) Done() <-chan struct{} { return tc.done }
-
-// Cancelled reports whether the task's operation has already failed or been
-// cancelled.
-func (tc *TaskContext) Cancelled() bool {
-	select {
-	case <-tc.done:
-		return true
-	default:
-		return false
-	}
 }
 
 // AddFLOPs records floating-point work done by the UDF.
@@ -233,9 +213,9 @@ func (tc *TaskContext) AddFLOPs(n int64) { tc.Engine.counters.FLOPs.Add(n) }
 // remaining tasks: undispatched tasks are abandoned — the scheduler checks
 // for failure *before* blocking on a slot and aborts a blocked acquire, so a
 // long straggler can never delay cancellation — and already-started tasks
-// finish (they may watch TaskContext.Done to abort cooperatively). A
-// run-scoped context attached via SetContext cancels the same way: its error
-// becomes the operation's error and TaskContext.Done closes.
+// run to completion: no UDF aborts cooperatively. A run-scoped context
+// attached via SetContext cancels the same way: its error becomes the
+// operation's error.
 func (e *Engine) runTasks(tasks int, fn func(tc *TaskContext) error) error {
 	if tasks == 0 {
 		return nil
@@ -296,7 +276,7 @@ schedule:
 			defer func() { n.slots <- struct{}{} }()
 			e.counters.TasksRun.Add(1)
 			tc := &tcs[taskIdx]
-			*tc = TaskContext{Engine: e, NodeID: n.id, Part: taskIdx, done: done}
+			*tc = TaskContext{Engine: e, NodeID: n.id, Part: taskIdx}
 			if err := fn(tc); err != nil {
 				fail(err)
 			}

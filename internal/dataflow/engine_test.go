@@ -62,6 +62,21 @@ func TestNewEngineValidation(t *testing.T) {
 	}
 }
 
+// numRows counts tb's rows across its partitions, reading spilled ones back
+// without charging storage.
+func numRows(t *testing.T, tb *Table) int {
+	t.Helper()
+	n := 0
+	for _, p := range tb.partitions {
+		rows, err := p.Rows()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += len(rows)
+	}
+	return n
+}
+
 func TestCreateTableAndCollect(t *testing.T) {
 	e := newTestEngine(t, testConfig())
 	tb, err := e.CreateTable("t", makeRows(100, 4), 8)
@@ -71,10 +86,7 @@ func TestCreateTableAndCollect(t *testing.T) {
 	if tb.NumPartitions() != 8 {
 		t.Errorf("np = %d, want 8", tb.NumPartitions())
 	}
-	n, err := tb.NumRows()
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := numRows(t, tb)
 	if n != 100 {
 		t.Errorf("rows = %d, want 100", n)
 	}
@@ -90,7 +102,7 @@ func TestCreateTableAndCollect(t *testing.T) {
 			t.Fatalf("collect not sorted: got[%d].ID = %d", i, got[i].ID)
 		}
 	}
-	if e.Counters().Snapshot().BytesRead <= 0 {
+	if e.Counters().BytesRead.Load() <= 0 {
 		t.Error("BytesRead not counted")
 	}
 }
@@ -161,10 +173,7 @@ func TestRepartitionShuffles(t *testing.T) {
 	if out.NumPartitions() != 16 {
 		t.Errorf("np = %d, want 16", out.NumPartitions())
 	}
-	n, err := out.NumRows()
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := numRows(t, out)
 	if n != 60 {
 		t.Errorf("rows = %d, want 60", n)
 	}
@@ -241,10 +250,7 @@ func TestShuffleJoinRealignsPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Join with mismatched np: %v", err)
 	}
-	n, err := joined.NumRows()
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := numRows(t, joined)
 	if n != 20 {
 		t.Errorf("joined rows = %d, want 20", n)
 	}
@@ -391,7 +397,7 @@ func TestSparkSpillsUnderPressure(t *testing.T) {
 	if len(rows) != 5000 {
 		t.Errorf("collected %d rows, want 5000", len(rows))
 	}
-	if e.Counters().Snapshot().BytesUnspilled <= 0 {
+	if e.Counters().BytesUnspilled.Load() <= 0 {
 		t.Error("collect should have read spilled partitions back")
 	}
 }

@@ -82,10 +82,7 @@ func TestConcurrentTableOperations(t *testing.T) {
 	for err := range errs {
 		t.Errorf("concurrent op failed: %v", err)
 	}
-	n, err := tb.NumRows()
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := numRows(t, tb)
 	if n != 400 {
 		t.Errorf("table corrupted: %d rows", n)
 	}

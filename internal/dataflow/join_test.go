@@ -82,7 +82,7 @@ func TestJoinConsumesRight(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n, _ := out.NumRows(); n != 200 {
+			if n := numRows(t, out); n != 200 {
 				t.Fatalf("joined %d rows, want 200", n)
 			}
 			if right.MemBytes() != 0 || right.NumPartitions() != 0 {

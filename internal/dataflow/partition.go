@@ -76,20 +76,6 @@ func rowsMemBytes(rows []Row) int64 {
 	return n
 }
 
-// Index returns the partition's position within its table.
-func (p *Partition) Index() int { return p.index }
-
-// NumRows returns the row count without materializing spilled data (it loads
-// a spilled partition's metadata lazily by decoding; callers on hot paths
-// should rely on Rows instead).
-func (p *Partition) NumRows() (int, error) {
-	rows, err := p.Rows()
-	if err != nil {
-		return 0, err
-	}
-	return len(rows), nil
-}
-
 // MemBytes returns the partition's current Storage Memory charge (0 when
 // spilled to disk).
 func (p *Partition) MemBytes() int64 {

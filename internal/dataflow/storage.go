@@ -15,7 +15,6 @@ import (
 // exactly the behavioral split behind the paper's Figure 6 Ignite/Eager
 // crash and Spark/Eager slowdown.
 type storageCache struct {
-	node   *node
 	engine *Engine
 	pool   *memory.Pool
 
@@ -26,12 +25,10 @@ type storageCache struct {
 	cached *lru.Cache[int64, *Partition]
 }
 
-func newStorageCache(n *node, e *Engine, capacity int64) *storageCache {
-	scenario := memory.StorageExhausted
+func newStorageCache(e *Engine, capacity int64) *storageCache {
 	return &storageCache{
-		node:   n,
 		engine: e,
-		pool:   memory.NewPool(memory.Storage, scenario, capacity),
+		pool:   memory.NewPool(memory.Storage, memory.StorageExhausted, capacity),
 		cached: lru.New[int64, *Partition](0, nil),
 	}
 }

@@ -18,19 +18,6 @@ type Table struct {
 // NumPartitions returns np for this table.
 func (t *Table) NumPartitions() int { return len(t.partitions) }
 
-// NumRows counts rows across all partitions (may read spilled data).
-func (t *Table) NumRows() (int, error) {
-	total := 0
-	for _, p := range t.partitions {
-		n, err := p.NumRows()
-		if err != nil {
-			return 0, err
-		}
-		total += n
-	}
-	return total, nil
-}
-
 // MemBytes returns the table's current Storage Memory charge.
 func (t *Table) MemBytes() int64 {
 	var n int64

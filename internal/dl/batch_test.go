@@ -48,7 +48,7 @@ func runSegments(t *testing.T, s *Session, e *dataflow.Engine, rows []dataflow.R
 		t.Fatal(err)
 	}
 	got := make(map[int64][]*tensor.TensorList, len(rows))
-	for _, spec := range segmentSpecs(s.Model()) {
+	for _, spec := range segmentSpecs(s.model) {
 		udf, err := s.PartitionFunc(spec)
 		if err != nil {
 			t.Fatal(err)

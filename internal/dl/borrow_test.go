@@ -15,7 +15,7 @@ import (
 // partitions and returns each row's emitted feature tensors by row ID.
 func emitAll(t *testing.T, s *Session, e *dataflow.Engine, name string, rows []dataflow.Row, parts int) map[int64]*tensor.TensorList {
 	t.Helper()
-	m := s.Model()
+	m := s.model
 	var emits []int
 	for _, fl := range m.FeatureLayers {
 		emits = append(emits, fl.LayerIndex)

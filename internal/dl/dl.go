@@ -39,7 +39,6 @@ type Options struct {
 type Session struct {
 	engine  *dataflow.Engine
 	model   *cnn.Model
-	stats   *cnn.Stats
 	weights *cnn.Weights
 
 	replicaCharge int64 // per-node DL execution charge
@@ -86,7 +85,6 @@ func NewSession(e *dataflow.Engine, model *cnn.Model, opts Options) (*Session, e
 	s := &Session{
 		engine:        e,
 		model:         model,
-		stats:         stats,
 		weights:       weights,
 		replicaCharge: int64(cores) * stats.MemBytes,
 		userCharge:    stats.SerializedBytes,
@@ -129,12 +127,6 @@ func (s *Session) Close() {
 	s.closed = true
 	s.releaseCharges(s.engine.Config().Nodes, s.engine.Config().Nodes)
 }
-
-// Model returns the session's CNN.
-func (s *Session) Model() *cnn.Model { return s.model }
-
-// Stats returns the session's derived model statistics.
-func (s *Session) Stats() *cnn.Stats { return s.stats }
 
 // InferenceSpec describes one inference pass over a table — the injected UDF
 // of Section 3.3 ("Vista injects UDFs to run (partial) CNN inference, i.e.,

@@ -28,9 +28,6 @@ func NewPool(region Region, scenario CrashScenario, capacity int64) *Pool {
 	return &Pool{region: region, scenario: scenario, capacity: capacity}
 }
 
-// Region returns the pool's memory region.
-func (p *Pool) Region() Region { return p.region }
-
 // Capacity returns the pool's capacity in bytes.
 func (p *Pool) Capacity() int64 {
 	p.mu.Lock()

@@ -108,9 +108,6 @@ type Step struct {
 	// FLOPsPerImage is the partial-inference cost of this pass for one
 	// example.
 	FLOPsPerImage int64
-	// RawOutputBytes is the size of the kept raw tensor per example (0
-	// when KeepRaw is false).
-	RawOutputBytes int64
 }
 
 // Plan is a compiled logical plan: an ordered list of inference steps plus
@@ -191,17 +188,12 @@ func Compile(kind Kind, placement JoinPlacement, stats *cnn.Stats, k int, opts O
 		cur := start
 		fromImage := firstFromImage
 		for i, l := range layers {
-			keep := i+1 < len(layers)
-			st := Step{
+			p.Steps = append(p.Steps, Step{
 				From: cur, FromImage: fromImage,
 				Emits:         []Emit{emit(l)},
-				KeepRaw:       keep,
+				KeepRaw:       i+1 < len(layers),
 				FLOPsPerImage: cumFLOPsFrom(stats, cur, l),
-			}
-			if keep {
-				st.RawOutputBytes = l.RawBytes
-			}
-			p.Steps = append(p.Steps, st)
+			})
 			cur = l.LayerIndex + 1
 			fromImage = false
 		}

@@ -82,9 +82,6 @@ func TestStagedPlanShape(t *testing.T) {
 		if s.KeepRaw != wantKeep {
 			t.Errorf("step %d: KeepRaw = %v, want %v", i, s.KeepRaw, wantKeep)
 		}
-		if wantKeep && s.RawOutputBytes <= 0 {
-			t.Errorf("step %d: kept raw tensor has no size", i)
-		}
 		if len(s.Emits) != 1 {
 			t.Errorf("step %d: staged emits %d, want 1", i, len(s.Emits))
 		}

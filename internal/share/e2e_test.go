@@ -77,9 +77,9 @@ func runJoined(tk *share.Ticket, spec core.Spec) memberResult {
 			out.err = aerr
 			return out
 		}
-		out.promoted = att.Promoted
 		spec.FeatureSource = att.Source
 		out.role = tk.Role()
+		out.promoted = out.role == share.Leader
 	}
 	if tk.Role() == share.Leader {
 		spec.FeatureSource = tk.Source()

@@ -309,17 +309,11 @@ type Ticket struct {
 // Attach is what AwaitLeader returns to a follower once its group's leader
 // is done with the shared pass.
 type Attach struct {
-	// Promoted is true when this follower must now execute the live pass
-	// itself: the leader failed or was cancelled, or its pass covered fewer
-	// layers than this follower requests. Source still serves whatever was
-	// already published, so a promoted run resumes partial progress instead
-	// of starting cold.
-	Promoted bool
-	// LeaderErr is the last failed leader's error (set only when Promoted,
-	// and nil if the promotion only extends a successful pass).
-	LeaderErr error
 	// Source serves the group's materialized feature tables (implements
-	// core.FeatureSource via Lookup).
+	// core.FeatureSource via Lookup). A follower promoted to leader — its
+	// ticket's Role is Leader once AwaitLeader returns — still reads
+	// whatever was already published from it, so a promoted run resumes
+	// partial progress instead of starting cold.
 	Source *Handoff
 }
 
@@ -432,11 +426,10 @@ func (t *Ticket) Start() {
 // AwaitLeader parks a follower until its group's pass is resolved. When a
 // leader delivered a pass covering the follower's layers it returns the
 // handoff to attach. Otherwise — the leader failed or was cancelled, or its
-// pass covered fewer layers — the follower may be promoted: Attach.Promoted
-// is set, the ticket's Role becomes Leader, and Source resumes whatever was
-// already published. The error is non-nil when ctx is cancelled while parked
-// (ErrWaitCancelled) or when every candidate leader already failed
-// (ErrGroupFailed).
+// pass covered fewer layers — the follower may be promoted: the ticket's Role
+// becomes Leader, and Source resumes whatever was already published. The
+// error is non-nil when ctx is cancelled while parked (ErrWaitCancelled) or
+// when every candidate leader already failed (ErrGroupFailed).
 func (t *Ticket) AwaitLeader(ctx ctxDoner) (Attach, error) {
 	if t == nil {
 		return Attach{}, fmt.Errorf("share: AwaitLeader on a solo ticket")
@@ -485,11 +478,7 @@ func (t *Ticket) AwaitLeader(ctx ctxDoner) (Attach, error) {
 			return Attach{}, fmt.Errorf("%w: %w", ErrWaitCancelled, ctx.Err())
 		}
 	}
-	att := Attach{Source: g.handoff}
-	if t.role == Leader {
-		att.Promoted, att.LeaderErr = true, g.leaderErr
-	}
-	return att, nil
+	return Attach{Source: g.handoff}, nil
 }
 
 // attachLocked hands a follower the covering handoff.
@@ -664,16 +653,6 @@ func (h *Handoff) Lookup(k featurestore.Key) ([]dataflow.Row, bool) {
 		out[i] = rows[i].Clone()
 	}
 	return out, true
-}
-
-// Len reports how many entries the handoff holds (0 after drop).
-func (h *Handoff) Len() int {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.entries)
 }
 
 // drop frees the handoff's tables once the last group member finished.

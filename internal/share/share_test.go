@@ -167,7 +167,7 @@ func TestLoneLeaderIsSolo(t *testing.T) {
 	if tk.Role() != Solo || tk.GroupSize() != 1 {
 		t.Errorf("committed role = %v of %d, want solo of 1", tk.Role(), tk.GroupSize())
 	}
-	if sink.Len() != 0 {
+	if _, ok := sink.Lookup(k); ok {
 		t.Error("handoff not dropped at the lone leader's Finish")
 	}
 	st := c.Stats()
@@ -286,7 +286,7 @@ func TestJoinAfterDeliveryAttaches(t *testing.T) {
 		t.Fatalf("joiner after delivery = %v, want follower", late.Role())
 	}
 	att, err := late.AwaitLeader(context.Background())
-	if err != nil || att.Promoted {
+	if err != nil || late.Role() == Leader {
 		t.Fatalf("AwaitLeader after delivery = (%+v, %v), want a plain attach", att, err)
 	}
 	if _, ok := att.Source.Lookup(k); !ok {
@@ -350,7 +350,7 @@ func TestHandoffDeliveryAndIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AwaitLeader: %v", err)
 	}
-	if att.Promoted {
+	if follower.Role() == Leader {
 		t.Fatal("follower promoted under a healthy leader")
 	}
 	rows, ok := att.Source.Lookup(k)
@@ -421,14 +421,8 @@ func TestLeaderFailurePromotesParkedFollower(t *testing.T) {
 	if first.err != nil {
 		t.Fatalf("first AwaitLeader: %v", first.err)
 	}
-	if !first.att.Promoted {
-		t.Fatal("leader failed but the awaiting follower was not promoted")
-	}
-	if !errors.Is(first.att.LeaderErr, leaderErr) {
-		t.Errorf("LeaderErr = %v, want the leader's %v", first.att.LeaderErr, leaderErr)
-	}
 	if first.tk.Role() != Leader {
-		t.Errorf("promoted follower role = %v, want Leader", first.tk.Role())
+		t.Fatalf("leader failed but the awaiting follower was not promoted: role %v", first.tk.Role())
 	}
 	first.tk.Start()
 	first.tk.Finish(nil)
@@ -437,7 +431,7 @@ func TestLeaderFailurePromotesParkedFollower(t *testing.T) {
 	if second.err != nil {
 		t.Fatalf("second AwaitLeader: %v", second.err)
 	}
-	if second.att.Promoted {
+	if second.tk.Role() == Leader {
 		t.Error("second follower promoted although the new leader delivered")
 	}
 	second.tk.Start()
@@ -469,7 +463,7 @@ func TestPromotionCoversDeepestFollower(t *testing.T) {
 	leader.Start()
 	leader.Finish(errors.New("boom"))
 	r := <-deepResult
-	if r.err != nil || !r.att.Promoted {
+	if r.err != nil || r.tk.Role() != Leader {
 		t.Fatalf("4-layer follower = (%+v, %v), want promoted", r.att, r.err)
 	}
 	if shallow.Role() != Follower {
@@ -477,7 +471,7 @@ func TestPromotionCoversDeepestFollower(t *testing.T) {
 	}
 	deep.Start()
 	deep.Finish(nil)
-	if r := <-results; r.err != nil || r.att.Promoted {
+	if r := <-results; r.err != nil || r.tk.Role() == Leader {
 		t.Fatalf("2-layer follower = (%+v, %v), want an attach to the 4-layer pass", r.att, r.err)
 	}
 	shallow.Start()
@@ -500,14 +494,14 @@ func TestUncoveredFollowerPromotedAfterDelivery(t *testing.T) {
 
 	leader.Start()
 	leader.Finish(errors.New("boom"))
-	if r := <-results; !r.att.Promoted {
+	if r := <-results; r.tk.Role() != Leader {
 		t.Fatalf("parked follower = (%+v, %v), want promoted", r.att, r.err)
 	}
 	shallow.Start()
 	shallow.Finish(nil) // delivers a 2-layer pass
 
 	att, err := deep.AwaitLeader(context.Background())
-	if err != nil || !att.Promoted {
+	if err != nil || deep.Role() != Leader {
 		t.Fatalf("4-layer follower after a 2-layer delivery = (%+v, %v), want promoted", att, err)
 	}
 	deep.Start()
@@ -527,11 +521,11 @@ func TestLateFollowerSelfPromotes(t *testing.T) {
 	leader.Start()
 	leader.Finish(errors.New("boom"))
 
-	att, err := followers[0].AwaitLeader(context.Background())
+	_, err := followers[0].AwaitLeader(context.Background())
 	if err != nil {
 		t.Fatalf("AwaitLeader: %v", err)
 	}
-	if !att.Promoted {
+	if followers[0].Role() != Leader {
 		t.Fatal("late follower not promoted after leader failure")
 	}
 	followers[0].Start()
@@ -553,7 +547,7 @@ func TestPromotionChainUntilExhaustion(t *testing.T) {
 
 	// First follower promotes, then fails too.
 	att, err := followers[0].AwaitLeader(context.Background())
-	if err != nil || !att.Promoted {
+	if err != nil || followers[0].Role() != Leader {
 		t.Fatalf("AwaitLeader = (%+v, %v), want a promotion", att, err)
 	}
 	followers[0].Start()
@@ -561,7 +555,7 @@ func TestPromotionChainUntilExhaustion(t *testing.T) {
 
 	// The last live member inherits the pass rather than failing.
 	att, err = followers[1].AwaitLeader(context.Background())
-	if err != nil || !att.Promoted {
+	if err != nil || followers[1].Role() != Leader {
 		t.Fatalf("last AwaitLeader = (%+v, %v), want a promotion", att, err)
 	}
 	followers[1].Start()
@@ -594,7 +588,7 @@ func TestDeadGroupFailsFollower(t *testing.T) {
 	// The live follower promotes, runs, and also fails — now no candidate
 	// remains and the group is dead.
 	att, err := followers[1].AwaitLeader(context.Background())
-	if err != nil || !att.Promoted {
+	if err != nil || followers[1].Role() != Leader {
 		t.Fatalf("AwaitLeader = (%+v, %v), want a promotion", att, err)
 	}
 	followers[1].Start()
@@ -696,13 +690,13 @@ func TestCancelledAwaitRelaysPromotion(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		att, err := followers[1].AwaitLeader(context.Background())
+		_, err := followers[1].AwaitLeader(context.Background())
 		if err != nil {
 			t.Errorf("surviving follower: %v", err)
 			followers[1].Finish(err)
 			return
 		}
-		if !att.Promoted {
+		if followers[1].Role() != Leader {
 			t.Error("surviving follower neither promoted nor failed")
 		}
 		followers[1].Start()

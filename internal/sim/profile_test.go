@@ -8,9 +8,9 @@ import (
 
 func TestProfilePresets(t *testing.T) {
 	p := PaperCluster()
-	if p.Nodes != 8 || p.CoresPerNode != 8 || p.MemPerNode != memory.GB(32) {
-		t.Errorf("paper cluster = %d nodes × %d cores × %s",
-			p.Nodes, p.CoresPerNode, memory.FormatBytes(p.MemPerNode))
+	if p.Nodes != 8 || p.MemPerNode != memory.GB(32) {
+		t.Errorf("paper cluster = %d nodes × %s",
+			p.Nodes, memory.FormatBytes(p.MemPerNode))
 	}
 	if p.Kind != memory.SparkLike || p.GPU != nil {
 		t.Error("paper cluster should be Spark-like without GPU")
