@@ -32,8 +32,13 @@ func applySeparate(t *testing.T, l Layer, in *tensor.Tensor, w *LayerWeights) *t
 		t.Fatal(err)
 	}
 	if bn {
-		if err := tensor.BatchNorm(out, w.Gamma, w.Beta, w.Mean, w.Var, bnEps); err != nil {
+		scale, shift, err := tensor.BatchNormAffine(w.Gamma, w.Beta, w.Mean, w.Var, bnEps)
+		if err != nil {
 			t.Fatal(err)
+		}
+		hw := out.NumElements() / len(scale)
+		for i, v := range out.Data() {
+			out.Data()[i] = v*scale[i/hw] + shift[i/hw]
 		}
 	}
 	if relu {

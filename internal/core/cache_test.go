@@ -108,7 +108,7 @@ func TestRunWarmNeedsNoImagesOrSession(t *testing.T) {
 		if nodes != spec.Nodes {
 			t.Fatalf("found %d DL pool series, want one per node (%d)", nodes, spec.Nodes)
 		}
-		ingested, ok := res.Trace.Find("ingest").Attr("bytes")
+		ingested, ok := stageSpan(res.Trace, "ingest").Attr("bytes")
 		if !ok {
 			t.Fatal("ingest span carries no bytes")
 		}

@@ -8,6 +8,16 @@ import (
 	"repro/internal/obs"
 )
 
+// stageSpan returns the run span's first stage named name, or nil.
+func stageSpan(run *obs.Span, name string) *obs.Span {
+	for _, sp := range run.Children() {
+		if sp.Name() == name {
+			return sp
+		}
+	}
+	return nil
+}
+
 // TestRunTraceSpans: the run's span tree mirrors the stage breakdown and
 // carries the work attributes the -trace report prints.
 func TestRunTraceSpans(t *testing.T) {
@@ -26,7 +36,7 @@ func TestRunTraceSpans(t *testing.T) {
 		t.Error("root span has no duration")
 	}
 
-	ingest := res.Trace.Find("ingest")
+	ingest := stageSpan(res.Trace, "ingest")
 	if ingest == nil {
 		t.Fatal("no ingest span")
 	}

@@ -150,18 +150,6 @@ func (s *Span) walk(fn func(sp *Span, depth int), depth int) {
 	}
 }
 
-// Find returns the first descendant (or the span itself) with the given
-// name, or nil.
-func (s *Span) Find(name string) *Span {
-	var found *Span
-	s.Walk(func(sp *Span, _ int) {
-		if found == nil && sp.name == name {
-			found = sp
-		}
-	})
-	return found
-}
-
 // Render prints the span tree: one line per span with its duration, its
 // self-time when it has children, and its attributes.
 //

@@ -27,7 +27,12 @@ func simulatedWithStorage() Result {
 // the same keys with other values: only the root's may be read.
 func storageTrace() *obs.Span {
 	root := measuredTrace()
-	infer := root.Find("infer:fc6")
+	var infer *obs.Span
+	for _, sp := range root.Children() {
+		if sp.Name() == "infer:fc6" {
+			infer = sp
+		}
+	}
 	infer.SetAttr(AttrPeakStorageBytes, 2*testMB)
 	infer.SetAttr(AttrSpilledBytes, 3*testMB)
 	root.SetAttr(AttrPeakStorageBytes, int64(6.5*testMB))

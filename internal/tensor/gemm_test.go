@@ -175,7 +175,7 @@ func TestConv2DGEMMParity(t *testing.T) {
 }
 
 // TestConv2DFusedMatchesSeparatePasses pins the fused epilogue to the passes
-// it replaces: Conv2D, then BatchNorm, then ReLU, each over the whole
+// it replaces: Conv2D, then a batch-norm pass, then ReLU, each over the whole
 // activation. Bias-only and ReLU-only epilogues must be bit-identical to the
 // passes (same operations on the same values); the affine is allowed the
 // rounding of one fused multiply-add. A residual epilogue is held bit for bit
@@ -215,9 +215,7 @@ func TestConv2DFusedMatchesSeparatePasses(t *testing.T) {
 				}
 				ep := Epilogue{ReLU: c.relu}
 				if c.bn {
-					if err := BatchNorm(want, gamma, beta, mean, variance, 1e-5); err != nil {
-						t.Fatal(err)
-					}
+					batchNorm(t, want, gamma, beta, mean, variance, 1e-5)
 					ep.Scale, ep.Shift = scale, shift
 				}
 				if c.relu {

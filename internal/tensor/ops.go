@@ -398,33 +398,6 @@ func BatchNormAffine(gamma, beta, mean, variance []float32, eps float32) (scale,
 	return scale, shift, nil
 }
 
-// BatchNorm applies per-channel batch normalization to a CHW tensor in place.
-// All parameter slices must have length C. Convolution layers fold the same
-// affine into the kernel's epilogue (Conv2DFused) instead of making this pass.
-func BatchNorm(t *Tensor, gamma, beta, mean, variance []float32, eps float32) error {
-	s := t.Shape()
-	if len(s) != 3 {
-		return fmt.Errorf("%w: batchnorm expects CHW, got %v", ErrShape, s)
-	}
-	c, hw := s[0], s[1]*s[2]
-	if len(gamma) != c {
-		return fmt.Errorf("%w: batchnorm params for %d channels", ErrShape, c)
-	}
-	scale, shift, err := BatchNormAffine(gamma, beta, mean, variance, eps)
-	if err != nil {
-		return err
-	}
-	d := t.Data()
-	for ch := 0; ch < c; ch++ {
-		sc, sh := scale[ch], shift[ch]
-		plane := d[ch*hw : (ch+1)*hw]
-		for i, v := range plane {
-			plane[i] = v*sc + sh
-		}
-	}
-	return nil
-}
-
 // GlobalAvgPool reduces a CHW tensor to a length-C vector by averaging each
 // channel's spatial plane, and a (C, N, H, W) batch to its (N, C) batch of
 // vectors.

@@ -342,7 +342,7 @@ func TestGridMaxPool(t *testing.T) {
 // TestGridMaxPoolNoAliasWhenSmall is the regression test for the aliasing
 // corruption bug: GridMaxPool used to return the input tensor itself when the
 // map was already at or below the grid size, so downstream in-place ops
-// (ReLU, BatchNorm, AddInPlace) on the pooled result silently corrupted
+// (ReLU, the batch-norm affine, AddInPlace) on the pooled result silently corrupted
 // feature tables handed out by the feature store and share.Handoff. The
 // pooled result must be value-identical but storage-independent.
 func TestGridMaxPoolNoAliasWhenSmall(t *testing.T) {
@@ -497,13 +497,25 @@ func TestMatVec(t *testing.T) {
 	}
 }
 
+// batchNorm applies inference-time batch normalization to a CHW tensor in
+// place as its own pass over the activation: the reference the fused
+// convolution epilogue is held to.
+func batchNorm(t *testing.T, x *Tensor, gamma, beta, mean, variance []float32, eps float32) {
+	t.Helper()
+	scale, shift, err := BatchNormAffine(gamma, beta, mean, variance, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hw := x.NumElements() / len(scale)
+	for i := range x.Data() {
+		x.Data()[i] = x.Data()[i]*scale[i/hw] + shift[i/hw]
+	}
+}
+
 func TestBatchNorm(t *testing.T) {
 	a := MustFromSlice([]float32{1, 2, 3, 4}, 1, 2, 2)
 	// gamma=2, beta=1, mean=2.5, var=1.25 -> normalized then scaled.
-	err := BatchNorm(a, []float32{2}, []float32{1}, []float32{2.5}, []float32{1.25}, 0)
-	if err != nil {
-		t.Fatalf("BatchNorm: %v", err)
-	}
+	batchNorm(t, a, []float32{2}, []float32{1}, []float32{2.5}, []float32{1.25}, 0)
 	sd := float32(math.Sqrt(1.25))
 	want := []float32{
 		2*(1-2.5)/sd + 1, 2*(2-2.5)/sd + 1,
@@ -514,7 +526,7 @@ func TestBatchNorm(t *testing.T) {
 			t.Fatalf("bn[%d] = %v, want %v", i, v, want[i])
 		}
 	}
-	if err := BatchNorm(a, []float32{1, 2}, []float32{0}, []float32{0}, []float32{1}, 0); err == nil {
+	if _, _, err := BatchNormAffine([]float32{1, 2}, []float32{0}, []float32{0}, []float32{1}, 0); err == nil {
 		t.Error("expected param-length error")
 	}
 }
