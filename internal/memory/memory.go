@@ -148,35 +148,6 @@ func (a Apportionment) WorkloadTotal() int64 {
 // Total returns the full apportioned System Memory.
 func (a Apportionment) Total() int64 { return a.OSReserved + a.WorkloadTotal() }
 
-// Validate checks Equation 12: the apportioned regions must fit within the
-// worker's System Memory and every region must be non-negative.
-func (a Apportionment) Validate(systemMem int64) error {
-	for _, r := range []struct {
-		name string
-		v    int64
-	}{
-		{"os-reserved", a.OSReserved},
-		{"dl-execution", a.DLExecution},
-		{"user", a.User},
-		{"core", a.Core},
-		{"storage", a.Storage},
-	} {
-		if r.v < 0 {
-			return fmt.Errorf("memory: negative %s region (%d)", r.name, r.v)
-		}
-	}
-	if a.Total() > systemMem {
-		return &OOMError{
-			Region:   OSReserved,
-			Scenario: DLBlowup,
-			Need:     a.Total(),
-			Avail:    systemMem,
-			Detail:   "apportioned regions exceed system memory (Equation 12)",
-		}
-	}
-	return nil
-}
-
 // FormatBytes renders a byte count in human units.
 func FormatBytes(b int64) string {
 	const (

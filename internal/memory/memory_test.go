@@ -19,22 +19,6 @@ func TestApportionmentTotals(t *testing.T) {
 	}
 }
 
-func TestApportionmentValidate(t *testing.T) {
-	a := Apportionment{OSReserved: GB(3), DLExecution: GB(5), User: GB(4), Core: GB(2), Storage: GB(10)}
-	if err := a.Validate(GB(32)); err != nil {
-		t.Errorf("valid apportionment rejected: %v", err)
-	}
-	if err := a.Validate(GB(20)); err == nil {
-		t.Error("oversized apportionment accepted")
-	} else if _, ok := IsOOM(err); !ok {
-		t.Errorf("expected OOMError, got %T", err)
-	}
-	bad := Apportionment{User: -1}
-	if err := bad.Validate(GB(32)); err == nil {
-		t.Error("negative region accepted")
-	}
-}
-
 func TestOOMErrorMessageAndIsOOM(t *testing.T) {
 	err := &OOMError{Region: User, Scenario: InsufficientUser, Need: MB(600), Avail: MB(100), Detail: "feature TensorList"}
 	msg := err.Error()

@@ -14,6 +14,7 @@ import (
 	"repro/internal/cnn"
 	"repro/internal/dataflow"
 	"repro/internal/memory"
+	"repro/internal/plan"
 )
 
 // Params are the fixed-but-adjustable system parameters of Table 1(C).
@@ -151,9 +152,11 @@ var ErrNoFeasible = errors.New("optimizer: no feasible configuration; provision 
 // format (Equation 16's 8 + 8: key plus header words).
 const rowOverheadBytes = 16
 
-// memoryOnlyCompression is the compression a memory-only system's native
-// binary format achieves over deserialized bytes (Ignite, Section 4.2.3).
-const memoryOnlyCompression = 2.2
+// storageCompression is the average compression a compressed binary format
+// achieves over deserialized bytes: Spark's serialized persistence (Appendix
+// A, Figure 15: ~2–4× depending on feature sparsity; a flat factor here) and
+// a memory-only system's native format (Ignite, Section 4.2.3).
+const storageCompression = 2.2
 
 // EstimateTableSize implements Equation 16: the size of intermediate table
 // T_i holding feature layer l with |g_l(f̂_l(I))| features, as
@@ -168,6 +171,22 @@ func StructTableSize(numRows, structDim int) int64 {
 	return int64(numRows) * int64(rowOverheadBytes+4*structDim)
 }
 
+// baseTableSize is the cached base of a run: |Tstr| plus the raw image
+// payloads |Timg|, which a fully-cached run never loads. An unset
+// ImageRowBytes assumes the CNN's input tensor at a conservative 4×
+// compression.
+func baseTableSize(in Inputs) int64 {
+	base := StructTableSize(in.NumRows, in.StructDim)
+	if !in.FullyCached {
+		img := in.ImageRowBytes
+		if img <= 0 {
+			img = in.ModelStats.InputBytes / 4
+		}
+		base += int64(in.NumRows) * img
+	}
+	return base
+}
+
 // IntermediateSizes returns |T_i| for every selected layer (bottom-to-top)
 // plus s_single and s_double (Equations 5–6). Beyond the paper's Equation 16
 // (which sizes only the flattened feature columns), the estimates also cover
@@ -180,16 +199,7 @@ func IntermediateSizes(in Inputs, params Params) (sizes []int64, sSingle, sDoubl
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	imgBytes := in.ImageRowBytes
-	if imgBytes <= 0 {
-		imgBytes = in.ModelStats.InputBytes / 4
-	}
-	base := StructTableSize(in.NumRows, in.StructDim)
-	if !in.FullyCached {
-		// Fully-cached runs never load the raw image payloads, so the base
-		// joined table shrinks to Tstr.
-		base += int64(in.NumRows) * imgBytes
-	}
+	base := baseTableSize(in)
 	sSingle = base
 
 	sizes = make([]int64, len(layers))
@@ -213,36 +223,173 @@ func IntermediateSizes(in Inputs, params Params) (sizes []int64, sSingle, sDoubl
 	return sizes, sSingle, sDouble, nil
 }
 
-// StagedPeakBytes estimates (without the α fudge) the peak cluster-wide
-// cached footprint of the Staged plan: the base joined table plus the two
-// largest adjacent stage tables, each holding the stage's raw carry, pooled
-// feature vector, and the structured columns.
-func StagedPeakBytes(in Inputs) (int64, error) {
+// Tables are the intermediates one plan materializes, in deserialized bytes
+// (no α fudge): what the Section 4.1 demand of a configuration is sized from.
+type Tables struct {
+	// Kind is the plan; it decides which tables are cached at once.
+	Kind plan.Kind
+	// Base is the cached base tables (baseTableSize).
+	Base int64
+	// Layers[i] is the intermediate table of the plan's layer i.
+	Layers []int64
+	// Single is the table whose np-th share one UDF thread materializes:
+	// Equation 16's α-inflated s_single when planning (Planned), the plan's
+	// largest layer table when simulating a run (PlanTables).
+	Single int64
+	// Compressed marks storage that holds the compressed binary format.
+	Compressed bool
+}
+
+// PlanTables sizes the tables p materializes over in's rows. Every record
+// carries the 16-byte header, plus Tstr's columns under the AJ placement
+// (joined tables retain X), plus per plan: Lazy's g_l-pooled feature
+// vector; Eager's raw tensor (pooling happens at training time — the
+// Section 1.1 blow-up); Staged's emitted pooled vector and the raw carry;
+// and, for a pre-materialized base (Appendix B), the raw tensor later
+// partial inference continues from.
+func PlanTables(in Inputs, p *plan.Plan) Tables {
+	rows := int64(in.NumRows)
+	var carried int64
+	if p.Placement == plan.AfterJoin {
+		carried = StructTableSize(in.NumRows, in.StructDim)
+	}
+	t := Tables{Kind: p.Kind, Base: baseTableSize(in), Layers: make([]int64, len(p.Layers))}
+	for i, l := range p.Layers {
+		perRow := int64(rowOverheadBytes)
+		switch {
+		case i == p.PreMaterializedBase || p.Kind == plan.Eager:
+			perRow += l.RawBytes
+		case p.Kind == plan.Lazy:
+			perRow += 4 * int64(l.FeatureDim)
+		default: // Staged
+			perRow += 4*int64(l.FeatureDim) + l.RawBytes
+		}
+		t.Layers[i] = rows*perRow + carried
+		t.Single = max(t.Single, t.Layers[i])
+	}
+	return t
+}
+
+// Planned returns the tables Algorithm 1 plans against — Vista's Staged plan
+// with the AJ placement, compressed on a memory-only system — with Single
+// set to Equation 16's s_single, and s_double.
+func Planned(in Inputs, params Params) (t Tables, sDouble int64, err error) {
 	layers, err := in.ModelStats.TopLayerStats(in.NumLayers)
 	if err != nil {
-		return 0, err
+		return Tables{}, 0, err
 	}
-	imgBytes := in.ImageRowBytes
-	if imgBytes <= 0 {
-		imgBytes = in.ModelStats.InputBytes / 4
+	_, sSingle, sDouble, err := IntermediateSizes(in, params)
+	if err != nil {
+		return Tables{}, 0, err
 	}
-	rows := int64(in.NumRows)
-	tstr := StructTableSize(in.NumRows, in.StructDim)
-	base := tstr
-	if !in.FullyCached {
-		base += rows * imgBytes
+	t = PlanTables(in, &plan.Plan{Kind: plan.Staged, Placement: plan.AfterJoin,
+		Layers: layers, PreMaterializedBase: -1})
+	t.Single = sSingle
+	t.Compressed = in.StorageMustFit
+	return t, sDouble, nil
+}
+
+// Stored maps b deserialized bytes to their footprint in t's storage.
+func (t Tables) Stored(b int64) float64 {
+	if t.Compressed {
+		return float64(b) / storageCompression
 	}
-	table := func(i int) int64 {
-		l := layers[i]
-		return rows*(rowOverheadBytes+l.RawBytes+4*int64(l.FeatureDim)) + tstr
-	}
-	peak := base + table(0)
-	for i := 0; i+1 < len(layers); i++ {
-		if v := base + table(i) + table(i+1); v > peak {
-			peak = v
+	return float64(b)
+}
+
+// Live is the bytes cached while the table of layer i is built: the base,
+// plus every table under Eager, the previous and this table under Staged,
+// this table under Lazy.
+func (t Tables) Live(i int) int64 {
+	switch t.Kind {
+	case plan.Eager:
+		live := t.Base
+		for _, b := range t.Layers {
+			live += b
 		}
+		return live
+	case plan.Staged:
+		live := t.Base + t.Layers[i]
+		if i > 0 {
+			live += t.Layers[i-1]
+		}
+		return live
+	default: // Lazy
+		return t.Base + t.Layers[i]
 	}
-	return peak, nil
+}
+
+// Regions is one configuration's per-worker demand on each memory region of
+// Section 4.1, in bytes.
+type Regions struct {
+	// Storage is the plan's peak cached footprint, as stored.
+	Storage int64
+	// User is Equation 10's UDF working memory.
+	User int64
+	// DL is Equation 11's DL Execution Memory.
+	DL int64
+	// Core is the join's build partitions (crash scenario 3).
+	Core int64
+	// Driver is the broadcast of Tstr (crash scenario 4).
+	Driver int64
+	// Device is Equation 15's GPU replicas.
+	Device int64
+}
+
+// Demand is the memory a run with cpu threads over np partitions of the
+// tables t needs on each worker (Section 4.1, Equations 9–15). The optimizer
+// budgets against it and the simulator crashes on it.
+func Demand(in Inputs, cpu, np int, t Tables, params Params) Regions {
+	st := in.ModelStats
+	c, parts := int64(cpu), int64(np)
+	var r Regions
+
+	peak := t.Base
+	for i := range t.Layers {
+		peak = max(peak, t.Live(i))
+	}
+	r.Storage = ceilDiv(int64(t.Stored(peak)), int64(in.NNodes))
+
+	// User Memory (Equation 10, extended): the serialized model, plus per
+	// thread the materialized output partition, a decoded input batch, and
+	// inference activation buffers — α-inflated for managed-runtime
+	// overhead.
+	working := ceilDiv(t.Single, parts)
+	serialized := st.SerializedBytes
+	if in.FullyCached {
+		// Cached features stream straight from the store: no image decoding,
+		// no DL batching, no activations, and no broadcast checkpoint.
+		serialized = 0
+	} else {
+		// Partitions stream through the DL system a batch at a time, so
+		// only cnn.InferenceBatch decoded images are resident.
+		batch := int64(cnn.InferenceBatch) * st.InputBytes
+		decode := batch
+		if in.WholePartitionDecode {
+			decode = max(decode, ceilDiv(int64(in.NumRows)*st.InputBytes, parts))
+		}
+		// decode buffers + the DL system's own input batch copy + activations.
+		working += decode + batch + st.ActivationWorkingBytes
+	}
+	r.User = serialized + int64(float64(cpu)*params.Alpha*float64(working))
+	if in.Placement == MInPDUserMemory {
+		r.User = max(r.User, c*in.DownstreamMemBytes)
+	}
+
+	// DL Execution Memory (Equation 11): cpu model replicas — none when no
+	// inference runs — plus the downstream model when it runs on the DL
+	// system.
+	if !in.FullyCached {
+		r.DL = c * st.MemBytes
+	}
+	if in.Placement == MInDLMemory {
+		r.DL = max(r.DL, c*in.DownstreamMemBytes)
+	}
+
+	r.Core = c * (max(t.Single, t.Base) / parts)
+	r.Driver = StructTableSize(in.NumRows, in.StructDim)
+	r.Device = c * st.GPUMemBytes
+	return r
 }
 
 // NumPartitions implements Algorithm 1's helper: the smallest multiple of
@@ -282,16 +429,16 @@ func validate(in Inputs) error {
 
 // Optimize implements Algorithm 1 (OptimizeFeatureTransfer): linear search on
 // cpu from min(cpu_sys, cpu_max)−1 down to 1, maximizing cpu (Equation 8)
-// subject to Equations 9–15.
+// subject to Equations 9–15, each checked against the Demand of the Planned
+// tables.
 func Optimize(in Inputs, params Params) (Decision, error) {
 	if err := validate(in); err != nil {
 		return Decision{}, err
 	}
-	_, sSingle, sDouble, err := IntermediateSizes(in, params)
+	t, sDouble, err := Planned(in, params)
 	if err != nil {
 		return Decision{}, err
 	}
-	st := in.ModelStats
 
 	upper := in.CPUSys
 	if params.CPUMax < upper {
@@ -300,48 +447,33 @@ func Optimize(in Inputs, params Params) (Decision, error) {
 	upper-- // leave one core for the OS (Equation 9)
 
 	for x := upper; x >= 1; x-- {
+		np := NumPartitions(t.Single, x, in.NNodes, params.PMax)
+		need := Demand(in, x, np, t, params)
 		// GPU constraint (Equation 15).
-		if in.MemGPU > 0 {
-			gpuNeed := int64(x) * st.GPUMemBytes
-			if gpuNeed >= in.MemGPU {
-				continue
-			}
+		if in.MemGPU > 0 && need.Device >= in.MemGPU {
+			continue
 		}
-		np := NumPartitions(sSingle, x, in.NNodes, params.PMax)
-
-		// DL Execution Memory (Equation 11).
-		memDL := DLMemoryNeed(in, x)
-
-		// User Memory (Equation 10).
-		memUser := UserMemoryNeed(in, x, np, params)
-
-		memWorker := in.MemSys - params.MemOSReserved - memDL
-		if in.StorageMustFit {
-			// Memory-only system: Storage must fit the peak footprint
-			// (compressed; such systems store a compressed binary format,
-			// Section 4.2.3), so the feasibility bar is higher.
-			peak, err := StagedPeakBytes(in)
-			if err != nil {
-				return Decision{}, err
-			}
-			needStorage := int64(float64(peak) / memoryOnlyCompression / float64(in.NNodes))
-			if memWorker-memUser-params.MemCore < needStorage {
-				continue
-			}
+		// Equation 12: what OS Reserved, DL Execution, User and Core Memory
+		// leave is Storage.
+		storage := in.MemSys - params.MemOSReserved - need.DL - need.User - params.MemCore
+		// A memory-only system has no spill path: Storage must hold the
+		// peak footprint.
+		if in.StorageMustFit && storage < need.Storage {
+			continue
 		}
-		if memWorker-memUser > params.MemCore {
+		if storage > 0 {
 			d := Decision{
 				CPU:        x,
 				NP:         np,
-				MemDL:      memDL,
-				MemUser:    memUser,
-				MemStorage: memWorker - memUser - params.MemCore,
+				MemDL:      need.DL,
+				MemUser:    need.User,
+				MemStorage: storage,
 				Join:       dataflow.ShuffleJoin,
 				Pers:       dataflow.Deserialized,
-				SSingle:    sSingle,
+				SSingle:    t.Single,
 				SDouble:    sDouble,
 			}
-			if StructTableSize(in.NumRows, in.StructDim) < params.BMax {
+			if need.Driver < params.BMax {
 				d.Join = dataflow.BroadcastJoin
 			}
 			// Algorithm 1 line 15: serialize when disk spills or cache
@@ -354,61 +486,6 @@ func Optimize(in Inputs, params Params) (Decision, error) {
 		}
 	}
 	return Decision{}, ErrNoFeasible
-}
-
-// DLMemoryNeed is the actual DL Execution Memory a configuration consumes
-// (Equation 11): cpu model replicas, plus the downstream model when it also
-// runs on the DL system. Shared by the optimizer and the crash model of
-// internal/sim, so a Vista-chosen configuration is consistent with the
-// simulator's accounting by construction.
-func DLMemoryNeed(in Inputs, cpu int) int64 {
-	need := int64(cpu) * in.ModelStats.MemBytes
-	if in.FullyCached {
-		// No inference → no CNN replicas; only a DL-resident downstream
-		// model still claims DL Execution Memory.
-		need = 0
-	}
-	if in.Placement == MInDLMemory {
-		need = max(need, int64(cpu)*in.DownstreamMemBytes)
-	}
-	return need
-}
-
-// UserMemoryNeed is the actual User Memory a configuration consumes
-// (Equation 10, extended): the serialized model, plus per-core UDF working
-// sets — the materialized output feature partition, a decoded input batch,
-// and inference activation buffers — all α-inflated for managed-runtime
-// overhead.
-func UserMemoryNeed(in Inputs, cpu, np int, params Params) int64 {
-	_, sSingle, _, err := IntermediateSizes(in, params)
-	if err != nil || np <= 0 {
-		return int64(^uint64(0) >> 1) // force infeasible on bad inputs
-	}
-	featPart := ceilDiv(sSingle, int64(np))
-	working := featPart
-	serialized := in.ModelStats.SerializedBytes
-	if in.FullyCached {
-		// Cached features stream straight from the store: no image decoding,
-		// no DL batching, no activations, and no broadcast checkpoint.
-		serialized = 0
-	} else {
-		// Partitions stream through the DL system a batch at a time, so
-		// only cnn.InferenceBatch decoded images are resident.
-		batch := int64(cnn.InferenceBatch) * in.ModelStats.InputBytes
-		decode := batch
-		if in.WholePartitionDecode {
-			if whole := ceilDiv(int64(in.NumRows)*in.ModelStats.InputBytes, int64(np)); whole > decode {
-				decode = whole
-			}
-		}
-		// decode buffers + the DL system's own input batch copy + activations.
-		working += decode + batch + in.ModelStats.ActivationWorkingBytes
-	}
-	need := serialized + int64(float64(cpu)*params.Alpha*float64(working))
-	if in.Placement == MInPDUserMemory {
-		need = max(need, int64(cpu)*in.DownstreamMemBytes)
-	}
-	return need
 }
 
 // LogRegMemBytes estimates |M|_mem for a logistic regression over dim

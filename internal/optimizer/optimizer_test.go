@@ -8,6 +8,7 @@ import (
 	"repro/internal/cnn"
 	"repro/internal/dataflow"
 	"repro/internal/memory"
+	"repro/internal/plan"
 )
 
 // paperCluster returns the CloudLab setup of Section 5: 8 workers, 32 GB RAM,
@@ -43,6 +44,22 @@ func paperCluster(t *testing.T, model string, layers, rows, structDim int) Input
 		MemSys:             memory.GB(32),
 		CPUSys:             8,
 	}
+}
+
+// apportionsDemand reports whether d's apportionment holds the Demand it was
+// planned from and fits System Memory (Equation 12): DL Execution and User
+// Memory are exactly the demand, every region is non-negative, and the
+// regions sum to at most MemSys.
+func apportionsDemand(in Inputs, d Decision, params Params) bool {
+	tables, _, err := Planned(in, params)
+	if err != nil {
+		return false
+	}
+	need := Demand(in, d.CPU, d.NP, tables, params)
+	a := d.Apportionment(params)
+	return a.DLExecution == need.DL && a.User == need.User &&
+		min(a.OSReserved, a.DLExecution, a.User, a.Core, a.Storage) >= 0 &&
+		a.Total() <= in.MemSys
 }
 
 func TestOptimizerPicksPaperCPUValues(t *testing.T) {
@@ -95,9 +112,9 @@ func TestOptimizerMemoryConstraint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", model, err)
 		}
-		a := d.Apportionment(DefaultParams())
-		if err := a.Validate(in.MemSys); err != nil {
-			t.Errorf("%s: apportionment exceeds system memory: %v", model, err)
+		if !apportionsDemand(in, d, DefaultParams()) {
+			t.Errorf("%s: apportionment %+v does not hold its demand within system memory",
+				model, d.Apportionment(DefaultParams()))
 		}
 		if d.MemStorage <= 0 {
 			t.Errorf("%s: non-positive storage memory", model)
@@ -303,7 +320,7 @@ func TestOptimizerConstraintsProperty(t *testing.T) {
 			return false
 		}
 		// Equation 12.
-		if d.Apportionment(params).Validate(in.MemSys) != nil {
+		if !apportionsDemand(in, d, params) {
 			return false
 		}
 		// Equation 13.
@@ -344,65 +361,110 @@ func TestMemoryOnlyConstraint(t *testing.T) {
 	if ignite.CPU > spark.CPU {
 		t.Errorf("memory-only cpu %d exceeds spillable cpu %d", ignite.CPU, spark.CPU)
 	}
-	peak, err := StagedPeakBytes(in)
+	tables, _, err := Planned(in, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	need := int64(float64(peak) / memoryOnlyCompression / float64(in.NNodes))
+	if !tables.Compressed {
+		t.Error("memory-only plans should store the compressed format")
+	}
+	need := Demand(in, ignite.CPU, ignite.NP, tables, DefaultParams()).Storage
 	if ignite.MemStorage < need {
 		t.Errorf("storage %d below the memory-only floor %d", ignite.MemStorage, need)
 	}
 }
 
-func TestStagedPeakBytes(t *testing.T) {
+func TestPlannedStoragePeak(t *testing.T) {
 	in := paperCluster(t, "resnet50", 5, 20000, 130)
 	in.ImageRowBytes = 14 << 10
-	peak, err := StagedPeakBytes(in)
+	in.NNodes = 1
+	tables, _, err := Planned(in, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Two adjacent raw conv tables dominate: conv4_6 (16 GB) + conv5_1
 	// (8 GB) + base; peak must land between 20 and 40 GB.
+	peak := Demand(in, 1, 1, tables, DefaultParams()).Storage
 	if peak < 20<<30 || peak > 40<<30 {
 		t.Errorf("staged peak = %s, expected 20-40 GB", memory.FormatBytes(peak))
 	}
 	bad := in
 	bad.NumLayers = 99
-	if _, err := StagedPeakBytes(bad); err == nil {
+	if _, _, err := Planned(bad, DefaultParams()); err == nil {
 		t.Error("oversized layer count accepted")
 	}
-	// Default image size falls back to InputBytes/4 when unset.
+	// An unset image size falls back to InputBytes/4 per row.
 	in.ImageRowBytes = 0
-	if _, err := StagedPeakBytes(in); err != nil {
-		t.Errorf("default image bytes failed: %v", err)
+	unset, _, err := Planned(in, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := tables.Base - 20000*(14<<10) + 20000*(in.ModelStats.InputBytes/4); unset.Base != want {
+		t.Errorf("base with default image bytes = %d, want %d", unset.Base, want)
+	}
+}
+
+// TestPlanTables checks each plan's record layout: AJ tables carry Tstr, Lazy
+// holds pooled vectors, Eager and a pre-materialized base the raw tensor, and
+// Staged both.
+func TestPlanTables(t *testing.T) {
+	in := paperCluster(t, "alexnet", 3, 1000, 10)
+	in.ImageRowBytes = 100
+	tstr := StructTableSize(1000, 10)
+	for _, tc := range []struct {
+		kind      plan.Kind
+		placement plan.JoinPlacement
+		premat    bool
+		row       func(l cnn.LayerStat) int64
+	}{
+		{plan.Lazy, plan.BeforeJoin, false, func(l cnn.LayerStat) int64 { return 4 * int64(l.FeatureDim) }},
+		{plan.Eager, plan.BeforeJoin, false, func(l cnn.LayerStat) int64 { return l.RawBytes }},
+		{plan.Staged, plan.AfterJoin, false, func(l cnn.LayerStat) int64 { return 4*int64(l.FeatureDim) + l.RawBytes }},
+		{plan.Lazy, plan.BeforeJoin, true, func(l cnn.LayerStat) int64 { return 4 * int64(l.FeatureDim) }},
+	} {
+		p, err := plan.Compile(tc.kind, tc.placement, in.ModelStats, 3, plan.Options{PreMaterializeBase: tc.premat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables := PlanTables(in, p)
+		if want := tstr + 1000*100; tables.Base != want {
+			t.Errorf("%v: base = %d, want %d", tc.kind, tables.Base, want)
+		}
+		for i, l := range p.Layers {
+			want := 1000 * (16 + tc.row(l))
+			if i == p.PreMaterializedBase {
+				want = 1000 * (16 + l.RawBytes)
+			}
+			if tc.placement == plan.AfterJoin {
+				want += tstr
+			}
+			if tables.Layers[i] != want {
+				t.Errorf("%v premat=%t: layer %d = %d, want %d", tc.kind, tc.premat, i, tables.Layers[i], want)
+			}
+			if tables.Layers[i] > tables.Single {
+				t.Errorf("%v: Single %d below layer %d's table", tc.kind, tables.Single, i)
+			}
+		}
 	}
 }
 
 func TestDLMemoryNeedPlacements(t *testing.T) {
 	in := paperCluster(t, "alexnet", 4, 1000, 10)
 	in.DownstreamMemBytes = memory.GB(100) // enormous M
-	pd := DLMemoryNeed(in, 4)
+	params := DefaultParams()
+	tables, _, err := Planned(in, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pd := Demand(in, 4, 64, tables, params)
 	in.Placement = MInDLMemory
-	dl := DLMemoryNeed(in, 4)
-	if dl <= pd {
-		t.Errorf("DL-resident M should raise DL need: %d vs %d", dl, pd)
+	dl := Demand(in, 4, 64, tables, params)
+	if dl.DL <= pd.DL {
+		t.Errorf("DL-resident M should raise DL need: %d vs %d", dl.DL, pd.DL)
 	}
 	// And the same giant M in PD placement raises User need instead.
-	in.Placement = MInPDUserMemory
-	if UserMemoryNeed(in, 4, 64, DefaultParams()) < 4*memory.GB(100) {
-		t.Error("PD-resident M should dominate User need")
-	}
-}
-
-func TestUserMemoryNeedBadInputs(t *testing.T) {
-	in := paperCluster(t, "alexnet", 4, 1000, 10)
-	if UserMemoryNeed(in, 4, 0, DefaultParams()) < memory.GB(1000) {
-		t.Error("np=0 should force an infeasible (huge) need")
-	}
-	bad := in
-	bad.NumLayers = 99
-	if UserMemoryNeed(bad, 4, 64, DefaultParams()) < memory.GB(1000) {
-		t.Error("broken inputs should force an infeasible need")
+	if pd.User < 4*memory.GB(100) || dl.User >= 4*memory.GB(100) {
+		t.Errorf("PD-resident M should dominate User need: %d (PD) vs %d (DL)", pd.User, dl.User)
 	}
 }
 
@@ -426,24 +488,31 @@ func TestFullyCachedShrinksNeeds(t *testing.T) {
 	warm := cold
 	warm.FullyCached = true
 
+	params := DefaultParams()
+	demand := func(in Inputs) Regions {
+		tables, _, err := Planned(in, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Demand(in, 4, NumPartitions(memory.GB(10), 4, 8, params.PMax), tables, params)
+	}
+
 	// No inference → no CNN replicas in DL Execution Memory.
-	if need := DLMemoryNeed(warm, 4); need != 0 {
+	if need := demand(warm).DL; need != 0 {
 		t.Errorf("fully-cached DL need = %d, want 0", need)
 	}
-	if DLMemoryNeed(cold, 4) == 0 {
+	if demand(cold).DL == 0 {
 		t.Error("cold DL need should charge replicas")
 	}
 	warmDL := warm
 	warmDL.Placement = MInDLMemory
-	if need := DLMemoryNeed(warmDL, 4); need != 4*warmDL.DownstreamMemBytes {
+	if need := demand(warmDL).DL; need != 4*warmDL.DownstreamMemBytes {
 		t.Errorf("DL-resident downstream must still be charged, got %d", need)
 	}
 
 	// User Memory loses the serialized model, decode buffers, and
 	// activations.
-	params := DefaultParams()
-	np := NumPartitions(memory.GB(10), 4, 8, params.PMax)
-	if wu, cu := UserMemoryNeed(warm, 4, np, params), UserMemoryNeed(cold, 4, np, params); wu >= cu {
+	if wu, cu := demand(warm).User, demand(cold).User; wu >= cu {
 		t.Errorf("fully-cached User need %d not below cold %d", wu, cu)
 	}
 
@@ -478,7 +547,7 @@ func TestOptimizeInferScaleRaisesDLMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := DLMemoryNeed(in, scaled.CPU); scaled.MemDL != want {
+	if want := int64(scaled.CPU) * big.MemBytes; scaled.MemDL != want {
 		t.Errorf("scaled MemDL = %d, want %d", scaled.MemDL, want)
 	}
 	if scaled.CPU > plain.CPU {

@@ -6,22 +6,6 @@ import (
 	"repro/internal/optimizer"
 )
 
-func defaultParams() optimizer.Params { return optimizer.DefaultParams() }
-
-// baselineTunedNP picks a partition count for the tuned baselines: the
-// optimizer's Equation 13/14 helper at the given cpu.
-func baselineTunedNP(w Workload, cpu int) int {
-	_, sSingle, _, err := optimizer.IntermediateSizes(w.Inputs, defaultParams())
-	if err != nil {
-		return sparkDefaultNP
-	}
-	return optimizer.NumPartitions(sSingle, cpu, w.Inputs.NNodes, defaultParams().PMax)
-}
-
-func userNeedFor(w Workload, cpu, np int) int64 {
-	return optimizer.UserMemoryNeed(w.Inputs, cpu, np, defaultParams())
-}
-
 // Baseline configurations of Section 5.1. These reproduce the paper's
 // "current dominant practice": best-practice SQL-era tuning guides with no
 // awareness of CNN footprints, which is precisely what makes them
@@ -61,30 +45,28 @@ func BaselineIgnite(cpu int) Config {
 
 // TunedBaseline returns the "strong baseline" config of Section 5.1 (used
 // for Lazy-5 with Pre-mat and Eager): like Vista, it explicitly apportions
-// CNN inference, Storage, User, and Core memory — "note that Lazy-5 with
-// Pre-mat and Eager actually need parts of our code from Vista" — but keeps
-// the fixed degree of parallelism.
+// CNN inference, Storage, User, and Core memory from the Demand of the
+// Planned tables — "note that Lazy-5 with Pre-mat and Eager actually need
+// parts of our code from Vista" — but keeps the fixed degree of parallelism,
+// with the Equation 13/14 partition count at that cpu.
 func TunedBaseline(w Workload, cpu int) Config {
 	in := w.Inputs
-	params := defaultParams()
-	np := baselineTunedNP(w, cpu)
-	dl := int64(cpu) * in.ModelStats.MemBytes
-	user := userNeedFor(w, cpu, np)
-	storage := memory.GB(32) - params.MemOSReserved - params.MemCore - dl - user
-	if storage < 0 {
-		storage = 0
+	params := optimizer.DefaultParams()
+	cfg := Config{CPU: cpu, NP: sparkDefaultNP, Join: dataflow.ShuffleJoin, Pers: dataflow.Deserialized}
+	t, _, err := optimizer.Planned(in, params)
+	if err != nil {
+		// More layers than the model has: NewWorkload never builds such a
+		// workload, and every region left empty crashes it.
+		return cfg
 	}
-	return Config{
-		CPU: cpu,
-		NP:  np,
-		Apportion: memory.Apportionment{
-			OSReserved:  params.MemOSReserved,
-			DLExecution: dl,
-			User:        user,
-			Core:        params.MemCore,
-			Storage:     storage,
-		},
-		Join: dataflow.ShuffleJoin,
-		Pers: dataflow.Deserialized,
+	cfg.NP = optimizer.NumPartitions(t.Single, cpu, in.NNodes, params.PMax)
+	need := optimizer.Demand(in, cpu, cfg.NP, t, params)
+	cfg.Apportion = memory.Apportionment{
+		OSReserved:  params.MemOSReserved,
+		DLExecution: need.DL,
+		User:        need.User,
+		Core:        params.MemCore,
+		Storage:     max(0, memory.GB(32)-params.MemOSReserved-params.MemCore-need.DL-need.User),
 	}
+	return cfg
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/cnn"
 	"repro/internal/dataflow"
 	"repro/internal/memory"
 	"repro/internal/optimizer"
@@ -115,61 +114,38 @@ func (r *Result) TotalSec() float64 {
 // TotalMin returns the run's total simulated minutes.
 func (r *Result) TotalMin() float64 { return r.TotalSec() / 60 }
 
-// serializedCompression is the average compression the serialized
-// persistence format achieves over deserialized bytes (Appendix A,
-// Figure 15: ~2–4× depending on feature sparsity; a flat factor here).
-const serializedCompression = 2.2
-
 // model is the simulator's internal, fully resolved view of one run.
 type model struct {
 	w    Workload
 	cfg  Config
 	prof Profile
+	// in is the workload's inputs on prof's cluster, where a memory-only
+	// store decodes whole partitions.
+	in optimizer.Inputs
+	// t are the tables the plan materializes, as prof's storage holds them.
+	t optimizer.Tables
 
 	rows float64
 	tstr float64 // |Tstr| bytes
 	timg float64 // |Timg| bytes
-	base float64 // cached base (joined for AJ; Tstr+Timg for BJ)
-	// stage/table sizes, indexed by position in Plan.Layers
-	tableBytes  []float64 // what each layer's intermediate table holds
-	pooledBytes []float64 // pooled training projection per layer
-	compressed  bool      // storage holds compressed (serialized) bytes
+	// pooledBytes is the pooled training projection per Plan.Layers entry.
+	pooledBytes []float64
 }
 
 func newModel(w Workload, cfg Config, prof Profile) *model {
-	m := &model{w: w, cfg: cfg, prof: prof, rows: float64(w.Inputs.NumRows)}
-	m.tstr = float64(optimizer.StructTableSize(w.Inputs.NumRows, w.Inputs.StructDim))
-	m.timg = m.rows * float64(w.Inputs.ImageRowBytes)
-	if w.Inputs.FullyCached {
-		// Every selected layer streams from the feature store: the raw image
-		// payloads are never loaded (mirrors optimizer.IntermediateSizes).
-		m.timg = 0
-	}
-	m.base = m.tstr + m.timg
+	m := &model{w: w, cfg: cfg, prof: prof, in: w.Inputs, rows: float64(w.Inputs.NumRows)}
+	m.in.NNodes = prof.Nodes
+	m.in.WholePartitionDecode = m.in.WholePartitionDecode || !prof.Kind.SupportsSpill()
+	m.t = optimizer.PlanTables(m.in, w.Plan)
 	// Ignite always stores a compressed binary format (Section 4.2.3);
 	// Spark compresses only under the serialized persistence choice.
-	m.compressed = cfg.Pers == dataflow.Serialized || !prof.Kind.SupportsSpill()
+	m.t.Compressed = cfg.Pers == dataflow.Serialized || !prof.Kind.SupportsSpill()
+	m.tstr = float64(optimizer.StructTableSize(w.Inputs.NumRows, w.Inputs.StructDim))
+	m.timg = float64(m.t.Base) - m.tstr
 
-	m.tableBytes = make([]float64, len(w.Plan.Layers))
 	m.pooledBytes = make([]float64, len(w.Plan.Layers))
 	for i, l := range w.Plan.Layers {
-		pooled := m.rows * 4 * float64(w.Inputs.StructDim+l.FeatureDim)
-		m.pooledBytes[i] = pooled
-		switch {
-		case i == w.Plan.PreMaterializedBase:
-			// The pre-materialized base must hold the raw tensor so later
-			// partial inference can continue from it (Appendix B).
-			m.tableBytes[i] = m.rows*float64(16+l.RawBytes) + m.tstrShare()
-		case w.Plan.Kind == plan.Lazy:
-			// The manual approach exports g_l-pooled feature vectors.
-			m.tableBytes[i] = m.rows*float64(16+4*l.FeatureDim) + m.tstrShare()
-		case w.Plan.Kind == plan.Eager:
-			// One pass writes every layer's raw tensor (pooling happens at
-			// training time) — the Section 1.1 blow-up.
-			m.tableBytes[i] = m.rows*float64(16+l.RawBytes) + m.tstrShare()
-		default: // Staged: emitted pooled vector + the raw carry
-			m.tableBytes[i] = m.rows*float64(16+4*l.FeatureDim+int(l.RawBytes)) + m.tstrShare()
-		}
+		m.pooledBytes[i] = m.rows * 4 * float64(w.Inputs.StructDim+l.FeatureDim)
 	}
 	return m
 }
@@ -192,108 +168,17 @@ func PreMaterializationCost(w Workload, cfg Config, prof Profile) Result {
 	if prof.GPU != nil {
 		nodeGFLOPS = prof.GPU.GFLOPS
 	}
-	tableBytes := m.rows * float64(16+base.RawBytes)
+	tableBytes := int64(w.Inputs.NumRows) * (16 + base.RawBytes)
 	res.Layers = []LayerCost{{
 		Layer:         base.Name,
 		InferSec:      m.rows * float64(base.CumFLOPs) / (nodeGFLOPS * 1e9 * nodes),
-		TrainFirstSec: m.stored(tableBytes) / (nodes * prof.DiskMBps * mb), // write-out
+		TrainFirstSec: m.t.Stored(tableBytes) / (nodes * prof.DiskMBps * mb), // write-out
 	}}
 	return res
 }
 
-// tstrShare is the structured payload carried through intermediate tables
-// under the AJ placement (joined tables retain X).
-func (m *model) tstrShare() float64 {
-	if m.w.Plan.Placement == plan.AfterJoin {
-		return m.tstr
-	}
-	return 0
-}
-
-// stored maps logical bytes to their in-storage footprint.
-func (m *model) stored(b float64) float64 {
-	if m.compressed {
-		return b / serializedCompression
-	}
-	return b
-}
-
-// liveBytes is the cluster-wide cached footprint while working on the i-th
-// computed layer.
-func (m *model) liveBytes(li int) float64 {
-	switch m.w.Plan.Kind {
-	case plan.Eager:
-		sum := m.stored(m.base)
-		for _, b := range m.tableBytes {
-			sum += m.stored(b)
-		}
-		return sum
-	case plan.Staged:
-		live := m.stored(m.base) + m.stored(m.tableBytes[li])
-		if li > 0 {
-			live += m.stored(m.tableBytes[li-1])
-		}
-		return live
-	default: // Lazy
-		return m.stored(m.base) + m.stored(m.tableBytes[li])
-	}
-}
-
-// peakStorageNeed is the largest cluster-wide cached footprint the plan
-// reaches.
-func (m *model) peakStorageNeed() int64 {
-	var peak float64
-	for i := range m.w.Plan.Layers {
-		if v := m.liveBytes(i); v > peak {
-			peak = v
-		}
-	}
-	if len(m.w.Plan.Layers) == 0 {
-		peak = m.stored(m.base)
-	}
-	return int64(peak)
-}
-
-// userNeed is the configuration's actual User Memory consumption, mirroring
-// optimizer.UserMemoryNeed but plan-aware: the largest α-inflated stage
-// partition plus decode buffers and activations. For the Staged plan this is
-// never above the optimizer's (raw-carry, s_single-based) budget, so
-// Vista-chosen configurations cannot fail this check.
-func (m *model) userNeed() int64 {
-	params := optimizer.DefaultParams()
-	st := m.w.Inputs.ModelStats
-	var maxTable float64
-	for _, b := range m.tableBytes {
-		if b > maxTable {
-			maxTable = b
-		}
-	}
-	featPart := maxTable / float64(m.cfg.NP)
-	working := featPart
-	serialized := float64(st.SerializedBytes)
-	if m.w.Inputs.FullyCached {
-		// Mirrors optimizer.UserMemoryNeed: a fully-warm run decodes no
-		// images, batches nothing into the DL system, and broadcasts no
-		// checkpoint.
-		serialized = 0
-	} else {
-		batch := float64(cnn.InferenceBatch) * float64(st.InputBytes)
-		decode := batch
-		if m.w.Inputs.WholePartitionDecode || !m.prof.Kind.SupportsSpill() {
-			if whole := m.rows * float64(st.InputBytes) / float64(m.cfg.NP); whole > decode {
-				decode = whole
-			}
-		}
-		working += decode + batch + float64(st.ActivationWorkingBytes)
-	}
-	need := serialized + float64(m.cfg.CPU)*params.Alpha*working
-	if m.w.Inputs.Placement == optimizer.MInPDUserMemory {
-		if alt := float64(m.cfg.CPU) * float64(m.w.Inputs.DownstreamMemBytes); alt > need {
-			need = alt
-		}
-	}
-	return int64(need)
-}
+// stored is the in-storage footprint of Plan.Layers entry li's table.
+func (m *model) stored(li int) float64 { return m.t.Stored(m.t.Layers[li]) }
 
 // Run simulates one workload under one configuration on one profile.
 func Run(w Workload, cfg Config, prof Profile) Result {
@@ -326,7 +211,7 @@ func Run(w Workload, cfg Config, prof Profile) Result {
 		// The pre-materialized base layer is read from disk (Appendix B:
 		// feature layers are "generally larger than the compressed image
 		// formats", raising I/O cost).
-		res.ReadSec += m.stored(m.tableBytes[w.Plan.PreMaterializedBase]) / (nodes * prof.DiskMBps * mb)
+		res.ReadSec += m.stored(w.Plan.PreMaterializedBase) / (nodes * prof.DiskMBps * mb)
 	}
 
 	// ——— Up-front join (AJ) ———
@@ -347,12 +232,12 @@ func Run(w Workload, cfg Config, prof Profile) Result {
 		return passes * float64(cfg.NP) * per / 1000 / (nodes * float64(cfg.CPU))
 	}
 	scanRate := prof.ScanMBps
-	if m.compressed {
+	if m.t.Compressed {
 		scanRate *= 0.85 // decompression tax on scans
 	}
 	storageCap := float64(cfg.Apportion.Storage) * nodes
 	res.StorageCapBytes = int64(storageCap)
-	res.BaseStorageBytes = int64(math.Min(m.stored(m.base), storageCap))
+	res.BaseStorageBytes = int64(math.Min(m.t.Stored(m.t.Base), storageCap))
 
 	layerIdx := 0
 	for stepIdx, step := range w.Plan.Steps {
@@ -363,7 +248,7 @@ func Run(w Workload, cfg Config, prof Profile) Result {
 			// task overhead of the attach pass, zero CNN FLOPs and no DL
 			// stage startup.
 			li := layerOffset(w.Plan, layerIdx+len(step.Emits)-1)
-			inferSec = m.stored(m.tableBytes[li])/(nodes*prof.DiskMBps*mb) + taskSec(1)
+			inferSec = m.stored(li)/(nodes*prof.DiskMBps*mb) + taskSec(1)
 		} else {
 			inferSec = m.rows*float64(step.FLOPsPerImage)/(nodeGFLOPS*1e9*nodes) + taskSec(1) + 3
 			if !step.FromImage {
@@ -372,7 +257,7 @@ func Run(w Workload, cfg Config, prof Profile) Result {
 				// chain's carry was just written and is hot, so it costs
 				// nothing extra beyond its materialization.
 				if src := m.inputTableIndex(step); src >= 0 && src == w.Plan.PreMaterializedBase {
-					inferSec += m.stored(m.tableBytes[src]) / (nodes * scanRate * mb)
+					inferSec += m.stored(src) / (nodes * scanRate * mb)
 				}
 			}
 		}
@@ -386,7 +271,7 @@ func Run(w Workload, cfg Config, prof Profile) Result {
 			inferSec = 0
 
 			// Storage pressure while this layer's table is live.
-			live := m.liveBytes(li)
+			live := m.t.Stored(m.t.Live(li))
 			if over := live - storageCap; over > 0 {
 				res.SpilledBytes += int64(over)
 				lc.SpilledBytes = int64(over)
@@ -405,7 +290,7 @@ func Run(w Workload, cfg Config, prof Profile) Result {
 			// Downstream training: the first iteration scans the stage's
 			// materialized table; later iterations scan the pooled
 			// projection (cached in the trainer's own format).
-			lc.TrainFirstSec = m.stored(m.tableBytes[li])/(nodes*scanRate*mb) + taskSec(1)
+			lc.TrainFirstSec = m.stored(li)/(nodes*scanRate*mb) + taskSec(1)
 			if w.TrainIters > 1 {
 				lc.TrainRestSec = float64(w.TrainIters-1) *
 					(m.pooledBytes[li]/(nodes*prof.ScanMBps*mb*4) + taskSec(1)/2)
@@ -420,8 +305,8 @@ func Run(w Workload, cfg Config, prof Profile) Result {
 		l := w.Plan.Layers[li]
 		lc := LayerCost{
 			Layer:            l.Name,
-			TrainFirstSec:    m.stored(m.tableBytes[li])/(nodes*scanRate*mb) + taskSec(1),
-			LiveStorageBytes: int64(math.Min(m.stored(m.tableBytes[li]), storageCap)),
+			TrainFirstSec:    m.stored(li)/(nodes*scanRate*mb) + taskSec(1),
+			LiveStorageBytes: int64(math.Min(m.stored(li), storageCap)),
 		}
 		if w.TrainIters > 1 {
 			lc.TrainRestSec = float64(w.TrainIters-1) * (m.pooledBytes[li] / (nodes * prof.ScanMBps * mb * 4))
@@ -468,86 +353,54 @@ func joinCost(kind dataflow.JoinKind, small, large float64, prof Profile) float6
 	}
 }
 
-// crashCheck applies the Section 4.1 crash scenarios.
+// crashCheck applies the Section 4.1 crash scenarios: the first region, in
+// the order below, whose optimizer.Demand exceeds what the configuration
+// gives it crashes the run. Device memory must stay strictly below its bound
+// (Equation 15); every other region may fill up exactly.
 func (m *model) crashCheck() error {
-	w, cfg, prof := m.w, m.cfg, m.prof
-	in := w.Inputs
-	st := in.ModelStats
+	cfg, prof := m.cfg, m.prof
+	st := m.in.ModelStats
 	params := optimizer.DefaultParams()
+	need := optimizer.Demand(m.in, cfg.CPU, cfg.NP, m.t, params)
+	nodes := int64(prof.Nodes)
 
-	// Equation 15: GPU memory.
+	var checks []memory.OOMError
 	if prof.GPU != nil {
-		need := int64(cfg.CPU) * st.GPUMemBytes
-		if need >= prof.GPU.MemBytes {
-			return &memory.OOMError{
-				Region: memory.Device, Scenario: memory.DeviceExhausted,
-				Need: need, Avail: prof.GPU.MemBytes,
-				Detail: fmt.Sprintf("%d GPU replicas of %s", cfg.CPU, st.ModelName),
-			}
-		}
+		checks = append(checks, memory.OOMError{Region: memory.Device, Scenario: memory.DeviceExhausted,
+			Need: need.Device, Avail: prof.GPU.MemBytes,
+			Detail: fmt.Sprintf("%d GPU replicas of %s", cfg.CPU, st.ModelName)})
 	}
-
-	// Scenario 3: oversized partitions exhaust Core Memory during joins.
-	var maxTable float64
-	for _, b := range m.tableBytes {
-		if b > maxTable {
-			maxTable = b
-		}
-	}
-	buildPart := int64(math.Max(maxTable, m.base)) / int64(cfg.NP)
-	if coreNeed := int64(cfg.CPU) * buildPart; coreNeed > cfg.Apportion.Core {
-		return &memory.OOMError{
-			Region: memory.Core, Scenario: memory.LargePartition,
-			Need: coreNeed, Avail: cfg.Apportion.Core,
-			Detail: fmt.Sprintf("np=%d leaves %s partitions", cfg.NP, memory.FormatBytes(buildPart)),
-		}
-	}
-
-	// Scenario 2: UDF working sets exhaust User Memory.
-	if need := m.userNeed(); need > cfg.Apportion.User {
-		return &memory.OOMError{
-			Region: memory.User, Scenario: memory.InsufficientUser,
-			Need: need, Avail: cfg.Apportion.User,
-			Detail: fmt.Sprintf("%d threads of %s + feature TensorLists", cfg.CPU, st.ModelName),
-		}
-	}
-
-	// Scenario 4: a broadcast the driver cannot hold.
+	checks = append(checks,
+		// Scenario 3: oversized partitions exhaust Core Memory during joins.
+		memory.OOMError{Region: memory.Core, Scenario: memory.LargePartition,
+			Need: need.Core, Avail: cfg.Apportion.Core,
+			Detail: fmt.Sprintf("np=%d leaves %s partitions", cfg.NP, memory.FormatBytes(need.Core/int64(cfg.CPU)))},
+		// Scenario 2: UDF working sets exhaust User Memory.
+		memory.OOMError{Region: memory.User, Scenario: memory.InsufficientUser,
+			Need: need.User, Avail: cfg.Apportion.User,
+			Detail: fmt.Sprintf("%d threads of %s + feature TensorLists", cfg.CPU, st.ModelName)})
 	if cfg.Join == dataflow.BroadcastJoin {
-		if tstr := int64(m.tstr); tstr > prof.DriverMem {
-			return &memory.OOMError{
-				Region: memory.User, Scenario: memory.DriverOOM,
-				Need: tstr, Avail: prof.DriverMem,
-				Detail: "broadcast build of Tstr at the driver",
-			}
-		}
+		// Scenario 4: a broadcast the driver cannot hold.
+		checks = append(checks, memory.OOMError{Region: memory.User, Scenario: memory.DriverOOM,
+			Need: need.Driver, Avail: prof.DriverMem, Detail: "broadcast build of Tstr at the driver"})
 	}
-
-	// Scenario 1: total resident set exceeds physical memory — the OS kills
-	// the workload. Storage counts only up to its (evictable) budget.
-	dlNeed := optimizer.DLMemoryNeed(in, cfg.CPU)
-	storageUsed := m.peakStorageNeed() / int64(prof.Nodes)
-	if storageUsed > cfg.Apportion.Storage {
-		storageUsed = cfg.Apportion.Storage
-	}
-	resident := params.MemOSReserved + m.userNeed() + params.MemCore + storageUsed + dlNeed
-	if resident > prof.MemPerNode {
-		return &memory.OOMError{
-			Region: memory.DLExecution, Scenario: memory.DLBlowup,
-			Need: resident, Avail: prof.MemPerNode,
-			Detail: fmt.Sprintf("%d DL replicas (%s each) push the resident set past system memory",
-				cfg.CPU, memory.FormatBytes(st.MemBytes)),
-		}
-	}
-
-	// Memory-only storage exhaustion (the Ignite Eager crash).
+	// Scenario 1: the total resident set exceeds physical memory and the OS
+	// kills the workload. Storage counts only up to its (evictable) budget.
+	checks = append(checks, memory.OOMError{Region: memory.DLExecution, Scenario: memory.DLBlowup,
+		Need:  params.MemOSReserved + need.User + params.MemCore + min(need.Storage, cfg.Apportion.Storage) + need.DL,
+		Avail: prof.MemPerNode,
+		Detail: fmt.Sprintf("%d DL replicas (%s each) push the resident set past system memory",
+			cfg.CPU, memory.FormatBytes(st.MemBytes))})
 	if !prof.Kind.SupportsSpill() {
-		if need := m.peakStorageNeed(); need > cfg.Apportion.Storage*int64(prof.Nodes) {
-			return &memory.OOMError{
-				Region: memory.Storage, Scenario: memory.StorageExhausted,
-				Need: need, Avail: cfg.Apportion.Storage * int64(prof.Nodes),
-				Detail: fmt.Sprintf("%s plan intermediates on a memory-only store", w.Plan.Kind),
-			}
+		// A memory-only store has no spill path (the Ignite Eager crash).
+		// Its exhaustion is reported cluster-wide.
+		checks = append(checks, memory.OOMError{Region: memory.Storage, Scenario: memory.StorageExhausted,
+			Need: need.Storage * nodes, Avail: cfg.Apportion.Storage * nodes,
+			Detail: fmt.Sprintf("%s plan intermediates on a memory-only store", m.w.Plan.Kind)})
+	}
+	for _, c := range checks {
+		if c.Need > c.Avail || c.Region == memory.Device && c.Need == c.Avail {
+			return &c
 		}
 	}
 	return nil

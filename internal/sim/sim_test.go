@@ -329,6 +329,123 @@ func TestOptimizerAvoidsBroadcastCrash(t *testing.T) {
 	}
 }
 
+// TestCrashCheckTies holds every crash scenario at its exact boundary: a
+// region whose availability equals its optimizer.Demand survives and one
+// byte less crashes with that region's scenario. Device memory is the
+// exception (Equation 15 is strict): it crashes at equality.
+func TestCrashCheckTies(t *testing.T) {
+	w := mustWorkload(t, WorkloadSpec{ModelName: "alexnet", Dataset: FoodsSpec(),
+		PlanKind: plan.Staged, Placement: plan.AfterJoin})
+	params := optimizer.DefaultParams()
+	huge := memory.GB(1 << 20)
+	// roomy gives every region huge availability on prof's hardware.
+	roomy := func(prof Profile) (Config, Profile) {
+		prof.MemPerNode, prof.DriverMem = huge, huge
+		if prof.GPU != nil {
+			prof.GPU.MemBytes = huge
+		}
+		return Config{CPU: 4, NP: 64, Join: dataflow.BroadcastJoin, Pers: dataflow.Deserialized,
+			Apportion: memory.Apportionment{OSReserved: params.MemOSReserved,
+				DLExecution: huge, User: huge, Core: huge, Storage: huge}}, prof
+	}
+	for _, tc := range []struct {
+		scenario memory.CrashScenario
+		prof     Profile
+		// need reads the row's demand; set gives the row avail bytes.
+		need func(d optimizer.Regions, cfg Config) int64
+		set  func(cfg *Config, prof *Profile, avail int64)
+	}{
+		{memory.DeviceExhausted, SingleNodeGPU(),
+			func(d optimizer.Regions, _ Config) int64 { return d.Device },
+			func(_ *Config, prof *Profile, avail int64) { prof.GPU.MemBytes = avail }},
+		{memory.LargePartition, PaperCluster(),
+			func(d optimizer.Regions, _ Config) int64 { return d.Core },
+			func(cfg *Config, _ *Profile, avail int64) { cfg.Apportion.Core = avail }},
+		{memory.InsufficientUser, PaperCluster(),
+			func(d optimizer.Regions, _ Config) int64 { return d.User },
+			func(cfg *Config, _ *Profile, avail int64) { cfg.Apportion.User = avail }},
+		{memory.DriverOOM, PaperCluster(),
+			func(d optimizer.Regions, _ Config) int64 { return d.Driver },
+			func(_ *Config, prof *Profile, avail int64) { prof.DriverMem = avail }},
+		{memory.DLBlowup, PaperCluster(),
+			func(d optimizer.Regions, cfg Config) int64 {
+				return params.MemOSReserved + d.User + params.MemCore + min(d.Storage, cfg.Apportion.Storage) + d.DL
+			},
+			func(_ *Config, prof *Profile, avail int64) { prof.MemPerNode = avail }},
+		{memory.StorageExhausted, IgniteCluster(),
+			func(d optimizer.Regions, _ Config) int64 { return d.Storage },
+			func(cfg *Config, _ *Profile, avail int64) { cfg.Apportion.Storage = avail }},
+	} {
+		cfg, prof := roomy(tc.prof)
+		m := newModel(w, cfg, prof)
+		need := tc.need(optimizer.Demand(m.in, cfg.CPU, cfg.NP, m.t, params), cfg)
+		survives, crashes := need, need-1
+		if tc.scenario == memory.DeviceExhausted {
+			survives, crashes = need+1, need
+		}
+		for _, c := range []struct {
+			avail int64
+			crash bool
+		}{{survives, false}, {crashes, true}} {
+			cfg, prof := roomy(tc.prof)
+			tc.set(&cfg, &prof, c.avail)
+			r := Run(w, cfg, prof)
+			oom, ok := memory.IsOOM(r.Crash)
+			switch {
+			case !c.crash && r.Crash != nil:
+				t.Errorf("%v: %d available for a demand of %d crashed: %v", tc.scenario, c.avail, need, r.Crash)
+			case c.crash && (!ok || oom.Scenario != tc.scenario):
+				t.Errorf("%v: %d available for a demand of %d: want %v, got %v", tc.scenario, c.avail, need, tc.scenario, r.Crash)
+			}
+		}
+	}
+}
+
+// TestTunedBaselineDLFollowsDemand: the tuned baseline reserves Equation 11's
+// DL Execution Memory, not a flat cpu × |f|_mem: a fully-cached run loads no
+// CNN replicas, and an MLP downstream on the DL side is charged there.
+func TestTunedBaselineDLFollowsDemand(t *testing.T) {
+	cached := func(int, bool) bool { return true }
+	for _, tc := range []struct {
+		name string
+		ws   WorkloadSpec
+		want func(in optimizer.Inputs) int64
+	}{
+		{"cold", WorkloadSpec{ModelName: "alexnet", Dataset: FoodsSpec()},
+			func(in optimizer.Inputs) int64 { return 5 * in.ModelStats.MemBytes }},
+		{"cached", WorkloadSpec{ModelName: "alexnet", Dataset: FoodsSpec(), Stored: cached},
+			func(optimizer.Inputs) int64 { return 0 }},
+		{"cached-mlp", WorkloadSpec{ModelName: "alexnet", Dataset: FoodsSpec(), Stored: cached,
+			Downstream: Downstream{MLP: true, Hidden: []int{1024}}},
+			func(in optimizer.Inputs) int64 { return 5 * in.DownstreamMemBytes }},
+	} {
+		w := mustWorkload(t, tc.ws)
+		a := TunedBaseline(w, 5).Apportion
+		if want := tc.want(w.Inputs); a.DLExecution != want {
+			t.Errorf("%s: DL Execution = %d, want %d", tc.name, a.DLExecution, want)
+		}
+		if got := a.Total(); got != memory.GB(32) {
+			t.Errorf("%s: apportionment totals %d, want all 32 GB", tc.name, got)
+		}
+	}
+}
+
+// TestUnsetImageBytesDefault: a workload without an image-row size is priced
+// with the optimizer's default (the input tensor at 4× compression), not as
+// free images.
+func TestUnsetImageBytesDefault(t *testing.T) {
+	unset := FoodsSpec()
+	unset.ImageRowBytes = 0
+	w := mustWorkload(t, WorkloadSpec{ModelName: "alexnet", Dataset: unset})
+	set := unset
+	set.ImageRowBytes = w.Inputs.ModelStats.InputBytes / 4
+	cfg := TunedBaseline(w, 5)
+	got, want := Run(w, cfg, PaperCluster()), Run(mustWorkload(t, WorkloadSpec{ModelName: "alexnet", Dataset: set}), cfg, PaperCluster())
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("unset image bytes priced %+v, want %+v", got, want)
+	}
+}
+
 // TestScaleupAndSpeedupShapes checks Figure 12: near-linear scaleup, and
 // speedup that is sub-linear for AlexNet but closer to linear for VGG16.
 func TestScaleupAndSpeedupShapes(t *testing.T) {

@@ -25,7 +25,7 @@ echo "== go build =="
 go build ./...
 
 echo "== non-test Go lines outside bench/ (informational, not a gate) =="
-find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
 echo "== examples (run each once) =="
 # The build above only compiles the five examples; running each once catches
