@@ -260,11 +260,15 @@ func TestAdmissionStressWithCancellation(t *testing.T) {
 	// body, so some requests legitimately never reach admission; the
 	// queue-wait histogram (observed once per Admit, whatever the verdict)
 	// is the ground truth for how many did.
-	h := a.metrics.FindHistogram("vista_admission_queue_wait_seconds")
-	if h == nil {
+	reached := int64(-1)
+	for _, s := range a.metrics.Samples(func(name string) bool { return name == "vista_admission_queue_wait_seconds" }) {
+		if s.Name == "vista_admission_queue_wait_seconds_count" {
+			reached = int64(s.Value)
+		}
+	}
+	if reached < 0 {
 		t.Fatal("queue-wait histogram missing")
 	}
-	reached := h.Count()
 	if reached > parallel {
 		t.Errorf("controller saw %d requests, only %d were sent", reached, parallel)
 	}

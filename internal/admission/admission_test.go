@@ -327,11 +327,16 @@ func TestOutcomeCountersReconcile(t *testing.T) {
 	if s.InFlightBytes != 0 || s.InFlightRuns != 0 || s.QueueDepth != 0 {
 		t.Errorf("controller not drained: %+v", s)
 	}
-	h := reg.FindHistogram("vista_admission_queue_wait_seconds")
-	if h == nil {
+	observed := int64(-1)
+	for _, s := range reg.Samples(func(name string) bool { return name == "vista_admission_queue_wait_seconds" }) {
+		if s.Name == "vista_admission_queue_wait_seconds_count" {
+			observed = int64(s.Value)
+		}
+	}
+	if observed < 0 {
 		t.Fatal("queue-wait histogram not registered")
 	}
-	if h.Count() != n {
-		t.Errorf("queue-wait histogram observed %d requests, want %d", h.Count(), n)
+	if observed != n {
+		t.Errorf("queue-wait histogram observed %d requests, want %d", observed, n)
 	}
 }

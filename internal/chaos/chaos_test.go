@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/featurestore"
 	"repro/internal/memory"
+	"repro/internal/obs"
 )
 
 func TestMain(m *testing.M) {
@@ -131,6 +133,20 @@ func chaosRows(n, dim int) []dataflow.Row {
 	return rows
 }
 
+// storageUsed sums every node's vista_pool_used_bytes{pool="storage"} gauge:
+// the bytes e holds cached across the cluster.
+func storageUsed(e *dataflow.Engine) int64 {
+	reg := obs.NewRegistry()
+	e.RegisterMetrics(reg)
+	var total int64
+	for _, s := range reg.Samples(func(name string) bool { return name == "vista_pool_used_bytes" }) {
+		if strings.Contains(s.Labels, `pool="storage"`) {
+			total += int64(s.Value)
+		}
+	}
+	return total
+}
+
 // engineSchedule runs one seeded fault schedule against a bare engine:
 // ingest → map → collect → drop, with a storage budget tight enough that
 // spill and unspill sites are live. Whatever the faults do, errors must stay
@@ -193,7 +209,7 @@ func engineSchedule(t *testing.T, seed int64) {
 	}
 	faultinject.DisarmAll()
 
-	if used := e.StorageUsed(); used != 0 {
+	if used := storageUsed(e); used != 0 {
 		t.Errorf("sites %v: %d storage bytes leaked after drops", armed, used)
 	}
 	if used := e.DriverPool().Used(); used != 0 {

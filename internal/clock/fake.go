@@ -21,6 +21,8 @@ type Fake struct {
 }
 
 // NewFake returns a Fake reading a fixed epoch (2030-01-01T00:00:00Z).
+//
+//vista:keep the fake clock other packages' tests drive time through
 func NewFake() *Fake { return NewFakeAt(fakeEpoch) }
 
 // NewFakeAt returns a Fake reading start.
@@ -107,6 +109,8 @@ func (f *Fake) pruneLocked() {
 // time. Deliveries are non-blocking into a 1-buffered channel (time.Ticker's
 // drop semantics). Advance returns once the clock reads now+d and every due
 // waiter has fired.
+//
+//vista:keep the fake clock other packages' tests drive time through
 func (f *Fake) Advance(d time.Duration) {
 	if d < 0 {
 		panic("clock: negative Advance")
@@ -161,6 +165,8 @@ func (f *Fake) nextDueLocked(target time.Time) *fakeWaiter {
 // and pending on the clock — the synchronization a test needs between
 // starting a goroutine that will set a timer and advancing past that timer's
 // deadline.
+//
+//vista:keep the fake clock other packages' tests drive time through
 func (f *Fake) BlockUntil(n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

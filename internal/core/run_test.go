@@ -1,20 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
-	"image"
-	"image/color"
-	"image/png"
 	"math"
-	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/cnn"
 	"repro/internal/data"
 	"repro/internal/dataflow"
 	"repro/internal/memory"
@@ -199,58 +191,6 @@ func TestRunDAGModelTinyDenseNet(t *testing.T) {
 		if lr.Test.N == 0 {
 			t.Errorf("layer %s has no test metrics", lr.LayerName)
 		}
-	}
-}
-
-func TestRunWithRealImageFiles(t *testing.T) {
-	// Real PNG files on disk flow through the whole pipeline: directory
-	// ingest → resize → inference → training.
-	dir := t.TempDir()
-	const n = 60
-	rng := rand.New(rand.NewSource(31))
-	structRows := make([]dataflow.Row, n)
-	for i := 0; i < n; i++ {
-		label := float32(i % 2)
-		// Label-correlated color: class 1 images lean red, class 0 blue.
-		img := image.NewRGBA(image.Rect(0, 0, 20, 20))
-		for y := 0; y < 20; y++ {
-			for x := 0; x < 20; x++ {
-				noise := uint8(rng.Intn(60))
-				if label == 1 {
-					img.Set(x, y, color.RGBA{R: 180 + noise/2, G: noise, B: noise, A: 255})
-				} else {
-					img.Set(x, y, color.RGBA{R: noise, G: noise, B: 180 + noise/2, A: 255})
-				}
-			}
-		}
-		var buf bytes.Buffer
-		if err := png.Encode(&buf, img); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%d.png", i)), buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		structRows[i] = dataflow.Row{ID: int64(i), Label: label,
-			Structured: []float32{rng.Float32()}}
-	}
-	imageRows, err := data.LoadImageDir(dir, cnn.TinyInputSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(Spec{
-		Nodes: 2, CoresPerNode: 2, MemPerNode: memory.GB(32),
-		SystemKind: memory.SparkLike,
-		ModelName:  "tiny-alexnet", NumLayers: 1,
-		Downstream: DefaultDownstream(),
-		StructRows: structRows, ImageRows: imageRows,
-		Seed: 3, SpillDir: t.TempDir(),
-	})
-	if err != nil {
-		t.Fatalf("Run over real PNGs: %v", err)
-	}
-	// The color signal is trivially separable; CNN features must nail it.
-	if f1 := res.Layers[0].Test.F1; f1 < 0.9 {
-		t.Errorf("test F1 over color-separable PNGs = %.2f, want >= 0.9", f1)
 	}
 }
 

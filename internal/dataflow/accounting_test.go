@@ -50,11 +50,11 @@ func TestEvictSpillFailureFreesCharge(t *testing.T) {
 	if e.Counters().Spills.Load() != 0 {
 		t.Error("failed spills were counted as spills")
 	}
-	if used := e.StorageUsed(); used <= 0 {
+	if used := storageUsed(e); used <= 0 {
 		t.Fatalf("expected live cached bytes, got %d", used)
 	}
 	tb.Drop()
-	if used := e.StorageUsed(); used != 0 {
+	if used := storageUsed(e); used != 0 {
 		t.Fatalf("storage pool leaks %d bytes after dropping every table", used)
 	}
 }

@@ -74,7 +74,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg.DriverMemory = memory.GB(4)
 	}
 	e := &Engine{cfg: cfg, spillDir: cfg.SpillDir, spillFiles: make(map[string]struct{})}
-	e.driver = memory.NewPool(memory.User, memory.DriverOOM, cfg.DriverMemory)
+	e.driver = memory.NewPool(memory.Driver, memory.DriverOOM, cfg.DriverMemory)
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &node{
 			id:    i,
@@ -128,15 +128,6 @@ func (e *Engine) UserPool(nodeID int) *memory.Pool { return e.nodes[nodeID].user
 
 // DriverPool returns the driver's memory pool.
 func (e *Engine) DriverPool() *memory.Pool { return e.driver }
-
-// StorageUsed returns the total bytes currently cached across all nodes.
-func (e *Engine) StorageUsed() int64 {
-	var total int64
-	for _, n := range e.nodes {
-		total += n.storage.pool.Used()
-	}
-	return total
-}
 
 // spillDirLocked returns the directory spill files go to, making the
 // engine's own temp dir on the first call when Config.SpillDir is empty: a

@@ -41,6 +41,15 @@ func newTestEngine(t *testing.T, cfg Config) *Engine {
 	return e
 }
 
+// storageUsed returns the bytes currently cached across all nodes.
+func storageUsed(e *Engine) int64 {
+	var total int64
+	for _, n := range e.nodes {
+		total += n.storage.pool.Used()
+	}
+	return total
+}
+
 func makeRows(n, structDim int) []Row {
 	rows := make([]Row, n)
 	for i := range rows {
@@ -334,12 +343,12 @@ func TestDropReleasesStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.StorageUsed() <= 0 {
+	if storageUsed(e) <= 0 {
 		t.Fatal("nothing cached")
 	}
 	tb.Drop()
-	if e.StorageUsed() != 0 {
-		t.Errorf("storage used after drop = %d", e.StorageUsed())
+	if storageUsed(e) != 0 {
+		t.Errorf("storage used after drop = %d", storageUsed(e))
 	}
 	// Dropping nil and already-dropped tables is safe.
 	tb.Drop()
@@ -509,6 +518,9 @@ func TestDriverOOMOnCollect(t *testing.T) {
 	}
 	if oom.Scenario != memory.DriverOOM {
 		t.Errorf("scenario = %v, want driver-oom (crash scenario 4)", oom.Scenario)
+	}
+	if oom.Region != memory.Driver {
+		t.Errorf("region = %v, want the driver's, not a worker's", oom.Region)
 	}
 	if !strings.Contains(oom.Error(), "collect") {
 		t.Errorf("error lacks collect context: %v", oom)

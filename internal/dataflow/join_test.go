@@ -23,7 +23,7 @@ func imageRows(n, imgBytes int) []Row {
 // other pool is empty and every file in the spill directory is one of left's.
 func assertOnlyLeftHeld(t *testing.T, e *Engine, left *Table, extra int64) {
 	t.Helper()
-	if got, want := e.StorageUsed(), left.MemBytes()+extra; got != want {
+	if got, want := storageUsed(e), left.MemBytes()+extra; got != want {
 		t.Errorf("storage holds %d bytes, want %d (left's charge + output)", got, want)
 	}
 	for _, n := range e.nodes {
@@ -95,7 +95,7 @@ func TestJoinConsumesRight(t *testing.T) {
 			}
 			out.Drop()
 			left.Drop()
-			if used := e.StorageUsed(); used != 0 {
+			if used := storageUsed(e); used != 0 {
 				t.Errorf("storage holds %d bytes after dropping left and output", used)
 			}
 		})

@@ -48,7 +48,7 @@ func TestRegisterMetricsExposition(t *testing.T) {
 	}
 	// The storage gauges read the live cache: with a table cached, both
 	// nodes report 0 only if nothing was charged at all.
-	if e.StorageUsed() == 0 {
+	if storageUsed(e) == 0 {
 		t.Fatal("expected cached bytes behind the storage gauges")
 	}
 }

@@ -252,8 +252,8 @@ func TestRowClone(t *testing.T) {
 	c := r.Clone()
 	c.Structured[0] = 99
 	c.Image[0] = 99
-	c.Features.Get(0).Set(99, 0, 0)
-	if r.Structured[0] == 99 || r.Image[0] == 99 || r.Features.Get(0).At(0, 0) == 99 {
+	c.Features.Get(0).Data()[0] = 99
+	if r.Structured[0] == 99 || r.Image[0] == 99 || r.Features.Get(0).Data()[0] == 99 {
 		t.Error("Clone shares storage")
 	}
 }

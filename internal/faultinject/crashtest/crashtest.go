@@ -39,9 +39,13 @@ const (
 
 // Scenario returns the scenario name when the current process is a re-exec'd
 // crash helper, or "" in a normal test process.
+//
+//vista:keep the crash-consistency harness other packages' tests re-exec through
 func Scenario() string { return os.Getenv(scenarioEnv) }
 
 // Dir returns the working directory handed to the crash helper by Run.
+//
+//vista:keep the crash-consistency harness other packages' tests re-exec through
 func Dir() string { return os.Getenv(dirEnv) }
 
 // Run re-executes the current test binary running only helperTest under the
@@ -49,6 +53,8 @@ func Dir() string { return os.Getenv(dirEnv) }
 // faultinject.KillExitCode — a clean exit or any other status fails the
 // parent test, so a scenario that never reaches its kill site cannot pass
 // silently.
+//
+//vista:keep the crash-consistency harness other packages' tests re-exec through
 func Run(t *testing.T, helperTest, scenario, dir string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=^"+helperTest+"$", "-test.count=1")

@@ -47,6 +47,8 @@ func (e *Error) Error() string {
 }
 
 // AsFault returns the *Error in err's chain, if any.
+//
+//vista:keep how tests recover an injected fault from a wrapped error
 func AsFault(err error) (*Error, bool) {
 	var fe *Error
 	if errors.As(err, &fe) {
@@ -107,6 +109,8 @@ var (
 
 // Arm installs a policy at a named site, replacing any previous policy and
 // resetting the site's counters.
+//
+//vista:keep the fault-injection harness other packages' tests drive; production code only visits sites
 func Arm(name string, p Policy) {
 	mu.Lock()
 	defer mu.Unlock()
@@ -117,6 +121,8 @@ func Arm(name string, p Policy) {
 }
 
 // Disarm removes the policy at a site; a no-op for unarmed sites.
+//
+//vista:keep the fault-injection harness other packages' tests drive; production code only visits sites
 func Disarm(name string) {
 	mu.Lock()
 	defer mu.Unlock()
@@ -128,6 +134,8 @@ func Disarm(name string) {
 
 // DisarmAll removes every armed site. Tests defer this so one failed test
 // cannot poison the next.
+//
+//vista:keep the fault-injection harness other packages' tests drive; production code only visits sites
 func DisarmAll() {
 	mu.Lock()
 	defer mu.Unlock()
@@ -137,6 +145,8 @@ func DisarmAll() {
 
 // ArmedSites returns the names of all armed sites, sorted. CI fails a test
 // binary whose TestMain finds sites still armed at exit.
+//
+//vista:keep the fault-injection harness other packages' tests drive; production code only visits sites
 func ArmedSites() []string {
 	mu.Lock()
 	defer mu.Unlock()
@@ -207,6 +217,8 @@ func HitBytes(name string, n int64) ByteVerdict {
 // --- Policies ---
 
 // FailAlways fires on every call.
+//
+//vista:keep a policy for the fault-injection harness; production code arms none
 func FailAlways() Policy {
 	return policyFunc("fail-always", func(call, n int64) verdict {
 		return verdict{fail: true}
@@ -214,6 +226,8 @@ func FailAlways() Policy {
 }
 
 // FailNth fires exactly on the nth call (1-based) and never again.
+//
+//vista:keep a policy for the fault-injection harness; production code arms none
 func FailNth(nth int64) Policy {
 	return policyFunc(fmt.Sprintf("fail-nth(%d)", nth), func(call, n int64) verdict {
 		return verdict{fail: call == nth}
@@ -221,6 +235,8 @@ func FailNth(nth int64) Policy {
 }
 
 // FailEveryKth fires on every kth call (k, 2k, 3k, ...).
+//
+//vista:keep a policy for the fault-injection harness; production code arms none
 func FailEveryKth(k int64) Policy {
 	if k <= 0 {
 		k = 1
@@ -233,6 +249,8 @@ func FailEveryKth(k int64) Policy {
 // FailAfterBytes fires once the site's cumulative transferred bytes would
 // exceed limit; the verdict's Allowed is the remaining headroom, so the
 // caller persists a torn prefix before failing — a disk filling up mid-write.
+//
+//vista:keep a policy for the fault-injection harness; production code arms none
 func FailAfterBytes(limit int64) Policy {
 	var seen int64
 	var fired bool
@@ -256,6 +274,8 @@ func FailAfterBytes(limit int64) Policy {
 // SilentTruncate makes one write at the site silently persist only the first
 // keep bytes while reporting success — the no-fsync torn write that leaves a
 // truncated file behind a "successful" rename. One-shot.
+//
+//vista:keep a policy for the fault-injection harness; production code arms none
 func SilentTruncate(keep int64) Policy {
 	var fired bool
 	return policyFunc(fmt.Sprintf("silent-truncate(%d)", keep), func(call, n int64) verdict {
@@ -270,6 +290,8 @@ func SilentTruncate(keep int64) Policy {
 // Kill terminates the process at the site's first visit — the kill-here point
 // crash-consistency tests arm between two persistence steps. One-shot by
 // construction (the process does not survive it).
+//
+//vista:keep a policy for the fault-injection harness; production code arms none
 func Kill() Policy { return KillNth(1) }
 
 // KillNth terminates the process at the site's nth visit.
@@ -282,6 +304,8 @@ func KillNth(nth int64) Policy {
 // FailRandom fires with probability p per call, driven by its own seeded
 // generator — the stress mode: schedules differ across seeds but replay
 // exactly for a given seed and call sequence.
+//
+//vista:keep a policy for the fault-injection harness; production code arms none
 func FailRandom(seed int64, p float64) Policy {
 	rng := rand.New(rand.NewSource(seed))
 	return policyFunc(fmt.Sprintf("fail-random(seed=%d,p=%g)", seed, p), func(call, n int64) verdict {
@@ -292,6 +316,8 @@ func FailRandom(seed int64, p float64) Policy {
 // Callback runs fn at every visit without failing the site. It turns a site
 // into a synchronization point: concurrency tests use it to observe which
 // locks are (not) held while the marked operation is in flight.
+//
+//vista:keep a policy for the fault-injection harness; production code arms none
 func Callback(fn func()) Policy {
 	return policyFunc("callback", func(call, n int64) verdict {
 		fn()

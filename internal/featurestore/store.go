@@ -280,6 +280,12 @@ func (s *Store) Close() error { return nil }
 // entry, no atomic-write temp files may linger, and the byte accounting must
 // equal the sum of entry sizes. Chaos and crash-consistency tests call it
 // after every fault schedule; it returns the first inconsistency found.
+//
+// It is a test oracle, not a boot check: Open rebuilds the index from the
+// directory listing, so a check at open could never fail. It lives here,
+// not in this package's tests, because internal/chaos's tests call it too.
+//
+//vista:keep a test oracle the chaos and crash-consistency tests audit the store with
 func (s *Store) Fsck() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -25,6 +25,9 @@ const (
 	Storage
 	// Device is GPU memory (Equation 15), present only with accelerators.
 	Device
+	// Driver is the driver's memory, which holds broadcast builds and
+	// collected results (crash scenario 4); it is no worker's region.
+	Driver
 )
 
 var regionNames = map[Region]string{
@@ -34,6 +37,7 @@ var regionNames = map[Region]string{
 	Core:        "core",
 	Storage:     "storage",
 	Device:      "device",
+	Driver:      "driver",
 }
 
 // String implements fmt.Stringer.
@@ -138,15 +142,6 @@ type Apportionment struct {
 	Core        int64
 	Storage     int64
 }
-
-// WorkloadTotal returns the total Workload Memory (everything but the OS
-// reservation).
-func (a Apportionment) WorkloadTotal() int64 {
-	return a.DLExecution + a.User + a.Core + a.Storage
-}
-
-// Total returns the full apportioned System Memory.
-func (a Apportionment) Total() int64 { return a.OSReserved + a.WorkloadTotal() }
 
 // FormatBytes renders a byte count in human units.
 func FormatBytes(b int64) string {

@@ -9,16 +9,6 @@ import (
 	"testing/quick"
 )
 
-func TestApportionmentTotals(t *testing.T) {
-	a := Apportionment{OSReserved: 1, DLExecution: 2, User: 3, Core: 4, Storage: 5}
-	if a.WorkloadTotal() != 14 {
-		t.Errorf("WorkloadTotal = %d, want 14", a.WorkloadTotal())
-	}
-	if a.Total() != 15 {
-		t.Errorf("Total = %d, want 15", a.Total())
-	}
-}
-
 func TestOOMErrorMessageAndIsOOM(t *testing.T) {
 	err := &OOMError{Region: User, Scenario: InsufficientUser, Need: MB(600), Avail: MB(100), Detail: "feature TensorList"}
 	msg := err.Error()
@@ -74,8 +64,8 @@ func TestBaselineSparkApportionment(t *testing.T) {
 	if a.User != int64(float64(GB(29))*0.40) {
 		t.Errorf("user = %d", a.User)
 	}
-	if a.Total() != GB(32) {
-		t.Errorf("total = %d, want 32 GB", a.Total())
+	if total := a.OSReserved + a.DLExecution + a.User + a.Core + a.Storage; total != GB(32) {
+		t.Errorf("total = %d, want 32 GB", total)
 	}
 	if a.Storage+a.Core+a.User != GB(29) {
 		t.Error("heap regions do not sum to heap")
@@ -205,17 +195,6 @@ func TestPoolTryAllocOrEvictExhausts(t *testing.T) {
 	err = p.TryAllocOrEvict(10, "x", nil)
 	if _, ok := IsOOM(err); !ok {
 		t.Errorf("expected OOM with nil evict, got %v", err)
-	}
-}
-
-func TestPoolReset(t *testing.T) {
-	p := NewPool(User, InsufficientUser, 10)
-	if err := p.Alloc(7, ""); err != nil {
-		t.Fatal(err)
-	}
-	p.Reset()
-	if p.Used() != 0 || p.Peak() != 0 {
-		t.Error("reset did not clear usage")
 	}
 }
 

@@ -107,10 +107,3 @@ func (p *Pool) TryAllocOrEvict(n int64, detail string, evict func(need int64) in
 		}
 	}
 }
-
-// Reset zeroes the pool's usage and peak (for reuse across runs).
-func (p *Pool) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.used, p.peak = 0, 0
-}

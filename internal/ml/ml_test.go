@@ -377,16 +377,17 @@ func TestTrainLogRegKeep(t *testing.T) {
 			rows = append(rows, r)
 		}
 	}
-	kept := 0
+	var keptRows []dataflow.Row
 	var inBytes, keptBytes [parts]int64
 	for i := range rows {
 		p := rows[i].ID % parts
 		inBytes[p] += rows[i].MemBytes()
 		if keep(&rows[i]) {
 			keptBytes[p] += rows[i].MemBytes()
-			kept++
+			keptRows = append(keptRows, rows[i])
 		}
 	}
+	kept := len(keptRows)
 	if keptBytes[parts-1] != 0 || inBytes[parts-1] == 0 {
 		t.Fatalf("partition %d: %d input bytes, %d kept; want a partition of held-out rows only", parts-1, inBytes[parts-1], keptBytes[parts-1])
 	}
@@ -422,24 +423,13 @@ func TestTrainLogRegKeep(t *testing.T) {
 		gotBlocks := e.UserPool(0).Peak() - slices.Max(inBytes[:])
 		assertUserDrained(t, e, 1)
 
+		// CreateTable hashes on ID % parts, as the keep fit's table did, so
+		// the reference partitions hold the kept rows in the same order.
 		ref := engine()
-		tb, err = ref.CreateTable("t", rows, parts)
+		split, err := ref.CreateTable("kept", keptRows, parts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		split, err := ref.MapPartitions("kept", tb, func(_ *dataflow.TaskContext, in []dataflow.Row) ([]dataflow.Row, error) {
-			var out []dataflow.Row
-			for i := range in {
-				if keep(&in[i]) {
-					out = append(out, in[i])
-				}
-			}
-			return out, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref.UserPool(0).Reset() // the split's own task charges are not the fit's
 		want, err := TrainLogReg(ref, split, nil, StructuredPlusFeature(0), dim, cfg)
 		if err != nil {
 			t.Fatal(err)

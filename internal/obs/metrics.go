@@ -309,13 +309,6 @@ func (h *Histogram) Observe(v float64) {
 	h.count++
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
 // sumCount returns the histogram's sum and count.
 func (h *Histogram) sumCount() (float64, int64) {
 	h.mu.Lock()

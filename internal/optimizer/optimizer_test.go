@@ -59,7 +59,7 @@ func apportionsDemand(in Inputs, d Decision, params Params) bool {
 	a := d.Apportionment(params)
 	return a.DLExecution == need.DL && a.User == need.User &&
 		min(a.OSReserved, a.DLExecution, a.User, a.Core, a.Storage) >= 0 &&
-		a.Total() <= in.MemSys
+		a.OSReserved+a.DLExecution+a.User+a.Core+a.Storage <= in.MemSys
 }
 
 func TestOptimizerPicksPaperCPUValues(t *testing.T) {

@@ -324,7 +324,7 @@ func publishTestRows(h *Handoff, k featurestore.Key, n int) {
 	rows := make([]dataflow.Row, n)
 	for i := range rows {
 		tt := tensor.New(2)
-		tt.Set(float32(i), 0)
+		tt.Data()[0] = float32(i)
 		rows[i] = dataflow.Row{ID: int64(i), Features: tensor.NewTensorList(tt)}
 	}
 	h.Publish(k, rows)
@@ -359,9 +359,9 @@ func TestHandoffDeliveryAndIsolation(t *testing.T) {
 	}
 	// Deep-copy isolation: mutating the follower's rows must not leak into a
 	// second consumer's view.
-	rows[0].Features.Get(0).Set(99, 0)
+	rows[0].Features.Get(0).Data()[0] = 99
 	again, _ := att.Source.Lookup(k)
-	if got := again[0].Features.Get(0).At(0); got == 99 {
+	if got := again[0].Features.Get(0).Data()[0]; got == 99 {
 		t.Error("Lookup aliases the published tensors; want deep copies")
 	}
 	follower.Start()

@@ -66,7 +66,7 @@ func TunedBaseline(w Workload, cpu int) Config {
 		DLExecution: need.DL,
 		User:        need.User,
 		Core:        params.MemCore,
-		Storage:     max(0, memory.GB(32)-params.MemOSReserved-params.MemCore-need.DL-need.User),
+		Storage:     max(0, in.MemSys-params.MemOSReserved-params.MemCore-need.DL-need.User),
 	}
 	return cfg
 }

@@ -381,7 +381,7 @@ func (m *model) crashCheck() error {
 			Detail: fmt.Sprintf("%d threads of %s + feature TensorLists", cfg.CPU, st.ModelName)})
 	if cfg.Join == dataflow.BroadcastJoin {
 		// Scenario 4: a broadcast the driver cannot hold.
-		checks = append(checks, memory.OOMError{Region: memory.User, Scenario: memory.DriverOOM,
+		checks = append(checks, memory.OOMError{Region: memory.Driver, Scenario: memory.DriverOOM,
 			Need: need.Driver, Avail: prof.DriverMem, Detail: "broadcast build of Tstr at the driver"})
 	}
 	// Scenario 1: the total resident set exceeds physical memory and the OS

@@ -350,29 +350,30 @@ func TestCrashCheckTies(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		scenario memory.CrashScenario
+		region   memory.Region
 		prof     Profile
 		// need reads the row's demand; set gives the row avail bytes.
 		need func(d optimizer.Regions, cfg Config) int64
 		set  func(cfg *Config, prof *Profile, avail int64)
 	}{
-		{memory.DeviceExhausted, SingleNodeGPU(),
+		{memory.DeviceExhausted, memory.Device, SingleNodeGPU(),
 			func(d optimizer.Regions, _ Config) int64 { return d.Device },
 			func(_ *Config, prof *Profile, avail int64) { prof.GPU.MemBytes = avail }},
-		{memory.LargePartition, PaperCluster(),
+		{memory.LargePartition, memory.Core, PaperCluster(),
 			func(d optimizer.Regions, _ Config) int64 { return d.Core },
 			func(cfg *Config, _ *Profile, avail int64) { cfg.Apportion.Core = avail }},
-		{memory.InsufficientUser, PaperCluster(),
+		{memory.InsufficientUser, memory.User, PaperCluster(),
 			func(d optimizer.Regions, _ Config) int64 { return d.User },
 			func(cfg *Config, _ *Profile, avail int64) { cfg.Apportion.User = avail }},
-		{memory.DriverOOM, PaperCluster(),
+		{memory.DriverOOM, memory.Driver, PaperCluster(),
 			func(d optimizer.Regions, _ Config) int64 { return d.Driver },
 			func(_ *Config, prof *Profile, avail int64) { prof.DriverMem = avail }},
-		{memory.DLBlowup, PaperCluster(),
+		{memory.DLBlowup, memory.DLExecution, PaperCluster(),
 			func(d optimizer.Regions, cfg Config) int64 {
 				return params.MemOSReserved + d.User + params.MemCore + min(d.Storage, cfg.Apportion.Storage) + d.DL
 			},
 			func(_ *Config, prof *Profile, avail int64) { prof.MemPerNode = avail }},
-		{memory.StorageExhausted, IgniteCluster(),
+		{memory.StorageExhausted, memory.Storage, IgniteCluster(),
 			func(d optimizer.Regions, _ Config) int64 { return d.Storage },
 			func(cfg *Config, _ *Profile, avail int64) { cfg.Apportion.Storage = avail }},
 	} {
@@ -394,8 +395,8 @@ func TestCrashCheckTies(t *testing.T) {
 			switch {
 			case !c.crash && r.Crash != nil:
 				t.Errorf("%v: %d available for a demand of %d crashed: %v", tc.scenario, c.avail, need, r.Crash)
-			case c.crash && (!ok || oom.Scenario != tc.scenario):
-				t.Errorf("%v: %d available for a demand of %d: want %v, got %v", tc.scenario, c.avail, need, tc.scenario, r.Crash)
+			case c.crash && (!ok || oom.Scenario != tc.scenario || oom.Region != tc.region):
+				t.Errorf("%v: %d available for a demand of %d: want %v in %v region, got %v", tc.scenario, c.avail, need, tc.scenario, tc.region, r.Crash)
 			}
 		}
 	}
@@ -424,8 +425,21 @@ func TestTunedBaselineDLFollowsDemand(t *testing.T) {
 		if want := tc.want(w.Inputs); a.DLExecution != want {
 			t.Errorf("%s: DL Execution = %d, want %d", tc.name, a.DLExecution, want)
 		}
-		if got := a.Total(); got != memory.GB(32) {
+		if got := a.OSReserved + a.DLExecution + a.User + a.Core + a.Storage; got != memory.GB(32) {
 			t.Errorf("%s: apportionment totals %d, want all 32 GB", tc.name, got)
+		}
+	}
+}
+
+// TestTunedBaselineApportionsMemSys: the tuned baseline's regions sum to the
+// worker's System Memory, whatever its size, not to the 32 GB default. At
+// cpu 2 the other regions leave Storage room even on a 16 GB worker.
+func TestTunedBaselineApportionsMemSys(t *testing.T) {
+	for _, gb := range []float64{16, 64} {
+		w := mustWorkload(t, WorkloadSpec{ModelName: "alexnet", Dataset: FoodsSpec(), MemSys: memory.GB(gb)})
+		a := TunedBaseline(w, 2).Apportion
+		if got := a.OSReserved + a.DLExecution + a.User + a.Core + a.Storage; got != memory.GB(gb) {
+			t.Errorf("%.0f GB worker: apportionment totals %d, want %d", gb, got, memory.GB(gb))
 		}
 	}
 }

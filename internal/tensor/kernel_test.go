@@ -161,7 +161,7 @@ func TestKernelNonFinite(t *testing.T) {
 		for i := range in.Data() {
 			in.Data()[i] = 1
 		}
-		in.Set(float32(math.Inf(1)), 1, 1, 1) // channel 1, centre pixel
+		in.set(float32(math.Inf(1)), 1, 1, 1) // channel 1, centre pixel
 		spec := Conv2DSpec{InChannels: 2, OutChannels: 5, Kernel: 1, Stride: 1}
 		weights := make([]float32, spec.WeightCount())
 		for oc := 0; oc < spec.OutChannels; oc++ {
@@ -178,14 +178,14 @@ func TestKernelNonFinite(t *testing.T) {
 				t.Fatal(err)
 			}
 			for oc := 0; oc < spec.OutChannels; oc++ {
-				g, w := got.At(oc, 1, 1), want.At(oc, 1, 1)
+				g, w := got.at(oc, 1, 1), want.at(oc, 1, 1)
 				if !math.IsNaN(float64(w)) {
 					t.Fatalf("direct kernel: 0·Inf = %v, want NaN", w)
 				}
 				if !math.IsNaN(float64(g)) {
 					t.Errorf("relu=%v: output channel %d = %v where channels 0-3 and the direct kernel give NaN", ep.ReLU, oc, g)
 				}
-				if g, w := got.At(oc, 0, 0), want.At(oc, 0, 0); g != w {
+				if g, w := got.at(oc, 0, 0), want.at(oc, 0, 0); g != w {
 					t.Errorf("relu=%v: finite pixel of channel %d = %v, direct %v", ep.ReLU, oc, g, w)
 				}
 			}
@@ -195,8 +195,8 @@ func TestKernelNonFinite(t *testing.T) {
 		// accumulator is −0 + (−x0) + (−0·x1), so −1 at pixel (0, 0), where
 		// x0 = 1, and −0 at (0, 1), where x0 = 0.
 		zin := in.Clone()
-		zin.Set(1, 0, 0, 0)
-		zin.Set(0, 0, 0, 1)
+		zin.set(1, 0, 0, 0)
+		zin.set(0, 0, 0, 1)
 		neg := make([]float32, spec.WeightCount())
 		negZero := float32(math.Copysign(0, -1))
 		zbias := make([]float32, spec.OutChannels)
@@ -206,10 +206,10 @@ func TestKernelNonFinite(t *testing.T) {
 		}
 		res := New(spec.OutChannels, 3, 3)
 		for oc := 0; oc < spec.OutChannels; oc++ {
-			res.Set(float32(math.NaN()), oc, 2, 2)
-			res.Set(negZero, oc, 0, 1) // acc −0 there: −0 + −0 = −0
-			res.Set(negZero, oc, 0, 2) // acc −1 there: −1 + −0 = −1
-			res.Set(3, oc, 0, 0)       // −1 + 3 = 2
+			res.set(float32(math.NaN()), oc, 2, 2)
+			res.set(negZero, oc, 0, 1) // acc −0 there: −0 + −0 = −0
+			res.set(negZero, oc, 0, 2) // acc −1 there: −1 + −0 = −1
+			res.set(3, oc, 0, 0)       // −1 + 3 = 2
 		}
 		want, err = Conv2D(zin, spec, neg, zbias)
 		if err != nil {
@@ -230,13 +230,13 @@ func TestKernelNonFinite(t *testing.T) {
 			}
 		}
 		for oc := 0; oc < spec.OutChannels; oc++ {
-			if v := got.At(oc, 2, 2); !math.IsNaN(float64(v)) {
+			if v := got.at(oc, 2, 2); !math.IsNaN(float64(v)) {
 				t.Errorf("residual: NaN in R gave %v in channel %d", v, oc)
 			}
-			if v := got.At(oc, 0, 1); v != 0 || !math.Signbit(float64(v)) {
+			if v := got.at(oc, 0, 1); v != 0 || !math.Signbit(float64(v)) {
 				t.Errorf("residual: −0 + −0 through the ReLU gave %v in channel %d, want −0", v, oc)
 			}
-			if v := got.At(oc, 0, 0); v != 2 {
+			if v := got.at(oc, 0, 0); v != 2 {
 				t.Errorf("residual: channel %d pixel (0,0) = %v, want 2", oc, v)
 			}
 		}

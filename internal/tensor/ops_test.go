@@ -60,8 +60,8 @@ func TestConv2DPaddingAndStride(t *testing.T) {
 	}
 	// Corner window covers 2x2=4 ones; others vary. Top-left at (-1,-1) offset
 	// covers rows 0..1, cols 0..1 => 4.
-	if out.At(0, 0, 0) != 4 {
-		t.Errorf("padded corner = %v, want 4", out.At(0, 0, 0))
+	if out.at(0, 0, 0) != 4 {
+		t.Errorf("padded corner = %v, want 4", out.at(0, 0, 0))
 	}
 }
 
@@ -72,8 +72,8 @@ func TestConv2DBias(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Conv2D: %v", err)
 	}
-	if out.At(0, 0, 0) != 3 || out.At(1, 0, 0) != -1 {
-		t.Errorf("bias not applied: %v, %v", out.At(0, 0, 0), out.At(1, 0, 0))
+	if out.at(0, 0, 0) != 3 || out.at(1, 0, 0) != -1 {
+		t.Errorf("bias not applied: %v, %v", out.at(0, 0, 0), out.at(1, 0, 0))
 	}
 }
 
@@ -266,10 +266,10 @@ func TestMaxPool2x2Bitwise(t *testing.T) {
 			in.Data()[i] = float32(i)
 		}
 		for ox, win := range windows {
-			in.Set(win[0], 0, 0, 2*ox)
-			in.Set(win[1], 0, 0, 2*ox+1)
-			in.Set(win[2], 0, 1, 2*ox)
-			in.Set(win[3], 0, 1, 2*ox+1)
+			in.set(win[0], 0, 0, 2*ox)
+			in.set(win[1], 0, 0, 2*ox+1)
+			in.set(win[2], 0, 1, 2*ox)
+			in.set(win[3], 0, 1, 2*ox+1)
 		}
 		out, err := MaxPool2D(in, PoolSpec{Kernel: 2, Stride: 2})
 		if err != nil {
@@ -297,7 +297,7 @@ func TestMaxPoolPropagatesNaN(t *testing.T) {
 		for i := range in.Data() {
 			in.Data()[i] = float32(i)
 		}
-		in.Set(float32(math.NaN()), 0, 1, 0) // the top-left 2×2 quadrant
+		in.set(float32(math.NaN()), 0, 1, 0) // the top-left 2×2 quadrant
 		pools := map[string]func() (*Tensor, error){
 			"tiled 2/2":    func() (*Tensor, error) { return MaxPool2D(in, PoolSpec{Kernel: 2, Stride: 2}) },
 			"windowed 3/2": func() (*Tensor, error) { return MaxPool2D(in, PoolSpec{Kernel: 3, Stride: 2, Pad: 1}) },
@@ -311,10 +311,10 @@ func TestMaxPoolPropagatesNaN(t *testing.T) {
 			if !out.Shape().Equal(Shape{1, 2, 2}) {
 				t.Fatalf("%s: shape %v", name, out.Shape())
 			}
-			if v := out.At(0, 0, 0); !math.IsNaN(float64(v)) {
+			if v := out.at(0, 0, 0); !math.IsNaN(float64(v)) {
 				t.Errorf("%s: window with a NaN pooled to %v, want NaN", name, v)
 			}
-			if v := out.At(0, 1, 1); v != 15 {
+			if v := out.at(0, 1, 1); v != 15 {
 				t.Errorf("%s: NaN-free window pooled to %v, want 15", name, v)
 			}
 		}

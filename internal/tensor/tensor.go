@@ -3,7 +3,6 @@ package tensor
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Shape is the size of each dimension of a tensor (Definition 3.1: the d-tuple
@@ -130,47 +129,10 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// At returns the element at the given multi-index.
-func (t *Tensor) At(idx ...int) float32 {
-	return t.data[t.offset(idx)]
-}
-
-// Set stores v at the given multi-index.
-func (t *Tensor) Set(v float32, idx ...int) {
-	t.data[t.offset(idx)] = v
-}
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index rank %d for shape %v", len(idx), t.shape))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", idx, t.shape))
-		}
-		off = off*t.shape[i] + x
-	}
-	return off
-}
-
 // Flatten implements a FlattenOp (Definition 3.5): it returns a rank-1 view of
 // the tensor sharing the same storage.
 func (t *Tensor) Flatten() *Tensor {
 	return &Tensor{shape: Shape{len(t.data)}, data: t.data}
-}
-
-// MaxAbs returns the maximum absolute value in the tensor, or 0 for an empty
-// tensor.
-func (t *Tensor) MaxAbs() float32 {
-	var m float32
-	for _, v := range t.data {
-		a := float32(math.Abs(float64(v)))
-		if a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // TensorList is an indexed list of tensors of potentially different shapes

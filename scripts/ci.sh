@@ -18,7 +18,7 @@ go vet ./...
 echo "== package docs =="
 go run ./scripts/pkgdoc
 
-echo "== unreferenced exports =="
+echo "== exports with no non-test reader (//vista:keep exempts one) =="
 go run ./scripts/unref
 
 echo "== go build =="

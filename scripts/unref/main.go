@@ -1,20 +1,21 @@
 // Command unref lints the module's exported API: every exported top-level
 // name declared in a non-test file under internal/ — function, type,
-// variable, constant or method — must be referenced from somewhere other than
-// its own package's tests: production code in any package, another package's
-// tests, a command, an example, or the bench/ module, which reaches this one
-// through a replace. CI runs it via scripts/ci.sh and fails the build on
-// offenders, so code kept alive only by its own tests cannot accumulate.
+// variable, constant or method — must be referenced from a non-test file:
+// production code in any package (its own included), a command, an example,
+// or the bench/ module's non-test code, which reaches this one through a
+// replace. A reference from a _test.go file counts for nothing, whichever
+// package it sits in. CI runs it via scripts/ci.sh and fails the build on
+// offenders, so code kept alive only by tests cannot accumulate.
 //
 // References are resolved, not matched by name: go list names every package
-// of both modules, go/types checks them (and the standard library, from
-// source), and a reference counts for the object it denotes, so a call to
-// one type's Render keeps no other type's Render alive. A method also
-// counts as referenced when its type satisfies an interface with that method
-// which the program mentions (a variable, a parameter, a conversion, a
-// constraint) or which fmt, errors and encoding/json look for on the values
-// they are handed (String, Error, MarshalJSON and kin): such a method is
-// called dynamically.
+// of both modules, go/types checks their non-test files (and the standard
+// library, from source), and a reference counts for the object it denotes,
+// so a call to one type's Render keeps no other type's Render alive. A
+// method also counts as referenced when its type satisfies an interface with
+// that method which the program mentions (a variable, a parameter, a
+// conversion, a constraint) or which fmt, errors and encoding/json look for
+// on the values they are handed (String, Error, MarshalJSON and kin): such a
+// method is called dynamically.
 //
 // Struct fields are not linted. Map keys, %+v and encoding/json read fields
 // reflectively, so a rule demanding a field read would flag fields whose
@@ -23,16 +24,19 @@
 //
 // Two gaps, neither hit by today's tree: only the files go list selects for
 // the host platform and default tags are read, so names in other builds'
-// files (kernel_generic.go under purego) go unlinted, and a name used only
-// there is reported; and a generic type's method reached only through an
-// interface is reported, since satisfy skips uninstantiated types.
+// files (kernel_generic.go under purego) go unlinted, and a name whose only
+// production reader sits in such a file is reported; and a generic type's
+// method reached only through an interface is reported, since satisfy skips
+// uninstantiated types.
 //
 // A declaration whose doc comment carries the line
 //
 //	//vista:keep <reason>
 //
-// is exempt: the marker is for reference implementations that tests compare
-// the production path against. Usage, from the repository root:
+// is exempt. The marker has two uses: reference implementations that tests
+// compare the production path against, and test harnesses that other
+// packages' tests drive but production code leaves idle (fault arming, a
+// fake clock). Usage, from the repository root:
 //
 //	go run ./scripts/unref
 package main
@@ -60,7 +64,7 @@ func main() {
 		os.Exit(1)
 	}
 	if len(unref) > 0 {
-		fmt.Fprintln(os.Stderr, "unref: exported names referenced only by their own package's tests:")
+		fmt.Fprintln(os.Stderr, "unref: exported names no non-test file references:")
 		for _, u := range unref {
 			fmt.Fprintln(os.Stderr, "  "+u)
 		}
@@ -71,29 +75,22 @@ func main() {
 
 // pkg is one listed package: go list's fields, then its checked form.
 type pkg struct {
-	Dir, ImportPath                    string
-	GoFiles, TestGoFiles, XTestGoFiles []string
-	Module                             struct{ Path string }
-	types                              *types.Package
-}
-
-// site is where a reference sits: a package, and whether in its tests.
-type site struct {
-	pkg  string
-	test bool
+	Dir, ImportPath string
+	GoFiles         []string
+	Module          struct{ Path string }
+	types           *types.Package
 }
 
 type checker struct {
-	fset  *token.FileSet
-	pkgs  map[string]*pkg
-	std   types.Importer
-	info  types.Info
-	files map[*token.File]site
-	kept  map[token.Position]bool // the line under each keep marker
-	// sites records where each object is referenced, and ifaces where each
-	// interface is mentioned.
-	sites  map[types.Object]map[site]bool
-	ifaces map[*types.Interface]map[site]bool
+	fset *token.FileSet
+	pkgs map[string]*pkg
+	std  types.Importer
+	info types.Info
+	kept map[token.Position]bool // the line under each keep marker
+	// used holds every referenced object, and ifaces every mentioned
+	// interface. Only non-test files are checked, so every site counts.
+	used   map[types.Object]bool
+	ifaces map[*types.Interface]bool
 }
 
 // implicit names the interfaces the standard library calls implicitly.
@@ -105,11 +102,11 @@ var _ = []any{fmt.Stringer(nil), fmt.GoStringer(nil), fmt.Formatter(nil), error(
 	interface{ Is(error) bool }(nil), interface{ As(any) bool }(nil)}`
 
 // check type-checks the modules in dirs and returns the names under the first
-// one's internal/ that nothing but their own package's tests references, as
-// "file:line:col: pkg.Name", and the number of names it linted.
+// one's internal/ that no non-test file references, as "file:line:col:
+// pkg.Name", and the number of names it linted.
 func check(dirs ...string) ([]string, int, error) {
-	c := &checker{fset: token.NewFileSet(), pkgs: map[string]*pkg{}, files: map[*token.File]site{},
-		kept: map[token.Position]bool{}, sites: map[types.Object]map[site]bool{}, ifaces: map[*types.Interface]map[site]bool{},
+	c := &checker{fset: token.NewFileSet(), pkgs: map[string]*pkg{}, kept: map[token.Position]bool{},
+		used: map[types.Object]bool{}, ifaces: map[*types.Interface]bool{},
 		info: types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}}}
 	var order, lint []*pkg
 	wd, _ := os.Getwd()
@@ -140,28 +137,21 @@ func check(dirs ...string) ([]string, int, error) {
 		if _, err := c.Import(p.ImportPath); err != nil {
 			return nil, 0, err
 		}
-		if len(p.XTestGoFiles) > 0 {
-			if _, err := c.checkFiles(p, p.ImportPath+"_test", p.XTestGoFiles); err != nil {
-				return nil, 0, err
-			}
-		}
 	}
 	f, err := parser.ParseFile(c.fset, "implicit.go", implicit, 0)
 	if err != nil {
 		return nil, 0, err
 	}
-	c.files[c.fset.File(f.Pos())] = site{pkg: "implicit"}
 	if _, err := (&types.Config{Importer: c}).Check("implicit", c.fset, []*ast.File{f}, &c.info); err != nil {
 		return nil, 0, err
 	}
 
-	for id, obj := range c.info.Uses {
-		at := c.files[c.fset.File(id.Pos())]
-		add(c.sites, origin(obj), at)
-		c.mention(obj.Type(), at)
+	for _, obj := range c.info.Uses {
+		c.used[origin(obj)] = true
+		c.mention(obj.Type())
 	}
-	for e, tv := range c.info.Types {
-		c.mention(tv.Type, c.files[c.fset.File(e.Pos())])
+	for _, tv := range c.info.Types {
+		c.mention(tv.Type)
 	}
 	c.satisfy()
 
@@ -170,11 +160,7 @@ func check(dirs ...string) ([]string, int, error) {
 	for _, p := range lint {
 		for _, obj := range c.declared(p) {
 			total++
-			used := false
-			for at := range c.sites[obj] {
-				used = used || at != site{p.ImportPath, true}
-			}
-			if !used {
+			if !c.used[obj] {
 				unref = append(unref, fmt.Sprintf("%s: %s", c.fset.Position(obj.Pos()), qualified(obj)))
 			}
 		}
@@ -183,8 +169,8 @@ func check(dirs ...string) ([]string, int, error) {
 	return unref, total, nil
 }
 
-// Import returns a module package checked together with its in-package
-// tests, checking it (and so its imports) on first use.
+// Import returns a module package's checked non-test files, checking them
+// (and so their imports) on first use.
 func (c *checker) Import(path string) (*types.Package, error) {
 	p := c.pkgs[path]
 	if p == nil {
@@ -192,22 +178,21 @@ func (c *checker) Import(path string) (*types.Package, error) {
 	}
 	if p.types == nil {
 		var err error
-		if p.types, err = c.checkFiles(p, path, append(p.GoFiles, p.TestGoFiles...)); err != nil {
+		if p.types, err = c.checkFiles(p); err != nil {
 			return nil, err
 		}
 	}
 	return p.types, nil
 }
 
-// checkFiles parses and type-checks p's files named as package path.
-func (c *checker) checkFiles(p *pkg, path string, names []string) (*types.Package, error) {
+// checkFiles parses and type-checks p's non-test files.
+func (c *checker) checkFiles(p *pkg) (*types.Package, error) {
 	var files []*ast.File
-	for _, name := range names {
+	for _, name := range p.GoFiles {
 		f, err := parser.ParseFile(c.fset, filepath.Join(p.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
-		c.files[c.fset.File(f.Pos())] = site{p.ImportPath, strings.HasSuffix(name, "_test.go")}
 		for _, doc := range f.Comments {
 			for _, line := range doc.List {
 				if reason, ok := strings.CutPrefix(line.Text, "//vista:keep"); ok && strings.TrimSpace(reason) != "" {
@@ -218,11 +203,11 @@ func (c *checker) checkFiles(p *pkg, path string, names []string) (*types.Packag
 		}
 		files = append(files, f)
 	}
-	return (&types.Config{Importer: c}).Check(path, c.fset, files, &c.info)
+	return (&types.Config{Importer: c}).Check(p.ImportPath, c.fset, files, &c.info)
 }
 
-// declared lists p's exported top-level names and methods declared outside
-// its tests and below no keep marker.
+// declared lists p's exported top-level names and methods declared below no
+// keep marker.
 func (c *checker) declared(p *pkg) (out []types.Object) {
 	scope := p.types.Scope()
 	for _, name := range scope.Names() {
@@ -234,7 +219,7 @@ func (c *checker) declared(p *pkg) (out []types.Object) {
 		}
 		for _, obj := range objs {
 			pos := c.fset.Position(obj.Pos())
-			if obj.Exported() && !c.files[c.fset.File(obj.Pos())].test && !c.kept[token.Position{Filename: pos.Filename, Line: pos.Line}] {
+			if obj.Exported() && !c.kept[token.Position{Filename: pos.Filename, Line: pos.Line}] {
 				out = append(out, obj)
 			}
 		}
@@ -246,20 +231,20 @@ func (c *checker) declared(p *pkg) (out []types.Object) {
 // and the interfaces among t's parameters and results when it is a function.
 // Every interface the source names is some expression's type; walking
 // signatures adds those that standard library functions take.
-func (c *checker) mention(t types.Type, at site) {
+func (c *checker) mention(t types.Type) {
 	if sig, ok := t.(*types.Signature); ok {
 		for _, tup := range []*types.Tuple{sig.Params(), sig.Results()} {
 			for i := 0; i < tup.Len(); i++ {
-				c.mention(tup.At(i).Type(), at)
+				c.mention(tup.At(i).Type())
 			}
 		}
 	} else if i, ok := t.Underlying().(*types.Interface); ok && i.NumMethods() > 0 {
-		add(c.ifaces, i, at)
+		c.ifaces[i] = true
 	}
 }
 
 // satisfy marks the methods by which each module type satisfies a mentioned
-// interface as referenced wherever that interface is mentioned.
+// interface as referenced.
 func (c *checker) satisfy() {
 	for _, p := range c.pkgs {
 		scope := p.types.Scope()
@@ -269,26 +254,17 @@ func (c *checker) satisfy() {
 				continue
 			}
 			ptr := types.NewPointer(n) // its method set holds the value methods too
-			for i, sites := range c.ifaces {
+			for i := range c.ifaces {
 				if !types.Implements(ptr, i) {
 					continue
 				}
 				for m := 0; m < i.NumMethods(); m++ {
 					obj, _, _ := types.LookupFieldOrMethod(ptr, false, p.types, i.Method(m).Name())
-					for at := range sites {
-						add(c.sites, origin(obj), at)
-					}
+					c.used[origin(obj)] = true
 				}
 			}
 		}
 	}
-}
-
-func add[K comparable](m map[K]map[site]bool, k K, at site) {
-	if m[k] == nil {
-		m[k] = map[site]bool{}
-	}
-	m[k][at] = true
 }
 
 // origin maps a method of an instantiated generic type to its declaration.
