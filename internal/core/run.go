@@ -125,9 +125,6 @@ func RunContext(ctx context.Context, spec Spec) (*Result, error) {
 
 	if spec.Metrics != nil {
 		engine.RegisterMetrics(spec.Metrics)
-		if spec.FeatureStore != nil {
-			spec.FeatureStore.RegisterMetrics(spec.Metrics)
-		}
 	}
 
 	ex := &executor{

@@ -146,10 +146,11 @@ type Spec struct {
 	FeatureSink FeatureSink
 
 	// Metrics, when non-nil, receives the run's live instrumentation: the
-	// engine registers its counters and per-node pool gauges (and the
-	// feature store its hit/miss/byte series) into this registry, so an HTTP
-	// scrape observes the run in flight. A long-lived registry may be reused
-	// across runs; each run's engine takes over the engine series.
+	// engine registers its counters and per-node pool gauges into this
+	// registry, so an HTTP scrape observes the run in flight. A long-lived
+	// registry may be reused across runs; each run's engine takes over the
+	// engine series. The feature store outlives runs, so its owner registers
+	// its series once, at setup.
 	Metrics *obs.Registry
 
 	// SampleEvery, when positive, runs a time-series sampler for the

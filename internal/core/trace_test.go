@@ -73,8 +73,9 @@ func TestRunTraceSpans(t *testing.T) {
 	}
 }
 
-// TestRunMetricsRegistry: a spec-supplied registry ends up carrying engine,
-// pool, and feature-store series after the run.
+// TestRunMetricsRegistry: a spec-supplied registry ends up carrying engine
+// and pool series after the run, beside the feature-store series its owner
+// registered once at setup.
 func TestRunMetricsRegistry(t *testing.T) {
 	store, err := featurestore.Open(t.TempDir(), 0)
 	if err != nil {
@@ -83,6 +84,7 @@ func TestRunMetricsRegistry(t *testing.T) {
 	spec := tinySpec(t, 60)
 	spec.FeatureStore = store
 	spec.Metrics = obs.NewRegistry()
+	store.RegisterMetrics(spec.Metrics)
 
 	res, err := Run(spec)
 	if err != nil {
@@ -110,7 +112,7 @@ func TestRunMetricsRegistry(t *testing.T) {
 	}
 
 	// Warm rerun against the same registry: cache stages appear as spans and
-	// the store's hit series stays live through the re-registered callbacks.
+	// the store's hit series, registered once, stays live.
 	res2, err := Run(spec)
 	if err != nil {
 		t.Fatalf("warm Run: %v", err)

@@ -1,12 +1,9 @@
 package dataflow
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/memory"
 )
@@ -144,48 +141,5 @@ func TestUnspillChargeFailureWithBrokenDiskDiscards(t *testing.T) {
 	}
 	if used := sc.pool.Used(); used != 0 {
 		t.Errorf("storage pool reports %d bytes with nothing cached", used)
-	}
-}
-
-// TestRunTasksFailureCancelsBlockedAcquire is the regression test for the
-// scheduler's cancellation latency: once a task fails, the dispatch loop must
-// stop even while blocked waiting for a slot held by a straggler. The test
-// holds node 1's only slot itself, standing in for another operation's
-// straggler, so a scheduler that checks for failure only after acquiring a
-// slot deadlocks this exact scenario.
-func TestRunTasksFailureCancelsBlockedAcquire(t *testing.T) {
-	cfg := testConfig()
-	cfg.Nodes = 2
-	cfg.CoresPerNode = 1
-	e := newTestEngine(t, cfg)
-	<-e.nodes[1].slots
-	defer func() { e.nodes[1].slots <- struct{}{} }()
-
-	boom := errors.New("boom")
-	var ranLater atomic.Bool
-	errc := make(chan error, 1)
-	go func() {
-		errc <- e.runTasks(3, func(tc *TaskContext) error {
-			if tc.Part == 0 { // node 0: the fast failure
-				return boom
-			}
-			ranLater.Store(true) // task 1 waits on node 1's held slot
-			return nil
-		})
-	}()
-
-	select {
-	case err := <-errc:
-		if !errors.Is(err, boom) {
-			t.Fatalf("runTasks error = %v, want boom", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("runTasks blocked on a held slot after a task failed")
-	}
-	if ranLater.Load() {
-		t.Error("task scheduled after the operation failed")
-	}
-	if got := e.Counters().TasksRun.Load(); got != 1 {
-		t.Errorf("TasksRun = %d, want 1", got)
 	}
 }

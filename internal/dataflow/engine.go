@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/memory"
 )
@@ -33,7 +34,9 @@ type Config struct {
 }
 
 // Engine is the dataflow runtime: a driver plus Nodes workers, each with its
-// own memory pools, storage cache, and CoresPerNode execution slots.
+// own memory pools and storage cache. Every operation runs at most
+// CoresPerNode tasks at a time on each node; operations issued concurrently
+// on one engine each get that many.
 type Engine struct {
 	cfg      Config
 	nodes    []*node
@@ -55,14 +58,14 @@ type Engine struct {
 	spillFiles map[string]struct{}
 }
 
-// node is one worker: its memory pools, partition cache, and core slots.
+// node is one worker: its memory pools and partition cache. Its CoresPerNode
+// task slots are the workers each operation starts for it (runTasks).
 type node struct {
 	id      int
 	user    *memory.Pool
 	core    *memory.Pool
 	dl      *memory.Pool
 	storage *storageCache
-	slots   chan struct{}
 }
 
 // NewEngine validates cfg and builds the cluster.
@@ -77,16 +80,12 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.driver = memory.NewPool(memory.Driver, memory.DriverOOM, cfg.DriverMemory)
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &node{
-			id:    i,
-			user:  memory.NewPool(memory.User, memory.InsufficientUser, cfg.Apportion.User),
-			core:  memory.NewPool(memory.Core, memory.LargePartition, cfg.Apportion.Core),
-			dl:    memory.NewPool(memory.DLExecution, memory.DLBlowup, cfg.Apportion.DLExecution),
-			slots: make(chan struct{}, cfg.CoresPerNode),
+			id:   i,
+			user: memory.NewPool(memory.User, memory.InsufficientUser, cfg.Apportion.User),
+			core: memory.NewPool(memory.Core, memory.LargePartition, cfg.Apportion.Core),
+			dl:   memory.NewPool(memory.DLExecution, memory.DLBlowup, cfg.Apportion.DLExecution),
 		}
 		n.storage = newStorageCache(e, cfg.Apportion.Storage)
-		for c := 0; c < cfg.CoresPerNode; c++ {
-			n.slots <- struct{}{}
-		}
 		e.nodes = append(e.nodes, n)
 	}
 	return e, nil
@@ -97,8 +96,8 @@ func (e *Engine) Config() Config { return e.cfg }
 
 // SetContext attaches a run-scoped cancellation context. Once ctx is
 // cancelled every subsequent operation (and every operation in flight) fails
-// with ctx's error: the scheduler stops dispatching and blocked slot acquires
-// abort, while running tasks finish. Safe to call once, before the first
+// with ctx's error: no worker takes another task, while running tasks
+// finish. Safe to call once, before the first
 // operation.
 func (e *Engine) SetContext(ctx context.Context) {
 	e.mu.Lock()
@@ -199,12 +198,12 @@ type TaskContext struct {
 // AddFLOPs records floating-point work done by the UDF.
 func (tc *TaskContext) AddFLOPs(n int64) { tc.Engine.counters.FLOPs.Add(n) }
 
-// runTasks executes fn once per task, scheduling task i on node i%Nodes and
-// bounding concurrency by each node's core slots. The first error cancels
-// remaining tasks: undispatched tasks are abandoned — the scheduler checks
-// for failure *before* blocking on a slot and aborts a blocked acquire, so a
-// long straggler can never delay cancellation — and already-started tasks
-// run to completion: no UDF aborts cooperatively. A run-scoped context
+// runTasks executes fn once per task, task i on node i%Nodes. Each node runs
+// its tasks in index order on min(CoresPerNode, its task count) workers, so
+// one operation runs at most CoresPerNode tasks at a time on a node; core's
+// executor issues operations one at a time, so that is the node's bound. The
+// first error stops every worker from taking another task, and tasks already
+// running complete: no UDF aborts cooperatively. A run-scoped context
 // attached via SetContext cancels the same way: its error becomes the
 // operation's error.
 func (e *Engine) runTasks(tasks int, fn func(tc *TaskContext) error) error {
@@ -216,67 +215,48 @@ func (e *Engine) runTasks(tasks int, fn func(tc *TaskContext) error) error {
 		return err
 	}
 	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		done     = make(chan struct{})
+		wg sync.WaitGroup
+		// first is the first failure; once it is set no task starts.
+		first atomic.Pointer[error]
 		// one allocation for every task's context, not one per task
 		tcs = make([]TaskContext, tasks)
+		// taken[k] counts the tasks node k's workers have taken.
+		taken = make([]atomic.Int32, min(len(e.nodes), tasks))
 	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			close(done)
-		}
-		mu.Unlock()
-	}
-	// Propagate run-level cancellation into this operation's done channel, so
-	// one mechanism covers both "a sibling task failed" and "the whole run
-	// was cancelled". The callback is deregistered with the operation.
+	fail := func(err error) { first.CompareAndSwap(nil, &err) }
+	// Run-level cancellation takes the failure path, so one check covers both
+	// "a task failed" and "the whole run was cancelled". The callback is
+	// deregistered with the operation.
 	if ctx.Done() != nil {
 		stop := context.AfterFunc(ctx, func() { fail(ctx.Err()) })
 		defer stop()
 	}
-	cancelled := func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
+	for k := range taken {
+		nodeTasks := (tasks - k + len(e.nodes) - 1) / len(e.nodes)
+		for range min(e.cfg.CoresPerNode, nodeTasks) {
+			wg.Add(1)
+			// One of node k's workers: it takes the node's tasks k + j·Nodes
+			// in index order until none is left or the operation failed.
+			go func() {
+				defer wg.Done()
+				for first.Load() == nil {
+					i := k + int(taken[k].Add(1)-1)*len(e.nodes)
+					if i >= tasks {
+						return
+					}
+					e.counters.TasksRun.Add(1)
+					tc := &tcs[i]
+					*tc = TaskContext{Engine: e, NodeID: k, Part: i}
+					if err := fn(tc); err != nil {
+						fail(err)
+					}
+				}
+			}()
 		}
-	}
-schedule:
-	for i := 0; i < tasks; i++ {
-		if cancelled() {
-			break
-		}
-		n := e.nodeFor(i)
-		select {
-		case <-n.slots: // acquire a core slot before spawning
-		case <-done: // a task failed while every slot was busy
-			break schedule
-		}
-		if cancelled() {
-			n.slots <- struct{}{}
-			break
-		}
-		wg.Add(1)
-		go func(taskIdx int, n *node) {
-			defer wg.Done()
-			defer func() { n.slots <- struct{}{} }()
-			e.counters.TasksRun.Add(1)
-			tc := &tcs[taskIdx]
-			*tc = TaskContext{Engine: e, NodeID: n.id, Part: taskIdx}
-			if err := fn(tc); err != nil {
-				fail(err)
-			}
-		}(i, n)
 	}
 	wg.Wait()
-	// The cancellation callback is deregistered only on return: read under
-	// the lock it writes.
-	mu.Lock()
-	defer mu.Unlock()
-	return firstErr
+	if err := first.Load(); err != nil {
+		return *err
+	}
+	return nil
 }

@@ -4,7 +4,8 @@
 // deserialized persistence formats with disk spill, and memory accounting
 // against the abstract memory model of internal/memory. It plays the role
 // Spark and Ignite play in the paper (Section 2) — scaled to a single
-// process, with nodes and core slots modeled by goroutine scheduling.
+// process: each operation runs a node's CoresPerNode task slots as that many
+// worker goroutines.
 package dataflow
 
 import (

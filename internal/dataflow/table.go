@@ -45,14 +45,23 @@ func (e *Engine) CreateTable(name string, rows []Row, np int) (*Table, error) {
 		readBytes += r.MemBytes()
 	}
 	e.counters.BytesRead.Add(readBytes)
-	t := &Table{Name: name, engine: e, partitions: make([]*Partition, np)}
+	t, err := e.cacheBuckets(name, buckets)
+	if err != nil {
+		return nil, fmt.Errorf("dataflow: ingest %s: %w", name, err)
+	}
+	return t, nil
+}
+
+// cacheBuckets caches buckets[i] as partition i of a new table, on node
+// i%Nodes. A failed admission drops the partitions already admitted, so it
+// leaves no storage charge or spill file behind.
+func (e *Engine) cacheBuckets(name string, buckets [][]Row) (*Table, error) {
+	t := &Table{Name: name, engine: e, partitions: make([]*Partition, len(buckets))}
 	for i, b := range buckets {
 		p := newPartition(i, b)
 		if err := e.nodeFor(i).storage.add(p); err != nil {
-			// Release the partitions already admitted: a failed ingest must
-			// not leave storage charges (or spill files) behind.
 			t.Drop()
-			return nil, fmt.Errorf("dataflow: ingest %s: %w", name, err)
+			return nil, err
 		}
 		t.partitions[i] = p
 	}
@@ -125,16 +134,7 @@ func (e *Engine) Repartition(name string, t *Table, np int) (*Table, error) {
 			e.counters.BytesShuffled.Add(rows[i].MemBytes())
 		}
 	}
-	out := &Table{Name: name, engine: e, partitions: make([]*Partition, np)}
-	for i, b := range buckets {
-		p := newPartition(i, b)
-		if err := e.nodeFor(i).storage.add(p); err != nil {
-			out.Drop()
-			return nil, err
-		}
-		out.partitions[i] = p
-	}
-	return out, nil
+	return e.cacheBuckets(name, buckets)
 }
 
 // ForEachPartition runs fn over every partition in parallel without

@@ -382,7 +382,7 @@ func labelSignature(labels []Label) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, escapeLabel(l.Value))
+		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -391,18 +391,12 @@ func labelSignature(labels []Label) string {
 // withLabel appends one more label pair to a rendered signature (for
 // histogram le labels).
 func withLabel(sig, key, value string) string {
-	extra := fmt.Sprintf("%s=%q", key, escapeLabel(value))
+	extra := fmt.Sprintf("%s=%q", key, value)
 	if sig == "" {
 		return "{" + extra + "}"
 	}
 	return sig[:len(sig)-1] + "," + extra + "}"
 }
-
-// escapeLabel escapes a label value per the exposition format. The %q in the
-// callers already escapes quotes and backslashes; newlines are the remaining
-// hazard and %q handles those too, so this only strips nothing today — kept
-// as the single point to extend if values ever need more massaging.
-func escapeLabel(v string) string { return v }
 
 // escapeHelp escapes help text per the exposition format.
 func escapeHelp(h string) string {

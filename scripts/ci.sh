@@ -63,6 +63,12 @@ echo "== go test -race (fault-injection critical packages) =="
 # block's User Memory charge on error and cancellation paths.
 go test -race -count=1 ./internal/faultinject/... ./internal/calib ./internal/dataflow ./internal/featurestore ./internal/share ./internal/tensor ./internal/cnn ./internal/dl ./internal/workload ./internal/data ./internal/core ./internal/lifecycle ./internal/lru ./internal/ml
 
+echo "== scheduler stress (dataflow task workers) =="
+# Each node runs its tasks on per-operation workers that a failure or the run
+# context stops; the tests that race those stops against running tasks, and
+# two operations sharing one engine, repeat at several GOMAXPROCS (seconds).
+go test -race -count=20 -cpu 1,2,4 -run 'RunTasks|ConcurrentTableOperations|SetContext' ./internal/dataflow
+
 echo "== fuzz smoke (row codec) =="
 # Every spill file and feature-store entry is decoded by DecodeRows, and an
 # entry file is read back from disk, so a blob is outside input. The codec is
